@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, suites, twistor
-from .errors import SixSphereError, UnknownSuite
+from .errors import BadConfig, SixSphereError, UnknownSuite
+from .octonion import CHECK_TOL
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -71,13 +72,18 @@ _MAP_BUILDERS = {
 
 def _cmd_degree(args) -> int:
     name = args.map
+    if args.trials < 1 or (args.starts is not None and args.starts < 1):
+        raise BadConfig("--trials and --starts must be at least 1")
     cfg = deg.EngineConfig(trials=args.trials)
-    if args.starts:
+    if args.starts is not None:
         cfg.n_starts = args.starts
+    k = name.split(":", 1)[1] if name.startswith("power:") else None
+    if k is not None and not (k.isdecimal() and int(k) >= 1):
+        raise BadConfig("power:k needs an integer k >= 1, got %r" % name)
     try:
-        if name.startswith("power:"):
-            fam = deg.power_map(int(name.split(":", 1)[1]))
-            rep = deg.mapping_degree(fam, seed=args.seed, config=cfg)
+        if k is not None:
+            rep = deg.mapping_degree(deg.power_map(int(k)), seed=args.seed,
+                                     config=cfg)
         elif name == "rp7-cube":
             rep = deg.degree_on_rp7(deg.cube_map(), seed=args.seed, config=cfg)
         elif name in _MAP_BUILDERS:
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--list", action="store_true", help="list suite names")
     v.add_argument("--samples", type=int, default=None)
     v.add_argument("--mode", choices=("exact", "float"), default="exact")
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=CHECK_TOL)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", help="write the report to this path ('-' = stdout)")
     v.add_argument("--table", help="CSV of seven-sphere homotopy groups")
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("companion", help="companion octonion of an SO(7) matrix")
     c.add_argument("--matrix", required=True, help="JSON file, 8x8 row-major")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=float, default=CHECK_TOL)
     c.add_argument("--json")
 
     ch = sub.add_parser("chern", help="graded Chern-class pipeline")
@@ -238,7 +244,7 @@ def main(argv=None) -> int:
                 "homotopy": _cmd_homotopy, "recover": _cmd_recover}
     try:
         return handlers[args.command](args)
-    except UnknownSuite as e:
+    except (UnknownSuite, BadConfig) as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_ERROR
     except SixSphereError as e:

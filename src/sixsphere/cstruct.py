@@ -33,14 +33,11 @@ import numpy as np
 from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
-from .frames import normalize, orthogonal_complement_basis
-from .octonion import FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN, Octonion
+from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
+                       MUL_SIGN, SEPARATION_TOL, Octonion, arithmetic_of)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
-
-ONE = Octonion.basis(0)
-E1 = Octonion.basis(1)
 
 
 def embed6(v: Sequence) -> Octonion:
@@ -50,14 +47,10 @@ def embed6(v: Sequence) -> Octonion:
     return Octonion(c)
 
 
-def extract6(o: Octonion, tol: float = 1e-9) -> list:
+def extract6(o: Octonion, tol: float = CHECK_TOL) -> list:
     """Coordinates of o in the 6-plane basis; the <1, e1> components must
     vanish (exactly in exact mode, up to tol otherwise)."""
-    r, i1 = o.coords[0], o.coords[1]
-    if o.exact:
-        if r != 0 or i1 != 0:
-            raise InvalidStructure("vector has components along 1 or e1")
-    elif abs(float(r)) > tol or abs(float(i1)) > tol:
+    if not arithmetic_of(o).is_zero(o.coords[:2], tol):
         raise InvalidStructure("vector has components along 1 or e1")
     return [o.coords[idx] for idx in R6_BASIS]
 
@@ -68,7 +61,7 @@ class ComplexStructureR6:
 
     __slots__ = ("rows", "exact")
 
-    def __init__(self, rows, validate: bool = True, tol: float = 1e-9):
+    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
         if isinstance(rows, np.ndarray):
             self.rows = tuple(tuple(float(x) for x in row) for row in rows)
             self.exact = False
@@ -134,9 +127,7 @@ class ComplexStructureR6:
             v = [1 if i == k else 0 for i in range(6)]
             k += 1
             r = residual(v)
-            nz = any(x != 0 for x in r) if self.exact else \
-                max(abs(float(x)) for x in r) > 1e-6
-            if not nz:
+            if arithmetic_of(self).is_zero(r, SEPARATION_TOL):
                 continue
             jr = self.apply6(r)
             cols.append(r)
@@ -187,7 +178,7 @@ class ComplexLine:
     u: Octonion
     ju: Octonion
 
-    def contains(self, o: Octonion, tol: float = 1e-9) -> bool:
+    def contains(self, o: Octonion, tol: float = CHECK_TOL) -> bool:
         uu = self.u.norm_sq()
         proj = (o.inner(self.u) / uu) * self.u + (o.inner(self.ju) / uu) * self.ju
         return (o - proj).is_zero(tol)
@@ -201,7 +192,7 @@ def _structure_from_formula(image_of) -> ComplexStructureR6:
 
 def standard_structure(exact: bool = True) -> ComplexStructureR6:
     """Left multiplication by e1, restricted to the 6-plane."""
-    e1 = E1 if exact else Octonion([0.0, 1.0] + [0.0] * 6)
+    e1 = (EXACT if exact else FLOAT).e1
     return _structure_from_formula(lambda v: e1 * v)
 
 
@@ -211,10 +202,11 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     x may be any nonzero octonion; the formula only depends on the ray
     through x, which keeps exact rational inputs exact.
     """
+    ctx = arithmetic_of(x)
     n = x.norm_sq()
-    if (x.exact and n == 0) or (not x.exact and float(n) < 1e-30):
+    if ctx.zero_norm(n):
         raise NotUnit("x must be nonzero")
-    e1 = E1 if x.exact else Octonion([0.0, 1.0] + [0.0] * 6)
+    e1 = ctx.e1
     xc = x.conjugate()
     return _structure_from_formula(lambda v: (e1 * (v * x)) * xc / n)
 
@@ -226,22 +218,13 @@ def equivalent(x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
     criterion that y conj(x) lies in <1, e1> (the two always agree).
     """
     same_j = j_from_octonion(x) == j_from_octonion(y)
+    # w is nonzero: j_from_octonion rejects a zero x or y
     w = y * x.conjugate()
-    if x.exact and y.exact:
-        span = all(w.coords[k] == 0 for k in range(2, 8)) and not w.is_zero()
-    else:
-        scale = max(1.0, float(w.norm_sq()) ** 0.5)
-        span = all(abs(float(w.coords[k])) <= tol * scale for k in range(2, 8))
+    span = arithmetic_of(x, y).is_zero(w.coords[2:], tol * max(1.0, w.norm()))
     if span != same_j:
         raise VerificationFailed(
             "span criterion and structure comparison disagree (%r vs %r)" % (span, same_j))
     return same_j
-
-
-def _kernel6(rows, exact: bool, rtol: float = 1e-7):
-    if exact:
-        return linalg.kernel_basis(rows)
-    return [list(v) for v in linalg.kernel_basis_float(np.array(rows, dtype=float), rtol)]
 
 
 def recover_x(j: ComplexStructureR6) -> Octonion:
@@ -255,58 +238,43 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     any unit imaginary of A orthogonal to e1).  Exact inputs produce an exact
     (generally non-unit) representative of the ray.
     """
+    ctx = arithmetic_of(j)
     std = standard_structure(exact=j.exact)
     if j == std:
-        return ONE if j.exact else Octonion([1.0] + [0.0] * 7)
+        return ctx.one
     diff = linalg.mat_sub(j.rows, std.rows)
-    ker = _kernel6([list(r) for r in diff], j.exact)
+    ker = ctx.kernel([list(r) for r in diff])
     if len(ker) == 6:
-        return ONE if j.exact else Octonion([1.0] + [0.0] * 7)
+        return ctx.one
     if len(ker) != 2:
         raise RankError("fixed space of J has dimension %d, expected 2" % len(ker))
     u = embed6(ker[0])
-    e1 = E1 if j.exact else Octonion([0.0, 1.0] + [0.0] * 6)
-    one = ONE if j.exact else Octonion([1.0] + [0.0] * 7)
-    if j.exact:
-        comp = orthogonal_complement_basis([one, e1, u, e1 * u])
-        big_i = comp[0]
-    else:
-        rows = np.array([[float(c) for c in o.coords]
-                         for o in (one, e1, u, e1 * u)])
-        big_i = Octonion(linalg.kernel_basis_float(rows)[0])
+    one, e1 = ctx.one, ctx.e1
+    big_i = Octonion(ctx.kernel([o.coords for o in (one, e1, u, e1 * u)])[0])
     l = (j.apply(big_i) * big_i.conjugate()) / big_i.norm_sq()
-    if not _sanity_l(l, one, e1, u, j.exact):
+    if not _sanity_l(l, one, e1, u):
         raise VerificationFailed("recovered rotation element fails its invariants")
-    antipodal = (l == -e1) if j.exact else (l + e1).norm() < 1e-6
-    if antipodal:
-        x = u if j.exact else normalize(u)
+    if ctx.zero_norm((l + e1).norm_sq(), SEPARATION_TOL ** 2):
+        x = ctx.ray(u)
     else:
         # x = 1 - e1*l solves e1 x = x l:  e1(1 - e1 l) = e1 + l = (1 - e1 l) l
         # by associativity inside the subalgebra generated by e1 and l, hence
         # conj(x) e1 x = |x|^2 l.  It vanishes exactly when l = -e1.
-        x = one - e1 * l
-        if not j.exact:
-            x = normalize(x)
-    back = j_from_octonion(x)
-    bad = (back != j) if j.exact else back.distance(j) > 1e-9
-    if bad:
+        x = ctx.ray(one - e1 * l)
+    if not ctx.agree(j_from_octonion(x), j, CHECK_TOL):
         raise VerificationFailed("recovered x does not reproduce J")
     return x
 
 
-def _sanity_l(l: Octonion, one: Octonion, e1: Octonion, u: Octonion, exact: bool) -> bool:
-    if exact:
-        if l.coords[0] != 0 or l.norm_sq() != 1:
-            return False
-    else:
-        if abs(float(l.coords[0])) > 1e-9 or abs(float(l.norm_sq()) - 1.0) > 1e-9:
-            return False
+def _sanity_l(l: Octonion, one: Octonion, e1: Octonion, u: Octonion) -> bool:
+    if not (l.is_imaginary(CHECK_TOL) and l.is_unit(CHECK_TOL)):
+        return False
     # l must lie in the quaternion subalgebra spanned by (1, e1, u, e1 u)
     span = [one, e1, u, e1 * u]
     proj = Octonion.zero()
     for b in span:
         proj = proj + (l.inner(b) / b.norm_sq()) * b
-    return (l - proj).is_zero(1e-9)
+    return (l - proj).is_zero(CHECK_TOL)
 
 
 def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
@@ -314,16 +282,14 @@ def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     agree (kernel of their difference, always 2-dimensional)."""
     if j1 == j2:
         raise IdenticalStructures("every line is common to identical structures")
-    exact = j1.exact and j2.exact
+    ctx = arithmetic_of(j1, j2)
     diff = linalg.mat_sub(j1.rows, j2.rows)
-    ker = _kernel6([list(r) for r in diff], exact)
+    ker = ctx.kernel([list(r) for r in diff])
     if len(ker) == 0:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:
         raise RankError("agreement space has dimension %d, expected 2" % len(ker))
-    u = embed6(ker[0])
-    if not exact:
-        u = normalize(u)
+    u = ctx.ray(embed6(ker[0]))
     return ComplexLine(u, j1.apply(u))
 
 
@@ -348,27 +314,21 @@ def quaternion_coordinate_form(x: Octonion) -> QuaternionBlockForm:
     multiplication by l = conj(x) e1 x / |x|^2 on the orthogonal complement
     of A, and reports the axis/angle data of l as a rotation of e1.
     """
-    v = x - x.inner(ONE) * ONE - x.inner(E1) * E1
-    if v.is_zero(1e-9):
+    ctx = arithmetic_of(x)
+    one, e1 = ctx.one, ctx.e1
+    v = x - x.inner(one) * one - x.inner(e1) * e1
+    if v.is_zero(CHECK_TOL):
         raise DegenerateX("x lies in <1, e1>; the block split is degenerate")
-    exact = x.exact
-    one = ONE if exact else Octonion([1.0] + [0.0] * 7)
-    e1 = E1 if exact else Octonion([0.0, 1.0] + [0.0] * 6)
     n = x.norm_sq()
     a_basis = (one, e1, v, e1 * v)
-    if exact:
-        a_perp = tuple(orthogonal_complement_basis(list(a_basis)))
-    else:
-        rows = np.array([[float(c) for c in o.coords] for o in a_basis])
-        a_perp = tuple(Octonion(r) for r in linalg.kernel_basis_float(rows))
+    a_perp = tuple(Octonion(r) for r in ctx.kernel([o.coords for o in a_basis]))
     j = j_from_octonion(x)
     l = ((x.conjugate() * e1) * x) / n
-    tol = 0.0 if exact else 1e-9
     for b in (v, e1 * v):
-        if not (j.apply(b) - e1 * b).is_zero(tol if tol else FLOAT_EQ_TOL):
+        if not (j.apply(b) - e1 * b).is_zero(CHECK_TOL):
             raise VerificationFailed("J_x is not left multiplication by e1 on A")
     for w in a_perp:
-        if not (j.apply(w) - l * w).is_zero(tol if tol else 1e-9):
+        if not (j.apply(w) - l * w).is_zero(CHECK_TOL):
             raise VerificationFailed("J_x is not left multiplication by l on A-perp")
     cos2, sense = _rotation_data(x, l, n, e1)
     return QuaternionBlockForm(a_basis, a_perp, l, x.imag(), cos2, sense)
@@ -381,7 +341,7 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
     cos2 = (2 * x0 * x0 - n) / n
     w = x.imag()
     ww = w.norm_sq()
-    if (x.exact and ww == 0) or (not x.exact and float(ww) < 1e-18):
+    if arithmetic_of(x).zero_norm(ww, CHECK_TOL ** 2):
         # x real: l = e1, rotation trivial
         return cos2, 1
     # sin(2 theta) * |w_unit x e1 component|: compare against both senses
@@ -393,7 +353,7 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
     sin2_scaled = 2 * x0 / n              # sin(2t)/|w|
     base = cos2 * e1 + (dot * (1 - cos2) / ww) * w
     matched = [s for s in (1, -1)
-               if (base + (s * sin2_scaled) * cross - l).is_zero(1e-9)]
+               if (base + (s * sin2_scaled) * cross - l).is_zero(CHECK_TOL)]
     if not matched:
         raise VerificationFailed("l is not a rotation of e1 about the axis of x")
     # angle 0 or pi: the two senses coincide, reported as neutral
@@ -419,20 +379,17 @@ class CP3Point:
         if not isinstance(other, CP3Point):
             return NotImplemented
         # projective equality: all complex 2x2 minors vanish
-        exact = all(not isinstance(t, float) for zw in self.coords + other.coords for t in zw)
-        scale = 1.0
-        if not exact:
-            scale = max(1.0, max(abs(float(t)) for zw in self.coords + other.coords for t in zw))
+        ts = [t for zw in self.coords + other.coords for t in zw]
+        ctx = EXACT if all(not isinstance(t, float) for t in ts) else FLOAT
+        scale = max(1.0, max(abs(float(t)) for t in ts))
+        tol = FLOAT_EQ_TOL * scale * scale
         for i in range(4):
             for j in range(i + 1, 4):
                 zi, zj = self.coords[i], self.coords[j]
                 wi, wj = other.coords[i], other.coords[j]
                 re = zi[0] * wj[0] - zi[1] * wj[1] - (zj[0] * wi[0] - zj[1] * wi[1])
                 im = zi[0] * wj[1] + zi[1] * wj[0] - (zj[0] * wi[1] + zj[1] * wi[0])
-                if exact:
-                    if re != 0 or im != 0:
-                        return False
-                elif max(abs(float(re)), abs(float(im))) > FLOAT_EQ_TOL * scale * scale:
+                if not ctx.is_zero((re, im), tol):
                     return False
         return True
 

@@ -525,11 +525,6 @@ def _start_points(family: MapFamily, cfg: EngineConfig,
     return np.column_stack([thetas, p])
 
 
-def _chart_coords(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    t = x @ pole
-    return ((x - np.outer(t, pole)) / (1.0 - t)[:, None]) @ basis
-
-
 def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
               rng: np.random.Generator) -> Tuple[np.ndarray, float]:
     pts_amb = _start_points(family, cfg, rng)
@@ -544,7 +539,7 @@ def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
             continue
         charted = _Charted(family, target, pole, cfg)
         sub = sphere_part[mask]
-        s = _chart_coords(sub, pole, charted.dom_basis)
+        s = _stereo_proj(sub, pole, charted.dom_basis)
         if family.domain == "cylinder":
             s = np.column_stack([pts_amb[mask, 0], s])
         pts, best = charted.solve(s)

@@ -14,17 +14,17 @@ random rational frames without ever leaving the rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
                      NotOrthogonal)
 from .linalg import kernel_basis
-from .octonion import MUL_INDEX, MUL_SIGN, Octonion, scalar_eq
+from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion, arithmetic_of,
+                       exact_sqrt, normalize)
 from .sampling import (random_rational_vector, rational_sphere_point,
                        rational_imaginary_unit)
 
@@ -32,29 +32,6 @@ ONE = Octonion.basis(0)
 E1 = Octonion.basis(1)
 E2 = Octonion.basis(2)
 E4 = Octonion.basis(4)
-
-
-def exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    """sqrt(q) if q is the square of a rational, else None."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def normalize(o: Octonion) -> Octonion:
-    """Unit vector along o.  Stays exact when the norm is rational, otherwise
-    falls back to float coordinates."""
-    n = o.norm_sq()
-    if o.exact:
-        r = exact_sqrt(n)
-        if r is not None:
-            return o / r
-        return Octonion(float(c) for c in o.coords) / float(n) ** 0.5
-    return o / float(n) ** 0.5
 
 
 def householder_swap(a: Octonion, b: Octonion) -> Callable[[Octonion], Octonion]:
@@ -76,33 +53,29 @@ class QuaternionFrame:
     basis: Tuple[Octonion, ...] = field(init=False)
 
     def __post_init__(self):
-        one = ONE if self.x.exact and self.y.exact else Octonion([1.0] + [0.0] * 7)
+        one = arithmetic_of(self.x, self.y).one
         object.__setattr__(self, "basis", (one, self.x, self.y, self.y * self.x))
         self._validate()
 
     def _validate(self):
         b = self.basis
-        exact = all(v.exact for v in b)
+        ctx = arithmetic_of(*b)
         for i in range(4):
             for j in range(4):
                 want = 1 if i == j else 0
-                if not scalar_eq(b[i].inner(b[j]), want, exact, 1e-9):
+                if not ctx.scalar_eq(b[i].inner(b[j]), want, CHECK_TOL):
                     raise FrameInvalid("quaternion frame is not orthonormal")
         # closure under multiplication: every product of basis elements must
-        # lie in the span (checked by projecting and comparing)
+        # lie in the span
         for i in range(4):
             for j in range(4):
-                p = b[i] * b[j]
-                proj = Octonion.zero()
-                for v in b:
-                    proj = proj + p.inner(v) * v
-                if not (p - proj).is_zero(1e-9):
+                if not self.contains(b[i] * b[j]):
                     raise FrameInvalid("quaternion frame span is not closed")
 
     def coords(self, o: Octonion) -> List:
         return [o.inner(v) for v in self.basis]
 
-    def contains(self, o: Octonion, tol: float = 1e-9) -> bool:
+    def contains(self, o: Octonion, tol: float = CHECK_TOL) -> bool:
         proj = Octonion.zero()
         for v in self.basis:
             proj = proj + o.inner(v) * v
@@ -144,16 +117,16 @@ class G2Frame:
 
     def __post_init__(self):
         vs = (self.x, self.y, self.z)
-        exact = all(v.exact for v in vs)
+        ctx = arithmetic_of(*vs)
         for v in vs:
-            if not scalar_eq(v.coords[0], 0, exact, 1e-9):
+            if not ctx.scalar_eq(v.coords[0], 0, CHECK_TOL):
                 raise FrameInvalid("frame vectors must be imaginary")
         for i in range(3):
             for j in range(3):
                 want = 1 if i == j else 0
-                if not scalar_eq(vs[i].inner(vs[j]), want, exact, 1e-9):
+                if not ctx.scalar_eq(vs[i].inner(vs[j]), want, CHECK_TOL):
                     raise FrameInvalid("frame is not orthonormal")
-        if not scalar_eq(self.z.inner(self.y * self.x), 0, exact, 1e-9):
+        if not ctx.scalar_eq(self.z.inner(self.y * self.x), 0, CHECK_TOL):
             raise FrameInvalid("z must be orthogonal to y*x")
 
 
@@ -167,26 +140,26 @@ def g2_from_frame(f: G2Frame):
     algebra automorphism on all 64 basis pairs before being returned.
     """
     im = [None] * 8
-    im[0] = ONE if f.x.exact else Octonion([1.0] + [0.0] * 7)
+    im[0] = arithmetic_of(f.x).one
     im[1], im[2], im[4] = f.x, f.y, f.z
     im[3] = im[1] * im[2]
     im[5] = im[1] * im[4]
     im[6] = im[2] * im[4]
     im[7] = im[3] * im[4]
 
-    exact = all(o.exact for o in im)
+    ctx = arithmetic_of(*im)
     for i in range(8):
         for j in range(8):
             lhs = im[i] * im[j]
             rhs = MUL_SIGN[i][j] * im[MUL_INDEX[i][j]]
-            if not (lhs - rhs).is_zero(1e-9):
+            if not (lhs - rhs).is_zero(CHECK_TOL):
                 raise AutomorphismCheckFailed(
                     "multiplicative extension failed on (e%d, e%d)" % (i, j))
             want = 1 if i == j else 0
-            if not scalar_eq(im[i].inner(im[j]), want, exact, 1e-9):
+            if not ctx.scalar_eq(im[i].inner(im[j]), want, CHECK_TOL):
                 raise AutomorphismCheckFailed("image basis is not orthonormal")
     # columns are the images
-    if exact:
+    if ctx.exact:
         return [[im[j].coords[i] for j in range(8)] for i in range(8)]
     return np.array([[float(im[j].coords[i]) for j in range(8)] for i in range(8)])
 
@@ -259,11 +232,11 @@ class DoublingCoordinates:
     """
 
     def __init__(self, frame: QuaternionFrame, doubling_unit: Octonion):
-        exact = doubling_unit.exact and all(v.exact for v in frame.basis)
-        if not doubling_unit.is_unit(1e-9):
+        ctx = arithmetic_of(doubling_unit, *frame.basis)
+        if not doubling_unit.is_unit(CHECK_TOL):
             raise NotOrthogonal("doubling unit must have norm 1")
         for v in frame.basis:
-            if not scalar_eq(doubling_unit.inner(v), 0, exact, 1e-9):
+            if not ctx.scalar_eq(doubling_unit.inner(v), 0, CHECK_TOL):
                 raise NotOrthogonal("doubling unit must be orthogonal to the frame")
         self.frame = frame
         self.unit = doubling_unit
@@ -273,7 +246,7 @@ class DoublingCoordinates:
     def to_pair(self, o: Octonion):
         a = [o.inner(v) for v in self.frame.basis]
         b = [o.inner(v) for v in self.upper]
-        if not (o - self.from_pair(a, b)).is_zero(1e-9):
+        if not (o - self.from_pair(a, b)).is_zero(CHECK_TOL):
             raise NotOrthogonal("element does not lie in frame + I*frame")
         return a, b
 
@@ -309,7 +282,7 @@ class DoublingCoordinates:
         second = [s + t for s, t in zip(self._qmul(c, b), self._qmul(self._qconj(a), d))]
         return first, second
 
-    def verify_doubling_law(self, tol: float = 1e-9) -> bool:
+    def verify_doubling_law(self, tol: float = CHECK_TOL) -> bool:
         """Doubling product on coordinates == octonion product, on all 64
         pairs of coordinate basis vectors."""
         units = [([1 if i == k else 0 for k in range(4)], [0, 0, 0, 0]) for i in range(4)]

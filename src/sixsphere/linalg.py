@@ -14,6 +14,10 @@ import numpy as np
 
 Matrix = List[List[Fraction]]
 
+#: singular values below this fraction of the largest one span a numerical
+#: kernel; also the residual allowed to closed-form float roots
+KERNEL_RTOL = 1e-7
+
 
 def mat_identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -34,10 +38,6 @@ def mat_vec(a, v) -> list:
 
 def mat_sub(a, b) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a) -> Matrix:
-    return [[-x for x in row] for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -89,16 +89,6 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return basis
 
 
-def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> List[Fraction]:
-    """Exact solution of a square nonsingular system."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
-    a, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return [a[i][n] for i in range(n)]
-
-
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by Gaussian elimination with exact pivoting."""
     a = [[Fraction(x) for x in row] for row in m]
@@ -121,17 +111,6 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return sign * d
 
 
-def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] +
-           [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    a, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in a]
-
-
 def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
     return mat_eq(mat_mul(m, mat_transpose(m)), mat_identity(len(m)))
 
@@ -140,7 +119,7 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 # float helpers
 # ---------------------------------------------------------------------------
 
-def kernel_basis_float(m: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
+def kernel_basis_float(m: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
     """Orthonormal basis (rows) of the numerical kernel: right singular
     vectors whose singular values fall below rtol * s_max."""
     _, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
@@ -150,8 +129,3 @@ def kernel_basis_float(m: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
     cutoff = rtol * s[0]
     small = [i for i in range(ncols) if i >= s.size or s[i] < cutoff]
     return vt[small, :]
-
-
-def is_orthogonal_float(m: np.ndarray, tol: float = 1e-9) -> bool:
-    m = np.asarray(m, dtype=float)
-    return bool(np.max(np.abs(m @ m.T - np.eye(len(m)))) <= tol)

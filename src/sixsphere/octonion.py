@@ -23,17 +23,33 @@ and float operands produces a float result.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import linalg
 from .errors import ZeroDivisor
 
 ScalarLike = Union[int, Fraction, float]
 
-#: absolute tolerance used for float-mode equality of scalars and octonions
+# Float tolerances, each value named once.  Exact mode uses none of them:
+# its tests are literal.
+
+#: absolute tolerance of float equality of scalars and octonions; also the
+#: relative size under which a float coefficient counts as zero
 FLOAT_EQ_TOL = 1e-12
+#: residual allowed to a float identity check (the suites' default tolerance)
+CHECK_TOL = 1e-9
+#: distance under which float points count as one: preimage and fiber
+#: classes, the antipodal branch of structure recovery, and the numerically
+#: nonzero residual vectors of the orientation test
+SEPARATION_TOL = 1e-6
+#: squared norm under which a float octonion counts as zero
+ZERO_NORM_SQ = 1e-30
+#: magnitude under which a batched float divisor is replaced by 1
+DIVISOR_FLOOR = 1e-14
 
 
 def _cd_mul(x, y):
@@ -120,7 +136,7 @@ def _build_table():
             fi, c = identify(_cd_mul(e[i], e[j]))
             k, s = back[fi]
             index[i][j] = k
-            sign[i][j] = c * s
+            sign[i][j] = int(c * s)
     return index, sign
 
 
@@ -224,10 +240,7 @@ class Octonion:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.coords == other.coords
-        return all(abs(float(a) - float(b)) <= FLOAT_EQ_TOL
-                   for a, b in zip(self.coords, other.coords))
+        return arithmetic_of(self, other).eq(self, other)
 
     def __repr__(self) -> str:
         return "Octonion(%s)" % (list(self.coords),)
@@ -250,7 +263,7 @@ class Octonion:
 
     def inverse(self) -> "Octonion":
         n = self.norm_sq()
-        if (self.exact and n == 0) or (not self.exact and float(n) < 1e-30):
+        if arithmetic_of(self).zero_norm(n):
             raise ZeroDivisor("cannot invert a zero octonion")
         return Octonion(a / n for a in self.conjugate().coords)
 
@@ -260,7 +273,7 @@ class Octonion:
         goes through the inverse."""
         if k < 0:
             return self.inverse().power(-k)
-        r = Octonion.basis(0) if self.exact else Octonion([1.0] + [0.0] * 7)
+        r = arithmetic_of(self).one
         for _ in range(k):
             r = r * self
         return r
@@ -274,21 +287,16 @@ class Octonion:
         return Octonion((0, *self.coords[1:]))
 
     def is_zero(self, tol: float = FLOAT_EQ_TOL) -> bool:
-        if self.exact:
-            return all(c == 0 for c in self.coords)
-        return all(abs(c) <= tol for c in self.coords)
+        return arithmetic_of(self).is_zero(self.coords, tol)
 
     def is_unit(self, tol: float = FLOAT_EQ_TOL) -> bool:
-        n = self.norm_sq()
-        return n == 1 if self.exact else abs(float(n) - 1.0) <= tol
+        return arithmetic_of(self).scalar_eq(self.norm_sq(), 1, tol)
 
     def is_imaginary(self, tol: float = FLOAT_EQ_TOL) -> bool:
-        r = self.coords[0]
-        return r == 0 if self.exact else abs(float(r)) <= tol
+        return arithmetic_of(self).scalar_eq(self.coords[0], 0, tol)
 
     def isclose(self, other: "Octonion", tol: float = FLOAT_EQ_TOL) -> bool:
-        return all(abs(float(a) - float(b)) <= tol
-                   for a, b in zip(self.coords, other.coords))
+        return FLOAT.eq(self, other, tol)
 
     # -- interop -------------------------------------------------------------
 
@@ -310,11 +318,126 @@ class Octonion:
         return cls(vals)
 
 
-def scalar_eq(a, b, exact: bool, tol: float = FLOAT_EQ_TOL) -> bool:
-    """Mode-aware scalar comparison: literal in exact mode, |a-b| <= tol otherwise."""
-    if exact:
+def exact_sqrt(q: Fraction) -> Optional[Fraction]:
+    """sqrt(q) if q is the square of a rational, else None."""
+    if q < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def normalize(o: Octonion) -> Octonion:
+    """Unit vector along o.  Stays exact when the norm is rational, otherwise
+    falls back to float coordinates."""
+    n = o.norm_sq()
+    if o.exact:
+        r = exact_sqrt(n)
+        if r is not None:
+            return o / r
+        return Octonion(float(c) for c in o.coords) / float(n) ** 0.5
+    return o / float(n) ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic context
+# ---------------------------------------------------------------------------
+
+class Arithmetic:
+    """What differs between the two arithmetic modes, in one place.
+
+    There are exactly two instances: EXACT, whose tests are literal, and
+    FLOAT, whose tests take a tolerance (ignored by EXACT).  `arithmetic_of`
+    picks one from the values a computation starts from, so an algorithm is
+    written once and asks its context wherever the modes differ.
+    """
+
+    exact: bool
+
+    def __init__(self, zero: Octonion, one: Octonion, e1: Octonion):
+        self.zero, self.one, self.e1 = zero, one, e1
+
+
+class _ExactArithmetic(Arithmetic):
+    exact = True
+
+    def scalar_eq(self, a, b, tol: float = FLOAT_EQ_TOL) -> bool:
+        """Equality of two scalars."""
         return a == b
-    return abs(float(a) - float(b)) <= tol
+
+    def is_zero(self, coords: Iterable, tol: float = FLOAT_EQ_TOL) -> bool:
+        """Whether every coordinate vanishes."""
+        return all(c == 0 for c in coords)
+
+    def eq(self, x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
+        """Equality of two octonions."""
+        return x.coords == y.coords
+
+    def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
+        """Whether the squared norm n counts as zero."""
+        return n == 0
+
+    def agree(self, a, b, tol: float) -> bool:
+        """Equality of two structures; FLOAT compares their `distance`."""
+        return a == b
+
+    def kernel(self, rows) -> list:
+        """Basis (rows) of the right kernel of a matrix."""
+        return linalg.kernel_basis(rows)
+
+    def ray(self, o: Octonion) -> Octonion:
+        """The representative of the ray through o that results carry."""
+        return o
+
+    def residual(self, d: Octonion) -> float:
+        """Largest absolute coordinate of d, as a float."""
+        if self.is_zero(d.coords):
+            return 0.0
+        return max(abs(float(c)) for c in d.coords)
+
+
+class _FloatArithmetic(Arithmetic):
+    exact = False
+
+    def scalar_eq(self, a, b, tol: float = FLOAT_EQ_TOL) -> bool:
+        return abs(float(a) - float(b)) <= tol
+
+    def is_zero(self, coords: Iterable, tol: float = FLOAT_EQ_TOL) -> bool:
+        return all(abs(c) <= tol for c in coords)
+
+    def eq(self, x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
+        return all(abs(float(a) - float(b)) <= tol
+                   for a, b in zip(x.coords, y.coords))
+
+    def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
+        return float(n) < tol_sq
+
+    def agree(self, a, b, tol: float) -> bool:
+        return a.distance(b) <= tol
+
+    def kernel(self, rows) -> list:
+        return [list(v) for v in
+                linalg.kernel_basis_float(np.array(rows, dtype=float),
+                                          linalg.KERNEL_RTOL)]
+
+    def ray(self, o: Octonion) -> Octonion:
+        return normalize(o)
+
+    def residual(self, d: Octonion) -> float:
+        return max(abs(float(c)) for c in d.coords)
+
+
+EXACT = _ExactArithmetic(Octonion.zero(), Octonion.basis(0), Octonion.basis(1))
+FLOAT = _FloatArithmetic(*(Octonion(float(c) for c in o.coords)
+                           for o in (EXACT.zero, EXACT.one, EXACT.e1)))
+
+
+def arithmetic_of(*values) -> Arithmetic:
+    """EXACT when every value (anything with an `exact` flag) is exact, else
+    FLOAT: mixed inputs compute in floats."""
+    return EXACT if all(v.exact for v in values) else FLOAT
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +470,4 @@ def right_mult_matrix(w) -> np.ndarray:
 def left_mult_matrix_exact(w: Octonion):
     """8x8 row-major list-of-lists of Fractions for v -> w*v."""
     cols = [(w * Octonion.basis(j)).coords for j in range(8)]
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
-
-
-def right_mult_matrix_exact(w: Octonion):
-    cols = [(Octonion.basis(j) * w).coords for j in range(8)]
     return [[cols[j][i] for j in range(8)] for i in range(8)]

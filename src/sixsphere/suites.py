@@ -11,14 +11,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, twistor
 from .errors import BadConfig, DegenerateX, UnknownSuite
 from .frames import random_g2_matrix
-from .octonion import Octonion
+from .octonion import CHECK_TOL, SEPARATION_TOL, Octonion, arithmetic_of
 from .sampling import (random_rational_circle_point,
                        random_rational_imaginary_unit,
                        random_rational_tangent,
@@ -70,10 +70,6 @@ def _oct_payload(**named) -> dict:
     return out
 
 
-def _residual(d: Octonion) -> float:
-    return max(abs(float(c)) for c in d.coords)
-
-
 # ---------------------------------------------------------------------------
 # algebra suites
 # ---------------------------------------------------------------------------
@@ -93,26 +89,18 @@ def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
 
     def close(d: Octonion) -> bool:
         nonlocal worst
-        if d.exact:
-            return d.is_zero()
-        r = _residual(d)
-        worst = max(worst, r)
-        return r <= tol
-
-    def scl_close(a, b) -> bool:
-        nonlocal worst
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a == b
-        r = abs(float(a) - float(b))
-        worst = max(worst, r)
-        return r <= tol
+        ctx = arithmetic_of(d)
+        worst = max(worst, ctx.residual(d))
+        return ctx.is_zero(d.coords, tol)
 
     for _ in range(samples):
         x = _sample_unit(rng, mode)
         y = _sample_unit(rng, mode)
         checked += 1
         bad = []
-        if not scl_close((x * y).norm_sq(), x.norm_sq() * y.norm_sq()):
+        nxy, nx_ny = (x * y).norm_sq(), x.norm_sq() * y.norm_sq()
+        worst = max(worst, abs(float(nxy) - float(nx_ny)))
+        if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, tol):
             bad.append("norm multiplicativity")
         if not close(x * (x * y) - (x * x) * y):
             bad.append("left alternativity")
@@ -146,7 +134,7 @@ def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
             if any(not close(v - vals[0]) for v in vals[1:]):
                 failures.append(_oct_payload(x=x, y=y, laws=["two-generator associativity"]))
                 break
-    return checked, failures, (None if mode == "exact" else worst)
+    return checked, failures, worst
 
 
 def _words_up_to_4(x, y):
@@ -183,19 +171,15 @@ def _suite_moufang(samples, mode, seed, tol, table=None):
             "x(y(xz)) = ((xy)x)z": x * (y * (x * z)) - ((x * y) * x) * z,
             "((zx)y)x = z(x(yx))": ((z * x) * y) * x - z * (x * (y * x)),
         }
+        ctx = arithmetic_of(x, y, z)
         bad = []
         for name, d in laws.items():
-            if d.exact:
-                if not d.is_zero():
-                    bad.append(name)
-            else:
-                r = _residual(d)
-                worst = max(worst, r)
-                if r > tol:
-                    bad.append(name)
+            worst = max(worst, ctx.residual(d))
+            if not ctx.is_zero(d.coords, tol):
+                bad.append(name)
         if bad:
             failures.append(_oct_payload(x=x, y=y, z=z, laws=bad))
-    return checked, failures, (None if mode == "exact" else worst)
+    return checked, failures, worst
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +216,18 @@ def _suite_prop21(samples, mode, seed, tol, table=None):
                 failures.append(_oct_payload(kind="block-decomposition", x=x,
                                              error=str(e)))
     else:
-        std = cstruct.standard_structure(exact=False)
         for _ in range(samples):
             j1 = cstruct.random_structure_float(rng)
             j2 = cstruct.random_structure_float(rng)
             checked += 1
             if j1 == j2:
                 continue
+            ctx = arithmetic_of(j1, j2)
             line = cstruct.common_line(j1, j2)
             u, ju = line.u, line.ju
-            r = max(_residual(j1.apply(u) - j2.apply(u)),
-                    _residual(j1.apply(ju) - j2.apply(ju)),
-                    _residual(j1.apply(u) - ju))
+            r = max(ctx.residual(j1.apply(u) - j2.apply(u)),
+                    ctx.residual(j1.apply(ju) - j2.apply(ju)),
+                    ctx.residual(j1.apply(u) - ju))
             worst = max(worst, r)
             if r > tol:
                 failures.append({"kind": "common-line", "residual": r,
@@ -254,7 +238,7 @@ def _suite_prop21(samples, mode, seed, tol, table=None):
             if r2 > tol:
                 failures.append({"kind": "float-recover", "residual": r2,
                                  "j": j1.to_strings()})
-    return checked, failures, (None if mode == "exact" else worst)
+    return checked, failures, worst
 
 
 def _suite_lemma22(samples, mode, seed, tol, table=None):
@@ -285,7 +269,6 @@ def _suite_prop31(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
     checked = 0
-    worst = 0.0
     for n in range(samples):
         p = random_rational_imaginary_unit(rng)
         x = random_rational_unit_octonion(rng)
@@ -296,21 +279,14 @@ def _suite_prop31(samples, mode, seed, tol, table=None):
         x2 = z * x
         lhs = (p * (v * x2)) * x2.conjugate()
         rhs = (p * (v * x)) * x.conjugate() * (x2.norm_sq() / x.norm_sq())
-        d = lhs - rhs
-        if mode == "exact":
-            if not d.is_zero():
-                failures.append(_oct_payload(p=p, x=x, cos=c, sin=s, v=v))
-        else:
-            r = _residual(d)
-            worst = max(worst, r)
-            if r > tol:
-                failures.append(_oct_payload(p=p, x=x, cos=c, sin=s, v=v, residual=r))
+        if not (lhs - rhs).is_zero():
+            failures.append(_oct_payload(p=p, x=x, cos=c, sin=s, v=v))
         if n % 10 == 0:
             t0 = twistor.TwistorPoint(p, x)
             if twistor.twistor_evaluate(t0) != twistor.twistor_evaluate(t0.phase_shift(c, s)):
                 failures.append(_oct_payload(kind="structure-level", p=p, x=x, cos=c, sin=s))
             checked += 1
-    return checked, failures, (None if mode == "exact" else worst)
+    return checked, failures, None
 
 
 def _suite_lemma34(samples, mode, seed, tol, table=None):
@@ -401,7 +377,7 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
                                        twistor.canonical_section())
         if not (trivial and fixes):
             failures.append({"kind": "automorphism-isotropy", "a": cg.a.to_strings()})
-    return checked, failures, (None if mode == "exact" else worst)
+    return checked, failures, worst
 
 
 def _suite_prop42(samples, mode, seed, tol, table=None):
@@ -471,7 +447,7 @@ def _suite_degrees(samples, mode, seed, tol, table=None):
                                      "oracle": len(oracle), "found": len(found)})
                     continue
                 for o in oracle:
-                    if min(np.max(np.abs(o - f)) for f in found) > 1e-6:
+                    if min(np.max(np.abs(o - f)) for f in found) > SEPARATION_TOL:
                         failures.append({"map": fam.name, "kind": "oracle-match",
                                          "target": trial.target})
                         break
@@ -546,10 +522,28 @@ DEFAULT_SAMPLES: Dict[str, int] = {
     "homotopy-tables": 1,
 }
 
+#: the arithmetic modes each suite runs in; asked for another, it runs in the first
+MODES: Dict[str, Tuple[str, ...]] = {
+    "octonion-axioms": ("exact", "float"),
+    "moufang": ("exact", "float"),
+    "prop21": ("exact", "float"),
+    "lemma22": ("exact",),
+    "prop31": ("exact",),
+    "lemma34": ("exact",),
+    "thm33-lift": ("exact",),
+    "prop41": ("exact", "float"),
+    "prop42": ("exact",),
+    "degrees": ("float",),
+    "homotopy-tables": ("exact",),
+}
+
 
 def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
-              seed: int = 0, tolerance: float = 1e-9,
+              seed: int = 0, tolerance: float = CHECK_TOL,
               table: Optional[str] = None) -> SuiteReport:
+    """Run one suite in `mode` when it supports that mode (see MODES), else
+    in its first mode; the report's `mode` is the one that ran, and exact
+    runs report no residual."""
     if name not in SUITES:
         raise UnknownSuite("unknown suite %r (known: %s)"
                            % (name, ", ".join(sorted(SUITES))))
@@ -559,26 +553,23 @@ def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
         samples = DEFAULT_SAMPLES[name]
     if samples < 0:
         raise BadConfig("samples must be nonnegative")
+    if mode not in MODES[name]:
+        mode = MODES[name][0]
     t0 = time.monotonic()
     checked, failures, max_res = SUITES[name](samples, mode, seed, tolerance,
                                               table=table)
     elapsed = (time.monotonic() - t0) * 1000.0
+    if mode == "exact":
+        max_res = None
     return SuiteReport(name, mode, samples, seed, tolerance, checked,
                        failures, max_res, elapsed)
 
 
-def run_all(mode: str = "exact", seed: int = 0, tolerance: float = 1e-9,
+def run_all(mode: str = "exact", seed: int = 0, tolerance: float = CHECK_TOL,
             table: Optional[str] = None,
             samples: Optional[int] = None) -> List[SuiteReport]:
-    """Run every suite at its default sample count.  Suites that are
-    float-only (common lines, float companions) run in float mode even when
-    the overall mode is exact, and vice versa where exactness is the point."""
-    out = []
-    for name in SUITES:
-        suite_mode = mode
-        if name in ("lemma34", "thm33-lift", "prop42"):
-            suite_mode = "exact"
-        out.append(run_suite(name, samples=samples if samples else None,
-                             mode=suite_mode, seed=seed, tolerance=tolerance,
-                             table=table))
-    return out
+    """Run every suite at its default sample count, each in `mode` where it
+    supports it and in its own first mode otherwise (see `run_suite`)."""
+    return [run_suite(name, samples=samples if samples else None, mode=mode,
+                      seed=seed, tolerance=tolerance, table=table)
+            for name in SUITES]

@@ -30,23 +30,21 @@ import numpy as np
 from .errors import (DegenerateInput, KernelDimensionError, NonGenericInput,
                      NotImaginaryUnit, VerificationFailed)
 from . import linalg
-from .frames import apply_matrix, exact_sqrt, normalize
-from .octonion import (FLOAT_EQ_TOL, Octonion, STRUCTURE_TENSOR, batch_conj,
-                       batch_mul, left_mult_matrix_exact, left_mult_matrix)
+from .frames import apply_matrix
+from .linalg import KERNEL_RTOL
+from .octonion import (CHECK_TOL, DIVISOR_FLOOR, FLOAT_EQ_TOL, SEPARATION_TOL,
+                       Octonion, STRUCTURE_TENSOR, arithmetic_of, batch_conj,
+                       batch_mul, exact_sqrt, left_mult_matrix_exact,
+                       left_mult_matrix)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
 ONE = Octonion.basis(0)
-E1 = Octonion.basis(1)
 
 
-def _check_point(p: Octonion, tol: float = 1e-9):
-    if p.exact:
-        if p.coords[0] != 0 or p.norm_sq() != 1:
-            raise NotImaginaryUnit("p must be an exact unit imaginary octonion")
-    else:
-        if abs(float(p.coords[0])) > tol or abs(float(p.norm_sq()) - 1.0) > tol:
-            raise NotImaginaryUnit("p must be a unit imaginary octonion")
+def _check_point(p: Octonion, tol: float = CHECK_TOL):
+    if not (p.is_imaginary(tol) and p.is_unit(tol)):
+        raise NotImaginaryUnit("p must be a unit imaginary octonion")
 
 
 class TangentStructure:
@@ -94,7 +92,7 @@ class TangentStructure:
             return self.rows == other.rows
         return self.distance(other) <= FLOAT_EQ_TOL
 
-    def check_structure(self, tol: float = 1e-9) -> bool:
+    def check_structure(self, tol: float = CHECK_TOL) -> bool:
         """On <1,p>-perp the matrix must be orthogonal with square -id."""
         a = self.as_array()
         pf = self.p.to_float_array()
@@ -121,8 +119,7 @@ class TwistorPoint:
 
     def __post_init__(self):
         _check_point(self.p)
-        n = self.x.norm_sq()
-        if (self.x.exact and n == 0) or (not self.x.exact and float(n) < 1e-30):
+        if arithmetic_of(self.x).zero_norm(self.x.norm_sq()):
             raise DegenerateInput("x must be nonzero")
 
     def phase_shift(self, cos_t, sin_t) -> "TwistorPoint":
@@ -147,7 +144,7 @@ class SO7Element:
 
     __slots__ = ("rows", "exact")
 
-    def __init__(self, rows, validate: bool = True, tol: float = 1e-9):
+    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
         if isinstance(rows, np.ndarray):
             self.rows = np.array(rows, dtype=float)
             self.exact = False
@@ -294,6 +291,7 @@ def _companion_system(lam: SO7Element):
 
 def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
     """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |."""
+    ctx = arithmetic_of(lam, a)
     n = a.norm_sq()
     ac = a.conjugate()
     worst = 0.0
@@ -303,10 +301,7 @@ def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
             lj = lam.apply(Octonion.basis(j))
             lhs = (li * a) * (ac * lj)
             rhs = n * lam.apply(Octonion.basis(i) * Octonion.basis(j))
-            d = lhs - rhs
-            if d.is_zero(0.0 if d.exact else 1e-300):
-                continue
-            worst = max(worst, max(abs(float(c)) for c in d.coords))
+            worst = max(worst, ctx.residual(lhs - rhs))
     return worst
 
 
@@ -358,23 +353,23 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
                 else:
                     qa, qb, qc = float(qa), float(qb), float(qc)
                     lead = max(abs(qa), abs(qb), abs(qc))
-                    if lead < 1e-9:
+                    if lead < CHECK_TOL:
                         continue
-                    if abs(qc) > 1e-12 * lead:
+                    if abs(qc) > FLOAT_EQ_TOL * lead:
                         disc = max(qb * qb - 4 * qa * qc, 0.0)
                         for sgn in (1.0, -1.0):
                             t = (-qb + sgn * disc ** 0.5) / (2 * qc)
                             out.append(k1 + t * k2)
                     else:
                         out.append(k2)
-                        if abs(qb) > 1e-12 * lead:
+                        if abs(qb) > FLOAT_EQ_TOL * lead:
                             out.append(k1 - (qa / qb) * k2)
                 if out:
                     return out
     return out
 
 
-def companion(lam: SO7Element, tol: float = 1e-9) -> CompanionResult:
+def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     """The companion octonion of lam, up to sign.
 
     The defining property phi(x) = lam(x) a with (phi, psi, lam) an isotopy
@@ -387,11 +382,8 @@ def companion(lam: SO7Element, tol: float = 1e-9) -> CompanionResult:
     and every candidate is verified against the full identity on all 64
     basis pairs before being returned.
     """
-    sys = _companion_system(lam)
-    if lam.exact:
-        ker = linalg.kernel_basis(sys)
-    else:
-        ker = [list(v) for v in linalg.kernel_basis_float(sys, rtol=1e-7)]
+    ctx = arithmetic_of(lam)
+    ker = ctx.kernel(_companion_system(lam))
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
     kvecs = [Octonion(v) for v in ker]
@@ -402,15 +394,13 @@ def companion(lam: SO7Element, tol: float = 1e-9) -> CompanionResult:
             candidates += _pencil_candidates(lam, u, v)
     best = None
     for u in candidates:
-        if u.is_zero(1e-9):
+        if u.is_zero(CHECK_TOL):
             continue
-        a = lam.apply(u)
-        if not lam.exact:
-            a = normalize(a)
+        a = ctx.ray(lam.apply(u))
         r = isotopy_residual(lam, a)
         if best is None or r < best[1]:
             best = (a, r)
-        if r <= (0.0 if lam.exact else tol):
+        if ctx.scalar_eq(r, 0, tol):
             return CompanionResult(a, len(ker), float(r))
     if len(ker) > 1:
         raise KernelDimensionError(
@@ -458,7 +448,7 @@ def companions_float_batch(lams: np.ndarray) -> np.ndarray:
     rows = np.arange(n)
     qa, qb, qc = ra[rows, idx], rb[rows, idx], rc[rows, idx]
     disc = np.sqrt(np.maximum(qb * qb - 4 * qa * qc, 0.0))
-    safe_c = np.where(np.abs(qc) > 1e-14, qc, 1.0)
+    safe_c = np.where(np.abs(qc) > DIVISOR_FLOOR, qc, 1.0)
     best_a = None
     best_res = None
     for t in ((-qb + disc) / (2 * safe_c), (-qb - disc) / (2 * safe_c)):
@@ -495,9 +485,7 @@ def verify_moufang_action(lam: SO7Element, a: Octonion,
     for p, v in samples:
         lhs = lam.apply(lam.inverse_apply(p) * lam.inverse_apply(v))
         rhs = (p * (v * a)) * ac / n
-        d = lhs - rhs
-        if not d.is_zero(0.0 if d.exact else 1e-300):
-            worst = max(worst, max(abs(float(c)) for c in d.coords))
+        worst = max(worst, arithmetic_of(lam, a, p, v).residual(lhs - rhs))
     return worst
 
 
@@ -527,20 +515,19 @@ def triality_cube(x: Octonion, p: Octonion, v: Octonion) -> CubeReport:
 
     z1 = x.power(3)
     z2 = x.conjugate().power(3)
-    tol = 0.0 if got.exact else 1e-9
-    m1 = (got - candidate(z1)).is_zero(tol if tol else FLOAT_EQ_TOL)
-    m2 = (got - candidate(z2)).is_zero(tol if tol else FLOAT_EQ_TOL)
+    m1 = (got - candidate(z1)).is_zero(CHECK_TOL)
+    m2 = (got - candidate(z2)).is_zero(CHECK_TOL)
 
     va = x - x.inner(ONE) * ONE - x.inner(p) * p
-    if va.is_zero(1e-9):
+    if va.is_zero(CHECK_TOL):
         branch_ok = True
     else:
         got_a = acted.apply(va)
-        branch_ok = (got_a - p * va).is_zero(tol if tol else 1e-9)
+        branch_ok = (got_a - p * va).is_zero(CHECK_TOL)
     return CubeReport(bool(m1), bool(m2), bool(branch_ok))
 
 
-def fiber_count_rp7(x: Octonion, tol: float = 1e-9) -> int:
+def fiber_count_rp7(x: Octonion, tol: float = CHECK_TOL) -> int:
     """Number of classes [y] in the projective seven-space with y^6 = x^6.
 
     Any such y lies on the circle through 1 and the imaginary axis of x^6
@@ -568,12 +555,12 @@ def fiber_count_rp7(x: Octonion, tol: float = 1e-9) -> int:
         y6 = y
         for _ in range(5):
             y6 = batch_mul(y6, y)
-        if np.max(np.abs(y6 - wf)) > 1e-7:
+        if np.max(np.abs(y6 - wf)) > KERNEL_RTOL:
             raise VerificationFailed("circle solution fails y^6 = x^6")
         sols.append(y)
     classes: List[np.ndarray] = []
     for y in sols:
-        if not any(min(np.max(np.abs(y - c)), np.max(np.abs(y + c))) < 1e-6
+        if not any(min(np.max(np.abs(y - c)), np.max(np.abs(y + c))) < SEPARATION_TOL
                    for c in classes):
             classes.append(y)
     return len(classes)
@@ -594,15 +581,13 @@ def loop_lift_identity(cos_pt, sin_pt, p: Octonion, v: Octonion) -> bool:
     of structures lift through constant-times-circle octonions.  Exact for
     rational inputs."""
     _check_point(p)
-    e1 = E1 if p.exact else Octonion([0.0, 1.0] + [0.0] * 6)
-    one = ONE if p.exact else Octonion([1.0] + [0.0] * 7)
+    ctx = arithmetic_of(p)
+    one, e1 = ctx.one, ctx.e1
     xt = cos_pt * one + sin_pt * e1
     lift = (cos_pt * one - sin_pt * p) * xt
     s_lift = twistor_evaluate(TwistorPoint(p, lift))
     s_loop = twistor_evaluate(TwistorPoint(p, xt))
-    if p.exact:
-        return s_lift == s_loop
-    return s_lift.distance(s_loop) <= 1e-9
+    return ctx.agree(s_lift, s_loop, CHECK_TOL)
 
 
 # ---------------------------------------------------------------------------

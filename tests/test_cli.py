@@ -54,6 +54,33 @@ def test_verify_report_determinism():
     assert r3.ok
 
 
+@pytest.mark.parametrize("argv", [
+    ["degree", "--map", "power:0"],
+    ["degree", "--map", "power:x"],
+    ["degree", "--map", "identity", "--trials", "0"],
+    ["degree", "--map", "identity", "--starts", "0"],
+    ["verify", "--suite", "moufang", "--samples", "-1"],
+])
+def test_usage_errors_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_mode_is_the_mode_that_ran(monkeypatch):
+    rep = suites.run_suite("prop31", samples=3, mode="float", seed=1)
+    assert rep.ok and rep.mode == "exact" and rep.max_residual is None
+    ran = []
+
+    def degrees_stub(samples, mode, seed, tol, table=None):
+        ran.append(mode)
+        return 1, [], None
+
+    monkeypatch.setitem(suites.SUITES, "degrees", degrees_stub)
+    assert suites.run_suite("degrees", mode="exact").mode == "float"
+    assert ran == ["float"]
+
+
 def test_run_all_dispatches_every_suite(monkeypatch):
     called = []
 
