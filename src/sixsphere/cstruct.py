@@ -38,6 +38,8 @@ from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
+#: squared norm of Im x under which a float x counts as real (rotation data)
+REAL_AXIS_NORM_SQ = 1e-18
 
 
 def embed6(v: Sequence) -> Octonion:
@@ -143,9 +145,7 @@ class ComplexStructureR6:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexStructureR6):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.rows == other.rows
-        return self.distance(other) <= FLOAT_EQ_TOL
+        return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
     def distance(self, other: "ComplexStructureR6") -> float:
         return float(np.max(np.abs(self.as_array() - other.as_array())))
@@ -341,7 +341,7 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
     cos2 = (2 * x0 * x0 - n) / n
     w = x.imag()
     ww = w.norm_sq()
-    if arithmetic_of(x).zero_norm(ww, CHECK_TOL ** 2):
+    if arithmetic_of(x).zero_norm(ww, REAL_AXIS_NORM_SQ):
         # x real: l = e1, rotation trivial
         return cos2, 1
     # sin(2 theta) * |w_unit x e1 component|: compare against both senses
@@ -375,14 +375,20 @@ class CP3Point:
 
     coords: Tuple[Tuple[object, object], ...]
 
+    @property
+    def exact(self) -> bool:
+        return all(not isinstance(t, float) for zw in self.coords for t in zw)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CP3Point):
             return NotImplemented
         # projective equality: all complex 2x2 minors vanish
-        ts = [t for zw in self.coords + other.coords for t in zw]
-        ctx = EXACT if all(not isinstance(t, float) for t in ts) else FLOAT
-        scale = max(1.0, max(abs(float(t)) for t in ts))
-        tol = FLOAT_EQ_TOL * scale * scale
+        ctx = arithmetic_of(self, other)
+        tol = 0.0
+        if not ctx.exact:
+            scale = max(1.0, max(abs(float(t)) for zw in self.coords + other.coords
+                                 for t in zw))
+            tol = FLOAT_EQ_TOL * scale * scale
         for i in range(4):
             for j in range(i + 1, 4):
                 zi, zj = self.coords[i], self.coords[j]

@@ -34,11 +34,10 @@ from .errors import ZeroDivisor
 
 ScalarLike = Union[int, Fraction, float]
 
-# Float tolerances, each value named once.  Exact mode uses none of them:
-# its tests are literal.
+# Float tolerances, each named after its role and defined once.  Exact mode
+# uses none of them: its tests are literal.
 
-#: absolute tolerance of float equality of scalars and octonions; also the
-#: relative size under which a float coefficient counts as zero
+#: absolute tolerance of float equality of scalars, octonions and structures
 FLOAT_EQ_TOL = 1e-12
 #: residual allowed to a float identity check (the suites' default tolerance)
 CHECK_TOL = 1e-9
@@ -192,12 +191,6 @@ class Octonion:
         c[k] = 1
         return cls(c)
 
-    @classmethod
-    def from_real_imag(cls, real: ScalarLike, imag: Sequence[ScalarLike]) -> "Octonion":
-        if len(imag) != 7:
-            raise ValueError("imaginary part needs 7 coordinates")
-        return cls((real, *imag))
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "Octonion") -> "Octonion":
@@ -341,6 +334,11 @@ def normalize(o: Octonion) -> Octonion:
     return o / float(n) ** 0.5
 
 
+def residual(d: Octonion) -> float:
+    """Largest absolute coordinate of d, as a float."""
+    return max(abs(float(c)) for c in d.coords)
+
+
 # ---------------------------------------------------------------------------
 # the arithmetic context
 # ---------------------------------------------------------------------------
@@ -356,8 +354,8 @@ class Arithmetic:
 
     exact: bool
 
-    def __init__(self, zero: Octonion, one: Octonion, e1: Octonion):
-        self.zero, self.one, self.e1 = zero, one, e1
+    def __init__(self, one: Octonion, e1: Octonion):
+        self.one, self.e1 = one, e1
 
 
 class _ExactArithmetic(Arithmetic):
@@ -380,8 +378,9 @@ class _ExactArithmetic(Arithmetic):
         return n == 0
 
     def agree(self, a, b, tol: float) -> bool:
-        """Equality of two structures; FLOAT compares their `distance`."""
-        return a == b
+        """Equality of two structures (objects with `rows` and `distance`);
+        FLOAT compares their distance with tol."""
+        return a.rows == b.rows
 
     def kernel(self, rows) -> list:
         """Basis (rows) of the right kernel of a matrix."""
@@ -390,12 +389,6 @@ class _ExactArithmetic(Arithmetic):
     def ray(self, o: Octonion) -> Octonion:
         """The representative of the ray through o that results carry."""
         return o
-
-    def residual(self, d: Octonion) -> float:
-        """Largest absolute coordinate of d, as a float."""
-        if self.is_zero(d.coords):
-            return 0.0
-        return max(abs(float(c)) for c in d.coords)
 
 
 class _FloatArithmetic(Arithmetic):
@@ -425,13 +418,10 @@ class _FloatArithmetic(Arithmetic):
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
 
-    def residual(self, d: Octonion) -> float:
-        return max(abs(float(c)) for c in d.coords)
 
-
-EXACT = _ExactArithmetic(Octonion.zero(), Octonion.basis(0), Octonion.basis(1))
+EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))
 FLOAT = _FloatArithmetic(*(Octonion(float(c) for c in o.coords)
-                           for o in (EXACT.zero, EXACT.one, EXACT.e1)))
+                           for o in (EXACT.one, EXACT.e1)))
 
 
 def arithmetic_of(*values) -> Arithmetic:

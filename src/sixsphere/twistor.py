@@ -31,15 +31,21 @@ from .errors import (DegenerateInput, KernelDimensionError, NonGenericInput,
                      NotImaginaryUnit, VerificationFailed)
 from . import linalg
 from .frames import apply_matrix
-from .linalg import KERNEL_RTOL
 from .octonion import (CHECK_TOL, DIVISOR_FLOOR, FLOAT_EQ_TOL, SEPARATION_TOL,
                        Octonion, STRUCTURE_TENSOR, arithmetic_of, batch_conj,
                        batch_mul, exact_sqrt, left_mult_matrix_exact,
-                       left_mult_matrix)
+                       left_mult_matrix, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
 ONE = Octonion.basis(0)
+
+#: float pencil coordinates whose largest coefficient is below this are skipped
+PENCIL_LEAD_FLOOR = 1e-9
+#: size, relative to the largest one, under which a pencil coefficient is zero
+PENCIL_COEFF_RTOL = 1e-12
+#: coordinate error of y^6 allowed to a closed-form root y of y^6 = x^6
+ROOT_CHECK_TOL = 1e-7
 
 
 def _check_point(p: Octonion, tol: float = CHECK_TOL):
@@ -88,9 +94,7 @@ class TangentStructure:
             return NotImplemented
         if self.p != other.p:
             return False
-        if self.exact and other.exact:
-            return self.rows == other.rows
-        return self.distance(other) <= FLOAT_EQ_TOL
+        return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
     def check_structure(self, tol: float = CHECK_TOL) -> bool:
         """On <1,p>-perp the matrix must be orthogonal with square -id."""
@@ -291,7 +295,6 @@ def _companion_system(lam: SO7Element):
 
 def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
     """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |."""
-    ctx = arithmetic_of(lam, a)
     n = a.norm_sq()
     ac = a.conjugate()
     worst = 0.0
@@ -301,7 +304,7 @@ def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
             lj = lam.apply(Octonion.basis(j))
             lhs = (li * a) * (ac * lj)
             rhs = n * lam.apply(Octonion.basis(i) * Octonion.basis(j))
-            worst = max(worst, ctx.residual(lhs - rhs))
+            worst = max(worst, residual(lhs - rhs))
     return worst
 
 
@@ -353,16 +356,16 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
                 else:
                     qa, qb, qc = float(qa), float(qb), float(qc)
                     lead = max(abs(qa), abs(qb), abs(qc))
-                    if lead < CHECK_TOL:
+                    if lead < PENCIL_LEAD_FLOOR:
                         continue
-                    if abs(qc) > FLOAT_EQ_TOL * lead:
+                    if abs(qc) > PENCIL_COEFF_RTOL * lead:
                         disc = max(qb * qb - 4 * qa * qc, 0.0)
                         for sgn in (1.0, -1.0):
                             t = (-qb + sgn * disc ** 0.5) / (2 * qc)
                             out.append(k1 + t * k2)
                     else:
                         out.append(k2)
-                        if abs(qb) > FLOAT_EQ_TOL * lead:
+                        if abs(qb) > PENCIL_COEFF_RTOL * lead:
                             out.append(k1 - (qa / qb) * k2)
                 if out:
                     return out
@@ -485,7 +488,7 @@ def verify_moufang_action(lam: SO7Element, a: Octonion,
     for p, v in samples:
         lhs = lam.apply(lam.inverse_apply(p) * lam.inverse_apply(v))
         rhs = (p * (v * a)) * ac / n
-        worst = max(worst, arithmetic_of(lam, a, p, v).residual(lhs - rhs))
+        worst = max(worst, residual(lhs - rhs))
     return worst
 
 
@@ -555,7 +558,7 @@ def fiber_count_rp7(x: Octonion, tol: float = CHECK_TOL) -> int:
         y6 = y
         for _ in range(5):
             y6 = batch_mul(y6, y)
-        if np.max(np.abs(y6 - wf)) > KERNEL_RTOL:
+        if np.max(np.abs(y6 - wf)) > ROOT_CHECK_TOL:
             raise VerificationFailed("circle solution fails y^6 = x^6")
         sols.append(y)
     classes: List[np.ndarray] = []
@@ -587,7 +590,7 @@ def loop_lift_identity(cos_pt, sin_pt, p: Octonion, v: Octonion) -> bool:
     lift = (cos_pt * one - sin_pt * p) * xt
     s_lift = twistor_evaluate(TwistorPoint(p, lift))
     s_loop = twistor_evaluate(TwistorPoint(p, xt))
-    return ctx.agree(s_lift, s_loop, CHECK_TOL)
+    return arithmetic_of(s_lift, s_loop).agree(s_lift, s_loop, CHECK_TOL)
 
 
 # ---------------------------------------------------------------------------
