@@ -38,6 +38,22 @@ def _write_json(payload, path: Optional[str]):
             fh.write(text + "\n")
 
 
+def _read_rows(path: str) -> list:
+    """The rows of a matrix stored as JSON: a list of rows, or an object
+    whose "rows" is one."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as e:
+        raise BadConfig("cannot read %s: %s" % (path, e.strerror))
+    except ValueError as e:
+        raise BadConfig("%s is not JSON: %s" % (path, e))
+    rows = raw.get("rows") if isinstance(raw, dict) else raw
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise BadConfig("%s does not hold a list of matrix rows" % path)
+    return rows
+
+
 def _cmd_verify(args) -> int:
     kwargs = dict(mode=args.mode, seed=args.seed, tolerance=args.tol,
                   table=args.table)
@@ -105,9 +121,7 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_companion(args) -> int:
-    with open(args.matrix) as fh:
-        raw = json.load(fh)
-    rows = raw["rows"] if isinstance(raw, dict) else raw
+    rows = _read_rows(args.matrix)
     if any(isinstance(x, str) for row in rows for x in row):
         mat = [[Fraction(str(x)) for x in row] for row in rows]
         lam = twistor.SO7Element(mat)
@@ -166,9 +180,7 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    with open(args.structure) as fh:
-        raw = json.load(fh)
-    rows = raw["rows"] if isinstance(raw, dict) else raw
+    rows = _read_rows(args.structure)
     j = cstruct.ComplexStructureR6.from_strings(
         [[str(x) for x in row] for row in rows])
     try:

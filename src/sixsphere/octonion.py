@@ -47,8 +47,6 @@ CHECK_TOL = 1e-9
 SEPARATION_TOL = 1e-6
 #: squared norm under which a float octonion counts as zero
 ZERO_NORM_SQ = 1e-30
-#: magnitude under which a batched float divisor is replaced by 1
-DIVISOR_FLOOR = 1e-14
 
 
 def _cd_mul(x, y):
@@ -437,12 +435,6 @@ def arithmetic_of(*values) -> Arithmetic:
 def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Octonion product of (..., 8) float arrays, broadcasting."""
     return np.einsum("ijk,...i,...j->...k", STRUCTURE_TENSOR, x, y)
-
-
-def batch_conj(x: np.ndarray) -> np.ndarray:
-    out = -x.copy()
-    out[..., 0] = x[..., 0]
-    return out
 
 
 def left_mult_matrix(w) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from .errors import (DegenerateInput, KernelDimensionError, NonGenericInput,
                      NotImaginaryUnit, VerificationFailed)
 from . import linalg
 from .frames import apply_matrix
-from .octonion import (CHECK_TOL, DIVISOR_FLOOR, FLOAT_EQ_TOL, SEPARATION_TOL,
-                       Octonion, STRUCTURE_TENSOR, arithmetic_of, batch_conj,
-                       batch_mul, exact_sqrt, left_mult_matrix_exact,
-                       left_mult_matrix, residual)
+from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
+                       SEPARATION_TOL, Octonion, arithmetic_of, batch_mul,
+                       exact_sqrt, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -155,6 +154,8 @@ class SO7Element:
         else:
             self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
             self.exact = True
+        if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
+            raise DegenerateInput("expected an 8x8 matrix")
         if validate:
             self._validate(tol)
 
@@ -271,49 +272,39 @@ class CompanionResult:
     residual: float      # max octonion-product residual of the verification
 
 
+def _images(lam: SO7Element) -> List[Octonion]:
+    """lam(e_0), ..., lam(e_7): the columns of lam, in lam's arithmetic."""
+    return [Octonion(row[k] for row in lam.rows) for k in range(8)]
+
+
+def _image_of_product(imgs: List[Octonion], i: int, j: int) -> Octonion:
+    """lam(e_i e_j) = MUL_SIGN[i][j] lam(e_MUL_INDEX[i][j]), by linearity."""
+    return MUL_SIGN[i][j] * imgs[MUL_INDEX[i][j]]
+
+
 def _companion_system(lam: SO7Element):
-    """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u)."""
-    if lam.exact:
-        rows: List[List[Fraction]] = []
-        lam_m = [list(r) for r in lam.rows]
-        for k in range(8):
-            lk = left_mult_matrix_exact(Octonion.basis(k))
-            a = linalg.mat_mul(lam_m, lk)
-            lam_ek = apply_matrix(lam_m, Octonion.basis(k))
-            b = linalg.mat_mul(left_mult_matrix_exact(lam_ek), lam_m)
-            rows.extend([ra[i] - rb[i] for i in range(8)]
-                        for ra, rb in zip(a, b))
-        return rows
-    m = lam.as_array()
-    blocks = []
+    """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u):
+    block k, column j is lam(e_k e_j) - lam(e_k) lam(e_j)."""
+    imgs = _images(lam)
+    rows = []
     for k in range(8):
-        lk = left_mult_matrix(Octonion.basis(k))
-        lam_ek = m[:, k]
-        blocks.append(m @ lk - left_mult_matrix(lam_ek) @ m)
-    return np.vstack(blocks)
+        cols = [(_image_of_product(imgs, k, j) - imgs[k] * imgs[j]).coords
+                for j in range(8)]
+        rows.extend([c[i] for c in cols] for i in range(8))
+    return rows
+
+
+def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
+    """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
+    return (imgs[i] * a) * (a.conjugate() * imgs[j]) - \
+        a.norm_sq() * _image_of_product(imgs, i, j)
 
 
 def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
     """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |."""
-    n = a.norm_sq()
-    ac = a.conjugate()
-    worst = 0.0
-    for i in range(8):
-        li = lam.apply(Octonion.basis(i))
-        for j in range(8):
-            lj = lam.apply(Octonion.basis(j))
-            lhs = (li * a) * (ac * lj)
-            rhs = n * lam.apply(Octonion.basis(i) * Octonion.basis(j))
-            worst = max(worst, residual(lhs - rhs))
-    return worst
-
-
-def _isotopy_defect(lam: SO7Element, a: Octonion, i: int, j: int) -> Octonion:
-    """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
-    li = lam.apply(Octonion.basis(i))
-    lj = lam.apply(Octonion.basis(j))
-    return (li * a) * (a.conjugate() * lj) - \
-        a.norm_sq() * lam.apply(Octonion.basis(i) * Octonion.basis(j))
+    imgs = _images(lam)
+    return max(residual(_isotopy_defect(imgs, a, i, j))
+               for i in range(8) for j in range(8))
 
 
 def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octonion]:
@@ -326,14 +317,15 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
     quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
     most two candidate rays to verify.
     """
+    imgs = _images(lam)
     a1, a2 = lam.apply(k1), lam.apply(k2)
     exact = lam.exact and k1.exact and k2.exact
     out: List[Octonion] = []
     for i in range(1, 8):
         for j in range(1, 8):
-            ra = _isotopy_defect(lam, a1, i, j).coords
-            rc = _isotopy_defect(lam, a2, i, j).coords
-            rs = _isotopy_defect(lam, a1 + a2, i, j).coords
+            ra = _isotopy_defect(imgs, a1, i, j).coords
+            rc = _isotopy_defect(imgs, a2, i, j).coords
+            rs = _isotopy_defect(imgs, a1 + a2, i, j).coords
             for c in range(8):
                 qa, qc = ra[c], rc[c]
                 qb = rs[c] - qa - qc
@@ -410,64 +402,6 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
             "kernel dimension %d and no vector passes verification" % len(ker))
     raise VerificationFailed(
         "companion candidate fails the isotopy identity (residual %g)" % best[1])
-
-
-def companions_float_batch(lams: np.ndarray) -> np.ndarray:
-    """Vectorized float companions for a batch of SO(7) matrices (N, 8, 8).
-
-    The two smallest eigenvectors of the normal matrix of the companion
-    system span the kernel plane (which always contains the trivial vector);
-    the companion ray on that plane is the double root of the quadratic
-    isotopy defect, solved coordinate-wise.  Intended for large statistical
-    sweeps; no per-sample verification (use `companion` for that).
-    """
-    lams = np.asarray(lams, dtype=float)
-    n = lams.shape[0]
-    g = np.zeros((n, 8, 8))
-    for k in range(8):
-        lk = left_mult_matrix(Octonion.basis(k))
-        lam_ek = lams[:, :, k]
-        lw = np.einsum("ijk,ni->nkj", STRUCTURE_TENSOR, lam_ek)
-        mk = lams @ lk - lw @ lams
-        g += np.einsum("nki,nkj->nij", mk, mk)
-    _, v = np.linalg.eigh(g)
-    k1, k2 = v[:, :, 0], v[:, :, 1]
-    a1 = np.einsum("nij,nj->ni", lams, k1)
-    a2 = np.einsum("nij,nj->ni", lams, k2)
-
-    def defect(a, i, j):
-        # (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej), batched
-        eiej = (Octonion.basis(i) * Octonion.basis(j)).to_float_array()
-        lhs = batch_mul(batch_mul(lams[:, :, i], a),
-                        batch_mul(batch_conj(a), lams[:, :, j]))
-        nrm = np.sum(a * a, axis=1, keepdims=True)
-        return lhs - nrm * np.einsum("nij,j->ni", lams, eiej)
-
-    ra = defect(a1, 1, 2)
-    rc = defect(a2, 1, 2)
-    rb = defect(a1 + a2, 1, 2) - ra - rc
-    # per-sample best-conditioned coordinate of the quadratic pencil
-    idx = np.argmax(np.abs(ra) + np.abs(rb) + np.abs(rc), axis=1)
-    rows = np.arange(n)
-    qa, qb, qc = ra[rows, idx], rb[rows, idx], rc[rows, idx]
-    disc = np.sqrt(np.maximum(qb * qb - 4 * qa * qc, 0.0))
-    safe_c = np.where(np.abs(qc) > DIVISOR_FLOOR, qc, 1.0)
-    best_a = None
-    best_res = None
-    for t in ((-qb + disc) / (2 * safe_c), (-qb - disc) / (2 * safe_c)):
-        u = k1 + t[:, None] * k2
-        a = np.einsum("nij,nj->ni", lams, u)
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        res = np.zeros(n)
-        for (i, j) in ((1, 4), (2, 4), (3, 5)):
-            res = np.maximum(res, np.max(np.abs(defect(a, i, j)), axis=1))
-        if best_a is None:
-            best_a, best_res = a, res
-        else:
-            take = res < best_res
-            best_a[take] = a[take]
-            best_res = np.minimum(best_res, res)
-    return best_a
 
 
 def verify_so7_section_identity(lam: SO7Element, a: Octonion,

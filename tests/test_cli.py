@@ -133,6 +133,28 @@ def test_companion_cli_exact_matrix(tmp_path):
     assert payload["residual"] == 0.0
 
 
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [["1", "0"], ["0", "1"]]])
+def test_companion_cli_rejects_wrong_shape(rows, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
+    assert run_cli(["companion", "--matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: expected an 8x8 matrix\n"
+
+
+@pytest.mark.parametrize("argv", [["companion", "--matrix"],
+                                  ["recover", "--structure"]])
+@pytest.mark.parametrize("content", [None, "not json", '{"cols": []}'])
+def test_unreadable_matrix_file_exit_2(argv, content, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_chern_cli(tmp_path, capsys):
     code = run_cli(["chern", "--lemma22"])
     assert code == 0

@@ -10,7 +10,7 @@ from sixsphere import cstruct, twistor
 from sixsphere.errors import (DegenerateInput, NonGenericInput,
                               NotImaginaryUnit)
 from sixsphere.frames import random_g2_matrix
-from sixsphere.octonion import Octonion
+from sixsphere.octonion import CHECK_TOL, Octonion
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
                                 random_rational_tangent,
@@ -18,8 +18,7 @@ from sixsphere.sampling import (random_rational_circle_point,
                                 random_so7_float, rng_from_seed)
 from sixsphere.twistor import (SO7Element, TangentStructure, TwistorPoint,
                                canonical_section, canonical_structure_at,
-                               companion, companions_float_batch,
-                               conjugation_element, fiber_count_rp7,
+                               companion, conjugation_element, fiber_count_rp7,
                                isotopy_residual, loop_lift_identity,
                                rp7_section, section_sample_points,
                                sections_equal, so7_act, triality_cube,
@@ -101,6 +100,43 @@ def test_so7_validation():
     bad[1, 1] = -1.0   # det -1
     with pytest.raises(DegenerateInput):
         SO7Element(bad)
+    for validate in (True, False):
+        for small in ([[1, 0], [0, 1]], np.eye(2)):
+            with pytest.raises(DegenerateInput, match="8x8"):
+                SO7Element(small, validate=validate)
+
+
+def test_companion_system_matches_its_definition():
+    # block k of the system, applied to u, is lam(e_k u) - lam(e_k) lam(u);
+    # the system reads lam(e_k e_j) off lam's columns, so a sign or index
+    # slip in that shortcut shows up here
+    rng = rng_from_seed(41)
+    lam = twistor.random_so7_exact(rng)
+    u = random_rational_unit_octonion(rng) + F(2, 3) * E[5]
+    system = twistor._companion_system(lam)
+    for k in range(8):
+        block = system[8 * k:8 * k + 8]
+        got = Octonion(sum(row[j] * u.coords[j] for j in range(8))
+                       for row in block)
+        assert got == lam.apply(E[k] * u) - lam.apply(E[k]) * lam.apply(u)
+    lam_f = SO7Element(lam.as_array())
+    u_f = Octonion(u.to_float_array())
+    system_f = np.array(twistor._companion_system(lam_f), dtype=float)
+    for k in range(8):
+        got = system_f[8 * k:8 * k + 8] @ u_f.to_float_array()
+        want = lam_f.apply(E[k] * u_f) - lam_f.apply(E[k]) * lam_f.apply(u_f)
+        assert np.max(np.abs(got - want.to_float_array())) <= CHECK_TOL
+
+
+def test_isotopy_residual_separates_companions():
+    lam = twistor.random_so7_exact(rng_from_seed(43))
+    for rot in (lam, SO7Element(lam.as_array())):
+        a = companion(rot).a
+        if rot.exact:
+            assert isotopy_residual(rot, a) == 0.0
+        else:
+            assert isotopy_residual(rot, a) <= CHECK_TOL
+        assert isotopy_residual(rot, a * E[2]) > CHECK_TOL
 
 
 def test_companion_defensive_kernel_error():
@@ -147,7 +183,8 @@ def test_companion_of_conjugation_is_cube(rng):
         res = companion(lam)
         assert res.kernel_dim == 2
         assert res.residual == 0.0
-        # a is a real multiple of x^3 (sign and scale are not pinned down)
+        # a is a real multiple of x^3 (sign and scale are not pinned down);
+        # cubing maps S^7 onto itself, so companions reach every ray of RP^7
         w = res.a * x.power(3).conjugate()
         assert all(w.coords[k] == 0 for k in range(1, 8)) and w.coords[0] != 0
 
@@ -259,36 +296,3 @@ def test_loop_lift_endpoints(rng):
     v = random_rational_tangent(rng, p)
     assert loop_lift_identity(F(1), F(0), p, v)    # t = 0
     assert loop_lift_identity(F(-1), F(0), p, v)   # t = 1: the loop closes
-
-
-def test_batch_companions_agree_with_solver(rng):
-    lams = np.stack([random_so7_float(rng) for _ in range(30)])
-    batch = companions_float_batch(lams)
-    for i in range(0, 30, 7):
-        res = companion(SO7Element(lams[i]))
-        d = min(np.max(np.abs(batch[i] - res.a.to_float_array())),
-                np.max(np.abs(batch[i] + res.a.to_float_array())))
-        assert d < 1e-9
-
-
-def test_spin7_orthant_coverage():
-    # companions of 1e5 random rotations hit all 256 sign-orthants: a
-    # statistical witness that companions range over the whole sphere
-    rng = rng_from_seed(20260808)
-    n = 100_000
-    a = rng.standard_normal((n, 7, 7))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    lams = np.zeros((n, 8, 8))
-    lams[:, 0, 0] = 1.0
-    lams[:, 1:, 1:] = q
-    comps = companions_float_batch(lams)
-    # verify a thin subsample against the full isotopy identity
-    worst = 0.0
-    for i in range(0, n, n // 25):
-        worst = max(worst, isotopy_residual(SO7Element(lams[i]),
-                                            Octonion(comps[i])))
-    assert worst < 1e-9
-    orthants = {tuple(row) for row in (comps > 0).astype(int)}
-    assert len(orthants) == 256
