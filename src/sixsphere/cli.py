@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -51,7 +52,29 @@ def _read_rows(path: str) -> list:
     rows = raw.get("rows") if isinstance(raw, dict) else raw
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise BadConfig("%s does not hold a list of matrix rows" % path)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise BadConfig("%s holds rows of different lengths" % path)
+    bad = [x for row in rows for x in row if not _is_entry(x)]
+    if bad:
+        raise BadConfig("%s holds %r, not a finite number or a fraction string"
+                        % (path, bad[0]))
     return rows
+
+
+def _is_entry(x) -> bool:
+    """Whether x, read from JSON, is a matrix entry: a finite int or float, or
+    a string that `Fraction` accepts."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, (int, float)):
+        return math.isfinite(x)
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return False
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,10 @@ The engine counts signed preimages of a regular target value:
 
 Domains are the unit sphere in R^8 and the cylinder [0, 2pi] x S^6 (maps
 from the cylinder collapse its ends to +-1, so targets keep away from the
-real axis).  Everything is vectorized over Newton starts.
+real axis).  Everything is vectorized over Newton starts: the power maps
+and their differentials go through `octonion.batch_mul` and the
+multiplication matrices built with it, and the chart Jacobians are single
+broadcast expressions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import (ConflictingEstimates, NonConvergence, NonGenericValue,
                      NotOdd, UnstablePreimageCount)
-from .octonion import Octonion, STRUCTURE_TENSOR, batch_mul
+from .octonion import (Octonion, batch_mul, left_mult_matrix,
+                       right_mult_matrix)
 from .sampling import rng_from_seed
 
 # ---------------------------------------------------------------------------
@@ -55,16 +59,6 @@ class MapFamily:
     @property
     def exact_differential(self) -> bool:
         return self.dfunc is not None
-
-
-def _batch_right_mult(x: np.ndarray) -> np.ndarray:
-    """(N,8,8) matrices of v -> v * x."""
-    return np.einsum("ijk,nj->nki", STRUCTURE_TENSOR, x)
-
-
-def _batch_left_mult(x: np.ndarray) -> np.ndarray:
-    """(N,8,8) matrices of v -> x * v."""
-    return np.einsum("ijk,ni->nkj", STRUCTURE_TENSOR, x)
 
 
 def identity_map() -> MapFamily:
@@ -96,9 +90,9 @@ def power_map(k: int) -> MapFamily:
         n = len(x)
         d = np.broadcast_to(np.eye(8), (n, 8, 8)).copy()
         r = x.copy()
-        rx = _batch_right_mult(x)
+        rx = right_mult_matrix(x)
         for _ in range(k - 1):
-            d = rx @ d + _batch_left_mult(r)
+            d = rx @ d + left_mult_matrix(r)
             r = batch_mul(r, x)
         return d
 
@@ -214,16 +208,13 @@ def _stereo_inv(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarra
 
 def _stereo_inv_diff(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """(N, d, d-1) Jacobian of `_stereo_inv`."""
-    n, d1 = s.shape
     q = np.sum(s * s, axis=1)
     den = q + 1.0
     x = _stereo_inv(s, pole, basis)
-    out = np.empty((n, len(pole), d1))
-    for j in range(d1):
-        out[:, :, j] = (2.0 * basis[:, j][None, :]
-                        + 2.0 * s[:, j][:, None] * pole[None, :]
-                        - 2.0 * s[:, j][:, None] * x) / den[:, None]
-    return out
+    # column j: (2 b_j + (2 s_j) pole - (2 s_j) x) / den
+    two_s = 2.0 * s[:, None, :]
+    return (2.0 * basis[None, :, :] + two_s * pole[None, :, None]
+            - two_s * x[:, :, None]) / den[:, None, None]
 
 
 def _stereo_proj(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -243,7 +234,7 @@ def _stereo_proj_diff(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.
     # d/dx of (x - (x.m)m)/(1 - x.m) = (I - m m^T)/(1-t) + core m^T/(1-t)^2
     j = (eye - np.outer(pole, pole))[None, :, :] / den[:, None, None] + \
         core[:, :, None] * pole[None, None, :] / (den ** 2)[:, None, None]
-    return np.einsum("dk,nkl->ndl", basis.T, j)
+    return basis.T @ j
 
 
 def oriented_frame(x: np.ndarray) -> np.ndarray:
@@ -457,13 +448,17 @@ class _Charted:
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
-    if len(points) == 0:
-        return points
-    out: List[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - p0)) < tol for p0 in out):
-            out.append(p)
-    return np.array(out)
+    """The points, in order, that lie within tol (max-abs distance) of no
+    earlier kept point: keep the first survivor, drop all survivors within
+    tol of it, repeat.  A row with a NaN is never within tol of anything."""
+    kept = []
+    rest = np.arange(len(points))
+    while len(rest):
+        first, rest = rest[0], rest[1:]
+        kept.append(first)
+        d = np.max(np.abs(points[rest] - points[first]), axis=1)
+        rest = rest[~(d < tol)]
+    return points[np.array(kept, dtype=np.intp)]
 
 
 def _ambient_jacobian(family: MapFamily, x: np.ndarray, h: float) -> np.ndarray:

@@ -569,8 +569,9 @@ def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
 def run_all(mode: str = "exact", seed: int = 0, tolerance: float = CHECK_TOL,
             table: Optional[str] = None,
             samples: Optional[int] = None) -> List[SuiteReport]:
-    """Run every suite at its default sample count, each in `mode` where it
-    supports it and in its own first mode otherwise (see `run_suite`)."""
-    return [run_suite(name, samples=samples if samples else None, mode=mode,
+    """Run every suite at `samples` (None: each suite's default count), each
+    in `mode` where it supports it and in its own first mode otherwise (see
+    `run_suite`)."""
+    return [run_suite(name, samples=samples, mode=mode,
                       seed=seed, tolerance=tolerance, table=table)
             for name in SUITES]

@@ -94,6 +94,21 @@ def test_run_all_dispatches_every_suite(monkeypatch):
     assert all(r.ok for r in reports)
 
 
+def test_run_all_passes_samples_through(monkeypatch):
+    seen = []
+
+    def stub(samples, mode, seed, tol, table=None):
+        seen.append(samples)
+        return 1, [], None
+
+    monkeypatch.setattr(suites, "SUITES", {k: stub for k in suites.SUITES})
+    assert [r.samples for r in suites.run_all(samples=0)] == [0] * len(seen)
+    assert seen == [0] * len(suites.SUITES)
+    seen.clear()
+    suites.run_all()
+    assert seen == [suites.DEFAULT_SAMPLES[k] for k in suites.SUITES]
+
+
 def test_degree_cli(tmp_path, capsys):
     out = tmp_path / "deg.json"
     code = run_cli(["degree", "--map", "identity", "--trials", "2",
@@ -149,6 +164,18 @@ def test_unreadable_matrix_file_exit_2(argv, content, tmp_path, capsys):
     path = tmp_path / "m.json"
     if content is not None:
         path.write_text(content)
+    assert run_cli(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", [["companion", "--matrix"],
+                                  ["recover", "--structure"]])
+@pytest.mark.parametrize("rows", [[[1, 0], [1]], [["x", "0"], ["0", "1"]]])
+def test_bad_matrix_entries_exit_2(argv, rows, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
     assert run_cli(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -45,6 +45,22 @@ def test_stereo_diffs_match_finite_differences(rng):
         assert np.allclose(dp[:, j], fd, atol=1e-6)
 
 
+def test_stereo_inv_diff_equals_column_loop(rng):
+    # the broadcast Jacobian does each element's arithmetic in the loop's order
+    pole = rng.standard_normal(8)
+    pole /= np.linalg.norm(pole)
+    basis = dg._orthonormal_complement(pole)
+    s = rng.standard_normal((20, 7))
+    x = dg._stereo_inv(s, pole, basis)
+    den = np.sum(s * s, axis=1) + 1.0
+    want = np.empty((20, 8, 7))
+    for j in range(7):
+        want[:, :, j] = (2.0 * basis[:, j][None, :]
+                         + 2.0 * s[:, j][:, None] * pole[None, :]
+                         - 2.0 * s[:, j][:, None] * x) / den[:, None]
+    assert np.array_equal(dg._stereo_inv_diff(s, pole, basis), want)
+
+
 def test_power_map_dfunc_matches_fd(rng):
     fam = dg.power_map(3)
     x = rng.standard_normal((1, 8))
@@ -56,6 +72,34 @@ def test_power_map_dfunc_matches_fd(rng):
         xm = x.copy(); xm[0, j] -= h
         fd = (fam.func(xp) - fam.func(xm))[0] / (2 * h)
         assert np.allclose(d[:, j], fd, atol=1e-6)
+
+
+def _greedy_dedupe(points, tol):
+    out = []
+    for p in points:
+        if not any(np.max(np.abs(p - p0)) < tol for p0 in out):
+            out.append(p)
+    return np.array(out)
+
+
+def test_dedupe_matches_greedy_definition(rng):
+    tol = 1e-6
+    centres = rng.standard_normal((4, 8))
+    pts = []
+    for c in centres:
+        for scale in (0.999, 1.001, 1.999, 2.001):
+            for sign in (1.0, -1.0):
+                off = np.zeros(8)
+                off[rng.integers(8)] = sign * scale * tol
+                pts.append(c + off)
+        pts.append(c)
+    pts.append(np.full(8, np.nan))   # never within tol of anything: kept
+    pts = np.array(pts)[rng.permutation(len(pts))]
+    want = _greedy_dedupe(pts, tol)
+    got = dg._dedupe(pts, tol)
+    assert len(centres) < len(got) < len(pts)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert dg._dedupe(np.empty((0, 8)), tol).shape == (0, 8)
 
 
 def test_oriented_frames(rng):

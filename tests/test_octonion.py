@@ -227,3 +227,30 @@ def test_mult_matrices(rng):
     m = left_mult_matrix_exact(w)
     got = [sum(m[i][j] * v.coords[j] for j in range(8)) for i in range(8)]
     assert Octonion(got) == w * v
+
+
+def _dense_tensor():
+    """T[i, j, k] with e_i e_j = sum_k T[i, j, k] e_k, from the table."""
+    t = np.zeros((8, 8, 8))
+    for i in range(8):
+        for j in range(8):
+            t[i, j, MUL_INDEX[i][j]] = MUL_SIGN[i][j]
+    return t
+
+
+@pytest.mark.parametrize("xshape,yshape", [((8,), (8,)), ((5, 8), (5, 8)),
+                                           ((5, 8), (8,)), ((5, 1, 8), (8, 8))])
+def test_batch_kernels_equal_dense_tensor(xshape, yshape, rng):
+    # dyadic coordinates k/8: every product and every sum is exact, so the
+    # sparse kernels must equal the dense contraction bit for bit
+    t = _dense_tensor()
+    x = rng.integers(-16, 17, size=xshape) / 8.0
+    y = rng.integers(-16, 17, size=yshape) / 8.0
+    want = np.einsum("ijk,...i,...j->...k", t, x, y)
+    got = batch_mul(x, y)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for w in (x, y):
+        left, right = left_mult_matrix(w), right_mult_matrix(w)
+        assert left.shape == right.shape == w.shape + (8,)
+        assert np.array_equal(left, np.einsum("ijk,...i->...kj", t, w))
+        assert np.array_equal(right, np.einsum("ijk,...j->...ki", t, w))
