@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
                      NotOrthogonal)
-from .linalg import kernel_basis
+from .linalg import kernel_basis, mat_vec
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion, arithmetic_of,
                        exact_sqrt, normalize)
 from .sampling import (random_rational_vector, rational_sphere_point,
@@ -165,11 +165,10 @@ def g2_from_frame(f: G2Frame):
 
 
 def apply_matrix(m, o: Octonion) -> Octonion:
-    """Apply an 8x8 matrix (exact rows or ndarray) to an octonion."""
+    """Apply an 8x8 matrix (rows or ndarray) to an octonion."""
     if isinstance(m, np.ndarray):
         return Octonion(m @ o.to_float_array())
-    c = o.coords
-    return Octonion(sum(row[j] * c[j] for j in range(8)) for row in m)
+    return Octonion(mat_vec(m, o.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,25 @@
 Exact matrices are lists of lists of Fractions (row-major).  Everything here
 is sized for the 6x6 / 8x8 / 64x8 systems this package needs; none of it is
 meant to scale.
+
+Exact sums of products run on integers: `lift` writes a vector of rationals
+as integer numerators over the lcm of its denominators, the products and the
+sum are integer operations, and one `Fraction` is built at the end.  A
+vector with a float in it has no such lift and is summed term by term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 Matrix = List[List[Fraction]]
+#: a vector of rationals as (integer numerators, common denominator)
+Lifted = Tuple[List[int], int]
 
 #: singular values below this fraction of the largest one span a numerical
 #: kernel; also the residual allowed to closed-form float roots
@@ -27,13 +36,47 @@ def mat_transpose(m: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
+def lift(v: Sequence) -> Optional[Lifted]:
+    """(numerators, d): the rationals (ints or Fractions) in v as integers
+    over d, the lcm of their denominators; None when an entry is not
+    rational (a float has no denominator)."""
+    if len(v) and isinstance(v[0], float):
+        return None  # the common float vector, turned down without raising
+    try:
+        dens = [c.denominator for c in v]
+    except AttributeError:
+        return None
+    d = math.lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(v, dens)], d
+
+
+def _dot(x, y, p: Optional[Lifted], q: Optional[Lifted]):
+    # x . y, given the lifts p of x and q of y
+    if p is None or q is None:
+        return sum(a * b for a, b in zip(x, y))
+    return Fraction(sum(map(mul, p[0], q[0])), p[1] * q[1])
+
+
+def dot(x: Sequence, y: Sequence):
+    """sum_i x_i y_i: one Fraction over integer numerators when every entry
+    is rational, else a float summed term by term."""
+    p = lift(x)
+    return _dot(x, y, p, p if y is x or p is None else lift(y))
+
+
 def mat_mul(a, b) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    lifted = [lift(col) for col in cols]
+    out = []
+    for row in a:
+        p = lift(row)
+        out.append([_dot(row, col, p, q) for col, q in zip(cols, lifted)])
+    return out
 
 
 def mat_vec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    q = lift(v)
+    return [_dot(row, v, lift(row) if q else None, q) for row in a]
 
 
 def mat_sub(a, b) -> Matrix:

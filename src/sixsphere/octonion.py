@@ -19,6 +19,12 @@ Octonions carry their coefficients either as `fractions.Fraction` (exact
 mode, the default for identity checking) or as `float` (used where square
 roots are unavoidable).  Mode is inferred from the coefficients; mixing exact
 and float operands produces a float result.
+
+The exact product and inner product run on integers: each operand is lifted
+to integer numerators over the lcm of its denominators (`linalg.lift`), the
+table loop multiplies and adds integers, and each result coordinate is one
+`Fraction`.  Such results are built from canonical Fractions and skip the
+constructor's validation.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ZeroDivisor
+from .linalg import dot, lift
 
 ScalarLike = Union[int, Fraction, float]
 
@@ -139,14 +146,41 @@ def _build_table():
 
 MUL_INDEX, MUL_SIGN = _build_table()
 
-# gather tables of the batched product: e_i e_{_PERM[i][k]} = _SIGN[i][k] e_k
+# gather tables of the batched product: e_i e_{_PERM[i][k]} = _SIGN[i][k] e_k;
+# and of the multiplication matrices: entry (k, j) of the matrix of v -> w*v
+# is _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, and of v -> v*w likewise
 _PERM = np.empty((8, 8), dtype=np.intp)
 _SIGN = np.empty((8, 8))
+_LEFT = np.empty((8, 8), dtype=np.intp)
+_LEFT_SIGN = np.empty((8, 8))
 for _i in range(8):
     for _j in range(8):
-        _PERM[_i, MUL_INDEX[_i][_j]] = _j
-        _SIGN[_i, MUL_INDEX[_i][_j]] = MUL_SIGN[_i][_j]
-_EYE = np.eye(8)
+        _k, _s = MUL_INDEX[_i][_j], MUL_SIGN[_i][_j]
+        _PERM[_i, _k], _SIGN[_i, _k] = _j, _s
+        _LEFT[_k, _j], _LEFT_SIGN[_k, _j] = _i, _s
+_RIGHT, _RIGHT_SIGN = _PERM.T, _SIGN.T
+
+
+def _table_product(x: Sequence, y: Sequence) -> list:
+    """Coordinates of the product of the coordinate sequences x and y, summed
+    through the multiplication table; any scalars (ints, Fractions, floats).
+    A zero coordinate contributes no term."""
+    z = [0] * 8
+    for i in range(8):
+        xi = x[i]
+        if not xi:
+            continue
+        row_idx = MUL_INDEX[i]
+        row_sgn = MUL_SIGN[i]
+        for j in range(8):
+            yj = y[j]
+            if not yj:
+                continue
+            if row_sgn[j] > 0:
+                z[row_idx[j]] += xi * yj
+            else:
+                z[row_idx[j]] -= xi * yj
+    return z
 
 
 def _coerce(coords: Iterable[ScalarLike]):
@@ -197,25 +231,23 @@ class Octonion:
     def __neg__(self) -> "Octonion":
         return Octonion(-a for a in self.coords)
 
+    @classmethod
+    def _of_fractions(cls, coords: tuple) -> "Octonion":
+        """The exact octonion with these 8 Fractions, not re-validated: only
+        for the exact product, whose coordinates are canonical Fractions by
+        construction."""
+        o = object.__new__(cls)
+        o.coords, o.exact = coords, True
+        return o
+
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            x, y = self.coords, other.coords
-            z = [0] * 8
-            for i in range(8):
-                xi = x[i]
-                if not xi:
-                    continue
-                row_idx = MUL_INDEX[i]
-                row_sgn = MUL_SIGN[i]
-                for j in range(8):
-                    yj = y[j]
-                    if not yj:
-                        continue
-                    if row_sgn[j] > 0:
-                        z[row_idx[j]] += xi * yj
-                    else:
-                        z[row_idx[j]] -= xi * yj
-            return Octonion(z)
+            if self.exact and other.exact:
+                (nx, dx), (ny, dy) = lift(self.coords), lift(other.coords)
+                d = dx * dy
+                return Octonion._of_fractions(
+                    tuple(Fraction(z, d) for z in _table_product(nx, ny)))
+            return Octonion(_table_product(self.coords, other.coords))
         return Octonion(other * a for a in self.coords)
 
     def __rmul__(self, other):
@@ -241,10 +273,10 @@ class Octonion:
         return Octonion((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], -c[7]))
 
     def inner(self, other: "Octonion"):
-        return sum(a * b for a, b in zip(self.coords, other.coords))
+        return dot(self.coords, other.coords)
 
     def norm_sq(self):
-        return sum(a * a for a in self.coords)
+        return dot(self.coords, self.coords)
 
     def norm(self) -> float:
         return float(self.norm_sq()) ** 0.5
@@ -445,15 +477,27 @@ def _float_coords(w) -> np.ndarray:
     return w.to_float_array() if isinstance(w, Octonion) else np.asarray(w, dtype=float)
 
 
+def _signed_gather(w, idx: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The multiplication matrix with entries sign * w[idx], equal to
+    `batch_mul` against the identity, signed zeros included."""
+    w = _float_coords(w)
+    m = w[..., idx] * sign
+    if not w.all():
+        # batch_mul sums eight signed terms per entry, whose signs are those
+        # of the entries of its row, and a sum of zeros is -0.0 only when
+        # every term is; the other zero entries are +0.0
+        m += np.where(np.signbit(m).all(-1, keepdims=True), -0.0, 0.0)
+    return m
+
+
 def left_mult_matrix(w) -> np.ndarray:
     """8x8 float matrix of v -> w*v; a (..., 8) batch gives (..., 8, 8)."""
-    # row j of the product against the identity is w*e_j, column j of the matrix
-    return batch_mul(_float_coords(w)[..., None, :], _EYE).swapaxes(-1, -2)
+    return _signed_gather(w, _LEFT, _LEFT_SIGN)
 
 
 def right_mult_matrix(w) -> np.ndarray:
     """8x8 float matrix of v -> v*w; a (..., 8) batch gives (..., 8, 8)."""
-    return batch_mul(_EYE, _float_coords(w)[..., None, :]).swapaxes(-1, -2)
+    return _signed_gather(w, _RIGHT, _RIGHT_SIGN)
 
 
 def left_mult_matrix_exact(w: Octonion):

@@ -21,6 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .linalg import dot
 from .octonion import Octonion
 
 
@@ -37,7 +38,7 @@ def rational_sphere_point(t: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Map t in Q^n to an exact unit vector in Q^(n+1) (first coordinate is
     the pole coordinate (|t|^2-1)/(|t|^2+1))."""
     t = [Fraction(c) for c in t]
-    q = sum(c * c for c in t)
+    q = dot(t, t)
     d = q + 1
     return ((q - 1) / d, *[2 * c / d for c in t])
 
