@@ -8,8 +8,8 @@ The last two indices are deliberately swapped: under (e2,...,e7) in natural
 order, left multiplication by e1 (the reference structure everything else is
 measured against) is *negatively* oriented, because e1*e6 = -e7 in the
 generated multiplication table.  With the order fixed here the reference
-structure, and hence every structure of the form below, passes the
-orientation test with a positive determinant.  Serialized 6x6 matrices use
+structure, and hence every structure of the form below, is positively
+oriented: the Pfaffian of its matrix is -1.  Serialized 6x6 matrices use
 this basis order.
 
 Every orientation-compatible orthogonal complex structure on the 6-plane is
@@ -19,14 +19,18 @@ Every orientation-compatible orthogonal complex structure on the 6-plane is
 for a unit octonion x determined up to a left unit-complex factor; the
 formula is invariant under scaling x, so exact rational representatives of
 the ray are accepted everywhere and exact-mode computations never need a
-square root.
+square root.  J_x is built as the 8x8 matrix product
+R_conj(x) L_e1 R_x / |x|^2 of multiplication matrices, restricted to the
+rows and columns of the 6-plane basis, and the arithmetic context multiplies
+it in its mode (see `octonion.Arithmetic`).  The standard structure is J_1,
+built once per mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -111,34 +115,12 @@ class ComplexStructureR6:
         return embed6(self.apply6(extract6(o)))
 
     def orientation_sign(self) -> int:
-        """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w)
-        built greedily from the standard basis."""
-        cols: List[list] = []
-        taken: List[list] = []
+        """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w).
 
-        def residual(v):
-            r = list(v)
-            for t in taken:
-                tt = sum(x * x for x in t)
-                coeff = sum(x * y for x, y in zip(r, t)) / tt
-                r = [x - coeff * y for x, y in zip(r, t)]
-            return r
-
-        k = 0
-        while len(cols) < 6:
-            v = [1 if i == k else 0 for i in range(6)]
-            k += 1
-            r = residual(v)
-            if arithmetic_of(self).is_zero(r, SEPARATION_TOL):
-                continue
-            jr = self.apply6(r)
-            cols.append(r)
-            cols.append(jr)
-            taken.append(r)
-            taken.append(jr)
-        m = [[cols[j][i] for j in range(6)] for i in range(6)]
-        d = linalg.det(m) if self.exact else np.linalg.det(np.array(m, dtype=float))
-        return 1 if d > 0 else (-1 if d < 0 else 0)
+        That basis carries J to the standard block form, whose Pfaffian is
+        -1, and Pf(B J B^T) = det(B) Pf(J); so the sign is -sign Pf(J)."""
+        pf = linalg.pfaffian(self.rows)
+        return -1 if pf > 0 else (1 if pf < 0 else 0)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -184,20 +166,21 @@ class ComplexLine:
         return (o - proj).is_zero(tol)
 
 
-def _structure_from_formula(image_of) -> ComplexStructureR6:
-    cols = [extract6(image_of(embed6([1 if i == pos else 0 for i in range(6)])))
-            for pos in range(6)]
-    return ComplexStructureR6([[cols[j][i] for j in range(6)] for i in range(6)])
+_STANDARD: Dict[bool, ComplexStructureR6] = {}
 
 
 def standard_structure(exact: bool = True) -> ComplexStructureR6:
-    """Left multiplication by e1, restricted to the 6-plane."""
-    e1 = (EXACT if exact else FLOAT).e1
-    return _structure_from_formula(lambda v: e1 * v)
+    """Left multiplication by e1, restricted to the 6-plane: J_1, built once
+    per mode."""
+    exact = bool(exact)
+    if exact not in _STANDARD:
+        _STANDARD[exact] = j_from_octonion((EXACT if exact else FLOAT).one)
+    return _STANDARD[exact]
 
 
 def j_from_octonion(x: Octonion) -> ComplexStructureR6:
-    """The structure v -> (e1 (v x)) conj(x) / |x|^2.
+    """The structure v -> (e1 (v x)) conj(x) / |x|^2: the matrix
+    R_conj(x) L_e1 R_x / |x|^2 on the rows and columns of R6_BASIS.
 
     x may be any nonzero octonion; the formula only depends on the ray
     through x, which keeps exact rational inputs exact.
@@ -206,9 +189,9 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     n = x.norm_sq()
     if ctx.zero_norm(n):
         raise NotUnit("x must be nonzero")
-    e1 = ctx.e1
-    xc = x.conjugate()
-    return _structure_from_formula(lambda v: (e1 * (v * x)) * xc / n)
+    r = ctx.right(ctx.points([x]))   # R_conj(x) is its transpose
+    m = ctx.product(ctx.transpose(r), ctx.left(ctx.points([ctx.e1])), r)
+    return ComplexStructureR6(ctx.entries(ctx.scaled(m, n), R6_BASIS))
 
 
 def equivalent(x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:

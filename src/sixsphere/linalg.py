@@ -154,6 +154,23 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return sign * d
 
 
+def pfaffian(a: Sequence[Sequence]):
+    """Pfaffian of an antisymmetric matrix of even size n >= 2, from the
+    entries above the diagonal: the expansion along the first row (15
+    terms at 6x6), with no division, in the entries' own arithmetic."""
+
+    def pf(idx: tuple):
+        if len(idx) == 2:
+            return a[idx[0]][idx[1]]
+        total = 0
+        for k, j in enumerate(idx[1:], 1):
+            t = a[idx[0]][j] * pf(idx[1:k] + idx[k + 1:])
+            total = total + t if k % 2 else total - t
+        return total
+
+    return pf(tuple(range(len(a))))
+
+
 def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
     return mat_eq(mat_mul(m, mat_transpose(m)), mat_identity(len(m)))
 

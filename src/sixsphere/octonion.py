@@ -23,14 +23,17 @@ and float operands produces a float result.
 The exact product and inner product run on integers: each operand is lifted
 to integer numerators over the lcm of its denominators (`linalg.lift`), the
 table loop multiplies and adds integers, and each result coordinate is one
-`Fraction`.  Such results are built from canonical Fractions and skip the
-constructor's validation.
+`Fraction`.  Such results, and sums and rational multiples of exact
+octonions, are built from canonical Fractions and skip the constructor's
+validation.  The arithmetic context also multiplies 8x8 matrices, each mode
+in its own form (see `Arithmetic`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,8 +52,7 @@ FLOAT_EQ_TOL = 1e-12
 #: residual allowed to a float identity check (the suites' default tolerance)
 CHECK_TOL = 1e-9
 #: distance under which float points count as one: preimage and fiber
-#: classes, the antipodal branch of structure recovery, and the numerically
-#: nonzero residual vectors of the orientation test
+#: classes, and the antipodal branch of structure recovery
 SEPARATION_TOL = 1e-6
 #: squared norm under which a float octonion counts as zero
 ZERO_NORM_SQ = 1e-30
@@ -159,6 +161,8 @@ for _i in range(8):
         _PERM[_i, _k], _SIGN[_i, _k] = _j, _s
         _LEFT[_k, _j], _LEFT_SIGN[_k, _j] = _i, _s
 _RIGHT, _RIGHT_SIGN = _PERM.T, _SIGN.T
+# I - 1 1^T, the projection onto the imaginary octonions
+_IMAG_PROJ = np.diag([0] + [1] * 7)
 
 
 def _table_product(x: Sequence, y: Sequence) -> list:
@@ -223,19 +227,21 @@ class Octonion:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(a + b for a, b in zip(self.coords, other.coords))
+        return _closed((a + b for a, b in zip(self.coords, other.coords)),
+                       self.exact and other.exact)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(a - b for a, b in zip(self.coords, other.coords))
+        return _closed((a - b for a, b in zip(self.coords, other.coords)),
+                       self.exact and other.exact)
 
     def __neg__(self) -> "Octonion":
-        return Octonion(-a for a in self.coords)
+        return _closed((-a for a in self.coords), self.exact)
 
     @classmethod
     def _of_fractions(cls, coords: tuple) -> "Octonion":
         """The exact octonion with these 8 Fractions, not re-validated: only
-        for the exact product, whose coordinates are canonical Fractions by
-        construction."""
+        for results of exact operations on exact operands, whose coordinates
+        are canonical Fractions by construction."""
         o = object.__new__(cls)
         o.coords, o.exact = coords, True
         return o
@@ -248,14 +254,16 @@ class Octonion:
                 return Octonion._of_fractions(
                     tuple(Fraction(z, d) for z in _table_product(nx, ny)))
             return Octonion(_table_product(self.coords, other.coords))
-        return Octonion(other * a for a in self.coords)
+        return _closed((other * a for a in self.coords),
+                       self.exact and isinstance(other, (int, Fraction)))
 
     def __rmul__(self, other):
         # scalars commute with everything
-        return Octonion(other * a for a in self.coords)
+        return self * other
 
     def __truediv__(self, scalar):
-        return Octonion(a / scalar for a in self.coords)
+        return _closed((a / scalar for a in self.coords),
+                       self.exact and isinstance(scalar, (int, Fraction)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
@@ -270,7 +278,8 @@ class Octonion:
     def conjugate(self) -> "Octonion":
         """2<x,1>1 - x: negate the imaginary part."""
         c = self.coords
-        return Octonion((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], -c[7]))
+        return _closed((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], -c[7]),
+                       self.exact)
 
     def inner(self, other: "Octonion"):
         return dot(self.coords, other.coords)
@@ -338,6 +347,13 @@ class Octonion:
         return cls(vals)
 
 
+def _closed(coords: Iterable[ScalarLike], exact: bool) -> Octonion:
+    """The octonion with these coordinates; `exact` says they are canonical
+    Fractions (exact operands under +, -, and * or / by an int or a
+    Fraction), which skip `_coerce`."""
+    return Octonion._of_fractions(tuple(coords)) if exact else Octonion(coords)
+
+
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:
     """sqrt(q) if q is the square of a rational, else None."""
     if q < 0:
@@ -384,6 +400,27 @@ class Arithmetic:
     def __init__(self, one: Octonion, e1: Octonion):
         self.one, self.e1 = one, e1
 
+    # Matrices and points are (array, denominator) pairs, and may be stacked
+    # along leading axes: integer numerators in an object array over one
+    # denominator per point (EXACT), floats over 1 (FLOAT).  Products
+    # multiply the arrays and the denominators; only `entries` and the
+    # comparisons divide.
+
+    def product(self, *ms):
+        """The product of matrix pairs, left to right, broadcasting."""
+        return reduce(np.matmul, [m[0] for m in ms]), math.prod(m[1] for m in ms)
+
+    def transpose(self, m):
+        """The transpose of each matrix of the pair m."""
+        return m[0].swapaxes(-1, -2), m[1]
+
+    def projector(self, p):
+        """I - 1 1^T - p p^T, the projection onto <1, p>-perp for p (a point
+        pair) a unit imaginary."""
+        v, d = p
+        return (_IMAG_PROJ.astype(v.dtype) * (d * d)
+                - v[..., :, None] * v[..., None, :], d * d)
+
 
 class _ExactArithmetic(Arithmetic):
     exact = True
@@ -417,6 +454,49 @@ class _ExactArithmetic(Arithmetic):
         """The representative of the ray through o that results carry."""
         return o
 
+    def points(self, os: Sequence[Octonion]):
+        """The stacked pair of these octonions: each one's numerators over
+        its own denominator, the denominators shaped (n, 1, 1)."""
+        lifted = [lift(o.coords) for o in os]
+        return (np.array([v for v, _ in lifted], dtype=object),
+                np.array([d for _, d in lifted], dtype=object).reshape(-1, 1, 1))
+
+    def matrix(self, rows):
+        """The pair of the 8x8 matrix with these rows."""
+        nums, d = lift([x for row in rows for x in row])
+        return np.array(nums, dtype=object).reshape(8, 8), d
+
+    def left(self, p):
+        """The pair of v -> w v for each point w of the pair p."""
+        return left_mult_matrix_exact(p[0]), p[1]
+
+    def right(self, p):
+        """The pair of v -> v w for each point w of the pair p."""
+        return right_mult_matrix_exact(p[0]), p[1]
+
+    def scaled(self, m, s):
+        """The pair m / s."""
+        s = Fraction(s)
+        return m[0] * s.denominator, m[1] * s.numerator
+
+    def entries(self, m, idx: Optional[Sequence[int]] = None) -> tuple:
+        """The rows of the one matrix of m (a stack of one is fine), on the
+        rows and columns idx when given: one Fraction per entry."""
+        d = m[1].flat[0] if isinstance(m[1], np.ndarray) else m[1]
+        return tuple(tuple(Fraction(x, d) for x in row)
+                     for row in _restrict(m[0], idx).tolist())
+
+    def distance(self, m1, m2) -> float:
+        """Largest absolute entry of m1 - m2, as a float."""
+        num = m1[0] * m2[1] - m2[0] * m1[1]
+        den = np.broadcast_to(np.asarray(m1[1] * m2[1], dtype=object), num.shape)
+        return float(max(Fraction(abs(x), y) for x, y in zip(num.flat, den.flat)))
+
+    def equal(self, m1, m2) -> bool:
+        """Equality of two (stacked) matrices; FLOAT compares their distance
+        with FLOAT_EQ_TOL."""
+        return bool((m1[0] * m2[1] == m2[0] * m1[1]).all())
+
 
 class _FloatArithmetic(Arithmetic):
     exact = False
@@ -444,6 +524,36 @@ class _FloatArithmetic(Arithmetic):
 
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
+
+    def points(self, os: Sequence[Octonion]):
+        return np.array([[float(c) for c in o.coords] for o in os]), 1.0
+
+    def matrix(self, rows):
+        return np.array(rows, dtype=float), 1.0
+
+    def left(self, p):
+        return left_mult_matrix(p[0]), p[1]
+
+    def right(self, p):
+        return right_mult_matrix(p[0]), p[1]
+
+    def scaled(self, m, s):
+        return m[0], m[1] * float(s)
+
+    def entries(self, m, idx: Optional[Sequence[int]] = None) -> np.ndarray:
+        return _restrict(m[0], idx) / m[1]
+
+    def distance(self, m1, m2) -> float:
+        return float(np.max(np.abs(m1[0] / m1[1] - m2[0] / m2[1])))
+
+    def equal(self, m1, m2) -> bool:
+        return self.distance(m1, m2) <= FLOAT_EQ_TOL
+
+
+def _restrict(a: np.ndarray, idx: Optional[Sequence[int]]) -> np.ndarray:
+    # the one matrix of a, on the rows and columns idx when given
+    a = a.reshape(8, 8)
+    return a if idx is None else a[np.ix_(idx, idx)]
 
 
 EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))
@@ -500,7 +610,15 @@ def right_mult_matrix(w) -> np.ndarray:
     return _signed_gather(w, _RIGHT, _RIGHT_SIGN)
 
 
-def left_mult_matrix_exact(w: Octonion):
-    """8x8 row-major list-of-lists of Fractions for v -> w*v."""
-    cols = [(w * Octonion.basis(j)).coords for j in range(8)]
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
+def left_mult_matrix_exact(w) -> np.ndarray:
+    """8x8 object array of v -> w*v, a signed gather of w's own scalars: the
+    Fractions of an octonion, or coordinates such as lifted numerators; a
+    (..., 8) stack gives (..., 8, 8)."""
+    c = w.coords if isinstance(w, Octonion) else w
+    return np.array(c, dtype=object)[..., _LEFT] * _LEFT_SIGN.astype(int)
+
+
+def right_mult_matrix_exact(w) -> np.ndarray:
+    """8x8 object array of v -> v*w; see `left_mult_matrix_exact`."""
+    c = w.coords if isinstance(w, Octonion) else w
+    return np.array(c, dtype=object)[..., _RIGHT] * _RIGHT_SIGN.astype(int)

@@ -14,6 +14,14 @@ at p.  Matrices in SO(7) (8x8, fixing 1) act on sections of structures by
 octonion a, unique up to sign, with (A.J_canonical)_p(v) = (p (v a)) conj(a),
 recovered here by a linear kernel computation.
 
+A section is built at a stack of points at once, each structure as one
+product of 8x8 matrices, multiplied by the arithmetic context in its mode:
+L_p P_p (canonical), R_conj(x) L_p R_x P_p / |x|^2 (the constant section of
+x) and A M_q A^T (A acting on a section with matrix M_q at q = A^T p), with
+L_w, R_w the matrices of v -> w v, v -> v w (R_conj(x) is R_x^T) and P_p
+the projection onto <1, p>-perp.  Sections are compared on the stacked
+matrices.
+
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
 needed so exact arithmetic survives.
@@ -31,7 +39,7 @@ from .errors import (DegenerateInput, KernelDimensionError, NonGenericInput,
                      NotImaginaryUnit, VerificationFailed)
 from . import linalg
 from .frames import apply_matrix
-from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
+from .octonion import (CHECK_TOL, FLOAT, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
                        SEPARATION_TOL, Octonion, arithmetic_of, batch_mul,
                        exact_sqrt, residual)
 from .sampling import (random_rational_imaginary_unit,
@@ -54,31 +62,23 @@ def _check_point(p: Octonion, tol: float = CHECK_TOL):
 
 class TangentStructure:
     """An orthogonal complex structure on the tangent space at p, stored as
-    the 8x8 matrix that applies it on <1, p>-perp and kills <1, p>."""
+    the 8x8 matrix that applies it on <1, p>-perp and kills <1, p>: a float
+    array, or rows of rationals (exact)."""
 
     __slots__ = ("p", "rows", "exact")
 
-    def __init__(self, p: Octonion, image_of: Callable[[Octonion], Octonion]):
+    def __init__(self, p: Octonion, rows):
         _check_point(p)
         self.p = p
-        cols = []
-        exact = p.exact
-        for k in range(8):
-            e = Octonion.basis(k)
-            v = e - e.inner(ONE) * ONE - e.inner(p) * p
-            w = image_of(v) if not v.is_zero() else Octonion.zero()
-            exact = exact and w.exact
-            cols.append(w.coords)
-        self.exact = exact
-        if exact:
-            self.rows = tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
+        if isinstance(rows, np.ndarray):
+            self.rows = np.array(rows, dtype=float)
+            self.exact = False
         else:
-            self.rows = np.array([[float(cols[j][i]) for j in range(8)]
-                                  for i in range(8)])
+            self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            self.exact = p.exact
 
     def apply(self, v: Octonion) -> Octonion:
-        w = v - v.inner(ONE) * ONE - v.inner(self.p) * self.p
-        return apply_matrix(self.rows, w)
+        return apply_matrix(self.rows, v)
 
     def as_array(self) -> np.ndarray:
         if isinstance(self.rows, np.ndarray):
@@ -98,17 +98,35 @@ class TangentStructure:
     def check_structure(self, tol: float = CHECK_TOL) -> bool:
         """On <1,p>-perp the matrix must be orthogonal with square -id."""
         a = self.as_array()
-        pf = self.p.to_float_array()
-        basis = [np.eye(8)[0], pf]
-        proj = np.eye(8) - np.outer(basis[0], basis[0]) - np.outer(pf, pf)
+        proj = FLOAT.entries(FLOAT.projector(FLOAT.points([self.p])))
         return (np.max(np.abs(a @ a + proj)) <= tol
                 and np.max(np.abs(a @ a.T - proj)) <= tol)
 
 
+class Section:
+    """A section of tangent structures over the six-sphere.  `build(ctx,
+    pts)` gives its matrices at the stacked points of the pair pts (see
+    `octonion.Arithmetic`) in the mode of ctx; calling it at a point gives
+    the structure there."""
+
+    __slots__ = ("build", "exact")
+
+    def __init__(self, build: Callable, exact: bool):
+        self.build, self.exact = build, exact
+
+    def __call__(self, p: Octonion) -> TangentStructure:
+        ctx = arithmetic_of(self, p)
+        return TangentStructure(p, ctx.entries(self.build(ctx, ctx.points([p]))))
+
+
+_CANONICAL = Section(lambda ctx, pts: ctx.product(ctx.left(pts),
+                                                  ctx.projector(pts)),
+                     exact=True)
+
+
 def canonical_structure_at(p: Octonion) -> TangentStructure:
-    """v -> p v on the tangent space at p."""
-    _check_point(p)
-    return TangentStructure(p, lambda v: p * v)
+    """v -> p v on the tangent space at p: L_p P_p."""
+    return _CANONICAL(p)
 
 
 @dataclass(frozen=True)
@@ -132,10 +150,7 @@ class TwistorPoint:
 
 def twistor_evaluate(t: TwistorPoint) -> TangentStructure:
     """The structure v -> (p (v x)) conj(x) / |x|^2 at p."""
-    p, x = t.p, t.x
-    n = x.norm_sq()
-    xc = x.conjugate()
-    return TangentStructure(p, lambda v: (p * (v * x)) * xc / n)
+    return rp7_section(t.x)(t.p)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +160,7 @@ def twistor_evaluate(t: TwistorPoint) -> TangentStructure:
 class SO7Element:
     """8x8 special orthogonal matrix fixing the octonion unit."""
 
-    __slots__ = ("rows", "exact")
+    __slots__ = ("rows", "exact", "_images")
 
     def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
         if isinstance(rows, np.ndarray):
@@ -156,6 +171,7 @@ class SO7Element:
             self.exact = True
         if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
             raise DegenerateInput("expected an 8x8 matrix")
+        self._images = None
         if validate:
             self._validate(tol)
 
@@ -194,41 +210,52 @@ class SO7Element:
             return self.rows
         return linalg.mat_to_float(self.rows)
 
+    def images(self) -> List[Octonion]:
+        """lam(e_0), ..., lam(e_7): the columns, in lam's arithmetic,
+        computed once."""
+        if self._images is None:
+            self._images = [Octonion(row[k] for row in self.rows)
+                            for k in range(8)]
+        return self._images
+
 
 def conjugation_element(x: Octonion) -> SO7Element:
-    """c(x): w -> x w conj(x) / |x|^2, an element of SO(7)."""
-    n = x.norm_sq()
-    xc = x.conjugate()
-    cols = [((x * Octonion.basis(k)) * xc) / n for k in range(8)]
-    if x.exact:
-        rows = [[cols[j].coords[i] for j in range(8)] for i in range(8)]
-        return SO7Element(rows, validate=False)
-    return SO7Element(np.array([[float(cols[j].coords[i]) for j in range(8)]
-                                for i in range(8)]), validate=False)
-
-
-Section = Callable[[Octonion], TangentStructure]
+    """c(x): w -> x w conj(x) / |x|^2, an element of SO(7):
+    R_conj(x) L_x / |x|^2."""
+    ctx = arithmetic_of(x)
+    xs = ctx.points([x])
+    m = ctx.product(ctx.transpose(ctx.right(xs)), ctx.left(xs))
+    return SO7Element(ctx.entries(ctx.scaled(m, x.norm_sq())), validate=False)
 
 
 def canonical_section() -> Section:
-    return canonical_structure_at
+    return _CANONICAL
 
 
 def so7_act(a: SO7Element, section: Section) -> Section:
-    """(A.J)_p(v) = A J_{A^-1 p}(A^-1 v)."""
+    """(A.J)_p(v) = A J_{A^-1 p}(A^-1 v): the matrix A M_q A^T, where M_q is
+    the section's matrix at q = A^T p."""
 
-    def acted(p: Octonion) -> TangentStructure:
-        q = a.inverse_apply(p)
-        inner = section(q)
-        return TangentStructure(p, lambda v: a.apply(inner.apply(a.inverse_apply(v))))
+    def build(ctx, pts):
+        m = ctx.matrix(a.rows)
+        inner = section.build(ctx, (pts[0] @ m[0], pts[1] * m[1]))  # q^T = p^T A
+        return ctx.product(m, inner, ctx.transpose(m))
 
-    return acted
+    return Section(build, a.exact and section.exact)
 
 
 def rp7_section(x: Octonion) -> Section:
-    """The constant-octonion section p -> structure of (p, x); x and -x give
-    the same section."""
-    return lambda p: twistor_evaluate(TwistorPoint(p, x))
+    """The constant-octonion section p -> R_conj(x) L_p R_x P_p / |x|^2, the
+    structure of (p, x); x and -x give the same section."""
+
+    def build(ctx, pts):
+        r = ctx.right(ctx.points([x]))
+        m = ctx.product(ctx.transpose(r), ctx.left(pts), r, ctx.projector(pts))
+        return ctx.scaled(m, x.norm_sq())
+
+    if arithmetic_of(x).zero_norm(x.norm_sq()):
+        raise DegenerateInput("x must be nonzero")
+    return Section(build, x.exact)
 
 
 _SECTION_POINTS: Optional[List[Octonion]] = None
@@ -249,16 +276,39 @@ def section_sample_points() -> List[Octonion]:
     return _SECTION_POINTS
 
 
+#: the sample points stacked once per mode (they are exact)
+_SAMPLE_STACKS: dict = {}
+
+
+def _on_points(s1: Section, s2: Section, points: Optional[Sequence[Octonion]]):
+    # the context and both sections' stacked matrices at the points
+    if points is None:
+        ctx = arithmetic_of(s1, s2)
+        if ctx.exact not in _SAMPLE_STACKS:
+            pts = ctx.points(section_sample_points())
+            for a in pts:   # shared by every later comparison: read-only
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            _SAMPLE_STACKS[ctx.exact] = pts
+        pts = _SAMPLE_STACKS[ctx.exact]
+    else:
+        for p in points:
+            _check_point(p)
+        ctx = arithmetic_of(s1, s2, *points)
+        pts = ctx.points(points)
+    return ctx, s1.build(ctx, pts), s2.build(ctx, pts)
+
+
 def section_distance(s1: Section, s2: Section,
                      points: Optional[Sequence[Octonion]] = None) -> float:
-    pts = section_sample_points() if points is None else points
-    return max(s1(p).distance(s2(p)) for p in pts)
+    ctx, m1, m2 = _on_points(s1, s2, points)
+    return ctx.distance(m1, m2)
 
 
 def sections_equal(s1: Section, s2: Section,
                    points: Optional[Sequence[Octonion]] = None) -> bool:
-    pts = section_sample_points() if points is None else points
-    return all(s1(p) == s2(p) for p in pts)
+    ctx, m1, m2 = _on_points(s1, s2, points)
+    return ctx.equal(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +322,6 @@ class CompanionResult:
     residual: float      # max octonion-product residual of the verification
 
 
-def _images(lam: SO7Element) -> List[Octonion]:
-    """lam(e_0), ..., lam(e_7): the columns of lam, in lam's arithmetic."""
-    return [Octonion(row[k] for row in lam.rows) for k in range(8)]
-
-
 def _image_of_product(imgs: List[Octonion], i: int, j: int) -> Octonion:
     """lam(e_i e_j) = MUL_SIGN[i][j] lam(e_MUL_INDEX[i][j]), by linearity."""
     return MUL_SIGN[i][j] * imgs[MUL_INDEX[i][j]]
@@ -285,7 +330,7 @@ def _image_of_product(imgs: List[Octonion], i: int, j: int) -> Octonion:
 def _companion_system(lam: SO7Element):
     """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u):
     block k, column j is lam(e_k e_j) - lam(e_k) lam(e_j)."""
-    imgs = _images(lam)
+    imgs = lam.images()
     rows = []
     for k in range(8):
         cols = [(_image_of_product(imgs, k, j) - imgs[k] * imgs[j]).coords
@@ -300,11 +345,21 @@ def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octoni
         a.norm_sq() * _image_of_product(imgs, i, j)
 
 
-def isotopy_residual(lam: SO7Element, a: Octonion) -> float:
-    """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |."""
-    imgs = _images(lam)
-    return max(residual(_isotopy_defect(imgs, a, i, j))
-               for i in range(8) for j in range(8))
+def isotopy_residual(lam: SO7Element, a: Octonion,
+                     tol: Optional[float] = None) -> float:
+    """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |.
+
+    Given tol, a candidate that fails stops early: the first defect that
+    fails lam's test against tol (any nonzero defect in exact mode) is
+    returned in place of the max."""
+    imgs, ctx, worst = lam.images(), arithmetic_of(lam), 0.0
+    for i in range(8):
+        for j in range(8):
+            r = residual(_isotopy_defect(imgs, a, i, j))
+            if tol is not None and not ctx.scalar_eq(r, 0, tol):
+                return r
+            worst = max(worst, r)
+    return worst
 
 
 def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octonion]:
@@ -317,7 +372,7 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
     quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
     most two candidate rays to verify.
     """
-    imgs = _images(lam)
+    imgs = lam.images()
     a1, a2 = lam.apply(k1), lam.apply(k2)
     exact = lam.exact and k1.exact and k2.exact
     out: List[Octonion] = []
@@ -374,8 +429,8 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     the trivial vector 1 (and is all of the octonions when lam is an
     automorphism), so when it is larger than a line the companion ray is
     pinned down by solving the quadratic isotopy defect along the kernel,
-    and every candidate is verified against the full identity on all 64
-    basis pairs before being returned.
+    and a candidate is returned once the full identity holds on all 64
+    basis pairs; a failing one is dropped at its first failing pair.
     """
     ctx = arithmetic_of(lam)
     ker = ctx.kernel(_companion_system(lam))
@@ -387,21 +442,18 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     for n, u in enumerate(kvecs):
         for v in kvecs[n + 1:]:
             candidates += _pencil_candidates(lam, u, v)
-    best = None
     for u in candidates:
         if u.is_zero(CHECK_TOL):
             continue
         a = ctx.ray(lam.apply(u))
-        r = isotopy_residual(lam, a)
-        if best is None or r < best[1]:
-            best = (a, r)
+        r = isotopy_residual(lam, a, tol)
         if ctx.scalar_eq(r, 0, tol):
             return CompanionResult(a, len(ker), float(r))
     if len(ker) > 1:
         raise KernelDimensionError(
             "kernel dimension %d and no vector passes verification" % len(ker))
-    raise VerificationFailed(
-        "companion candidate fails the isotopy identity (residual %g)" % best[1])
+    raise VerificationFailed(  # a line kernel has one candidate
+        "companion candidate fails the isotopy identity (defect %g)" % r)
 
 
 def verify_so7_section_identity(lam: SO7Element, a: Octonion,

@@ -102,6 +102,29 @@ def test_mat_mul_and_mat_vec_match_per_term(ab):
     _assert_same_fractions(linalg.mat_vec(a, col), [_per_term_dot(row, col) for row in a])
 
 
+scalars = st.one_of(st.integers(-2 ** 40, 2 ** 40), rationals)
+
+
+@kernel_settings
+@given(octonions, octonions, scalars)
+def test_exact_closure_matches_per_term(x, y, k):
+    # +, -, negation, conjugation and rational multiples of exact octonions
+    # skip the validating constructor; their coordinates must still be the
+    # canonical Fractions of per-term arithmetic
+    X, Y, K = x.coords, y.coords, F(k)
+    cases = [(x + y, [a + b for a, b in zip(X, Y)]),
+             (x - y, [a - b for a, b in zip(X, Y)]),
+             (-x, [-a for a in X]),
+             (x.conjugate(), [X[0]] + [-a for a in X[1:]]),
+             (k * x, [K * a for a in X]),
+             (x * k, [K * a for a in X])]
+    if k:
+        cases.append((x / k, [a / K for a in X]))
+    for got, want in cases:
+        assert got.exact
+        _assert_same_fractions(got.coords, want)
+
+
 # -- float and mixed inputs stay with float arithmetic ----------------------
 
 def _assert_same_floats(got: Octonion, want: Octonion):
@@ -119,6 +142,11 @@ def test_mixed_inputs_keep_float_arithmetic(rng):
     _assert_same_floats(y * x, _per_term_product(y.coords, x.coords))
     _assert_same_floats(x * 0.3, Octonion(0.3 * a for a in x.coords))
     _assert_same_floats(0.3 * x, Octonion(0.3 * a for a in x.coords))
+    _assert_same_floats(x / 0.3, Octonion(a / 0.3 for a in x.coords))
+    _assert_same_floats(x * np.float64(0.3), Octonion(0.3 * a for a in x.coords))
+    _assert_same_floats(x + y, Octonion(a + b for a, b in zip(x.coords, y.coords)))
+    _assert_same_floats(x - y, Octonion(a - b for a, b in zip(x.coords, y.coords)))
+    _assert_same_floats(-y, Octonion(-a for a in y.coords))
     rows = [list(r) for r in rng.standard_normal((8, 8))]
     want = Octonion(sum(row[j] * x.coords[j] for j in range(8)) for row in rows)
     _assert_same_floats(apply_matrix(rows, x), want)

@@ -139,6 +139,27 @@ def test_isotopy_residual_separates_companions():
         assert isotopy_residual(rot, a * E[2]) > CHECK_TOL
 
 
+def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
+    # with a tolerance, a wrong candidate is dropped at its first failing
+    # basis pair; a companion still passes all 64, with the same residual
+    calls = []
+    defect = twistor._isotopy_defect
+    monkeypatch.setattr(twistor, "_isotopy_defect",
+                        lambda *args: calls.append(args) or defect(*args))
+    lam = twistor.random_so7_exact(rng_from_seed(47))
+    for rot in (lam, SO7Element(lam.as_array())):
+        a = companion(rot).a
+        wrong = a * E[2]
+        full = isotopy_residual(rot, wrong)
+        calls.clear()
+        first = isotopy_residual(rot, wrong, CHECK_TOL)
+        assert CHECK_TOL < first <= full and len(calls) < 64
+        calls.clear()
+        assert isotopy_residual(rot, a, CHECK_TOL) == isotopy_residual(rot, a)
+        assert len(calls) == 128
+        assert rot.images() is rot.images()
+
+
 def test_companion_defensive_kernel_error():
     # right multiplication by e1 is orthogonal with det 1 but moves 1; the
     # validated constructor rejects it, and the solver (told to skip
