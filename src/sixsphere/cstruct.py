@@ -29,7 +29,6 @@ built once per mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,8 @@ from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
-                       MUL_SIGN, SEPARATION_TOL, Octonion, arithmetic_of)
+                       MUL_SIGN, SEPARATION_TOL, Octonion, SquareMatrix,
+                       arithmetic_of)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
@@ -61,55 +61,27 @@ def extract6(o: Octonion, tol: float = CHECK_TOL) -> list:
     return [o.coords[idx] for idx in R6_BASIS]
 
 
-class ComplexStructureR6:
+class ComplexStructureR6(SquareMatrix):
     """A 6x6 orthogonal matrix J with J^2 = -1, positively oriented, acting
-    on the ordered basis (e2, e3, e4, e5, e7, e6)."""
+    on the ordered basis (e2, e3, e4, e5, e7, e6).  Validation checks that J
+    is antisymmetric with J^2 = -1, which makes it orthogonal, and the sign
+    of its Pfaffian."""
 
-    __slots__ = ("rows", "exact")
-
-    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
-        if isinstance(rows, np.ndarray):
-            self.rows = tuple(tuple(float(x) for x in row) for row in rows)
-            self.exact = False
-        else:
-            rows = tuple(tuple(row) for row in rows)
-            self.exact = all(not isinstance(x, float) for row in rows for x in row)
-            if self.exact:
-                rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            else:
-                rows = tuple(tuple(float(x) for x in row) for row in rows)
-            self.rows = rows
-        if len(self.rows) != 6 or any(len(r) != 6 for r in self.rows):
-            raise InvalidStructure("expected a 6x6 matrix")
-        if validate:
-            self._validate(tol)
-
-    # -- construction helpers ----------------------------------------------
+    __slots__ = ()
+    size, error = 6, InvalidStructure
 
     def _validate(self, tol: float):
-        m = self.rows
-        if self.exact:
-            if not linalg.is_orthogonal_exact([list(r) for r in m]):
-                raise InvalidStructure("J is not orthogonal")
-            sq = linalg.mat_mul(m, m)
-            for i in range(6):
-                for j in range(6):
-                    if sq[i][j] != (-1 if i == j else 0):
-                        raise InvalidStructure("J^2 is not -identity")
-        else:
-            a = self.as_array()
-            if np.max(np.abs(a @ a.T - np.eye(6))) > tol:
-                raise InvalidStructure("J is not orthogonal")
-            if np.max(np.abs(a @ a + np.eye(6))) > tol:
-                raise InvalidStructure("J^2 is not -identity")
-        if self.orientation_sign() <= 0:
+        ctx = arithmetic_of(self)
+        m = ctx.matrix(self.rows)
+        if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), tol):
+            raise InvalidStructure("J is not antisymmetric")
+        if not ctx.equal(ctx.product(m, m), ctx.scaled(ctx.identity(6), -1), tol):
+            raise InvalidStructure("J^2 is not -identity")
+        if not self.orientation_sign() > 0:
             raise InvalidStructure("J is not orientation-compatible")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows])
-
     def apply6(self, v: Sequence) -> list:
-        return linalg.mat_vec(self.rows, list(v))
+        return arithmetic_of(self).mat_vec(self.rows, list(v))
 
     def apply(self, o: Octonion) -> Octonion:
         return embed6(self.apply6(extract6(o)))
@@ -118,8 +90,9 @@ class ComplexStructureR6:
         """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w).
 
         That basis carries J to the standard block form, whose Pfaffian is
-        -1, and Pf(B J B^T) = det(B) Pf(J); so the sign is -sign Pf(J)."""
-        pf = linalg.pfaffian(self.rows)
+        -1, and Pf(B J B^T) = det(B) Pf(J); so the sign is -sign Pf(J),
+        taken here on the numerators of J over a positive denominator."""
+        pf = linalg.pfaffian(arithmetic_of(self).matrix(self.rows)[0].tolist())
         return -1 if pf > 0 else (1 if pf < 0 else 0)
 
     # -- comparisons ---------------------------------------------------------
@@ -129,26 +102,8 @@ class ComplexStructureR6:
             return NotImplemented
         return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
-    def distance(self, other: "ComplexStructureR6") -> float:
-        return float(np.max(np.abs(self.as_array() - other.as_array())))
-
     def __repr__(self) -> str:
         return "ComplexStructureR6(%r)" % (self.rows,)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_strings(self) -> list:
-        """Row-major 6x6 nested list of scalar strings."""
-        if self.exact:
-            return [[str(x) for x in row] for row in self.rows]
-        return [[repr(float(x)) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "ComplexStructureR6":
-        flat = [s for row in rows for s in row]
-        floatish = any(("." in s or "e" in s or "E" in s) and "/" not in s for s in flat)
-        conv = float if floatish else Fraction
-        return cls([[conv(s) for s in row] for row in rows])
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ to integer numerators over the lcm of its denominators (`linalg.lift`), the
 table loop multiplies and adds integers, and each result coordinate is one
 `Fraction`.  Such results, and sums and rational multiples of exact
 octonions, are built from canonical Fractions and skip the constructor's
-validation.  The arithmetic context also multiplies 8x8 matrices, each mode
-in its own form (see `Arithmetic`).
+validation.  The arithmetic context also multiplies square matrices, each
+mode in its own form (see `Arithmetic`), and `SquareMatrix` holds the
+matrices of structures and of SO(7) elements in the mode of their entries.
 """
 
 from __future__ import annotations
@@ -334,17 +335,19 @@ class Octonion:
 
     def to_strings(self) -> list:
         """8-element list of strings: '3/5' in exact mode, repr(float) otherwise."""
-        if self.exact:
-            return [str(c) for c in self.coords]
-        return [repr(float(c)) for c in self.coords]
+        return [str(c) for c in self.coords]
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "Octonion":
-        vals = []
-        floatish = any(("." in s or "e" in s or "E" in s) and "/" not in s for s in strings)
-        for s in strings:
-            vals.append(float(s) if floatish else Fraction(s))
-        return cls(vals)
+        return cls(parse_scalar(s) for s in strings)
+
+
+def parse_scalar(s: str) -> ScalarLike:
+    """A float for a string with a decimal point or an exponent and no '/',
+    else a Fraction ('3/5', '-2'); a sequence with one float entry is float
+    throughout (see `_coerce` and `SquareMatrix`)."""
+    floatish = ("." in s or "e" in s or "E" in s) and "/" not in s
+    return float(s) if floatish else Fraction(s)
 
 
 def _closed(coords: Iterable[ScalarLike], exact: bool) -> Octonion:
@@ -421,6 +424,10 @@ class Arithmetic:
         return (_IMAG_PROJ.astype(v.dtype) * (d * d)
                 - v[..., :, None] * v[..., None, :], d * d)
 
+    def identity(self, n: int):
+        """The pair of the n x n identity matrix."""
+        return self.matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
 
 class _ExactArithmetic(Arithmetic):
     exact = True
@@ -462,9 +469,9 @@ class _ExactArithmetic(Arithmetic):
                 np.array([d for _, d in lifted], dtype=object).reshape(-1, 1, 1))
 
     def matrix(self, rows):
-        """The pair of the 8x8 matrix with these rows."""
+        """The pair of the square matrix with these rows."""
         nums, d = lift([x for row in rows for x in row])
-        return np.array(nums, dtype=object).reshape(8, 8), d
+        return np.array(nums, dtype=object).reshape(len(rows), -1), d
 
     def left(self, p):
         """The pair of v -> w v for each point w of the pair p."""
@@ -490,12 +497,25 @@ class _ExactArithmetic(Arithmetic):
         """Largest absolute entry of m1 - m2, as a float."""
         num = m1[0] * m2[1] - m2[0] * m1[1]
         den = np.broadcast_to(np.asarray(m1[1] * m2[1], dtype=object), num.shape)
-        return float(max(Fraction(abs(x), y) for x, y in zip(num.flat, den.flat)))
+        return float(max(abs(Fraction(x, y)) for x, y in zip(num.flat, den.flat)))
 
-    def equal(self, m1, m2) -> bool:
+    def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
         """Equality of two (stacked) matrices; FLOAT compares their distance
-        with FLOAT_EQ_TOL."""
+        with tol."""
         return bool((m1[0] * m2[1] == m2[0] * m1[1]).all())
+
+    def det(self, m):
+        """The determinant of the one matrix of the pair m."""
+        return linalg.det(m[0].tolist()) / m[1] ** len(m[0])
+
+    def sqrt(self, q):
+        """The square root of the scalar q: None when q is not the square of
+        a rational; FLOAT takes a negative q as 0."""
+        return exact_sqrt(q)
+
+    def mat_vec(self, rows, v) -> list:
+        """The product of the matrix with these rows and the vector v."""
+        return linalg.mat_vec(rows, v)
 
 
 class _FloatArithmetic(Arithmetic):
@@ -529,7 +549,7 @@ class _FloatArithmetic(Arithmetic):
         return np.array([[float(c) for c in o.coords] for o in os]), 1.0
 
     def matrix(self, rows):
-        return np.array(rows, dtype=float), 1.0
+        return np.asarray(rows, dtype=float), 1.0
 
     def left(self, p):
         return left_mult_matrix(p[0]), p[1]
@@ -546,13 +566,23 @@ class _FloatArithmetic(Arithmetic):
     def distance(self, m1, m2) -> float:
         return float(np.max(np.abs(m1[0] / m1[1] - m2[0] / m2[1])))
 
-    def equal(self, m1, m2) -> bool:
-        return self.distance(m1, m2) <= FLOAT_EQ_TOL
+    def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
+        return self.distance(m1, m2) <= tol
+
+    def det(self, m):
+        return float(np.linalg.det(m[0])) / m[1] ** len(m[0])
+
+    def sqrt(self, q):
+        return max(q, 0.0) ** 0.5
+
+    def mat_vec(self, rows, v) -> list:
+        # over Python floats, summed term by term as in exact mode
+        return linalg.mat_vec(np.asarray(rows, dtype=float).tolist(), v)
 
 
 def _restrict(a: np.ndarray, idx: Optional[Sequence[int]]) -> np.ndarray:
     # the one matrix of a, on the rows and columns idx when given
-    a = a.reshape(8, 8)
+    a = a.reshape(a.shape[-2:])
     return a if idx is None else a[np.ix_(idx, idx)]
 
 
@@ -565,6 +595,54 @@ def arithmetic_of(*values) -> Arithmetic:
     """EXACT when every value (anything with an `exact` flag) is exact, else
     FLOAT: mixed inputs compute in floats."""
     return EXACT if all(v.exact for v in values) else FLOAT
+
+
+class SquareMatrix:
+    """A square matrix in one arithmetic mode: the storage that structures
+    and orthogonal-group elements share.
+
+    The mode is decided here, once: an ndarray or any float entry gives a
+    float array, anything else rows of Fractions (exact).  A subclass sets
+    `size` and the `error` that a malformed matrix raises, and may override
+    `_validate`, which runs on construction unless `validate` is False.
+    """
+
+    __slots__ = ("rows", "exact")
+    size: int
+    error: type
+
+    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
+        n = self.size
+        if (isinstance(rows, np.ndarray) and rows.shape != (n, n)
+                or len(rows) != n or any(len(row) != n for row in rows)):
+            raise self.error("expected %s %dx%d matrix"
+                             % ("an" if n == 8 else "a", n, n))
+        self.exact = not isinstance(rows, np.ndarray) and not any(
+            isinstance(x, (float, np.floating)) for row in rows for x in row)
+        self.rows = (tuple(tuple(Fraction(x) for x in row) for row in rows)
+                     if self.exact else np.array(rows, dtype=float))
+        if validate:
+            self._validate(tol)
+
+    def _validate(self, tol: float):
+        """Raise `error` unless the matrix belongs to the class."""
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.rows, dtype=float)
+
+    def distance(self, other: "SquareMatrix") -> float:
+        return float(np.max(np.abs(self.as_array() - other.as_array())))
+
+    def to_strings(self) -> list:
+        """Row-major nested list of scalar strings: '3/5' in exact mode,
+        repr(float) otherwise."""
+        return [[str(x) for x in row] for row in self.rows]
+
+    @classmethod
+    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "SquareMatrix":
+        """The matrix of scalar strings (see `parse_scalar`), for a class
+        built from its rows alone."""
+        return cls([[parse_scalar(s) for s in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

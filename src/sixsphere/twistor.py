@@ -30,18 +30,17 @@ needed so exact arithmetic survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateInput, KernelDimensionError, NonGenericInput,
-                     NotImaginaryUnit, VerificationFailed)
-from . import linalg
+from .errors import (DegenerateInput, InvalidStructure, KernelDimensionError,
+                     NonGenericInput, NotImaginaryUnit, VerificationFailed)
 from .frames import apply_matrix
 from .octonion import (CHECK_TOL, FLOAT, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
-                       SEPARATION_TOL, Octonion, arithmetic_of, batch_mul,
-                       exact_sqrt, residual)
+                       SEPARATION_TOL, Octonion, SquareMatrix, arithmetic_of,
+                       batch_mul, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -60,33 +59,20 @@ def _check_point(p: Octonion, tol: float = CHECK_TOL):
         raise NotImaginaryUnit("p must be a unit imaginary octonion")
 
 
-class TangentStructure:
+class TangentStructure(SquareMatrix):
     """An orthogonal complex structure on the tangent space at p, stored as
-    the 8x8 matrix that applies it on <1, p>-perp and kills <1, p>: a float
-    array, or rows of rationals (exact)."""
+    the 8x8 matrix that applies it on <1, p>-perp and kills <1, p>."""
 
-    __slots__ = ("p", "rows", "exact")
+    __slots__ = ("p",)
+    size, error = 8, InvalidStructure
 
     def __init__(self, p: Octonion, rows):
         _check_point(p)
         self.p = p
-        if isinstance(rows, np.ndarray):
-            self.rows = np.array(rows, dtype=float)
-            self.exact = False
-        else:
-            self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            self.exact = p.exact
+        super().__init__(rows)
 
     def apply(self, v: Octonion) -> Octonion:
         return apply_matrix(self.rows, v)
-
-    def as_array(self) -> np.ndarray:
-        if isinstance(self.rows, np.ndarray):
-            return self.rows
-        return np.array([[float(x) for x in row] for row in self.rows])
-
-    def distance(self, other: "TangentStructure") -> float:
-        return float(np.max(np.abs(self.as_array() - other.as_array())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TangentStructure):
@@ -157,58 +143,39 @@ def twistor_evaluate(t: TwistorPoint) -> TangentStructure:
 # SO(7) and its action on sections
 # ---------------------------------------------------------------------------
 
-class SO7Element:
-    """8x8 special orthogonal matrix fixing the octonion unit."""
+class SO7Element(SquareMatrix):
+    """8x8 special orthogonal matrix fixing the octonion unit.  Validation
+    checks that 1 is fixed, that M M^T = 1 and that det M > 0."""
 
-    __slots__ = ("rows", "exact", "_images")
+    __slots__ = ("_images",)
+    size, error = 8, DegenerateInput
 
     def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
-        if isinstance(rows, np.ndarray):
-            self.rows = np.array(rows, dtype=float)
-            self.exact = False
-        else:
-            self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            self.exact = True
-        if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
-            raise DegenerateInput("expected an 8x8 matrix")
         self._images = None
-        if validate:
-            self._validate(tol)
+        super().__init__(rows, validate, tol)
 
     def _validate(self, tol: float):
-        if self.exact:
-            m = [list(r) for r in self.rows]
-            fixed = all(m[i][0] == (1 if i == 0 else 0) for i in range(8))
-            if not fixed or not linalg.is_orthogonal_exact(m):
-                raise DegenerateInput("matrix must be orthogonal and fix 1")
-            if linalg.det(m) != 1:
-                raise DegenerateInput("matrix must have determinant +1")
-        else:
-            m = self.rows
-            if np.max(np.abs(m[:, 0] - np.eye(8)[0])) > tol or \
-               np.max(np.abs(m @ m.T - np.eye(8))) > tol:
-                raise DegenerateInput("matrix must be orthogonal and fix 1")
-            if np.linalg.det(m) < 0:
-                raise DegenerateInput("matrix must have determinant +1")
+        ctx = arithmetic_of(self)
+        m = ctx.matrix(self.rows)
+        fixed = all(ctx.scalar_eq(row[0], int(i == 0), tol)
+                    for i, row in enumerate(self.rows))
+        if not (fixed and ctx.equal(ctx.product(m, ctx.transpose(m)),
+                                    ctx.identity(8), tol)):
+            raise DegenerateInput("matrix must be orthogonal and fix 1")
+        if not ctx.det(m) > 0:
+            raise DegenerateInput("matrix must have determinant +1")
 
     def apply(self, o: Octonion) -> Octonion:
         return apply_matrix(self.rows, o)
 
     def inverse_apply(self, o: Octonion) -> Octonion:
-        if self.exact:
-            return apply_matrix(linalg.mat_transpose(self.rows), o)
-        return apply_matrix(self.rows.T, o)
+        ctx = arithmetic_of(self)
+        return apply_matrix(ctx.entries(ctx.transpose(ctx.matrix(self.rows))), o)
 
     def compose(self, other: "SO7Element") -> "SO7Element":
-        if self.exact and other.exact:
-            return SO7Element(linalg.mat_mul(self.rows, other.rows), validate=False)
-        return SO7Element(np.asarray(self.as_array() @ other.as_array()),
-                          validate=False)
-
-    def as_array(self) -> np.ndarray:
-        if isinstance(self.rows, np.ndarray):
-            return self.rows
-        return linalg.mat_to_float(self.rows)
+        ctx = arithmetic_of(self, other)
+        m = ctx.product(ctx.matrix(self.rows), ctx.matrix(other.rows))
+        return SO7Element(ctx.entries(m), validate=False)
 
     def images(self) -> List[Octonion]:
         """lam(e_0), ..., lam(e_7): the columns, in lam's arithmetic,
@@ -362,7 +329,8 @@ def isotopy_residual(lam: SO7Element, a: Octonion,
     return worst
 
 
-def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octonion]:
+def _pencil_candidates(lam: SO7Element, k1: Octonion,
+                       k2: Octonion) -> Iterator[Octonion]:
     """Candidate companion preimages on the projective line through two
     kernel vectors.
 
@@ -370,12 +338,12 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
     quadratic in (s, t) in every coordinate, and the true companion ray is a
     common root of all of them; so the roots of any one nonzero coordinate
     quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
-    most two candidate rays to verify.
+    most two candidate rays to verify.  A coefficient is zero by the test of
+    the context, relative to the largest one; in exact mode a quadratic
+    without rational roots gives none.
     """
-    imgs = lam.images()
+    imgs, ctx = lam.images(), arithmetic_of(lam, k1, k2)
     a1, a2 = lam.apply(k1), lam.apply(k2)
-    exact = lam.exact and k1.exact and k2.exact
-    out: List[Octonion] = []
     for i in range(1, 8):
         for j in range(1, 8):
             ra = _isotopy_defect(imgs, a1, i, j).coords
@@ -384,39 +352,21 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion, k2: Octonion) -> List[Octo
             for c in range(8):
                 qa, qc = ra[c], rc[c]
                 qb = rs[c] - qa - qc
-                if exact:
-                    if qa == 0 and qb == 0 and qc == 0:
+                lead = max(abs(qa), abs(qb), abs(qc))
+                if ctx.scalar_eq(lead, 0, PENCIL_LEAD_FLOOR):
+                    continue
+                zero_tol = PENCIL_COEFF_RTOL * lead
+                if not ctx.scalar_eq(qc, 0, zero_tol):
+                    root = ctx.sqrt(qb * qb - 4 * qa * qc)
+                    if root is None:
                         continue
-                    if qc != 0:
-                        disc = qb * qb - 4 * qa * qc
-                        root = exact_sqrt(Fraction(disc))
-                        if root is None:
-                            continue
-                        for sgn in (1, -1):
-                            t = (-qb + sgn * root) / (2 * qc)
-                            out.append(k1 + t * k2)
-                    elif qb != 0:
-                        out.append(k2)
-                        out.append(k1 - (qa / qb) * k2)
-                    else:
-                        out.append(k2)
+                    yield from (k1 + ((-qb + sgn * root) / (2 * qc)) * k2
+                                for sgn in (1, -1))
                 else:
-                    qa, qb, qc = float(qa), float(qb), float(qc)
-                    lead = max(abs(qa), abs(qb), abs(qc))
-                    if lead < PENCIL_LEAD_FLOOR:
-                        continue
-                    if abs(qc) > PENCIL_COEFF_RTOL * lead:
-                        disc = max(qb * qb - 4 * qa * qc, 0.0)
-                        for sgn in (1.0, -1.0):
-                            t = (-qb + sgn * disc ** 0.5) / (2 * qc)
-                            out.append(k1 + t * k2)
-                    else:
-                        out.append(k2)
-                        if abs(qb) > PENCIL_COEFF_RTOL * lead:
-                            out.append(k1 - (qa / qb) * k2)
-                if out:
-                    return out
-    return out
+                    yield k2
+                    if not ctx.scalar_eq(qb, 0, zero_tol):
+                        yield k1 - (qa / qb) * k2
+                return
 
 
 def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
@@ -430,18 +380,21 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     automorphism), so when it is larger than a line the companion ray is
     pinned down by solving the quadratic isotopy defect along the kernel,
     and a candidate is returned once the full identity holds on all 64
-    basis pairs; a failing one is dropped at its first failing pair.
+    basis pairs; a failing one is dropped at its first failing pair.  The
+    candidates are tried in order: the kernel vectors, their pairwise sums,
+    then the pencil roots of each pair.
     """
     ctx = arithmetic_of(lam)
     ker = ctx.kernel(_companion_system(lam))
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
     kvecs = [Octonion(v) for v in ker]
-    candidates = list(kvecs)
-    candidates += [u + v for n, u in enumerate(kvecs) for v in kvecs[n + 1:]]
-    for n, u in enumerate(kvecs):
-        for v in kvecs[n + 1:]:
-            candidates += _pencil_candidates(lam, u, v)
+    pairs = list(combinations(kvecs, 2))
+    # built lazily, so the pencils are solved only when no kernel vector
+    # and no pair sum passes
+    candidates = chain(kvecs, (u + v for u, v in pairs),
+                       chain.from_iterable(_pencil_candidates(lam, u, v)
+                                           for u, v in pairs))
     for u in candidates:
         if u.is_zero(CHECK_TOL):
             continue

@@ -171,7 +171,7 @@ def test_standard_structure_matches_formula_and_is_built_once(exact):
     if exact:
         assert std.rows == tuple(tuple(r) for r in want)
     else:
-        assert std.rows == tuple(tuple(float(c) for c in r) for r in want)
+        assert np.array_equal(std.rows, [[float(c) for c in r] for r in want])
     assert std.exact == exact
     assert standard_structure(exact=exact) is std
     assert std is not standard_structure(not exact)
