@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, suites, twistor
-from .errors import BadConfig, SixSphereError, UnknownSuite
+from .errors import BadConfig, SixSphereError, TableError, UnknownSuite
 from .octonion import CHECK_TOL
 
 USAGE_ERROR = 2
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
                 "homotopy": _cmd_homotopy, "recover": _cmd_recover}
     try:
         return handlers[args.command](args)
-    except (UnknownSuite, BadConfig) as e:
+    except (UnknownSuite, BadConfig, TableError) as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_ERROR
     except SixSphereError as e:

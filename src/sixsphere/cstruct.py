@@ -357,6 +357,6 @@ def random_structure_float(rng: np.random.Generator) -> ComplexStructureR6:
     """Q J_std Q^T for Haar Q in SO(6): a random orientation-compatible
     orthogonal structure."""
     from .sampling import haar_orthogonal
-    q = haar_orthogonal(rng, 6, special=True)
+    q = haar_orthogonal(rng, 6)
     std = standard_structure(exact=False).as_array()
     return ComplexStructureR6(q @ std @ q.T)

@@ -12,26 +12,29 @@ The engine counts signed preimages of a regular target value:
     oriented orthonormal frames,
   * repeat for independent targets and require agreement.
 
-Domains are the unit sphere in R^8 and the cylinder [0, 2pi] x S^6 (maps
-from the cylinder collapse its ends to +-1, so targets keep away from the
-real axis).  Everything is vectorized over Newton starts: the power maps
-and their differentials go through `octonion.batch_mul` and the
-multiplication matrices built with it, and the chart Jacobians are single
-broadcast expressions.
+Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
+is the same thing with no interval coordinate: a domain point is `lead`
+interval coordinates followed by a point of a sphere, and charts, frames
+and Jacobians are written once over that split (maps from the cylinder
+collapse its ends to +-1, so targets keep away from the real axis).
+Everything is vectorized over Newton starts: the power maps and their
+differentials go through `octonion.batch_mul` and the multiplication
+matrices built with it, and the chart Jacobians are single broadcast
+expressions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (ConflictingEstimates, NonConvergence, NonGenericValue,
                      NotOdd, UnstablePreimageCount)
-from .octonion import (Octonion, batch_mul, left_mult_matrix,
-                       right_mult_matrix)
+from .octonion import (SEPARATION_TOL, Octonion, batch_mul,
+                       left_mult_matrix, right_mult_matrix)
 from .sampling import rng_from_seed
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ class MapFamily:
     (theta, p) with p a unit vector in R^7.  `dfunc`, when given, returns the
     ambient 8x8 Jacobian batch (N, 8, 8) (for the cylinder, derivatives with
     respect to (theta, p) in ambient R^1+7 coordinates); when absent the
-    engine falls back to central differences in chart coordinates.
+    engine takes ambient central differences (`_jacobian`).
     """
 
     name: str
@@ -59,6 +62,12 @@ class MapFamily:
     @property
     def exact_differential(self) -> bool:
         return self.dfunc is not None
+
+    @property
+    def lead(self) -> int:
+        """Interval coordinates before the sphere part of a domain point: 1
+        (theta) on the cylinder, 0 on the seven-sphere."""
+        return 1 if self.domain == "cylinder" else 0
 
 
 def identity_map() -> MapFamily:
@@ -136,7 +145,7 @@ def cube_map() -> MapFamily:
 
 
 def compose_maps(outer: MapFamily, inner: MapFamily, name: str = "") -> MapFamily:
-    if inner.domain != "s7" or outer.domain != "s7":
+    if inner.lead or outer.lead:
         raise ValueError("composition only supported on the sphere domain")
     dfunc = None
     if outer.dfunc is not None and inner.dfunc is not None:
@@ -248,17 +257,6 @@ def oriented_frame(x: np.ndarray) -> np.ndarray:
     return b
 
 
-def cylinder_frame(point: np.ndarray) -> np.ndarray:
-    """Oriented frame on the cylinder at (theta, p): d/dtheta first, then an
-    oriented tangent frame of the six-sphere at p."""
-    p = point[1:]
-    b6 = oriented_frame(p)
-    out = np.zeros((8, 7))
-    out[0, 0] = 1.0
-    out[1:, 1:] = b6
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -275,16 +273,7 @@ class TrialReport:
     resamples: int
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "degree": self.degree,
-            "signs": self.signs,
-            "preimages": self.preimages,
-            "min_abs_det": self.min_abs_det,
-            "max_residual": self.max_residual,
-            "n_converged": self.n_converged,
-            "resamples": self.resamples,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -305,15 +294,24 @@ class DegreeReport:
 
 @dataclass
 class EngineConfig:
-    n_starts: int = 2000
-    max_iter: int = 60
-    newton_tol: float = 1e-10
-    dedupe_tol: float = 1e-6
-    min_det: float = 1e-8
-    trials: int = 3
-    max_resample: int = 5
-    fd_step: float = 1e-5
-    no_root_floor: float = 1e-4
+    n_starts: int = 2000      # Newton starts per pass (two passes per target)
+    trials: int = 3           # independent targets that must agree
+
+
+#: Newton iterations per start
+NEWTON_MAX_ITER = 60
+#: chart residual below which a start has converged
+NEWTON_TOL = 1e-10
+#: |det| below which a preimage counts as near-critical
+CRITICAL_DET = 1e-8
+#: failed targets a trial may resample before it raises
+MAX_RESAMPLE = 5
+#: step of the central differences of maps without `dfunc`
+FD_STEP = 1e-5
+#: a residual below this with no converged start is not trusted as "no root"
+NO_ROOT_FLOOR = 1e-4
+#: random points on which `degree_on_rp7` checks that a map is odd
+ODDNESS_SAMPLES = 64
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -343,14 +341,44 @@ def _sphere_lattice(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _after_lead(lead: int, sphere: np.ndarray) -> np.ndarray:
+    """(..., 8, 7) tangent map of a domain: `lead` flat directions, then the
+    (..., 8-lead, 7-lead) block `sphere` of the sphere part."""
+    if not lead:
+        return sphere  # the whole map: no copy in the Newton loop
+    out = np.zeros(sphere.shape[:-2] + (8, 7))
+    out[..., :lead, :lead] = np.eye(lead)
+    out[..., lead:, lead:] = sphere
+    return out
+
+
+def _jacobian(family: MapFamily, x: np.ndarray) -> np.ndarray:
+    """(N, 8, 8) ambient Jacobian at the domain points x: `dfunc`, or central
+    differences with the sphere part of each displaced point put back on the
+    sphere."""
+    if family.dfunc is not None:
+        return family.dfunc(x)
+    lead = family.lead
+    out = np.empty((len(x), 8, 8))
+    for j in range(8):
+        xp = x.copy(); xp[:, j] += FD_STEP
+        xm = x.copy(); xm[:, j] -= FD_STEP
+        if j >= lead:
+            xp[:, lead:] /= np.linalg.norm(xp[:, lead:], axis=1, keepdims=True)
+            xm[:, lead:] /= np.linalg.norm(xm[:, lead:], axis=1, keepdims=True)
+        out[:, :, j] = (family.func(xp) - family.func(xm)) / (2 * FD_STEP)
+    return out
+
+
 class _Charted:
     """The charted root problem g(s) = Phi_q(f(sigma(s))) for one domain
-    chart and one target."""
+    chart and one target.  Chart coordinates are the `lead` interval
+    coordinates followed by stereographic coordinates of the sphere part."""
 
     def __init__(self, family: MapFamily, target: np.ndarray,
-                 dom_pole: np.ndarray, cfg: EngineConfig):
+                 dom_pole: np.ndarray):
         self.family = family
-        self.cfg = cfg
+        self.lead = family.lead
         self.target_pole = -target / np.linalg.norm(target)
         self.target_basis = _orthonormal_complement(self.target_pole)
         self.dom_pole = dom_pole
@@ -359,20 +387,12 @@ class _Charted:
     # --- domain parametrization ------------------------------------------
 
     def to_domain(self, s: np.ndarray) -> np.ndarray:
-        if self.family.domain == "s7":
-            return _stereo_inv(s, self.dom_pole, self.dom_basis)
-        theta = s[:, 0]
-        p = _stereo_inv(s[:, 1:], self.dom_pole, self.dom_basis)
-        return np.column_stack([theta, p])
+        return np.column_stack([s[:, :self.lead], _stereo_inv(
+            s[:, self.lead:], self.dom_pole, self.dom_basis)])
 
     def domain_diff(self, s: np.ndarray) -> np.ndarray:
-        if self.family.domain == "s7":
-            return _stereo_inv_diff(s, self.dom_pole, self.dom_basis)
-        n = len(s)
-        out = np.zeros((n, 8, 7))
-        out[:, 0, 0] = 1.0
-        out[:, 1:, 1:] = _stereo_inv_diff(s[:, 1:], self.dom_pole, self.dom_basis)
-        return out
+        return _after_lead(self.lead, _stereo_inv_diff(
+            s[:, self.lead:], self.dom_pole, self.dom_basis))
 
     # --- charted map -------------------------------------------------------
 
@@ -381,43 +401,28 @@ class _Charted:
         return _stereo_proj(y, self.target_pole, self.target_basis)
 
     def g_jac(self, s: np.ndarray) -> np.ndarray:
-        if self.family.dfunc is None:
-            return self._fd_jac(s)
         x = self.to_domain(s)
         y = self.family.func(x)
         dphi = _stereo_proj_diff(y, self.target_pole, self.target_basis)
-        df = self.family.dfunc(x)
-        dsig = self.domain_diff(s)
-        return dphi @ df @ dsig
-
-    def _fd_jac(self, s: np.ndarray) -> np.ndarray:
-        h = self.cfg.fd_step
-        n, d = s.shape
-        out = np.empty((n, d, d))
-        for j in range(d):
-            sp = s.copy(); sp[:, j] += h
-            sm = s.copy(); sm[:, j] -= h
-            out[:, :, j] = (self.g(sp) - self.g(sm)) / (2.0 * h)
-        return out
+        return dphi @ _jacobian(self.family, x) @ self.domain_diff(s)
 
     # --- newton ------------------------------------------------------------
 
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
         residual ever seen)."""
-        cfg = self.cfg
         s = starts.copy()
         active = np.ones(len(s), dtype=bool)
         best_res = np.inf
         done: List[np.ndarray] = []
-        for _ in range(cfg.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not active.any():
                 break
             sa = s[active]
             g = self.g(sa)
             res = np.linalg.norm(g, axis=1)
             best_res = min(best_res, float(res.min()))
-            conv = res < cfg.newton_tol
+            conv = res < NEWTON_TOL
             if conv.any():
                 done.append(sa[conv])
                 keep = ~conv
@@ -439,8 +444,7 @@ class _Charted:
             # drop runaways
             runaway = np.linalg.norm(snew, axis=1) > 1e6
             idx = np.flatnonzero(active)
-            if runaway.any():
-                active[idx[runaway]] = False
+            active[idx[runaway]] = False
             s[idx] = snew
         if done:
             return np.vstack([self.to_domain(d) for d in done]), best_res
@@ -461,33 +465,15 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[np.array(kept, dtype=np.intp)]
 
 
-def _ambient_jacobian(family: MapFamily, x: np.ndarray, h: float) -> np.ndarray:
-    if family.dfunc is not None:
-        return family.dfunc(x[None])[0]
-    out = np.empty((8, 8))
-    for j in range(8):
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        if family.domain == "s7":
-            xp /= np.linalg.norm(xp)
-            xm /= np.linalg.norm(xm)
-        else:
-            if j > 0:
-                xp[1:] /= np.linalg.norm(xp[1:])
-                xm[1:] /= np.linalg.norm(xm[1:])
-        out[:, j] = (family.func(xp[None])[0] - family.func(xm[None])[0]) / (2 * h)
-    return out
-
-
 def _preimage_sign(family: MapFamily, x: np.ndarray, y: np.ndarray,
-                   cfg: EngineConfig, orientation: int) -> Tuple[int, float]:
-    df = _ambient_jacobian(family, x, cfg.fd_step)
-    dom_frame = cylinder_frame(x) if family.domain == "cylinder" else oriented_frame(x)
+                   orientation: int) -> Tuple[int, float]:
+    """Sign and |det| of the differential at x between the oriented frames
+    of the domain (`_after_lead`) and of the sphere at y."""
+    dom_frame = _after_lead(family.lead, oriented_frame(x[family.lead:]))
     if orientation < 0:
-        dom_frame = dom_frame.copy()
         dom_frame[:, [0, 1]] = dom_frame[:, [1, 0]]
     img_frame = oriented_frame(y / np.linalg.norm(y))
-    m = img_frame.T @ df @ dom_frame
+    m = img_frame.T @ _jacobian(family, x[None])[0] @ dom_frame
     det = float(np.linalg.det(m))
     return (1 if det > 0 else -1), abs(det)
 
@@ -496,60 +482,89 @@ def _sample_target(family: MapFamily, rng: np.random.Generator) -> np.ndarray:
     while True:
         q = rng.standard_normal(8)
         q /= np.linalg.norm(q)
-        if family.domain == "cylinder" and abs(q[0]) > 0.98:
+        if family.lead and abs(q[0]) > 0.98:
             continue  # keep away from the collapsed boundary points +-1
         return q
-
-
-def _domain_poles(family: MapFamily) -> List[np.ndarray]:
-    if family.domain == "s7":
-        n = np.zeros(8); n[0] = 1.0
-        return [n, -n]
-    n = np.zeros(7); n[0] = 1.0
-    return [n, -n]
 
 
 def _start_points(family: MapFamily, cfg: EngineConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """Quasi-uniform start points on the domain (ambient coordinates)."""
-    n = cfg.n_starts
-    if family.domain == "s7":
-        return _sphere_lattice(n, 8, rng)
-    p = _sphere_lattice(n, 7, rng)
-    thetas = 0.05 + (2.0 * np.pi - 0.1) * _lattice01(n, 1, rng)[:, 0]
+    p = _sphere_lattice(cfg.n_starts, 8 - family.lead, rng)
+    if not family.lead:
+        return p
+    # theta is drawn after the sphere part: the seeded draw order
+    thetas = 0.05 + (2.0 * np.pi - 0.1) * _lattice01(len(p), 1, rng)[:, 0]
     return np.column_stack([thetas, p])
 
 
 def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
               rng: np.random.Generator) -> Tuple[np.ndarray, float]:
+    lead = family.lead
     pts_amb = _start_points(family, cfg, rng)
-    sphere_part = pts_amb if family.domain == "s7" else pts_amb[:, 1:]
+    sphere_part = pts_amb[:, lead:]
     found = []
     floor = np.inf
-    for pole in _domain_poles(family):
+    north = np.eye(8 - lead)[0]
+    for pole in (north, -north):
         # each start runs in the chart of its own hemisphere, where its
         # coordinates have norm at most one
         mask = sphere_part @ pole <= 0.0
         if not mask.any():
             continue
-        charted = _Charted(family, target, pole, cfg)
-        sub = sphere_part[mask]
-        s = _stereo_proj(sub, pole, charted.dom_basis)
-        if family.domain == "cylinder":
-            s = np.column_stack([pts_amb[mask, 0], s])
-        pts, best = charted.solve(s)
+        charted = _Charted(family, target, pole)
+        s = _stereo_proj(sphere_part[mask], pole, charted.dom_basis)
+        pts, best = charted.solve(np.column_stack([pts_amb[mask, :lead], s]))
         floor = min(floor, best)
         if len(pts):
             found.append(pts)
     allpts = np.vstack(found) if found else np.empty((0, 8))
-    if family.domain == "cylinder" and len(allpts):
+    if lead and len(allpts):
         # Newton treats theta as unconstrained; only solutions genuinely
         # inside the cylinder count (maps need not be 2pi-periodic in theta,
         # so no wrapping)
         th = allpts[:, 0]
-        inside = (th > 1e-6) & (th < 2.0 * np.pi - 1e-6)
-        allpts = allpts[inside]
-    return _dedupe(allpts, cfg.dedupe_tol), floor
+        allpts = allpts[(th > 1e-6) & (th < 2.0 * np.pi - 1e-6)]
+    return _dedupe(allpts, SEPARATION_TOL), floor
+
+
+def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
+              rng: np.random.Generator, orientation: int,
+              resamples: int) -> TrialReport:
+    """Signed preimages of one target.  Raises the error that names why the
+    target must be resampled: a count mismatch between the two passes, an
+    empty set whose residuals still reach NO_ROOT_FLOOR, a restart mismatch,
+    or a near-critical preimage."""
+    pre1, floor1 = _one_pass(family, target, cfg, rng)
+    pre2, floor2 = _one_pass(family, target, cfg, rng)
+    if len(pre1) != len(pre2):
+        raise UnstablePreimageCount(
+            "%s: preimage counts %d vs %d at the same target"
+            % (family.name, len(pre1), len(pre2)))
+    if len(pre1) == 0:
+        floor = min(floor1, floor2)
+        if floor < NO_ROOT_FLOOR:
+            raise NonConvergence("%s: no converged starts but residuals reach %g"
+                                 % (family.name, floor))
+        return TrialReport(list(target), 0, [], [], float("inf"),
+                           float(floor), 0, resamples)
+    merged = _dedupe(np.vstack([pre1, pre2]), SEPARATION_TOL)
+    if len(merged) != len(pre1):
+        raise UnstablePreimageCount(
+            "%s: restarts found different preimage sets" % family.name)
+    signs, dets, residuals = [], [], []
+    for x in merged:
+        y = family.func(x[None])[0]
+        residuals.append(float(np.max(np.abs(y / np.linalg.norm(y) - target))))
+        sgn, adet = _preimage_sign(family, x, y, orientation)
+        signs.append(sgn)
+        dets.append(adet)
+    if min(dets) < CRITICAL_DET:
+        raise UnstablePreimageCount(
+            "%s: near-critical preimage persists" % family.name)
+    return TrialReport(list(target), int(sum(signs)), signs,
+                       [list(x) for x in merged], float(min(dets)),
+                       float(max(residuals)), len(merged), resamples)
 
 
 def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
@@ -557,51 +572,12 @@ def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
     resamples = 0
     while True:
         target = _sample_target(family, rng)
-        pre1, floor1 = _one_pass(family, target, cfg, rng)
-        pre2, floor2 = _one_pass(family, target, cfg, rng)
-        if len(pre1) != len(pre2):
+        try:
+            return _count_at(family, target, cfg, rng, orientation, resamples)
+        except (NonConvergence, UnstablePreimageCount):
             resamples += 1
-            if resamples > cfg.max_resample:
-                raise UnstablePreimageCount(
-                    "%s: preimage counts %d vs %d at the same target"
-                    % (family.name, len(pre1), len(pre2)))
-            continue
-        if len(pre1) == 0:
-            floor = min(floor1, floor2)
-            if floor < cfg.no_root_floor:
-                # residuals got suspiciously close to zero without converging:
-                # resample rather than trust an empty preimage set
-                resamples += 1
-                if resamples > cfg.max_resample:
-                    raise NonConvergence(
-                        "%s: no converged starts but residuals reach %g"
-                        % (family.name, floor))
-                continue
-            return TrialReport(list(target), 0, [], [], float("inf"),
-                               float(floor), 0, resamples)
-        merged = _dedupe(np.vstack([pre1, pre2]), cfg.dedupe_tol)
-        if len(merged) != len(pre1):
-            resamples += 1
-            if resamples > cfg.max_resample:
-                raise UnstablePreimageCount(
-                    "%s: restarts found different preimage sets" % family.name)
-            continue
-        signs, dets, residuals = [], [], []
-        for x in merged:
-            y = family.func(x[None])[0]
-            residuals.append(float(np.max(np.abs(y / np.linalg.norm(y) - target))))
-            sgn, adet = _preimage_sign(family, x, y, cfg, orientation)
-            signs.append(sgn)
-            dets.append(adet)
-        if min(dets) < cfg.min_det:
-            resamples += 1
-            if resamples > cfg.max_resample:
-                raise UnstablePreimageCount(
-                    "%s: near-critical preimage persists" % family.name)
-            continue
-        return TrialReport(list(target), int(sum(signs)), signs,
-                           [list(x) for x in merged], float(min(dets)),
-                           float(max(residuals)), len(merged), resamples)
+            if resamples > MAX_RESAMPLE:
+                raise
 
 
 def mapping_degree(family: MapFamily, seed: int = 0,
@@ -654,8 +630,7 @@ def power_map_preimages(w: Octonion, k: int) -> List[np.ndarray]:
 
 
 def degree_on_rp7(family: MapFamily, seed: int = 0,
-                  config: Optional[EngineConfig] = None,
-                  oddness_samples: int = 64) -> DegreeReport:
+                  config: Optional[EngineConfig] = None) -> DegreeReport:
     """Degree of the induced self-map of projective seven-space.
 
     The map must be odd (f(-x) = -f(x)); its projective degree equals the
@@ -663,7 +638,7 @@ def degree_on_rp7(family: MapFamily, seed: int = 0,
     orientation and local degrees upstairs and downstairs coincide.
     """
     rng = rng_from_seed((seed ^ 0x9E3779B9) & 0xFFFFFFFF)
-    x = rng.standard_normal((oddness_samples, 8))
+    x = rng.standard_normal((ODDNESS_SAMPLES, 8))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     if np.max(np.abs(family.func(-x) + family.func(x))) > 1e-9:
         raise NotOdd("%s does not commute with the antipodal map" % family.name)

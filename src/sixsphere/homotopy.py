@@ -130,14 +130,20 @@ def parse_group(text: str) -> GroupExpr:
         if tok == "Z":
             out = out + GroupExpr.free()
         elif tok.startswith("Z/"):
-            out = out + GroupExpr.cyclic(int(tok[2:]))
+            out = out + GroupExpr.cyclic(_table_int(tok[2:], "group token", tok))
         elif tok.startswith("pi_"):
-            body = tok[3:]
-            m = int(body.split("(")[0])
+            m = _table_int(tok[3:].split("(")[0], "group token", tok)
             out = out + GroupExpr.sphere7(m)
         else:
             raise TableError("cannot parse group token %r" % tok)
     return out
+
+
+def _table_int(text: str, what: str, whole: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TableError("cannot parse %s %r" % (what, whole)) from None
 
 
 class Pi7Table:
@@ -159,17 +165,23 @@ class Pi7Table:
     def from_csv(cls, path: str) -> "Pi7Table":
         entries: Dict[int, GroupExpr] = {}
         prov: Dict[int, str] = {}
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if row[0].strip().lower() in ("m", "degree"):
-                    continue
-                if len(row) < 3:
-                    raise TableError("table rows need m,group,source: %r" % (row,))
-                m = int(row[0])
-                entries[m] = parse_group(row[1])
-                prov[m] = row[2].strip()
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as e:
+            raise TableError("cannot read %s: %s" % (path, e.strerror)) from None
+        except (ValueError, csv.Error) as e:
+            raise TableError("%s is not a CSV table: %s" % (path, e)) from None
+        for row in rows:
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if row[0].strip().lower() in ("m", "degree"):
+                continue
+            if len(row) < 3:
+                raise TableError("table rows need m,group,source: %r" % (row,))
+            m = _table_int(row[0], "table degree", row[0].strip())
+            entries[m] = parse_group(row[1])
+            prov[m] = row[2].strip()
         return cls(entries, prov)
 
 

@@ -74,12 +74,12 @@ def random_rational_vector(rng: np.random.Generator, n: int,
     return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
 
 
-def random_rational_unit_octonion(rng: np.random.Generator, **kw) -> Octonion:
-    return rational_unit_octonion(random_rational_vector(rng, 7, **kw))
+def random_rational_unit_octonion(rng: np.random.Generator) -> Octonion:
+    return rational_unit_octonion(random_rational_vector(rng, 7))
 
 
-def random_rational_imaginary_unit(rng: np.random.Generator, **kw) -> Octonion:
-    return rational_imaginary_unit(random_rational_vector(rng, 6, **kw))
+def random_rational_imaginary_unit(rng: np.random.Generator) -> Octonion:
+    return rational_imaginary_unit(random_rational_vector(rng, 6))
 
 
 def random_rational_circle_point(rng: np.random.Generator,
@@ -89,12 +89,12 @@ def random_rational_circle_point(rng: np.random.Generator,
     return rational_circle_point(t)
 
 
-def random_rational_tangent(rng: np.random.Generator, p: Octonion, **kw) -> Octonion:
+def random_rational_tangent(rng: np.random.Generator, p: Octonion) -> Octonion:
     """Random nonzero rational octonion exactly orthogonal to 1 and to p
     (a tangent direction at p; not normalized).  Exactness of the two inner
     products is what matters downstream, not the norm."""
     while True:
-        v = Octonion((0, *random_rational_vector(rng, 7, **kw)))
+        v = Octonion((0, *random_rational_vector(rng, 7)))
         # subtract the <1,p> component; p is a unit imaginary so <p,p> = 1
         v = v - v.inner(p) * p
         if not v.is_zero():
@@ -118,13 +118,13 @@ def random_imaginary_unit_float(rng: np.random.Generator) -> Octonion:
     return Octonion((0.0, *random_unit_vector(rng, 7)))
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int, special: bool = True) -> np.ndarray:
-    """Haar-distributed orthogonal n x n matrix via QR of a Gaussian matrix;
-    `special` flips one column to force det = +1."""
+def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed special orthogonal n x n matrix via QR of a Gaussian
+    matrix, with one column flipped where needed to force det = +1."""
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
-    if special and np.linalg.det(q) < 0:
+    if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
 
@@ -132,5 +132,5 @@ def haar_orthogonal(rng: np.random.Generator, n: int, special: bool = True) -> n
 def random_so7_float(rng: np.random.Generator) -> np.ndarray:
     """Random 8x8 special-orthogonal matrix fixing e0."""
     m = np.eye(8)
-    m[1:, 1:] = haar_orthogonal(rng, 7, special=True)
+    m[1:, 1:] = haar_orthogonal(rng, 7)
     return m

@@ -9,7 +9,7 @@ genuine; float-mode checks compare residuals against the tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -44,17 +44,7 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "checked": self.checked,
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _oct_payload(**named) -> dict:

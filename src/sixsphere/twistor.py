@@ -35,10 +35,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .degree import power_map_preimages
 from .errors import (DegenerateInput, InvalidStructure, KernelDimensionError,
                      NonGenericInput, NotImaginaryUnit, VerificationFailed)
 from .frames import apply_matrix
-from .octonion import (CHECK_TOL, FLOAT, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
+from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
                        SEPARATION_TOL, Octonion, SquareMatrix, arithmetic_of,
                        batch_mul, residual)
 from .sampling import (random_rational_imaginary_unit,
@@ -82,11 +83,15 @@ class TangentStructure(SquareMatrix):
         return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
     def check_structure(self, tol: float = CHECK_TOL) -> bool:
-        """On <1,p>-perp the matrix must be orthogonal with square -id."""
-        a = self.as_array()
-        proj = FLOAT.entries(FLOAT.projector(FLOAT.points([self.p])))
-        return (np.max(np.abs(a @ a + proj)) <= tol
-                and np.max(np.abs(a @ a.T - proj)) <= tol)
+        """The matrix is antisymmetric with square -P_p (P_p projects onto
+        <1,p>-perp), so it kills <1, p> and is orthogonal with square -id on
+        <1,p>-perp: exactly for an exact structure, within tol for a float
+        one."""
+        ctx = arithmetic_of(self, self.p)
+        m = ctx.matrix(self.rows)
+        minus_proj = ctx.scaled(ctx.projector(ctx.points([self.p])), -1)
+        return (ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), tol)
+                and ctx.equal(ctx.product(m, m), minus_proj, tol))
 
 
 class Section:
@@ -481,25 +486,17 @@ def fiber_count_rp7(x: Octonion, tol: float = CHECK_TOL) -> int:
     """
     w = x.power(6)
     wf = w.to_float_array() / np.linalg.norm(w.to_float_array())
-    im = wf[1:]
-    s = np.linalg.norm(im)
     if w.exact:
         if all(c == 0 for c in w.coords[1:]):
             raise NonGenericInput("x^6 is real; the fiber is not finite")
-    elif s <= tol:
+    elif np.linalg.norm(wf[1:]) <= tol:
         raise NonGenericInput("x^6 is numerically real; the fiber is not finite")
-    axis = im / s
-    phi = float(np.arctan2(s, wf[0]))
-    sols = []
-    for k in range(6):
-        alpha = (phi + 2 * np.pi * k) / 6.0
-        y = np.concatenate(([np.cos(alpha)], np.sin(alpha) * axis))
-        y6 = y
-        for _ in range(5):
-            y6 = batch_mul(y6, y)
-        if np.max(np.abs(y6 - wf)) > ROOT_CHECK_TOL:
-            raise VerificationFailed("circle solution fails y^6 = x^6")
-        sols.append(y)
+    sols = power_map_preimages(w, 6)
+    y6 = ys = np.array(sols)
+    for _ in range(5):
+        y6 = batch_mul(y6, ys)
+    if np.max(np.abs(y6 - wf)) > ROOT_CHECK_TOL:
+        raise VerificationFailed("circle solution fails y^6 = x^6")
     classes: List[np.ndarray] = []
     for y in sols:
         if not any(min(np.max(np.abs(y - c)), np.max(np.abs(y + c))) < SEPARATION_TOL

@@ -214,6 +214,22 @@ def test_homotopy_cli_with_table(tmp_path, capsys):
     assert "ℤ/2 ⊕ π_10(S⁷)" not in capsys.readouterr().out  # pi_10 resolves too
 
 
+@pytest.mark.parametrize("content", [None, "m,group,source\nx,Z,src\n",
+                                     "m,group,source\n4,Z/x,src\n",
+                                     "m,group,source\n4,pi_y(S^7),src\n"])
+@pytest.mark.parametrize("argv", [["homotopy", "--space", "s6", "--k", "4"],
+                                  ["verify", "--suite", "homotopy-tables"]])
+def test_bad_table_exit_2(argv, content, tmp_path, capsys):
+    table = tmp_path / "pi7.csv"
+    if content is not None:
+        table.write_text(content)
+    assert run_cli(argv + ["--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if content is None:
+        assert str(table) in err
+
+
 def test_recover_cli(tmp_path, capsys):
     from fractions import Fraction as F
     x = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])

@@ -62,6 +62,21 @@ def test_parse_group():
         "Z (+) Z/2 (+) pi_13(S^7)"
     with pytest.raises(TableError):
         H.parse_group("Q")
+    for bad in ("Z/x", "pi_y(S^7)", "Z (+) Z/"):
+        with pytest.raises(TableError, match="group token"):
+            H.parse_group(bad)
+
+
+def test_unreadable_table_raises_table_error(tmp_path):
+    p = tmp_path / "pi7.csv"
+    with pytest.raises(TableError, match="cannot read"):
+        H.Pi7Table.from_csv(str(p))
+    p.write_text("m,group,source\nx,Z,src\n")
+    with pytest.raises(TableError, match="table degree 'x'"):
+        H.Pi7Table.from_csv(str(p))
+    p.write_bytes(b"m,group,source\n4,\xff,src\n")
+    with pytest.raises(TableError, match="not a CSV table"):
+        H.Pi7Table.from_csv(str(p))
 
 
 def test_table_requires_provenance(tmp_path):

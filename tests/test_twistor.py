@@ -44,6 +44,22 @@ def test_canonical_structure_basics(rng):
         assert st.apply(v).inner(st.apply(v)) == v.inner(v)
 
 
+def test_check_structure_is_exact_for_exact_structures(rng):
+    p = random_rational_imaginary_unit(rng)
+    st = canonical_structure_at(p)
+    assert st.exact and st.check_structure()
+    tiny = F(1, 10 ** 30)
+    rows = [list(row) for row in st.rows]
+    rows[2][3] += tiny                        # no longer antisymmetric
+    assert not TangentStructure(p, rows).check_structure()
+    rows[3][2] -= tiny                        # antisymmetric, J^2 != -P_p
+    assert not TangentStructure(p, rows).check_structure()
+    # a float structure is checked within the tolerance
+    assert TangentStructure(p, st.as_array()).check_structure()
+    assert TangentStructure(p, st.as_array() + 1e-12).check_structure(tol=1e-9)
+    assert not TangentStructure(p, st.as_array() + 1e-6).check_structure()
+
+
 def test_point_validation():
     with pytest.raises(NotImaginaryUnit):
         canonical_structure_at(Octonion.one())
