@@ -78,8 +78,9 @@ def _is_entry(x) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    table = homotopy.Pi7Table.from_csv(args.table) if args.table else None
     kwargs = dict(mode=args.mode, seed=args.seed, tolerance=args.tol,
-                  table=args.table)
+                  table=table)
     if args.all:
         reports = suites.run_all(samples=args.samples, **kwargs)
     else:

@@ -475,10 +475,9 @@ def _suite_homotopy_tables(samples, mode, seed, tol, table=None):
             failures.append({"kind": name, "got": got, "expected": want})
     checked = len(cases)
     if table is not None:
-        t = homotopy.Pi7Table.from_csv(table)
         checked += 1
-        resolved = homotopy.pi_structures_s6(7, t)
-        rendered_then = homotopy.pi_structures_s6(7).resolve(t).render()
+        resolved = homotopy.pi_structures_s6(7, table)
+        rendered_then = homotopy.pi_structures_s6(7).resolve(table).render()
         if resolved.render() != rendered_then:
             failures.append({"kind": "resolution-purity",
                              "a": resolved.render(), "b": rendered_then})
@@ -531,10 +530,11 @@ MODES: Dict[str, Tuple[str, ...]] = {
 
 def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
               seed: int = 0, tolerance: float = CHECK_TOL,
-              table: Optional[str] = None) -> SuiteReport:
+              table: Optional[homotopy.Pi7Table] = None) -> SuiteReport:
     """Run one suite in `mode` when it supports that mode (see MODES), else
     in its first mode; the report's `mode` is the one that ran, and exact
-    runs report no residual."""
+    runs report no residual.  A parsed `table` adds the resolution check to
+    `homotopy-tables`."""
     if name not in SUITES:
         raise UnknownSuite("unknown suite %r (known: %s)"
                            % (name, ", ".join(sorted(SUITES))))
@@ -557,7 +557,7 @@ def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
 
 
 def run_all(mode: str = "exact", seed: int = 0, tolerance: float = CHECK_TOL,
-            table: Optional[str] = None,
+            table: Optional[homotopy.Pi7Table] = None,
             samples: Optional[int] = None) -> List[SuiteReport]:
     """Run every suite at `samples` (None: each suite's default count), each
     in `mode` where it supports it and in its own first mode otherwise (see

@@ -230,6 +230,28 @@ def test_bad_table_exit_2(argv, content, tmp_path, capsys):
         assert str(table) in err
 
 
+def test_verify_all_bad_table_fails_before_any_suite(monkeypatch, tmp_path,
+                                                     capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the table was read")
+
+    monkeypatch.setattr(suites, "run_suite", never)
+    missing = tmp_path / "missing.csv"
+    assert run_cli(["verify", "--all", "--table", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_verify_with_table_checks_resolution(tmp_path, capsys):
+    table = tmp_path / "pi7.csv"
+    table.write_text("m,group,source\n7,Z,user\n13,Z/2,user\n")
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--suite", "homotopy-tables", "--table",
+                    str(table), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["checked"] == 9
+
+
 def test_recover_cli(tmp_path, capsys):
     from fractions import Fraction as F
     x = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])

@@ -132,7 +132,45 @@ def test_degree_power4_with_finite_differences():
 def test_degree_theta_circle_zero():
     rep = dg.mapping_degree(dg.theta_circle_map(), seed=4, config=FAST)
     assert rep.degree == 0
-    assert all(t.n_converged == 0 for t in rep.trials)
+    for t in rep.trials:
+        # the rank-1 Jacobians take the damped step and the trial reports a
+        # no-root floor, not NonConvergence resamples
+        assert t.n_converged == 0 and t.resamples == 0
+        assert t.max_residual >= dg.NO_ROOT_FLOOR
+
+
+def _theta_circle_newton_batch(rng, n=500):
+    """Chart Jacobians (rank 1) and residuals of theta-circle at n starts."""
+    target = rng.standard_normal(8)
+    pole = np.zeros(8); pole[0] = 1.0
+    charted = dg._Charted(dg.theta_circle_map(), target / np.linalg.norm(target),
+                          pole)
+    s = rng.standard_normal((n, 7))
+    return charted.g_jac(s), charted.g(s)
+
+
+def test_newton_step_regular_batch_is_plain_solve(rng):
+    jac = rng.standard_normal((200, 7, 7))
+    g = rng.standard_normal((200, 7))
+    want = np.linalg.solve(jac, g[..., None])[..., 0]
+    assert np.array_equal(dg._newton_step(jac, g), want)
+
+
+def test_newton_step_rank_one_matches_least_squares(rng):
+    jac, g = _theta_circle_newton_batch(rng)
+    assert set(np.linalg.matrix_rank(jac)) == {1}
+    step = dg._newton_step(jac, g)
+    lsq = (np.linalg.pinv(jac) @ g[..., None])[..., 0]
+    err = np.linalg.norm(step - lsq, axis=1)
+    assert np.all(err <= 1e-4 * np.linalg.norm(lsq, axis=1))
+
+
+def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
+    jac, g = _theta_circle_newton_batch(rng, n=20)
+    jac[3] = 0.0
+    step = dg._newton_step(jac, g)
+    assert np.all(np.isfinite(step))
+    assert np.array_equal(step[3], np.zeros(7))
 
 
 def test_degree_cylinder():
