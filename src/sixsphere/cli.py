@@ -99,40 +99,16 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else FAILURE
 
 
-_MAP_BUILDERS = {
-    "identity": deg.identity_map,
-    "squaring": deg.squaring_map,
-    "conjugation": deg.conjugation_map,
-    "theta-circle": deg.theta_circle_map,
-    "cylinder-loop": deg.cylinder_loop_map,
-    "cylinder-q": lambda: deg.cylinder_loop_map(half_angle=True),
-    "rp7-cube": deg.cube_map,
-}
-
-
 def _cmd_degree(args) -> int:
-    name = args.map
     if args.trials < 1 or (args.starts is not None and args.starts < 1):
         raise BadConfig("--trials and --starts must be at least 1")
     cfg = deg.EngineConfig(trials=args.trials)
     if args.starts is not None:
         cfg.n_starts = args.starts
-    k = name.split(":", 1)[1] if name.startswith("power:") else None
-    if k is not None and not (k.isdecimal() and int(k) >= 1):
-        raise BadConfig("power:k needs an integer k >= 1, got %r" % name)
     try:
-        if k is not None:
-            rep = deg.mapping_degree(deg.power_map(int(k)), seed=args.seed,
-                                     config=cfg)
-        elif name == "rp7-cube":
-            rep = deg.degree_on_rp7(deg.cube_map(), seed=args.seed, config=cfg)
-        elif name in _MAP_BUILDERS:
-            rep = deg.mapping_degree(_MAP_BUILDERS[name](), seed=args.seed,
-                                     config=cfg)
-        else:
-            print("degree: unknown map %r (known: %s, power:k)"
-                  % (name, ", ".join(sorted(_MAP_BUILDERS))), file=sys.stderr)
-            return USAGE_ERROR
+        rep = deg.named_degree(args.map, seed=args.seed, config=cfg)
+    except BadConfig:
+        raise  # an unknown map name: a usage error
     except SixSphereError as e:
         print("degree: %s" % e, file=sys.stderr)
         return FAILURE
@@ -185,16 +161,13 @@ def _cmd_homotopy(args) -> int:
     if args.space == "s6":
         expr = homotopy.pi_structures_s6(args.k, table)
         label = "pi_%d of the structure space of the six-sphere" % args.k
-    elif args.space == "xg":
+    else:
         if args.genus is None:
             print("homotopy: --space xg needs --genus", file=sys.stderr)
             return USAGE_ERROR
         expr = homotopy.pi_structures_xg(args.genus, args.k, table)
         label = ("pi_%d of the structure space of the genus-%d connected sum"
                  % (args.k, args.genus))
-    else:
-        print("homotopy: unknown space %r" % args.space, file=sys.stderr)
-        return USAGE_ERROR
     print("%s: %s" % (label, expr.render()))
     if args.json:
         _write_json({"space": args.space, "k": args.k, "genus": args.genus,
@@ -238,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("degree", help="mapping-degree engine")
     d.add_argument("--map", required=True,
-                   help="identity|squaring|power:k|conjugation|theta-circle|"
-                        "cylinder-loop|cylinder-q|rp7-cube")
+                   help="%s, or power:k for any k >= 1" % ", ".join(deg.MAPS))
     d.add_argument("--trials", type=int, default=3)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--starts", type=int, default=None)

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (ConflictingEstimates, NonConvergence, NonGenericValue,
-                     NotOdd, UnstablePreimageCount)
+from .errors import (BadConfig, ConflictingEstimates, DegenerateInput,
+                     NonConvergence, NonGenericValue, NotOdd, OutOfRange,
+                     UnstablePreimageCount)
 from .octonion import (SEPARATION_TOL, Octonion, batch_mul,
                        left_mult_matrix, right_mult_matrix)
 from .sampling import rng_from_seed
@@ -57,7 +59,6 @@ class MapFamily:
     func: Callable[[np.ndarray], np.ndarray]
     dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: str = "s7"            # "s7" | "cylinder"
-    odd: Optional[bool] = None    # descends to the projective quotient
 
     @property
     def exact_differential(self) -> bool:
@@ -73,20 +74,18 @@ class MapFamily:
 def identity_map() -> MapFamily:
     eye = np.eye(8)
     return MapFamily("identity", lambda x: x.copy(),
-                     lambda x: np.broadcast_to(eye, (len(x), 8, 8)).copy(),
-                     odd=True)
+                     lambda x: np.broadcast_to(eye, (len(x), 8, 8)).copy())
 
 
 def conjugation_map() -> MapFamily:
     c = np.diag([1.0] + [-1.0] * 7)
     return MapFamily("conjugation", lambda x: x @ c.T,
-                     lambda x: np.broadcast_to(c, (len(x), 8, 8)).copy(),
-                     odd=True)
+                     lambda x: np.broadcast_to(c, (len(x), 8, 8)).copy())
 
 
 def power_map(k: int) -> MapFamily:
     if k < 1:
-        raise ValueError("power maps need k >= 1")
+        raise OutOfRange("power maps need k >= 1")
 
     def func(x):
         r = x.copy()
@@ -105,7 +104,7 @@ def power_map(k: int) -> MapFamily:
             r = batch_mul(r, x)
         return d
 
-    return MapFamily("power:%d" % k, func, dfunc, odd=(k % 2 == 1))
+    return MapFamily("power:%d" % k, func, dfunc)
 
 
 def squaring_map() -> MapFamily:
@@ -132,7 +131,7 @@ def theta_circle_map() -> MapFamily:
         d[:, 1, 0] = -x[:, 0] / s
         return d
 
-    return MapFamily("theta-circle", func, dfunc, odd=False)
+    return MapFamily("theta-circle", func, dfunc)
 
 
 def cube_map() -> MapFamily:
@@ -146,16 +145,13 @@ def cube_map() -> MapFamily:
 
 def compose_maps(outer: MapFamily, inner: MapFamily, name: str = "") -> MapFamily:
     if inner.lead or outer.lead:
-        raise ValueError("composition only supported on the sphere domain")
+        raise DegenerateInput("composition only supported on the sphere domain")
     dfunc = None
     if outer.dfunc is not None and inner.dfunc is not None:
         def dfunc(x):
             return outer.dfunc(inner.func(x)) @ inner.dfunc(x)
-    odd = None
-    if outer.odd is not None and inner.odd is not None:
-        odd = outer.odd and inner.odd
     return MapFamily(name or "%s.%s" % (outer.name, inner.name),
-                     lambda x: outer.func(inner.func(x)), dfunc, odd=odd)
+                     lambda x: outer.func(inner.func(x)), dfunc)
 
 
 def cylinder_loop_map(half_angle: bool = False) -> MapFamily:
@@ -637,7 +633,7 @@ def power_map_preimages(w: Octonion, k: int) -> List[np.ndarray]:
     k a congruent to the phase of w modulo 2 pi, giving exactly k solutions.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise OutOfRange("k must be >= 1")
     wf = w.to_float_array()
     wf = wf / np.linalg.norm(wf)
     s = np.linalg.norm(wf[1:])
@@ -668,3 +664,43 @@ def degree_on_rp7(family: MapFamily, seed: int = 0,
     rep = mapping_degree(family, seed=seed, config=config)
     return DegreeReport("rp7(%s)" % family.name, rep.degree, rep.trials,
                         rep.exact_differential)
+
+
+# ---------------------------------------------------------------------------
+# the map inventory
+# ---------------------------------------------------------------------------
+
+#: name -> (builder, expected degree) of every map the `degrees` suite checks
+#: and `sixsphere degree --map` names; `rp7-cube` is taken on projective
+#: seven-space, where its degree is that of its spherical lift x -> x^3
+MAPS: Dict[str, Tuple[Callable[[], MapFamily], int]] = {
+    "identity": (identity_map, 1),
+    "squaring": (squaring_map, 2),
+    "conjugation": (conjugation_map, -1),
+    "theta-circle": (theta_circle_map, 0),
+    "cylinder-q": (partial(cylinder_loop_map, half_angle=True), 1),
+    "cylinder-loop": (cylinder_loop_map, 2),
+    **{"power:%d" % k: (partial(power_map, k), k) for k in range(1, 7)},
+    "rp7-cube": (cube_map, 3),
+}
+
+
+def named_map(name: str) -> MapFamily:
+    """The map called `name` in MAPS, or `power:k` for any integer k >= 1."""
+    if name in MAPS:
+        return MAPS[name][0]()
+    k = name[len("power:"):] if name.startswith("power:") else ""
+    if k.isdecimal() and int(k) >= 1:
+        return power_map(int(k))
+    raise BadConfig("unknown map %r (known: %s, power:k with k >= 1)"
+                    % (name, ", ".join(MAPS)))
+
+
+def named_degree(name: str, seed: int = 0,
+                 config: Optional[EngineConfig] = None) -> DegreeReport:
+    """The degree report of the named map: on projective seven-space for
+    `rp7-cube`, on the map's own domain otherwise."""
+    family = named_map(name)
+    if name == "rp7-cube":
+        return degree_on_rp7(family, seed=seed, config=config)
+    return mapping_degree(family, seed=seed, config=config)

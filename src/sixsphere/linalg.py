@@ -87,10 +87,6 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_to_float(a) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a])
-
-
 def rref(m: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     a = [[Fraction(x) for x in row] for row in m]

@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import ZeroDivisor
+from .errors import DegenerateInput, ZeroDivisor
 from .linalg import dot, lift
 
 ScalarLike = Union[int, Fraction, float]
@@ -191,7 +191,7 @@ def _table_product(x: Sequence, y: Sequence) -> list:
 def _coerce(coords: Iterable[ScalarLike]):
     cs = tuple(coords)
     if len(cs) != 8:
-        raise ValueError("octonion needs exactly 8 coordinates, got %d" % len(cs))
+        raise DegenerateInput("octonion needs exactly 8 coordinates, got %d" % len(cs))
     if any(isinstance(c, float) or isinstance(c, np.floating) for c in cs):
         return tuple(float(c) for c in cs), False
     return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in cs), True

@@ -21,6 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .errors import OutOfRange
 from .linalg import dot
 from .octonion import Octonion
 
@@ -52,7 +53,7 @@ def rational_circle_point(t: Fraction) -> Tuple[Fraction, Fraction]:
 def rational_unit_octonion(t: Sequence[Fraction]) -> Octonion:
     """Exact unit octonion from t in Q^7 (a point of the seven-sphere)."""
     if len(t) != 7:
-        raise ValueError("need 7 rational parameters for a unit octonion")
+        raise OutOfRange("need 7 rational parameters for a unit octonion")
     return Octonion(rational_sphere_point(t))
 
 
@@ -60,7 +61,7 @@ def rational_imaginary_unit(t: Sequence[Fraction]) -> Octonion:
     """Exact unit imaginary octonion from t in Q^6 (a point of the six-sphere,
     embedded into coordinates e1..e7 with zero real part)."""
     if len(t) != 6:
-        raise ValueError("need 6 rational parameters for a point of the six-sphere")
+        raise OutOfRange("need 6 rational parameters for a point of the six-sphere")
     return Octonion((0, *rational_sphere_point(t)))
 
 

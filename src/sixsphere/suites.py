@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, twistor
-from .errors import BadConfig, DegenerateX, UnknownSuite
+from .errors import BadConfig, DegenerateX, SixSphereError, UnknownSuite
 from .frames import random_g2_matrix
 from .octonion import (CHECK_TOL, SEPARATION_TOL, Octonion, arithmetic_of,
                        residual)
@@ -61,6 +61,26 @@ def _oct_payload(**named) -> dict:
     return out
 
 
+#: suite name -> function (samples, mode, seed, tol, table=None) returning
+#: (checked, failures, worst residual), in declaration order
+SUITES: Dict[str, Callable] = {}
+#: suite name -> sample count when none is given
+DEFAULT_SAMPLES: Dict[str, int] = {}
+#: the arithmetic modes each suite runs in; asked for another, it runs in the first
+MODES: Dict[str, Tuple[str, ...]] = {}
+
+
+def _suite(name: str, samples: int, *modes: str):
+    """Register the decorated function as the suite `name`, with its default
+    sample count and its modes."""
+    def register(fn: Callable) -> Callable:
+        SUITES[name] = fn
+        DEFAULT_SAMPLES[name] = samples
+        MODES[name] = modes
+        return fn
+    return register
+
+
 # ---------------------------------------------------------------------------
 # algebra suites
 # ---------------------------------------------------------------------------
@@ -72,6 +92,7 @@ def _sample_unit(rng, mode: str) -> Octonion:
     return random_unit_octonion_float(rng)
 
 
+@_suite("octonion-axioms", 300, "exact", "float")
 def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -80,8 +101,7 @@ def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
 
     def close(d: Octonion) -> bool:
         nonlocal worst
-        if mode == "float":
-            worst = max(worst, residual(d))
+        worst = max(worst, residual(d))
         return d.is_zero(tol)
 
     for _ in range(samples):
@@ -90,8 +110,7 @@ def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
         checked += 1
         bad = []
         nxy, nx_ny = (x * y).norm_sq(), x.norm_sq() * y.norm_sq()
-        if mode == "float":
-            worst = max(worst, abs(float(nxy) - float(nx_ny)))
+        worst = max(worst, abs(float(nxy) - float(nx_ny)))
         if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, tol):
             bad.append("norm multiplicativity")
         if not close(x * (x * y) - (x * x) * y):
@@ -148,6 +167,7 @@ def _all_parenthesizations(word):
     return out
 
 
+@_suite("moufang", 300, "exact", "float")
 def _suite_moufang(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -165,8 +185,7 @@ def _suite_moufang(samples, mode, seed, tol, table=None):
         }
         bad = []
         for name, d in laws.items():
-            if mode == "float":
-                worst = max(worst, residual(d))
+            worst = max(worst, residual(d))
             if not d.is_zero(tol):
                 bad.append(name)
         if bad:
@@ -178,6 +197,7 @@ def _suite_moufang(samples, mode, seed, tol, table=None):
 # complex-structure suites
 # ---------------------------------------------------------------------------
 
+@_suite("prop21", 100, "exact", "float")
 def _suite_prop21(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -204,7 +224,7 @@ def _suite_prop21(samples, mode, seed, tol, table=None):
                 cstruct.quaternion_coordinate_form(x)
             except DegenerateX:
                 pass
-            except Exception as e:  # block certification raises on failure
+            except SixSphereError as e:  # block certification raises on failure
                 failures.append(_oct_payload(kind="block-decomposition", x=x,
                                              error=str(e)))
     else:
@@ -232,6 +252,7 @@ def _suite_prop21(samples, mode, seed, tol, table=None):
     return checked, failures, worst
 
 
+@_suite("lemma22", 1, "exact")
 def _suite_lemma22(samples, mode, seed, tol, table=None):
     failures: List[dict] = []
     res = chern.euler_number_normal_bundle()
@@ -246,16 +267,15 @@ def _suite_lemma22(samples, mode, seed, tol, table=None):
     for name, (got, want) in expected.items():
         if got != want:
             failures.append({"kind": name, "got": got, "expected": want})
-    inv_check = chern.whitney_complement(
-        chern.ring([("a", 2)], truncation=4)["one"]
-        + chern.ring([("a", 2)], truncation=4)["a"], 2)
     total = chern.ring([("a", 2)], truncation=4)
-    prod = inv_check * (total["one"] + total["a"])
+    line = total["one"] + total["a"]
+    prod = chern.whitney_complement(line, 2) * line
     if prod != total["one"]:
         failures.append({"kind": "whitney product", "got": prod.render()})
     return len(expected) + 1, failures, None
 
 
+@_suite("prop31", 300, "exact")
 def _suite_prop31(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -280,6 +300,7 @@ def _suite_prop31(samples, mode, seed, tol, table=None):
     return checked, failures, None
 
 
+@_suite("lemma34", 300, "exact")
 def _suite_lemma34(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -295,6 +316,7 @@ def _suite_lemma34(samples, mode, seed, tol, table=None):
     return checked, failures, None
 
 
+@_suite("thm33-lift", 200, "exact")
 def _suite_thm33_lift(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -315,6 +337,7 @@ def _suite_thm33_lift(samples, mode, seed, tol, table=None):
     return checked, failures, None
 
 
+@_suite("prop41", 25, "exact", "float")
 def _suite_prop41(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -326,7 +349,7 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
             checked += 1
             try:
                 comp = twistor.companion(lam, tol=tol)
-            except Exception as e:
+            except SixSphereError as e:
                 failures.append({"kind": "companion", "error": str(e),
                                  "matrix": [repr(float(x)) for x in lam.as_array().ravel()]})
                 continue
@@ -371,6 +394,7 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
     return checked, failures, worst
 
 
+@_suite("prop42", 100, "exact")
 def _suite_prop42(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
     failures: List[dict] = []
@@ -403,57 +427,39 @@ def _suite_prop42(samples, mode, seed, tol, table=None):
     return checked, failures, None
 
 
+@_suite("degrees", 0, "float")  # 0 samples: the engine's default starts
 def _suite_degrees(samples, mode, seed, tol, table=None):
     failures: List[dict] = []
     checked = 0
     cfg = deg.EngineConfig()
     if samples:
         cfg.n_starts = max(400, samples)
-    inventory = [
-        (deg.identity_map(), 1, False),
-        (deg.squaring_map(), 2, False),
-        (deg.conjugation_map(), -1, False),
-        (deg.theta_circle_map(), 0, False),
-        (deg.cylinder_loop_map(half_angle=True), 1, False),
-        (deg.cylinder_loop_map(), 2, False),
-    ] + [(deg.power_map(k), k, True) for k in range(1, 7)]
-    reports = {}
-    for fam, want, check_oracle in inventory:
+    for name, (_, want) in deg.MAPS.items():
         checked += 1
         try:
-            rep = deg.mapping_degree(fam, seed=seed, config=cfg)
-        except Exception as e:
-            failures.append({"map": fam.name, "error": str(e)})
+            rep = deg.named_degree(name, seed=seed, config=cfg)
+        except SixSphereError as e:
+            failures.append({"map": name, "error": str(e)})
             continue
-        reports[fam.name] = rep.degree
         if rep.degree != want:
-            failures.append({"map": fam.name, "degree": rep.degree, "expected": want})
-        if check_oracle:
-            k = int(fam.name.split(":")[1])
+            failures.append({"map": name, "degree": rep.degree, "expected": want})
+        if name.startswith("power:"):  # x -> x^k, of degree k
             for trial in rep.trials:
-                oracle = deg.power_map_preimages(Octonion(trial.target), k)
+                oracle = deg.power_map_preimages(Octonion(trial.target), want)
                 found = [np.array(pp) for pp in trial.preimages]
                 if len(oracle) != len(found):
-                    failures.append({"map": fam.name, "kind": "oracle-count",
+                    failures.append({"map": name, "kind": "oracle-count",
                                      "oracle": len(oracle), "found": len(found)})
                     continue
                 for o in oracle:
                     if min(np.max(np.abs(o - f)) for f in found) > SEPARATION_TOL:
-                        failures.append({"map": fam.name, "kind": "oracle-match",
+                        failures.append({"map": name, "kind": "oracle-match",
                                          "target": trial.target})
                         break
-    checked += 1
-    try:
-        rep = deg.degree_on_rp7(deg.cube_map(), seed=seed, config=cfg)
-        reports["rp7-cube"] = rep.degree
-        if abs(rep.degree) != 3:
-            failures.append({"map": "rp7-cube", "degree": rep.degree,
-                             "expected": "|3|"})
-    except Exception as e:
-        failures.append({"map": "rp7-cube", "error": str(e)})
     return checked, failures, None
 
 
+@_suite("homotopy-tables", 1, "exact")
 def _suite_homotopy_tables(samples, mode, seed, tol, table=None):
     failures: List[dict] = []
     cases = [
@@ -482,50 +488,6 @@ def _suite_homotopy_tables(samples, mode, seed, tol, table=None):
             failures.append({"kind": "resolution-purity",
                              "a": resolved.render(), "b": rendered_then})
     return checked, failures, None
-
-
-SUITES: Dict[str, Callable] = {
-    "octonion-axioms": _suite_octonion_axioms,
-    "moufang": _suite_moufang,
-    "prop21": _suite_prop21,
-    "lemma22": _suite_lemma22,
-    "prop31": _suite_prop31,
-    "lemma34": _suite_lemma34,
-    "thm33-lift": _suite_thm33_lift,
-    "prop41": _suite_prop41,
-    "prop42": _suite_prop42,
-    "degrees": _suite_degrees,
-    "homotopy-tables": _suite_homotopy_tables,
-}
-
-DEFAULT_SAMPLES: Dict[str, int] = {
-    "octonion-axioms": 300,
-    "moufang": 300,
-    "prop21": 100,
-    "lemma22": 1,
-    "prop31": 300,
-    "lemma34": 300,
-    "thm33-lift": 200,
-    "prop41": 25,
-    "prop42": 100,
-    "degrees": 0,          # 0 = engine defaults
-    "homotopy-tables": 1,
-}
-
-#: the arithmetic modes each suite runs in; asked for another, it runs in the first
-MODES: Dict[str, Tuple[str, ...]] = {
-    "octonion-axioms": ("exact", "float"),
-    "moufang": ("exact", "float"),
-    "prop21": ("exact", "float"),
-    "lemma22": ("exact",),
-    "prop31": ("exact",),
-    "lemma34": ("exact",),
-    "thm33-lift": ("exact",),
-    "prop41": ("exact", "float"),
-    "prop42": ("exact",),
-    "degrees": ("float",),
-    "homotopy-tables": ("exact",),
-}
 
 
 def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",

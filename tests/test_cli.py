@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from sixsphere import cli, suites
+from sixsphere import cli, degree, sampling, suites, twistor
 from sixsphere.cstruct import j_from_octonion
-from sixsphere.errors import BadConfig, UnknownSuite
+from sixsphere.errors import (BadConfig, DegenerateInput, KernelDimensionError,
+                              OutOfRange, UnknownSuite)
 from sixsphere.octonion import Octonion
 from sixsphere.sampling import random_so7_float, rng_from_seed
 
@@ -28,6 +29,57 @@ def test_run_suite_rejects_bad_config():
         suites.run_suite("moufang", mode="approximate")
     with pytest.raises(BadConfig):
         suites.run_suite("moufang", samples=-1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: degree.power_map(0), OutOfRange),
+    (lambda: degree.power_map_preimages(Octonion.basis(1), 0), OutOfRange),
+    (lambda: degree.compose_maps(degree.identity_map(),
+                                 degree.cylinder_loop_map()), DegenerateInput),
+    (lambda: Octonion((1, 0, 0)), DegenerateInput),
+    (lambda: sampling.rational_unit_octonion([1] * 6), OutOfRange),
+    (lambda: sampling.rational_imaginary_unit([1] * 7), OutOfRange),
+], ids=["power_map", "power_map_preimages", "compose_maps", "octonion",
+        "rational_unit_octonion", "rational_imaginary_unit"])
+def test_bad_api_input_raises_a_named_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_suites_report_library_errors_and_raise_bugs(monkeypatch):
+    def kernel_error(lam, tol):
+        raise KernelDimensionError("companion kernel is zero-dimensional")
+
+    monkeypatch.setattr(twistor, "companion", kernel_error)
+    rep = suites.run_suite("prop41", samples=1, mode="float")
+    assert [f["kind"] for f in rep.failures] == ["companion"]
+
+    def bug(lam, tol):
+        raise TypeError("a bug in the code under test")
+
+    monkeypatch.setattr(twistor, "companion", bug)
+    with pytest.raises(TypeError):
+        suites.run_suite("prop41", samples=1, mode="float")
+
+
+def test_degrees_suite_and_cli_share_the_map_inventory(monkeypatch, capsys):
+    visited = []
+
+    def stub(family, seed=0, config=None):
+        visited.append(family.name)
+        return degree.DegreeReport(family.name, degree.MAPS[family.name][1],
+                                   [], True)
+
+    monkeypatch.setattr(degree, "mapping_degree", stub)
+    monkeypatch.setattr(degree, "degree_on_rp7", stub)
+    rep = suites.run_suite("degrees", seed=1)
+    assert visited == list(degree.MAPS)
+    assert rep.ok and rep.checked == len(degree.MAPS)
+    with pytest.raises(SystemExit):
+        run_cli(["degree", "--help"])
+    # argparse may wrap the help inside a hyphenated name
+    flat = "".join(capsys.readouterr().out.split())
+    assert all(name in flat for name in degree.MAPS)
 
 
 def test_verify_cli_pass(tmp_path, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sixsphere import cstruct, twistor
-from sixsphere.linalg import mat_to_float
 from sixsphere.octonion import CHECK_TOL, Octonion
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
@@ -39,7 +38,7 @@ def _both(f, *args):
         if isinstance(a, cstruct.ComplexStructureR6):
             return cstruct.ComplexStructureR6(a.as_array())
         if isinstance(a, twistor.SO7Element):
-            return twistor.SO7Element(mat_to_float(a.rows))
+            return twistor.SO7Element(a.as_array())
         return float(a)
     return f(*args), f(*[rounded(a) for a in args])
 

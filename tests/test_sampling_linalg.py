@@ -54,7 +54,7 @@ def test_det_matches_numpy(rng):
               zip(rng.integers(-5, 6, 4), rng.integers(1, 4, 4))]
              for _ in range(4)]
         exact = linalg.det(m)
-        approx = np.linalg.det(linalg.mat_to_float(m))
+        approx = np.linalg.det(np.array(m, dtype=float))
         assert abs(float(exact) - approx) < 1e-9
 
 

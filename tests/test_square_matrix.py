@@ -13,7 +13,6 @@ from sixsphere.cstruct import (ComplexStructureR6, j_from_octonion,
                                random_structure_float, standard_structure)
 from sixsphere.errors import DegenerateInput, InvalidStructure
 from sixsphere.frames import random_g2_matrix
-from sixsphere.linalg import mat_to_float
 from sixsphere.octonion import EXACT, FLOAT, Octonion
 from sixsphere.sampling import (random_rational_unit_octonion,
                                 random_so7_float, rng_from_seed)
@@ -123,6 +122,6 @@ def test_companion_of_an_automorphism_solves_no_pencil(monkeypatch):
     assert res.a.to_strings() == ["1"] + ["0"] * 7
     assert (res.kernel_dim, res.residual) == (8, 0.0)
 
-    float_res = twistor.companion(SO7Element(mat_to_float(lam.rows)))
+    float_res = twistor.companion(SO7Element(lam.as_array()))
     assert float_res.a.to_strings() == ["1.0"] + ["0.0"] * 7
     assert (float_res.kernel_dim, float_res.residual) == (1, 2.220446049250313e-16)
