@@ -211,15 +211,17 @@ def _stereo_inv(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarra
     return (2.0 * amb + (q - 1.0) * pole) / (q + 1.0)
 
 
-def _stereo_inv_diff(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(N, d, d-1) Jacobian of `_stereo_inv`."""
-    q = np.sum(s * s, axis=1)
-    den = q + 1.0
-    x = _stereo_inv(s, pole, basis)
-    # column j: (2 b_j + (2 s_j) pole - (2 s_j) x) / den
+def _stereo_inv_diff(s: np.ndarray, x: np.ndarray, pole: np.ndarray,
+                     basis: np.ndarray) -> np.ndarray:
+    """(N, d, d-1) Jacobian of `_stereo_inv` at s, given x = _stereo_inv(s)."""
+    den = np.sum(s * s, axis=1) + 1.0
+    # column j: (2 b_j + (2 s_j) pole - (2 s_j) x) / den, in place (see solve)
     two_s = 2.0 * s[:, None, :]
-    return (2.0 * basis[None, :, :] + two_s * pole[None, :, None]
-            - two_s * x[:, :, None]) / den[:, None, None]
+    out = two_s * pole[None, :, None]
+    out += 2.0 * basis[None, :, :]
+    out -= two_s * x[:, :, None]
+    out /= den[:, None, None]
+    return out
 
 
 def _stereo_proj(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -237,8 +239,10 @@ def _stereo_proj_diff(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.
     n, d = x.shape
     eye = np.eye(d)
     # d/dx of (x - (x.m)m)/(1 - x.m) = (I - m m^T)/(1-t) + core m^T/(1-t)^2
-    j = (eye - np.outer(pole, pole))[None, :, :] / den[:, None, None] + \
-        core[:, :, None] * pole[None, None, :] / (den ** 2)[:, None, None]
+    j = (eye - np.outer(pole, pole))[None, :, :] / den[:, None, None]
+    corr = core[:, :, None] * pole[None, None, :]
+    corr /= (den ** 2)[:, None, None]
+    j += corr
     return basis.T @ j
 
 
@@ -403,29 +407,22 @@ class _Charted:
         self.dom_pole = dom_pole
         self.dom_basis = _orthonormal_complement(dom_pole)
 
-    # --- domain parametrization ------------------------------------------
-
-    def to_domain(self, s: np.ndarray) -> np.ndarray:
-        return np.column_stack([s[:, :self.lead], _stereo_inv(
-            s[:, self.lead:], self.dom_pole, self.dom_basis)])
-
-    def domain_diff(self, s: np.ndarray) -> np.ndarray:
-        return _after_lead(self.lead, _stereo_inv_diff(
-            s[:, self.lead:], self.dom_pole, self.dom_basis))
-
-    # --- charted map -------------------------------------------------------
-
-    def g(self, s: np.ndarray) -> np.ndarray:
-        y = self.family.func(self.to_domain(s))
-        return _stereo_proj(y, self.target_pole, self.target_basis)
-
-    def g_jac(self, s: np.ndarray) -> np.ndarray:
-        x = self.to_domain(s)
+    def evaluate(self, s: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, g, jac) at chart points s: the domain points, the charted map
+        and its (N, 7, 7) Jacobian, from one inverse chart and one map
+        evaluation."""
+        lead = self.lead
+        sphere = _stereo_inv(s[:, lead:], self.dom_pole, self.dom_basis)
+        x = np.column_stack([s[:, :lead], sphere])
         y = self.family.func(x)
+        g = _stereo_proj(y, self.target_pole, self.target_basis)
+        # dphi before dsigma: holding an (N, 8, 7) dsigma across dphi's
+        # (N, 8, 8) temporaries tripled theta-circle's minor page faults
         dphi = _stereo_proj_diff(y, self.target_pole, self.target_basis)
-        return dphi @ _jacobian(self.family, x) @ self.domain_diff(s)
-
-    # --- newton ------------------------------------------------------------
+        return x, g, dphi @ _jacobian(self.family, x) @ _after_lead(
+            lead, _stereo_inv_diff(s[:, lead:], sphere, self.dom_pole,
+                                   self.dom_basis))
 
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
@@ -438,25 +435,26 @@ class _Charted:
             if not active.any():
                 break
             sa = s[active]
-            g = self.g(sa)
+            # the whole batch's `jac` stays bound until the next iteration
+            # (and the chart Jacobians are built in place): freeing it early
+            # lets malloc trim the heap and the next batch fault it back in
+            x, g, jac = self.evaluate(sa)
             res = np.linalg.norm(g, axis=1)
             best_res = min(best_res, float(res.min()))
             conv = res < NEWTON_TOL
             if conv.any():
-                done.append(sa[conv])
+                # rows drop after the whole batch is evaluated; dropping x
+                # and y before the Jacobians moved preimages in the last bit
+                done.append(x[conv])
                 keep = ~conv
                 idx = np.flatnonzero(active)
                 active[idx[conv]] = False
-                sa, g, res = sa[keep], g[keep], res[keep]
+                sa, g = sa[keep], g[keep]
                 if len(sa) == 0:
                     continue
             # a batch with a singular Jacobian (a map of lower-dimensional
-            # image) takes the damped least-squares step throughout.  `jac`
-            # stays bound until the next iteration: freeing it at once lets
-            # malloc trim the heap, and the next batch page-faults it back
-            # (2.5x the minor faults on identity, measured with getrusage)
-            jac = self.g_jac(sa)
-            step = _newton_step(jac, g)
+            # image) takes the damped least-squares step throughout
+            step = _newton_step(jac[~conv] if conv.any() else jac, g)
             norms = np.linalg.norm(step, axis=1, keepdims=True)
             step = step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
             snew = sa - step
@@ -466,7 +464,7 @@ class _Charted:
             active[idx[runaway]] = False
             s[idx] = snew
         if done:
-            return np.vstack([self.to_domain(d) for d in done]), best_res
+            return np.vstack(done), best_res
         return np.empty((0, 8)), best_res
 
 

@@ -382,6 +382,8 @@ def normalize(o: Octonion) -> Octonion:
 
 def residual(d: Octonion) -> float:
     """Largest absolute coordinate of d, as a float."""
+    if not any(d.coords):
+        return 0.0  # an exact zero converts nothing
     return max(abs(float(c)) for c in d.coords)
 
 

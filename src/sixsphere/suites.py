@@ -337,6 +337,17 @@ def _suite_thm33_lift(samples, mode, seed, tol, table=None):
     return checked, failures, None
 
 
+def _companion_or_failure(failures: List[dict], lam, **tol):
+    """`twistor.companion(lam, **tol)`, or None after recording its library
+    error as one `companion` failure entry."""
+    try:
+        return twistor.companion(lam, **tol)
+    except SixSphereError as e:
+        failures.append({"kind": "companion", "error": str(e),
+                         "matrix": [x for row in lam.to_strings() for x in row]})
+        return None
+
+
 @_suite("prop41", 25, "exact", "float")
 def _suite_prop41(samples, mode, seed, tol, table=None):
     rng = rng_from_seed(seed)
@@ -347,11 +358,8 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
         for _ in range(samples):
             lam = twistor.SO7Element(random_so7_float(rng))
             checked += 1
-            try:
-                comp = twistor.companion(lam, tol=tol)
-            except SixSphereError as e:
-                failures.append({"kind": "companion", "error": str(e),
-                                 "matrix": [repr(float(x)) for x in lam.as_array().ravel()]})
+            comp = _companion_or_failure(failures, lam, tol=tol)
+            if comp is None:
                 continue
             worst = max(worst, comp.residual)
             samples_pv = []
@@ -374,7 +382,9 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
         for _ in range(max(2, samples)):
             lam = twistor.random_so7_exact(rng)
             checked += 1
-            comp = twistor.companion(lam)
+            comp = _companion_or_failure(failures, lam)
+            if comp is None:
+                continue
             if comp.residual != 0.0:
                 failures.append({"kind": "companion-exact", "residual": comp.residual})
             acted = twistor.so7_act(lam, twistor.canonical_section())
@@ -384,13 +394,16 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
         # automorphisms fix the canonical section and have trivial companion
         g2m = twistor.SO7Element(random_g2_matrix(rng), validate=False)
         checked += 1
-        cg = twistor.companion(g2m)
-        one = Octonion.one()
-        trivial = (cg.a - cg.a.coords[0] * one).is_zero() and cg.a.coords[0] != 0
-        fixes = twistor.sections_equal(twistor.so7_act(g2m, twistor.canonical_section()),
-                                       twistor.canonical_section())
-        if not (trivial and fixes):
-            failures.append({"kind": "automorphism-isotropy", "a": cg.a.to_strings()})
+        cg = _companion_or_failure(failures, g2m)
+        if cg is not None:
+            one = Octonion.one()
+            trivial = (cg.a - cg.a.coords[0] * one).is_zero() and cg.a.coords[0] != 0
+            fixes = twistor.sections_equal(
+                twistor.so7_act(g2m, twistor.canonical_section()),
+                twistor.canonical_section())
+            if not (trivial and fixes):
+                failures.append({"kind": "automorphism-isotropy",
+                                 "a": cg.a.to_strings()})
     return checked, failures, worst
 
 

@@ -81,7 +81,7 @@ def test_criterion_4_chern_pipeline():
 
 def test_criterion_5_degree_suite():
     """The degree inventory: identity 1, squaring 2, conjugation -1,
-    circle-valued 0, cylinder loop 2, projective cube |3|, powers k = 1..6
+    circle-valued 0, cylinder loop 2, projective cube 3, powers k = 1..6
     matching the analytic oracle; three agreeing trials per map; < 120 s."""
     t0 = time.monotonic()
     rep = suites.run_suite("degrees", seed=1)

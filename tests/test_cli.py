@@ -47,19 +47,21 @@ def test_bad_api_input_raises_a_named_error(call, error):
 
 
 def test_suites_report_library_errors_and_raise_bugs(monkeypatch):
-    def kernel_error(lam, tol):
+    def kernel_error(lam, tol=None):
         raise KernelDimensionError("companion kernel is zero-dimensional")
 
-    monkeypatch.setattr(twistor, "companion", kernel_error)
-    rep = suites.run_suite("prop41", samples=1, mode="float")
-    assert [f["kind"] for f in rep.failures] == ["companion"]
-
-    def bug(lam, tol):
+    def bug(lam, tol=None):
         raise TypeError("a bug in the code under test")
 
-    monkeypatch.setattr(twistor, "companion", bug)
-    with pytest.raises(TypeError):
-        suites.run_suite("prop41", samples=1, mode="float")
+    for mode in ("float", "exact"):
+        monkeypatch.setattr(twistor, "companion", kernel_error)
+        rep = suites.run_suite("prop41", samples=1, mode=mode)
+        # one entry per companion asked for (exact mode asks three times)
+        assert [f["kind"] for f in rep.failures] == ["companion"] * rep.checked
+
+        monkeypatch.setattr(twistor, "companion", bug)
+        with pytest.raises(TypeError):
+            suites.run_suite("prop41", samples=1, mode=mode)
 
 
 def test_degrees_suite_and_cli_share_the_map_inventory(monkeypatch, capsys):

@@ -2,6 +2,11 @@
 degrees, the analytic preimage oracle, and engine properties.  The complete
 map inventory at full sample counts runs in the acceptance suite."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,7 +34,7 @@ def test_stereo_diffs_match_finite_differences(rng):
     pole /= np.linalg.norm(pole)
     basis = dg._orthonormal_complement(pole)
     s = rng.standard_normal((1, 7)) * 0.7
-    d = dg._stereo_inv_diff(s, pole, basis)[0]
+    d = dg._stereo_inv_diff(s, dg._stereo_inv(s, pole, basis), pole, basis)[0]
     h = 1e-6
     for j in range(7):
         sp = s.copy(); sp[0, j] += h
@@ -58,7 +63,7 @@ def test_stereo_inv_diff_equals_column_loop(rng):
         want[:, :, j] = (2.0 * basis[:, j][None, :]
                          + 2.0 * s[:, j][:, None] * pole[None, :]
                          - 2.0 * s[:, j][:, None] * x) / den[:, None]
-    assert np.array_equal(dg._stereo_inv_diff(s, pole, basis), want)
+    assert np.array_equal(dg._stereo_inv_diff(s, x, pole, basis), want)
 
 
 def test_power_map_dfunc_matches_fd(rng):
@@ -146,7 +151,8 @@ def _theta_circle_newton_batch(rng, n=500):
     charted = dg._Charted(dg.theta_circle_map(), target / np.linalg.norm(target),
                           pole)
     s = rng.standard_normal((n, 7))
-    return charted.g_jac(s), charted.g(s)
+    _, g, jac = charted.evaluate(s)
+    return jac, g
 
 
 def test_newton_step_regular_batch_is_plain_solve(rng):
@@ -171,6 +177,54 @@ def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
     step = dg._newton_step(jac, g)
     assert np.all(np.isfinite(step))
     assert np.array_equal(step[3], np.zeros(7))
+
+
+def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
+    fam = dg.theta_circle_map()
+    calls = {"func": 0, "dfunc": 0, "stereo_inv": 0, "iterations": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    fam.func = counted("func", fam.func)
+    fam.dfunc = counted("dfunc", fam.dfunc)
+    monkeypatch.setattr(dg, "_stereo_inv", counted("stereo_inv", dg._stereo_inv))
+    monkeypatch.setattr(dg, "_newton_step",
+                        counted("iterations", dg._newton_step))
+    target = rng.standard_normal(8)
+    pole = np.zeros(8); pole[0] = 1.0
+    charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
+    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
+    # theta-circle has no regular preimage: every start runs every iteration
+    assert len(pts) == 0
+    assert calls == dict.fromkeys(calls, dg.NEWTON_MAX_ITER)
+
+
+_REPORTS_IN_FRESH_PROCESS = """
+import json
+from sixsphere import degree as dg
+cfg = dg.EngineConfig(n_starts=300, trials=1)
+print(json.dumps([dg.named_degree(name, seed=1, config=cfg).to_dict()
+                  for name in ("identity", "power:6", "theta-circle",
+                               "cylinder-q")], sort_keys=True))
+"""
+
+
+def test_degree_reports_are_identical_across_processes():
+    # Newton decisions near NEWTON_TOL, CRITICAL_DET or the dedupe tolerance
+    # would flip if rounding differed between interpreters
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [subprocess.Popen([sys.executable, "-c", _REPORTS_IN_FRESH_PROCESS],
+                              stdout=subprocess.PIPE, env=env, text=True)
+             for _ in range(2)]
+    outs = [p.communicate(timeout=60)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert len(json.loads(outs[0])) == 4
+    assert outs[0] == outs[1]
 
 
 def test_degree_cylinder():
