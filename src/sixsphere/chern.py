@@ -245,8 +245,8 @@ def tensor_line_chern() -> TensorChernResult:
     if recon != c2:
         raise NotSymmetric("rewrite in elementary symmetric polynomials failed")
     coeffs = dict(zip(TensorChernResult.BASIS, (a, b, cc, d)))
-    names = ("c1(L)^2", "c1(L)*c1(E)", "c1(E)^2", "c2(E)")
-    parts = [("" if v == 1 else "%d*" % v) + n for n, v in zip(names, (a, b, cc, d)) if v]
+    parts = [("" if v == 1 else "%d*" % v) + n
+             for n, v in zip(TensorChernResult.BASIS, (a, b, cc, d)) if v]
     return TensorChernResult(c2, coeffs, " + ".join(parts))
 
 

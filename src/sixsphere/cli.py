@@ -17,14 +17,11 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, suites, twistor
 from .errors import BadConfig, SixSphereError, TableError, UnknownSuite
-from .octonion import CHECK_TOL
+from .octonion import CHECK_TOL, parse_scalar
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -39,9 +36,11 @@ def _write_json(payload, path: Optional[str]):
             fh.write(text + "\n")
 
 
-def _read_rows(path: str) -> list:
-    """The rows of a matrix stored as JSON: a list of rows, or an object
-    whose "rows" is one."""
+def _read_matrix(cls, path: str):
+    """The `cls` matrix stored as JSON: a list of rows, or an object whose
+    "rows" is one.  Its mode is that of `cls.from_strings`: ints and fraction
+    strings give an exact matrix, and any float makes the whole matrix
+    float."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -58,22 +57,22 @@ def _read_rows(path: str) -> list:
     if bad:
         raise BadConfig("%s holds %r, not a finite number or a fraction string"
                         % (path, bad[0]))
-    return rows
+    return cls.from_strings([[str(x) for x in row] for row in rows])
 
 
 def _is_entry(x) -> bool:
     """Whether x, read from JSON, is a matrix entry: a finite int or float, or
-    a string that `Fraction` accepts."""
+    a string that `parse_scalar` reads as a Fraction or a finite float."""
     if isinstance(x, bool):
         return False
     if isinstance(x, (int, float)):
         return math.isfinite(x)
     if isinstance(x, str):
         try:
-            Fraction(x)
+            v = parse_scalar(x)
         except (ValueError, ZeroDivisionError):
             return False
-        return True
+        return not isinstance(v, float) or math.isfinite(v)
     return False
 
 
@@ -121,12 +120,7 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_companion(args) -> int:
-    rows = _read_rows(args.matrix)
-    if any(isinstance(x, str) for row in rows for x in row):
-        mat = [[Fraction(str(x)) for x in row] for row in rows]
-        lam = twistor.SO7Element(mat)
-    else:
-        lam = twistor.SO7Element(np.array(rows, dtype=float))
+    lam = _read_matrix(twistor.SO7Element, args.matrix)
     try:
         res = twistor.companion(lam, tol=args.tol)
     except SixSphereError as e:
@@ -177,9 +171,7 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    rows = _read_rows(args.structure)
-    j = cstruct.ComplexStructureR6.from_strings(
-        [[str(x) for x in row] for row in rows])
+    j = _read_matrix(cstruct.ComplexStructureR6, args.structure)
     try:
         x = cstruct.recover_x(j)
     except SixSphereError as e:

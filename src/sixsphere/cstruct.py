@@ -53,10 +53,10 @@ def embed6(v: Sequence) -> Octonion:
     return Octonion(c)
 
 
-def extract6(o: Octonion, tol: float = CHECK_TOL) -> list:
+def extract6(o: Octonion) -> list:
     """Coordinates of o in the 6-plane basis; the <1, e1> components must
-    vanish (exactly in exact mode, up to tol otherwise)."""
-    if not arithmetic_of(o).is_zero(o.coords[:2], tol):
+    vanish (exactly in exact mode, up to CHECK_TOL otherwise)."""
+    if not arithmetic_of(o).is_zero(o.coords[:2], CHECK_TOL):
         raise InvalidStructure("vector has components along 1 or e1")
     return [o.coords[idx] for idx in R6_BASIS]
 
@@ -70,12 +70,13 @@ class ComplexStructureR6(SquareMatrix):
     __slots__ = ()
     size, error = 6, InvalidStructure
 
-    def _validate(self, tol: float):
+    def _validate(self):
         ctx = arithmetic_of(self)
         m = ctx.matrix(self.rows)
-        if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), tol):
+        if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL):
             raise InvalidStructure("J is not antisymmetric")
-        if not ctx.equal(ctx.product(m, m), ctx.scaled(ctx.identity(6), -1), tol):
+        if not ctx.equal(ctx.product(m, m), ctx.scaled(ctx.identity(6), -1),
+                         CHECK_TOL):
             raise InvalidStructure("J^2 is not -identity")
         if not self.orientation_sign() > 0:
             raise InvalidStructure("J is not orientation-compatible")
@@ -115,10 +116,10 @@ class ComplexLine:
     u: Octonion
     ju: Octonion
 
-    def contains(self, o: Octonion, tol: float = CHECK_TOL) -> bool:
+    def contains(self, o: Octonion) -> bool:
         uu = self.u.norm_sq()
         proj = (o.inner(self.u) / uu) * self.u + (o.inner(self.ju) / uu) * self.ju
-        return (o - proj).is_zero(tol)
+        return (o - proj).is_zero(CHECK_TOL)
 
 
 _STANDARD: Dict[bool, ComplexStructureR6] = {}
@@ -149,7 +150,7 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     return ComplexStructureR6(ctx.entries(ctx.scaled(m, n), R6_BASIS))
 
 
-def equivalent(x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
+def equivalent(x: Octonion, y: Octonion) -> bool:
     """Same structure, i.e. y is a (complex) multiple of x.
 
     Decided by comparing J_x and J_y; cross-checked against the span
@@ -158,7 +159,8 @@ def equivalent(x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
     same_j = j_from_octonion(x) == j_from_octonion(y)
     # w is nonzero: j_from_octonion rejects a zero x or y
     w = y * x.conjugate()
-    span = arithmetic_of(x, y).is_zero(w.coords[2:], tol * max(1.0, w.norm()))
+    span = arithmetic_of(x, y).is_zero(w.coords[2:],
+                                       FLOAT_EQ_TOL * max(1.0, w.norm()))
     if span != same_j:
         raise VerificationFailed(
             "span criterion and structure comparison disagree (%r vs %r)" % (span, same_j))

@@ -143,14 +143,14 @@ def cube_map() -> MapFamily:
     return m
 
 
-def compose_maps(outer: MapFamily, inner: MapFamily, name: str = "") -> MapFamily:
+def compose_maps(outer: MapFamily, inner: MapFamily) -> MapFamily:
     if inner.lead or outer.lead:
         raise DegenerateInput("composition only supported on the sphere domain")
     dfunc = None
     if outer.dfunc is not None and inner.dfunc is not None:
         def dfunc(x):
             return outer.dfunc(inner.func(x)) @ inner.dfunc(x)
-    return MapFamily(name or "%s.%s" % (outer.name, inner.name),
+    return MapFamily("%s.%s" % (outer.name, inner.name),
                      lambda x: outer.func(inner.func(x)), dfunc)
 
 
@@ -482,13 +482,11 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[np.array(kept, dtype=np.intp)]
 
 
-def _preimage_sign(family: MapFamily, x: np.ndarray, y: np.ndarray,
-                   orientation: int) -> Tuple[int, float]:
+def _preimage_sign(family: MapFamily, x: np.ndarray,
+                   y: np.ndarray) -> Tuple[int, float]:
     """Sign and |det| of the differential at x between the oriented frames
     of the domain (`_after_lead`) and of the sphere at y."""
     dom_frame = _after_lead(family.lead, oriented_frame(x[family.lead:]))
-    if orientation < 0:
-        dom_frame[:, [0, 1]] = dom_frame[:, [1, 0]]
     img_frame = oriented_frame(y / np.linalg.norm(y))
     m = img_frame.T @ _jacobian(family, x[None])[0] @ dom_frame
     det = float(np.linalg.det(m))
@@ -546,8 +544,7 @@ def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
 
 
 def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
-              rng: np.random.Generator, orientation: int,
-              resamples: int) -> TrialReport:
+              rng: np.random.Generator, resamples: int) -> TrialReport:
     """Signed preimages of one target.  Raises the error that names why the
     target must be resampled: a count mismatch between the two passes, an
     empty set whose residuals still reach NO_ROOT_FLOOR, a restart mismatch,
@@ -573,7 +570,7 @@ def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
     for x in merged:
         y = family.func(x[None])[0]
         residuals.append(float(np.max(np.abs(y / np.linalg.norm(y) - target))))
-        sgn, adet = _preimage_sign(family, x, y, orientation)
+        sgn, adet = _preimage_sign(family, x, y)
         signs.append(sgn)
         dets.append(adet)
     if min(dets) < CRITICAL_DET:
@@ -584,13 +581,13 @@ def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
                        float(max(residuals)), len(merged), resamples)
 
 
-def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
-           orientation: int) -> TrialReport:
+def _trial(family: MapFamily, cfg: EngineConfig,
+           rng: np.random.Generator) -> TrialReport:
     resamples = 0
     while True:
         target = _sample_target(family, rng)
         try:
-            return _count_at(family, target, cfg, rng, orientation, resamples)
+            return _count_at(family, target, cfg, rng, resamples)
         except (NonConvergence, UnstablePreimageCount):
             resamples += 1
             if resamples > MAX_RESAMPLE:
@@ -598,16 +595,11 @@ def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
 
 
 def mapping_degree(family: MapFamily, seed: int = 0,
-                   config: Optional[EngineConfig] = None,
-                   orientation: int = 1) -> DegreeReport:
-    """Degree of the map by signed preimage counting over several targets.
-
-    `orientation` = -1 reverses the domain orientation (and so negates the
-    reported degree).
-    """
+                   config: Optional[EngineConfig] = None) -> DegreeReport:
+    """Degree of the map by signed preimage counting over several targets."""
     cfg = config or EngineConfig()
     rng = rng_from_seed(seed)
-    trials = [_trial(family, cfg, rng, orientation) for _ in range(cfg.trials)]
+    trials = [_trial(family, cfg, rng) for _ in range(cfg.trials)]
     degs = {t.degree for t in trials}
     if len(degs) != 1:
         raise ConflictingEstimates(

@@ -75,11 +75,11 @@ class QuaternionFrame:
     def coords(self, o: Octonion) -> List:
         return [o.inner(v) for v in self.basis]
 
-    def contains(self, o: Octonion, tol: float = CHECK_TOL) -> bool:
+    def contains(self, o: Octonion) -> bool:
         proj = Octonion.zero()
         for v in self.basis:
             proj = proj + o.inner(v) * v
-        return (o - proj).is_zero(tol)
+        return (o - proj).is_zero(CHECK_TOL)
 
     def structure_constants(self):
         """4x4 table of coordinate vectors: basis[i]*basis[j] in frame coords."""
@@ -281,7 +281,7 @@ class DoublingCoordinates:
         second = [s + t for s, t in zip(self._qmul(c, b), self._qmul(self._qconj(a), d))]
         return first, second
 
-    def verify_doubling_law(self, tol: float = CHECK_TOL) -> bool:
+    def verify_doubling_law(self) -> bool:
         """Doubling product on coordinates == octonion product, on all 64
         pairs of coordinate basis vectors."""
         units = [([1 if i == k else 0 for k in range(4)], [0, 0, 0, 0]) for i in range(4)]
@@ -290,7 +290,7 @@ class DoublingCoordinates:
             for cd in units:
                 direct = self.from_pair(*ab) * self.from_pair(*cd)
                 paired = self.from_pair(*self.pair_mul(ab, cd))
-                if not (direct - paired).is_zero(tol):
+                if not (direct - paired).is_zero(CHECK_TOL):
                     return False
         return True
 

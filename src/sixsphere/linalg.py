@@ -175,13 +175,13 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 # float helpers
 # ---------------------------------------------------------------------------
 
-def kernel_basis_float(m: np.ndarray, rtol: float = KERNEL_RTOL) -> np.ndarray:
+def kernel_basis_float(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the numerical kernel: right singular
-    vectors whose singular values fall below rtol * s_max."""
+    vectors whose singular values fall below KERNEL_RTOL * s_max."""
     _, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
     if s.size == 0 or s[0] == 0.0:
         return vt
     ncols = vt.shape[1]
-    cutoff = rtol * s[0]
+    cutoff = KERNEL_RTOL * s[0]
     small = [i for i in range(ncols) if i >= s.size or s[i] < cutoff]
     return vt[small, :]

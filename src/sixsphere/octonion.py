@@ -325,9 +325,6 @@ class Octonion:
     def is_imaginary(self, tol: float = FLOAT_EQ_TOL) -> bool:
         return arithmetic_of(self).scalar_eq(self.coords[0], 0, tol)
 
-    def isclose(self, other: "Octonion", tol: float = FLOAT_EQ_TOL) -> bool:
-        return FLOAT.eq(self, other, tol)
-
     # -- interop -------------------------------------------------------------
 
     def to_float_array(self) -> np.ndarray:
@@ -541,8 +538,7 @@ class _FloatArithmetic(Arithmetic):
 
     def kernel(self, rows) -> list:
         return [list(v) for v in
-                linalg.kernel_basis_float(np.array(rows, dtype=float),
-                                          linalg.KERNEL_RTOL)]
+                linalg.kernel_basis_float(np.array(rows, dtype=float))]
 
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
@@ -606,14 +602,15 @@ class SquareMatrix:
     The mode is decided here, once: an ndarray or any float entry gives a
     float array, anything else rows of Fractions (exact).  A subclass sets
     `size` and the `error` that a malformed matrix raises, and may override
-    `_validate`, which runs on construction unless `validate` is False.
+    `_validate`, which runs on construction unless `validate` is False; it
+    tests a float matrix to CHECK_TOL.
     """
 
     __slots__ = ("rows", "exact")
     size: int
     error: type
 
-    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
+    def __init__(self, rows, validate: bool = True):
         n = self.size
         if (isinstance(rows, np.ndarray) and rows.shape != (n, n)
                 or len(rows) != n or any(len(row) != n for row in rows)):
@@ -624,9 +621,9 @@ class SquareMatrix:
         self.rows = (tuple(tuple(Fraction(x) for x in row) for row in rows)
                      if self.exact else np.array(rows, dtype=float))
         if validate:
-            self._validate(tol)
+            self._validate()
 
-    def _validate(self, tol: float):
+    def _validate(self):
         """Raise `error` unless the matrix belongs to the class."""
 
     def as_array(self) -> np.ndarray:

@@ -83,10 +83,9 @@ def random_rational_imaginary_unit(rng: np.random.Generator) -> Octonion:
     return rational_imaginary_unit(random_rational_vector(rng, 6))
 
 
-def random_rational_circle_point(rng: np.random.Generator,
-                                 num_max: int = 12, den_max: int = 7):
+def random_rational_circle_point(rng: np.random.Generator):
     """Exact (cos, sin) with c^2 + s^2 = 1."""
-    t = random_rational_vector(rng, 1, num_max=num_max, den_max=den_max)[0]
+    t = random_rational_vector(rng, 1, num_max=12, den_max=7)[0]
     return rational_circle_point(t)
 
 

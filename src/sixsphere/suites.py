@@ -20,7 +20,8 @@ from .errors import BadConfig, DegenerateX, SixSphereError, UnknownSuite
 from .frames import random_g2_matrix
 from .octonion import (CHECK_TOL, SEPARATION_TOL, Octonion, arithmetic_of,
                        residual)
-from .sampling import (random_rational_circle_point,
+from .sampling import (random_imaginary_unit_float,
+                       random_rational_circle_point,
                        random_rational_imaginary_unit,
                        random_rational_tangent,
                        random_rational_unit_octonion, random_so7_float,
@@ -364,8 +365,7 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
             worst = max(worst, comp.residual)
             samples_pv = []
             for _ in range(4):
-                pv = rng.standard_normal(7)
-                pf = Octonion((0.0, *(pv / np.linalg.norm(pv))))
+                pf = random_imaginary_unit_float(rng)
                 vf = rng.standard_normal(8)
                 vf[0] = 0.0
                 vf -= (vf @ pf.to_float_array()) * pf.to_float_array()

@@ -55,8 +55,8 @@ PENCIL_COEFF_RTOL = 1e-12
 ROOT_CHECK_TOL = 1e-7
 
 
-def _check_point(p: Octonion, tol: float = CHECK_TOL):
-    if not (p.is_imaginary(tol) and p.is_unit(tol)):
+def _check_point(p: Octonion):
+    if not (p.is_imaginary(CHECK_TOL) and p.is_unit(CHECK_TOL)):
         raise NotImaginaryUnit("p must be a unit imaginary octonion")
 
 
@@ -82,16 +82,16 @@ class TangentStructure(SquareMatrix):
             return False
         return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
-    def check_structure(self, tol: float = CHECK_TOL) -> bool:
+    def check_structure(self) -> bool:
         """The matrix is antisymmetric with square -P_p (P_p projects onto
         <1,p>-perp), so it kills <1, p> and is orthogonal with square -id on
-        <1,p>-perp: exactly for an exact structure, within tol for a float
-        one."""
+        <1,p>-perp: exactly for an exact structure, within CHECK_TOL for a
+        float one."""
         ctx = arithmetic_of(self, self.p)
         m = ctx.matrix(self.rows)
         minus_proj = ctx.scaled(ctx.projector(ctx.points([self.p])), -1)
-        return (ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), tol)
-                and ctx.equal(ctx.product(m, m), minus_proj, tol))
+        return (ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL)
+                and ctx.equal(ctx.product(m, m), minus_proj, CHECK_TOL))
 
 
 class Section:
@@ -155,17 +155,17 @@ class SO7Element(SquareMatrix):
     __slots__ = ("_images",)
     size, error = 8, DegenerateInput
 
-    def __init__(self, rows, validate: bool = True, tol: float = CHECK_TOL):
+    def __init__(self, rows, validate: bool = True):
         self._images = None
-        super().__init__(rows, validate, tol)
+        super().__init__(rows, validate)
 
-    def _validate(self, tol: float):
+    def _validate(self):
         ctx = arithmetic_of(self)
         m = ctx.matrix(self.rows)
-        fixed = all(ctx.scalar_eq(row[0], int(i == 0), tol)
+        fixed = all(ctx.scalar_eq(row[0], int(i == 0), CHECK_TOL)
                     for i, row in enumerate(self.rows))
         if not (fixed and ctx.equal(ctx.product(m, ctx.transpose(m)),
-                                    ctx.identity(8), tol)):
+                                    ctx.identity(8), CHECK_TOL)):
             raise DegenerateInput("matrix must be orthogonal and fix 1")
         if not ctx.det(m) > 0:
             raise DegenerateInput("matrix must have determinant +1")
@@ -252,34 +252,26 @@ def section_sample_points() -> List[Octonion]:
 _SAMPLE_STACKS: dict = {}
 
 
-def _on_points(s1: Section, s2: Section, points: Optional[Sequence[Octonion]]):
-    # the context and both sections' stacked matrices at the points
-    if points is None:
-        ctx = arithmetic_of(s1, s2)
-        if ctx.exact not in _SAMPLE_STACKS:
-            pts = ctx.points(section_sample_points())
-            for a in pts:   # shared by every later comparison: read-only
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
-            _SAMPLE_STACKS[ctx.exact] = pts
-        pts = _SAMPLE_STACKS[ctx.exact]
-    else:
-        for p in points:
-            _check_point(p)
-        ctx = arithmetic_of(s1, s2, *points)
-        pts = ctx.points(points)
+def _on_points(s1: Section, s2: Section):
+    # the context and both sections' stacked matrices at the sample points
+    ctx = arithmetic_of(s1, s2)
+    if ctx.exact not in _SAMPLE_STACKS:
+        pts = ctx.points(section_sample_points())
+        for a in pts:   # shared by every later comparison: read-only
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        _SAMPLE_STACKS[ctx.exact] = pts
+    pts = _SAMPLE_STACKS[ctx.exact]
     return ctx, s1.build(ctx, pts), s2.build(ctx, pts)
 
 
-def section_distance(s1: Section, s2: Section,
-                     points: Optional[Sequence[Octonion]] = None) -> float:
-    ctx, m1, m2 = _on_points(s1, s2, points)
+def section_distance(s1: Section, s2: Section) -> float:
+    ctx, m1, m2 = _on_points(s1, s2)
     return ctx.distance(m1, m2)
 
 
-def sections_equal(s1: Section, s2: Section,
-                   points: Optional[Sequence[Octonion]] = None) -> bool:
-    ctx, m1, m2 = _on_points(s1, s2, points)
+def sections_equal(s1: Section, s2: Section) -> bool:
+    ctx, m1, m2 = _on_points(s1, s2)
     return ctx.equal(m1, m2)
 
 
@@ -414,12 +406,11 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
         "companion candidate fails the isotopy identity (defect %g)" % r)
 
 
-def verify_so7_section_identity(lam: SO7Element, a: Octonion,
-                                points: Optional[Sequence[Octonion]] = None) -> float:
+def verify_so7_section_identity(lam: SO7Element, a: Octonion) -> float:
     """max distance between (lam . J_canonical) and the constant section of a
     over the sample points."""
     acted = so7_act(lam, canonical_section())
-    return section_distance(acted, rp7_section(a), points)
+    return section_distance(acted, rp7_section(a))
 
 
 def verify_moufang_action(lam: SO7Element, a: Octonion,
@@ -474,7 +465,7 @@ def triality_cube(x: Octonion, p: Octonion, v: Octonion) -> CubeReport:
     return CubeReport(bool(m1), bool(m2), bool(branch_ok))
 
 
-def fiber_count_rp7(x: Octonion, tol: float = CHECK_TOL) -> int:
+def fiber_count_rp7(x: Octonion) -> int:
     """Number of classes [y] in the projective seven-space with y^6 = x^6.
 
     Any such y lies on the circle through 1 and the imaginary axis of x^6
@@ -489,7 +480,7 @@ def fiber_count_rp7(x: Octonion, tol: float = CHECK_TOL) -> int:
     if w.exact:
         if all(c == 0 for c in w.coords[1:]):
             raise NonGenericInput("x^6 is real; the fiber is not finite")
-    elif np.linalg.norm(wf[1:]) <= tol:
+    elif np.linalg.norm(wf[1:]) <= CHECK_TOL:
         raise NonGenericInput("x^6 is numerically real; the fiber is not finite")
     sols = power_map_preimages(w, 6)
     y6 = ys = np.array(sols)
@@ -533,12 +524,12 @@ def loop_lift_identity(cos_pt, sin_pt, p: Octonion, v: Octonion) -> bool:
 # random exact SO(7)
 # ---------------------------------------------------------------------------
 
-def random_so7_exact(rng: np.random.Generator, factors: int = 2) -> SO7Element:
-    """Product of rational conjugation elements and one exact automorphism
-    from a random admissible frame."""
+def random_so7_exact(rng: np.random.Generator) -> SO7Element:
+    """Product of two rational conjugation elements and one exact
+    automorphism from a random admissible frame."""
     from .frames import random_g2_matrix
     out = SO7Element(random_g2_matrix(rng), validate=False)
-    for _ in range(factors):
+    for _ in range(2):
         x = random_rational_unit_octonion(rng)
         out = conjugation_element(x).compose(out)
     return out

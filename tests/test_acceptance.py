@@ -6,8 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from sixsphere import chern, cstruct, homotopy, suites
-from sixsphere.octonion import Octonion
+from sixsphere import chern, homotopy, suites
 from sixsphere.sampling import (random_rational_unit_octonion, rng_from_seed)
 
 

@@ -202,6 +202,23 @@ def test_companion_cli_exact_matrix(tmp_path):
     assert payload["residual"] == 0.0
 
 
+_IDENTITY_INTS = [[int(i == j) for j in range(8)] for i in range(8)]
+_IDENTITY_STRINGS_AND_A_FLOAT = [[str(x) for x in row] for row in _IDENTITY_INTS]
+_IDENTITY_STRINGS_AND_A_FLOAT[1][2] = 0.0
+
+
+@pytest.mark.parametrize("rows, exact", [(_IDENTITY_INTS, True),
+                                         (_IDENTITY_STRINGS_AND_A_FLOAT, False)],
+                         ids=["ints", "strings-and-a-float"])
+def test_companion_cli_matrix_mode_follows_its_entries(rows, exact, tmp_path):
+    # ints read exactly; one float entry makes the whole matrix float
+    path, out = tmp_path / "m.json", tmp_path / "a.json"
+    path.write_text(json.dumps(rows))
+    assert run_cli(["companion", "--matrix", str(path), "--json", str(out)]) == 0
+    a = json.loads(out.read_text())["a"]
+    assert all("." not in x for x in a) == exact
+
+
 @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [["1", "0"], ["0", "1"]]])
 def test_companion_cli_rejects_wrong_shape(rows, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -226,7 +243,8 @@ def test_unreadable_matrix_file_exit_2(argv, content, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["companion", "--matrix"],
                                   ["recover", "--structure"]])
-@pytest.mark.parametrize("rows", [[[1, 0], [1]], [["x", "0"], ["0", "1"]]])
+@pytest.mark.parametrize("rows", [[[1, 0], [1]], [["x", "0"], ["0", "1"]],
+                                  [["1e400", "0"], ["0", "1"]]])
 def test_bad_matrix_entries_exit_2(argv, rows, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(rows))

@@ -12,8 +12,8 @@ from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, common_line,
                                quaternion_coordinate_form, recover_x,
                                standard_structure, to_cp3)
 from sixsphere.errors import (DegenerateX, IdenticalStructures,
-                              InvalidStructure, NotUnit, RankError)
-from sixsphere.octonion import MUL_INDEX, MUL_SIGN, Octonion
+                              InvalidStructure, NotUnit)
+from sixsphere.octonion import Octonion
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_unit_octonion)
 

@@ -13,7 +13,6 @@ import pytest
 from sixsphere import degree as dg
 from sixsphere.errors import NonGenericValue, NotOdd
 from sixsphere.octonion import Octonion
-from sixsphere.sampling import rng_from_seed
 
 FAST = dg.EngineConfig(n_starts=1200)
 
@@ -257,11 +256,6 @@ def test_degree_rp7_cube():
 def test_rp7_requires_odd():
     with pytest.raises(NotOdd):
         dg.degree_on_rp7(dg.squaring_map(), seed=1, config=FAST)
-
-
-def test_orientation_reversal_negates():
-    assert dg.mapping_degree(dg.squaring_map(), seed=7, config=FAST,
-                             orientation=-1).degree == -2
 
 
 def test_degree_multiplicativity():

@@ -23,21 +23,9 @@ GOLDEN = json.loads(pathlib.Path(__file__).with_name(
 
 CONFIG = dg.EngineConfig(n_starts=300, trials=1)
 
-BUILDERS = {
-    "identity": dg.identity_map,
-    "squaring": dg.squaring_map,
-    "conjugation": dg.conjugation_map,
-    "theta-circle": dg.theta_circle_map,
-    "cylinder-q": lambda: dg.cylinder_loop_map(half_angle=True),
-    "cylinder-loop": dg.cylinder_loop_map,
-    **{"power:%d" % k: (lambda k=k: dg.power_map(k)) for k in range(1, 7)},
-}
-
 
 def _report(name):
-    if name == "rp7-cube":
-        return dg.degree_on_rp7(dg.cube_map(), seed=1, config=CONFIG).to_dict()
-    return dg.mapping_degree(BUILDERS[name](), seed=1, config=CONFIG).to_dict()
+    return dg.named_degree(name, seed=1, config=CONFIG).to_dict()
 
 
 def _close(got, want):
@@ -47,7 +35,7 @@ def _close(got, want):
 
 
 def test_golden_covers_the_inventory_and_the_cube():
-    assert set(GOLDEN) == set(BUILDERS) | {"rp7-cube"}
+    assert set(GOLDEN) == set(dg.MAPS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

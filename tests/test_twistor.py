@@ -56,7 +56,7 @@ def test_check_structure_is_exact_for_exact_structures(rng):
     assert not TangentStructure(p, rows).check_structure()
     # a float structure is checked within the tolerance
     assert TangentStructure(p, st.as_array()).check_structure()
-    assert TangentStructure(p, st.as_array() + 1e-12).check_structure(tol=1e-9)
+    assert TangentStructure(p, st.as_array() + 1e-12).check_structure()
     assert not TangentStructure(p, st.as_array() + 1e-6).check_structure()
 
 
