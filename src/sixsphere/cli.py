@@ -20,7 +20,8 @@ import sys
 from typing import Optional
 
 from . import chern, cstruct, degree as deg, homotopy, suites, twistor
-from .errors import BadConfig, SixSphereError, TableError, UnknownSuite
+from .errors import (BadConfig, OutOfRange, SixSphereError, TableError,
+                     UnknownSuite)
 from .octonion import CHECK_TOL, parse_scalar
 
 USAGE_ERROR = 2
@@ -123,6 +124,8 @@ def _cmd_companion(args) -> int:
     lam = _read_matrix(twistor.SO7Element, args.matrix)
     try:
         res = twistor.companion(lam, tol=args.tol)
+    except BadConfig:
+        raise  # a bad --tol: a usage error
     except SixSphereError as e:
         print("companion: %s" % e, file=sys.stderr)
         return FAILURE
@@ -152,16 +155,19 @@ def _cmd_chern(args) -> int:
 
 def _cmd_homotopy(args) -> int:
     table = homotopy.Pi7Table.from_csv(args.table) if args.table else None
-    if args.space == "s6":
-        expr = homotopy.pi_structures_s6(args.k, table)
-        label = "pi_%d of the structure space of the six-sphere" % args.k
-    else:
-        if args.genus is None:
-            print("homotopy: --space xg needs --genus", file=sys.stderr)
-            return USAGE_ERROR
-        expr = homotopy.pi_structures_xg(args.genus, args.k, table)
-        label = ("pi_%d of the structure space of the genus-%d connected sum"
-                 % (args.k, args.genus))
+    try:
+        if args.space == "s6":
+            expr = homotopy.pi_structures_s6(args.k, table)
+            label = "pi_%d of the structure space of the six-sphere" % args.k
+        else:
+            if args.genus is None:
+                print("homotopy: --space xg needs --genus", file=sys.stderr)
+                return USAGE_ERROR
+            expr = homotopy.pi_structures_xg(args.genus, args.k, table)
+            label = ("pi_%d of the structure space of the genus-%d connected sum"
+                     % (args.k, args.genus))
+    except OutOfRange as e:
+        raise BadConfig(str(e))  # --k or --genus out of range: a usage error
     print("%s: %s" % (label, expr.render()))
     if args.json:
         _write_json({"space": args.space, "k": args.k, "genus": args.genus,

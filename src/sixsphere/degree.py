@@ -8,8 +8,8 @@ The engine counts signed preimages of a regular target value:
     stereographic, the target chart centred at q),
   * deduplicate the converged preimages, discard the target if any preimage
     is near-critical or two independent start batches disagree on the count,
-  * sum the signs of the 7x7 differentials expressed in deterministically
-    oriented orthonormal frames,
+  * sum the signs of the Jacobian determinants between the oriented
+    domain and target spheres, one batched 8x8 determinant (`_signed_dets`),
   * repeat for independent targets and require agreement.
 
 Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
@@ -246,17 +246,6 @@ def _stereo_proj_diff(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.
     return basis.T @ j
 
 
-def oriented_frame(x: np.ndarray) -> np.ndarray:
-    """Deterministic oriented orthonormal tangent frame at a point of a unit
-    sphere: columns t_1..t_{d-1} with det[x, t_1, ..., t_{d-1}] > 0."""
-    b = _orthonormal_complement(x)
-    m = np.column_stack([x, b])
-    if np.linalg.det(m) < 0:
-        b = b.copy()
-        b[:, [0, 1]] = b[:, [1, 0]]
-    return b
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -426,46 +415,32 @@ class _Charted:
 
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
-        residual ever seen)."""
-        s = starts.copy()
-        active = np.ones(len(s), dtype=bool)
+        residual ever seen).  The batch `s` shrinks to the rows still
+        running: converged and runaway rows leave it."""
+        s = starts
         best_res = np.inf
-        done: List[np.ndarray] = []
+        done = [np.empty((0, 8))]
         for _ in range(NEWTON_MAX_ITER):
-            if not active.any():
+            if not len(s):
                 break
-            sa = s[active]
             # the whole batch's `jac` stays bound until the next iteration
             # (and the chart Jacobians are built in place): freeing it early
             # lets malloc trim the heap and the next batch fault it back in
-            x, g, jac = self.evaluate(sa)
+            x, g, jac = self.evaluate(s)
             res = np.linalg.norm(g, axis=1)
             best_res = min(best_res, float(res.min()))
+            # rows drop only after the whole batch is evaluated: a row's
+            # Jacobian bits depend on the rows that share its batch
             conv = res < NEWTON_TOL
-            if conv.any():
-                # rows drop after the whole batch is evaluated; dropping x
-                # and y before the Jacobians moved preimages in the last bit
-                done.append(x[conv])
-                keep = ~conv
-                idx = np.flatnonzero(active)
-                active[idx[conv]] = False
-                sa, g = sa[keep], g[keep]
-                if len(sa) == 0:
-                    continue
+            done.append(x[conv])
+            keep = ~conv
             # a batch with a singular Jacobian (a map of lower-dimensional
             # image) takes the damped least-squares step throughout
-            step = _newton_step(jac[~conv] if conv.any() else jac, g)
+            step = _newton_step(jac[keep], g[keep])
             norms = np.linalg.norm(step, axis=1, keepdims=True)
-            step = step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
-            snew = sa - step
-            # drop runaways
-            runaway = np.linalg.norm(snew, axis=1) > 1e6
-            idx = np.flatnonzero(active)
-            active[idx[runaway]] = False
-            s[idx] = snew
-        if done:
-            return np.vstack(done), best_res
-        return np.empty((0, 8)), best_res
+            s = s[keep] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
+            s = s[~(np.linalg.norm(s, axis=1) > 1e6)]  # drop runaways
+        return np.vstack(done), best_res
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
@@ -482,15 +457,22 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[np.array(kept, dtype=np.intp)]
 
 
-def _preimage_sign(family: MapFamily, x: np.ndarray,
-                   y: np.ndarray) -> Tuple[int, float]:
-    """Sign and |det| of the differential at x between the oriented frames
-    of the domain (`_after_lead`) and of the sphere at y."""
-    dom_frame = _after_lead(family.lead, oriented_frame(x[family.lead:]))
-    img_frame = oriented_frame(y / np.linalg.norm(y))
-    m = img_frame.T @ _jacobian(family, x[None])[0] @ dom_frame
-    det = float(np.linalg.det(m))
-    return (1 if det > 0 else -1), abs(det)
+def _signed_dets(family: MapFamily, x: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Signed Jacobian determinants J_f at the domain points x with unit
+    images u = f(x) / |f(x)|: det Df between oriented tangent frames of the
+    domain and of the seven-sphere, for all points at once.
+
+    With n the unit normal of the domain (the sphere part of x after `lead`
+    zeros), B = Df (I - n n^T) + u n^T maps [n | F] to [u | Df F] for every
+    tangent frame F, and an oriented frame of the domain has
+    det[n | F] = (-1)^lead, so J_f = (-1)^lead det B."""
+    lead = family.lead
+    n = np.zeros_like(x)
+    n[:, lead:] = x[:, lead:]
+    df = _jacobian(family, x)
+    b = df - (df @ n[:, :, None]) * n[:, None, :] + u[:, :, None] * n[:, None, :]
+    return (-1) ** lead * np.linalg.det(b)
 
 
 def _sample_target(family: MapFamily, rng: np.random.Generator) -> np.ndarray:
@@ -525,16 +507,13 @@ def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
         # each start runs in the chart of its own hemisphere, where its
         # coordinates have norm at most one
         mask = sphere_part @ pole <= 0.0
-        if not mask.any():
-            continue
         charted = _Charted(family, target, pole)
         s = _stereo_proj(sphere_part[mask], pole, charted.dom_basis)
         pts, best = charted.solve(np.column_stack([pts_amb[mask, :lead], s]))
         floor = min(floor, best)
-        if len(pts):
-            found.append(pts)
-    allpts = np.vstack(found) if found else np.empty((0, 8))
-    if lead and len(allpts):
+        found.append(pts)
+    allpts = np.vstack(found)
+    if lead:
         # Newton treats theta as unconstrained; only solutions genuinely
         # inside the cylinder count (maps need not be 2pi-periodic in theta,
         # so no wrapping)
@@ -566,19 +545,18 @@ def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
     if len(merged) != len(pre1):
         raise UnstablePreimageCount(
             "%s: restarts found different preimage sets" % family.name)
-    signs, dets, residuals = [], [], []
-    for x in merged:
-        y = family.func(x[None])[0]
-        residuals.append(float(np.max(np.abs(y / np.linalg.norm(y) - target))))
-        sgn, adet = _preimage_sign(family, x, y)
-        signs.append(sgn)
-        dets.append(adet)
-    if min(dets) < CRITICAL_DET:
+    y = family.func(merged)
+    u = y / np.linalg.norm(y, axis=1, keepdims=True)
+    dets = _signed_dets(family, merged, u)
+    min_abs_det = float(np.min(np.abs(dets)))
+    if min_abs_det < CRITICAL_DET:
         raise UnstablePreimageCount(
             "%s: near-critical preimage persists" % family.name)
-    return TrialReport(list(target), int(sum(signs)), signs,
-                       [list(x) for x in merged], float(min(dets)),
-                       float(max(residuals)), len(merged), resamples)
+    signs = np.where(dets > 0, 1, -1).tolist()
+    return TrialReport(list(target), sum(signs), signs,
+                       [list(x) for x in merged], min_abs_det,
+                       float(np.max(np.abs(u - target))), len(merged),
+                       resamples)
 
 
 def _trial(family: MapFamily, cfg: EngineConfig,

@@ -59,92 +59,43 @@ SEPARATION_TOL = 1e-6
 ZERO_NORM_SQ = 1e-30
 
 
-def _cd_mul(x, y):
-    # nested-pair Cayley-Dickson product; leaves are Fractions
-    if not isinstance(x, tuple):
-        return x * y
-    a, b = x
-    c, d = y
-    return (_cd_sub(_cd_mul(a, c), _cd_mul(d, _cd_conj(b))),
-            _cd_add(_cd_mul(c, b), _cd_mul(_cd_conj(a), d)))
+def _cd_mul(x: list, y: list) -> list:
+    # the doubling rule on flat coordinate lists of length 2^k, whose halves
+    # are a, b of x = a + I b and c, d of y = c + I d
+    h = len(x) // 2
+    if not h:
+        return [x[0] * y[0]]
 
+    def conj(v):
+        return v[:1] + [-t for t in v[1:]]
 
-def _cd_add(x, y):
-    if not isinstance(x, tuple):
-        return x + y
-    return (_cd_add(x[0], y[0]), _cd_add(x[1], y[1]))
-
-
-def _cd_sub(x, y):
-    if not isinstance(x, tuple):
-        return x - y
-    return (_cd_sub(x[0], y[0]), _cd_sub(x[1], y[1]))
-
-
-def _cd_neg(x):
-    if not isinstance(x, tuple):
-        return -x
-    return (_cd_neg(x[0]), _cd_neg(x[1]))
-
-
-def _cd_conj(x):
-    if not isinstance(x, tuple):
-        return x
-    return (_cd_conj(x[0]), _cd_neg(x[1]))
-
-
-def _cd_flat(x):
-    if not isinstance(x, tuple):
-        return [x]
-    return _cd_flat(x[0]) + _cd_flat(x[1])
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    return ([p - q for p, q in zip(_cd_mul(a, c), _cd_mul(d, conj(b)))]
+            + [p + q for p, q in zip(_cd_mul(c, b), _cd_mul(conj(a), d))])
 
 
 def _build_table():
     """Run the doubling rule and return (index, sign) arrays with
     e_i * e_j = sign[i][j] * e_{index[i][j]}."""
-
-    def from_flat(v):
-        n = len(v)
-        if n == 1:
-            return v[0]
-        return (from_flat(v[:n // 2]), from_flat(v[n // 2:]))
-
-    def flat_unit(i):
-        v = [Fraction(0)] * 8
-        v[i] = Fraction(1)
-        return from_flat(v)
-
     # flat slots: 0 real, 1 complex unit, 2 quaternion doubling unit,
     # 4 octonion doubling unit; the rest are products.
-    e = [None] * 8
-    e[0] = flat_unit(0)
-    e[1] = flat_unit(1)
-    e[2] = flat_unit(2)
-    e[4] = flat_unit(4)
+    e = [[int(k == i) for k in range(8)] for i in range(8)]
     e[3] = _cd_mul(e[1], e[2])
     e[5] = _cd_mul(e[1], e[4])
     e[6] = _cd_mul(e[2], e[4])
     e[7] = _cd_mul(e[3], e[4])
 
     def identify(x):
-        f = _cd_flat(x)
-        nz = [(i, c) for i, c in enumerate(f) if c != 0]
+        nz = [(i, c) for i, c in enumerate(x) if c != 0]
         if len(nz) != 1 or nz[0][1] not in (1, -1):
-            raise AssertionError("generated basis element is not a signed unit: %r" % f)
+            raise AssertionError("generated basis element is not a signed unit: %r" % x)
         return nz[0]
 
-    flat_of_e = [identify(ek) for ek in e]
-    back = {fi: (k, s) for k, (fi, s) in enumerate(flat_of_e)}
-
-    index = [[0] * 8 for _ in range(8)]
-    sign = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            fi, c = identify(_cd_mul(e[i], e[j]))
-            k, s = back[fi]
-            index[i][j] = k
-            sign[i][j] = int(c * s)
-    return index, sign
+    # flat slot -> (k, s) with e_k = s * (the unit of that slot)
+    back = {fi: (k, s) for k, (fi, s) in enumerate(map(identify, e))}
+    prods = [[identify(_cd_mul(ei, ej)) for ej in e] for ei in e]
+    return ([[back[fi][0] for fi, _ in row] for row in prods],
+            [[c * back[fi][1] for fi, c in row] for row in prods])
 
 
 MUL_INDEX, MUL_SIGN = _build_table()
@@ -602,8 +553,9 @@ class SquareMatrix:
     The mode is decided here, once: an ndarray or any float entry gives a
     float array, anything else rows of Fractions (exact).  A subclass sets
     `size` and the `error` that a malformed matrix raises, and may override
-    `_validate`, which runs on construction unless `validate` is False; it
-    tests a float matrix to CHECK_TOL.
+    `_validate`, which runs on construction unless `validate` is False (after
+    a float matrix is checked to be finite); it tests a float matrix to
+    CHECK_TOL.
     """
 
     __slots__ = ("rows", "exact")
@@ -621,6 +573,8 @@ class SquareMatrix:
         self.rows = (tuple(tuple(Fraction(x) for x in row) for row in rows)
                      if self.exact else np.array(rows, dtype=float))
         if validate:
+            if not self.exact and not np.isfinite(self.rows).all():
+                raise self.error("matrix entries must be finite")
             self._validate()
 
     def _validate(self):

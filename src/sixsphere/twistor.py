@@ -36,8 +36,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .degree import power_map_preimages
-from .errors import (DegenerateInput, InvalidStructure, KernelDimensionError,
-                     NonGenericInput, NotImaginaryUnit, VerificationFailed)
+from .errors import (BadConfig, DegenerateInput, InvalidStructure,
+                     KernelDimensionError, NonGenericInput, NotImaginaryUnit,
+                     VerificationFailed)
 from .frames import apply_matrix
 from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
                        SEPARATION_TOL, Octonion, SquareMatrix, arithmetic_of,
@@ -381,6 +382,8 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     candidates are tried in order: the kernel vectors, their pairwise sums,
     then the pencil roots of each pair.
     """
+    if not 0 <= tol < np.inf:
+        raise BadConfig("tolerance must be a finite number >= 0")
     ctx = arithmetic_of(lam)
     ker = ctx.kernel(_companion_system(lam))
     if len(ker) == 0:

@@ -114,11 +114,30 @@ def test_verify_report_determinism():
     ["degree", "--map", "identity", "--trials", "0"],
     ["degree", "--map", "identity", "--starts", "0"],
     ["verify", "--suite", "moufang", "--samples", "-1"],
+    ["homotopy", "--space", "s6", "--k", "0"],
+    ["homotopy", "--space", "xg", "--k", "1", "--genus", "-1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "moufang", "--mode", "float", "--samples", "1"],
+    ["companion", "--matrix"],
+])
+def test_bad_tolerance_exit_2(argv, tol, tmp_path, capsys):
+    # a negative or NaN tolerance would fail every float check, and an
+    # infinite one pass every check: neither is a verification result
+    if argv[-1] == "--matrix":
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(np.eye(8).tolist()))
+        argv = argv + [str(path)]
+    assert run_cli(argv + ["--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: tolerance must be a finite number >= 0\n"
 
 
 def test_report_mode_is_the_mode_that_ran(monkeypatch):

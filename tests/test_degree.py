@@ -106,14 +106,48 @@ def test_dedupe_matches_greedy_definition(rng):
     assert dg._dedupe(np.empty((0, 8)), tol).shape == (0, 8)
 
 
-def test_oriented_frames(rng):
-    for _ in range(10):
-        x = rng.standard_normal(8)
-        x /= np.linalg.norm(x)
-        b = dg.oriented_frame(x)
-        m = np.column_stack([x, b])
-        assert np.allclose(m.T @ m, np.eye(8), atol=1e-12)
-        assert np.linalg.det(m) > 0
+def _oriented_frame(v, rng):
+    """Orthonormal frame F of the tangent space at the unit vector v with
+    det[v | F] > 0, from the QR decomposition of [v | random columns]."""
+    q, _ = np.linalg.qr(np.column_stack(
+        [v, rng.standard_normal((len(v), len(v) - 1))]))
+    f = q[:, 1:].copy()
+    if np.linalg.det(np.column_stack([v, f])) < 0:
+        f[:, 0] *= -1.0
+    return f
+
+
+def _power2_by_differences():
+    fam = dg.power_map(2)
+    fam.dfunc = None
+    return fam
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dg.power_map(3), dg.conjugation_map, dg.cylinder_loop_map,
+    lambda: dg.cylinder_loop_map(half_angle=True), _power2_by_differences,
+], ids=["power:3", "conjugation", "cylinder-loop", "cylinder-q",
+        "power:2-no-dfunc"])
+def test_signed_dets_match_oriented_frames(make, rng):
+    # det Df between oriented frames of the domain ([d/dtheta | frame of the
+    # sphere part] on the cylinder) and of the seven-sphere at f(x)
+    fam = make()
+    lead = fam.lead
+    x = rng.standard_normal((20, 8))
+    x[:, lead:] /= np.linalg.norm(x[:, lead:], axis=1, keepdims=True)
+    if lead:
+        x[:, 0] = rng.uniform(0.1, 2.0 * np.pi - 0.1, size=len(x))
+    y = fam.func(x)
+    u = y / np.linalg.norm(y, axis=1, keepdims=True)
+    got = dg._signed_dets(fam, x, u)
+    df = dg._jacobian(fam, x)
+    for i in range(len(x)):
+        dom = np.zeros((8, 7))
+        dom[:lead, :lead] = np.eye(lead)
+        dom[lead:, lead:] = _oriented_frame(x[i, lead:], rng)
+        want = np.linalg.det(_oriented_frame(u[i], rng).T @ df[i] @ dom)
+        assert np.sign(got[i]) == np.sign(want)
+        assert abs(got[i] - want) <= 1e-12 * abs(want)
 
 
 def test_degree_identity_and_conjugation():

@@ -1,7 +1,8 @@
 """The square-matrix holder shared by tangent structures, structures on the
 6-plane and SO(7) elements: one mode rule, validation that passes a matrix
-only when every check holds within tolerance (so NaN and inf fail), string
-round trips in both modes; and the companion's lazily built candidates."""
+only when every check holds within tolerance (NaN and inf are rejected
+before any check runs, with no numpy warning), string round trips in both
+modes; and the companion's lazily built candidates."""
 
 from fractions import Fraction as F
 
@@ -47,7 +48,7 @@ def _with_entry(rows: np.ndarray, pos, value) -> np.ndarray:
     return out
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("as_list", [False, True])
 def test_non_finite_float_matrices_are_rejected(value, as_list):
