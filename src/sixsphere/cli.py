@@ -33,8 +33,11 @@ def _write_json(payload, path: Optional[str]):
     if path in (None, "-"):
         print(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise BadConfig("cannot write %s: %s" % (path, e.strerror))
 
 
 def _read_matrix(cls, path: str):

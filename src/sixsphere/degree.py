@@ -19,8 +19,8 @@ and Jacobians are written once over that split (maps from the cylinder
 collapse its ends to +-1, so targets keep away from the real axis).
 Everything is vectorized over Newton starts: the power maps and their
 differentials go through `octonion.batch_mul` and the multiplication
-matrices built with it, and the chart Jacobians are single broadcast
-expressions.
+matrices built with it, one jet giving both, and the chart Jacobians are
+applied to the map's Jacobian as rank-1 updates.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ class MapFamily:
     (theta, p) with p a unit vector in R^7.  `dfunc`, when given, returns the
     ambient 8x8 Jacobian batch (N, 8, 8) (for the cylinder, derivatives with
     respect to (theta, p) in ambient R^1+7 coordinates); when absent the
-    engine takes ambient central differences (`_jacobian`).
+    engine takes ambient central differences (`_jacobian`).  `jet`, when
+    given, returns (func(x), dfunc(x)) from one shared computation; the
+    Newton iterations use it in place of the two calls.
     """
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: str = "s7"            # "s7" | "cylinder"
+    jet: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     @property
     def exact_differential(self) -> bool:
@@ -93,8 +96,8 @@ def power_map(k: int) -> MapFamily:
             r = batch_mul(r, x)
         return r
 
-    def dfunc(x):
-        # r_{i+1} = r_i * x:  D_{i+1} = R_x D_i + L_{r_i}
+    def jet(x):
+        # r_{i+1} = r_i * x:  D_{i+1} = R_x D_i + L_{r_i}; r ends as func(x)
         n = len(x)
         d = np.broadcast_to(np.eye(8), (n, 8, 8)).copy()
         r = x.copy()
@@ -102,9 +105,9 @@ def power_map(k: int) -> MapFamily:
         for _ in range(k - 1):
             d = rx @ d + left_mult_matrix(r)
             r = batch_mul(r, x)
-        return d
+        return r, d
 
-    return MapFamily("power:%d" % k, func, dfunc)
+    return MapFamily("power:%d" % k, func, lambda x: jet(x)[1], jet=jet)
 
 
 def squaring_map() -> MapFamily:
@@ -211,39 +214,11 @@ def _stereo_inv(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarra
     return (2.0 * amb + (q - 1.0) * pole) / (q + 1.0)
 
 
-def _stereo_inv_diff(s: np.ndarray, x: np.ndarray, pole: np.ndarray,
-                     basis: np.ndarray) -> np.ndarray:
-    """(N, d, d-1) Jacobian of `_stereo_inv` at s, given x = _stereo_inv(s)."""
-    den = np.sum(s * s, axis=1) + 1.0
-    # column j: (2 b_j + (2 s_j) pole - (2 s_j) x) / den, in place (see solve)
-    two_s = 2.0 * s[:, None, :]
-    out = two_s * pole[None, :, None]
-    out += 2.0 * basis[None, :, :]
-    out -= two_s * x[:, :, None]
-    out /= den[:, None, None]
-    return out
-
-
 def _stereo_proj(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Stereographic chart from the pole: (N, d) near-unit vectors to (N, d-1);
     -pole maps to 0."""
     t = x @ pole
     return ((x - np.outer(t, pole)) / (1.0 - t)[:, None]) @ basis
-
-
-def _stereo_proj_diff(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(N, d-1, d) Jacobian of `_stereo_proj`."""
-    t = x @ pole
-    den = 1.0 - t
-    core = x - np.outer(t, pole)
-    n, d = x.shape
-    eye = np.eye(d)
-    # d/dx of (x - (x.m)m)/(1 - x.m) = (I - m m^T)/(1-t) + core m^T/(1-t)^2
-    j = (eye - np.outer(pole, pole))[None, :, :] / den[:, None, None]
-    corr = core[:, :, None] * pole[None, None, :]
-    corr /= (den ** 2)[:, None, None]
-    j += corr
-    return basis.T @ j
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +307,6 @@ def _sphere_lattice(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _after_lead(lead: int, sphere: np.ndarray) -> np.ndarray:
-    """(..., 8, 7) tangent map of a domain: `lead` flat directions, then the
-    (..., 8-lead, 7-lead) block `sphere` of the sphere part."""
-    if not lead:
-        return sphere  # the whole map: no copy in the Newton loop
-    out = np.zeros(sphere.shape[:-2] + (8, 7))
-    out[..., :lead, :lead] = np.eye(lead)
-    out[..., lead:, lead:] = sphere
-    return out
-
-
 def _jacobian(family: MapFamily, x: np.ndarray) -> np.ndarray:
     """(N, 8, 8) ambient Jacobian at the domain points x: `dfunc`, or central
     differences with the sphere part of each displaced point put back on the
@@ -395,23 +359,48 @@ class _Charted:
         self.target_basis = _orthonormal_complement(self.target_pole)
         self.dom_pole = dom_pole
         self.dom_basis = _orthonormal_complement(dom_pole)
+        # [T | m] and diag(I_lead, B), the constant factors of jac
+        self.target_frame = np.column_stack([self.target_basis,
+                                             self.target_pole])
+        self.dom_frame = np.zeros((8, 7))
+        self.dom_frame[:self.lead, :self.lead] = np.eye(self.lead)
+        self.dom_frame[self.lead:, self.lead:] = self.dom_basis
 
     def evaluate(self, s: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, g, jac) at chart points s: the domain points, the charted map
         and its (N, 7, 7) Jacobian, from one inverse chart and one map
-        evaluation."""
-        lead = self.lead
-        sphere = _stereo_inv(s[:, lead:], self.dom_pole, self.dom_basis)
+        evaluation (the map's jet, or `func` and `_jacobian`).
+
+        jac = dphi Df diag(I_lead, dsigma), and neither chart Jacobian is
+        built: with B, p the domain basis and pole, T, m the target basis
+        and pole (T^T m = 0), s' the sphere part of s and x' its point on
+        the sphere, both are rank-1 updates,
+            dsigma = 2 (B + (p - x') s'^T) / (1 + |s'|^2),
+            dphi = (T^T + g m^T) / (1 - y.m).
+        So E = Df diag(I_lead, B) + (Df_s (p - x')) s'^T on the sphere
+        columns (one GEMM and one outer product), jac = T^T E + g (m^T E),
+        and both scalar factors are applied to the columns of jac last."""
+        lead, n = self.lead, len(s)
+        s_sph = s[:, lead:]
+        sphere = _stereo_inv(s_sph, self.dom_pole, self.dom_basis)
         x = np.column_stack([s[:, :lead], sphere])
-        y = self.family.func(x)
+        if self.family.jet is not None:
+            y, df = self.family.jet(x)
+        else:
+            y, df = self.family.func(x), _jacobian(self.family, x)
         g = _stereo_proj(y, self.target_pole, self.target_basis)
-        # dphi before dsigma: holding an (N, 8, 7) dsigma across dphi's
-        # (N, 8, 8) temporaries tripled theta-circle's minor page faults
-        dphi = _stereo_proj_diff(y, self.target_pole, self.target_basis)
-        return x, g, dphi @ _jacobian(self.family, x) @ _after_lead(
-            lead, _stereo_inv_diff(s[:, lead:], sphere, self.dom_pole,
-                                   self.dom_basis))
+        e = (df.reshape(8 * n, 8) @ self.dom_frame).reshape(n, 8, 7)
+        e[:, :, lead:] += np.einsum("ni,nj->nij", np.einsum(
+            "nij,nj->ni", df[:, :, lead:], self.dom_pole - sphere), s_sph)
+        te = self.target_frame.T @ e  # rows: T^T E, then m^T E
+        jac = te[:, :7] + np.einsum("ni,nj->nij", g, te[:, 7])
+        scale = np.empty((n, 7))
+        scale[:] = (1.0 / (1.0 - y @ self.target_pole))[:, None]
+        scale[:, lead:] *= 2.0 / (1.0 + np.sum(s_sph * s_sph, axis=1,
+                                               keepdims=True))
+        jac *= scale[:, None, :]
+        return x, g, jac
 
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
@@ -423,9 +412,9 @@ class _Charted:
         for _ in range(NEWTON_MAX_ITER):
             if not len(s):
                 break
-            # the whole batch's `jac` stays bound until the next iteration
-            # (and the chart Jacobians are built in place): freeing it early
-            # lets malloc trim the heap and the next batch fault it back in
+            # the whole batch's `jac` stays bound until the next iteration:
+            # freeing it early lets malloc trim the heap and the next batch
+            # fault it back in
             x, g, jac = self.evaluate(s)
             res = np.linalg.norm(g, axis=1)
             best_res = min(best_res, float(res.min()))

@@ -15,13 +15,14 @@ random rational frames without ever leaving the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
                      NotOrthogonal)
+# kernel_basis has no caller here: it stays bound as frames.kernel_basis,
+# which bench/test_smoke.py reads
 from .linalg import kernel_basis, mat_vec
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion, arithmetic_of,
                        exact_sqrt, normalize)
@@ -298,9 +299,3 @@ class DoublingCoordinates:
 def doubling_coordinates(frame: QuaternionFrame, doubling_unit: Octonion) -> DoublingCoordinates:
     return DoublingCoordinates(frame, doubling_unit)
 
-
-def orthogonal_complement_basis(vectors: Sequence[Octonion]) -> List[Octonion]:
-    """Exact rational basis (not normalized) of the orthogonal complement of
-    the span of the given exact octonions."""
-    rows = [[Fraction(c) for c in v.coords] for v in vectors]
-    return [Octonion(v) for v in kernel_basis(rows)]

@@ -16,18 +16,21 @@ always passed explicitly; nothing here touches global RNG state.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import BadConfig, OutOfRange
 from .linalg import dot
 from .octonion import Octonion
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide PRNG: PCG64 seeded with a 64-bit integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise BadConfig("seed must be an integer >= 0")
     return np.random.default_rng(np.random.PCG64(seed))
 
 

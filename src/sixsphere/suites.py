@@ -519,6 +519,7 @@ def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",
         raise BadConfig("samples must be nonnegative")
     if not 0 <= tolerance < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
+    rng_from_seed(seed)  # a bad seed raises here, not inside a suite's checks
     if mode not in MODES[name]:
         mode = MODES[name][0]
     t0 = time.monotonic()

@@ -123,6 +123,36 @@ def test_usage_errors_exit_2(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "moufang"],
+    ["degree", "--map", "identity"],
+])
+def test_negative_seed_exit_2(argv, capsys):
+    assert run_cli(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+
+
+def test_negative_seed_raises_bad_config():
+    # checked before a suite runs: a suite that reports library errors as
+    # failure entries must not report this one
+    for name in suites.SUITES:
+        with pytest.raises(BadConfig, match="seed"):
+            suites.run_suite(name, samples=1, seed=-1)
+    with pytest.raises(BadConfig, match="seed"):
+        degree.mapping_degree(degree.identity_map(), seed=-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "moufang", "--samples", "1"],
+    ["degree", "--map", "identity", "--trials", "1", "--starts", "300"],
+])
+def test_unwritable_json_path_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert run_cli(argv + ["--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "moufang", "--mode", "float", "--samples", "1"],

@@ -28,43 +28,6 @@ def test_stereo_charts_invert_each_other(rng):
     assert np.allclose(back, s, atol=1e-12)
 
 
-def test_stereo_diffs_match_finite_differences(rng):
-    pole = rng.standard_normal(8)
-    pole /= np.linalg.norm(pole)
-    basis = dg._orthonormal_complement(pole)
-    s = rng.standard_normal((1, 7)) * 0.7
-    d = dg._stereo_inv_diff(s, dg._stereo_inv(s, pole, basis), pole, basis)[0]
-    h = 1e-6
-    for j in range(7):
-        sp = s.copy(); sp[0, j] += h
-        sm = s.copy(); sm[0, j] -= h
-        fd = (dg._stereo_inv(sp, pole, basis) - dg._stereo_inv(sm, pole, basis))[0] / (2 * h)
-        assert np.allclose(d[:, j], fd, atol=1e-7)
-    x = dg._stereo_inv(s, pole, basis)
-    dp = dg._stereo_proj_diff(x, pole, basis)[0]
-    for j in range(8):
-        xp = x.copy(); xp[0, j] += h
-        xm = x.copy(); xm[0, j] -= h
-        fd = (dg._stereo_proj(xp, pole, basis) - dg._stereo_proj(xm, pole, basis))[0] / (2 * h)
-        assert np.allclose(dp[:, j], fd, atol=1e-6)
-
-
-def test_stereo_inv_diff_equals_column_loop(rng):
-    # the broadcast Jacobian does each element's arithmetic in the loop's order
-    pole = rng.standard_normal(8)
-    pole /= np.linalg.norm(pole)
-    basis = dg._orthonormal_complement(pole)
-    s = rng.standard_normal((20, 7))
-    x = dg._stereo_inv(s, pole, basis)
-    den = np.sum(s * s, axis=1) + 1.0
-    want = np.empty((20, 8, 7))
-    for j in range(7):
-        want[:, :, j] = (2.0 * basis[:, j][None, :]
-                         + 2.0 * s[:, j][:, None] * pole[None, :]
-                         - 2.0 * s[:, j][:, None] * x) / den[:, None]
-    assert np.array_equal(dg._stereo_inv_diff(s, x, pole, basis), want)
-
-
 def test_power_map_dfunc_matches_fd(rng):
     fam = dg.power_map(3)
     x = rng.standard_normal((1, 8))
@@ -119,15 +82,49 @@ def _oriented_frame(v, rng):
 
 def _power2_by_differences():
     fam = dg.power_map(2)
-    fam.dfunc = None
+    fam.dfunc = fam.jet = None
     return fam
 
 
-@pytest.mark.parametrize("make", [
+_DIFFERENTIAL_MAPS = pytest.mark.parametrize("make", [
     lambda: dg.power_map(3), dg.conjugation_map, dg.cylinder_loop_map,
     lambda: dg.cylinder_loop_map(half_angle=True), _power2_by_differences,
 ], ids=["power:3", "conjugation", "cylinder-loop", "cylinder-q",
         "power:2-no-dfunc"])
+
+
+@_DIFFERENTIAL_MAPS
+def test_charted_jacobian_matches_finite_differences(make, rng):
+    # jac of `evaluate` against central differences of g in chart coordinates
+    fam = make()
+    lead = fam.lead
+    target = rng.standard_normal(8)
+    charted = dg._Charted(fam, target / np.linalg.norm(target),
+                          np.eye(8 - lead)[0])
+    s = 0.7 * rng.standard_normal((10, 7))
+    if lead:
+        s[:, 0] = rng.uniform(0.5, 2.0 * np.pi - 0.5, size=len(s))
+    _, _, jac = charted.evaluate(s)
+    h = 1e-6
+    for j in range(7):
+        sp = s.copy(); sp[:, j] += h
+        sm = s.copy(); sm[:, j] -= h
+        fd = (charted.evaluate(sp)[1] - charted.evaluate(sm)[1]) / (2 * h)
+        assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["power:%d" % k for k in range(1, 7)]
+                         + ["squaring", "rp7-cube"])
+def test_power_jet_equals_func_and_dfunc(name, rng):
+    fam = dg.named_map(name)
+    x = rng.standard_normal((50, 8))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y, d = fam.jet(x)
+    assert np.array_equal(y, fam.func(x))
+    assert np.array_equal(d, fam.dfunc(x))
+
+
+@_DIFFERENTIAL_MAPS
 def test_signed_dets_match_oriented_frames(make, rng):
     # det Df between oriented frames of the domain ([d/dtheta | frame of the
     # sphere part] on the cylinder) and of the seven-sphere at f(x)
@@ -162,7 +159,7 @@ def test_degree_squaring():
 def test_degree_power4_with_finite_differences():
     # drop the exact differential: exercises the chart-level fallback
     fam = dg.power_map(4)
-    fam.dfunc = None
+    fam.dfunc = fam.jet = None
     assert not fam.exact_differential
     assert dg.mapping_degree(fam, seed=3, config=FAST).degree == 4
 
@@ -213,27 +210,42 @@ def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
 
 
 def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
-    fam = dg.theta_circle_map()
-    calls = {"func": 0, "dfunc": 0, "stereo_inv": 0, "iterations": 0}
+    calls = {}
 
     def counted(key, fn):
+        calls[key] = 0
+
         def wrapper(*args):
             calls[key] += 1
             return fn(*args)
         return wrapper
 
-    fam.func = counted("func", fam.func)
-    fam.dfunc = counted("dfunc", fam.dfunc)
     monkeypatch.setattr(dg, "_stereo_inv", counted("stereo_inv", dg._stereo_inv))
     monkeypatch.setattr(dg, "_newton_step",
                         counted("iterations", dg._newton_step))
     target = rng.standard_normal(8)
     pole = np.zeros(8); pole[0] = 1.0
+
+    fam = dg.theta_circle_map()
+    fam.func = counted("func", fam.func)
+    fam.dfunc = counted("dfunc", fam.dfunc)
     charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
     pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
     # theta-circle has no regular preimage: every start runs every iteration
     assert len(pts) == 0
     assert calls == dict.fromkeys(calls, dg.NEWTON_MAX_ITER)
+
+    # a power map is evaluated through its jet alone
+    fam = dg.power_map(3)
+    fam.jet = counted("jet", fam.jet)
+    fam.func = counted("func", fam.func)
+    fam.dfunc = counted("dfunc", fam.dfunc)
+    calls["stereo_inv"] = calls["iterations"] = 0
+    charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
+    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
+    assert len(pts) > 0
+    assert calls["func"] == calls["dfunc"] == 0
+    assert 0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
 
 
 _REPORTS_IN_FRESH_PROCESS = """

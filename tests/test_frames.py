@@ -9,7 +9,6 @@ from sixsphere.errors import (DegenerateInput, FrameInvalid, NotOrthogonal)
 from sixsphere.frames import (G2Frame, QuaternionFrame, apply_matrix,
                               doubling_coordinates, exact_sqrt,
                               g2_from_frame, householder_swap, normalize,
-                              orthogonal_complement_basis,
                               quaternion_subalgebra_through,
                               random_g2_frame, random_g2_matrix,
                               random_quaternion_frame)
@@ -181,11 +180,3 @@ def test_g2_simple_transitivity_uniqueness(rng):
                         apply_matrix(m1, E[4]))
     assert g2_from_frame(img_frame) == m1
 
-
-def test_orthogonal_complement_exact(rng):
-    f = random_quaternion_frame(rng)
-    comp = orthogonal_complement_basis(list(f.basis))
-    assert len(comp) == 4
-    for v in comp:
-        for b in f.basis:
-            assert v.inner(b) == 0
