@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -38,6 +40,26 @@ def _write_json(payload, path: Optional[str]):
                 fh.write(text + "\n")
         except OSError as e:
             raise BadConfig("cannot write %s: %s" % (path, e.strerror))
+
+
+def _check_json_path(path: Optional[str]):
+    """Raise `_write_json`'s error before the run when the --json path
+    cannot be written (its folder is missing, is not a folder or is not
+    writable, or the path is a folder), instead of after the whole run."""
+    if path in (None, "-"):
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(folder):
+        code = errno.ENOENT
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise BadConfig("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _read_matrix(cls, path: str):
@@ -252,6 +274,7 @@ def main(argv=None) -> int:
                 "companion": _cmd_companion, "chern": _cmd_chern,
                 "homotopy": _cmd_homotopy, "recover": _cmd_recover}
     try:
+        _check_json_path(args.json)
         return handlers[args.command](args)
     except (UnknownSuite, BadConfig, TableError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -17,10 +17,11 @@ is the same thing with no interval coordinate: a domain point is `lead`
 interval coordinates followed by a point of a sphere, and charts, frames
 and Jacobians are written once over that split (maps from the cylinder
 collapse its ends to +-1, so targets keep away from the real axis).
-Everything is vectorized over Newton starts: the power maps and their
-differentials go through `octonion.batch_mul` and the multiplication
-matrices built with it, one jet giving both, and the chart Jacobians are
-applied to the map's Jacobian as rank-1 updates.
+Everything is vectorized over Newton starts.  The power maps evaluate
+through `octonion.batch_mul`; their jet (value and Jacobian together) is in
+closed form, O(k) scalar recurrences in Re(x) and |Im(x)|^2 by Artin's
+theorem, and the chart Jacobians are applied to the map's Jacobian as
+rank-1 updates.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import (BadConfig, ConflictingEstimates, DegenerateInput,
                      NonConvergence, NonGenericValue, NotOdd, OutOfRange,
                      UnstablePreimageCount)
-from .octonion import (SEPARATION_TOL, Octonion, batch_mul,
-                       left_mult_matrix, right_mult_matrix)
+from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, SEPARATION_TOL, ZERO_NORM_SQ,
+                       Octonion, batch_mul)
 from .sampling import rng_from_seed
 
 # ---------------------------------------------------------------------------
@@ -97,15 +98,34 @@ def power_map(k: int) -> MapFamily:
         return r
 
     def jet(x):
-        # r_{i+1} = r_i * x:  D_{i+1} = R_x D_i + L_{r_i}; r ends as func(x)
+        # x and h generate an associative subalgebra (Artin's theorem), so
+        # D(x^k) h = sum_j x^j h x^(k-1-j).  With x = x0 + v, t^2 = |v|^2
+        # and e0 the real unit this sums to
+        #   x^k = p_k + q_k v,
+        #   Df = q_k I + v (e_k v + b_k e0)^T + e0 (t^2 e_k e0 - b_k v)^T,
+        # where p_0 = 1, q_0 = 0, p_{j+1} = x0 p_j - t^2 q_j,
+        # q_{j+1} = p_j + x0 q_j, e_1 = 0, e_j = x0 e_{j-1} - (j-1) q_{j-2}
+        # and b_k = k q_{k-1}: no division, so exact on the real axis too
         n = len(x)
-        d = np.broadcast_to(np.eye(8), (n, 8, 8)).copy()
-        r = x.copy()
-        rx = right_mult_matrix(x)
-        for _ in range(k - 1):
-            d = rx @ d + left_mult_matrix(r)
-            r = batch_mul(r, x)
-        return r, d
+        x0 = x[:, 0]
+        v = x.copy()
+        v[:, 0] = 0.0
+        t2 = np.einsum("ni,ni->n", v, v)
+        p, q, e = np.ones(n), np.zeros(n), np.zeros(n)
+        for j in range(1, k):
+            e = x0 * e - j * q
+            p, q = x0 * p - t2 * q, p + x0 * q
+        b = k * q
+        p, q = x0 * p - t2 * q, p + x0 * q
+        y = q[:, None] * v
+        y[:, 0] = p
+        c = e[:, None] * v
+        c[:, 0] = b
+        d = np.einsum("ni,nj->nij", v, c)  # row 0 is zero: v[:, 0] = 0
+        d[:, 0, 0] = t2 * e
+        d[:, 0, 1:] = -b[:, None] * v[:, 1:]
+        d.reshape(n, 64)[:, ::9] += q[:, None]
+        return y, d
 
     return MapFamily("power:%d" % k, func, lambda x: jet(x)[1], jet=jet)
 
@@ -129,7 +149,7 @@ def theta_circle_map() -> MapFamily:
     def dfunc(x):
         n = len(x)
         d = np.zeros((n, 8, 8))
-        s = np.sqrt(np.maximum(1.0 - x[:, 0] ** 2, 1e-30))
+        s = np.sqrt(np.maximum(1.0 - x[:, 0] ** 2, ZERO_NORM_SQ))
         d[:, 0, 0] = 1.0
         d[:, 1, 0] = -x[:, 0] / s
         return d
@@ -278,6 +298,9 @@ NO_ROOT_FLOOR = 1e-4
 LSQ_DAMPING = 1e-9
 #: random points on which `degree_on_rp7` checks that a map is odd
 ODDNESS_SAMPLES = 64
+#: theta distance from the cylinder's ends inside which a preimage is
+#: dropped as a boundary point
+THETA_MARGIN = 1e-6
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -507,7 +530,7 @@ def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
         # inside the cylinder count (maps need not be 2pi-periodic in theta,
         # so no wrapping)
         th = allpts[:, 0]
-        allpts = allpts[(th > 1e-6) & (th < 2.0 * np.pi - 1e-6)]
+        allpts = allpts[(th > THETA_MARGIN) & (th < 2.0 * np.pi - THETA_MARGIN)]
     return _dedupe(allpts, SEPARATION_TOL), floor
 
 
@@ -594,7 +617,7 @@ def power_map_preimages(w: Octonion, k: int) -> List[np.ndarray]:
     wf = w.to_float_array()
     wf = wf / np.linalg.norm(wf)
     s = np.linalg.norm(wf[1:])
-    if s < 1e-12:
+    if s < FLOAT_EQ_TOL:
         raise NonGenericValue("w is (numerically) real: preimages not isolated")
     axis = wf[1:] / s
     phi = math.atan2(s, wf[0])
@@ -616,7 +639,7 @@ def degree_on_rp7(family: MapFamily, seed: int = 0,
     rng = rng_from_seed((seed ^ 0x9E3779B9) & 0xFFFFFFFF)
     x = rng.standard_normal((ODDNESS_SAMPLES, 8))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    if np.max(np.abs(family.func(-x) + family.func(x))) > 1e-9:
+    if np.max(np.abs(family.func(-x) + family.func(x))) > CHECK_TOL:
         raise NotOdd("%s does not commute with the antipodal map" % family.name)
     rep = mapping_degree(family, seed=seed, config=config)
     return DegreeReport("rp7(%s)" % family.name, rep.degree, rep.trials,

@@ -1,6 +1,7 @@
 """CLI and suite-report plumbing: exit codes, JSON schema, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -149,8 +150,20 @@ def test_negative_seed_raises_bad_config():
 def test_unwritable_json_path_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "missing" / "report.json"
     assert run_cli(argv + ["--json", str(path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err == "error: cannot write %s: No such file or directory\n" % path
+    assert out == ""  # the path is checked before any suite or engine runs
+
+
+@pytest.mark.parametrize("leaf, reason", [
+    ("", "Is a directory"), ("file.txt/report.json", "Not a directory")])
+def test_json_path_in_no_folder_exit_2(leaf, reason, tmp_path, capsys):
+    (tmp_path / "file.txt").write_text("")
+    path = os.path.join(str(tmp_path), leaf)
+    argv = ["degree", "--map", "identity", "--trials", "1", "--json", path]
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: cannot write %s: %s\n" % (path, reason))
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -12,7 +12,8 @@ import pytest
 
 from sixsphere import degree as dg
 from sixsphere.errors import NonGenericValue, NotOdd
-from sixsphere.octonion import Octonion
+from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
+                                right_mult_matrix)
 
 FAST = dg.EngineConfig(n_starts=1200)
 
@@ -113,15 +114,62 @@ def test_charted_jacobian_matches_finite_differences(make, rng):
         assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6)
 
 
+#: how far the closed-form power jet may sit from the `batch_mul` chain of
+#: `func` and from the product rule: about 20x the largest gap seen (6.2e-15
+#: for k = 1..7)
+POWER_JET_TOL = 1e-13
+
+
+def _power_jet_by_product_rule(x, k):
+    """x^k and Df by r_{i+1} = r_i x and D_{i+1} = R_x D_i + L_{r_i}."""
+    d = np.broadcast_to(np.eye(8), (len(x), 8, 8)).copy()
+    r = x.copy()
+    for _ in range(k - 1):
+        d = right_mult_matrix(x) @ d + left_mult_matrix(r)
+        r = batch_mul(r, x)
+    return r, d
+
+
 @pytest.mark.parametrize("name", ["power:%d" % k for k in range(1, 7)]
                          + ["squaring", "rp7-cube"])
 def test_power_jet_equals_func_and_dfunc(name, rng):
     fam = dg.named_map(name)
+    k = {"squaring": 2, "rp7-cube": 3}.get(name) or int(name[len("power:"):])
     x = rng.standard_normal((50, 8))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # five rows 1e-10 from the real axis, near +1 and near -1
+    x[:5, 0] = (-1.0) ** np.arange(5)
+    x[:5, 1:] *= 1e-10 / np.linalg.norm(x[:5, 1:], axis=1, keepdims=True)
+    x = np.vstack([x / np.linalg.norm(x, axis=1, keepdims=True),
+                   np.eye(8)[:1], -np.eye(8)[:1]])
     y, d = fam.jet(x)
-    assert np.array_equal(y, fam.func(x))
+    want_y, want_d = _power_jet_by_product_rule(x, k)
+    assert np.max(np.abs(y - fam.func(x))) <= POWER_JET_TOL
+    assert np.max(np.abs(y - want_y)) <= POWER_JET_TOL
+    assert np.max(np.abs(d - want_d)) <= POWER_JET_TOL
     assert np.array_equal(d, fam.dfunc(x))
+    # at x = +-1 the derivative of x^k is k (+-1)^(k-1) I, with no rounding
+    assert np.array_equal(d[-2], k * np.eye(8))
+    assert np.array_equal(d[-1], k * (-1) ** (k - 1) * np.eye(8))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_power_signed_dets_match_closed_form(k, rng):
+    # at a unit x at angle a from 1, x -> x^k stretches the circle through 1
+    # and x by k and each of the six orthogonal directions by
+    # sigma = sin(ka) / sin(a), so J_f = k sigma^6, which neither the jet nor
+    # the batched determinant computes.  Rounding moves a determinant by
+    # about eps times its largest 7-fold minor, k |sigma|^5 near a zero of
+    # sigma, hence the scale of the bound.
+    fam = dg.power_map(k)
+    x = rng.standard_normal((200, 8))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y = fam.func(x)
+    got = dg._signed_dets(fam, x, y / np.linalg.norm(y, axis=1, keepdims=True))
+    a = np.arccos(x[:, 0])
+    sigma = np.sin(k * a) / np.sin(a)
+    want = k * sigma ** 6
+    scale = np.abs(want) + k * np.abs(sigma) ** 5
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
 
 
 @_DIFFERENTIAL_MAPS
