@@ -56,7 +56,7 @@ def embed6(v: Sequence) -> Octonion:
 def extract6(o: Octonion) -> list:
     """Coordinates of o in the 6-plane basis; the <1, e1> components must
     vanish (exactly in exact mode, up to CHECK_TOL otherwise)."""
-    if not arithmetic_of(o).is_zero(o.coords[:2], CHECK_TOL):
+    if not arithmetic_of(o).is_zero(o.numerators[:2], CHECK_TOL):
         raise InvalidStructure("vector has components along 1 or e1")
     return [o.coords[idx] for idx in R6_BASIS]
 
@@ -147,7 +147,8 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
         raise NotUnit("x must be nonzero")
     r = ctx.right(ctx.points([x]))   # R_conj(x) is its transpose
     m = ctx.product(ctx.transpose(r), ctx.left(ctx.points([ctx.e1])), r)
-    return ComplexStructureR6(ctx.entries(ctx.scaled(m, n), R6_BASIS))
+    return ComplexStructureR6._trusted(ctx.entries(ctx.scaled(m, n), R6_BASIS),
+                                       ctx.exact)
 
 
 def equivalent(x: Octonion, y: Octonion) -> bool:

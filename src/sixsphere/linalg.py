@@ -50,6 +50,15 @@ def lift(v: Sequence) -> Optional[Lifted]:
     return [c.numerator * (d // e) for c, e in zip(v, dens)], d
 
 
+def lift_exact(v: Sequence) -> Lifted:
+    """`lift` of v with every entry taken as an exact rational: ints and
+    Fractions as they are, anything else (a float, a numpy scalar) through
+    `Fraction`."""
+    nums, d = lift([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                    for x in v])
+    return [int(n) for n in nums], int(d)
+
+
 def _dot(x, y, p: Optional[Lifted], q: Optional[Lifted]):
     # x . y, given the lifts p of x and q of y
     if p is None or q is None:
@@ -87,43 +96,55 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rref(m: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots = []
-    r = 0
+def _integer_rref(m: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """The nonzero rows of the reduced row echelon form of m, each scaled to
+    primitive integers, and their pivot columns.
+
+    Scaling a row leaves the row space, and so the reduced form, unchanged:
+    each row of rationals is lifted to integers and every elimination step
+    r_i <- p r_i - f r_pivot stays in the integers, divided by the gcd of the
+    new row (Knuth, TAOCP vol. 2, 4.5.1).  Row k of the reduced form is
+    rows[k] / rows[k][pivots[k]]."""
+    rows = [lift_exact(row)[0] for row in m]
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        p = pr[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(row, pr)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(rows):
             break
-    return a, pivots
+    rows = rows[:len(pivots)]
+    for k, row in enumerate(rows):
+        g = math.gcd(*row)
+        if g > 1:
+            rows[k] = [x // g for x in row]
+    return rows, pivots
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact basis of the right kernel {v : m v = 0}."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    a, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Exact basis of the right kernel {v : m v = 0}: for each free column,
+    the vector with 1 there, 0 on the other free columns, read off the
+    reduced row echelon form."""
+    ncols = len(m[0]) if len(m) else 0
+    rows, pivots = _integer_rref(m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 

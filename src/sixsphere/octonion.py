@@ -35,13 +35,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateInput, ZeroDivisor
-from .linalg import dot, lift
+from .linalg import dot
 
 ScalarLike = Union[int, Fraction, float]
 
@@ -139,32 +140,98 @@ def _table_product(x: Sequence, y: Sequence) -> list:
     return z
 
 
-def _coerce(coords: Iterable[ScalarLike]):
-    cs = tuple(coords)
-    if len(cs) != 8:
-        raise DegenerateInput("octonion needs exactly 8 coordinates, got %d" % len(cs))
-    if any(isinstance(c, float) or isinstance(c, np.floating) for c in cs):
-        return tuple(float(c) for c in cs), False
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in cs), True
+def _int_product_source() -> str:
+    # the table product written out term by term: 64 products, no loop and
+    # no zero tests, which pays for integers (for floats the loop's zero
+    # skipping fixes the signs of zero coordinates, so they keep it)
+    terms = [[] for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            terms[MUL_INDEX[i][j]].append(
+                "%sx%d*y%d" % ("-" if MUL_SIGN[i][j] < 0 else "+", i, j))
+    return ("def _int_product(x, y):\n"
+            "    x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
+            "    y0, y1, y2, y3, y4, y5, y6, y7 = y\n"
+            "    return [%s]\n" % ", ".join("".join(t).lstrip("+") for t in terms))
+
+
+_namespace: dict = {}
+exec(_int_product_source(), _namespace)
+#: `_table_product` of two integer coordinate sequences
+_int_product = _namespace.pop("_int_product")
+
+
+def _exact(num: tuple, d: int) -> "Octonion":
+    """The exact octonion num / d for a canonical pair (int numerators, int
+    d > 0, gcd 1), not re-validated: the one place exact results are made."""
+    o = object.__new__(Octonion)
+    o.numerators, o.denominator, o._coords, o.exact = num, d, None, True
+    return o
+
+
+def _reduced(num: Sequence[int], d: int) -> "Octonion":
+    """The exact octonion num / d for int numerators and an int d > 0,
+    reduced by their gcd."""
+    g = math.gcd(*num, d)
+    if g == 1:
+        return _exact(tuple(num), d)
+    return _exact(tuple(n // g for n in num), d // g)
+
+
+def _floats(coords: Iterable) -> "Octonion":
+    """The float octonion with these coordinates, floats by construction
+    (or ints that the float arithmetic left at 0), not re-validated."""
+    o = object.__new__(Octonion)
+    o.numerators = o._coords = tuple(map(float, coords))
+    o.denominator, o.exact = 1, False
+    return o
 
 
 class Octonion:
     """An element of the octonions, immutable.
 
-    `coords` are the coefficients over (e0, ..., e7).  Exact octonions compare
+    An exact octonion holds its canonical pair: `numerators`, eight ints,
+    over `denominator`, an int d > 0, with gcd 1.  A float octonion holds
+    its eight floats as `numerators` over `denominator` 1.  `coords` are the
+    coefficients over (e0, ..., e7): canonical Fractions (exact mode, built
+    from the pair on first read) or floats.  Exact octonions compare
     literally; float octonions compare up to FLOAT_EQ_TOL.
     """
 
-    __slots__ = ("coords", "exact")
+    __slots__ = ("numerators", "denominator", "_coords", "exact")
 
     def __init__(self, coords: Iterable[ScalarLike]):
-        self.coords, self.exact = _coerce(coords)
+        cs = tuple(coords)
+        if len(cs) != 8:
+            raise DegenerateInput("octonion needs exactly 8 coordinates, got %d" % len(cs))
+        if any(isinstance(c, (float, np.floating)) for c in cs):
+            fs = tuple(float(c) for c in cs)
+            if not all(map(math.isfinite, fs)):
+                raise DegenerateInput("octonion coordinates must be finite")
+            self.numerators = self._coords = fs
+            self.denominator, self.exact = 1, False
+            return
+        qs = [(int(q.numerator), int(q.denominator)) for q in
+              (c if isinstance(c, Fraction) else Fraction(c) for c in cs)]
+        # the lift of reduced Fractions over the lcm of their denominators
+        # is already canonical
+        d = math.lcm(*(e for _, e in qs))
+        self.numerators = tuple(n * (d // e) for n, e in qs)
+        self.denominator, self._coords, self.exact = d, None, True
+
+    @property
+    def coords(self) -> tuple:
+        c = self._coords
+        if c is None:
+            d = self.denominator
+            c = self._coords = tuple(Fraction(n, d) for n in self.numerators)
+        return c
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Octonion":
-        return cls((0,) * 8)
+        return _exact((0,) * 8, 1)
 
     @classmethod
     def one(cls) -> "Octonion":
@@ -174,48 +241,68 @@ class Octonion:
     def basis(cls, k: int) -> "Octonion":
         c = [0] * 8
         c[k] = 1
-        return cls(c)
+        return _exact(tuple(c), 1)
+
+    @classmethod
+    def from_lifted(cls, num: Sequence[int], d: int) -> "Octonion":
+        """The exact octonion num / d for int numerators and a nonzero int
+        d, in canonical form."""
+        if d < 0:
+            num, d = [-n for n in num], -d
+        return _reduced(num, d)
+
+    def _same_form(self, num: Iterable, d: int) -> "Octonion":
+        # num / d in self's mode; float numerators come with d = 1
+        return _reduced(tuple(num), d) if self.exact else _floats(num)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return _closed((a + b for a, b in zip(self.coords, other.coords)),
-                       self.exact and other.exact)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return _closed((a - b for a, b in zip(self.coords, other.coords)),
-                       self.exact and other.exact)
+        return self._sum(other, -1)
+
+    def _sum(self, other: "Octonion", sign: int) -> "Octonion":
+        if self.exact and other.exact:
+            dx, dy = self.denominator, other.denominator
+            g = math.gcd(dx, dy)
+            sx, sy = dy // g, sign * (dx // g)
+            return _reduced([a * sx + b * sy for a, b in
+                             zip(self.numerators, other.numerators)], dx * sx)
+        if sign > 0:
+            return _floats(a + b for a, b in zip(self.coords, other.coords))
+        return _floats(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "Octonion":
-        return _closed((-a for a in self.coords), self.exact)
-
-    @classmethod
-    def _of_fractions(cls, coords: tuple) -> "Octonion":
-        """The exact octonion with these 8 Fractions, not re-validated: only
-        for results of exact operations on exact operands, whose coordinates
-        are canonical Fractions by construction."""
-        o = object.__new__(cls)
-        o.coords, o.exact = coords, True
-        return o
+        return self._same_form((-n for n in self.numerators), self.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
             if self.exact and other.exact:
-                (nx, dx), (ny, dy) = lift(self.coords), lift(other.coords)
-                d = dx * dy
-                return Octonion._of_fractions(
-                    tuple(Fraction(z, d) for z in _table_product(nx, ny)))
-            return Octonion(_table_product(self.coords, other.coords))
-        return _closed((other * a for a in self.coords),
-                       self.exact and isinstance(other, (int, Fraction)))
+                return _reduced(_int_product(self.numerators, other.numerators),
+                                self.denominator * other.denominator)
+            return _floats(_table_product(self.coords, other.coords))
+        if self.exact and isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return _reduced([q.numerator * n for n in self.numerators],
+                            q.denominator * self.denominator)
+        if self.exact and not isinstance(other, float):
+            return Octonion(other * a for a in self.coords)
+        return _floats(other * a for a in self.coords)
 
     def __rmul__(self, other):
         # scalars commute with everything
         return self * other
 
     def __truediv__(self, scalar):
-        return _closed((a / scalar for a in self.coords),
-                       self.exact and isinstance(scalar, (int, Fraction)))
+        if self.exact and isinstance(scalar, (int, Fraction)):
+            if not scalar:
+                raise ZeroDivisionError("octonion divided by zero")
+            return self * (1 / Fraction(scalar))
+        if self.exact and not isinstance(scalar, float):
+            return Octonion(a / scalar for a in self.coords)
+        return _floats(a / scalar for a in self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
@@ -229,15 +316,18 @@ class Octonion:
 
     def conjugate(self) -> "Octonion":
         """2<x,1>1 - x: negate the imaginary part."""
-        c = self.coords
-        return _closed((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], -c[7]),
-                       self.exact)
+        n = self.numerators
+        return self._same_form((n[0], -n[1], -n[2], -n[3], -n[4], -n[5], -n[6], -n[7]),
+                               self.denominator)
 
     def inner(self, other: "Octonion"):
+        if self.exact and other.exact:
+            return Fraction(sum(map(mul, self.numerators, other.numerators)),
+                            self.denominator * other.denominator)
         return dot(self.coords, other.coords)
 
     def norm_sq(self):
-        return dot(self.coords, self.coords)
+        return self.inner(self)
 
     def norm(self) -> float:
         return float(self.norm_sq()) ** 0.5
@@ -246,7 +336,7 @@ class Octonion:
         n = self.norm_sq()
         if arithmetic_of(self).zero_norm(n):
             raise ZeroDivisor("cannot invert a zero octonion")
-        return Octonion(a / n for a in self.conjugate().coords)
+        return self.conjugate() / n
 
     def power(self, k: int) -> "Octonion":
         """k-th power by repeated multiplication (well defined: a single
@@ -260,26 +350,28 @@ class Octonion:
         return r
 
     # -- predicates & parts --------------------------------------------------
+    # (a numerator is zero, or has its sign, exactly when its coordinate does)
 
     def real(self):
         return self.coords[0]
 
     def imag(self) -> "Octonion":
-        return Octonion((0, *self.coords[1:]))
+        return self._same_form((0, *self.numerators[1:]), self.denominator)
 
     def is_zero(self, tol: float = FLOAT_EQ_TOL) -> bool:
-        return arithmetic_of(self).is_zero(self.coords, tol)
+        return arithmetic_of(self).is_zero(self.numerators, tol)
 
     def is_unit(self, tol: float = FLOAT_EQ_TOL) -> bool:
         return arithmetic_of(self).scalar_eq(self.norm_sq(), 1, tol)
 
     def is_imaginary(self, tol: float = FLOAT_EQ_TOL) -> bool:
-        return arithmetic_of(self).scalar_eq(self.coords[0], 0, tol)
+        return arithmetic_of(self).scalar_eq(self.numerators[0], 0, tol)
 
     # -- interop -------------------------------------------------------------
 
     def to_float_array(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coords])
+        d = self.denominator
+        return np.array([n / d for n in self.numerators])
 
     def to_strings(self) -> list:
         """8-element list of strings: '3/5' in exact mode, repr(float) otherwise."""
@@ -293,16 +385,9 @@ class Octonion:
 def parse_scalar(s: str) -> ScalarLike:
     """A float for a string with a decimal point or an exponent and no '/',
     else a Fraction ('3/5', '-2'); a sequence with one float entry is float
-    throughout (see `_coerce` and `SquareMatrix`)."""
+    throughout (see `Octonion` and `SquareMatrix`)."""
     floatish = ("." in s or "e" in s or "E" in s) and "/" not in s
     return float(s) if floatish else Fraction(s)
-
-
-def _closed(coords: Iterable[ScalarLike], exact: bool) -> Octonion:
-    """The octonion with these coordinates; `exact` says they are canonical
-    Fractions (exact operands under +, -, and * or / by an int or a
-    Fraction), which skip `_coerce`."""
-    return Octonion._of_fractions(tuple(coords)) if exact else Octonion(coords)
 
 
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -320,6 +405,8 @@ def normalize(o: Octonion) -> Octonion:
     """Unit vector along o.  Stays exact when the norm is rational, otherwise
     falls back to float coordinates."""
     n = o.norm_sq()
+    if not n:
+        raise ZeroDivisor("cannot normalize a zero octonion")
     if o.exact:
         r = exact_sqrt(n)
         if r is not None:
@@ -329,10 +416,9 @@ def normalize(o: Octonion) -> Octonion:
 
 
 def residual(d: Octonion) -> float:
-    """Largest absolute coordinate of d, as a float."""
-    if not any(d.coords):
-        return 0.0  # an exact zero converts nothing
-    return max(abs(float(c)) for c in d.coords)
+    """Largest absolute coordinate of d, as a float: int / int true division
+    in exact mode, which rounds correctly."""
+    return max(map(abs, d.numerators)) / d.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +478,7 @@ class _ExactArithmetic(Arithmetic):
 
     def eq(self, x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
         """Equality of two octonions."""
-        return x.coords == y.coords
+        return x.numerators == y.numerators and x.denominator == y.denominator
 
     def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
         """Whether the squared norm n counts as zero."""
@@ -414,13 +500,12 @@ class _ExactArithmetic(Arithmetic):
     def points(self, os: Sequence[Octonion]):
         """The stacked pair of these octonions: each one's numerators over
         its own denominator, the denominators shaped (n, 1, 1)."""
-        lifted = [lift(o.coords) for o in os]
-        return (np.array([v for v, _ in lifted], dtype=object),
-                np.array([d for _, d in lifted], dtype=object).reshape(-1, 1, 1))
+        return (np.array([o.numerators for o in os], dtype=object),
+                np.array([o.denominator for o in os], dtype=object).reshape(-1, 1, 1))
 
     def matrix(self, rows):
         """The pair of the square matrix with these rows."""
-        nums, d = lift([x for row in rows for x in row])
+        nums, d = linalg.lift([x for row in rows for x in row])
         return np.array(nums, dtype=object).reshape(len(rows), -1), d
 
     def left(self, p):
@@ -570,7 +655,8 @@ class SquareMatrix:
                              % ("an" if n == 8 else "a", n, n))
         self.exact = not isinstance(rows, np.ndarray) and not any(
             isinstance(x, (float, np.floating)) for row in rows for x in row)
-        self.rows = (tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = (tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                                 for x in row) for row in rows)
                      if self.exact else np.array(rows, dtype=float))
         if validate:
             if not self.exact and not np.isfinite(self.rows).all():
@@ -579,6 +665,16 @@ class SquareMatrix:
 
     def _validate(self):
         """Raise `error` unless the matrix belongs to the class."""
+
+    @classmethod
+    def _trusted(cls, rows, exact: bool) -> "SquareMatrix":
+        """The matrix with rows already in the form of their mode (a tuple of
+        tuples of Fractions, or a float array), built by a formula that puts
+        it in the class: not re-validated.  Only for classes with no slots
+        of their own."""
+        m = object.__new__(cls)
+        m.rows, m.exact = rows, exact
+        return m
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=float)

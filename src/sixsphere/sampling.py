@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BadConfig, OutOfRange
-from .linalg import dot
+from .linalg import lift_exact
 from .octonion import Octonion
 
 
@@ -38,13 +38,19 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # exact rational points
 # ---------------------------------------------------------------------------
 
+def _sphere_lifted(t: Sequence[Fraction]) -> Tuple[list, int]:
+    """`rational_sphere_point(t)` as integer numerators over one denominator:
+    with t = n / d, the point is (|n|^2 - d^2, 2 d n) / (|n|^2 + d^2)."""
+    n, d = lift_exact(t)
+    s = sum(c * c for c in n)
+    return [s - d * d, *(2 * d * c for c in n)], s + d * d
+
+
 def rational_sphere_point(t: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Map t in Q^n to an exact unit vector in Q^(n+1) (first coordinate is
     the pole coordinate (|t|^2-1)/(|t|^2+1))."""
-    t = [Fraction(c) for c in t]
-    q = dot(t, t)
-    d = q + 1
-    return ((q - 1) / d, *[2 * c / d for c in t])
+    nums, den = _sphere_lifted(t)
+    return tuple(Fraction(c, den) for c in nums)
 
 
 def rational_circle_point(t: Fraction) -> Tuple[Fraction, Fraction]:
@@ -57,7 +63,7 @@ def rational_unit_octonion(t: Sequence[Fraction]) -> Octonion:
     """Exact unit octonion from t in Q^7 (a point of the seven-sphere)."""
     if len(t) != 7:
         raise OutOfRange("need 7 rational parameters for a unit octonion")
-    return Octonion(rational_sphere_point(t))
+    return Octonion.from_lifted(*_sphere_lifted(t))
 
 
 def rational_imaginary_unit(t: Sequence[Fraction]) -> Octonion:
@@ -65,7 +71,8 @@ def rational_imaginary_unit(t: Sequence[Fraction]) -> Octonion:
     embedded into coordinates e1..e7 with zero real part)."""
     if len(t) != 6:
         raise OutOfRange("need 6 rational parameters for a point of the six-sphere")
-    return Octonion((0, *rational_sphere_point(t)))
+    nums, den = _sphere_lifted(t)
+    return Octonion.from_lifted([0, *nums], den)
 
 
 def random_rational_vector(rng: np.random.Generator, n: int,
