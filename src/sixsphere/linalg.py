@@ -7,7 +7,9 @@ meant to scale.
 Exact sums of products run on integers: `lift` writes a vector of rationals
 as integer numerators over the lcm of its denominators, the products and the
 sum are integer operations, and one `Fraction` is built at the end.  A
-vector with a float in it has no such lift and is summed term by term.
+vector with a float in it has no such lift and is summed term by term.  The
+exact kernel eliminates on integer rows too (`_integer_rref`) and builds
+Fractions only for the basis it returns.
 """
 
 from __future__ import annotations
@@ -96,16 +98,22 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _primitive(v: List[int]) -> List[int]:
+    # v divided by the gcd of its entries
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 def _integer_rref(m: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     """The nonzero rows of the reduced row echelon form of m, each scaled to
     primitive integers, and their pivot columns.
 
     Scaling a row leaves the row space, and so the reduced form, unchanged:
-    each row of rationals is lifted to integers and every elimination step
-    r_i <- p r_i - f r_pivot stays in the integers, divided by the gcd of the
-    new row (Knuth, TAOCP vol. 2, 4.5.1).  Row k of the reduced form is
-    rows[k] / rows[k][pivots[k]]."""
-    rows = [lift_exact(row)[0] for row in m]
+    each row of rationals is lifted to primitive integers, and every
+    elimination step r_i <- p r_i - f r_pivot stays in the integers and is
+    divided by the gcd of the new row (Knuth, TAOCP vol. 2, 4.5.1).  Row k
+    of the reduced form is rows[k] / rows[k][pivots[k]]."""
+    rows = [_primitive(lift_exact(row)[0]) for row in m]
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     for c in range(ncols):
@@ -119,18 +127,11 @@ def _integer_rref(m: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
         for i, row in enumerate(rows):
             f = row[c]
             if i != r and f:
-                new = [p * x - f * y for x, y in zip(row, pr)]
-                g = math.gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+                rows[i] = _primitive([p * x - f * y for x, y in zip(row, pr)])
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    rows = rows[:len(pivots)]
-    for k, row in enumerate(rows):
-        g = math.gcd(*row)
-        if g > 1:
-            rows[k] = [x // g for x in row]
-    return rows, pivots
+    return rows[:len(pivots)], pivots
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:

@@ -15,19 +15,24 @@ Nothing about the table is hand-coded, so there is no opportunity for a
 sign-convention bug to creep in; the generated table is itself checked by the
 test suite.
 
-Octonions carry their coefficients either as `fractions.Fraction` (exact
-mode, the default for identity checking) or as `float` (used where square
-roots are unavoidable).  Mode is inferred from the coefficients; mixing exact
-and float operands produces a float result.
+Octonions carry their coefficients either as exact rationals (exact mode,
+the default for identity checking) or as `float` (used where square roots
+are unavoidable).  Mode is inferred from the coefficients; mixing exact and
+float operands produces a float result.
 
-The exact product and inner product run on integers: each operand is lifted
-to integer numerators over the lcm of its denominators (`linalg.lift`), the
-table loop multiplies and adds integers, and each result coordinate is one
-`Fraction`.  Such results, and sums and rational multiples of exact
-octonions, are built from canonical Fractions and skip the constructor's
-validation.  The arithmetic context also multiplies square matrices, each
-mode in its own form (see `Arithmetic`), and `SquareMatrix` holds the
-matrices of structures and of SO(7) elements in the mode of their entries.
+An exact octonion keeps one canonical pair: eight integer numerators over
+one positive denominator, with gcd 1 (Knuth, TAOCP vol. 2, 4.5.1).  Its
+`coords` are the canonical Fractions of that pair, built on first read.
+Products (the multiplication table run on the numerators), sums,
+differences, negation, conjugation and rational multiples are integer
+operations followed by one gcd reduction; equality compares pairs; `inner`
+and `norm_sq` build one `Fraction`; `residual` divides the largest
+numerator by the denominator.  Float octonions hold their floats over the
+denominator 1, and float results, floats by construction, skip the
+constructor's validation.  The arithmetic context also multiplies square
+matrices, each mode in its own form (see `Arithmetic`), and `SquareMatrix`
+holds the matrices of structures and of SO(7) elements in the mode of their
+entries.
 """
 
 from __future__ import annotations
@@ -120,8 +125,8 @@ _IMAG_PROJ = np.diag([0] + [1] * 7)
 
 def _table_product(x: Sequence, y: Sequence) -> list:
     """Coordinates of the product of the coordinate sequences x and y, summed
-    through the multiplication table; any scalars (ints, Fractions, floats).
-    A zero coordinate contributes no term."""
+    through the multiplication table in the scalars' own arithmetic: the
+    float and mixed products.  A zero coordinate contributes no term."""
     z = [0] * 8
     for i in range(8):
         xi = x[i]
@@ -247,6 +252,8 @@ class Octonion:
     def from_lifted(cls, num: Sequence[int], d: int) -> "Octonion":
         """The exact octonion num / d for int numerators and a nonzero int
         d, in canonical form."""
+        if not d:
+            raise ZeroDivisor("octonion numerators over a zero denominator")
         if d < 0:
             num, d = [-n for n in num], -d
         return _reduced(num, d)

@@ -21,6 +21,20 @@ E = [Octonion.basis(k) for k in range(8)]
 X25 = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])   # 3/5 + 4/5 e2
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_j_from_octonion_is_a_structure(exact, rng):
+    # J_x is built from its formula without re-validation; the checks that
+    # the public constructor runs still pass on it
+    for _ in range(4):
+        x = F(5, 3) * random_rational_unit_octonion(rng)
+        if not exact:
+            x = Octonion(x.to_float_array())
+        j = j_from_octonion(x)
+        assert j.exact == exact
+        j._validate()
+        assert ComplexStructureR6(j.rows) == j
+
+
 def test_basis_order_constant():
     assert R6_BASIS == (2, 3, 4, 5, 7, 6)
 

@@ -2,17 +2,18 @@
 arithmetic; their float and mixed inputs; and the multiplication matrices
 against their definition through `batch_mul`."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixsphere import linalg
+from sixsphere import linalg, octonion, suites
 from sixsphere.frames import apply_matrix
 from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
-                                left_mult_matrix, right_mult_matrix)
+                                left_mult_matrix, residual, right_mult_matrix)
 
 # zeros, integer-valued Fractions, and negative entries over denominators up
 # to 2**64
@@ -25,9 +26,9 @@ octonions = st.lists(rationals, min_size=8, max_size=8).map(Octonion)
 kernel_settings = settings(max_examples=60, deadline=None)
 
 
-def _per_term_product(x, y) -> Octonion:
-    """The product term by term in the scalars' own arithmetic, zero
-    coordinates skipped, through the public constructor."""
+def _per_term_coords(x, y) -> list:
+    """The coordinates of the product, term by term in the scalars' own
+    arithmetic, zero coordinates skipped."""
     z = [0] * 8
     for i in range(8):
         for j in range(8):
@@ -36,7 +37,12 @@ def _per_term_product(x, y) -> Octonion:
                     z[MUL_INDEX[i][j]] += x[i] * y[j]
                 else:
                     z[MUL_INDEX[i][j]] -= x[i] * y[j]
-    return Octonion(z)
+    return z
+
+
+def _per_term_product(x, y) -> Octonion:
+    """The per-term product through the public constructor."""
+    return Octonion(_per_term_coords(x, y))
 
 
 def _per_term_dot(x, y):
@@ -125,6 +131,149 @@ def test_exact_closure_matches_per_term(x, y, k):
         _assert_same_fractions(got.coords, want)
 
 
+# -- canonical pairs ----------------------------------------------------------
+
+def _assert_canonical(o: Octonion):
+    n, d = o.numerators, o.denominator
+    assert o.exact and type(n) is tuple and len(n) == 8
+    assert all(type(c) is int for c in n) and type(d) is int and d > 0
+    assert math.gcd(*n, d) == 1
+
+
+@kernel_settings
+@given(st.lists(rationals, min_size=8, max_size=8), octonions, scalars)
+@example([F(0)] * 8, Octonion.zero(), 0)
+@example([F(n) for n in (3, -1, 0, 4, 0, 0, -7, 2)], Octonion.basis(3), 5)
+def test_exact_results_are_canonical_pairs(cs, y, k):
+    # every exact result holds int numerators over a positive int
+    # denominator with gcd 1, whose Fractions are those of per-term
+    # Fraction arithmetic
+    x = Octonion(cs)
+    X, Y, K = x.coords, y.coords, F(k)
+    cases = [(x, cs),
+             (x + y, [a + b for a, b in zip(X, Y)]),
+             (x - y, [a - b for a, b in zip(X, Y)]),
+             (-x, [-a for a in X]),
+             (x.conjugate(), [X[0]] + [-a for a in X[1:]]),
+             (x * y, _per_term_coords(X, Y)),
+             (y * x, _per_term_coords(Y, X)),
+             (x * k, [K * a for a in X]),
+             (K * x, [K * a for a in X])]
+    if k:
+        cases += [(x / k, [a / K for a in X]), (x / K, [a / K for a in X])]
+    for got, want in cases:
+        _assert_canonical(got)
+        _assert_same_fractions(got.coords, want)
+
+
+@kernel_settings
+@given(octonions, st.integers(0, 7), rationals, st.integers(1, 2 ** 64))
+def test_equality_compares_values(x, k, c, scale):
+    # the same value over a scaled or negated denominator reduces to the
+    # same pair; a changed coordinate compares as its Fractions do
+    for d in (scale, -scale):
+        same = Octonion.from_lifted([d * n for n in x.numerators], d * x.denominator)
+        _assert_canonical(same)
+        assert same == x
+        assert (same.numerators, same.denominator) == (x.numerators, x.denominator)
+    cs = list(x.coords)
+    cs[k] = c
+    other = Octonion(cs)
+    assert (other == x) == (other.coords == x.coords) == (c == x.coords[k])
+    assert (other != x) == (c != x.coords[k])
+
+
+@kernel_settings
+@given(octonions)
+@example(Octonion.zero())
+@example(Octonion([F(1, 3)] * 8))
+@example(Octonion([F(-2 ** 70, 3), F(2 ** 70 - 1, 3)] + [0] * 6))
+def test_residual_and_is_zero_match_fraction_definitions(x):
+    # read off the numerators; the same floats, bit for bit, as the
+    # definitions over the coordinates
+    cs = x.coords
+    want = max(abs(float(c)) for c in cs) if any(cs) else 0.0
+    got = residual(x)
+    assert type(got) is float and got.hex() == want.hex()
+    assert x.is_zero() == all(c == 0 for c in cs)
+    assert x.is_imaginary() == (cs[0] == 0)
+
+
+def _fraction_kernel(m):
+    # the right kernel from the reduced row echelon form over Fractions
+    a = [[F(x) for x in row] for row in m]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+@kernel_settings
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(
+        st.lists(st.lists(rationals, min_size=s[1], max_size=s[1]),
+                 min_size=s[2], max_size=s[2]),
+        st.lists(st.lists(st.one_of(st.integers(-3, 3), rationals),
+                          min_size=max(s[2], 1), max_size=max(s[2], 1)),
+                 min_size=s[0], max_size=s[0]))))
+def test_kernel_basis_matches_fraction_elimination(gens_coeffs):
+    # rows drawn from the span of a few generators, so kernels of every
+    # dimension occur; the integer elimination gives the same basis
+    gens, coeffs = gens_coeffs
+    ncols = len(gens[0]) if gens else len(coeffs[0])
+    m = [[sum((c * g[j] for c, g in zip(row, gens)), F(0)) for j in range(ncols)]
+         for row in coeffs]
+    got = linalg.kernel_basis(m)
+    assert len(got) == len(_fraction_kernel(m))
+    for g, w in zip(got, _fraction_kernel(m)):
+        _assert_same_fractions(g, w)
+
+
+def test_exact_suites_build_only_canonical_pairs(monkeypatch):
+    # every exact octonion that the exact suites build, through the public
+    # constructor or an exact operation, holds int numerators over a
+    # positive int denominator: no float, Fraction or numpy scalar
+    built = []
+    make, init = octonion._exact, Octonion.__init__
+
+    def recording_make(num, d):
+        o = make(num, d)
+        built.append(o)
+        return o
+
+    def recording_init(self, coords):
+        init(self, coords)
+        built.append(self)
+
+    monkeypatch.setattr(octonion, "_exact", recording_make)
+    monkeypatch.setattr(Octonion, "__init__", recording_init)
+    for name in suites.SUITES:
+        if "exact" in suites.MODES[name]:
+            assert suites.run_suite(name, samples=2, seed=3).mode == "exact"
+    exact = [o for o in built if o.exact]
+    assert len(exact) > 1000
+    for o in exact:
+        _assert_canonical(o)
+
+
 # -- float and mixed inputs stay with float arithmetic ----------------------
 
 def _assert_same_floats(got: Octonion, want: Octonion):
@@ -157,6 +306,31 @@ def test_mixed_inputs_keep_float_arithmetic(rng):
         got = linalg.dot(u, v)
         assert type(got) is float and got == sum(a * b for a, b in zip(u, v))
     assert x.inner(y) == sum(a * b for a, b in zip(x.coords, y.coords))
+
+
+def test_float_results_equal_per_term_floats(rng):
+    # float results skip the validating constructor; their coordinates are
+    # Python floats equal, signed zeros included, to per-term float
+    # arithmetic through the public constructor
+    v, w = rng.standard_normal(8), rng.standard_normal(8)
+    v[[2, 5]] = [0.0, -0.0]
+    w[6] = 0.0
+    x, y = Octonion(v), Octonion(w)
+    X, Y = x.coords, y.coords
+    cases = [(x * y, Octonion(_per_term_coords(X, Y))),
+             (y * x, Octonion(_per_term_coords(Y, X))),
+             (x + y, Octonion(a + b for a, b in zip(X, Y))),
+             (x - y, Octonion(a - b for a, b in zip(X, Y))),
+             (-x, Octonion(-a for a in X)),
+             (x.conjugate(), Octonion([X[0]] + [-a for a in X[1:]])),
+             (3 * x, Octonion(3 * a for a in X)),
+             (x * F(1, 3), Octonion(F(1, 3) * a for a in X)),
+             (x / 3, Octonion(a / 3 for a in X)),
+             (x.imag(), Octonion([0.0, *X[1:]]))]
+    for got, want in cases:
+        _assert_same_floats(got, want)
+        assert [math.copysign(1, c) for c in got.coords] == \
+            [math.copysign(1, c) for c in want.coords]
 
 
 # -- multiplication matrices -------------------------------------------------

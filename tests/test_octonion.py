@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sixsphere.errors import ZeroDivisor
+from sixsphere.errors import DegenerateInput, ZeroDivisor
 from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
                                 left_mult_matrix, left_mult_matrix_exact,
-                                right_mult_matrix)
+                                normalize, right_mult_matrix)
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_unit_octonion)
 
@@ -196,6 +196,20 @@ def test_exact_and_float_modes():
     assert not Octonion([0.5] + [0] * 7).exact
     mixed = Octonion([F(1, 2)] + [0] * 6 + [0.25])
     assert not mixed.exact
+
+
+def test_normalize_zero_raises_zero_divisor():
+    for zero in (Octonion.zero(), Octonion([0.0] * 8)):
+        with pytest.raises(ZeroDivisor):
+            normalize(zero)
+
+
+def test_nonfinite_coordinates_raise_degenerate_input():
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(DegenerateInput, match="finite"):
+            Octonion([F(1, 2)] + [0] * 6 + [bad])
+    with pytest.raises(DegenerateInput, match="finite"):
+        Octonion(np.array([np.inf] + [0.0] * 7))
 
 
 def test_serialization_round_trip(rng):
