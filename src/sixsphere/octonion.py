@@ -145,7 +145,7 @@ def _table_product(x: Sequence, y: Sequence) -> list:
     return z
 
 
-def _int_product_source() -> str:
+def _compile_int_product():
     # the table product written out term by term: 64 products, no loop and
     # no zero tests, which pays for integers (for floats the loop's zero
     # skipping fixes the signs of zero coordinates, so they keep it)
@@ -154,21 +154,23 @@ def _int_product_source() -> str:
         for j in range(8):
             terms[MUL_INDEX[i][j]].append(
                 "%sx%d*y%d" % ("-" if MUL_SIGN[i][j] < 0 else "+", i, j))
-    return ("def _int_product(x, y):\n"
-            "    x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
-            "    y0, y1, y2, y3, y4, y5, y6, y7 = y\n"
-            "    return [%s]\n" % ", ".join("".join(t).lstrip("+") for t in terms))
+    source = ("def _int_product(x, y):\n"
+              "    x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
+              "    y0, y1, y2, y3, y4, y5, y6, y7 = y\n"
+              "    return [%s]\n" % ", ".join("".join(t).lstrip("+") for t in terms))
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["_int_product"]
 
 
-_namespace: dict = {}
-exec(_int_product_source(), _namespace)
 #: `_table_product` of two integer coordinate sequences
-_int_product = _namespace.pop("_int_product")
+_int_product = _compile_int_product()
 
 
 def _exact(num: tuple, d: int) -> "Octonion":
     """The exact octonion num / d for a canonical pair (int numerators, int
-    d > 0, gcd 1), not re-validated: the one place exact results are made."""
+    d > 0, gcd 1), not re-validated: every exact octonion that is not built
+    by the public constructor is made here."""
     o = object.__new__(Octonion)
     o.numerators, o.denominator, o._coords, o.exact = num, d, None, True
     return o

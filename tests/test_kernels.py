@@ -1,6 +1,8 @@
 """The exact kernels on integer numerators, against plain per-term Fraction
-arithmetic; their float and mixed inputs; and the multiplication matrices
-against their definition through `batch_mul`."""
+arithmetic: the canonical pairs of exact octonions, `residual`, `is_zero`
+and the integer-row kernel; the octonions the exact suites build; float
+results and mixed inputs; and the multiplication matrices against their
+definition through `batch_mul`."""
 
 import math
 from fractions import Fraction as F
