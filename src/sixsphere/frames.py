@@ -15,7 +15,6 @@ random rational frames without ever leaving the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
                      NotOrthogonal)
 # kernel_basis has no caller here: it stays bound as frames.kernel_basis,
 # which bench/test_smoke.py reads
-from .linalg import kernel_basis, lift, mat_vec
+from .linalg import kernel_basis, mat_vec
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion, arithmetic_of,
                        exact_sqrt, normalize)
 from .sampling import (random_rational_vector, rational_sphere_point,
@@ -167,18 +166,10 @@ def g2_from_frame(f: G2Frame):
 
 
 def apply_matrix(m, o: Octonion) -> Octonion:
-    """Apply an 8x8 matrix (rows or ndarray) to an octonion.  Rational rows
-    and an exact octonion multiply as integers: the rows lifted over one
-    denominator times the octonion's numerators."""
+    """Apply an 8x8 matrix (rows or ndarray) to an octonion."""
     if isinstance(m, np.ndarray):
         return Octonion(m @ o.to_float_array())
-    lifted = lift([x for row in m for x in row]) if o.exact else None
-    if lifted is None:  # a float in m or o
-        return Octonion(mat_vec(m, o.coords))
-    a, d = lifted
-    v = o.numerators
-    return Octonion.from_lifted([sum(map(mul, a[k:k + 8], v)) for k in range(0, 64, 8)],
-                                d * o.denominator)
+    return Octonion(mat_vec(m, o.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,11 @@ def lift_exact(v: Sequence) -> Lifted:
     """`lift` of v with every entry taken as an exact rational: ints and
     Fractions as they are, anything else (a float, a numpy scalar) through
     `Fraction`."""
-    nums, d = lift([x if isinstance(x, (int, Fraction)) else Fraction(x)
-                    for x in v])
-    return [int(n) for n in nums], int(d)
+    qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    # int() of the parts: a Fraction of a numpy int keeps numpy parts
+    dens = [int(q.denominator) for q in qs]
+    d = math.lcm(*dens)
+    return [int(q.numerator) * (d // e) for q, e in zip(qs, dens)], d
 
 
 def _dot(x, y, p: Optional[Lifted], q: Optional[Lifted]):

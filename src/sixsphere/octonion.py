@@ -218,13 +218,10 @@ class Octonion:
             self.numerators = self._coords = fs
             self.denominator, self.exact = 1, False
             return
-        qs = [(int(q.numerator), int(q.denominator)) for q in
-              (c if isinstance(c, Fraction) else Fraction(c) for c in cs)]
         # the lift of reduced Fractions over the lcm of their denominators
         # is already canonical
-        d = math.lcm(*(e for _, e in qs))
-        self.numerators = tuple(n * (d // e) for n, e in qs)
-        self.denominator, self._coords, self.exact = d, None, True
+        nums, self.denominator = linalg.lift_exact(cs)
+        self.numerators, self._coords, self.exact = tuple(nums), None, True
 
     @property
     def coords(self) -> tuple:

@@ -29,7 +29,6 @@ needed so exact arithmetic survives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -294,18 +293,14 @@ def _image_of_product(imgs: List[Octonion], i: int, j: int) -> Octonion:
 
 
 def _companion_system(lam: SO7Element):
-    """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u), up
-    to a positive factor per row, which leaves its kernel unchanged: block
-    k, column j is lam(e_k e_j) - lam(e_k) lam(e_j), times the lcm of the
-    block's denominators.  Exact blocks are integer numerators; float
-    octonions have denominator 1, so float blocks are their coordinates."""
+    """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u):
+    block k, column j is lam(e_k e_j) - lam(e_k) lam(e_j)."""
     imgs = lam.images()
     rows = []
     for k in range(8):
-        cols = [_image_of_product(imgs, k, j) - imgs[k] * imgs[j] for j in range(8)]
-        lcm = math.lcm(*(c.denominator for c in cols))
-        scaled = [[n * (lcm // c.denominator) for n in c.numerators] for c in cols]
-        rows.extend(map(list, zip(*scaled)))
+        cols = [(_image_of_product(imgs, k, j) - imgs[k] * imgs[j]).coords
+                for j in range(8)]
+        rows.extend([c[i] for c in cols] for i in range(8))
     return rows
 
 

@@ -137,6 +137,13 @@ def test_g2_swap_frame():
     assert apply_matrix(m, E[7]) == (E[2] * E[1]) * E[4]
 
 
+@pytest.mark.parametrize("nrows", [7, 9])
+def test_apply_matrix_rejects_a_wrong_row_count(nrows):
+    rows = [[F(i + j, 3) for j in range(8)] for i in range(nrows)]
+    with pytest.raises(DegenerateInput):
+        apply_matrix(rows, E[1] + F(1, 2) * E[3])
+
+
 def test_g2_frame_admissibility():
     with pytest.raises(FrameInvalid):
         G2Frame(E[1], E[2], E[3])   # e3 = e1 e2 is not orthogonal to y*x
