@@ -23,16 +23,19 @@ float operands produces a float result.
 An exact octonion keeps one canonical pair: eight integer numerators over
 one positive denominator, with gcd 1 (Knuth, TAOCP vol. 2, 4.5.1).  Its
 `coords` are the canonical Fractions of that pair, built on first read.
-Products (the multiplication table run on the numerators), sums,
-differences, negation, conjugation and rational multiples are integer
-operations followed by one gcd reduction; equality compares pairs; `inner`
-and `norm_sq` build one `Fraction`; `residual` divides the largest
-numerator by the denominator.  Float octonions hold their floats over the
-denominator 1, and float results, floats by construction, skip the
-constructor's validation.  The arithmetic context also multiplies square
-matrices, each mode in its own form (see `Arithmetic`), and `SquareMatrix`
-holds the matrices of structures and of SO(7) elements in the mode of their
-entries.
+Products, sums, differences, negation, conjugation and rational multiples
+are integer operations followed by one gcd reduction; equality compares
+pairs; `inner` and `norm_sq` build one `Fraction`; `residual` divides the
+largest numerator by the denominator.  Float octonions hold their floats
+over the denominator 1, and float results, floats by construction, skip
+the constructor's validation.  One straight-line product, generated from
+the table at import, multiplies exact numerators, float coordinates and
+mixed Fraction/float coordinates alike.  A scalar multiple or quotient
+tests the scalar, not the result: a zero divisor raises `ZeroDivisor`, a
+NaN or infinite scalar `DegenerateInput`.  The arithmetic context also
+multiplies square matrices, each mode in its own form (see `Arithmetic`),
+and `SquareMatrix` holds the matrices of structures and of SO(7) elements
+in the mode of their entries.
 """
 
 from __future__ import annotations
@@ -123,48 +126,32 @@ _RIGHT, _RIGHT_SIGN = _PERM.T, _SIGN.T
 _IMAG_PROJ = np.diag([0] + [1] * 7)
 
 
-def _table_product(x: Sequence, y: Sequence) -> list:
-    """Coordinates of the product of the coordinate sequences x and y, summed
-    through the multiplication table in the scalars' own arithmetic: the
-    float and mixed products.  A zero coordinate contributes no term."""
-    z = [0] * 8
-    for i in range(8):
-        xi = x[i]
-        if not xi:
-            continue
-        row_idx = MUL_INDEX[i]
-        row_sgn = MUL_SIGN[i]
-        for j in range(8):
-            yj = y[j]
-            if not yj:
-                continue
-            if row_sgn[j] > 0:
-                z[row_idx[j]] += xi * yj
-            else:
-                z[row_idx[j]] -= xi * yj
-    return z
-
-
-def _compile_int_product():
-    # the table product written out term by term: 64 products, no loop and
-    # no zero tests, which pays for integers (for floats the loop's zero
-    # skipping fixes the signs of zero coordinates, so they keep it)
+def _compile_product():
+    # the table product written out term by term, with no loop and no zero
+    # tests: coordinate k is 0 +- x_i*y_j +- ..., one term per i in ascending
+    # i, so one function multiplies integer numerators, floats and mixed
+    # Fraction/float coordinates.  For floats, the leading 0 makes every
+    # coordinate equal, signed zeros included, to the per-term sum that skips
+    # zero terms: under round-to-nearest an exact-zero sum is +0 (IEEE
+    # 754-2019, 6.3), so 0 +- (+-0.0) is +0.0, and adding a signed zero
+    # leaves a nonzero partial sum or a +0 one unchanged.
     terms = [[] for _ in range(8)]
     for i in range(8):
         for j in range(8):
             terms[MUL_INDEX[i][j]].append(
                 "%sx%d*y%d" % ("-" if MUL_SIGN[i][j] < 0 else "+", i, j))
-    source = ("def _int_product(x, y):\n"
+    source = ("def _product(x, y):\n"
               "    x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
               "    y0, y1, y2, y3, y4, y5, y6, y7 = y\n"
-              "    return [%s]\n" % ", ".join("".join(t).lstrip("+") for t in terms))
+              "    return [%s]\n" % ", ".join("0" + "".join(t) for t in terms))
     namespace: dict = {}
     exec(source, namespace)
-    return namespace["_int_product"]
+    return namespace["_product"]
 
 
-#: `_table_product` of two integer coordinate sequences
-_int_product = _compile_int_product()
+#: the coordinates of the product of two coordinate sequences, each a list
+#: of eight ints, floats or a mix of Fractions and floats
+_product = _compile_product()
 
 
 def _exact(num: tuple, d: int) -> "Octonion":
@@ -185,9 +172,16 @@ def _reduced(num: Sequence[int], d: int) -> "Octonion":
     return _exact(tuple(n // g for n in num), d // g)
 
 
+def _check_finite(scalar):
+    # a scalar multiple or quotient tests its scalar, not the eight
+    # coordinates it makes; finite operands may still overflow
+    if not math.isfinite(scalar):
+        raise DegenerateInput("octonion scalar must be finite, got %r" % (scalar,))
+
+
 def _floats(coords: Iterable) -> "Octonion":
     """The float octonion with these coordinates, floats by construction
-    (or ints that the float arithmetic left at 0), not re-validated."""
+    (or the literal 0 of `imag`), not re-validated."""
     o = object.__new__(Octonion)
     o.numerators = o._coords = tuple(map(float, coords))
     o.denominator, o.exact = 1, False
@@ -286,13 +280,14 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             if self.exact and other.exact:
-                return _reduced(_int_product(self.numerators, other.numerators),
+                return _reduced(_product(self.numerators, other.numerators),
                                 self.denominator * other.denominator)
-            return _floats(_table_product(self.coords, other.coords))
+            return _floats(_product(self.coords, other.coords))
         if self.exact and isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return _reduced([q.numerator * n for n in self.numerators],
                             q.denominator * self.denominator)
+        _check_finite(other)
         if self.exact and not isinstance(other, float):
             return Octonion(other * a for a in self.coords)
         return _floats(other * a for a in self.coords)
@@ -302,10 +297,11 @@ class Octonion:
         return self * other
 
     def __truediv__(self, scalar):
+        if not scalar:
+            raise ZeroDivisor("octonion divided by zero")
         if self.exact and isinstance(scalar, (int, Fraction)):
-            if not scalar:
-                raise ZeroDivisionError("octonion divided by zero")
             return self * (1 / Fraction(scalar))
+        _check_finite(scalar)
         if self.exact and not isinstance(scalar, float):
             return Octonion(a / scalar for a in self.coords)
         return _floats(a / scalar for a in self.coords)

@@ -335,6 +335,33 @@ def test_float_results_equal_per_term_floats(rng):
             [math.copysign(1, c) for c in want.coords]
 
 
+# signed zeros, units and the smallest subnormal among finite floats small
+# enough that no product or sum of eight overflows
+floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                   st.floats(-1e150, 1e150))
+float_coords = st.lists(floats, min_size=8, max_size=8)
+rational_coords = st.lists(rationals, min_size=8, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(float_coords, float_coords),
+                 st.tuples(rational_coords, float_coords),
+                 st.tuples(float_coords, rational_coords)))
+# the leading 0 of each coordinate's sum makes coordinate 4 +0.0 here
+@example(([1.0, 0.0, 0.0, -0.0, -0.0, -1.0, 0.0, 1.0],
+          [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, -1.0]))
+def test_float_and_mixed_products_match_per_term(xy):
+    # the one generated product, on float x float, Fraction x float and
+    # float x Fraction operands, against the per-term sum that skips zero
+    # terms: the same floats, signed zeros included
+    x, y = map(Octonion, xy)
+    got = (x * y).coords
+    want = [float(c) for c in _per_term_coords(x.coords, y.coords)]
+    assert all(type(c) is float for c in got)
+    assert list(got) == want
+    assert [math.copysign(1, c) for c in got] == [math.copysign(1, c) for c in want]
+
+
 # -- multiplication matrices -------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(8,), (1, 8), (270, 8), (2000, 8)])

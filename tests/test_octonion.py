@@ -212,6 +212,42 @@ def test_nonfinite_coordinates_raise_degenerate_input():
         Octonion(np.array([np.inf] + [0.0] * 7))
 
 
+MODES = [Octonion([F(1, 2), -3, 0, F(2, 7), 1, 0, 0, 5]),
+         Octonion([0.5, -3.0, 0.0, 2 / 7, 1.0, 0.0, 0.0, 5.0])]
+
+
+@pytest.mark.parametrize("x", MODES, ids=["exact", "float"])
+def test_division_by_int_zero_raises_zero_divisor(x):
+    with pytest.raises(ZeroDivisor):
+        x / 0
+
+
+@pytest.mark.parametrize("x", MODES, ids=["exact", "float"])
+def test_division_by_numpy_zero_raises_zero_divisor(x):
+    # numpy would divide into infinities, with only a RuntimeWarning
+    for zero in (np.float64(0.0), np.float64(-0.0)):
+        with pytest.raises(ZeroDivisor):
+            x / zero
+
+
+@pytest.mark.parametrize("x", MODES, ids=["exact", "float"])
+def test_nan_scalar_raises_degenerate_input(x):
+    nan = float("nan")
+    for op in (lambda: x * nan, lambda: nan * x, lambda: x / nan,
+               lambda: x * np.float64(nan)):
+        with pytest.raises(DegenerateInput, match="finite"):
+            op()
+
+
+@pytest.mark.parametrize("x", MODES, ids=["exact", "float"])
+def test_infinite_scalar_raises_degenerate_input(x):
+    inf = float("inf")
+    for op in (lambda: x * inf, lambda: -inf * x, lambda: x / inf,
+               lambda: x * np.float64(-inf)):
+        with pytest.raises(DegenerateInput, match="finite"):
+            op()
+
+
 def test_serialization_round_trip(rng):
     x = random_rational_unit_octonion(rng)
     assert Octonion.from_strings(x.to_strings()) == x
