@@ -348,7 +348,15 @@ def _jacobian(family: MapFamily, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+@dataclass
+class _NewtonRun:
+    """What one `_Charted.solve` run has learnt: whether a batch of it was
+    singular."""
+    singular: bool = False
+
+
+def _newton_step(jac: np.ndarray, g: np.ndarray,
+                 run: Optional[_NewtonRun] = None) -> np.ndarray:
     """Newton steps solving jac @ step = g for a batch (N, 7, 7), (N, 7).
 
     When a Jacobian somewhere in the batch is singular (e.g. a map with
@@ -357,16 +365,22 @@ def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     mu = LSQ_DAMPING |J|_F^2 per row.  It is the minimum-norm least-squares
     step up to a relative mu / sigma^2 along each singular direction sigma,
     plus rounding noise of about 2e-7 |g| / |J| along the null directions,
-    and it is zero for a zero Jacobian."""
-    try:
-        return np.linalg.solve(jac, g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        jt = jac.swapaxes(-1, -2)
-        jtj = jt @ jac
-        mu = (LSQ_DAMPING * np.trace(jtj, axis1=-2, axis2=-1)
-              + np.finfo(float).tiny)
-        damped = jtj + mu[:, None, None] * np.eye(jac.shape[-1])
-        return np.linalg.solve(damped, jt @ g[..., None])[..., 0]
+    and it is zero for a zero Jacobian.  Given the run the batch belongs
+    to, the first singular batch marks it, and its later batches take the
+    damped step without trying the plain solve first: the singular batches
+    come from maps of lower-dimensional image, singular at every iterate."""
+    if run is None or not run.singular:
+        try:
+            return np.linalg.solve(jac, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            if run is not None:
+                run.singular = True
+    jt = jac.swapaxes(-1, -2)
+    jtj = jt @ jac
+    mu = (LSQ_DAMPING * np.trace(jtj, axis1=-2, axis2=-1)
+          + np.finfo(float).tiny)
+    damped = jtj + mu[:, None, None] * np.eye(jac.shape[-1])
+    return np.linalg.solve(damped, jt @ g[..., None])[..., 0]
 
 
 class _Charted:
@@ -432,6 +446,7 @@ class _Charted:
         s = starts
         best_res = np.inf
         done = [np.empty((0, 8))]
+        run = _NewtonRun()
         for _ in range(NEWTON_MAX_ITER):
             if not len(s):
                 break
@@ -447,8 +462,9 @@ class _Charted:
             done.append(x[conv])
             keep = ~conv
             # a batch with a singular Jacobian (a map of lower-dimensional
-            # image) takes the damped least-squares step throughout
-            step = _newton_step(jac[keep], g[keep])
+            # image) takes the damped least-squares step throughout, and so
+            # do the run's later batches
+            step = _newton_step(jac[keep], g[keep], run)
             norms = np.linalg.norm(step, axis=1, keepdims=True)
             s = s[keep] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
             s = s[~(np.linalg.norm(s, axis=1) > 1e6)]  # drop runaways

@@ -26,8 +26,7 @@ from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
 from .linalg import kernel_basis, mat_vec
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion, arithmetic_of,
                        exact_sqrt, normalize)
-from .sampling import (random_rational_vector, rational_sphere_point,
-                       rational_imaginary_unit)
+from .sampling import random_rational_imaginary_unit, random_sphere_lifted
 
 ONE = Octonion.basis(0)
 E1 = Octonion.basis(1)
@@ -178,8 +177,9 @@ def apply_matrix(m, o: Octonion) -> Octonion:
 
 def random_quaternion_frame(rng: np.random.Generator) -> QuaternionFrame:
     """Random exact rational quaternion frame."""
-    x = rational_imaginary_unit(random_rational_vector(rng, 6))
-    u = Octonion((0, 0, *rational_sphere_point(random_rational_vector(rng, 5))))
+    x = random_rational_imaginary_unit(rng)
+    nums, den = random_sphere_lifted(rng, 5)
+    u = Octonion.from_lifted([0, 0, *nums], den)
     y = householder_swap(E1, x)(u)
     return QuaternionFrame(x, y)
 
@@ -204,12 +204,13 @@ def random_g2_frame(rng: np.random.Generator) -> G2Frame:
     h3 = householder_swap(w, yx)
     z0 = h3(q2(E4))
     # random unit of the subalgebra: z = z0 * a sweeps the unit sphere of
-    # the orthogonal complement as a sweeps the unit quaternions of A
-    q = rational_sphere_point(random_rational_vector(rng, 3))
+    # the orthogonal complement as a sweeps the unit quaternions of A; a is
+    # summed over the integer numerators of its point, and den divided last
+    nums, den = random_sphere_lifted(rng, 3)
     a = Octonion.zero()
-    for qi, b in zip(q, qf.basis):
-        a = a + qi * b
-    return G2Frame(x, y, z0 * a)
+    for c, b in zip(nums, qf.basis):
+        a = a + c * b
+    return G2Frame(x, y, z0 * a / den)
 
 
 def random_g2_matrix(rng: np.random.Generator):

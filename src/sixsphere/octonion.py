@@ -173,17 +173,30 @@ def _reduced(num: Sequence[int], d: int) -> "Octonion":
 
 
 def _check_finite(scalar):
-    # a scalar multiple or quotient tests its scalar, not the eight
-    # coordinates it makes; finite operands may still overflow
+    # a scalar multiple or quotient tests its scalar first, so a NaN or
+    # infinite scalar is named as such
     if not math.isfinite(scalar):
         raise DegenerateInput("octonion scalar must be finite, got %r" % (scalar,))
 
 
-def _floats(coords: Iterable) -> "Octonion":
-    """The float octonion with these coordinates, floats by construction
-    (or the literal 0 of `imag`), not re-validated."""
+def _as_floats(scalar, cs: list) -> Iterable[float]:
+    # the coordinates of a float multiple or quotient by scalar: a scalar
+    # other than a Python float, int or Fraction (a numpy scalar, say) may
+    # give coordinates of its own type, which become Python floats
+    return cs if type(scalar) in (float, int, Fraction) else map(float, cs)
+
+
+def _floats(coords: Iterable[float]) -> "Octonion":
+    """The float octonion with these coordinates, Python floats by
+    construction, not otherwise re-validated: a result that overflowed (an
+    infinite or NaN coordinate) raises `DegenerateInput`.  One sum tests
+    all eight; only when it is not finite is each coordinate tested, since
+    finite coordinates may have an infinite sum."""
+    cs = tuple(coords)
+    if not math.isfinite(sum(cs)) and not all(map(math.isfinite, cs)):
+        raise DegenerateInput("octonion coordinates must be finite")
     o = object.__new__(Octonion)
-    o.numerators = o._coords = tuple(map(float, coords))
+    o.numerators = o._coords = cs
     o.denominator, o.exact = 1, False
     return o
 
@@ -284,13 +297,12 @@ class Octonion:
                                 self.denominator * other.denominator)
             return _floats(_product(self.coords, other.coords))
         if self.exact and isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return _reduced([q.numerator * n for n in self.numerators],
-                            q.denominator * self.denominator)
+            return _reduced([other.numerator * n for n in self.numerators],
+                            other.denominator * self.denominator)
         _check_finite(other)
         if self.exact and not isinstance(other, float):
             return Octonion(other * a for a in self.coords)
-        return _floats(other * a for a in self.coords)
+        return _floats(_as_floats(other, [other * a for a in self.coords]))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -304,7 +316,7 @@ class Octonion:
         _check_finite(scalar)
         if self.exact and not isinstance(scalar, float):
             return Octonion(a / scalar for a in self.coords)
-        return _floats(a / scalar for a in self.coords)
+        return _floats(_as_floats(scalar, [a / scalar for a in self.coords]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
@@ -358,7 +370,8 @@ class Octonion:
         return self.coords[0]
 
     def imag(self) -> "Octonion":
-        return self._same_form((0, *self.numerators[1:]), self.denominator)
+        return self._same_form((0 if self.exact else 0.0, *self.numerators[1:]),
+                               self.denominator)
 
     def is_zero(self, tol: float = FLOAT_EQ_TOL) -> bool:
         return arithmetic_of(self).is_zero(self.numerators, tol)

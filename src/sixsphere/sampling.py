@@ -7,7 +7,12 @@ rational vector t:
 
 which lands exactly on the unit sphere and, as t ranges over rationals,
 is dense there.  This is what makes zero-tolerance identity testing
-possible: every sampled point has Fraction coordinates.
+possible: every sampled point has rational coordinates.  The random draws
+take t as integer numerators over one denominator straight from the
+generator's integers and hand the point's numerators and denominator to
+`Octonion.from_lifted`, with no `Fraction` per coordinate; they equal
+`random_rational_vector` followed by the matching `rational_*` function,
+and leave the generator in the same state.
 
 All randomness flows through `numpy.random.Generator` seeded with a single
 64-bit integer (PCG64, deterministic across platforms).  Generators are
@@ -16,6 +21,7 @@ always passed explicitly; nothing here touches global RNG state.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -38,10 +44,10 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # exact rational points
 # ---------------------------------------------------------------------------
 
-def _sphere_lifted(t: Sequence[Fraction]) -> Tuple[list, int]:
-    """`rational_sphere_point(t)` as integer numerators over one denominator:
-    with t = n / d, the point is (|n|^2 - d^2, 2 d n) / (|n|^2 + d^2)."""
-    n, d = lift_exact(t)
+def _sphere_lifted(n: Sequence[int], d: int) -> Tuple[list, int]:
+    """The sphere point of t = n / d (int numerators over an int d > 0) as
+    integer numerators over one denominator:
+    (|n|^2 - d^2, 2 d n) / (|n|^2 + d^2)."""
     s = sum(c * c for c in n)
     return [s - d * d, *(2 * d * c for c in n)], s + d * d
 
@@ -49,7 +55,7 @@ def _sphere_lifted(t: Sequence[Fraction]) -> Tuple[list, int]:
 def rational_sphere_point(t: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Map t in Q^n to an exact unit vector in Q^(n+1) (first coordinate is
     the pole coordinate (|t|^2-1)/(|t|^2+1))."""
-    nums, den = _sphere_lifted(t)
+    nums, den = _sphere_lifted(*lift_exact(t))
     return tuple(Fraction(c, den) for c in nums)
 
 
@@ -63,7 +69,7 @@ def rational_unit_octonion(t: Sequence[Fraction]) -> Octonion:
     """Exact unit octonion from t in Q^7 (a point of the seven-sphere)."""
     if len(t) != 7:
         raise OutOfRange("need 7 rational parameters for a unit octonion")
-    return Octonion.from_lifted(*_sphere_lifted(t))
+    return Octonion.from_lifted(*_sphere_lifted(*lift_exact(t)))
 
 
 def rational_imaginary_unit(t: Sequence[Fraction]) -> Octonion:
@@ -71,7 +77,7 @@ def rational_imaginary_unit(t: Sequence[Fraction]) -> Octonion:
     embedded into coordinates e1..e7 with zero real part)."""
     if len(t) != 6:
         raise OutOfRange("need 6 rational parameters for a point of the six-sphere")
-    nums, den = _sphere_lifted(t)
+    nums, den = _sphere_lifted(*lift_exact(t))
     return Octonion.from_lifted([0, *nums], den)
 
 
@@ -85,18 +91,37 @@ def random_rational_vector(rng: np.random.Generator, n: int,
     return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
 
 
+def _random_lifted(rng: np.random.Generator, n: int, num_max: int = 6,
+                   den_max: int = 4) -> Tuple[list, int]:
+    """`random_rational_vector(rng, n, num_max, den_max)` as int numerators
+    over the lcm of the drawn denominators (not reduced), from the same two
+    draws."""
+    nums = rng.integers(-num_max, num_max + 1, size=n).tolist()
+    dens = rng.integers(1, den_max + 1, size=n).tolist()
+    d = math.lcm(*dens)
+    return [a * (d // b) for a, b in zip(nums, dens)], d
+
+
+def random_sphere_lifted(rng: np.random.Generator, n: int) -> Tuple[list, int]:
+    """A random exact point of the unit sphere in Q^(n+1), as int numerators
+    over one denominator: `rational_sphere_point(random_rational_vector(rng,
+    n))` without its Fractions."""
+    return _sphere_lifted(*_random_lifted(rng, n))
+
+
 def random_rational_unit_octonion(rng: np.random.Generator) -> Octonion:
-    return rational_unit_octonion(random_rational_vector(rng, 7))
+    return Octonion.from_lifted(*random_sphere_lifted(rng, 7))
 
 
 def random_rational_imaginary_unit(rng: np.random.Generator) -> Octonion:
-    return rational_imaginary_unit(random_rational_vector(rng, 6))
+    nums, den = random_sphere_lifted(rng, 6)
+    return Octonion.from_lifted([0, *nums], den)
 
 
 def random_rational_circle_point(rng: np.random.Generator):
     """Exact (cos, sin) with c^2 + s^2 = 1."""
-    t = random_rational_vector(rng, 1, num_max=12, den_max=7)[0]
-    return rational_circle_point(t)
+    (c, s), den = _sphere_lifted(*_random_lifted(rng, 1, num_max=12, den_max=7))
+    return Fraction(c, den), Fraction(s, den)
 
 
 def random_rational_tangent(rng: np.random.Generator, p: Octonion) -> Octonion:
@@ -104,7 +129,8 @@ def random_rational_tangent(rng: np.random.Generator, p: Octonion) -> Octonion:
     (a tangent direction at p; not normalized).  Exactness of the two inner
     products is what matters downstream, not the norm."""
     while True:
-        v = Octonion((0, *random_rational_vector(rng, 7)))
+        nums, den = _random_lifted(rng, 7)
+        v = Octonion.from_lifted([0, *nums], den)
         # subtract the <1,p> component; p is a unit imaginary so <p,p> = 1
         v = v - v.inner(p) * p
         if not v.is_zero():

@@ -139,30 +139,34 @@ def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
         x = _sample_unit(rng, mode)
         y = _sample_unit(rng, mode)
         checked += 1
-        for w in _words_up_to_4(x, y):
-            vals = _all_parenthesizations(w)
+        memo: dict = {}
+        for w in _words_up_to_4():
+            vals = _all_parenthesizations(w, (y, x), memo)
             if any(not close(v - vals[0]) for v in vals[1:]):
                 failures.append(_oct_payload(x=x, y=y, laws=["two-generator associativity"]))
                 break
     return checked, failures, worst
 
 
-def _words_up_to_4(x, y):
-    out = []
-    for n in (2, 3, 4):
-        for bits in range(2 ** n):
-            out.append([x if (bits >> i) & 1 else y for i in range(n)])
-    return out
+def _words_up_to_4():
+    """The 28 words of length 2 to 4 in two letters, as tuples of letter
+    indices: 1 for x, 0 for y."""
+    return [tuple((bits >> i) & 1 for i in range(n))
+            for n in (2, 3, 4) for bits in range(2 ** n)]
 
 
-def _all_parenthesizations(word):
+def _all_parenthesizations(word, letters, memo):
+    """The products of the letters spelt by word under every bracketing,
+    split point by split point.  Each sub-word's list is built once and
+    kept in memo, keyed by the word: the 28 words of `_words_up_to_4` then
+    take 100 products instead of 276."""
     if len(word) == 1:
-        return [word[0]]
-    out = []
-    for cut in range(1, len(word)):
-        for l in _all_parenthesizations(word[:cut]):
-            for r in _all_parenthesizations(word[cut:]):
-                out.append(l * r)
+        return [letters[word[0]]]
+    out = memo.get(word)
+    if out is None:
+        out = memo[word] = [l * r for cut in range(1, len(word))
+                            for l in _all_parenthesizations(word[:cut], letters, memo)
+                            for r in _all_parenthesizations(word[cut:], letters, memo)]
     return out
 
 
@@ -177,10 +181,11 @@ def _suite_moufang(samples, mode, seed, tol, table=None):
         y = _sample_unit(rng, mode)
         z = _sample_unit(rng, mode)
         checked += 1
+        xy, zx = x * y, z * x  # each shared by two laws
         laws = {
-            "(xy)(zx) = x((yz)x)": (x * y) * (z * x) - x * ((y * z) * x),
-            "x(y(xz)) = ((xy)x)z": x * (y * (x * z)) - ((x * y) * x) * z,
-            "((zx)y)x = z(x(yx))": ((z * x) * y) * x - z * (x * (y * x)),
+            "(xy)(zx) = x((yz)x)": xy * zx - x * ((y * z) * x),
+            "x(y(xz)) = ((xy)x)z": x * (y * (x * z)) - (xy * x) * z,
+            "((zx)y)x = z(x(yx))": (zx * y) * x - z * (x * (y * x)),
         }
         bad = []
         for name, d in laws.items():

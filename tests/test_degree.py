@@ -296,6 +296,32 @@ def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
     assert 0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
 
 
+def test_singular_run_tries_the_plain_solve_once(rng, monkeypatch):
+    # theta-circle's Jacobians are singular at every iterate: its run's first
+    # batch tries the plain solve and takes the damped one, and the later
+    # batches go straight to the damped solve; a regular run solves once
+    # per iteration
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: solves.append(1) or solve(*args))
+    target = rng.standard_normal(8)
+    target /= np.linalg.norm(target)
+    pole = np.zeros(8); pole[0] = 1.0
+    charted = dg._Charted(dg.theta_circle_map(), target, pole)
+    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
+    assert len(pts) == 0
+    assert len(solves) == dg.NEWTON_MAX_ITER + 1
+
+    fam, jets = dg.power_map(3), []
+    jet = fam.jet
+    fam.jet = lambda x: jets.append(1) or jet(x)
+    solves.clear()
+    pts, _ = dg._Charted(fam, target, pole).solve(0.5 * rng.standard_normal((50, 7)))
+    assert len(pts) > 0
+    assert 0 < len(solves) == len(jets)
+
+
 _REPORTS_IN_FRESH_PROCESS = """
 import json
 from sixsphere import degree as dg

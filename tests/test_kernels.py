@@ -328,6 +328,10 @@ def test_float_results_equal_per_term_floats(rng):
              (3 * x, Octonion(3 * a for a in X)),
              (x * F(1, 3), Octonion(F(1, 3) * a for a in X)),
              (x / 3, Octonion(a / 3 for a in X)),
+             (x * np.float64(0.3), Octonion(0.3 * a for a in X)),
+             (np.float64(0.3) * x, Octonion(0.3 * a for a in X)),
+             (x * np.int64(3), Octonion(3 * a for a in X)),
+             (x / np.float64(0.3), Octonion(a / 0.3 for a in X)),
              (x.imag(), Octonion([0.0, *X[1:]]))]
     for got, want in cases:
         _assert_same_floats(got, want)

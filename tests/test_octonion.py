@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from sixsphere import suites
 from sixsphere.errors import DegenerateInput, ZeroDivisor
 from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
                                 left_mult_matrix, left_mult_matrix_exact,
@@ -95,6 +96,42 @@ def test_alternativity_and_moufang(rng):
         assert (x * y) * (z * x) == x * ((y * z) * x)
         assert x * (y * (x * z)) == ((x * y) * x) * z
         assert ((z * x) * y) * x == z * (x * (y * x))
+
+
+def _bracketings(word):
+    # every bracketing of the word, recomputed per split point (no memo)
+    if len(word) == 1:
+        return [word[0]]
+    return [l * r for cut in range(1, len(word))
+            for l in _bracketings(word[:cut]) for r in _bracketings(word[cut:])]
+
+
+def test_artin_words_build_each_sub_product_once(rng):
+    # the two-generator check of the octonion-axioms suite: over its 28 words
+    # the memo takes 100 products, not 276, and lists the same bracketings
+    # in the same order as the recursion without it
+    products = []
+
+    class Term(str):
+        def __mul__(self, other):
+            products.append(1)
+            return Term("(%s%s)" % (self, other))
+
+    words = suites._words_up_to_4()
+    assert len(words) == len(set(words)) == 28
+    letters = (Term("y"), Term("x"))
+    memo: dict = {}
+    got = [suites._all_parenthesizations(w, letters, memo) for w in words]
+    assert len(products) == 100
+    want = [_bracketings([letters[i] for i in w]) for w in words]
+    assert len(products) == 100 + 276
+    assert got == want
+    x = random_rational_unit_octonion(rng)
+    y = random_rational_unit_octonion(rng)
+    memo = {}
+    for w in words:
+        assert suites._all_parenthesizations(w, (y, x), memo) == \
+            _bracketings([(y, x)[i] for i in w])
 
 
 def test_conjugation_antiautomorphism(rng):
@@ -246,6 +283,29 @@ def test_infinite_scalar_raises_degenerate_input(x):
                lambda: x * np.float64(-inf)):
         with pytest.raises(DegenerateInput, match="finite"):
             op()
+
+
+def test_float_results_that_overflow_raise_degenerate_input():
+    # a finite product, sum or multiple whose coordinate overflows raises,
+    # as the constructor does, rather than carrying inf or NaN onward
+    big, big_exact = Octonion([1e200] + [0.0] * 7), Octonion([F(10 ** 200)] + [0] * 7)
+    huge = Octonion([1.7e308] + [0.0] * 7)
+    for op in (lambda: big * big, lambda: big_exact * big, lambda: big * big_exact,
+               lambda: Octonion([1e200] * 8) * Octonion([1e200] * 8),
+               lambda: huge + huge, lambda: huge - -huge, lambda: huge * 2,
+               lambda: big * 1e200, lambda: 1e200 * big, lambda: big_exact * 1e200,
+               lambda: big * np.float64(1e200), lambda: big / 1e-200):
+        with pytest.raises(DegenerateInput, match="finite"), \
+                np.errstate(over="ignore"):
+            op()
+
+
+def test_finite_coordinates_with_an_infinite_sum_do_not_raise():
+    # eight coordinates of 1e308 sum to inf, but each is finite
+    x, zero = Octonion([1e308] * 8), Octonion([0.0] * 8)
+    for got in (x + zero, x - zero, -x, x.conjugate(), x * 1.0,
+                x * np.float64(1.0), x / 1.0, E[0] * x, x * E[0]):
+        assert [abs(c) for c in got.coords] == [1e308] * 8
 
 
 def test_serialization_round_trip(rng):

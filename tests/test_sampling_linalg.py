@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from sixsphere import linalg
+from sixsphere import frames, linalg, sampling
+from sixsphere.frames import householder_swap
+from sixsphere.octonion import Octonion
 from sixsphere.sampling import (haar_orthogonal, random_rational_vector,
-                                rational_circle_point, rational_sphere_point,
-                                rational_unit_octonion, rng_from_seed)
+                                rational_circle_point, rational_imaginary_unit,
+                                rational_sphere_point, rational_unit_octonion,
+                                rng_from_seed)
 
 
 def test_stereographic_fixed_points():
@@ -24,6 +27,63 @@ def test_unit_norm_exact(rng):
         t = random_rational_vector(rng, 7)
         x = rational_unit_octonion(t)
         assert x.norm_sq() == 1
+
+
+def _same(got, want):
+    # the same exact value in the same form: an octonion's canonical pair,
+    # or Fractions
+    if isinstance(want, Octonion):
+        assert got.exact and (got.numerators, got.denominator) == \
+            (want.numerators, want.denominator)
+    else:
+        assert all(type(a) is F for a in got) and tuple(got) == tuple(want)
+
+
+def _fraction_frame(rng):
+    # random_g2_frame through Fraction vectors and rational_* points
+    x = rational_imaginary_unit(random_rational_vector(rng, 6))
+    u = Octonion((0, 0, *rational_sphere_point(random_rational_vector(rng, 5))))
+    qf = frames.QuaternionFrame(x, householder_swap(Octonion.basis(1), x)(u))
+    h1 = householder_swap(Octonion.basis(1), x)
+    h2 = householder_swap(Octonion.basis(2), h1(qf.y))
+    w = h1(h2(Octonion.basis(3)))
+    z0 = householder_swap(w, qf.y * x)(h1(h2(Octonion.basis(4))))
+    a = Octonion.zero()
+    for qi, b in zip(rational_sphere_point(random_rational_vector(rng, 3)),
+                     qf.basis):
+        a = a + qi * b
+    return x, qf.y, z0 * a
+
+
+def test_integer_draws_equal_the_fraction_path():
+    # each random exact draw takes its integers straight from the generator;
+    # on a twin generator, random_rational_vector and the rational_* function
+    # give the same value in the same form, and both generators end in the
+    # same state
+    p = sampling.random_rational_imaginary_unit(rng_from_seed(7))
+    draws = [
+        (sampling.random_rational_unit_octonion,
+         lambda r: rational_unit_octonion(random_rational_vector(r, 7))),
+        (sampling.random_rational_imaginary_unit,
+         lambda r: rational_imaginary_unit(random_rational_vector(r, 6))),
+        (sampling.random_rational_circle_point,
+         lambda r: rational_circle_point(
+             random_rational_vector(r, 1, num_max=12, den_max=7)[0])),
+    ]
+    for seed in range(200):
+        ours, ref = rng_from_seed(seed), rng_from_seed(seed)
+        for draw, want in draws:
+            _same(draw(ours), want(ref))
+        while True:   # random_rational_tangent, drawn until nonzero
+            v = Octonion((0, *random_rational_vector(ref, 7)))
+            v = v - v.inner(p) * p
+            if not v.is_zero():
+                break
+        _same(sampling.random_rational_tangent(ours, p), v)
+        got = frames.random_g2_frame(ours)
+        for o, w in zip((got.x, got.y, got.z), _fraction_frame(ref)):
+            _same(o, w)
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_rng_determinism():

@@ -157,11 +157,12 @@ def test_isotopy_residual_separates_companions():
 
 def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
     # with a tolerance, a wrong candidate is dropped at its first failing
-    # basis pair; a companion still passes all 64, with the same residual
+    # basis pair; a companion still passes all 64, with the same residual.
+    # isotopy_residual measures each pair's defect once with `residual`
     calls = []
-    defect = twistor._isotopy_defect
-    monkeypatch.setattr(twistor, "_isotopy_defect",
-                        lambda *args: calls.append(args) or defect(*args))
+    measure = twistor.residual
+    monkeypatch.setattr(twistor, "residual",
+                        lambda *args: calls.append(args) or measure(*args))
     lam = twistor.random_so7_exact(rng_from_seed(47))
     for rot in (lam, SO7Element(lam.as_array())):
         a = companion(rot).a
@@ -174,6 +175,33 @@ def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
         assert isotopy_residual(rot, a, CHECK_TOL) == isotopy_residual(rot, a)
         assert len(calls) == 128
         assert rot.images() is rot.images()
+
+
+def _residual_per_pair(lam, a, tol=None):
+    # isotopy_residual as it reads, one `_isotopy_defect` per basis pair
+    ctx, worst = twistor.arithmetic_of(lam), 0.0
+    for i in range(8):
+        for j in range(8):
+            r = twistor.residual(twistor._isotopy_defect(lam.images(), a, i, j))
+            if tol is not None and not ctx.scalar_eq(r, 0, tol):
+                return r
+            worst = max(worst, r)
+    return worst
+
+
+def test_isotopy_residual_equals_the_per_pair_defects():
+    # the shared factors give each pair's defect exactly: the same max, and
+    # with a tolerance the same first failing value, in both modes (in float
+    # mode to the last bit)
+    for seed in (3, 47):
+        lam = twistor.random_so7_exact(rng_from_seed(seed))
+        for rot in (lam, SO7Element(lam.as_array())):
+            a = companion(rot).a
+            for cand in (a, a * E[2], a + E[3], rot.apply(E[5])):
+                for tol in (None, CHECK_TOL, 0.5):
+                    got = isotopy_residual(rot, cand, tol)
+                    assert got == _residual_per_pair(rot, cand, tol)
+                    assert type(got) is float
 
 
 def test_companion_defensive_kernel_error():
