@@ -130,13 +130,7 @@ def _cmd_degree(args) -> int:
     cfg = deg.EngineConfig(trials=args.trials)
     if args.starts is not None:
         cfg.n_starts = args.starts
-    try:
-        rep = deg.named_degree(args.map, seed=args.seed, config=cfg)
-    except BadConfig:
-        raise  # an unknown map name: a usage error
-    except SixSphereError as e:
-        print("degree: %s" % e, file=sys.stderr)
-        return FAILURE
+    rep = deg.named_degree(args.map, seed=args.seed, config=cfg)
     print("map %-14s degree %d  (%d trials, %s preimages)"
           % (rep.name, rep.degree, len(rep.trials),
              "/".join(str(t.n_converged) for t in rep.trials)))
@@ -147,13 +141,7 @@ def _cmd_degree(args) -> int:
 
 def _cmd_companion(args) -> int:
     lam = _read_matrix(twistor.SO7Element, args.matrix)
-    try:
-        res = twistor.companion(lam, tol=args.tol)
-    except BadConfig:
-        raise  # a bad --tol: a usage error
-    except SixSphereError as e:
-        print("companion: %s" % e, file=sys.stderr)
-        return FAILURE
+    res = twistor.companion(lam, tol=args.tol)
     payload = {"a": res.a.to_strings(), "residual": res.residual,
                "kernel_dim": res.kernel_dim}
     _write_json(payload, args.json)
@@ -203,11 +191,7 @@ def _cmd_homotopy(args) -> int:
 
 def _cmd_recover(args) -> int:
     j = _read_matrix(cstruct.ComplexStructureR6, args.structure)
-    try:
-        x = cstruct.recover_x(j)
-    except SixSphereError as e:
-        print("recover: %s" % e, file=sys.stderr)
-        return FAILURE
+    x = cstruct.recover_x(j)
     payload = {"x": x.to_strings(),
                "round_trip_distance": cstruct.j_from_octonion(x).distance(j)}
     _write_json(payload, args.json)

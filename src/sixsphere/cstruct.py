@@ -21,9 +21,10 @@ formula is invariant under scaling x, so exact rational representatives of
 the ray are accepted everywhere and exact-mode computations never need a
 square root.  J_x is built as the 8x8 matrix product
 R_conj(x) L_e1 R_x / |x|^2 of multiplication matrices, restricted to the
-rows and columns of the 6-plane basis, and the arithmetic context multiplies
-it in its mode (see `octonion.Arithmetic`).  The standard structure is J_1,
-built once per mode.
+rows and columns of the 6-plane basis: the arithmetic context multiplies it
+in its mode and the structure holds the resulting pair (see
+`octonion.SquareMatrix`), whose kernels give recovery and common lines.  The
+standard structure is J_1, built once per mode.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class ComplexStructureR6(SquareMatrix):
     size, error = 6, InvalidStructure
 
     def _validate(self):
-        ctx = arithmetic_of(self)
-        m = ctx.matrix(self.rows)
+        ctx, m = arithmetic_of(self), self.m
         if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL):
             raise InvalidStructure("J is not antisymmetric")
         if not ctx.equal(ctx.product(m, m), ctx.scaled(ctx.identity(6), -1),
@@ -93,7 +93,7 @@ class ComplexStructureR6(SquareMatrix):
         That basis carries J to the standard block form, whose Pfaffian is
         -1, and Pf(B J B^T) = det(B) Pf(J); so the sign is -sign Pf(J),
         taken here on the numerators of J over a positive denominator."""
-        pf = linalg.pfaffian(arithmetic_of(self).matrix(self.rows)[0].tolist())
+        pf = linalg.pfaffian(self.m[0].tolist())
         return -1 if pf > 0 else (1 if pf < 0 else 0)
 
     # -- comparisons ---------------------------------------------------------
@@ -147,8 +147,7 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
         raise NotUnit("x must be nonzero")
     r = ctx.right(ctx.points([x]))   # R_conj(x) is its transpose
     m = ctx.product(ctx.transpose(r), ctx.left(ctx.points([ctx.e1])), r)
-    return ComplexStructureR6._trusted(ctx.entries(ctx.scaled(m, n), R6_BASIS),
-                                       ctx.exact)
+    return ComplexStructureR6._trusted(ctx.scaled(m, n), ctx, R6_BASIS)
 
 
 def equivalent(x: Octonion, y: Octonion) -> bool:
@@ -183,8 +182,7 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     std = standard_structure(exact=j.exact)
     if j == std:
         return ctx.one
-    diff = linalg.mat_sub(j.rows, std.rows)
-    ker = ctx.kernel([list(r) for r in diff])
+    ker = ctx.kernel(ctx.difference(j, std))
     if len(ker) == 6:
         return ctx.one
     if len(ker) != 2:
@@ -224,8 +222,7 @@ def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     if j1 == j2:
         raise IdenticalStructures("every line is common to identical structures")
     ctx = arithmetic_of(j1, j2)
-    diff = linalg.mat_sub(j1.rows, j2.rows)
-    ker = ctx.kernel([list(r) for r in diff])
+    ker = ctx.kernel(ctx.difference(j1, j2))
     if len(ker) == 0:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:

@@ -1,8 +1,9 @@
 """Small dense linear algebra, exact over Fractions plus float helpers.
 
-Exact matrices are lists of lists of Fractions (row-major).  Everything here
-is sized for the 6x6 / 8x8 / 64x8 systems this package needs; none of it is
-meant to scale.
+Matrices are row-major sequences of rows: of ints or Fractions when exact
+(the integer numerators of a `SquareMatrix` pair among them).  Everything
+here is sized for the 6x6 / 8x8 / 64x8 systems this package needs; none of
+it is meant to scale.
 
 Exact sums of products run on integers: `lift` writes a vector of rationals
 as integer numerators over the lcm of its denominators, the products and the
@@ -90,10 +91,6 @@ def mat_mul(a, b) -> Matrix:
 def mat_vec(a, v) -> list:
     q = lift(v)
     return [_dot(row, v, lift(row) if q else None, q) for row in a]
-
-
-def mat_sub(a, b) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_eq(a, b) -> bool:

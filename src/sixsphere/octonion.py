@@ -33,9 +33,9 @@ the table at import, multiplies exact numerators, float coordinates and
 mixed Fraction/float coordinates alike.  A scalar multiple or quotient
 tests the scalar, not the result: a zero divisor raises `ZeroDivisor`, a
 NaN or infinite scalar `DegenerateInput`.  The arithmetic context also
-multiplies square matrices, each mode in its own form (see `Arithmetic`),
-and `SquareMatrix` holds the matrices of structures and of SO(7) elements
-in the mode of their entries.
+multiplies square matrices as (array, denominator) pairs (see
+`Arithmetic`), and a `SquareMatrix`, a structure or an SO(7) element,
+holds its pair in that form, exact pairs reduced as octonions are.
 """
 
 from __future__ import annotations
@@ -172,6 +172,25 @@ def _reduced(num: Sequence[int], d: int) -> "Octonion":
     return _exact(tuple(n // g for n in num), d // g)
 
 
+def _lift(values: Sequence, error: type, floats: bool = False):
+    """The pair of these scalars in their mode: Python floats over 1.0 when
+    `floats` is set or any scalar is a float, else canonical int numerators
+    over a positive int (`linalg.lift_exact`, which reads Fraction strings
+    too).  A value that is not a finite real number raises `error`."""
+    types = set(map(type, values))
+    try:
+        if any(issubclass(t, (complex, np.complexfloating)) for t in types):
+            raise TypeError("a complex number")
+        if floats or any(issubclass(t, (float, np.floating)) for t in types):
+            fs = [float(x) for x in values]
+            if not all(map(math.isfinite, fs)):
+                raise ValueError("a NaN or an infinity")
+            return fs, 1.0
+        return linalg.lift_exact(values)
+    except (TypeError, ValueError) as e:
+        raise error("entries must be finite real numbers, got %s" % e) from None
+
+
 def _check_finite(scalar):
     # a scalar multiple or quotient tests its scalar first, so a NaN or
     # infinite scalar is named as such
@@ -218,17 +237,11 @@ class Octonion:
         cs = tuple(coords)
         if len(cs) != 8:
             raise DegenerateInput("octonion needs exactly 8 coordinates, got %d" % len(cs))
-        if any(isinstance(c, (float, np.floating)) for c in cs):
-            fs = tuple(float(c) for c in cs)
-            if not all(map(math.isfinite, fs)):
-                raise DegenerateInput("octonion coordinates must be finite")
-            self.numerators = self._coords = fs
-            self.denominator, self.exact = 1, False
-            return
-        # the lift of reduced Fractions over the lcm of their denominators
-        # is already canonical
-        nums, self.denominator = linalg.lift_exact(cs)
-        self.numerators, self._coords, self.exact = tuple(nums), None, True
+        nums, d = _lift(cs, DegenerateInput)
+        self.numerators, self.exact = tuple(nums), not isinstance(d, float)
+        # the lift of reduced Fractions over the lcm of their denominators is
+        # already canonical; floats are their own coordinates, over 1
+        self.denominator, self._coords = (d, None) if self.exact else (1, self.numerators)
 
     @property
     def coords(self) -> tuple:
@@ -457,8 +470,8 @@ class Arithmetic:
     # Matrices and points are (array, denominator) pairs, and may be stacked
     # along leading axes: integer numerators in an object array over one
     # denominator per point (EXACT), floats over 1 (FLOAT).  Products
-    # multiply the arrays and the denominators; only `entries` and the
-    # comparisons divide.
+    # multiply the arrays and the denominators; only the comparisons divide
+    # them out, and `SquareMatrix._trusted` reduces a pair to its form.
 
     def product(self, *ms):
         """The product of matrix pairs, left to right, broadcasting."""
@@ -475,9 +488,33 @@ class Arithmetic:
         return (_IMAG_PROJ.astype(v.dtype) * (d * d)
                 - v[..., :, None] * v[..., None, :], d * d)
 
+    def matrix(self, rows, error: type = DegenerateInput):
+        """The pair of the square matrix with these rows, in floats when this
+        is FLOAT, rows is an ndarray or an entry is a float (see `_lift`)."""
+        floats = not self.exact or isinstance(rows, np.ndarray)
+        nums, d = _lift(rows.ravel().tolist() if isinstance(rows, np.ndarray)
+                        else [x for row in rows for x in row], error, floats)
+        return np.array(nums, dtype=float if isinstance(d, float) else object
+                        ).reshape(len(rows), -1), d
+
     def identity(self, n: int):
         """The pair of the n x n identity matrix."""
         return self.matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def pair(self, a: "SquareMatrix"):
+        """The pair of the square matrix a in this mode: its own, or the
+        float copy of an exact a (a mixed computation runs in floats)."""
+        return a.m if a.exact == self.exact else (a.as_array(), 1.0)
+
+    def agree(self, a: "SquareMatrix", b: "SquareMatrix", tol: float) -> bool:
+        """Equality of two square matrices, FLOAT's within tol."""
+        return self.equal(self.pair(a), self.pair(b), tol)
+
+    def difference(self, a: "SquareMatrix", b: "SquareMatrix") -> np.ndarray:
+        """The array of a - b times the product of their denominators: the
+        matrix of a - b up to a positive scale, which has its kernel."""
+        (x, dx), (y, dy) = self.pair(a), self.pair(b)
+        return x * dy - y * dx
 
 
 class _ExactArithmetic(Arithmetic):
@@ -499,11 +536,6 @@ class _ExactArithmetic(Arithmetic):
         """Whether the squared norm n counts as zero."""
         return n == 0
 
-    def agree(self, a, b, tol: float) -> bool:
-        """Equality of two structures (objects with `rows` and `distance`);
-        FLOAT compares their distance with tol."""
-        return a.rows == b.rows
-
     def kernel(self, rows) -> list:
         """Basis (rows) of the right kernel of a matrix."""
         return linalg.kernel_basis(rows)
@@ -518,11 +550,6 @@ class _ExactArithmetic(Arithmetic):
         return (np.array([o.numerators for o in os], dtype=object),
                 np.array([o.denominator for o in os], dtype=object).reshape(-1, 1, 1))
 
-    def matrix(self, rows):
-        """The pair of the square matrix with these rows."""
-        nums, d = linalg.lift([x for row in rows for x in row])
-        return np.array(nums, dtype=object).reshape(len(rows), -1), d
-
     def left(self, p):
         """The pair of v -> w v for each point w of the pair p."""
         return left_mult_matrix_exact(p[0]), p[1]
@@ -535,13 +562,6 @@ class _ExactArithmetic(Arithmetic):
         """The pair m / s."""
         s = Fraction(s)
         return m[0] * s.denominator, m[1] * s.numerator
-
-    def entries(self, m, idx: Optional[Sequence[int]] = None) -> tuple:
-        """The rows of the one matrix of m (a stack of one is fine), on the
-        rows and columns idx when given: one Fraction per entry."""
-        d = m[1].flat[0] if isinstance(m[1], np.ndarray) else m[1]
-        return tuple(tuple(Fraction(x, d) for x in row)
-                     for row in _restrict(m[0], idx).tolist())
 
     def distance(self, m1, m2) -> float:
         """Largest absolute entry of m1 - m2, as a float."""
@@ -584,9 +604,6 @@ class _FloatArithmetic(Arithmetic):
     def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
         return float(n) < tol_sq
 
-    def agree(self, a, b, tol: float) -> bool:
-        return a.distance(b) <= tol
-
     def kernel(self, rows) -> list:
         return [list(v) for v in
                 linalg.kernel_basis_float(np.array(rows, dtype=float))]
@@ -597,9 +614,6 @@ class _FloatArithmetic(Arithmetic):
     def points(self, os: Sequence[Octonion]):
         return np.array([[float(c) for c in o.coords] for o in os]), 1.0
 
-    def matrix(self, rows):
-        return np.asarray(rows, dtype=float), 1.0
-
     def left(self, p):
         return left_mult_matrix(p[0]), p[1]
 
@@ -608,9 +622,6 @@ class _FloatArithmetic(Arithmetic):
 
     def scaled(self, m, s):
         return m[0], m[1] * float(s)
-
-    def entries(self, m, idx: Optional[Sequence[int]] = None) -> np.ndarray:
-        return _restrict(m[0], idx) / m[1]
 
     def distance(self, m1, m2) -> float:
         return float(np.max(np.abs(m1[0] / m1[1] - m2[0] / m2[1])))
@@ -629,12 +640,6 @@ class _FloatArithmetic(Arithmetic):
         return linalg.mat_vec(np.asarray(rows, dtype=float).tolist(), v)
 
 
-def _restrict(a: np.ndarray, idx: Optional[Sequence[int]]) -> np.ndarray:
-    # the one matrix of a, on the rows and columns idx when given
-    a = a.reshape(a.shape[-2:])
-    return a if idx is None else a[np.ix_(idx, idx)]
-
-
 EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))
 FLOAT = _FloatArithmetic(*(Octonion(float(c) for c in o.coords)
                            for o in (EXACT.one, EXACT.e1)))
@@ -650,15 +655,17 @@ class SquareMatrix:
     """A square matrix in one arithmetic mode: the storage that structures
     and orthogonal-group elements share.
 
-    The mode is decided here, once: an ndarray or any float entry gives a
-    float array, anything else rows of Fractions (exact).  A subclass sets
+    It holds `m`, its pair in the form its `Arithmetic` multiplies: a float
+    array over 1.0, or an object array of int numerators over an int d > 0
+    with gcd 1.  `rows` are the float array, or canonical Fractions built
+    from the pair on first read.  The mode is decided here, once, as
+    `_lift` decides it, an ndarray counting as floats.  A subclass sets
     `size` and the `error` that a malformed matrix raises, and may override
-    `_validate`, which runs on construction unless `validate` is False (after
-    a float matrix is checked to be finite); it tests a float matrix to
-    CHECK_TOL.
+    `_validate`, which runs on construction unless `validate` is False; it
+    tests a float matrix to CHECK_TOL.
     """
 
-    __slots__ = ("rows", "exact")
+    __slots__ = ("m", "exact", "_rows")
     size: int
     error: type
 
@@ -668,31 +675,46 @@ class SquareMatrix:
                 or len(rows) != n or any(len(row) != n for row in rows)):
             raise self.error("expected %s %dx%d matrix"
                              % ("an" if n == 8 else "a", n, n))
-        self.exact = not isinstance(rows, np.ndarray) and not any(
-            isinstance(x, (float, np.floating)) for row in rows for x in row)
-        self.rows = (tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                                 for x in row) for row in rows)
-                     if self.exact else np.array(rows, dtype=float))
+        self.m = EXACT.matrix(rows, self.error)  # the entries decide the mode
+        self.exact, self._rows = not isinstance(self.m[1], float), None
         if validate:
-            if not self.exact and not np.isfinite(self.rows).all():
-                raise self.error("matrix entries must be finite")
             self._validate()
+
+    @property
+    def rows(self):
+        if not self.exact:
+            return self.m[0]
+        if self._rows is None:
+            a, d = self.m
+            self._rows = tuple(tuple(Fraction(x, d) for x in row) for row in a.tolist())
+        return self._rows
 
     def _validate(self):
         """Raise `error` unless the matrix belongs to the class."""
 
     @classmethod
-    def _trusted(cls, rows, exact: bool) -> "SquareMatrix":
-        """The matrix with rows already in the form of their mode (a tuple of
-        tuples of Fractions, or a float array), built by a formula that puts
-        it in the class: not re-validated.  Only for classes with no slots
-        of their own."""
+    def _trusted(cls, pair, ctx: Arithmetic,
+                 idx: Optional[Sequence[int]] = None) -> "SquareMatrix":
+        """The matrix of the pair (a stack of one is fine, with a positive
+        denominator) that a formula in the mode of ctx puts in the class, on
+        the rows and columns idx when given: reduced to its form, not
+        re-validated."""
+        a, d = pair[0].reshape(pair[0].shape[-2:]), pair[1]
+        if idx is not None:
+            a = a[np.ix_(idx, idx)]
+        if not ctx.exact:
+            a, d = a / d, 1.0
+        else:
+            d = d.flat[0] if isinstance(d, np.ndarray) else d
+            g = math.gcd(*a.flat, d)
+            if g > 1:
+                a, d = a // g, d // g
         m = object.__new__(cls)
-        m.rows, m.exact = rows, exact
+        m.m, m.exact, m._rows = (a, d), ctx.exact, None
         return m
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=float)
+        return np.asarray(self.m[0] / self.m[1], dtype=float)
 
     def distance(self, other: "SquareMatrix") -> float:
         return float(np.max(np.abs(self.as_array() - other.as_array())))

@@ -89,7 +89,7 @@ class TangentStructure(SquareMatrix):
         <1,p>-perp: exactly for an exact structure, within CHECK_TOL for a
         float one."""
         ctx = arithmetic_of(self, self.p)
-        m = ctx.matrix(self.rows)
+        m = ctx.pair(self)
         minus_proj = ctx.scaled(ctx.projector(ctx.points([self.p])), -1)
         return (ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL)
                 and ctx.equal(ctx.product(m, m), minus_proj, CHECK_TOL))
@@ -107,8 +107,11 @@ class Section:
         self.build, self.exact = build, exact
 
     def __call__(self, p: Octonion) -> TangentStructure:
+        _check_point(p)
         ctx = arithmetic_of(self, p)
-        return TangentStructure(p, ctx.entries(self.build(ctx, ctx.points([p]))))
+        st = TangentStructure._trusted(self.build(ctx, ctx.points([p])), ctx)
+        st.p = p
+        return st
 
 
 _CANONICAL = Section(lambda ctx, pts: ctx.product(ctx.left(pts),
@@ -156,15 +159,10 @@ class SO7Element(SquareMatrix):
     __slots__ = ("_images",)
     size, error = 8, DegenerateInput
 
-    def __init__(self, rows, validate: bool = True):
-        self._images = None
-        super().__init__(rows, validate)
-
     def _validate(self):
-        ctx = arithmetic_of(self)
-        m = ctx.matrix(self.rows)
-        fixed = all(ctx.scalar_eq(row[0], int(i == 0), CHECK_TOL)
-                    for i, row in enumerate(self.rows))
+        ctx, m = arithmetic_of(self), self.m
+        fixed = all(ctx.scalar_eq(x, m[1] * (i == 0), CHECK_TOL)
+                    for i, x in enumerate(m[0][:, 0]))
         if not (fixed and ctx.equal(ctx.product(m, ctx.transpose(m)),
                                     ctx.identity(8), CHECK_TOL)):
             raise DegenerateInput("matrix must be orthogonal and fix 1")
@@ -176,20 +174,21 @@ class SO7Element(SquareMatrix):
 
     def inverse_apply(self, o: Octonion) -> Octonion:
         ctx = arithmetic_of(self)
-        return apply_matrix(ctx.entries(ctx.transpose(ctx.matrix(self.rows))), o)
+        return SO7Element._trusted(ctx.transpose(self.m), ctx).apply(o)
 
     def compose(self, other: "SO7Element") -> "SO7Element":
         ctx = arithmetic_of(self, other)
-        m = ctx.product(ctx.matrix(self.rows), ctx.matrix(other.rows))
-        return SO7Element(ctx.entries(m), validate=False)
+        return SO7Element._trusted(ctx.product(ctx.pair(self), ctx.pair(other)), ctx)
 
     def images(self) -> List[Octonion]:
         """lam(e_0), ..., lam(e_7): the columns, in lam's arithmetic,
         computed once."""
-        if self._images is None:
+        try:
+            return self._images
+        except AttributeError:
             self._images = [Octonion(row[k] for row in self.rows)
                             for k in range(8)]
-        return self._images
+            return self._images
 
 
 def conjugation_element(x: Octonion) -> SO7Element:
@@ -198,7 +197,7 @@ def conjugation_element(x: Octonion) -> SO7Element:
     ctx = arithmetic_of(x)
     xs = ctx.points([x])
     m = ctx.product(ctx.transpose(ctx.right(xs)), ctx.left(xs))
-    return SO7Element(ctx.entries(ctx.scaled(m, x.norm_sq())), validate=False)
+    return SO7Element._trusted(ctx.scaled(m, x.norm_sq()), ctx)
 
 
 def canonical_section() -> Section:
@@ -210,7 +209,7 @@ def so7_act(a: SO7Element, section: Section) -> Section:
     the section's matrix at q = A^T p."""
 
     def build(ctx, pts):
-        m = ctx.matrix(a.rows)
+        m = ctx.pair(a)
         inner = section.build(ctx, (pts[0] @ m[0], pts[1] * m[1]))  # q^T = p^T A
         return ctx.product(m, inner, ctx.transpose(m))
 

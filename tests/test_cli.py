@@ -2,14 +2,15 @@
 
 import json
 import os
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from sixsphere import cli, degree, sampling, suites, twistor
+from sixsphere import cli, cstruct, degree, sampling, suites, twistor
 from sixsphere.cstruct import j_from_octonion
 from sixsphere.errors import (BadConfig, DegenerateInput, KernelDimensionError,
-                              OutOfRange, UnknownSuite)
+                              OutOfRange, UnknownSuite, VerificationFailed)
 from sixsphere.octonion import Octonion
 from sixsphere.sampling import random_so7_float, rng_from_seed
 
@@ -399,6 +400,33 @@ def test_recover_cli(tmp_path, capsys):
     rec = Octonion.from_strings(payload["x"])
     from sixsphere.cstruct import equivalent
     assert equivalent(rec, x)
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["degree", "companion", "recover"])
+def test_library_failure_exits_1_with_one_error_line(command, monkeypatch,
+                                                     tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise VerificationFailed("synthetic failure")
+
+    identity = [[int(i == k) for k in range(8)] for i in range(8)]
+    x = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])
+    argv, module, name = {
+        "degree": (["degree", "--map", "identity"], degree, "named_degree"),
+        "companion": (["companion", "--matrix",
+                       _write_json(tmp_path / "m.json", identity)],
+                      twistor, "companion"),
+        "recover": (["recover", "--structure",
+                     _write_json(tmp_path / "j.json", j_from_octonion(x).to_strings())],
+                    cstruct, "recover_x"),
+    }[command]
+    monkeypatch.setattr(module, name, fail)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: synthetic failure\n"
 
 
 def test_verify_list(capsys):

@@ -250,11 +250,14 @@ def test_kernel_basis_matches_fraction_elimination(gens_coeffs):
 
 
 def test_exact_suites_build_only_canonical_pairs(monkeypatch):
-    # every exact octonion that the exact suites build, through the public
-    # constructor or an exact operation, holds int numerators over a
-    # positive int denominator: no float, Fraction or numpy scalar
-    built = []
+    # every exact octonion and square matrix that the exact suites build,
+    # through a public constructor or from a formula's pair, holds int
+    # numerators over a positive int denominator with gcd 1: no float,
+    # Fraction or numpy scalar; a matrix's rows are the Fractions of its pair
+    built, matrices = [], []
     make, init = octonion._exact, Octonion.__init__
+    SquareMatrix = octonion.SquareMatrix
+    matrix_init, trusted = SquareMatrix.__init__, SquareMatrix._trusted.__func__
 
     def recording_make(num, d):
         o = make(num, d)
@@ -265,8 +268,19 @@ def test_exact_suites_build_only_canonical_pairs(monkeypatch):
         init(self, coords)
         built.append(self)
 
+    def recording_matrix_init(self, *args, **kwargs):
+        matrix_init(self, *args, **kwargs)
+        matrices.append(self)
+
+    def recording_trusted(cls, *args, **kwargs):
+        m = trusted(cls, *args, **kwargs)
+        matrices.append(m)
+        return m
+
     monkeypatch.setattr(octonion, "_exact", recording_make)
     monkeypatch.setattr(Octonion, "__init__", recording_init)
+    monkeypatch.setattr(SquareMatrix, "__init__", recording_matrix_init)
+    monkeypatch.setattr(SquareMatrix, "_trusted", classmethod(recording_trusted))
     for name in suites.SUITES:
         if "exact" in suites.MODES[name]:
             assert suites.run_suite(name, samples=2, seed=3).mode == "exact"
@@ -274,6 +288,16 @@ def test_exact_suites_build_only_canonical_pairs(monkeypatch):
     assert len(exact) > 1000
     for o in exact:
         _assert_canonical(o)
+    exact = [m for m in matrices if m.exact]
+    assert {type(m).__name__ for m in exact} == {
+        "ComplexStructureR6", "SO7Element", "TangentStructure"}
+    for m in exact:
+        a, d = m.m
+        assert a.dtype == object and a.shape == (m.size, m.size)
+        assert all(type(n) is int for n in a.flat) and type(d) is int and d > 0
+        assert math.gcd(*a.flat, d) == 1
+        assert all(type(x) is F for row in m.rows for x in row)
+        assert m.rows == tuple(tuple(F(n, d) for n in row) for row in a.tolist())
 
 
 # -- float and mixed inputs stay with float arithmetic ----------------------

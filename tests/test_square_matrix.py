@@ -1,8 +1,9 @@
 """The square-matrix holder shared by tangent structures, structures on the
 6-plane and SO(7) elements: one mode rule, validation that passes a matrix
 only when every check holds within tolerance (NaN and inf are rejected
-before any check runs, with no numpy warning), string round trips in both
-modes; and the companion's lazily built candidates."""
+before any check runs, with no numpy warning), a named error for entries
+that are not real numbers, string round trips in both modes, mixed operands
+computed on float copies; and the companion's lazily built candidates."""
 
 from fractions import Fraction as F
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 from sixsphere import twistor
-from sixsphere.cstruct import (ComplexStructureR6, j_from_octonion,
+from sixsphere.cstruct import (ComplexStructureR6, common_line, j_from_octonion,
                                random_structure_float, standard_structure)
 from sixsphere.errors import DegenerateInput, InvalidStructure
 from sixsphere.frames import random_g2_matrix
 from sixsphere.octonion import EXACT, FLOAT, Octonion
-from sixsphere.sampling import (random_rational_unit_octonion,
+from sixsphere.sampling import (random_rational_imaginary_unit,
+                                random_rational_unit_octonion,
                                 random_so7_float, rng_from_seed)
 from sixsphere.twistor import (SO7Element, TangentStructure,
                                canonical_structure_at)
@@ -62,6 +64,39 @@ def test_non_finite_float_matrices_are_rejected(value, as_list):
                 cls(bad.tolist() if as_list else bad)
 
 
+_STD_FLOAT = standard_structure(False).as_array()
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("make, error", [
+    (lambda: SO7Element(np.eye(8) + 1j * np.eye(8)), DegenerateInput),
+    (lambda: SO7Element(np.eye(8) + 0j, validate=False), DegenerateInput),
+    (lambda: ComplexStructureR6(_STD_FLOAT + 5j), InvalidStructure),
+    (lambda: ComplexStructureR6([[np.complex128(x) for x in row]
+                                 for row in _STD_FLOAT]), InvalidStructure),
+    (lambda: SO7Element([[None] * 8] * 8), DegenerateInput),
+    (lambda: SO7Element([[None] + [0.0] * 7] * 8), DegenerateInput),
+    (lambda: ComplexStructureR6([["abc"] * 6] * 6), InvalidStructure),
+    (lambda: Octonion([None] * 8), DegenerateInput),
+    (lambda: Octonion([1.0, 2j] + [0.0] * 6), DegenerateInput),
+    (lambda: Octonion([F(1, 2), np.complex128(2)] + [0] * 6), DegenerateInput),
+    (lambda: Octonion([object()] * 8), DegenerateInput),
+], ids=["so7-complex-array", "so7-complex-unvalidated", "structure-complex-array",
+        "structure-complex-scalars", "so7-none", "so7-none-and-floats",
+        "structure-string", "octonion-none", "octonion-complex",
+        "octonion-numpy-complex", "octonion-object"])
+def test_entries_that_are_not_real_numbers_raise_a_named_error(make, error):
+    with pytest.raises(error, match="real numbers"):
+        make()
+
+
+def test_fraction_strings_are_exact_entries():
+    lam = SO7Element([["1" if i == k else "0" for k in range(8)] for i in range(8)])
+    assert lam.exact and lam.rows[0][0] == 1
+    x = Octonion(["1/2", "-3/4"] + ["0"] * 6)
+    assert x.exact and x.coords[:2] == (F(1, 2), F(-3, 4))
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_structure_validation_names_the_failed_check(exact):
     std = standard_structure(exact)
@@ -88,8 +123,7 @@ def test_negated_pairs_compare_like_their_entries(ctx):
     assert ctx.distance(neg, m) == 6.0
     assert not ctx.equal(neg, m)
     assert ctx.equal(neg, ctx.product(ctx.scaled(ctx.identity(2), -1), m))
-    assert np.array_equal(np.asarray(ctx.entries(neg), dtype=float),
-                          [[-1.0, -0.5], [0.0, -3.0]])
+    assert ctx.distance(neg, ctx.matrix([[-1, F(-1, 2)], [0, -3]])) == 0.0
 
 
 def test_strings_round_trip_in_both_modes():
@@ -126,3 +160,36 @@ def test_companion_of_an_automorphism_solves_no_pencil(monkeypatch):
     float_res = twistor.companion(SO7Element(lam.as_array()))
     assert float_res.a.to_strings() == ["1.0"] + ["0.0"] * 7
     assert (float_res.kernel_dim, float_res.residual) == (1, 2.220446049250313e-16)
+
+
+def _same_bits(got, want):
+    assert not got.exact and got.m[0].dtype == float
+    assert got.as_array().tobytes() == want.as_array().tobytes()
+
+
+def test_mixed_operands_compute_on_float_copies():
+    # an exact matrix meeting a float operand computes as its float copy:
+    # every result equals the all-float one bit for bit
+    rng = rng_from_seed(5)
+    for _ in range(3):
+        a, b = twistor.random_so7_exact(rng), twistor.random_so7_exact(rng)
+        af, bf = SO7Element(a.as_array()), SO7Element(b.as_array())
+        _same_bits(a.compose(bf), af.compose(bf))
+        _same_bits(af.compose(b), af.compose(bf))
+        x, y = random_rational_unit_octonion(rng), random_rational_unit_octonion(rng)
+        j1, j2 = j_from_octonion(x), j_from_octonion(y)
+        f1, f2 = (ComplexStructureR6(j.as_array()) for j in (j1, j2))
+        assert j1 == f1 and f1 == j1
+        assert (j1 == f2) == (f1 == f2) and (f1 == j2) == (f1 == f2)
+        for got in (common_line(j1, f2), common_line(f1, j2)):
+            want = common_line(f1, f2)
+            assert got.u.coords == want.u.coords and got.ju.coords == want.ju.coords
+        p = Octonion(float(c) for c in random_rational_imaginary_unit(rng).coords)
+        canonical = twistor.canonical_section()
+        _same_bits(twistor.so7_act(a, canonical)(p), twistor.so7_act(af, canonical)(p))
+        xf = Octonion(float(c) for c in x.coords)
+        got = twistor.section_distance(twistor.so7_act(a, canonical),
+                                       twistor.rp7_section(xf))
+        want = twistor.section_distance(twistor.so7_act(af, canonical),
+                                        twistor.rp7_section(xf))
+        assert got.hex() == want.hex()
