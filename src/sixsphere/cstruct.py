@@ -23,8 +23,11 @@ square root.  J_x is built as the 8x8 matrix product
 R_conj(x) L_e1 R_x / |x|^2 of multiplication matrices, restricted to the
 rows and columns of the 6-plane basis: the arithmetic context multiplies it
 in its mode and the structure holds the resulting pair (see
-`octonion.SquareMatrix`), whose kernels give recovery and common lines.  The
-standard structure is J_1, built once per mode.
+`octonion.SquareMatrix`), whose kernels give recovery and common lines.  J
+acts on an octonion through `SquareMatrix.apply` on the coordinates
+R6_BASIS (as 0 on <1, e1>), and the exact kernels of recovery and the
+block form run on octonion numerators.  The standard structure is J_1,
+built once per mode.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class ComplexStructureR6(SquareMatrix):
 
     __slots__ = ()
     size, error = 6, InvalidStructure
+    basis = np.array(R6_BASIS)
 
     def _validate(self):
         ctx, m = arithmetic_of(self), self.m
@@ -82,10 +86,7 @@ class ComplexStructureR6(SquareMatrix):
             raise InvalidStructure("J is not orientation-compatible")
 
     def apply6(self, v: Sequence) -> list:
-        return arithmetic_of(self).mat_vec(self.rows, list(v))
-
-    def apply(self, o: Octonion) -> Octonion:
-        return embed6(self.apply6(extract6(o)))
+        return extract6(self.apply(embed6(v)))
 
     def orientation_sign(self) -> int:
         """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w).
@@ -95,13 +96,6 @@ class ComplexStructureR6(SquareMatrix):
         taken here on the numerators of J over a positive denominator."""
         pf = linalg.pfaffian(self.m[0].tolist())
         return -1 if pf > 0 else (1 if pf < 0 else 0)
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexStructureR6):
-            return NotImplemented
-        return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
     def __repr__(self) -> str:
         return "ComplexStructureR6(%r)" % (self.rows,)
@@ -189,7 +183,7 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
         raise RankError("fixed space of J has dimension %d, expected 2" % len(ker))
     u = embed6(ker[0])
     one, e1 = ctx.one, ctx.e1
-    big_i = Octonion(ctx.kernel([o.coords for o in (one, e1, u, e1 * u)])[0])
+    big_i = Octonion(ctx.kernel(ctx.points([one, e1, u, e1 * u])[0])[0])
     l = (j.apply(big_i) * big_i.conjugate()) / big_i.norm_sq()
     if not _sanity_l(l, one, e1, u):
         raise VerificationFailed("recovered rotation element fails its invariants")
@@ -259,7 +253,7 @@ def quaternion_coordinate_form(x: Octonion) -> QuaternionBlockForm:
         raise DegenerateX("x lies in <1, e1>; the block split is degenerate")
     n = x.norm_sq()
     a_basis = (one, e1, v, e1 * v)
-    a_perp = tuple(Octonion(r) for r in ctx.kernel([o.coords for o in a_basis]))
+    a_perp = tuple(Octonion(r) for r in ctx.kernel(ctx.points(a_basis)[0]))
     j = j_from_octonion(x)
     l = ((x.conjugate() * e1) * x) / n
     for b in (v, e1 * v):

@@ -9,8 +9,8 @@ Exact sums of products run on integers: `lift` writes a vector of rationals
 as integer numerators over the lcm of its denominators, the products and the
 sum are integer operations, and one `Fraction` is built at the end.  A
 vector with a float in it has no such lift and is summed term by term.  The
-exact kernel eliminates on integer rows too (`_integer_rref`) and builds
-Fractions only for the basis it returns.
+exact kernel and determinant eliminate on integer rows too (`_integer_rref`,
+`det`); each builds Fractions only for what it returns.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ Lifted = Tuple[List[int], int]
 #: singular values below this fraction of the largest one span a numerical
 #: kernel; also the residual allowed to closed-form float roots
 KERNEL_RTOL = 1e-7
-
-
-def mat_identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_transpose(m: Sequence[Sequence]) -> Matrix:
-    return [list(col) for col in zip(*m)]
 
 
 def lift(v: Sequence) -> Optional[Lifted]:
@@ -93,10 +85,6 @@ def mat_vec(a, v) -> list:
     return [_dot(row, v, lift(row) if q else None, q) for row in a]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def _primitive(v: List[int]) -> List[int]:
     # v divided by the gcd of its entries
     g = math.gcd(*v)
@@ -149,26 +137,27 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return basis
 
 
-def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with exact pivoting."""
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * d
+def det(m: Sequence[Sequence]) -> Fraction:
+    """Exact determinant by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968) on the rows lifted to integers: step k sets a_ij <- (a_kk a_ij
+    - a_ik a_kj) / p for i, j > k, p the previous pivot, an exact division
+    (each entry is a minor), swapping in a nonzero pivot from below."""
+    lifted = [lift_exact(row) for row in m]
+    a = [nums for nums, _ in lifted]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        ak, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [0] * (k + 1) + [(p * x - f * y) // prev
+                                    for x, y in zip(a[i][k + 1:], ak[k + 1:])]
+        prev = p
+    return Fraction(sign * a[-1][-1] if n else 1, math.prod(d for _, d in lifted))
 
 
 def pfaffian(a: Sequence[Sequence]):
@@ -189,7 +178,10 @@ def pfaffian(a: Sequence[Sequence]):
 
 
 def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
-    return mat_eq(mat_mul(m, mat_transpose(m)), mat_identity(len(m)))
+    """m m^T == 1, exactly."""
+    n = len(m)
+    return mat_mul(m, list(zip(*m))) == [[int(i == j) for j in range(n)]
+                                         for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

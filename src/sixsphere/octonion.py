@@ -35,7 +35,8 @@ tests the scalar, not the result: a zero divisor raises `ZeroDivisor`, a
 NaN or infinite scalar `DegenerateInput`.  The arithmetic context also
 multiplies square matrices as (array, denominator) pairs (see
 `Arithmetic`), and a `SquareMatrix`, a structure or an SO(7) element,
-holds its pair in that form, exact pairs reduced as octonions are.
+holds its pair in that form, exact pairs reduced as octonions are, and
+applies it to an octonion's numerators.
 """
 
 from __future__ import annotations
@@ -576,16 +577,12 @@ class _ExactArithmetic(Arithmetic):
 
     def det(self, m):
         """The determinant of the one matrix of the pair m."""
-        return linalg.det(m[0].tolist()) / m[1] ** len(m[0])
+        return Fraction(linalg.det(m[0].tolist()), m[1] ** len(m[0]))
 
     def sqrt(self, q):
         """The square root of the scalar q: None when q is not the square of
         a rational; FLOAT takes a negative q as 0."""
         return exact_sqrt(q)
-
-    def mat_vec(self, rows, v) -> list:
-        """The product of the matrix with these rows and the vector v."""
-        return linalg.mat_vec(rows, v)
 
 
 class _FloatArithmetic(Arithmetic):
@@ -635,10 +632,6 @@ class _FloatArithmetic(Arithmetic):
     def sqrt(self, q):
         return max(q, 0.0) ** 0.5
 
-    def mat_vec(self, rows, v) -> list:
-        # over Python floats, summed term by term as in exact mode
-        return linalg.mat_vec(np.asarray(rows, dtype=float).tolist(), v)
-
 
 EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))
 FLOAT = _FloatArithmetic(*(Octonion(float(c) for c in o.coords)
@@ -657,17 +650,22 @@ class SquareMatrix:
 
     It holds `m`, its pair in the form its `Arithmetic` multiplies: a float
     array over 1.0, or an object array of int numerators over an int d > 0
-    with gcd 1.  `rows` are the float array, or canonical Fractions built
-    from the pair on first read.  The mode is decided here, once, as
-    `_lift` decides it, an ndarray counting as floats.  A subclass sets
-    `size` and the `error` that a malformed matrix raises, and may override
+    with gcd 1.  Every computation reads the pair: `apply` multiplies it
+    with an octonion's numerators, and `==` compares pairs.  `rows`, the
+    float array or canonical Fractions built from the pair on each read,
+    are a view for output.  The mode is decided here, once, as `_lift`
+    decides it, an ndarray counting as floats.  A subclass sets `size`, the
+    octonion coordinates `basis` that its rows and columns stand for, and
+    the `error` that a malformed matrix raises, and may override
     `_validate`, which runs on construction unless `validate` is False; it
     tests a float matrix to CHECK_TOL.
     """
 
-    __slots__ = ("m", "exact", "_rows")
+    __slots__ = ("m", "exact")
     size: int
     error: type
+    #: the octonion coordinates the rows and columns stand for, in order
+    basis: np.ndarray = np.arange(8)
 
     def __init__(self, rows, validate: bool = True):
         n = self.size
@@ -676,18 +674,16 @@ class SquareMatrix:
             raise self.error("expected %s %dx%d matrix"
                              % ("an" if n == 8 else "a", n, n))
         self.m = EXACT.matrix(rows, self.error)  # the entries decide the mode
-        self.exact, self._rows = not isinstance(self.m[1], float), None
+        self.exact = not isinstance(self.m[1], float)
         if validate:
             self._validate()
 
     @property
     def rows(self):
+        a, d = self.m
         if not self.exact:
-            return self.m[0]
-        if self._rows is None:
-            a, d = self.m
-            self._rows = tuple(tuple(Fraction(x, d) for x in row) for row in a.tolist())
-        return self._rows
+            return a
+        return tuple(tuple(Fraction(x, d) for x in row) for row in a.tolist())
 
     def _validate(self):
         """Raise `error` unless the matrix belongs to the class."""
@@ -710,8 +706,29 @@ class SquareMatrix:
             if g > 1:
                 a, d = a // g, d // g
         m = object.__new__(cls)
-        m.m, m.exact, m._rows = (a, d), ctx.exact, None
+        m.m, m.exact = (a, d), ctx.exact
         return m
+
+    def apply(self, o: Octonion) -> Octonion:
+        """The matrix applied to o's coordinates at `basis`, the result 0
+        elsewhere, in the mode of both: the pair times o's numerators over
+        the product of the denominators, reduced once, or floats (an exact
+        operand meets a float one as its float copy)."""
+        ctx = arithmetic_of(self, o)
+        (a, d), b = ctx.pair(self), self.basis
+        v = o.numerators if o.exact == ctx.exact else o.to_float_array()
+        out = np.zeros(8, a.dtype)
+        out[b] = a @ np.array(v, a.dtype)[b]
+        if ctx.exact:
+            return _reduced(out.tolist(), d * o.denominator)
+        return _floats(out.tolist())
+
+    def __eq__(self, other) -> bool:
+        """Matrices of one class are equal when their pairs agree (float
+        ones within FLOAT_EQ_TOL)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.m[0] / self.m[1], dtype=float)

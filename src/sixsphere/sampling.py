@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadConfig, OutOfRange
 from .linalg import lift_exact
-from .octonion import Octonion
+from .octonion import Octonion, _floats
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -147,11 +147,11 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_unit_octonion_float(rng: np.random.Generator) -> Octonion:
-    return Octonion(random_unit_vector(rng, 8))
+    return _floats(random_unit_vector(rng, 8).tolist())
 
 
 def random_imaginary_unit_float(rng: np.random.Generator) -> Octonion:
-    return Octonion((0.0, *random_unit_vector(rng, 7)))
+    return _floats([0.0, *random_unit_vector(rng, 7).tolist()])
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

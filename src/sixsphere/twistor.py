@@ -20,7 +20,9 @@ L_p P_p (canonical), R_conj(x) L_p R_x P_p / |x|^2 (the constant section of
 x) and A M_q A^T (A acting on a section with matrix M_q at q = A^T p), with
 L_w, R_w the matrices of v -> w v, v -> v w (R_conj(x) is R_x^T) and P_p
 the projection onto <1, p>-perp.  Sections are compared on the stacked
-matrices.
+matrices.  A structure or an SO(7) element acts on an octonion through
+`SquareMatrix.apply`, its pair times the octonion's numerators, and
+compares by value; lam(e_0), ..., lam(e_7) are the columns of lam's pair.
 
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
@@ -39,10 +41,9 @@ from .degree import power_map_preimages
 from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
-from .frames import apply_matrix
-from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN,
-                       SEPARATION_TOL, Octonion, SquareMatrix, arithmetic_of,
-                       batch_mul, residual)
+from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, SEPARATION_TOL,
+                       Octonion, SquareMatrix, _floats, _reduced,
+                       arithmetic_of, batch_mul, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -73,15 +74,10 @@ class TangentStructure(SquareMatrix):
         self.p = p
         super().__init__(rows)
 
-    def apply(self, v: Octonion) -> Octonion:
-        return apply_matrix(self.rows, v)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TangentStructure):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        return arithmetic_of(self, other).agree(self, other, FLOAT_EQ_TOL)
+        return self.p == other.p and SquareMatrix.__eq__(self, other)
 
     def check_structure(self) -> bool:
         """The matrix is antisymmetric with square -P_p (P_p projects onto
@@ -169,9 +165,6 @@ class SO7Element(SquareMatrix):
         if not ctx.det(m) > 0:
             raise DegenerateInput("matrix must have determinant +1")
 
-    def apply(self, o: Octonion) -> Octonion:
-        return apply_matrix(self.rows, o)
-
     def inverse_apply(self, o: Octonion) -> Octonion:
         ctx = arithmetic_of(self)
         return SO7Element._trusted(ctx.transpose(self.m), ctx).apply(o)
@@ -181,13 +174,14 @@ class SO7Element(SquareMatrix):
         return SO7Element._trusted(ctx.product(ctx.pair(self), ctx.pair(other)), ctx)
 
     def images(self) -> List[Octonion]:
-        """lam(e_0), ..., lam(e_7): the columns, in lam's arithmetic,
-        computed once."""
+        """lam(e_0), ..., lam(e_7): the columns of the pair, in lam's
+        arithmetic, read once."""
         try:
             return self._images
         except AttributeError:
-            self._images = [Octonion(row[k] for row in self.rows)
-                            for k in range(8)]
+            a, d = self.m
+            self._images = [_reduced(c, d) if self.exact else _floats(c)
+                            for c in a.T.tolist()]
             return self._images
 
 

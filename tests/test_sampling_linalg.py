@@ -3,10 +3,14 @@
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sixsphere import frames, linalg, sampling
 from sixsphere.frames import householder_swap
-from sixsphere.octonion import Octonion
+from sixsphere.octonion import EXACT, Octonion
 from sixsphere.sampling import (haar_orthogonal, random_rational_vector,
                                 rational_circle_point, rational_imaginary_unit,
                                 rational_sphere_point, rational_unit_octonion,
@@ -116,6 +120,48 @@ def test_det_matches_numpy(rng):
         exact = linalg.det(m)
         approx = np.linalg.det(np.array(m, dtype=float))
         assert abs(float(exact) - approx) < 1e-9
+
+
+def _sympy_det(m) -> F:
+    d = sympy.Matrix([[sympy.Rational(F(x).numerator, F(x).denominator)
+                       for x in row] for row in m]).det()
+    return F(int(d.p), int(d.q))
+
+
+# zeros often enough for singular matrices and zero pivots
+det_entries = st.one_of(st.just(0), st.integers(-3, 3),
+                        st.builds(F, st.integers(-50, 50), st.integers(1, 12)))
+square_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices)
+@example([[0, 1], [1, 0]])                              # swap at the start
+@example([[1, 2, 3], [2, 4, 5], [1, 3, 4]])             # zero pivot at step 1
+@example([[F(1, 2), 2, 3], [F(1, 3), 4, 6], [F(5, 6), 6, 9]])  # row 3 = 1 + 2
+@example([[0, 0], [F(1, 2), 3]])                        # zero column
+def test_det_matches_sympy(m):
+    want = _sympy_det(m)
+    got = linalg.det(m)
+    assert type(got) is F and got == want
+    assert linalg.det([[F(x) for x in row] for row in m]) == want
+    assert EXACT.det(EXACT.matrix(m)) == want
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_float_draws_equal_the_constructor_route(seed):
+    # the draws skip the validating constructor and give the same floats
+    got_rng, want_rng = rng_from_seed(seed), rng_from_seed(seed)
+    for _ in range(3):
+        got = [sampling.random_unit_octonion_float(got_rng),
+               sampling.random_imaginary_unit_float(got_rng)]
+        want = [Octonion(sampling.random_unit_vector(want_rng, 8)),
+                Octonion((0.0, *sampling.random_unit_vector(want_rng, 7)))]
+        for g, w in zip(got, want):
+            assert not g.exact and g.denominator == 1
+            assert all(type(c) is float for c in g.coords)
+            assert g.coords == w.coords and g.numerators == w.numerators
 
 
 def test_float_kernel(rng):

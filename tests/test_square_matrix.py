@@ -3,19 +3,24 @@
 only when every check holds within tolerance (NaN and inf are rejected
 before any check runs, with no numpy warning), a named error for entries
 that are not real numbers, string round trips in both modes, mixed operands
-computed on float copies; and the companion's lazily built candidates."""
+computed on float copies; `apply` against the per-term `apply_matrix`;
+equality by value within one class; and the companion's lazily built
+candidates."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixsphere import twistor
-from sixsphere.cstruct import (ComplexStructureR6, common_line, j_from_octonion,
-                               random_structure_float, standard_structure)
+from sixsphere.cstruct import (R6_BASIS, ComplexStructureR6, common_line,
+                               j_from_octonion, random_structure_float,
+                               standard_structure)
 from sixsphere.errors import DegenerateInput, InvalidStructure
-from sixsphere.frames import random_g2_matrix
-from sixsphere.octonion import EXACT, FLOAT, Octonion
+from sixsphere.frames import apply_matrix, random_g2_matrix
+from sixsphere.octonion import EXACT, FLOAT, FLOAT_EQ_TOL, Octonion
 from sixsphere.sampling import (random_rational_imaginary_unit,
                                 random_rational_unit_octonion,
                                 random_so7_float, rng_from_seed)
@@ -193,3 +198,91 @@ def test_mixed_operands_compute_on_float_copies():
         want = twistor.section_distance(twistor.so7_act(af, canonical),
                                         twistor.rp7_section(xf))
         assert got.hex() == want.hex()
+
+
+# -- apply: one product of the pair with the octonion's numerators ----------
+
+def _float_copy(o: Octonion) -> Octonion:
+    return Octonion(float(c) for c in o.coords)
+
+
+def _structures(seed: int) -> list:
+    """An exact TangentStructure, SO7Element and ComplexStructureR6 from the
+    seed, followed by their float copies."""
+    rng = rng_from_seed(seed)
+    x, p = random_rational_unit_octonion(rng), random_rational_imaginary_unit(rng)
+    exact = [twistor.rp7_section(x)(p), twistor.random_so7_exact(rng),
+             j_from_octonion(x)]
+    return exact + [TangentStructure(_float_copy(p), exact[0].as_array()),
+                    SO7Element(exact[1].as_array()),
+                    ComplexStructureR6(exact[2].as_array())]
+
+
+def _rows8(s) -> object:
+    """s.rows as 8x8 rows over the octonion coordinates: a 6x6 structure
+    sits on the rows and columns of R6_BASIS, zero elsewhere."""
+    if s.size == 8:
+        return s.rows
+    idx = np.ix_(R6_BASIS, R6_BASIS)
+    if not s.exact:
+        rows = np.zeros((8, 8))
+        rows[idx] = s.rows
+        return rows
+    rows = np.zeros((8, 8), dtype=object)
+    rows[idx] = np.array(s.rows, dtype=object)
+    return rows.tolist()
+
+
+# entries up to 2**40 over denominators up to 2**30 for byte-identical exact
+# results; small ones where a float result meets the absolute FLOAT_EQ_TOL
+big_rationals = st.builds(F, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 30))
+small_rationals = st.builds(F, st.integers(-1000, 1000), st.integers(1, 1000))
+small_floats = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+def _octonions(scalars):
+    return st.lists(scalars, min_size=8, max_size=8).map(Octonion)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), _octonions(big_rationals),
+       _octonions(small_rationals), _octonions(small_floats))
+def test_apply_equals_the_per_term_apply_matrix(seed, big, small, floats):
+    # exact structure on an exact octonion: byte-identical canonical pairs;
+    # a float structure or octonion (mixed included): within FLOAT_EQ_TOL
+    structures = _structures(seed)
+    for s in structures:
+        rows = _rows8(s)
+        cases = [(small, not s.exact), (floats, True)]
+        if s.exact:
+            cases.append((big, False))
+        for o, floats_out in cases:
+            got, want = s.apply(o), apply_matrix(rows, o)
+            assert got.exact == want.exact == (not floats_out)
+            if got.exact:
+                assert all(type(n) is int for n in got.numerators)
+                assert (got.numerators, got.denominator) == \
+                    (want.numerators, want.denominator)
+            else:
+                assert all(type(c) is float for c in got.coords)
+                assert max(abs(a - b) for a, b in
+                           zip(got.coords, want.coords)) <= FLOAT_EQ_TOL
+
+
+def test_so7_elements_compare_by_value_in_both_modes():
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert SO7Element(eye) == SO7Element(eye)
+    assert SO7Element(np.eye(8)) == SO7Element(np.eye(8))
+    lam = twistor.random_so7_exact(rng_from_seed(4))
+    copy = SO7Element(lam.as_array())
+    assert lam.exact and not copy.exact
+    assert lam == copy and copy == lam
+    assert lam == SO7Element(lam.rows) and lam != SO7Element(eye)
+    assert copy != SO7Element(np.eye(8))
+    # a float element is equal within FLOAT_EQ_TOL, and no further
+    for step, equal in ((FLOAT_EQ_TOL / 10, True), (FLOAT_EQ_TOL * 100, False)):
+        nudged = copy.as_array()
+        nudged[3, 5] += step
+        assert (SO7Element(nudged, validate=False) == lam) is equal
+    # a matrix compares only with its own class
+    assert SO7Element(eye) != TangentStructure(Octonion.basis(2), eye)

@@ -11,10 +11,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sixsphere import cstruct, linalg, twistor
+from sixsphere import cstruct, linalg, suites, twistor
 from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, embed6, extract6,
                                j_from_octonion, standard_structure)
-from sixsphere.octonion import EXACT, FLOAT, Octonion, arithmetic_of
+from sixsphere.octonion import (EXACT, FLOAT, Octonion, SquareMatrix,
+                                arithmetic_of)
 from sixsphere.sampling import (random_imaginary_unit_float,
                                 random_rational_imaginary_unit,
                                 random_rational_unit_octonion,
@@ -228,18 +229,31 @@ def test_pfaffian_small_cases():
 
 # -- exact structures stay exact ---------------------------------------------
 
-def test_exact_structures_send_no_float_to_mat_vec_or_pfaffian(monkeypatch):
-    seen = {"mat_vec": [], "pfaffian": []}
+def test_exact_structures_apply_int_numerators_and_read_no_rows(monkeypatch):
+    # an exact structure multiplies the int numerators of its pair with those
+    # of an exact octonion, its Pfaffian sees ints only, and no computation
+    # reads `rows`, the output view, while the exact suites run
+    seen = {"apply": [], "pfaffian": [], "rows": []}
+    classes = set()
+    apply, pfaffian = SquareMatrix.apply, linalg.pfaffian
 
-    def spy(name, fn):
-        def wrapped(*args):
-            seen[name].append([c for arg in args for c in np.ravel(
-                np.array(arg, dtype=object))])
-            return fn(*args)
-        return wrapped
+    def spy_apply(self, o):
+        if self.exact and o.exact:
+            classes.add(type(self).__name__)
+            seen["apply"].append([*self.m[0].flat, self.m[1], *o.numerators,
+                                  o.denominator])
+        return apply(self, o)
 
-    monkeypatch.setattr(linalg, "mat_vec", spy("mat_vec", linalg.mat_vec))
-    monkeypatch.setattr(linalg, "pfaffian", spy("pfaffian", linalg.pfaffian))
+    def spy_pfaffian(a):
+        seen["pfaffian"].append([c for row in a for c in row])
+        return pfaffian(a)
+
+    def spy_rows(m):
+        seen["rows"].append(type(m).__name__)
+
+    monkeypatch.setattr(SquareMatrix, "apply", spy_apply)
+    monkeypatch.setattr(SquareMatrix, "rows", property(spy_rows))
+    monkeypatch.setattr(linalg, "pfaffian", spy_pfaffian)
     rng = rng_from_seed(11)
     for _ in range(3):
         x, y = random_rational_unit_octonion(rng), random_rational_unit_octonion(rng)
@@ -248,10 +262,15 @@ def test_exact_structures_send_no_float_to_mat_vec_or_pfaffian(monkeypatch):
         assert cstruct.equivalent(cstruct.recover_x(j), x)
         cstruct.common_line(j, j_from_octonion(y))
         cstruct.quaternion_coordinate_form(x)
-    assert seen["mat_vec"] and seen["pfaffian"]
-    for name, calls in seen.items():
-        for entries in calls:
-            assert not any(isinstance(c, float) for c in entries), name
+    for name in suites.SUITES:
+        if "exact" in suites.MODES[name]:
+            assert suites.run_suite(name, samples=2, seed=3).mode == "exact"
+    assert seen["rows"] == []
+    assert classes == {"ComplexStructureR6", "SO7Element", "TangentStructure"}
+    assert seen["apply"] and seen["pfaffian"]
+    for name in ("apply", "pfaffian"):
+        for entries in seen[name]:
+            assert all(type(c) is int for c in entries), name
 
 
 def test_restriction_uses_the_swapped_basis_order():
