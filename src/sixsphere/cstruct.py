@@ -25,9 +25,9 @@ rows and columns of the 6-plane basis: the arithmetic context multiplies it
 in its mode and the structure holds the resulting pair (see
 `octonion.SquareMatrix`), whose kernels give recovery and common lines.  J
 acts on an octonion through `SquareMatrix.apply` on the coordinates
-R6_BASIS (as 0 on <1, e1>), and the exact kernels of recovery and the
-block form run on octonion numerators.  The standard structure is J_1,
-built once per mode.
+R6_BASIS (as 0 on <1, e1>); the kernels of recovery and the block form run
+on octonion numerators, and every kernel comes back as octonions.  The
+standard structure is J_1, built once per mode.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
 from . import linalg
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
                        MUL_SIGN, SEPARATION_TOL, Octonion, SquareMatrix,
-                       arithmetic_of)
+                       _placed, arithmetic_of)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
@@ -51,10 +51,7 @@ REAL_AXIS_NORM_SQ = 1e-18
 
 
 def embed6(v: Sequence) -> Octonion:
-    c = [0] * 8
-    for pos, idx in enumerate(R6_BASIS):
-        c[idx] = v[pos]
-    return Octonion(c)
+    return Octonion(_placed(v, R6_BASIS, 0))
 
 
 def extract6(o: Octonion) -> list:
@@ -62,7 +59,8 @@ def extract6(o: Octonion) -> list:
     vanish (exactly in exact mode, up to CHECK_TOL otherwise)."""
     if not arithmetic_of(o).is_zero(o.numerators[:2], CHECK_TOL):
         raise InvalidStructure("vector has components along 1 or e1")
-    return [o.coords[idx] for idx in R6_BASIS]
+    c = o.coords
+    return [c[idx] for idx in R6_BASIS]
 
 
 class ComplexStructureR6(SquareMatrix):
@@ -153,7 +151,7 @@ def equivalent(x: Octonion, y: Octonion) -> bool:
     same_j = j_from_octonion(x) == j_from_octonion(y)
     # w is nonzero: j_from_octonion rejects a zero x or y
     w = y * x.conjugate()
-    span = arithmetic_of(x, y).is_zero(w.coords[2:],
+    span = arithmetic_of(x, y).is_zero(w.numerators[2:],
                                        FLOAT_EQ_TOL * max(1.0, w.norm()))
     if span != same_j:
         raise VerificationFailed(
@@ -176,14 +174,14 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     std = standard_structure(exact=j.exact)
     if j == std:
         return ctx.one
-    ker = ctx.kernel(ctx.difference(j, std))
+    ker = ctx.kernel(ctx.difference(j, std), R6_BASIS)
     if len(ker) == 6:
         return ctx.one
     if len(ker) != 2:
         raise RankError("fixed space of J has dimension %d, expected 2" % len(ker))
-    u = embed6(ker[0])
+    u = ker[0]
     one, e1 = ctx.one, ctx.e1
-    big_i = Octonion(ctx.kernel(ctx.points([one, e1, u, e1 * u])[0])[0])
+    big_i = ctx.kernel(ctx.points([one, e1, u, e1 * u])[0])[0]
     l = (j.apply(big_i) * big_i.conjugate()) / big_i.norm_sq()
     if not _sanity_l(l, one, e1, u):
         raise VerificationFailed("recovered rotation element fails its invariants")
@@ -216,12 +214,12 @@ def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     if j1 == j2:
         raise IdenticalStructures("every line is common to identical structures")
     ctx = arithmetic_of(j1, j2)
-    ker = ctx.kernel(ctx.difference(j1, j2))
+    ker = ctx.kernel(ctx.difference(j1, j2), R6_BASIS)
     if len(ker) == 0:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:
         raise RankError("agreement space has dimension %d, expected 2" % len(ker))
-    u = ctx.ray(embed6(ker[0]))
+    u = ctx.ray(ker[0])
     return ComplexLine(u, j1.apply(u))
 
 
@@ -253,7 +251,7 @@ def quaternion_coordinate_form(x: Octonion) -> QuaternionBlockForm:
         raise DegenerateX("x lies in <1, e1>; the block split is degenerate")
     n = x.norm_sq()
     a_basis = (one, e1, v, e1 * v)
-    a_perp = tuple(Octonion(r) for r in ctx.kernel(ctx.points(a_basis)[0]))
+    a_perp = tuple(ctx.kernel(ctx.points(a_basis)[0]))
     j = j_from_octonion(x)
     l = ((x.conjugate() * e1) * x) / n
     for b in (v, e1 * v):
@@ -269,7 +267,7 @@ def quaternion_coordinate_form(x: Octonion) -> QuaternionBlockForm:
 def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
     """cos(2 theta) = (2 x0^2 - |x|^2)/|x|^2, plus the sign s such that l is
     e1 rotated by s*2theta about the imaginary axis of x (Rodrigues form)."""
-    x0 = x.coords[0]
+    x0 = x.real()
     cos2 = (2 * x0 * x0 - n) / n
     w = x.imag()
     ww = w.norm_sq()

@@ -158,10 +158,9 @@ def g2_from_frame(f: G2Frame):
             want = 1 if i == j else 0
             if not ctx.scalar_eq(im[i].inner(im[j]), want, CHECK_TOL):
                 raise AutomorphismCheckFailed("image basis is not orthonormal")
-    # columns are the images
-    if ctx.exact:
-        return [[im[j].coords[i] for j in range(8)] for i in range(8)]
-    return np.array([[float(im[j].coords[i]) for j in range(8)] for i in range(8)])
+    # columns are the images, each read once
+    rows = [list(row) for row in zip(*(o.coords for o in im))]
+    return rows if ctx.exact else np.array(rows, dtype=float)
 
 
 def apply_matrix(m, o: Octonion) -> Octonion:

@@ -10,7 +10,7 @@ as integer numerators over the lcm of its denominators, the products and the
 sum are integer operations, and one `Fraction` is built at the end.  A
 vector with a float in it has no such lift and is summed term by term.  The
 exact kernel and determinant eliminate on integer rows too (`_integer_rref`,
-`det`); each builds Fractions only for what it returns.
+`det`); only the determinant builds a Fraction, for what it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-Matrix = List[List[Fraction]]
 #: a vector of rationals as (integer numerators, common denominator)
 Lifted = Tuple[List[int], int]
 
@@ -63,14 +62,7 @@ def _dot(x, y, p: Optional[Lifted], q: Optional[Lifted]):
     return Fraction(sum(map(mul, p[0], q[0])), p[1] * q[1])
 
 
-def dot(x: Sequence, y: Sequence):
-    """sum_i x_i y_i: one Fraction over integer numerators when every entry
-    is rational, else a float summed term by term."""
-    p = lift(x)
-    return _dot(x, y, p, p if y is x or p is None else lift(y))
-
-
-def mat_mul(a, b) -> Matrix:
+def mat_mul(a, b) -> list:
     cols = list(zip(*b))
     lifted = [lift(col) for col in cols]
     out = []
@@ -121,20 +113,21 @@ def _integer_rref(m: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     return rows[:len(pivots)], pivots
 
 
-def kernel_basis(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact basis of the right kernel {v : m v = 0}: for each free column,
-    the vector with 1 there, 0 on the other free columns, read off the
-    reduced row echelon form."""
+def kernel_basis(m: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Exact basis of the right kernel {v : m v = 0}, as int rows over one
+    d > 0, the lcm of the pivots: for each free column, the vector with 1
+    there, 0 on the other free columns, read off the reduced echelon form."""
     ncols = len(m[0]) if len(m) else 0
     rows, pivots = _integer_rref(m)
+    d = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = d
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+            v[pc] = -row[fc] * (d // row[pc])
         basis.append(v)
-    return basis
+    return basis, d
 
 
 def det(m: Sequence[Sequence]) -> Fraction:

@@ -20,38 +20,38 @@ the default for identity checking) or as `float` (used where square roots
 are unavoidable).  Mode is inferred from the coefficients; mixing exact and
 float operands produces a float result.
 
-An exact octonion keeps one canonical pair: eight integer numerators over
-one positive denominator, with gcd 1 (Knuth, TAOCP vol. 2, 4.5.1).  Its
-`coords` are the canonical Fractions of that pair, built on first read.
-Products, sums, differences, negation, conjugation and rational multiples
-are integer operations followed by one gcd reduction; equality compares
-pairs; `inner` and `norm_sq` build one `Fraction`; `residual` divides the
-largest numerator by the denominator.  Float octonions hold their floats
-over the denominator 1, and float results, floats by construction, skip
-the constructor's validation.  One straight-line product, generated from
-the table at import, multiplies exact numerators, float coordinates and
-mixed Fraction/float coordinates alike.  A scalar multiple or quotient
-tests the scalar, not the result: a zero divisor raises `ZeroDivisor`, a
-NaN or infinite scalar `DegenerateInput`.  The arithmetic context also
-multiplies square matrices as (array, denominator) pairs (see
-`Arithmetic`), and a `SquareMatrix`, a structure or an SO(7) element,
-holds its pair in that form, exact pairs reduced as octonions are, and
-applies it to an octonion's numerators.
+An exact octonion keeps one canonical pair: eight integer numerators over one
+positive denominator, with gcd 1 (Knuth, TAOCP vol. 2, 4.5.1); its `coords`,
+the Fractions of that pair, are an output view built on each read.  Products,
+sums, differences, negation, conjugation and rational multiples are integer
+operations followed by one gcd reduction; equality compares pairs; `inner` and
+`norm_sq` build one `Fraction`; `residual` divides the largest numerator by
+the denominator.  Float octonions hold their floats over the denominator 1,
+and float results skip the constructor's validation.  One straight-line
+product, generated from the table at import, multiplies integers and floats
+alike.  An exact operand that meets a float one, octonion or matrix, enters as
+its float copy: each numerator / denominator rounded once, the floats that
+Python's `Fraction op float` uses.  A scalar multiple or quotient tests the
+scalar, not the result: a zero divisor raises `ZeroDivisor`, a NaN or infinite
+scalar `DegenerateInput`.  The arithmetic context also multiplies square
+matrices as (array, denominator) pairs (see `Arithmetic`), and a
+`SquareMatrix`, a structure or an SO(7) element, holds its pair in that form,
+exact pairs reduced as octonions are, and applies it to an octonion's
+numerators.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
-from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateInput, ZeroDivisor
-from .linalg import dot
 
 ScalarLike = Union[int, Fraction, float]
 
@@ -130,12 +130,12 @@ _IMAG_PROJ = np.diag([0] + [1] * 7)
 def _compile_product():
     # the table product written out term by term, with no loop and no zero
     # tests: coordinate k is 0 +- x_i*y_j +- ..., one term per i in ascending
-    # i, so one function multiplies integer numerators, floats and mixed
-    # Fraction/float coordinates.  For floats, the leading 0 makes every
-    # coordinate equal, signed zeros included, to the per-term sum that skips
-    # zero terms: under round-to-nearest an exact-zero sum is +0 (IEEE
-    # 754-2019, 6.3), so 0 +- (+-0.0) is +0.0, and adding a signed zero
-    # leaves a nonzero partial sum or a +0 one unchanged.
+    # i, so one function multiplies integer numerators and floats (or numpy
+    # arrays of either).  For floats, the leading 0 makes every coordinate
+    # equal, signed zeros included, to the per-term sum that skips zero
+    # terms: under round-to-nearest an exact-zero sum is +0 (IEEE 754-2019,
+    # 6.3), so 0 +- (+-0.0) is +0.0, and adding a signed zero leaves a
+    # nonzero partial sum or a +0 one unchanged.
     terms = [[] for _ in range(8)]
     for i in range(8):
         for j in range(8):
@@ -150,8 +150,8 @@ def _compile_product():
     return namespace["_product"]
 
 
-#: the coordinates of the product of two coordinate sequences, each a list
-#: of eight ints, floats or a mix of Fractions and floats
+#: the coordinates of the product of two coordinate sequences of eight ints,
+#: eight floats, or eight arrays that broadcast against each other
 _product = _compile_product()
 
 
@@ -160,7 +160,7 @@ def _exact(num: tuple, d: int) -> "Octonion":
     d > 0, gcd 1), not re-validated: every exact octonion that is not built
     by the public constructor is made here."""
     o = object.__new__(Octonion)
-    o.numerators, o.denominator, o._coords, o.exact = num, d, None, True
+    o.numerators, o.denominator, o.exact = num, d, True
     return o
 
 
@@ -216,9 +216,15 @@ def _floats(coords: Iterable[float]) -> "Octonion":
     if not math.isfinite(sum(cs)) and not all(map(math.isfinite, cs)):
         raise DegenerateInput("octonion coordinates must be finite")
     o = object.__new__(Octonion)
-    o.numerators = o._coords = cs
-    o.denominator, o.exact = 1, False
+    o.numerators, o.denominator, o.exact = cs, 1, False
     return o
+
+
+def _float_copy(o: "Octonion") -> tuple:
+    """The floats of o: each numerator / denominator, rounded once, for an
+    exact o (how it enters float arithmetic); a float o's own floats."""
+    d = o.denominator
+    return tuple(n / d for n in o.numerators) if o.exact else o.numerators
 
 
 class Octonion:
@@ -228,29 +234,27 @@ class Octonion:
     over `denominator`, an int d > 0, with gcd 1.  A float octonion holds
     its eight floats as `numerators` over `denominator` 1.  `coords` are the
     coefficients over (e0, ..., e7): canonical Fractions (exact mode, built
-    from the pair on first read) or floats.  Exact octonions compare
+    from the pair on each read) or floats.  Exact octonions compare
     literally; float octonions compare up to FLOAT_EQ_TOL.
     """
 
-    __slots__ = ("numerators", "denominator", "_coords", "exact")
+    __slots__ = ("numerators", "denominator", "exact")
 
     def __init__(self, coords: Iterable[ScalarLike]):
         cs = tuple(coords)
         if len(cs) != 8:
             raise DegenerateInput("octonion needs exactly 8 coordinates, got %d" % len(cs))
         nums, d = _lift(cs, DegenerateInput)
+        # a lift of reduced Fractions is canonical; floats stand over 1
         self.numerators, self.exact = tuple(nums), not isinstance(d, float)
-        # the lift of reduced Fractions over the lcm of their denominators is
-        # already canonical; floats are their own coordinates, over 1
-        self.denominator, self._coords = (d, None) if self.exact else (1, self.numerators)
+        self.denominator = d if self.exact else 1
 
     @property
     def coords(self) -> tuple:
-        c = self._coords
-        if c is None:
-            d = self.denominator
-            c = self._coords = tuple(Fraction(n, d) for n in self.numerators)
-        return c
+        if not self.exact:
+            return self.numerators
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.numerators)
 
     # -- constructors ------------------------------------------------------
 
@@ -270,8 +274,13 @@ class Octonion:
 
     @classmethod
     def from_lifted(cls, num: Sequence[int], d: int) -> "Octonion":
-        """The exact octonion num / d for int numerators and a nonzero int
-        d, in canonical form."""
+        """The exact octonion num / d for integer numerators and a nonzero
+        integer d (numpy integers among them), in canonical form over Python
+        ints; any other scalar raises `DegenerateInput`."""
+        try:
+            num, d = [operator.index(n) for n in num], operator.index(d)
+        except TypeError as e:
+            raise DegenerateInput("lifted octonion needs integers: %s" % e) from None
         if not d:
             raise ZeroDivisor("octonion numerators over a zero denominator")
         if d < 0:
@@ -297,9 +306,8 @@ class Octonion:
             sx, sy = dy // g, sign * (dx // g)
             return _reduced([a * sx + b * sy for a, b in
                              zip(self.numerators, other.numerators)], dx * sx)
-        if sign > 0:
-            return _floats(a + b for a, b in zip(self.coords, other.coords))
-        return _floats(a - b for a, b in zip(self.coords, other.coords))
+        op = operator.add if sign > 0 else operator.sub
+        return _floats(map(op, _float_copy(self), _float_copy(other)))
 
     def __neg__(self) -> "Octonion":
         return self._same_form((-n for n in self.numerators), self.denominator)
@@ -309,14 +317,14 @@ class Octonion:
             if self.exact and other.exact:
                 return _reduced(_product(self.numerators, other.numerators),
                                 self.denominator * other.denominator)
-            return _floats(_product(self.coords, other.coords))
+            return _floats(_product(_float_copy(self), _float_copy(other)))
         if self.exact and isinstance(other, (int, Fraction)):
             return _reduced([other.numerator * n for n in self.numerators],
                             other.denominator * self.denominator)
         _check_finite(other)
         if self.exact and not isinstance(other, float):
             return Octonion(other * a for a in self.coords)
-        return _floats(_as_floats(other, [other * a for a in self.coords]))
+        return _floats(_as_floats(other, [other * a for a in _float_copy(self)]))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -330,7 +338,7 @@ class Octonion:
         _check_finite(scalar)
         if self.exact and not isinstance(scalar, float):
             return Octonion(a / scalar for a in self.coords)
-        return _floats(_as_floats(scalar, [a / scalar for a in self.coords]))
+        return _floats(_as_floats(scalar, [a / scalar for a in _float_copy(self)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
@@ -350,9 +358,9 @@ class Octonion:
 
     def inner(self, other: "Octonion"):
         if self.exact and other.exact:
-            return Fraction(sum(map(mul, self.numerators, other.numerators)),
+            return Fraction(sum(map(operator.mul, self.numerators, other.numerators)),
                             self.denominator * other.denominator)
-        return dot(self.coords, other.coords)
+        return sum(map(operator.mul, _float_copy(self), _float_copy(other)))
 
     def norm_sq(self):
         return self.inner(self)
@@ -399,8 +407,7 @@ class Octonion:
     # -- interop -------------------------------------------------------------
 
     def to_float_array(self) -> np.ndarray:
-        d = self.denominator
-        return np.array([n / d for n in self.numerators])
+        return np.array(_float_copy(self))
 
     def to_strings(self) -> list:
         """8-element list of strings: '3/5' in exact mode, repr(float) otherwise."""
@@ -440,7 +447,7 @@ def normalize(o: Octonion) -> Octonion:
         r = exact_sqrt(n)
         if r is not None:
             return o / r
-        return Octonion(float(c) for c in o.coords) / float(n) ** 0.5
+        return _floats(_float_copy(o)) / float(n) ** 0.5
     return o / float(n) ** 0.5
 
 
@@ -453,6 +460,12 @@ def residual(d: Octonion) -> float:
 # ---------------------------------------------------------------------------
 # the arithmetic context
 # ---------------------------------------------------------------------------
+
+def _placed(v: Sequence, basis: Sequence[int], zero) -> list:
+    """The eight coordinates with v's entries at basis and zero elsewhere."""
+    at = dict(zip(basis, v))
+    return [at.get(k, zero) for k in range(8)]
+
 
 class Arithmetic:
     """What differs between the two arithmetic modes, in one place.
@@ -537,9 +550,11 @@ class _ExactArithmetic(Arithmetic):
         """Whether the squared norm n counts as zero."""
         return n == 0
 
-    def kernel(self, rows) -> list:
-        """Basis (rows) of the right kernel of a matrix."""
-        return linalg.kernel_basis(rows)
+    def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
+        """A basis of the right kernel of a matrix, each vector the octonion
+        with its entries at the coordinates `basis`, 0 elsewhere."""
+        vs, d = linalg.kernel_basis(rows)
+        return [_reduced(_placed(v, basis, 0), d) for v in vs]
 
     def ray(self, o: Octonion) -> Octonion:
         """The representative of the ray through o that results carry."""
@@ -565,10 +580,10 @@ class _ExactArithmetic(Arithmetic):
         return m[0] * s.denominator, m[1] * s.numerator
 
     def distance(self, m1, m2) -> float:
-        """Largest absolute entry of m1 - m2, as a float."""
+        """Largest absolute entry of m1 - m2, as a float: each entry rounded
+        once by int / int true division (rounding is monotone)."""
         num = m1[0] * m2[1] - m2[0] * m1[1]
-        den = np.broadcast_to(np.asarray(m1[1] * m2[1], dtype=object), num.shape)
-        return float(max(abs(Fraction(x, y)) for x, y in zip(num.flat, den.flat)))
+        return float(np.max(np.abs(num / (m1[1] * m2[1]))))
 
     def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
         """Equality of two (stacked) matrices; FLOAT compares their distance
@@ -595,21 +610,20 @@ class _FloatArithmetic(Arithmetic):
         return all(abs(c) <= tol for c in coords)
 
     def eq(self, x: Octonion, y: Octonion, tol: float = FLOAT_EQ_TOL) -> bool:
-        return all(abs(float(a) - float(b)) <= tol
-                   for a, b in zip(x.coords, y.coords))
+        return all(abs(a - b) <= tol for a, b in zip(_float_copy(x), _float_copy(y)))
 
     def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
         return float(n) < tol_sq
 
-    def kernel(self, rows) -> list:
-        return [list(v) for v in
-                linalg.kernel_basis_float(np.array(rows, dtype=float))]
+    def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
+        return [_floats(_placed(v, basis, 0.0)) for v in
+                linalg.kernel_basis_float(np.array(rows, dtype=float)).tolist()]
 
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
 
     def points(self, os: Sequence[Octonion]):
-        return np.array([[float(c) for c in o.coords] for o in os]), 1.0
+        return np.array([_float_copy(o) for o in os]), 1.0
 
     def left(self, p):
         return left_mult_matrix(p[0]), p[1]
@@ -634,8 +648,7 @@ class _FloatArithmetic(Arithmetic):
 
 
 EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))
-FLOAT = _FloatArithmetic(*(Octonion(float(c) for c in o.coords)
-                           for o in (EXACT.one, EXACT.e1)))
+FLOAT = _FloatArithmetic(*(_floats(_float_copy(o)) for o in (EXACT.one, EXACT.e1)))
 
 
 def arithmetic_of(*values) -> Arithmetic:

@@ -22,7 +22,8 @@ L_w, R_w the matrices of v -> w v, v -> v w (R_conj(x) is R_x^T) and P_p
 the projection onto <1, p>-perp.  Sections are compared on the stacked
 matrices.  A structure or an SO(7) element acts on an octonion through
 `SquareMatrix.apply`, its pair times the octonion's numerators, and
-compares by value; lam(e_0), ..., lam(e_7) are the columns of lam's pair.
+compares by value; lam(e_0), ..., lam(e_7) are the columns of lam's pair,
+and the companion system is one table product of those columns.
 
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
@@ -42,7 +43,7 @@ from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, SEPARATION_TOL,
-                       Octonion, SquareMatrix, _floats, _reduced,
+                       Octonion, SquareMatrix, _floats, _product, _reduced,
                        arithmetic_of, batch_mul, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
@@ -174,8 +175,7 @@ class SO7Element(SquareMatrix):
         return SO7Element._trusted(ctx.product(ctx.pair(self), ctx.pair(other)), ctx)
 
     def images(self) -> List[Octonion]:
-        """lam(e_0), ..., lam(e_7): the columns of the pair, in lam's
-        arithmetic, read once."""
+        """lam(e_0), ..., lam(e_7), the pair's columns in lam's mode, read once."""
         try:
             return self._images
         except AttributeError:
@@ -280,27 +280,24 @@ class CompanionResult:
     residual: float      # max octonion-product residual of the verification
 
 
-def _image_of_product(imgs: List[Octonion], i: int, j: int) -> Octonion:
-    """lam(e_i e_j) = MUL_SIGN[i][j] lam(e_MUL_INDEX[i][j]), by linearity."""
-    return MUL_SIGN[i][j] * imgs[MUL_INDEX[i][j]]
+_MUL_INDEX, _MUL_SIGN = np.array(MUL_INDEX), np.array(MUL_SIGN)
 
 
 def _companion_system(lam: SO7Element):
-    """Stacked 64x8 matrix of the maps u -> lam(e_k u) - lam(e_k) lam(u):
-    block k, column j is lam(e_k e_j) - lam(e_k) lam(e_j)."""
-    imgs = lam.images()
-    rows = []
-    for k in range(8):
-        cols = [(_image_of_product(imgs, k, j) - imgs[k] * imgs[j]).coords
-                for j in range(8)]
-        rows.extend([c[i] for c in cols] for i in range(8))
-    return rows
+    """(S, d^2) for lam's pair (A, d): S / d^2 is the stacked 64x8 matrix of
+    the maps u -> lam(e_k u) - lam(e_k) lam(u).  Block k, column j is
+    lam(e_k e_j) - lam(e_k) lam(e_j), and lam(e_k e_j) = MUL_SIGN[k][j]
+    lam(e_MUL_INDEX[k][j]): one table product of A's columns, ints or floats."""
+    a, d = lam.m
+    prod = np.array(_product(a[:, :, None], a[:, None, :]))   # [i, k, j]
+    s = a[:, _MUL_INDEX] * _MUL_SIGN * d - prod
+    return s.transpose(1, 0, 2).reshape(64, 8), d * d
 
 
 def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
     """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
     return (imgs[i] * a) * (a.conjugate() * imgs[j]) - \
-        a.norm_sq() * _image_of_product(imgs, i, j)
+        a.norm_sq() * (MUL_SIGN[i][j] * imgs[MUL_INDEX[i][j]])
 
 
 def isotopy_residual(lam: SO7Element, a: Octonion,
@@ -347,7 +344,8 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion,
     quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
     most two candidate rays to verify.  A coefficient is zero by the test of
     the context, relative to the largest one; in exact mode a quadratic
-    without rational roots gives none.
+    without rational roots gives none.  The defects are read as `coords`
+    (Fractions in exact mode): the roots are rationals built from them.
     """
     imgs, ctx = lam.images(), arithmetic_of(lam, k1, k2)
     a1, a2 = lam.apply(k1), lam.apply(k2)
@@ -394,14 +392,13 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     if not 0 <= tol < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
     ctx = arithmetic_of(lam)
-    ker = ctx.kernel(_companion_system(lam))
+    ker = ctx.kernel(_companion_system(lam)[0])
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
-    kvecs = [Octonion(v) for v in ker]
-    pairs = list(combinations(kvecs, 2))
+    pairs = list(combinations(ker, 2))
     # built lazily, so the pencils are solved only when no kernel vector
     # and no pair sum passes
-    candidates = chain(kvecs, (u + v for u, v in pairs),
+    candidates = chain(ker, (u + v for u, v in pairs),
                        chain.from_iterable(_pencil_candidates(lam, u, v)
                                            for u, v in pairs))
     for u in candidates:
@@ -490,7 +487,7 @@ def fiber_count_rp7(x: Octonion) -> int:
     w = x.power(6)
     wf = w.to_float_array() / np.linalg.norm(w.to_float_array())
     if w.exact:
-        if all(c == 0 for c in w.coords[1:]):
+        if not any(w.numerators[1:]):
             raise NonGenericInput("x^6 is real; the fiber is not finite")
     elif np.linalg.norm(wf[1:]) <= CHECK_TOL:
         raise NonGenericInput("x^6 is numerically real; the fiber is not finite")

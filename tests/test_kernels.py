@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixsphere import linalg, octonion, suites
+from sixsphere.errors import DegenerateInput
 from sixsphere.frames import apply_matrix
 from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
                                 left_mult_matrix, residual, right_mult_matrix)
@@ -62,16 +63,6 @@ def test_exact_product_matches_per_term(x, y):
     got = x * y
     assert got.exact
     _assert_same_fractions(got.coords, _per_term_product(x.coords, y.coords).coords)
-
-
-@kernel_settings
-@given(st.integers(1, 10).flatmap(
-    lambda n: st.tuples(st.lists(rationals, min_size=n, max_size=n),
-                        st.lists(rationals, min_size=n, max_size=n))))
-def test_exact_dot_matches_per_term(xy):
-    x, y = xy
-    _assert_same_fractions([linalg.dot(x, y), linalg.dot(x, x)],
-                           [_per_term_dot(x, y), _per_term_dot(x, x)])
 
 
 @kernel_settings
@@ -185,6 +176,22 @@ def test_equality_compares_values(x, k, c, scale):
     assert (other != x) == (c != x.coords[k])
 
 
+def test_from_lifted_takes_integers_only():
+    # numpy integers become Python ints, so products cannot overflow int64;
+    # a float or a Fraction numerator or denominator is a named error
+    num = np.array([3 ** 30, 5, 0, 0, 0, 0, 0, 1])
+    x = Octonion.from_lifted(num, np.int64(7))
+    y = Octonion.from_lifted(num.tolist(), 7)
+    for o in (x, y, x * x):
+        _assert_canonical(o)
+    assert x == y and x * x == y * y
+    assert (x * x).numerators[0] == 3 ** 60 - 25 - 1
+    for bad in (([1.0] + [0] * 7, 7), ([1] * 8, 7.0), ([F(1, 2)] + [0] * 7, 1),
+                (np.array([0.5] * 8), 2)):
+        with pytest.raises(DegenerateInput, match="integers"):
+            Octonion.from_lifted(*bad)
+
+
 @kernel_settings
 @given(octonions)
 @example(Octonion.zero())
@@ -238,15 +245,43 @@ def _fraction_kernel(m):
                  min_size=s[0], max_size=s[0]))))
 def test_kernel_basis_matches_fraction_elimination(gens_coeffs):
     # rows drawn from the span of a few generators, so kernels of every
-    # dimension occur; the integer elimination gives the same basis
+    # dimension occur; the integer elimination gives the same basis, as int
+    # rows over one positive int denominator
     gens, coeffs = gens_coeffs
     ncols = len(gens[0]) if gens else len(coeffs[0])
     m = [[sum((c * g[j] for c, g in zip(row, gens)), F(0)) for j in range(ncols)]
          for row in coeffs]
-    got = linalg.kernel_basis(m)
-    assert len(got) == len(_fraction_kernel(m))
-    for g, w in zip(got, _fraction_kernel(m)):
-        _assert_same_fractions(g, w)
+    got, d = linalg.kernel_basis(m)
+    want = _fraction_kernel(m)
+    assert type(d) is int and d > 0
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(type(x) is int for x in g)
+        _assert_same_fractions([F(x, d) for x in g], w)
+
+
+@pytest.mark.parametrize("basis", [range(8), (2, 3, 4, 5, 7, 6), (6, 1)])
+def test_arithmetic_kernel_gives_octonions_zero_off_basis(basis, rng):
+    # rank-deficient integer matrices on len(basis) columns: each kernel
+    # vector, as an octonion, is 0 off `basis` and solves the system there
+    n = len(basis)
+    for rank in range(n):
+        m = rng.integers(-3, 4, (rank + 2, rank)) @ rng.integers(-3, 4, (rank, n))
+        for ctx in (octonion.EXACT, octonion.FLOAT):
+            rows = m.tolist() if ctx.exact else m.astype(float)
+            ker = ctx.kernel(rows, basis)
+            assert len(ker) == n - np.linalg.matrix_rank(m)
+            off = [k for k in range(8) if k not in basis]
+            for o in ker:
+                assert isinstance(o, Octonion) and o.exact == ctx.exact
+                assert not any(o.numerators[k] for k in off)
+                v = [o.coords[k] for k in basis]
+                if ctx.exact:
+                    _assert_canonical(o)
+                    assert all(sum(a * x for a, x in zip(row, v)) == 0
+                               for row in m.tolist())
+                else:
+                    assert np.max(np.abs(m @ np.array(v))) <= 1e-9
 
 
 def test_exact_suites_build_only_canonical_pairs(monkeypatch):
@@ -329,7 +364,7 @@ def test_mixed_inputs_keep_float_arithmetic(rng):
     mixed = [F(1, 3), 0.5, F(2)]
     exact = [F(2), F(1, 7), F(-1, 5)]
     for u, v in ((mixed, exact), (exact, mixed)):
-        got = linalg.dot(u, v)
+        got, = linalg.mat_vec([u], v)
         assert type(got) is float and got == sum(a * b for a, b in zip(u, v))
     assert x.inner(y) == sum(a * b for a, b in zip(x.coords, y.coords))
 

@@ -100,8 +100,9 @@ def test_exact_kernel_and_rref():
     m = [[F(1), F(2), F(3)],
          [F(2), F(4), F(6)],
          [F(1), F(0), F(1)]]
-    ker = linalg.kernel_basis(m)
-    assert len(ker) == 1
+    ker, d = linalg.kernel_basis(m)
+    assert len(ker) == 1 and d > 0
+    assert ker[0] == [-d, -d, d]  # the vector with 1 at the free column
     for row in m:
         assert sum(a * b for a, b in zip(row, ker[0])) == 0
 

@@ -10,7 +10,7 @@ from sixsphere import cstruct, twistor
 from sixsphere.errors import (DegenerateInput, NonGenericInput,
                               NotImaginaryUnit)
 from sixsphere.frames import random_g2_matrix
-from sixsphere.octonion import CHECK_TOL, Octonion
+from sixsphere.octonion import CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
                                 random_rational_tangent,
@@ -125,23 +125,50 @@ def test_so7_validation():
 def test_companion_system_matches_its_definition():
     # block k of the system, applied to u, is lam(e_k u) - lam(e_k) lam(u);
     # the system reads lam(e_k e_j) off lam's columns, so a sign or index
-    # slip in that shortcut shows up here
+    # slip in that shortcut shows up here.  The exact system is d^2 times
+    # the definition, in ints; the float one is the definition's floats
     rng = rng_from_seed(41)
     lam = twistor.random_so7_exact(rng)
     u = random_rational_unit_octonion(rng) + F(2, 3) * E[5]
-    system = twistor._companion_system(lam)
+    system, d2 = twistor._companion_system(lam)
+    assert system.shape == (64, 8) and d2 == lam.m[1] ** 2
+    assert all(type(x) is int for x in system.flat)
     for k in range(8):
         block = system[8 * k:8 * k + 8]
-        got = Octonion(sum(row[j] * u.coords[j] for j in range(8))
+        got = Octonion(sum(row[j] * u.coords[j] for j in range(8)) / d2
                        for row in block)
         assert got == lam.apply(E[k] * u) - lam.apply(E[k]) * lam.apply(u)
     lam_f = SO7Element(lam.as_array())
-    u_f = Octonion(u.to_float_array())
-    system_f = np.array(twistor._companion_system(lam_f), dtype=float)
+    system_f, d2_f = twistor._companion_system(lam_f)
+    assert system_f.dtype == float and d2_f == 1.0
+    imgs = [lam_f.apply(e) for e in E]
     for k in range(8):
-        got = system_f[8 * k:8 * k + 8] @ u_f.to_float_array()
-        want = lam_f.apply(E[k] * u_f) - lam_f.apply(E[k]) * lam_f.apply(u_f)
-        assert np.max(np.abs(got - want.to_float_array())) <= CHECK_TOL
+        for j in range(8):
+            want = (MUL_SIGN[k][j] * imgs[MUL_INDEX[k][j]]
+                    - imgs[k] * imgs[j]).numerators
+            assert system_f[8 * k:8 * k + 8, j].tolist() == list(want)
+
+
+def test_exact_distance_is_the_fraction_distance_rounded_once():
+    # int / int true division per entry, against float() of the largest
+    # absolute Fraction, on the stacked matrices of random exact sections
+    rng = rng_from_seed(47)
+    for _ in range(4):
+        lam = twistor.random_so7_exact(rng)
+        x = random_rational_unit_octonion(rng)
+        sections = (so7_act(lam, canonical_section()), rp7_section(x),
+                    canonical_section())
+        for s1 in sections:
+            for s2 in sections:
+                ctx, (a1, d1), (a2, d2) = twistor._on_points(s1, s2)
+                assert ctx.exact
+                want = float(max(abs(F(int(x1), int(e1)) - F(int(x2), int(e2)))
+                                 for x1, e1, x2, e2 in zip(
+                                     a1.flat, np.broadcast_to(d1, a1.shape).flat,
+                                     a2.flat, np.broadcast_to(d2, a2.shape).flat)))
+                got = ctx.distance((a1, d1), (a2, d2))
+                assert type(got) is float and got.hex() == want.hex()
+                assert twistor.section_distance(s1, s2) == want
 
 
 def test_isotopy_residual_separates_companions():
