@@ -47,7 +47,9 @@ def lift(v: Sequence) -> Optional[Lifted]:
 def lift_exact(v: Sequence) -> Lifted:
     """`lift` of v with every entry taken as an exact rational: ints and
     Fractions as they are, anything else (a float, a numpy scalar) through
-    `Fraction`."""
+    `Fraction`.  A vector of Python ints is its own lift, over 1."""
+    if all(type(x) is int for x in v):
+        return list(v), 1
     qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     # int() of the parts: a Fraction of a numpy int keeps numpy parts
     dens = [int(q.denominator) for q in qs]

@@ -29,15 +29,17 @@ operations followed by one gcd reduction; equality compares pairs; `inner` and
 the denominator.  Float octonions hold their floats over the denominator 1,
 and float results skip the constructor's validation.  One straight-line
 product, generated from the table at import, multiplies integers and floats
-alike.  An exact operand that meets a float one, octonion or matrix, enters as
-its float copy: each numerator / denominator rounded once, the floats that
-Python's `Fraction op float` uses.  A scalar multiple or quotient tests the
-scalar, not the result: a zero divisor raises `ZeroDivisor`, a NaN or infinite
-scalar `DegenerateInput`.  The arithmetic context also multiplies square
-matrices as (array, denominator) pairs (see `Arithmetic`), and a
-`SquareMatrix`, a structure or an SO(7) element, holds its pair in that form,
-exact pairs reduced as octonions are, and applies it to an octonion's
-numerators.
+alike, and numpy arrays of them: `batch_mul` is that product on stacked
+coordinates.  An exact operand that meets a float one, octonion or matrix,
+enters as its float copy: each numerator / denominator rounded once, the
+floats that Python's `Fraction op float` uses.  A scalar multiple or quotient
+follows one rule: an int, Fraction or numpy integer keeps an exact octonion
+exact, any other scalar enters as its float; a zero divisor raises
+`ZeroDivisor`, a NaN or infinite scalar `DegenerateInput`.  The arithmetic
+context also multiplies square matrices as (array, denominator) pairs (see
+`Arithmetic`), and a `SquareMatrix`, a structure or an SO(7) element, holds
+its pair in that form, exact pairs reduced as octonions are, and applies it
+to an octonion's numerators.
 """
 
 from __future__ import annotations
@@ -110,19 +112,16 @@ def _build_table():
 
 MUL_INDEX, MUL_SIGN = _build_table()
 
-# gather tables of the batched product: e_i e_{_PERM[i][k]} = _SIGN[i][k] e_k;
-# and of the multiplication matrices: entry (k, j) of the matrix of v -> w*v
-# is _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, and of v -> v*w likewise
-_PERM = np.empty((8, 8), dtype=np.intp)
-_SIGN = np.empty((8, 8))
-_LEFT = np.empty((8, 8), dtype=np.intp)
-_LEFT_SIGN = np.empty((8, 8))
+# gather tables of the multiplication matrices: entry (k, j) of the matrix of
+# v -> w*v is _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, and entry (k, i) of the
+# matrix of v -> v*w is _RIGHT_SIGN[k][i] w_{_RIGHT[k][i]}
+_LEFT, _RIGHT = np.empty((2, 8, 8), dtype=np.intp)
+_LEFT_SIGN, _RIGHT_SIGN = np.empty((2, 8, 8), dtype=int)
 for _i in range(8):
     for _j in range(8):
         _k, _s = MUL_INDEX[_i][_j], MUL_SIGN[_i][_j]
-        _PERM[_i, _k], _SIGN[_i, _k] = _j, _s
         _LEFT[_k, _j], _LEFT_SIGN[_k, _j] = _i, _s
-_RIGHT, _RIGHT_SIGN = _PERM.T, _SIGN.T
+        _RIGHT[_k, _i], _RIGHT_SIGN[_k, _i] = _j, _s
 # I - 1 1^T, the projection onto the imaginary octonions
 _IMAG_PROJ = np.diag([0] + [1] * 7)
 
@@ -190,20 +189,6 @@ def _lift(values: Sequence, error: type, floats: bool = False):
         return linalg.lift_exact(values)
     except (TypeError, ValueError) as e:
         raise error("entries must be finite real numbers, got %s" % e) from None
-
-
-def _check_finite(scalar):
-    # a scalar multiple or quotient tests its scalar first, so a NaN or
-    # infinite scalar is named as such
-    if not math.isfinite(scalar):
-        raise DegenerateInput("octonion scalar must be finite, got %r" % (scalar,))
-
-
-def _as_floats(scalar, cs: list) -> Iterable[float]:
-    # the coordinates of a float multiple or quotient by scalar: a scalar
-    # other than a Python float, int or Fraction (a numpy scalar, say) may
-    # give coordinates of its own type, which become Python floats
-    return cs if type(scalar) in (float, int, Fraction) else map(float, cs)
 
 
 def _floats(coords: Iterable[float]) -> "Octonion":
@@ -276,11 +261,15 @@ class Octonion:
     def from_lifted(cls, num: Sequence[int], d: int) -> "Octonion":
         """The exact octonion num / d for integer numerators and a nonzero
         integer d (numpy integers among them), in canonical form over Python
-        ints; any other scalar raises `DegenerateInput`."""
+        ints; any other scalar, or other than 8 numerators, raises
+        `DegenerateInput`."""
         try:
             num, d = [operator.index(n) for n in num], operator.index(d)
         except TypeError as e:
             raise DegenerateInput("lifted octonion needs integers: %s" % e) from None
+        if len(num) != 8:
+            raise DegenerateInput("lifted octonion needs exactly 8 numerators, "
+                                  "got %d" % len(num))
         if not d:
             raise ZeroDivisor("octonion numerators over a zero denominator")
         if d < 0:
@@ -318,13 +307,7 @@ class Octonion:
                 return _reduced(_product(self.numerators, other.numerators),
                                 self.denominator * other.denominator)
             return _floats(_product(_float_copy(self), _float_copy(other)))
-        if self.exact and isinstance(other, (int, Fraction)):
-            return _reduced([other.numerator * n for n in self.numerators],
-                            other.denominator * self.denominator)
-        _check_finite(other)
-        if self.exact and not isinstance(other, float):
-            return Octonion(other * a for a in self.coords)
-        return _floats(_as_floats(other, [other * a for a in _float_copy(self)]))
+        return self._scaled(other, False)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -333,12 +316,24 @@ class Octonion:
     def __truediv__(self, scalar):
         if not scalar:
             raise ZeroDivisor("octonion divided by zero")
-        if self.exact and isinstance(scalar, (int, Fraction)):
-            return self * (1 / Fraction(scalar))
-        _check_finite(scalar)
-        if self.exact and not isinstance(scalar, float):
-            return Octonion(a / scalar for a in self.coords)
-        return _floats(_as_floats(scalar, [a / scalar for a in _float_copy(self)]))
+        return self._scaled(scalar, True)
+
+    def _scaled(self, s, divide: bool) -> "Octonion":
+        """self * s, or self / s when divide, by one rule: an int, Fraction or
+        numpy integer s keeps an exact self exact, through its integer
+        numerator and denominator; any other s enters as float(s) (the float
+        Python's `Fraction op float` and `int op float` use), and a NaN or
+        infinite s raises `DegenerateInput`."""
+        if self.exact and isinstance(s, (int, Fraction, np.integer)):
+            n, d = ((int(s.numerator), int(s.denominator))
+                    if isinstance(s, Fraction) else (int(s), 1))
+            if divide:
+                n, d = (d, n) if n > 0 else (-d, -n)
+            return _reduced([n * c for c in self.numerators], d * self.denominator)
+        if not math.isfinite(s):
+            raise DegenerateInput("octonion scalar must be finite, got %r" % (s,))
+        f, cs = float(s), _float_copy(self)
+        return _floats([c / f for c in cs] if divide else [f * c for c in cs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
@@ -747,7 +742,10 @@ class SquareMatrix:
         return np.asarray(self.m[0] / self.m[1], dtype=float)
 
     def distance(self, other: "SquareMatrix") -> float:
-        return float(np.max(np.abs(self.as_array() - other.as_array())))
+        """Largest absolute entry of self - other (see `Arithmetic.distance`:
+        exact matrices are differenced exactly and rounded once)."""
+        ctx = arithmetic_of(self, other)
+        return ctx.distance(ctx.pair(self), ctx.pair(other))
 
     def to_strings(self) -> list:
         """Row-major nested list of scalar strings: '3/5' in exact mode,
@@ -762,57 +760,45 @@ class SquareMatrix:
 
 
 # ---------------------------------------------------------------------------
-# batched float kernels (numpy); used by the degree engine and float sweeps
+# batched kernels (numpy): the table product on stacked coordinates, and the
+# multiplication matrices, each one signed gather c[..., idx] * sign of w's
+# coordinates c; a float gather adds 0.0, so a zero entry is +0.0, as
+# `_product` gives it, and an exact one keeps the scalars' own type
 # ---------------------------------------------------------------------------
 
 def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonion product of (..., 8) float arrays, broadcasting.
-
-    Row i of the table is a signed permutation, so the product is the sum
-    over i of x_i times y gathered through `_PERM[i]` and signed by
-    `_SIGN[i]`; 64 multiply-adds per product, summed in ascending i."""
-    out = x[..., 0:1] * (y[..., _PERM[0]] * _SIGN[0])
-    for i in range(1, 8):
-        out += x[..., i:i + 1] * (y[..., _PERM[i]] * _SIGN[i])
-    return out
+    """Octonion product of (..., 8) float arrays, broadcasting: `_product` on
+    the coordinate axes, so every coordinate equals the scalar product's,
+    signed zeros included."""
+    return np.stack(_product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)), -1)
 
 
 def _float_coords(w) -> np.ndarray:
     return w.to_float_array() if isinstance(w, Octonion) else np.asarray(w, dtype=float)
 
 
-def _signed_gather(w, idx: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The multiplication matrix with entries sign * w[idx], equal to
-    `batch_mul` against the identity, signed zeros included."""
-    w = _float_coords(w)
-    m = w[..., idx] * sign
-    if not w.all():
-        # batch_mul sums eight signed terms per entry, whose signs are those
-        # of the entries of its row, and a sum of zeros is -0.0 only when
-        # every term is; the other zero entries are +0.0
-        m += np.where(np.signbit(m).all(-1, keepdims=True), -0.0, 0.0)
-    return m
+def _exact_coords(w) -> np.ndarray:
+    # the Fractions of an octonion, or coordinates such as lifted numerators
+    return np.array(w.coords if isinstance(w, Octonion) else w, dtype=object)
 
 
 def left_mult_matrix(w) -> np.ndarray:
     """8x8 float matrix of v -> w*v; a (..., 8) batch gives (..., 8, 8)."""
-    return _signed_gather(w, _LEFT, _LEFT_SIGN)
+    return _float_coords(w)[..., _LEFT] * _LEFT_SIGN + 0.0
 
 
 def right_mult_matrix(w) -> np.ndarray:
     """8x8 float matrix of v -> v*w; a (..., 8) batch gives (..., 8, 8)."""
-    return _signed_gather(w, _RIGHT, _RIGHT_SIGN)
+    return _float_coords(w)[..., _RIGHT] * _RIGHT_SIGN + 0.0
 
 
 def left_mult_matrix_exact(w) -> np.ndarray:
     """8x8 object array of v -> w*v, a signed gather of w's own scalars: the
     Fractions of an octonion, or coordinates such as lifted numerators; a
     (..., 8) stack gives (..., 8, 8)."""
-    c = w.coords if isinstance(w, Octonion) else w
-    return np.array(c, dtype=object)[..., _LEFT] * _LEFT_SIGN.astype(int)
+    return _exact_coords(w)[..., _LEFT] * _LEFT_SIGN
 
 
 def right_mult_matrix_exact(w) -> np.ndarray:
     """8x8 object array of v -> v*w; see `left_mult_matrix_exact`."""
-    c = w.coords if isinstance(w, Octonion) else w
-    return np.array(c, dtype=object)[..., _RIGHT] * _RIGHT_SIGN.astype(int)
+    return _exact_coords(w)[..., _RIGHT] * _RIGHT_SIGN

@@ -32,7 +32,9 @@ needed so exact arithmetic survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -344,16 +346,18 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion,
     quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
     most two candidate rays to verify.  A coefficient is zero by the test of
     the context, relative to the largest one; in exact mode a quadratic
-    without rational roots gives none.  The defects are read as `coords`
-    (Fractions in exact mode): the roots are rationals built from them.
+    without rational roots gives none.  The three defects are read as
+    numerators over one denominator, their lcm (1 for floats): scaling a
+    quadratic leaves its roots, rationals in exact mode, as they are.
     """
     imgs, ctx = lam.images(), arithmetic_of(lam, k1, k2)
     a1, a2 = lam.apply(k1), lam.apply(k2)
     for i in range(1, 8):
         for j in range(1, 8):
-            ra = _isotopy_defect(imgs, a1, i, j).coords
-            rc = _isotopy_defect(imgs, a2, i, j).coords
-            rs = _isotopy_defect(imgs, a1 + a2, i, j).coords
+            defects = [_isotopy_defect(imgs, a, i, j) for a in (a1, a2, a1 + a2)]
+            d = math.lcm(*(r.denominator for r in defects))
+            ra, rc, rs = ([n * (d // r.denominator) for n in r.numerators]
+                          for r in defects)
             for c in range(8):
                 qa, qc = ra[c], rc[c]
                 qb = rs[c] - qa - qc
@@ -370,7 +374,9 @@ def _pencil_candidates(lam: SO7Element, k1: Octonion,
                 else:
                     yield k2
                     if not ctx.scalar_eq(qb, 0, zero_tol):
-                        yield k1 - (qa / qb) * k2
+                        # a rational quotient of ints; the same float as
+                        # qa / qb of floats
+                        yield k1 - (Fraction(qa) / qb) * k2
                 return
 
 

@@ -16,7 +16,9 @@ from sixsphere import linalg, octonion, suites
 from sixsphere.errors import DegenerateInput
 from sixsphere.frames import apply_matrix
 from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
-                                left_mult_matrix, residual, right_mult_matrix)
+                                left_mult_matrix, left_mult_matrix_exact,
+                                residual, right_mult_matrix,
+                                right_mult_matrix_exact)
 
 # zeros, integer-valued Fractions, and negative entries over denominators up
 # to 2**64
@@ -190,6 +192,9 @@ def test_from_lifted_takes_integers_only():
                 (np.array([0.5] * 8), 2)):
         with pytest.raises(DegenerateInput, match="integers"):
             Octonion.from_lifted(*bad)
+    for short in ([1, 2, 3], [1] * 9, np.arange(7)):
+        with pytest.raises(DegenerateInput, match="8 numerators"):
+            Octonion.from_lifted(short, 1)
 
 
 @kernel_settings
@@ -427,17 +432,22 @@ def test_float_and_mixed_products_match_per_term(xy):
 
 # -- multiplication matrices -------------------------------------------------
 
-@pytest.mark.parametrize("shape", [(8,), (1, 8), (270, 8), (2000, 8)])
-def test_mult_matrices_equal_products_with_identity(shape, rng):
-    # zero coordinates of both signs give zero entries, whose signs the
-    # definition fixes through a sum of signed zeros
+def _signed_zero_coords(shape, rng):
+    # coordinates with zeros of both signs, and (for several rows) a row of
+    # -0.0 and a row whose only zero is -0.0
     w = rng.standard_normal(shape)
     w[rng.random(shape) < 0.3] = 0.0
     w[rng.random(shape) < 0.3] *= -1
-    several = len(shape) == 2 and shape[0] > 1
-    if several:
+    if len(shape) == 2 and shape[0] > 1:
         w[0] = -0.0
         w[1] = [-0.0, -1, 1, -1, 1, -1, 1, -1]
+    return w
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (270, 8), (2000, 8)])
+def test_mult_matrices_equal_products_with_identity(shape, rng):
+    # bit for bit, the signs of zero entries included
+    w = _signed_zero_coords(shape, rng)
     eye = np.eye(8)
     pairs = ((left_mult_matrix(w), batch_mul(w[..., None, :], eye)),
              (right_mult_matrix(w), batch_mul(eye, w[..., None, :])))
@@ -447,5 +457,15 @@ def test_mult_matrices_equal_products_with_identity(shape, rng):
         assert np.array_equal(got, want)
         zero = want == 0
         assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
-        if several:
-            assert np.signbit(want[zero]).any() and not np.signbit(want[zero]).all()
+
+
+@pytest.mark.parametrize("shape", [(8,), (270, 8)])
+def test_float_mult_matrices_have_positive_zeros(shape, rng):
+    # a zero entry is +0.0, as the table product gives it, even where w has
+    # -0.0 coordinates; the exact gathers keep ints
+    for w in (_signed_zero_coords(shape, rng), np.full(shape, -0.0)):
+        for m in (left_mult_matrix(w), right_mult_matrix(w)):
+            assert (m == 0).any() and not np.signbit(m[m == 0]).any()
+    for m in (left_mult_matrix_exact([0, -1, 2, 0, 0, 3, 0, 0]),
+              right_mult_matrix_exact([0, -1, 2, 0, 0, 3, 0, 0])):
+        assert m.dtype == object and all(type(x) is int for x in m.flat)

@@ -1,6 +1,7 @@
 """Octonion arithmetic: the generated table, composition-algebra identities,
 and exact powers."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -283,6 +284,27 @@ def test_infinite_scalar_raises_degenerate_input(x):
                lambda: x * np.float64(-inf)):
         with pytest.raises(DegenerateInput, match="finite"):
             op()
+
+
+def test_scalar_rule_exact_for_integers_else_float():
+    # an int, Fraction or numpy integer keeps an exact octonion exact; any
+    # other scalar enters as float(s), so a float result equals float(s) * a
+    # (or a / float(s)) bit for bit, in float64 for a float32 scalar too
+    x, xf = MODES
+    for got, want in ((x * np.int64(3), x * 3), (np.int64(-3) * x, x * -3),
+                      (x / np.int64(-3), x / -3), (x * F(3, 4), x * 3 / 4)):
+        assert got.exact and got == want
+        assert all(type(n) is int for n in got.numerators)
+    cases = [(xf, s) for s in (F(1, 3), 3, -7)]
+    cases += [(o, s) for o in MODES
+              for s in (np.float64(0.3), np.float32(0.3), Decimal("0.3"))]
+    for o, s in cases:
+        cs = o.to_float_array().tolist()
+        for got, want in ((o * s, [float(s) * a for a in cs]),
+                          (s * o, [float(s) * a for a in cs]),
+                          (o / s, [a / float(s) for a in cs])):
+            assert not got.exact and all(type(c) is float for c in got.coords)
+            assert [c.hex() for c in got.coords] == [c.hex() for c in want]
 
 
 def test_float_results_that_overflow_raise_degenerate_input():

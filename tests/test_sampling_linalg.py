@@ -107,6 +107,19 @@ def test_exact_kernel_and_rref():
         assert sum(a * b for a, b in zip(row, ker[0])) == 0
 
 
+def test_lift_exact_gives_python_ints():
+    # a vector of Python ints is its own lift over 1; bools, numpy integers,
+    # Fractions and floats lift to Python ints over the lcm of denominators
+    for v, want in (([3, -5, 0], ([3, -5, 0], 1)),
+                    (np.array([3, -5, 0], dtype=object), ([3, -5, 0], 1)),
+                    ([True, False, 2], ([1, 0, 2], 1)),
+                    (np.array([3, -5]), ([3, -5], 1)),
+                    ([F(1, 2), np.int64(3), 0.25], ([2, 12, 1], 4))):
+        nums, d = linalg.lift_exact(v)
+        assert (nums, d) == want
+        assert all(type(n) is int for n in nums) and type(d) is int
+
+
 def test_exact_solve_det_inverse():
     m = [[F(2), F(1)], [F(1), F(1)]]
     assert linalg.det(m) == 1

@@ -10,7 +10,8 @@ from sixsphere import cstruct, twistor
 from sixsphere.errors import (DegenerateInput, NonGenericInput,
                               NotImaginaryUnit)
 from sixsphere.frames import random_g2_matrix
-from sixsphere.octonion import CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion
+from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
+                                residual)
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
                                 random_rational_tangent,
@@ -152,14 +153,27 @@ def test_companion_system_matches_its_definition():
 def test_exact_distance_is_the_fraction_distance_rounded_once():
     # int / int true division per entry, against float() of the largest
     # absolute Fraction, on the stacked matrices of random exact sections
+    # and on their structures at one point (`SquareMatrix.distance`, whose
+    # float copies keep the float difference bit for bit)
     rng = rng_from_seed(47)
     for _ in range(4):
         lam = twistor.random_so7_exact(rng)
         x = random_rational_unit_octonion(rng)
+        q = random_rational_imaginary_unit(rng)
         sections = (so7_act(lam, canonical_section()), rp7_section(x),
                     canonical_section())
         for s1 in sections:
             for s2 in sections:
+                j1, j2 = s1(q), s2(q)
+                want = float(max(abs(a - b) for r1, r2 in zip(j1.rows, j2.rows)
+                                 for a, b in zip(r1, r2)))
+                got = j1.distance(j2)
+                assert j1.exact and type(got) is float and got.hex() == want.hex()
+                f1, f2 = (TangentStructure(q, j.as_array())
+                          for j in (j1, j2))
+                want_f = float(np.max(np.abs(f1.as_array() - f2.as_array())))
+                for a, b in ((f1, f2), (j1, f2), (f1, j2)):
+                    assert a.distance(b).hex() == want_f.hex()
                 ctx, (a1, d1), (a2, d2) = twistor._on_points(s1, s2)
                 assert ctx.exact
                 want = float(max(abs(F(int(x1), int(e1)) - F(int(x2), int(e2)))
@@ -169,6 +183,22 @@ def test_exact_distance_is_the_fraction_distance_rounded_once():
                 got = ctx.distance((a1, d1), (a2, d2))
                 assert type(got) is float and got.hex() == want.hex()
                 assert twistor.section_distance(s1, s2) == want
+
+
+def test_pencil_through_the_companion_preimage_stays_in_its_mode():
+    # on the pencil of 1 and u = lam^-1(a), every coordinate quadratic has
+    # qc = 0, so the candidates are u and 1 - (qa / qb) u: an exact rational
+    # point for an exact rotation (qa / qb of ints taken as a Fraction), the
+    # float point for its float copy
+    lam = twistor.random_so7_exact(rng_from_seed(0))
+    u = lam.inverse_apply(companion(lam).a)
+    exact = list(twistor._pencil_candidates(lam, Octonion.one(), u))
+    lam_f = SO7Element(lam.as_array())
+    floats = list(twistor._pencil_candidates(lam_f, Octonion.one() * 1.0, u * 1.0))
+    assert exact[0] == u and floats[0] == u * 1.0
+    assert [c.exact for c in exact] == [True, True]
+    assert [c.exact for c in floats] == [False, False]
+    assert residual(exact[1] * 1.0 - floats[1]) <= CHECK_TOL
 
 
 def test_isotopy_residual_separates_companions():
