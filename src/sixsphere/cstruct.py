@@ -25,8 +25,9 @@ rows and columns of the 6-plane basis: the arithmetic context multiplies it
 in its mode and the structure holds the resulting pair (see
 `octonion.SquareMatrix`), whose kernels give recovery and common lines.  J
 acts on an octonion through `SquareMatrix.apply` on the coordinates
-R6_BASIS (as 0 on <1, e1>); the kernels of recovery and the block form run
-on octonion numerators, and every kernel comes back as octonions.  The
+R6_BASIS (as 0 on <1, e1>).  Recovery solves J(v) x = e1 (v x), linear in
+x, on the numerators of J's columns; the kernel of the block form runs on
+octonion numerators, and every kernel comes back as octonions.  The
 standard structure is J_1, built once per mode.
 """
 
@@ -41,8 +42,8 @@ from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
-                       MUL_SIGN, SEPARATION_TOL, Octonion, SquareMatrix,
-                       _placed, arithmetic_of)
+                       MUL_SIGN, Octonion, SquareMatrix, _placed,
+                       arithmetic_of, reject)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
@@ -162,50 +163,32 @@ def equivalent(x: Octonion, y: Octonion) -> bool:
 def recover_x(j: ComplexStructureR6) -> Octonion:
     """A representative x with j_from_octonion(x) == j.
 
-    Steps: the fixed line L = ker(J - J_std) is 2-dimensional for J distinct
-    from the standard structure; A = <1, e1> + L is a quaternion subalgebra;
-    for any nonzero I orthogonal to A, l = J(I) I^{-1} is the unit imaginary
-    element of A by which J acts on the complement of A, and x = 1 - e1*l
-    conjugates e1 onto l (with the special branch l = -e1 handled by taking
-    any unit imaginary of A orthogonal to e1).  Exact inputs produce an exact
-    (generally non-unit) representative of the ray.
+    Multiplying J(v) = (e1 (v x)) conj(x) / |x|^2 on the right by x gives
+    J(v) x = e1 (v x), a condition linear in x: the 48x8 system
+    L_{J v} - L_e1 L_v over the six vectors v of the 6-plane basis.  Every
+    nonzero solution y has J_y = J, so its kernel is exactly the complex
+    line C x.  The representative is the point of that line orthogonal to
+    e1, <k2, e1> k1 - <k1, e1> k2 for a kernel basis (k1, k2): the same ray
+    in both modes.  It vanishes only when the whole line is orthogonal to
+    <1, e1>, and then x is k1.  Exact inputs produce an exact (generally
+    non-unit) representative of the ray.
     """
     ctx = arithmetic_of(j)
-    std = standard_structure(exact=j.exact)
-    if j == std:
-        return ctx.one
-    ker = ctx.kernel(ctx.difference(j, std), R6_BASIS)
-    if len(ker) == 6:
-        return ctx.one
+    a, d = j.m
+    jv = np.zeros((6, 8), a.dtype)
+    jv[:, R6_BASIS] = a.T      # the numerators of J v: J's columns
+    vs = ctx.points([Octonion.basis(k) for k in R6_BASIS])
+    e1v = ctx.product(ctx.left(ctx.points([ctx.e1])), ctx.left(vs))
+    ker = ctx.kernel(ctx.difference(ctx.left((jv, d)), e1v).reshape(48, 8))
     if len(ker) != 2:
-        raise RankError("fixed space of J has dimension %d, expected 2" % len(ker))
-    u = ker[0]
-    one, e1 = ctx.one, ctx.e1
-    big_i = ctx.kernel(ctx.points([one, e1, u, e1 * u])[0])[0]
-    l = (j.apply(big_i) * big_i.conjugate()) / big_i.norm_sq()
-    if not _sanity_l(l, one, e1, u):
-        raise VerificationFailed("recovered rotation element fails its invariants")
-    if ctx.zero_norm((l + e1).norm_sq(), SEPARATION_TOL ** 2):
-        x = ctx.ray(u)
-    else:
-        # x = 1 - e1*l solves e1 x = x l:  e1(1 - e1 l) = e1 + l = (1 - e1 l) l
-        # by associativity inside the subalgebra generated by e1 and l, hence
-        # conj(x) e1 x = |x|^2 l.  It vanishes exactly when l = -e1.
-        x = ctx.ray(one - e1 * l)
+        raise RankError("solutions of J(v) x = e1 (v x) span dimension %d, "
+                        "expected 2" % len(ker))
+    k1, k2 = ker
+    y = k2.inner(ctx.e1) * k1 - k1.inner(ctx.e1) * k2
+    x = ctx.ray(k1 if ctx.zero_norm(y.norm_sq()) else y)
     if not ctx.agree(j_from_octonion(x), j, CHECK_TOL):
         raise VerificationFailed("recovered x does not reproduce J")
     return x
-
-
-def _sanity_l(l: Octonion, one: Octonion, e1: Octonion, u: Octonion) -> bool:
-    if not (l.is_imaginary(CHECK_TOL) and l.is_unit(CHECK_TOL)):
-        return False
-    # l must lie in the quaternion subalgebra spanned by (1, e1, u, e1 u)
-    span = [one, e1, u, e1 * u]
-    proj = Octonion.zero()
-    for b in span:
-        proj = proj + (l.inner(b) / b.norm_sq()) * b
-    return (l - proj).is_zero(CHECK_TOL)
 
 
 def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
@@ -214,7 +197,7 @@ def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     if j1 == j2:
         raise IdenticalStructures("every line is common to identical structures")
     ctx = arithmetic_of(j1, j2)
-    ker = ctx.kernel(ctx.difference(j1, j2), R6_BASIS)
+    ker = ctx.kernel(ctx.difference(ctx.pair(j1), ctx.pair(j2)), R6_BASIS)
     if len(ker) == 0:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:
@@ -246,7 +229,7 @@ def quaternion_coordinate_form(x: Octonion) -> QuaternionBlockForm:
     """
     ctx = arithmetic_of(x)
     one, e1 = ctx.one, ctx.e1
-    v = x - x.inner(one) * one - x.inner(e1) * e1
+    v = reject(x, (one, e1))
     if v.is_zero(CHECK_TOL):
         raise DegenerateX("x lies in <1, e1>; the block split is degenerate")
     n = x.norm_sq()

@@ -39,7 +39,10 @@ exact, any other scalar enters as its float; a zero divisor raises
 context also multiplies square matrices as (array, denominator) pairs (see
 `Arithmetic`), and a `SquareMatrix`, a structure or an SO(7) element, holds
 its pair in that form, exact pairs reduced as octonions are, and applies it
-to an octonion's numerators.
+to an octonion's numerators.  Frames are tested through the context too:
+`Arithmetic.orthonormal` compares a Gram matrix with the identity,
+`multiplication_defect` is one table product of a matrix's columns, and
+`reject` removes the projection onto an orthonormal span.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ FLOAT_EQ_TOL = 1e-12
 #: residual allowed to a float identity check (the suites' default tolerance)
 CHECK_TOL = 1e-9
 #: distance under which float points count as one: preimage and fiber
-#: classes, and the antipodal branch of structure recovery
+#: classes
 SEPARATION_TOL = 1e-6
 #: squared norm under which a float octonion counts as zero
 ZERO_NORM_SQ = 1e-30
@@ -122,6 +125,7 @@ for _i in range(8):
         _k, _s = MUL_INDEX[_i][_j], MUL_SIGN[_i][_j]
         _LEFT[_k, _j], _LEFT_SIGN[_k, _j] = _i, _s
         _RIGHT[_k, _i], _RIGHT_SIGN[_k, _i] = _j, _s
+_MUL_INDEX, _MUL_SIGN = np.array(MUL_INDEX), np.array(MUL_SIGN)
 # I - 1 1^T, the projection onto the imaginary octonions
 _IMAG_PROJ = np.diag([0] + [1] * 7)
 
@@ -152,6 +156,18 @@ def _compile_product():
 #: the coordinates of the product of two coordinate sequences of eight ints,
 #: eight floats, or eight arrays that broadcast against each other
 _product = _compile_product()
+
+
+def multiplication_defect(pair):
+    """(S, d^2) for the pair (A, d) of an 8x8 matrix: S / d^2 is the stacked
+    64x8 matrix of the maps u -> A(e_k u) - A(e_k) A(u), zero exactly when A
+    is multiplicative.  Block k, column j is A(e_k e_j) - A(e_k) A(e_j), and
+    A(e_k e_j) = MUL_SIGN[k][j] A(e_MUL_INDEX[k][j]): one table product of
+    A's columns, ints or floats."""
+    a, d = pair
+    prod = np.array(_product(a[:, :, None], a[:, None, :]))   # [i, k, j]
+    s = a[:, _MUL_INDEX] * _MUL_SIGN * d - prod
+    return s.transpose(1, 0, 2).reshape(64, 8), d * d
 
 
 def _exact(num: tuple, d: int) -> "Octonion":
@@ -446,6 +462,15 @@ def normalize(o: Octonion) -> Octonion:
     return o / float(n) ** 0.5
 
 
+def reject(o: Octonion, orthonormal_basis: Iterable[Octonion]) -> Octonion:
+    """o minus its projection onto the span of an orthonormal basis:
+    o - <o, b1> b1 - <o, b2> b2 - ..., the terms subtracted in order."""
+    out = o
+    for b in orthonormal_basis:
+        out = out - o.inner(b) * b
+    return out
+
+
 def residual(d: Octonion) -> float:
     """Largest absolute coordinate of d, as a float: int / int true division
     in exact mode, which rounds correctly."""
@@ -519,11 +544,19 @@ class Arithmetic:
         """Equality of two square matrices, FLOAT's within tol."""
         return self.equal(self.pair(a), self.pair(b), tol)
 
-    def difference(self, a: "SquareMatrix", b: "SquareMatrix") -> np.ndarray:
-        """The array of a - b times the product of their denominators: the
-        matrix of a - b up to a positive scale, which has its kernel."""
-        (x, dx), (y, dy) = self.pair(a), self.pair(b)
-        return x * dy - y * dx
+    def difference(self, m1, m2) -> np.ndarray:
+        """The array of m1 - m2 times the product of their denominators, for
+        (stacked) matrix pairs: the matrix of m1 - m2 up to a positive scale,
+        which has its kernel."""
+        return m1[0] * m2[1] - m2[0] * m1[1]
+
+    def orthonormal(self, os: Sequence[Octonion],
+                    tol: float = FLOAT_EQ_TOL) -> bool:
+        """Whether the octonions os are orthonormal: the Gram matrix of their
+        points equals the identity, FLOAT's within tol."""
+        v, d = self.points(os)
+        d = np.reshape(d, -1)
+        return self.equal((v @ v.T, np.outer(d, d)), self.identity(len(os)), tol)
 
 
 class _ExactArithmetic(Arithmetic):
@@ -547,8 +580,13 @@ class _ExactArithmetic(Arithmetic):
 
     def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
         """A basis of the right kernel of a matrix, each vector the octonion
-        with its entries at the coordinates `basis`, 0 elsewhere."""
-        vs, d = linalg.kernel_basis(rows)
+        with its entries at the coordinates `basis`, 0 elsewhere.  EXACT
+        eliminates a tall matrix M as M^T M, which has M's row space, hence
+        the same reduced echelon form and the same basis."""
+        m = np.asarray(rows, dtype=object)
+        if m.shape[0] > m.shape[-1]:
+            m = m.T @ m
+        vs, d = linalg.kernel_basis(m)
         return [_reduced(_placed(v, basis, 0), d) for v in vs]
 
     def ray(self, o: Octonion) -> Octonion:
@@ -577,7 +615,7 @@ class _ExactArithmetic(Arithmetic):
     def distance(self, m1, m2) -> float:
         """Largest absolute entry of m1 - m2, as a float: each entry rounded
         once by int / int true division (rounding is monotone)."""
-        num = m1[0] * m2[1] - m2[0] * m1[1]
+        num = self.difference(m1, m2)
         return float(np.max(np.abs(num / (m1[1] * m2[1]))))
 
     def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:

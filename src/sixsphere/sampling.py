@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadConfig, OutOfRange
 from .linalg import lift_exact
-from .octonion import Octonion, _floats
+from .octonion import Octonion, _floats, reject
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -130,9 +130,8 @@ def random_rational_tangent(rng: np.random.Generator, p: Octonion) -> Octonion:
     products is what matters downstream, not the norm."""
     while True:
         nums, den = _random_lifted(rng, 7)
-        v = Octonion.from_lifted([0, *nums], den)
-        # subtract the <1,p> component; p is a unit imaginary so <p,p> = 1
-        v = v - v.inner(p) * p
+        # v is imaginary; p is a unit imaginary, so this removes its <1, p> part
+        v = reject(Octonion.from_lifted([0, *nums], den), [p])
         if not v.is_zero():
             return v
 

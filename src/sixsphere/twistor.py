@@ -23,7 +23,8 @@ the projection onto <1, p>-perp.  Sections are compared on the stacked
 matrices.  A structure or an SO(7) element acts on an octonion through
 `SquareMatrix.apply`, its pair times the octonion's numerators, and
 compares by value; lam(e_0), ..., lam(e_7) are the columns of lam's pair,
-and the companion system is one table product of those columns.
+and the companion system is their multiplication defect
+(`octonion.multiplication_defect`), one table product of those columns.
 
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
@@ -32,6 +33,7 @@ needed so exact arithmetic survives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +47,9 @@ from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, SEPARATION_TOL,
-                       Octonion, SquareMatrix, _floats, _product, _reduced,
-                       arithmetic_of, batch_mul, residual)
+                       Arithmetic, Octonion, SquareMatrix, _floats, _reduced,
+                       arithmetic_of, batch_mul, multiplication_defect,
+                       reject, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -226,38 +229,34 @@ def rp7_section(x: Octonion) -> Section:
     return Section(build, x.exact)
 
 
-_SECTION_POINTS: Optional[List[Octonion]] = None
-
-
+@functools.cache
 def section_sample_points() -> List[Octonion]:
     """Fixed deterministic set of 20 exact rational points of the six-sphere
     used for comparing sections.  The compared identities are polynomial of
     low degree in the point, so agreement on this sample (plus the standard
     basis points, which are included) is used as section equality."""
-    global _SECTION_POINTS
-    if _SECTION_POINTS is None:
-        rng = rng_from_seed(0x517E57)
-        pts = [Octonion.basis(k) for k in range(1, 8)]
-        while len(pts) < 20:
-            pts.append(random_rational_imaginary_unit(rng))
-        _SECTION_POINTS = pts
-    return _SECTION_POINTS
+    rng = rng_from_seed(0x517E57)
+    pts = [Octonion.basis(k) for k in range(1, 8)]
+    while len(pts) < 20:
+        pts.append(random_rational_imaginary_unit(rng))
+    return pts
 
 
-#: the sample points stacked once per mode (they are exact)
-_SAMPLE_STACKS: dict = {}
+@functools.cache
+def _sample_stack(ctx: Arithmetic):
+    # the sample points stacked once per mode (they are exact), shared by
+    # every later comparison: read-only
+    pts = ctx.points(section_sample_points())
+    for a in pts:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return pts
 
 
 def _on_points(s1: Section, s2: Section):
     # the context and both sections' stacked matrices at the sample points
     ctx = arithmetic_of(s1, s2)
-    if ctx.exact not in _SAMPLE_STACKS:
-        pts = ctx.points(section_sample_points())
-        for a in pts:   # shared by every later comparison: read-only
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        _SAMPLE_STACKS[ctx.exact] = pts
-    pts = _SAMPLE_STACKS[ctx.exact]
+    pts = _sample_stack(ctx)
     return ctx, s1.build(ctx, pts), s2.build(ctx, pts)
 
 
@@ -280,20 +279,6 @@ class CompanionResult:
     a: Octonion          # ray representative in exact mode, unit in float
     kernel_dim: int
     residual: float      # max octonion-product residual of the verification
-
-
-_MUL_INDEX, _MUL_SIGN = np.array(MUL_INDEX), np.array(MUL_SIGN)
-
-
-def _companion_system(lam: SO7Element):
-    """(S, d^2) for lam's pair (A, d): S / d^2 is the stacked 64x8 matrix of
-    the maps u -> lam(e_k u) - lam(e_k) lam(u).  Block k, column j is
-    lam(e_k e_j) - lam(e_k) lam(e_j), and lam(e_k e_j) = MUL_SIGN[k][j]
-    lam(e_MUL_INDEX[k][j]): one table product of A's columns, ints or floats."""
-    a, d = lam.m
-    prod = np.array(_product(a[:, :, None], a[:, None, :]))   # [i, k, j]
-    s = a[:, _MUL_INDEX] * _MUL_SIGN * d - prod
-    return s.transpose(1, 0, 2).reshape(64, 8), d * d
 
 
 def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
@@ -392,21 +377,19 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     pinned down by solving the quadratic isotopy defect along the kernel,
     and a candidate is returned once the full identity holds on all 64
     basis pairs; a failing one is dropped at its first failing pair.  The
-    candidates are tried in order: the kernel vectors, their pairwise sums,
-    then the pencil roots of each pair.
+    candidates are tried in order: the kernel vectors, then the pencil roots
+    of each pair of them.
     """
     if not 0 <= tol < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
     ctx = arithmetic_of(lam)
-    ker = ctx.kernel(_companion_system(lam)[0])
+    ker = ctx.kernel(multiplication_defect(lam.m)[0])
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
-    pairs = list(combinations(ker, 2))
     # built lazily, so the pencils are solved only when no kernel vector
-    # and no pair sum passes
-    candidates = chain(ker, (u + v for u, v in pairs),
-                       chain.from_iterable(_pencil_candidates(lam, u, v)
-                                           for u, v in pairs))
+    # passes
+    candidates = chain(ker, chain.from_iterable(
+        _pencil_candidates(lam, u, v) for u, v in combinations(ker, 2)))
     for u in candidates:
         if u.is_zero(CHECK_TOL):
             continue
@@ -471,7 +454,7 @@ def triality_cube(x: Octonion, p: Octonion, v: Octonion) -> CubeReport:
     m1 = (got - candidate(z1)).is_zero(CHECK_TOL)
     m2 = (got - candidate(z2)).is_zero(CHECK_TOL)
 
-    va = x - x.inner(ONE) * ONE - x.inner(p) * p
+    va = reject(x, (ONE, p))
     if va.is_zero(CHECK_TOL):
         branch_ok = True
     else:

@@ -407,6 +407,16 @@ def _write_json(path, payload):
     return str(path)
 
 
+def test_recover_cli_near_the_locus_perpendicular_to_1_e1(tmp_path):
+    # (x0, x1) of norm 2.2e-7: recovery still reproduces the structure
+    x = Octonion([1e-7, -2e-7, 0.6, 0, 0.8, 0, 0, 0])
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(j_from_octonion(x).to_strings()))
+    out = tmp_path / "x.json"
+    assert run_cli(["recover", "--structure", str(path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["round_trip_distance"] <= 1e-9
+
+
 @pytest.mark.parametrize("command", ["degree", "companion", "recover"])
 def test_library_failure_exits_1_with_one_error_line(command, monkeypatch,
                                                      tmp_path, capsys):

@@ -13,12 +13,15 @@ from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, common_line,
                                standard_structure, to_cp3)
 from sixsphere.errors import (DegenerateX, IdenticalStructures,
                               InvalidStructure, NotUnit)
-from sixsphere.octonion import Octonion
+from sixsphere.octonion import CHECK_TOL, Octonion, normalize
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_unit_octonion)
 
 E = [Octonion.basis(k) for k in range(8)]
 X25 = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])   # 3/5 + 4/5 e2
+#: a float x whose (x0, x1) part has norm 2.2e-7: close to the locus
+#: x perpendicular to <1, e1>
+NEAR_LOCUS = [1e-7, -2e-7, 0.6, 0, 0.8, 0, 0, 0]
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -112,16 +115,17 @@ def test_recover_round_trip_exact(rng):
         x = random_rational_unit_octonion(rng)
         j = j_from_octonion(x)
         r = recover_x(j)
-        assert r.exact
+        # the point of the class orthogonal to e1
+        assert r.exact and r.inner(E[1]) == 0
         assert equivalent(r, x)
         assert j_from_octonion(r) == j
 
 
 def test_recover_antipodal_branch():
-    # l = -e1 arises from x = e2 (conj(x) e1 x = e2 e1 e2 has e1-part -1)
-    j = j_from_octonion(E[2])
-    r = recover_x(j)
-    assert equivalent(r, E[2])
+    # x perpendicular to <1, e1>: the whole class is orthogonal to e1, and
+    # recovery returns a kernel vector of the class
+    for x in (E[2], E[3] + F(1, 2) * E[7]):
+        assert equivalent(recover_x(j_from_octonion(x)), x)
 
 
 def test_recover_float_surjectivity(rng):
@@ -131,6 +135,21 @@ def test_recover_float_surjectivity(rng):
         x = recover_x(j)
         worst = max(worst, j_from_octonion(x).distance(j))
     assert worst < 1e-9
+
+
+def test_recover_near_the_locus_perpendicular_to_1_e1():
+    j = j_from_octonion(normalize(Octonion(NEAR_LOCUS)))
+    assert j_from_octonion(recover_x(j)).distance(j) <= CHECK_TOL
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_recover_float_x_approaching_the_locus(eps, rng):
+    # random float x with |(x0, x1)| = eps: the recovered x reproduces J
+    for _ in range(10):
+        v = rng.standard_normal(8)
+        v[:2] *= eps / np.linalg.norm(v[:2])
+        j = j_from_octonion(normalize(Octonion(v.tolist())))
+        assert j_from_octonion(recover_x(j)).distance(j) <= CHECK_TOL
 
 
 def test_recover_rejects_invalid():

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sixsphere.errors import (DegenerateInput, FrameInvalid, NotOrthogonal)
+from sixsphere.errors import (AutomorphismCheckFailed, DegenerateInput,
+                              FrameInvalid, NotOrthogonal)
 from sixsphere.frames import (G2Frame, QuaternionFrame, apply_matrix,
                               doubling_coordinates, exact_sqrt,
                               g2_from_frame, householder_swap, normalize,
@@ -120,6 +121,16 @@ def test_doubling_rejects_bad_unit():
         doubling_coordinates(f, 2 * E[4])   # not a unit
 
 
+def test_doubling_unit_is_tested_with_the_frame():
+    # one Gram test of (unit, frame) in their common mode: a float frame
+    # takes an exact unit within CHECK_TOL, an exact frame only literally
+    near = (1 + F(1, 10 ** 12)) * E[4]
+    ff = QuaternionFrame(Octonion(E[1].to_float_array()), E[2])
+    assert doubling_coordinates(ff, near).verify_doubling_law()
+    with pytest.raises(NotOrthogonal):
+        doubling_coordinates(QuaternionFrame(E[1], E[2]), near)
+
+
 def test_g2_identity_frame():
     m = g2_from_frame(G2Frame(E[1], E[2], E[4]))
     assert m == [[F(1) if i == j else F(0) for j in range(8)] for i in range(8)]
@@ -147,6 +158,16 @@ def test_apply_matrix_rejects_a_wrong_row_count(nrows):
 def test_g2_frame_admissibility():
     with pytest.raises(FrameInvalid):
         G2Frame(E[1], E[2], E[3])   # e3 = e1 e2 is not orthogonal to y*x
+
+
+def test_g2_from_frame_rejects_a_frame_that_skipped_validation():
+    # G2Frame refuses z = e3 = e1 e2; built past that check, the frame is
+    # caught by g2_from_frame's own automorphism check
+    f = object.__new__(G2Frame)
+    for name, v in zip("xyz", (E[1], E[2], E[3])):
+        object.__setattr__(f, name, v)
+    with pytest.raises(AutomorphismCheckFailed):
+        g2_from_frame(f)
 
 
 def test_random_g2_frames_are_automorphisms(rng):

@@ -289,6 +289,15 @@ def test_arithmetic_kernel_gives_octonions_zero_off_basis(basis, rng):
                     assert np.max(np.abs(m @ np.array(v))) <= 1e-9
 
 
+def test_exact_kernel_of_a_tall_system_is_the_direct_elimination(rng):
+    # EXACT eliminates a tall M as M^T M: the basis is the one that
+    # eliminating M itself gives, octonion for octonion
+    for rank in range(9):
+        m = (rng.integers(-3, 4, (48, rank)) @ rng.integers(-3, 4, (rank, 8))).tolist()
+        vs, d = linalg.kernel_basis(m)
+        assert octonion.EXACT.kernel(m) == [Octonion.from_lifted(v, d) for v in vs]
+
+
 def test_exact_suites_build_only_canonical_pairs(monkeypatch):
     # every exact octonion and square matrix that the exact suites build,
     # through a public constructor or from a formula's pair, holds int

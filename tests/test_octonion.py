@@ -9,10 +9,13 @@ import pytest
 
 from sixsphere import suites
 from sixsphere.errors import DegenerateInput, ZeroDivisor
-from sixsphere.octonion import (MUL_INDEX, MUL_SIGN, Octonion, batch_mul,
-                                left_mult_matrix, left_mult_matrix_exact,
-                                normalize, right_mult_matrix)
+from sixsphere.frames import random_g2_frame
+from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
+                                arithmetic_of, batch_mul, left_mult_matrix,
+                                left_mult_matrix_exact, normalize, reject,
+                                right_mult_matrix)
 from sixsphere.sampling import (random_rational_circle_point,
+                                random_rational_imaginary_unit,
                                 random_rational_unit_octonion)
 
 E = [Octonion.basis(k) for k in range(8)]
@@ -386,3 +389,52 @@ def test_batch_kernels_equal_dense_tensor(xshape, yshape, rng):
         assert left.shape == right.shape == w.shape + (8,)
         assert np.array_equal(left, np.einsum("ijk,...i->...kj", t, w))
         assert np.array_equal(right, np.einsum("ijk,...j->...ki", t, w))
+
+
+def _flt(o: Octonion) -> Octonion:
+    return Octonion(o.to_float_array())
+
+
+def _pairwise_orthonormal(os, tol) -> bool:
+    ctx = arithmetic_of(*os)
+    return all(ctx.scalar_eq(u.inner(v), int(i == j), tol)
+               for i, u in enumerate(os) for j, v in enumerate(os))
+
+
+def test_orthonormal_matches_pairwise_inner_products(rng):
+    # exact, float and mixed lists, orthonormal or not: the Gram matrix test
+    # of the context agrees with the inner products taken pair by pair
+    for _ in range(3):
+        f = random_g2_frame(rng)
+        exact = [f.x, f.y, f.z, f.y * f.x]
+        for base in (exact, [_flt(o) for o in exact],
+                     [exact[0], _flt(exact[1]), *exact[2:]]):
+            cases = {
+                True: [base, base[:1]],
+                False: [base + [base[0]], [2 * base[0], *base[1:]],
+                        [base[0] + F(1, 10 ** 6) * base[1], *base[1:]]],
+            }
+            for want, lists in cases.items():
+                for os in lists:
+                    got = arithmetic_of(*os).orthonormal(os, CHECK_TOL)
+                    assert got is want
+                    assert got == _pairwise_orthonormal(os, CHECK_TOL)
+            # a defect of 1e-12 passes in floats only
+            near = [base[0] + F(1, 10 ** 12) * base[1], *base[1:]]
+            got = arithmetic_of(*near).orthonormal(near, CHECK_TOL)
+            assert got == _pairwise_orthonormal(near, CHECK_TOL)
+            assert got is not arithmetic_of(*near).exact
+
+
+def test_reject_subtracts_the_projection_terms_in_order(rng):
+    # reject(x, (1, p)) is x - <x,1> 1 - <x,p> p bit for bit, in every mode
+    for _ in range(5):
+        x = random_rational_unit_octonion(rng)
+        p = random_rational_imaginary_unit(rng)
+        for a, b in ((x, p), (_flt(x), _flt(p)), (_flt(x), p), (x, _flt(p))):
+            want = a - a.inner(E[0]) * E[0] - a.inner(b) * b
+            got = reject(a, (E[0], b))
+            assert got.exact == want.exact
+            assert got.numerators == want.numerators
+            assert got.denominator == want.denominator
+        assert reject(x, (E[0], p)).inner(p) == 0
