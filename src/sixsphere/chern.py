@@ -115,9 +115,6 @@ class GradedPoly:
     def coefficient(self, m: Monomial) -> int:
         return self.terms.get(tuple(m), 0)
 
-    def max_degree(self) -> int:
-        return max((self._mdeg(m) for m in self.terms), default=0)
-
     def substitute(self, assignment: Dict[str, "GradedPoly"]) -> "GradedPoly":
         """Substitute polynomials (of the same ring) for variables."""
         out = self.constant(0)

@@ -41,9 +41,8 @@ import numpy as np
 from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
-from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, MUL_INDEX,
-                       MUL_SIGN, Octonion, SquareMatrix, _placed,
-                       arithmetic_of, reject)
+from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, Octonion,
+                       SquareMatrix, _placed, arithmetic_of, reject)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
@@ -84,9 +83,6 @@ class ComplexStructureR6(SquareMatrix):
         if not self.orientation_sign() > 0:
             raise InvalidStructure("J is not orientation-compatible")
 
-    def apply6(self, v: Sequence) -> list:
-        return extract6(self.apply(embed6(v)))
-
     def orientation_sign(self) -> int:
         """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w).
 
@@ -108,11 +104,6 @@ class ComplexLine:
 
     u: Octonion
     ju: Octonion
-
-    def contains(self, o: Octonion) -> bool:
-        uu = self.u.norm_sq()
-        proj = (o.inner(self.u) / uu) * self.u + (o.inner(self.ju) / uu) * self.ju
-        return (o - proj).is_zero(CHECK_TOL)
 
 
 _STANDARD: Dict[bool, ComplexStructureR6] = {}
@@ -271,57 +262,6 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
         raise VerificationFailed("l is not a rotation of e1 about the axis of x")
     # angle 0 or pi: the two senses coincide, reported as neutral
     return cos2, (matched[0] if len(matched) == 1 else 0)
-
-
-# ---------------------------------------------------------------------------
-# projective coordinates
-# ---------------------------------------------------------------------------
-
-#: octonion indices of the left-complex-module basis (1, e2, e4, e6)
-CP3_MODULE_BASIS: Tuple[int, ...] = (0, 2, 4, 6)
-
-
-@dataclass(frozen=True)
-class CP3Point:
-    """Projective 4-tuple of complex coordinates (each a (re, im) pair) over
-    the left-complex-module basis (1, e2, e4, e6)."""
-
-    coords: Tuple[Tuple[object, object], ...]
-
-    @property
-    def exact(self) -> bool:
-        return all(not isinstance(t, float) for zw in self.coords for t in zw)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CP3Point):
-            return NotImplemented
-        # projective equality: all complex 2x2 minors vanish
-        ctx = arithmetic_of(self, other)
-        tol = 0.0
-        if not ctx.exact:
-            scale = max(1.0, max(abs(float(t)) for zw in self.coords + other.coords
-                                 for t in zw))
-            tol = FLOAT_EQ_TOL * scale * scale
-        for i in range(4):
-            for j in range(i + 1, 4):
-                zi, zj = self.coords[i], self.coords[j]
-                wi, wj = other.coords[i], other.coords[j]
-                re = zi[0] * wj[0] - zi[1] * wj[1] - (zj[0] * wi[0] - zj[1] * wi[1])
-                im = zi[0] * wj[1] + zi[1] * wj[0] - (zj[0] * wi[1] + zj[1] * wi[0])
-                if not ctx.is_zero((re, im), tol):
-                    return False
-        return True
-
-
-def to_cp3(x: Octonion) -> CP3Point:
-    """Coordinates of x in the left-complex-module basis (1, e2, e4, e6),
-    as a projective point (well defined on phase classes)."""
-    coords = []
-    c = x.coords
-    for b in CP3_MODULE_BASIS:
-        k, s = MUL_INDEX[1][b], MUL_SIGN[1][b]   # e1 * e_b = s * e_k
-        coords.append((c[b], s * c[k]))
-    return CP3Point(tuple(coords))
 
 
 # ---------------------------------------------------------------------------

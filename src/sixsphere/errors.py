@@ -17,10 +17,6 @@ class DegenerateInput(SixSphereError):
     """An input outside the domain of the operation (e.g. not a unit imaginary)."""
 
 
-class NotOrthogonal(SixSphereError):
-    """A vector fails a required orthogonality constraint."""
-
-
 class FrameInvalid(SixSphereError):
     """A frame violated its orthonormality/admissibility invariants."""
 

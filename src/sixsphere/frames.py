@@ -1,4 +1,4 @@
-"""Quaternion subalgebras, doubling coordinates, and automorphisms from frames.
+"""Quaternion subalgebras and automorphisms from frames.
 
 A quaternion subalgebra is spanned by (1, x, y, y*x) for orthonormal
 imaginary units x, y.  An orthonormal imaginary 3-frame (x, y, z) with
@@ -16,20 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (AutomorphismCheckFailed, DegenerateInput, FrameInvalid,
-                     NotOrthogonal)
+from .errors import AutomorphismCheckFailed, FrameInvalid
 # kernel_basis has no caller here: it stays bound as frames.kernel_basis,
 # which bench/test_smoke.py reads
 from .linalg import kernel_basis, mat_vec
-from .octonion import (CHECK_TOL, Octonion, arithmetic_of, exact_sqrt,
-                       multiplication_defect, normalize, reject)
+from .octonion import (CHECK_TOL, Octonion, arithmetic_of,
+                       multiplication_defect, reject)
+# normalize has no caller here: it stays bound as frames.normalize, which
+# bench/layers.py patches and bench/test_smoke.py reads
+from .octonion import normalize
 from .sampling import random_rational_imaginary_unit, random_sphere_lifted
 
-ONE = Octonion.basis(0)
 E1 = Octonion.basis(1)
 E2 = Octonion.basis(2)
 E4 = Octonion.basis(4)
@@ -67,36 +68,8 @@ class QuaternionFrame:
         if not all(self.contains(u * v) for u, v in product(b, repeat=2)):
             raise FrameInvalid("quaternion frame span is not closed")
 
-    def coords(self, o: Octonion) -> List:
-        return [o.inner(v) for v in self.basis]
-
     def contains(self, o: Octonion) -> bool:
         return reject(o, self.basis).is_zero(CHECK_TOL)
-
-    def structure_constants(self):
-        """4x4 table of coordinate vectors: basis[i]*basis[j] in frame coords."""
-        return [[self.coords(self.basis[i] * self.basis[j]) for j in range(4)]
-                for i in range(4)]
-
-
-def quaternion_subalgebra_through(p: Octonion, x: Octonion) -> QuaternionFrame:
-    """Frame of a quaternion subalgebra containing 1, p and x.
-
-    p must be a unit imaginary.  When x lies in span(1, p) the subalgebra is
-    not unique and the deterministic fallback completes with the Householder
-    image of e2 under the reflection carrying e1 to p (this is e2 itself when
-    p = e1).  For exact inputs the result stays exact whenever the projection
-    of x against span(1, p) has rational norm; otherwise the frame is built
-    in float coordinates, since no exact unit vector exists along that
-    direction.
-    """
-    if not (p.is_imaginary() and p.is_unit()):
-        raise DegenerateInput("p must be a unit imaginary octonion")
-    v = reject(x, (ONE, p))
-    if v.is_zero():
-        h = householder_swap(E1, p)
-        return QuaternionFrame(p, h(E2))
-    return QuaternionFrame(p, normalize(v))
 
 
 @dataclass(frozen=True)
@@ -199,86 +172,3 @@ def random_g2_frame(rng: np.random.Generator) -> G2Frame:
 
 def random_g2_matrix(rng: np.random.Generator):
     return g2_from_frame(random_g2_frame(rng))
-
-
-# ---------------------------------------------------------------------------
-# doubling coordinates
-# ---------------------------------------------------------------------------
-
-class DoublingCoordinates:
-    """Coordinate maps identifying the octonions with pairs (a, b) of
-    quaternion-frame coordinates via o = a + I*b.
-
-    The doubling product on pairs is
-        (a, b) * (c, d) = (a c - d conj(b),  c b + conj(a) d)
-    with quaternion products taken in frame coordinates; `verify_doubling_law`
-    checks this against direct octonion multiplication on all 64 pairs of
-    coordinate basis vectors.
-    """
-
-    def __init__(self, frame: QuaternionFrame, doubling_unit: Octonion):
-        basis = (doubling_unit, *frame.basis)
-        if not arithmetic_of(*basis).orthonormal(basis, CHECK_TOL):
-            raise NotOrthogonal("doubling unit must be a unit orthogonal to "
-                                "the frame")
-        self.frame = frame
-        self.unit = doubling_unit
-        self.upper = tuple(doubling_unit * v for v in frame.basis)
-        self._sc = frame.structure_constants()
-
-    def to_pair(self, o: Octonion):
-        a = [o.inner(v) for v in self.frame.basis]
-        b = [o.inner(v) for v in self.upper]
-        if not (o - self.from_pair(a, b)).is_zero(CHECK_TOL):
-            raise NotOrthogonal("element does not lie in frame + I*frame")
-        return a, b
-
-    def from_pair(self, a: Sequence, b: Sequence) -> Octonion:
-        o = Octonion.zero()
-        for ai, v in zip(a, self.frame.basis):
-            o = o + ai * v
-        for bi, v in zip(b, self.upper):
-            o = o + bi * v
-        return o
-
-    def _qmul(self, a: Sequence, c: Sequence) -> List:
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            if not a[i]:
-                continue
-            for j in range(4):
-                if not c[j]:
-                    continue
-                coeff = a[i] * c[j]
-                for k in range(4):
-                    out[k] = out[k] + coeff * self._sc[i][j][k]
-        return out
-
-    @staticmethod
-    def _qconj(a: Sequence) -> List:
-        return [a[0], -a[1], -a[2], -a[3]]
-
-    def pair_mul(self, ab, cd):
-        a, b = ab
-        c, d = cd
-        first = [s - t for s, t in zip(self._qmul(a, c), self._qmul(d, self._qconj(b)))]
-        second = [s + t for s, t in zip(self._qmul(c, b), self._qmul(self._qconj(a), d))]
-        return first, second
-
-    def verify_doubling_law(self) -> bool:
-        """Doubling product on coordinates == octonion product, on all 64
-        pairs of coordinate basis vectors."""
-        units = [([1 if i == k else 0 for k in range(4)], [0, 0, 0, 0]) for i in range(4)]
-        units += [([0, 0, 0, 0], [1 if i == k else 0 for k in range(4)]) for i in range(4)]
-        for ab in units:
-            for cd in units:
-                direct = self.from_pair(*ab) * self.from_pair(*cd)
-                paired = self.from_pair(*self.pair_mul(ab, cd))
-                if not (direct - paired).is_zero(CHECK_TOL):
-                    return False
-        return True
-
-
-def doubling_coordinates(frame: QuaternionFrame, doubling_unit: Octonion) -> DoublingCoordinates:
-    return DoublingCoordinates(frame, doubling_unit)
-

@@ -11,9 +11,7 @@ Covered formulas:
     pi_k(S^7) + pi_{k+6}(S^7) in degree k >= 2;
   * structure space of the connected sum of g copies of S^3 x S^3:
     Z/(2-2g) in degree one, a case split in degree two, and
-    pi_i + 2g * pi_{i+3} + pi_{i+6} of the seven-sphere above;
-  * the vanishing-second-Chern-class triviality criterion for the
-    relevant bundle over a six-complex.
+    pi_i + 2g * pi_{i+3} + pi_{i+6} of the seven-sphere above.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import csv
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import DegenerateInput, OutOfRange, TableError
+from .errors import OutOfRange, TableError
 
 # atoms: ("Z",) | ("Zn", n>=2) | ("pi", m)
 Atom = Tuple
@@ -224,31 +222,3 @@ def pi_structures_xg(g: int, i: int, table: Optional[Pi7Table] = None) -> GroupE
     out = (GroupExpr.sphere7(i) + 2 * g * GroupExpr.sphere7(i + 3)
            + GroupExpr.sphere7(i + 6))
     return out.resolve(table) if table else out
-
-
-def c2_triviality_criterion(c2_evaluation: int, manifold_is_6complex: bool) -> bool:
-    """Whether the structure-group composite classifying map is null: true
-    exactly when the second Chern class evaluation vanishes.  Only valid on
-    six-dimensional complexes."""
-    if not manifold_is_6complex:
-        raise DegenerateInput("criterion applies to six-dimensional complexes")
-    return c2_evaluation == 0
-
-
-@dataclass
-class XgBundleReport:
-    genus: int
-    euler_characteristic: int
-    classifying_degree: int    # degree of the map to the six-sphere
-    criterion: bool
-
-
-def xg_bundle_report(g: int) -> XgBundleReport:
-    """For the connected sum of g copies of S^3 x S^3: both Chern classes
-    vanish, the criterion applies, and the tangent classifying map factors
-    through a six-sphere map of degree 1 - g (half the Euler characteristic
-    2 - 2g)."""
-    if g < 0:
-        raise OutOfRange("g must be >= 0")
-    chi = 2 - 2 * g
-    return XgBundleReport(g, chi, chi // 2, c2_triviality_criterion(0, True))

@@ -62,6 +62,18 @@ def _oct_payload(**named) -> dict:
     return out
 
 
+def _or_failure(failures: List[dict], kind: str, inputs: Callable[[], dict],
+                call: Callable, *args, **kwargs):
+    """`call(*args, **kwargs)`, or None after recording the library error it
+    raises as one failure entry: `kind`, the error and `inputs()`, the
+    sample's inputs as strings.  Any other exception propagates."""
+    try:
+        return call(*args, **kwargs)
+    except SixSphereError as e:
+        failures.append({"kind": kind, "error": str(e), **inputs()})
+        return None
+
+
 #: suite name -> function (samples, mode, seed, tol, table=None) returning
 #: (checked, failures, worst residual), in declaration order
 SUITES: Dict[str, Callable] = {}
@@ -210,50 +222,67 @@ def _suite_prop21(samples, mode, seed, tol, table=None):
     if mode == "exact":
         for _ in range(samples):
             x = random_rational_unit_octonion(rng)
-            checked += 1
-            j = cstruct.j_from_octonion(x)
-            r = cstruct.recover_x(j)
-            if not cstruct.equivalent(r, x):
-                failures.append(_oct_payload(kind="round-trip", x=x, recovered=r))
             c, s = random_rational_circle_point(rng)
-            shifted = (c * Octonion.one() + s * Octonion.basis(1)) * x
-            if not cstruct.equivalent(x, shifted):
-                failures.append(_oct_payload(kind="phase-equivalence", x=x, cos=c, sin=s))
             y = random_rational_unit_octonion(rng)
-            w = y * x.conjugate()
-            in_span = not any(w.numerators[2:])
-            if cstruct.equivalent(x, y) != in_span:
-                failures.append(_oct_payload(kind="equivalence-classification", x=x, y=y))
-            try:
-                cstruct.quaternion_coordinate_form(x)
-            except DegenerateX:
-                pass
-            except SixSphereError as e:  # block certification raises on failure
-                failures.append(_oct_payload(kind="block-decomposition", x=x,
-                                             error=str(e)))
+            checked += 1
+            _or_failure(failures, "sample-error",
+                        lambda: _oct_payload(x=x, cos=c, sin=s, y=y),
+                        _prop21_exact_checks, failures, x, c, s, y)
     else:
         for _ in range(samples):
             j1 = cstruct.random_structure_float(rng)
             j2 = cstruct.random_structure_float(rng)
             checked += 1
-            if j1 == j2:
-                continue
-            line = cstruct.common_line(j1, j2)
-            u, ju = line.u, line.ju
-            r = max(residual(j1.apply(u) - j2.apply(u)),
-                    residual(j1.apply(ju) - j2.apply(ju)),
-                    residual(j1.apply(u) - ju))
-            worst = max(worst, r)
-            if r > tol:
-                failures.append({"kind": "common-line", "residual": r,
-                                 "j1": j1.to_strings(), "j2": j2.to_strings()})
-            xr = cstruct.recover_x(j1)
-            r2 = cstruct.j_from_octonion(xr).distance(j1)
-            worst = max(worst, r2)
-            if r2 > tol:
-                failures.append({"kind": "float-recover", "residual": r2,
-                                 "j": j1.to_strings()})
+            r = _or_failure(failures, "sample-error",
+                            lambda: {"j1": j1.to_strings(),
+                                     "j2": j2.to_strings()},
+                            _prop21_float_checks, failures, j1, j2, tol)
+            if r is not None:
+                worst = max(worst, r)
     return checked, failures, worst
+
+
+def _prop21_exact_checks(failures: List[dict], x, c, s, y):
+    """Recovery, phase invariance, the equivalence classification and the
+    block form of J_x, for x, the circle point (c, s) and y."""
+    r = cstruct.recover_x(cstruct.j_from_octonion(x))
+    if not cstruct.equivalent(r, x):
+        failures.append(_oct_payload(kind="round-trip", x=x, recovered=r))
+    shifted = (c * Octonion.one() + s * Octonion.basis(1)) * x
+    if not cstruct.equivalent(x, shifted):
+        failures.append(_oct_payload(kind="phase-equivalence", x=x, cos=c, sin=s))
+    w = y * x.conjugate()
+    in_span = not any(w.numerators[2:])
+    if cstruct.equivalent(x, y) != in_span:
+        failures.append(_oct_payload(kind="equivalence-classification", x=x, y=y))
+    try:
+        cstruct.quaternion_coordinate_form(x)
+    except DegenerateX:
+        pass
+    except SixSphereError as e:  # block certification raises on failure
+        failures.append(_oct_payload(kind="block-decomposition", x=x,
+                                     error=str(e)))
+
+
+def _prop21_float_checks(failures: List[dict], j1, j2, tol) -> float:
+    """The common line of two float structures and the recovery of the
+    first; the worst residual."""
+    if j1 == j2:
+        return 0.0
+    line = cstruct.common_line(j1, j2)
+    u, ju = line.u, line.ju
+    r = max(residual(j1.apply(u) - j2.apply(u)),
+            residual(j1.apply(ju) - j2.apply(ju)),
+            residual(j1.apply(u) - ju))
+    if r > tol:
+        failures.append({"kind": "common-line", "residual": r,
+                         "j1": j1.to_strings(), "j2": j2.to_strings()})
+    xr = cstruct.recover_x(j1)
+    r2 = cstruct.j_from_octonion(xr).distance(j1)
+    if r2 > tol:
+        failures.append({"kind": "float-recover", "residual": r2,
+                         "j": j1.to_strings()})
+    return max(r, r2)
 
 
 @_suite("lemma22", 1, "exact")
@@ -342,14 +371,12 @@ def _suite_thm33_lift(samples, mode, seed, tol, table=None):
 
 
 def _companion_or_failure(failures: List[dict], lam, **tol):
-    """`twistor.companion(lam, **tol)`, or None after recording its library
-    error as one `companion` failure entry."""
-    try:
-        return twistor.companion(lam, **tol)
-    except SixSphereError as e:
-        failures.append({"kind": "companion", "error": str(e),
-                         "matrix": [x for row in lam.to_strings() for x in row]})
-        return None
+    """`twistor.companion(lam, **tol)`, or None after a `companion` failure
+    entry with lam's entries, row by row."""
+    return _or_failure(
+        failures, "companion",
+        lambda: {"matrix": [x for row in lam.to_strings() for x in row]},
+        twistor.companion, lam, **tol)
 
 
 @_suite("prop41", 25, "exact", "float")
@@ -376,28 +403,39 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
             r = twistor.verify_moufang_action(lam, comp.a, samples_pv)
             worst = max(worst, r)
             if r > tol:
-                failures.append({"kind": "action-identity", "residual": r})
+                failures.append({"kind": "action-identity", "residual": r,
+                                 "lam": lam.to_strings()})
             d = twistor.verify_so7_section_identity(lam, comp.a)
             worst = max(worst, d)
             if d > tol:
-                failures.append({"kind": "section-identity", "residual": d})
+                failures.append({"kind": "section-identity", "residual": d,
+                                 "lam": lam.to_strings()})
     else:
-        for _ in range(max(2, samples)):
-            lam = twistor.random_so7_exact(rng)
+        for n in range(max(2, samples)):
             checked += 1
+            lam = _or_failure(failures, "sample-error", lambda: {"sample": n},
+                              twistor.random_so7_exact, rng)
+            if lam is None:
+                continue
             comp = _companion_or_failure(failures, lam)
             if comp is None:
                 continue
             if comp.residual != 0.0:
-                failures.append({"kind": "companion-exact", "residual": comp.residual})
+                failures.append({"kind": "companion-exact",
+                                 "residual": comp.residual,
+                                 "lam": lam.to_strings()})
             acted = twistor.so7_act(lam, twistor.canonical_section())
             if not twistor.sections_equal(acted, twistor.rp7_section(comp.a)):
                 failures.append({"kind": "orbit-in-sections",
-                                 "a": comp.a.to_strings()})
+                                 "a": comp.a.to_strings(),
+                                 "lam": lam.to_strings()})
         # automorphisms fix the canonical section and have trivial companion
-        g2m = twistor.SO7Element(random_g2_matrix(rng), validate=False)
         checked += 1
-        cg = _companion_or_failure(failures, g2m)
+        g2 = _or_failure(failures, "sample-error",
+                         lambda: {"sample": "automorphism"},
+                         random_g2_matrix, rng)
+        g2m = None if g2 is None else twistor.SO7Element(g2, validate=False)
+        cg = None if g2m is None else _companion_or_failure(failures, g2m)
         if cg is not None:
             trivial = cg.a.imag().is_zero() and cg.a.numerators[0] != 0
             fixes = twistor.sections_equal(
@@ -405,7 +443,8 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
                 twistor.canonical_section())
             if not (trivial and fixes):
                 failures.append({"kind": "automorphism-isotropy",
-                                 "a": cg.a.to_strings()})
+                                 "a": cg.a.to_strings(),
+                                 "lam": g2m.to_strings()})
     return checked, failures, worst
 
 

@@ -85,16 +85,18 @@ class TangentStructure(SquareMatrix):
             return NotImplemented
         return self.p == other.p and SquareMatrix.__eq__(self, other)
 
-    def check_structure(self) -> bool:
-        """The matrix is antisymmetric with square -P_p (P_p projects onto
-        <1,p>-perp), so it kills <1, p> and is orthogonal with square -id on
-        <1,p>-perp: exactly for an exact structure, within CHECK_TOL for a
-        float one."""
+    def _validate(self):
+        """Raise InvalidStructure unless the matrix is antisymmetric with
+        square -P_p (P_p projects onto <1,p>-perp), so that it kills <1, p>
+        and is orthogonal with square -id on <1,p>-perp: exactly for an
+        exact structure, within CHECK_TOL for a float one."""
         ctx = arithmetic_of(self, self.p)
         m = ctx.pair(self)
+        if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL):
+            raise InvalidStructure("structure is not antisymmetric")
         minus_proj = ctx.scaled(ctx.projector(ctx.points([self.p])), -1)
-        return (ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL)
-                and ctx.equal(ctx.product(m, m), minus_proj, CHECK_TOL))
+        if not ctx.equal(ctx.product(m, m), minus_proj, CHECK_TOL):
+            raise InvalidStructure("structure does not square to -P_p")
 
 
 class Section:
@@ -119,11 +121,6 @@ class Section:
 _CANONICAL = Section(lambda ctx, pts: ctx.product(ctx.left(pts),
                                                   ctx.projector(pts)),
                      exact=True)
-
-
-def canonical_structure_at(p: Octonion) -> TangentStructure:
-    """v -> p v on the tangent space at p: L_p P_p."""
-    return _CANONICAL(p)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ def test_homogeneous_parts():
     p = one + 3 * a + 5 * a * a
     assert p.homogeneous_part(2) == 3 * a
     assert p.coefficient((2,)) == 5
-    assert p.max_degree() == 4
 
 
 def test_substitute():

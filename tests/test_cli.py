@@ -9,8 +9,9 @@ import pytest
 
 from sixsphere import cli, cstruct, degree, sampling, suites, twistor
 from sixsphere.cstruct import j_from_octonion
-from sixsphere.errors import (BadConfig, DegenerateInput, KernelDimensionError,
-                              OutOfRange, UnknownSuite, VerificationFailed)
+from sixsphere.errors import (BadConfig, DegenerateInput, FrameInvalid,
+                              KernelDimensionError, OutOfRange, RankError,
+                              UnknownSuite, VerificationFailed)
 from sixsphere.octonion import Octonion
 from sixsphere.sampling import random_so7_float, rng_from_seed
 
@@ -64,6 +65,85 @@ def test_suites_report_library_errors_and_raise_bugs(monkeypatch):
         monkeypatch.setattr(twistor, "companion", bug)
         with pytest.raises(TypeError):
             suites.run_suite("prop41", samples=1, mode=mode)
+
+
+def test_sample_errors_become_failure_entries(monkeypatch):
+    # a library error inside one sample is that sample's failure entry, with
+    # its inputs, and the other samples still run
+    def rank_error(j):
+        raise RankError("solutions span dimension 0, expected 2")
+
+    def bug(j):
+        raise TypeError("a bug in the code under test")
+
+    inputs = {"exact": {"x", "cos", "sin", "y"}, "float": {"j1", "j2"}}
+    for mode in ("exact", "float"):
+        checked = suites.run_suite("prop21", samples=3, mode=mode, seed=1).checked
+        monkeypatch.setattr(cstruct, "recover_x", rank_error)
+        rep = suites.run_suite("prop21", samples=3, mode=mode, seed=1)
+        assert rep.checked == checked == 3
+        assert [f["kind"] for f in rep.failures] == ["sample-error"] * 3
+        for f in rep.failures:
+            assert f["error"] == "solutions span dimension 0, expected 2"
+            assert set(f) == {"kind", "error"} | inputs[mode]
+        monkeypatch.setattr(cstruct, "recover_x", bug)
+        with pytest.raises(TypeError):
+            suites.run_suite("prop21", samples=1, mode=mode)
+        monkeypatch.undo()
+
+    def frame_error(rng):
+        raise FrameInvalid("quaternion frame is not orthonormal")
+
+    monkeypatch.setattr(twistor, "random_so7_exact", frame_error)
+    rep = suites.run_suite("prop41", samples=2, mode="exact", seed=1)
+    assert rep.checked == 3   # two rotations and the automorphism
+    assert rep.failures == [{"kind": "sample-error", "sample": n,
+                             "error": "quaternion frame is not orthonormal"}
+                            for n in range(2)]
+
+
+#: prop41 failure kind -> whether its check fails on lam with companion res
+PROP41_CHECK_FAILS = {
+    "companion-exact": lambda lam, res, tol: res.residual != 0.0,
+    "orbit-in-sections": lambda lam, res, tol: not twistor.sections_equal(
+        twistor.so7_act(lam, twistor.canonical_section()),
+        twistor.rp7_section(res.a)),
+    "automorphism-isotropy": lambda lam, res, tol: not (
+        res.a.imag().is_zero() and res.a.numerators[0] != 0
+        and twistor.sections_equal(
+            twistor.so7_act(lam, twistor.canonical_section()),
+            twistor.canonical_section())),
+    "action-identity": lambda lam, res, tol: twistor.verify_moufang_action(
+        lam, res.a, [(Octonion.basis(1), Octonion.basis(2)),
+                     (Octonion.basis(3), Octonion.basis(5))]) > tol,
+    "section-identity": lambda lam, res, tol:
+        twistor.verify_so7_section_identity(lam, res.a) > tol,
+}
+
+
+@pytest.mark.parametrize("mode, kinds", [
+    ("exact", {"companion-exact", "orbit-in-sections", "automorphism-isotropy"}),
+    ("float", {"action-identity", "section-identity"})])
+def test_prop41_failures_carry_the_rotation_that_fails(mode, kinds,
+                                                       monkeypatch):
+    companion, seen = twistor.companion, []
+
+    def wrong(lam, **tol):
+        # the companion times e2, which is no companion of lam, and a
+        # nonzero residual
+        seen.append(lam)
+        res = companion(lam, **tol)
+        return twistor.CompanionResult(Octonion.basis(2) * res.a,
+                                       res.kernel_dim, 1.0)
+
+    monkeypatch.setattr(twistor, "companion", wrong)
+    rep = suites.run_suite("prop41", samples=2, mode=mode, seed=1)
+    assert {f["kind"] for f in rep.failures} == kinds
+    for f in rep.failures:
+        lam = twistor.SO7Element.from_strings(f["lam"])
+        assert lam.exact == (mode == "exact") and lam in seen
+        res = twistor.companion(lam, tol=rep.tolerance)
+        assert PROP41_CHECK_FAILS[f["kind"]](lam, res, rep.tolerance)
 
 
 def test_degrees_suite_and_cli_share_the_map_inventory(monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """Orthogonal complex structures on the 6-plane: construction, equivalence,
-recovery, common lines, block decomposition, projective coordinates."""
+recovery, common lines and block decomposition."""
 
 from fractions import Fraction as F
 
@@ -10,7 +10,7 @@ from sixsphere import cstruct
 from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, common_line,
                                embed6, equivalent, extract6, j_from_octonion,
                                quaternion_coordinate_form, recover_x,
-                               standard_structure, to_cp3)
+                               standard_structure)
 from sixsphere.errors import (DegenerateX, IdenticalStructures,
                               InvalidStructure, NotUnit)
 from sixsphere.octonion import CHECK_TOL, Octonion, normalize
@@ -168,7 +168,6 @@ def test_common_line_exact_prediction():
         proj = v.inner(E[2]) * E[2] + v.inner(E[3]) * E[3]
         assert (v - proj).is_zero()
         assert (j.apply(v) - std.apply(v)).is_zero()
-    assert line.contains(line.ju)
 
 
 def test_common_line_identical_raises():
@@ -244,32 +243,6 @@ def test_extract_embed_round_trip(rng):
     assert extract6(embed6(v)) == v
     with pytest.raises(InvalidStructure):
         extract6(E[1])
-
-
-def test_cp3_basics():
-    p1 = to_cp3(Octonion.one())
-    assert p1.coords[0] == (F(1), F(0))
-    assert p1 == to_cp3(E[1])                      # phase quotient
-    p2 = to_cp3(E[2])
-    assert p2.coords == ((F(0), F(0)), (F(1), F(0)), (F(0), F(0)), (F(0), F(0)))
-    assert p1 != p2
-
-
-def test_cp3_module_closure():
-    # e1 (e1 b) = -b for each module basis vector b: left multiplication by
-    # e1 is multiplication by the complex unit in the module structure
-    for b in cstruct.CP3_MODULE_BASIS:
-        assert E[1] * (E[1] * E[b]) == -E[b]
-
-
-def test_cp3_matches_equivalence(rng):
-    for _ in range(20):
-        x = random_rational_unit_octonion(rng)
-        y = random_rational_unit_octonion(rng)
-        c, s = random_rational_circle_point(rng)
-        z = (c * Octonion.one() + s * E[1]) * x
-        assert to_cp3(x) == to_cp3(z)
-        assert (to_cp3(x) == to_cp3(y)) == equivalent(x, y)
 
 
 def test_orientation_of_all_j(rng):

@@ -3,7 +3,7 @@
 import pytest
 
 from sixsphere import homotopy as H
-from sixsphere.errors import DegenerateInput, OutOfRange, TableError
+from sixsphere.errors import OutOfRange, TableError
 
 
 def test_normalization():
@@ -113,22 +113,3 @@ def test_resolution_is_pure_substitution(tmp_path):
     assert e.resolve(t).render() == H.pi_structures_s6(8, t).render()
     # resolving twice is the same as resolving once
     assert e.resolve(t).resolve(t) == e.resolve(t)
-
-
-def test_c2_criterion():
-    assert H.c2_triviality_criterion(0, True) is True
-    assert H.c2_triviality_criterion(1, True) is False
-    assert H.c2_triviality_criterion(-5, True) is False
-    with pytest.raises(DegenerateInput):
-        H.c2_triviality_criterion(0, False)
-
-
-def test_xg_bundle_report():
-    r = H.xg_bundle_report(0)
-    assert r.classifying_degree == 1 and r.euler_characteristic == 2
-    r = H.xg_bundle_report(3)
-    assert r.criterion is True
-    assert r.euler_characteristic == -4
-    assert r.classifying_degree == -2    # 1 - g
-    with pytest.raises(OutOfRange):
-        H.xg_bundle_report(-1)

@@ -25,7 +25,7 @@ from sixsphere.sampling import (random_rational_imaginary_unit,
                                 random_rational_unit_octonion,
                                 random_so7_float, rng_from_seed)
 from sixsphere.twistor import (SO7Element, TangentStructure,
-                               canonical_structure_at)
+                               canonical_section)
 
 
 def test_float_entries_make_a_float_matrix_in_every_class():
@@ -33,7 +33,7 @@ def test_float_entries_make_a_float_matrix_in_every_class():
     a = random_so7_float(rng)
     j = random_structure_float(rng).as_array()
     p = Octonion.basis(2)
-    st = canonical_structure_at(p)
+    st = canonical_section()(p)
     one_float = [list(r) for r in st.rows]
     one_float[0][0] = 0.0
     for m in (SO7Element(a), SO7Element(a.tolist()),
@@ -284,5 +284,6 @@ def test_so7_elements_compare_by_value_in_both_modes():
         nudged = copy.as_array()
         nudged[3, 5] += step
         assert (SO7Element(nudged, validate=False) == lam) is equal
-    # a matrix compares only with its own class
-    assert SO7Element(eye) != TangentStructure(Octonion.basis(2), eye)
+    # a matrix compares only with its own class, even on the same pair (the
+    # identity is no tangent structure, so the pair goes in unvalidated)
+    assert SO7Element(eye) != TangentStructure._trusted(SO7Element(eye).m, EXACT)

@@ -22,8 +22,8 @@ from sixsphere.sampling import (random_imaginary_unit_float,
                                 random_so7_float, random_unit_octonion_float,
                                 rng_from_seed)
 from sixsphere.twistor import (SO7Element, TwistorPoint, canonical_section,
-                               canonical_structure_at, section_sample_points,
-                               so7_act, twistor_evaluate)
+                               section_sample_points, so7_act,
+                               twistor_evaluate)
 
 #: float rows of the two constructions differ only in rounding order
 FLOAT_ROWS_TOL = 1e-14
@@ -103,8 +103,8 @@ MODES_SEEDS = [(m, s) for m in ("exact", "float") for s in (1, 2, 3)]
 def test_canonical_and_twistor_structures_match_formulas(mode, seed):
     p, x, _, _ = _inputs(mode, seed)
     for q in (p, Octonion.basis(3), Octonion.basis(7)):
-        st = canonical_structure_at(q if mode == "exact" else
-                                    Octonion(q.to_float_array()))
+        st = canonical_section()(q if mode == "exact" else
+                                 Octonion(q.to_float_array()))
         _assert_rows(st.rows, _canonical_ref(st.p))
         assert st.exact == (mode == "exact")
     for y in (x, ONE, x.conjugate()):
@@ -189,7 +189,7 @@ def _greedy_orientation(j: ComplexStructureR6) -> int:
             r = [x - coeff * y for x, y in zip(r, t)]
         if max(abs(float(c)) for c in r) < 1e-6:
             continue
-        jr = j.apply6(r)
+        jr = extract6(j.apply(embed6(r)))
         cols += [r, jr]
         taken += [r, jr]
         if len(cols) == 6:

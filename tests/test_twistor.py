@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sixsphere import cstruct, twistor
-from sixsphere.errors import (DegenerateInput, NonGenericInput,
-                              NotImaginaryUnit)
+from sixsphere.errors import (DegenerateInput, InvalidStructure,
+                              NonGenericInput, NotImaginaryUnit)
 from sixsphere.frames import random_g2_matrix
 from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
                                 multiplication_defect, residual)
@@ -18,8 +18,7 @@ from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_unit_octonion,
                                 random_so7_float, rng_from_seed)
 from sixsphere.twistor import (SO7Element, TangentStructure, TwistorPoint,
-                               canonical_section, canonical_structure_at,
-                               companion, conjugation_element, fiber_count_rp7,
+                               canonical_section, companion, conjugation_element, fiber_count_rp7,
                                isotopy_residual, loop_lift_identity,
                                rp7_section, section_sample_points,
                                sections_equal, so7_act, triality_cube,
@@ -34,12 +33,12 @@ def identity_so7():
 
 
 def test_canonical_structure_basics(rng):
-    s = canonical_structure_at(E[1])
+    s = canonical_section()(E[1])
     assert s.apply(E[2]) == E[1] * E[2]
     for _ in range(20):
         p = random_rational_imaginary_unit(rng)
-        st = canonical_structure_at(p)
-        assert st.check_structure()
+        st = canonical_section()(p)
+        assert TangentStructure(p, st.rows) == st   # passes validation
         v = random_rational_tangent(rng, p)
         assert st.apply(st.apply(v)) == -v          # squares to -1
         assert st.apply(v).inner(st.apply(v)) == v.inner(v)
@@ -47,23 +46,26 @@ def test_canonical_structure_basics(rng):
 
 def test_check_structure_is_exact_for_exact_structures(rng):
     p = random_rational_imaginary_unit(rng)
-    st = canonical_structure_at(p)
-    assert st.exact and st.check_structure()
+    st = canonical_section()(p)
+    assert st.exact and TangentStructure(p, st.rows) == st
     tiny = F(1, 10 ** 30)
     rows = [list(row) for row in st.rows]
     rows[2][3] += tiny                        # no longer antisymmetric
-    assert not TangentStructure(p, rows).check_structure()
+    with pytest.raises(InvalidStructure):
+        TangentStructure(p, rows)
     rows[3][2] -= tiny                        # antisymmetric, J^2 != -P_p
-    assert not TangentStructure(p, rows).check_structure()
+    with pytest.raises(InvalidStructure):
+        TangentStructure(p, rows)
     # a float structure is checked within the tolerance
-    assert TangentStructure(p, st.as_array()).check_structure()
-    assert TangentStructure(p, st.as_array() + 1e-12).check_structure()
-    assert not TangentStructure(p, st.as_array() + 1e-6).check_structure()
+    TangentStructure(p, st.as_array())
+    TangentStructure(p, st.as_array() + 1e-12)
+    with pytest.raises(InvalidStructure):
+        TangentStructure(p, st.as_array() + 1e-6)
 
 
 def test_point_validation():
     with pytest.raises(NotImaginaryUnit):
-        canonical_structure_at(Octonion.one())
+        canonical_section()(Octonion.one())
     with pytest.raises(NotImaginaryUnit):
         TwistorPoint(2 * E[1], E[0])
     with pytest.raises(DegenerateInput):
@@ -73,7 +75,7 @@ def test_point_validation():
 def test_twistor_evaluate_at_one(rng):
     p = random_rational_imaginary_unit(rng)
     assert twistor_evaluate(TwistorPoint(p, Octonion.one())) == \
-        canonical_structure_at(p)
+        canonical_section()(p)
 
 
 def test_circle_action_invariance_exact(rng):
@@ -278,7 +280,7 @@ def test_companion_defensive_kernel_error():
 def test_so7_action_identity(rng):
     p = random_rational_imaginary_unit(rng)
     acted = so7_act(identity_so7(), canonical_section())
-    assert acted(p) == canonical_structure_at(p)
+    assert acted(p) == canonical_section()(p)
 
 
 def test_g2_isotropy(rng):
