@@ -28,12 +28,15 @@ acts on an octonion through `SquareMatrix.apply` on the coordinates
 R6_BASIS (as 0 on <1, e1>).  Recovery solves J(v) x = e1 (v x), linear in
 x, on the numerators of J's columns; the kernel of the block form runs on
 octonion numerators, and every kernel comes back as octonions.  The
-standard structure is J_1, built once per mode.
+standard structure is J_1, built once per mode, as are L_e1 and the constant
+half of the recovery system, L_e1 L_v over the six basis vectors v; these
+are read-only pairs shared by every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -41,8 +44,9 @@ import numpy as np
 from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
-from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, Octonion,
-                       SquareMatrix, _placed, arithmetic_of, reject)
+from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, Arithmetic,
+                       Octonion, SquareMatrix, _placed, _read_only,
+                       arithmetic_of, reject)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
@@ -118,6 +122,20 @@ def standard_structure(exact: bool = True) -> ComplexStructureR6:
     return _STANDARD[exact]
 
 
+@cache
+def _left_e1(ctx: Arithmetic):
+    # the pair of L_e1 in the mode of ctx, built once and shared: read-only
+    return _read_only(ctx.left(ctx.points([ctx.e1])))
+
+
+@cache
+def _e1_left_basis(ctx: Arithmetic):
+    # the pairs of L_e1 L_v over the six vectors v of R6_BASIS, stacked: the
+    # constant half of the recovery system, built once per mode, read-only
+    vs = ctx.points([Octonion.basis(k) for k in R6_BASIS])
+    return _read_only(ctx.product(_left_e1(ctx), ctx.left(vs)))
+
+
 def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     """The structure v -> (e1 (v x)) conj(x) / |x|^2: the matrix
     R_conj(x) L_e1 R_x / |x|^2 on the rows and columns of R6_BASIS.
@@ -130,7 +148,7 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     if ctx.zero_norm(n):
         raise NotUnit("x must be nonzero")
     r = ctx.right(ctx.points([x]))   # R_conj(x) is its transpose
-    m = ctx.product(ctx.transpose(r), ctx.left(ctx.points([ctx.e1])), r)
+    m = ctx.product(ctx.transpose(r), _left_e1(ctx), r)
     return ComplexStructureR6._trusted(ctx.scaled(m, n), ctx, R6_BASIS)
 
 
@@ -168,9 +186,8 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     a, d = j.m
     jv = np.zeros((6, 8), a.dtype)
     jv[:, R6_BASIS] = a.T      # the numerators of J v: J's columns
-    vs = ctx.points([Octonion.basis(k) for k in R6_BASIS])
-    e1v = ctx.product(ctx.left(ctx.points([ctx.e1])), ctx.left(vs))
-    ker = ctx.kernel(ctx.difference(ctx.left((jv, d)), e1v).reshape(48, 8))
+    diff = ctx.difference(ctx.left((jv, d)), _e1_left_basis(ctx))
+    ker = ctx.kernel(diff.reshape(48, 8))
     if len(ker) != 2:
         raise RankError("solutions of J(v) x = e1 (v x) span dimension %d, "
                         "expected 2" % len(ker))

@@ -185,8 +185,12 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 
 def kernel_basis_float(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the numerical kernel: right singular
-    vectors whose singular values fall below KERNEL_RTOL * s_max."""
-    _, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    vectors whose singular values fall below KERNEL_RTOL * s_max.  A tall
+    matrix (rows >= cols) takes the reduced SVD, whose V^T is already
+    square; a wide one needs the full V^T, whose extra rows span most of
+    its kernel."""
+    m = np.asarray(m, dtype=float)
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return vt
     ncols = vt.shape[1]

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -188,6 +188,12 @@ def _reduced(num: Sequence[int], d: int) -> "Octonion":
     return _exact(tuple(n // g for n in num), d // g)
 
 
+#: the message of an entry that is not a finite real number, and its reason
+#: for a NaN or an infinity
+_NOT_REAL = "entries must be finite real numbers, got %s"
+_NOT_FINITE = "a NaN or an infinity"
+
+
 def _lift(values: Sequence, error: type, floats: bool = False):
     """The pair of these scalars in their mode: Python floats over 1.0 when
     `floats` is set or any scalar is a float, else canonical int numerators
@@ -200,11 +206,11 @@ def _lift(values: Sequence, error: type, floats: bool = False):
         if floats or any(issubclass(t, (float, np.floating)) for t in types):
             fs = [float(x) for x in values]
             if not all(map(math.isfinite, fs)):
-                raise ValueError("a NaN or an infinity")
+                raise ValueError(_NOT_FINITE)
             return fs, 1.0
         return linalg.lift_exact(values)
     except (TypeError, ValueError) as e:
-        raise error("entries must be finite real numbers, got %s" % e) from None
+        raise error(_NOT_REAL % e) from None
 
 
 def _floats(coords: Iterable[float]) -> "Octonion":
@@ -487,6 +493,15 @@ def _placed(v: Sequence, basis: Sequence[int], zero) -> list:
     return [at.get(k, zero) for k in range(8)]
 
 
+def _read_only(pair):
+    """The (array, denominator) pair with its arrays made read-only: a
+    constant built once and shared by every caller."""
+    for a in pair:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return pair
+
+
 class Arithmetic:
     """What differs between the two arithmetic modes, in one place.
 
@@ -524,16 +539,26 @@ class Arithmetic:
 
     def matrix(self, rows, error: type = DegenerateInput):
         """The pair of the square matrix with these rows, in floats when this
-        is FLOAT, rows is an ndarray or an entry is a float (see `_lift`)."""
+        is FLOAT, rows is an ndarray or an entry is a float (see `_lift`).
+        A real numeric ndarray enters as an array: one `astype(float)`, the
+        doubles `float()` gives each entry, and one finiteness test."""
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "biuf":
+            a = rows.astype(float, order="C")
+            if not np.isfinite(a).all():
+                raise error(_NOT_REAL % _NOT_FINITE)
+            return a, 1.0
         floats = not self.exact or isinstance(rows, np.ndarray)
         nums, d = _lift(rows.ravel().tolist() if isinstance(rows, np.ndarray)
                         else [x for row in rows for x in row], error, floats)
         return np.array(nums, dtype=float if isinstance(d, float) else object
                         ).reshape(len(rows), -1), d
 
+    @cache
     def identity(self, n: int):
-        """The pair of the n x n identity matrix."""
-        return self.matrix([[int(i == j) for j in range(n)] for i in range(n)])
+        """The pair of the n x n identity matrix, built once per mode and
+        size and shared by every caller: read-only."""
+        return _read_only(self.matrix([[int(i == j) for j in range(n)]
+                                       for i in range(n)]))
 
     def pair(self, a: "SquareMatrix"):
         """The pair of the square matrix a in this mode: its own, or the
@@ -650,7 +675,7 @@ class _FloatArithmetic(Arithmetic):
 
     def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
         return [_floats(_placed(v, basis, 0.0)) for v in
-                linalg.kernel_basis_float(np.array(rows, dtype=float)).tolist()]
+                linalg.kernel_basis_float(rows).tolist()]
 
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
@@ -715,8 +740,8 @@ class SquareMatrix:
 
     def __init__(self, rows, validate: bool = True):
         n = self.size
-        if (isinstance(rows, np.ndarray) and rows.shape != (n, n)
-                or len(rows) != n or any(len(row) != n for row in rows)):
+        if (rows.shape != (n, n) if isinstance(rows, np.ndarray)
+                else len(rows) != n or any(len(row) != n for row in rows)):
             raise self.error("expected %s %dx%d matrix"
                              % ("an" if n == 8 else "a", n, n))
         self.m = EXACT.matrix(rows, self.error)  # the entries decide the mode

@@ -270,10 +270,8 @@ def _prop21_float_checks(failures: List[dict], j1, j2, tol) -> float:
     if j1 == j2:
         return 0.0
     line = cstruct.common_line(j1, j2)
-    u, ju = line.u, line.ju
-    r = max(residual(j1.apply(u) - j2.apply(u)),
-            residual(j1.apply(ju) - j2.apply(ju)),
-            residual(j1.apply(u) - ju))
+    u, ju = line.u, line.ju   # ju is j1 applied to u
+    r = max(residual(ju - j2.apply(u)), residual(j1.apply(ju) - j2.apply(ju)))
     if r > tol:
         failures.append({"kind": "common-line", "residual": r,
                          "j1": j1.to_strings(), "j2": j2.to_strings()})

@@ -47,8 +47,8 @@ from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
 from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, SEPARATION_TOL,
-                       Arithmetic, Octonion, SquareMatrix, _floats, _reduced,
-                       arithmetic_of, batch_mul, multiplication_defect,
+                       Arithmetic, Octonion, SquareMatrix, _floats, _read_only,
+                       _reduced, arithmetic_of, batch_mul, multiplication_defect,
                        reject, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
@@ -243,11 +243,7 @@ def section_sample_points() -> List[Octonion]:
 def _sample_stack(ctx: Arithmetic):
     # the sample points stacked once per mode (they are exact), shared by
     # every later comparison: read-only
-    pts = ctx.points(section_sample_points())
-    for a in pts:
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
-    return pts
+    return _read_only(ctx.points(section_sample_points()))
 
 
 def _on_points(s1: Section, s2: Section):

@@ -146,10 +146,12 @@ def reached(tmp_path_factory):
         if event == "call":
             entered.add(frame.f_code)
 
-    # a cached function is entered only on a miss: start with empty caches
+    # a cached function is entered only on a miss: start with empty caches,
+    # those of cached methods included
     for _, obj in _members():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+        for fn in (obj, *(vars(obj).values() if inspect.isclass(obj) else ())):
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
     codes = []
     sys.setprofile(record)
     try:

@@ -188,6 +188,25 @@ def test_float_kernel(rng):
     assert np.max(np.abs(m @ ker.T)) < 1e-9
 
 
+def test_float_kernel_of_tall_and_wide_matrices():
+    rng = rng_from_seed(11)
+    # tall 48x8 systems of every rank take the reduced SVD: the same rows,
+    # bit for bit, as the kernel rows of the full one
+    for rank in range(9):
+        m = rng.standard_normal((48, rank)) @ rng.standard_normal((rank, 8))
+        ker = linalg.kernel_basis_float(m)
+        assert ker.shape == (8 - rank, 8)
+        assert np.array_equal(ker, np.linalg.svd(m)[2][rank:])
+    # a wide k x 8 matrix of rank k keeps its full V^T: 8 - k kernel rows,
+    # most of which the reduced SVD would drop
+    for k in range(1, 8):
+        w = rng.standard_normal((k, 8))
+        ker = linalg.kernel_basis_float(w)
+        assert ker.shape == (8 - k, 8)
+        assert np.max(np.abs(w @ ker.T)) < 1e-12
+        assert np.max(np.abs(ker @ ker.T - np.eye(8 - k))) < 1e-12
+
+
 def test_haar_orthogonal(rng):
     q = haar_orthogonal(rng, 7)
     assert np.max(np.abs(q @ q.T - np.eye(7))) < 1e-12

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixsphere import twistor
+from sixsphere import cstruct, twistor
 from sixsphere.cstruct import (R6_BASIS, ComplexStructureR6, common_line,
                                j_from_octonion, random_structure_float,
                                standard_structure)
@@ -59,13 +59,15 @@ def _with_entry(rows: np.ndarray, pos, value) -> np.ndarray:
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("as_list", [False, True])
 def test_non_finite_float_matrices_are_rejected(value, as_list):
+    # an ndarray enters as an array, a list entry by entry: one message
     cases = ((SO7Element, DegenerateInput, np.eye(8)),
              (ComplexStructureR6, InvalidStructure,
               standard_structure(False).as_array()))
     for cls, error, rows in cases:
         for pos in ((0, 0), (3, 4), (5, 5)):
             bad = _with_entry(rows, pos, value)
-            with pytest.raises(error):
+            with pytest.raises(error, match="^entries must be finite real "
+                               "numbers, got a NaN or an infinity$"):
                 cls(bad.tolist() if as_list else bad)
 
 
@@ -93,6 +95,33 @@ _STD_FLOAT = standard_structure(False).as_array()
 def test_entries_that_are_not_real_numbers_raise_a_named_error(make, error):
     with pytest.raises(error, match="real numbers"):
         make()
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_per_mode_constants_are_built_once_and_read_only(ctx):
+    assert ctx.identity(6) is ctx.identity(6)
+    for pair in (ctx.identity(6), cstruct._left_e1(ctx),
+                 cstruct._e1_left_basis(ctx)):
+        a = pair[0]
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 5
+    # a real numeric ndarray enters as an array: the doubles float() gives,
+    # over 1.0, in a new array
+    for rows in (np.eye(8, dtype=np.int64), np.eye(8, dtype=np.uint8),
+                 np.eye(8, dtype=bool), np.eye(8, dtype=np.float32) / 3):
+        a, d = ctx.matrix(rows)
+        assert type(d) is float and d == 1.0 and a.dtype == float
+        assert a.tolist() == [[float(x) for x in row] for row in rows.tolist()]
+        assert not np.shares_memory(a, rows)
+    lam = SO7Element(np.eye(8, dtype=int))
+    assert not lam.exact and lam.m[0].dtype == float and lam.m[1] == 1.0
+    # complex ndarrays keep the entry-by-entry path and its message
+    for cls, error, rows in ((SO7Element, DegenerateInput, np.eye(8) + 0j),
+                             (ComplexStructureR6, InvalidStructure,
+                              _STD_FLOAT + 5j)):
+        with pytest.raises(error, match="^entries must be finite real "
+                           "numbers, got a complex number$"):
+            cls(rows)
 
 
 def test_fraction_strings_are_exact_entries():
