@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -110,16 +110,15 @@ class ComplexLine:
     ju: Octonion
 
 
-_STANDARD: Dict[bool, ComplexStructureR6] = {}
-
-
 def standard_structure(exact: bool = True) -> ComplexStructureR6:
     """Left multiplication by e1, restricted to the 6-plane: J_1, built once
     per mode."""
-    exact = bool(exact)
-    if exact not in _STANDARD:
-        _STANDARD[exact] = j_from_octonion((EXACT if exact else FLOAT).one)
-    return _STANDARD[exact]
+    return _standard(EXACT if exact else FLOAT)
+
+
+@cache
+def _standard(ctx: Arithmetic) -> ComplexStructureR6:
+    return j_from_octonion(ctx.one)
 
 
 @cache

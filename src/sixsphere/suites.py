@@ -1,9 +1,11 @@
 """Named verification suites producing deterministic machine-readable reports.
 
-Each suite draws all randomness from one 64-bit seed, runs a configurable
-number of samples in exact-rational or float arithmetic, and reports
-replayable counterexample payloads on failure.  Exact-mode failures are
-genuine; float-mode checks compare residuals against the tolerance.
+Each suite draws all randomness from one 64-bit seed and runs a configurable
+number of samples in exact-rational or float arithmetic.  A failed check is
+one failure entry: its `kind`, then the sample's inputs as strings (octonions
+and matrices as their `to_strings()`, which `from_strings` reads back) and
+any residual or error.  Exact-mode failures are genuine; float-mode checks
+compare residuals against the tolerance.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import numpy as np
 from . import chern, cstruct, degree as deg, homotopy, twistor
 from .errors import BadConfig, DegenerateX, SixSphereError, UnknownSuite
 from .frames import random_g2_matrix
-from .octonion import (CHECK_TOL, SEPARATION_TOL, Octonion, arithmetic_of,
-                       residual)
+from .octonion import (CHECK_TOL, SEPARATION_TOL, Octonion, SquareMatrix,
+                       arithmetic_of, residual)
 from .sampling import (random_imaginary_unit_float,
                        random_rational_circle_point,
                        random_rational_imaginary_unit,
                        random_rational_tangent,
                        random_rational_unit_octonion, random_so7_float,
-                       rng_from_seed)
+                       random_unit_octonion_float, rng_from_seed)
 
 
 @dataclass
@@ -48,30 +50,71 @@ class SuiteReport:
         return asdict(self)
 
 
-def _oct_payload(**named) -> dict:
-    out = {}
-    for k, v in named.items():
-        if isinstance(v, Octonion):
-            out[k] = v.to_strings()
-        elif isinstance(v, Fraction):
-            out[k] = str(v)
-        elif isinstance(v, np.ndarray):
-            out[k] = [repr(float(t)) for t in v.ravel()]
-        else:
-            out[k] = v
-    return out
+class _Run:
+    """One run of a suite: its samples, mode, seed, tolerance and table, the
+    rng drawn from the seed, the checks counted so far, the worst float
+    residual measured and the failure entries, every one made by `fail`."""
 
+    def __init__(self, samples: int, mode: str, seed: int, tol: float,
+                 table: Optional[homotopy.Pi7Table]):
+        self.samples, self.mode, self.seed, self.tol = samples, mode, seed, tol
+        self.table = table
+        self.rng = rng_from_seed(seed)
+        self.checked = 0
+        self.worst: Optional[float] = 0.0
+        self.failures: List[dict] = []
 
-def _or_failure(failures: List[dict], kind: str, inputs: Callable[[], dict],
-                call: Callable, *args, **kwargs):
-    """`call(*args, **kwargs)`, or None after recording the library error it
-    raises as one failure entry: `kind`, the error and `inputs()`, the
-    sample's inputs as strings.  Any other exception propagates."""
-    try:
-        return call(*args, **kwargs)
-    except SixSphereError as e:
-        failures.append({"kind": kind, "error": str(e), **inputs()})
-        return None
+    def each(self, items):
+        """The items, counting one check for each."""
+        for item in items:
+            self.checked += 1
+            yield item
+
+    def unit(self) -> Octonion:
+        """A random unit octonion in the run's mode."""
+        if self.mode == "exact":
+            return random_rational_unit_octonion(self.rng)
+        return random_unit_octonion_float(self.rng)
+
+    def measure(self, r: float) -> None:
+        """Keep r if it is the worst float residual so far."""
+        self.worst = max(self.worst, r)
+
+    def zero(self, d: Octonion) -> bool:
+        """Whether the difference d is zero (within the tolerance in float
+        mode), after measuring its residual."""
+        self.measure(residual(d))
+        return d.is_zero(self.tol)
+
+    def within(self, kind: str, r: float, **inputs) -> None:
+        """Measure the float residual r; above the tolerance it is a
+        failure entry."""
+        self.measure(r)
+        if r > self.tol:
+            self.fail(kind, residual=r, **inputs)
+
+    def fail(self, kind: str, **inputs) -> None:
+        """Record one failure entry: `kind`, then each input, an octonion or
+        a matrix as its `to_strings()`, a Fraction as its string and
+        anything else as it is."""
+        entry = {"kind": kind}
+        for k, v in inputs.items():
+            if isinstance(v, (Octonion, SquareMatrix)):
+                v = v.to_strings()
+            elif isinstance(v, Fraction):
+                v = str(v)
+            entry[k] = v
+        self.failures.append(entry)
+
+    def attempt(self, kind: str, call: Callable, **inputs):
+        """`call()`, or None after recording the library error it raises as
+        a `kind` entry with the error and the sample's `inputs`.  Any other
+        exception propagates."""
+        try:
+            return call()
+        except SixSphereError as e:
+            self.fail(kind, error=str(e), **inputs)
+            return None
 
 
 #: suite name -> function (samples, mode, seed, tol, table=None) returning
@@ -84,10 +127,14 @@ MODES: Dict[str, Tuple[str, ...]] = {}
 
 
 def _suite(name: str, samples: int, *modes: str):
-    """Register the decorated function as the suite `name`, with its default
-    sample count and its modes."""
+    """Register the decorated function of a `_Run` as the suite `name`,
+    with its default sample count and its modes."""
     def register(fn: Callable) -> Callable:
-        SUITES[name] = fn
+        def suite(samples, mode, seed, tol, table=None):
+            run = _Run(samples, mode, seed, tol, table)
+            fn(run)
+            return run.checked, run.failures, run.worst
+        SUITES[name] = suite
         DEFAULT_SAMPLES[name] = samples
         MODES[name] = modes
         return fn
@@ -98,66 +145,44 @@ def _suite(name: str, samples: int, *modes: str):
 # algebra suites
 # ---------------------------------------------------------------------------
 
-def _sample_unit(rng, mode: str) -> Octonion:
-    if mode == "exact":
-        return random_rational_unit_octonion(rng)
-    from .sampling import random_unit_octonion_float
-    return random_unit_octonion_float(rng)
-
-
 @_suite("octonion-axioms", 300, "exact", "float")
-def _suite_octonion_axioms(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    worst = 0.0
-
-    def close(d: Octonion) -> bool:
-        nonlocal worst
-        worst = max(worst, residual(d))
-        return d.is_zero(tol)
-
-    for _ in range(samples):
-        x = _sample_unit(rng, mode)
-        y = _sample_unit(rng, mode)
-        checked += 1
+def _suite_octonion_axioms(run: _Run):
+    for _ in run.each(range(run.samples)):
+        x, y = run.unit(), run.unit()
         bad = []
         nxy, nx_ny = (x * y).norm_sq(), x.norm_sq() * y.norm_sq()
-        worst = max(worst, abs(float(nxy) - float(nx_ny)))
-        if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, tol):
+        run.measure(abs(float(nxy) - float(nx_ny)))
+        if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, run.tol):
             bad.append("norm multiplicativity")
-        if not close(x * (x * y) - (x * x) * y):
+        if not run.zero(x * (x * y) - (x * x) * y):
             bad.append("left alternativity")
-        if not close((y * x) * x - y * (x * x)):
+        if not run.zero((y * x) * x - y * (x * x)):
             bad.append("right alternativity")
-        if not close((x * y).conjugate() - y.conjugate() * x.conjugate()):
+        if not run.zero((x * y).conjugate() - y.conjugate() * x.conjugate()):
             bad.append("conjugation anti-automorphism")
-        if not close(x * x.inverse() - Octonion.one()):
+        if not run.zero(x * x.inverse() - Octonion.one()):
             bad.append("inverse")
-        if not close(x.conjugate() - (2 * x.inner(Octonion.one()) * Octonion.one() - x)):
+        if not run.zero(x.conjugate() - (2 * x.inner(Octonion.one()) * Octonion.one() - x)):
             bad.append("conjugation formula")
         if bad:
-            failures.append(_oct_payload(x=x, y=y, laws=bad))
+            run.fail("laws", x=x, y=y, laws=bad)
 
     # associativity fails somewhere: scan the generated table for a witness
-    checked += 1
+    run.checked += 1
     if not any((Octonion.basis(i) * Octonion.basis(j)) * Octonion.basis(k)
                != Octonion.basis(i) * (Octonion.basis(j) * Octonion.basis(k))
                for i in range(1, 8) for j in range(1, 8) for k in range(1, 8)):
-        failures.append({"law": "non-associativity witness", "found": 0})
+        run.fail("non-associativity-witness", found=0)
 
     # two-generator (Artin) associativity on degree <= 4 words, smaller sweep
-    for _ in range(max(10, samples // 10)):
-        x = _sample_unit(rng, mode)
-        y = _sample_unit(rng, mode)
-        checked += 1
+    for _ in run.each(range(max(10, run.samples // 10))):
+        x, y = run.unit(), run.unit()
         memo: dict = {}
         for w in _words_up_to_4():
             vals = _all_parenthesizations(w, (y, x), memo)
-            if any(not close(v - vals[0]) for v in vals[1:]):
-                failures.append(_oct_payload(x=x, y=y, laws=["two-generator associativity"]))
+            if any(not run.zero(v - vals[0]) for v in vals[1:]):
+                run.fail("laws", x=x, y=y, laws=["two-generator associativity"])
                 break
-    return checked, failures, worst
 
 
 def _words_up_to_4():
@@ -183,30 +208,18 @@ def _all_parenthesizations(word, letters, memo):
 
 
 @_suite("moufang", 300, "exact", "float")
-def _suite_moufang(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    worst = 0.0
-    checked = 0
-    for _ in range(samples):
-        x = _sample_unit(rng, mode)
-        y = _sample_unit(rng, mode)
-        z = _sample_unit(rng, mode)
-        checked += 1
+def _suite_moufang(run: _Run):
+    for _ in run.each(range(run.samples)):
+        x, y, z = run.unit(), run.unit(), run.unit()
         xy, zx = x * y, z * x  # each shared by two laws
         laws = {
             "(xy)(zx) = x((yz)x)": xy * zx - x * ((y * z) * x),
             "x(y(xz)) = ((xy)x)z": x * (y * (x * z)) - (xy * x) * z,
             "((zx)y)x = z(x(yx))": (zx * y) * x - z * (x * (y * x)),
         }
-        bad = []
-        for name, d in laws.items():
-            worst = max(worst, residual(d))
-            if not d.is_zero(tol):
-                bad.append(name)
+        bad = [name for name, d in laws.items() if not run.zero(d)]
         if bad:
-            failures.append(_oct_payload(x=x, y=y, z=z, laws=bad))
-    return checked, failures, worst
+            run.fail("laws", x=x, y=y, z=z, laws=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -214,78 +227,59 @@ def _suite_moufang(samples, mode, seed, tol, table=None):
 # ---------------------------------------------------------------------------
 
 @_suite("prop21", 100, "exact", "float")
-def _suite_prop21(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    worst = 0.0
-    if mode == "exact":
-        for _ in range(samples):
+def _suite_prop21(run: _Run):
+    rng = run.rng
+    for _ in run.each(range(run.samples)):
+        if run.mode == "exact":
             x = random_rational_unit_octonion(rng)
             c, s = random_rational_circle_point(rng)
             y = random_rational_unit_octonion(rng)
-            checked += 1
-            _or_failure(failures, "sample-error",
-                        lambda: _oct_payload(x=x, cos=c, sin=s, y=y),
-                        _prop21_exact_checks, failures, x, c, s, y)
-    else:
-        for _ in range(samples):
+            run.attempt("sample-error",
+                        lambda: _prop21_exact_checks(run, x, c, s, y),
+                        x=x, cos=c, sin=s, y=y)
+        else:
             j1 = cstruct.random_structure_float(rng)
             j2 = cstruct.random_structure_float(rng)
-            checked += 1
-            r = _or_failure(failures, "sample-error",
-                            lambda: {"j1": j1.to_strings(),
-                                     "j2": j2.to_strings()},
-                            _prop21_float_checks, failures, j1, j2, tol)
-            if r is not None:
-                worst = max(worst, r)
-    return checked, failures, worst
+            run.attempt("sample-error",
+                        lambda: _prop21_float_checks(run, j1, j2), j1=j1, j2=j2)
 
 
-def _prop21_exact_checks(failures: List[dict], x, c, s, y):
+def _prop21_exact_checks(run: _Run, x, c, s, y):
     """Recovery, phase invariance, the equivalence classification and the
     block form of J_x, for x, the circle point (c, s) and y."""
     r = cstruct.recover_x(cstruct.j_from_octonion(x))
     if not cstruct.equivalent(r, x):
-        failures.append(_oct_payload(kind="round-trip", x=x, recovered=r))
+        run.fail("round-trip", x=x, recovered=r)
     shifted = (c * Octonion.one() + s * Octonion.basis(1)) * x
     if not cstruct.equivalent(x, shifted):
-        failures.append(_oct_payload(kind="phase-equivalence", x=x, cos=c, sin=s))
+        run.fail("phase-equivalence", x=x, cos=c, sin=s)
     w = y * x.conjugate()
     in_span = not any(w.numerators[2:])
     if cstruct.equivalent(x, y) != in_span:
-        failures.append(_oct_payload(kind="equivalence-classification", x=x, y=y))
+        run.fail("equivalence-classification", x=x, y=y)
     try:
         cstruct.quaternion_coordinate_form(x)
     except DegenerateX:
         pass
     except SixSphereError as e:  # block certification raises on failure
-        failures.append(_oct_payload(kind="block-decomposition", x=x,
-                                     error=str(e)))
+        run.fail("block-decomposition", x=x, error=str(e))
 
 
-def _prop21_float_checks(failures: List[dict], j1, j2, tol) -> float:
+def _prop21_float_checks(run: _Run, j1, j2):
     """The common line of two float structures and the recovery of the
-    first; the worst residual."""
+    first."""
     if j1 == j2:
-        return 0.0
+        return
     line = cstruct.common_line(j1, j2)
     u, ju = line.u, line.ju   # ju is j1 applied to u
     r = max(residual(ju - j2.apply(u)), residual(j1.apply(ju) - j2.apply(ju)))
-    if r > tol:
-        failures.append({"kind": "common-line", "residual": r,
-                         "j1": j1.to_strings(), "j2": j2.to_strings()})
+    run.within("common-line", r, j1=j1, j2=j2)
     xr = cstruct.recover_x(j1)
-    r2 = cstruct.j_from_octonion(xr).distance(j1)
-    if r2 > tol:
-        failures.append({"kind": "float-recover", "residual": r2,
-                         "j": j1.to_strings()})
-    return max(r, r2)
+    run.within("float-recover", cstruct.j_from_octonion(xr).distance(j1), j=j1)
 
 
 @_suite("lemma22", 1, "exact")
-def _suite_lemma22(samples, mode, seed, tol, table=None):
-    failures: List[dict] = []
+def _suite_lemma22(run: _Run):
     res = chern.euler_number_normal_bundle()
     tensor = chern.tensor_line_chern()
     expected = {
@@ -295,102 +289,77 @@ def _suite_lemma22(samples, mode, seed, tol, table=None):
         "c2 normal": (res.c2_normal.render(), "a^2"),
         "euler number": (res.euler_number, 1),
     }
-    for name, (got, want) in expected.items():
+    for name, (got, want) in run.each(expected.items()):
         if got != want:
-            failures.append({"kind": name, "got": got, "expected": want})
+            run.fail(name, got=got, expected=want)
     total = chern.ring([("a", 2)], truncation=4)
     line = total["one"] + total["a"]
     prod = chern.whitney_complement(line, 2) * line
+    run.checked += 1
     if prod != total["one"]:
-        failures.append({"kind": "whitney product", "got": prod.render()})
-    return len(expected) + 1, failures, None
+        run.fail("whitney product", got=prod.render())
 
 
 @_suite("prop31", 300, "exact")
-def _suite_prop31(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    for n in range(samples):
+def _suite_prop31(run: _Run):
+    rng = run.rng
+    for n in run.each(range(run.samples)):
         p = random_rational_imaginary_unit(rng)
         x = random_rational_unit_octonion(rng)
         c, s = random_rational_circle_point(rng)
         v = random_rational_tangent(rng, p)
-        checked += 1
         z = c * Octonion.one() + s * p
         x2 = z * x
         lhs = (p * (v * x2)) * x2.conjugate()
         rhs = (p * (v * x)) * x.conjugate() * (x2.norm_sq() / x.norm_sq())
         if not (lhs - rhs).is_zero():
-            failures.append(_oct_payload(p=p, x=x, cos=c, sin=s, v=v))
+            run.fail("vector-level", p=p, x=x, cos=c, sin=s, v=v)
         if n % 10 == 0:
+            run.checked += 1
             t0 = twistor.TwistorPoint(p, x)
             if twistor.twistor_evaluate(t0) != twistor.twistor_evaluate(t0.phase_shift(c, s)):
-                failures.append(_oct_payload(kind="structure-level", p=p, x=x, cos=c, sin=s))
-            checked += 1
-    return checked, failures, None
+                run.fail("structure-level", p=p, x=x, cos=c, sin=s)
 
 
 @_suite("lemma34", 300, "exact")
-def _suite_lemma34(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    for _ in range(samples):
-        c2, s2 = random_rational_circle_point(rng)
-        p = random_rational_imaginary_unit(rng)
-        checked += 1
+def _suite_lemma34(run: _Run):
+    for _ in run.each(range(run.samples)):
+        c2, s2 = random_rational_circle_point(run.rng)
+        p = random_rational_imaginary_unit(run.rng)
         half = c2 * Octonion.one() + s2 * p
         full = (c2 * c2 - s2 * s2) * Octonion.one() + (2 * c2 * s2) * p
         if half * half != full:
-            failures.append(_oct_payload(cos_half=c2, sin_half=s2, p=p))
-    return checked, failures, None
+            run.fail("double-angle", cos_half=c2, sin_half=s2, p=p)
 
 
 @_suite("thm33-lift", 200, "exact")
-def _suite_thm33_lift(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    for _ in range(samples):
+def _suite_thm33_lift(run: _Run):
+    rng = run.rng
+    for _ in run.each(range(run.samples)):
         c, s = random_rational_circle_point(rng)
         p = random_rational_imaginary_unit(rng)
         v = random_rational_tangent(rng, p)
-        checked += 1
         if not twistor.loop_lift_identity(c, s, p, v):
-            failures.append(_oct_payload(cos=c, sin=s, p=p, v=v))
+            run.fail("loop-lift", cos=c, sin=s, p=p, v=v)
     # endpoints of the loop
     p = random_rational_imaginary_unit(rng)
-    for cs in ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))):
-        checked += 1
-        if not twistor.loop_lift_identity(cs[0], cs[1], p, random_rational_tangent(rng, p)):
-            failures.append(_oct_payload(cos=cs[0], sin=cs[1], p=p))
-    return checked, failures, None
-
-
-def _companion_or_failure(failures: List[dict], lam, **tol):
-    """`twistor.companion(lam, **tol)`, or None after a `companion` failure
-    entry with lam's entries, row by row."""
-    return _or_failure(
-        failures, "companion",
-        lambda: {"matrix": [x for row in lam.to_strings() for x in row]},
-        twistor.companion, lam, **tol)
+    for c in run.each((Fraction(1), Fraction(-1))):
+        v = random_rational_tangent(rng, p)
+        if not twistor.loop_lift_identity(c, Fraction(0), p, v):
+            run.fail("loop-endpoint", cos=c, sin=Fraction(0), p=p, v=v)
 
 
 @_suite("prop41", 25, "exact", "float")
-def _suite_prop41(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
-    worst = 0.0
-    if mode == "float":
-        for _ in range(samples):
+def _suite_prop41(run: _Run):
+    rng = run.rng
+    if run.mode == "float":
+        for _ in run.each(range(run.samples)):
             lam = twistor.SO7Element(random_so7_float(rng))
-            checked += 1
-            comp = _companion_or_failure(failures, lam, tol=tol)
+            comp = run.attempt("companion",
+                               lambda: twistor.companion(lam, tol=run.tol), lam=lam)
             if comp is None:
                 continue
-            worst = max(worst, comp.residual)
+            run.measure(comp.residual)
             samples_pv = []
             for _ in range(4):
                 pf = random_imaginary_unit_float(rng)
@@ -398,122 +367,97 @@ def _suite_prop41(samples, mode, seed, tol, table=None):
                 vf[0] = 0.0
                 vf -= (vf @ pf.to_float_array()) * pf.to_float_array()
                 samples_pv.append((pf, Octonion(vf)))
-            r = twistor.verify_moufang_action(lam, comp.a, samples_pv)
-            worst = max(worst, r)
-            if r > tol:
-                failures.append({"kind": "action-identity", "residual": r,
-                                 "lam": lam.to_strings()})
-            d = twistor.verify_so7_section_identity(lam, comp.a)
-            worst = max(worst, d)
-            if d > tol:
-                failures.append({"kind": "section-identity", "residual": d,
-                                 "lam": lam.to_strings()})
-    else:
-        for n in range(max(2, samples)):
-            checked += 1
-            lam = _or_failure(failures, "sample-error", lambda: {"sample": n},
-                              twistor.random_so7_exact, rng)
-            if lam is None:
-                continue
-            comp = _companion_or_failure(failures, lam)
-            if comp is None:
-                continue
-            if comp.residual != 0.0:
-                failures.append({"kind": "companion-exact",
-                                 "residual": comp.residual,
-                                 "lam": lam.to_strings()})
-            acted = twistor.so7_act(lam, twistor.canonical_section())
-            if not twistor.sections_equal(acted, twistor.rp7_section(comp.a)):
-                failures.append({"kind": "orbit-in-sections",
-                                 "a": comp.a.to_strings(),
-                                 "lam": lam.to_strings()})
-        # automorphisms fix the canonical section and have trivial companion
-        checked += 1
-        g2 = _or_failure(failures, "sample-error",
-                         lambda: {"sample": "automorphism"},
-                         random_g2_matrix, rng)
-        g2m = None if g2 is None else twistor.SO7Element(g2, validate=False)
-        cg = None if g2m is None else _companion_or_failure(failures, g2m)
-        if cg is not None:
-            trivial = cg.a.imag().is_zero() and cg.a.numerators[0] != 0
-            fixes = twistor.sections_equal(
-                twistor.so7_act(g2m, twistor.canonical_section()),
-                twistor.canonical_section())
-            if not (trivial and fixes):
-                failures.append({"kind": "automorphism-isotropy",
-                                 "a": cg.a.to_strings(),
-                                 "lam": g2m.to_strings()})
-    return checked, failures, worst
+            run.within("action-identity",
+                       twistor.verify_moufang_action(lam, comp.a, samples_pv),
+                       lam=lam)
+            run.within("section-identity",
+                       twistor.verify_so7_section_identity(lam, comp.a), lam=lam)
+        return
+    for n in run.each(range(max(2, run.samples))):
+        lam = run.attempt("sample-error", lambda: twistor.random_so7_exact(rng),
+                          sample=n)
+        comp = None if lam is None else run.attempt(
+            "companion", lambda: twistor.companion(lam), lam=lam)
+        if comp is None:
+            continue
+        if comp.residual != 0.0:
+            run.fail("companion-exact", residual=comp.residual, lam=lam)
+        acted = twistor.so7_act(lam, twistor.canonical_section())
+        if not twistor.sections_equal(acted, twistor.rp7_section(comp.a)):
+            run.fail("orbit-in-sections", a=comp.a, lam=lam)
+    # automorphisms fix the canonical section and have trivial companion
+    run.checked += 1
+    g2 = run.attempt("sample-error", lambda: random_g2_matrix(rng),
+                     sample="automorphism")
+    if g2 is None:
+        return
+    g2m = twistor.SO7Element(g2, validate=False)
+    cg = run.attempt("companion", lambda: twistor.companion(g2m), lam=g2m)
+    if cg is None:
+        return
+    trivial = cg.a.imag().is_zero() and cg.a.numerators[0] != 0
+    fixes = twistor.sections_equal(
+        twistor.so7_act(g2m, twistor.canonical_section()),
+        twistor.canonical_section())
+    if not (trivial and fixes):
+        run.fail("automorphism-isotropy", a=cg.a, lam=g2m)
 
 
 @_suite("prop42", 100, "exact")
-def _suite_prop42(samples, mode, seed, tol, table=None):
-    rng = rng_from_seed(seed)
-    failures: List[dict] = []
-    checked = 0
+def _suite_prop42(run: _Run):
+    rng = run.rng
     cube_flags = set()
-    for _ in range(samples):
+    for _ in run.each(range(run.samples)):
         x = random_rational_unit_octonion(rng)
         p = random_rational_imaginary_unit(rng)
         v = random_rational_tangent(rng, p)
-        checked += 1
         rep = twistor.triality_cube(x, p, v)
         cube_flags.add((rep.matched_cube, rep.matched_conj_cube))
         if not rep.matched_cube or not rep.subalgebra_branch_ok:
-            failures.append(_oct_payload(kind="cube-identity", x=x, p=p, v=v,
-                                         matched=rep.matched_cube,
-                                         branch=rep.subalgebra_branch_ok))
-    checked += 1
+            run.fail("cube-identity", x=x, p=p, v=v, matched=rep.matched_cube,
+                     branch=rep.subalgebra_branch_ok)
+    run.checked += 1
     if len({f[0] for f in cube_flags}) > 1:
-        failures.append({"kind": "cube-candidate-consistency",
-                         "flags": sorted(cube_flags)})
-    for _ in range(max(1, samples // 5)):
+        run.fail("cube-candidate-consistency", flags=sorted(cube_flags))
+    for _ in run.each(range(max(1, run.samples // 5))):
         x = random_rational_unit_octonion(rng)
-        checked += 1
         try:
             n = twistor.fiber_count_rp7(x)
         except twistor.NonGenericInput:
             continue
         if n != 3:
-            failures.append(_oct_payload(kind="fiber-count", x=x, count=n))
-    return checked, failures, None
+            run.fail("fiber-count", x=x, count=n)
 
 
 @_suite("degrees", 0, "float")  # 0 samples: the engine's default starts
-def _suite_degrees(samples, mode, seed, tol, table=None):
-    failures: List[dict] = []
-    checked = 0
+def _suite_degrees(run: _Run):
+    run.worst = None  # degrees carry no residual: the report keeps null
     cfg = deg.EngineConfig()
-    if samples:
-        cfg.n_starts = max(400, samples)
-    for name, (_, want) in deg.MAPS.items():
-        checked += 1
-        try:
-            rep = deg.named_degree(name, seed=seed, config=cfg)
-        except SixSphereError as e:
-            failures.append({"map": name, "error": str(e)})
+    if run.samples:
+        cfg.n_starts = max(400, run.samples)
+    for name, (_, want) in run.each(deg.MAPS.items()):
+        rep = run.attempt("degree-error", lambda: deg.named_degree(
+            name, seed=run.seed, config=cfg), map=name)
+        if rep is None:
             continue
         if rep.degree != want:
-            failures.append({"map": name, "degree": rep.degree, "expected": want})
+            run.fail("degree", map=name, degree=rep.degree, expected=want)
         if name.startswith("power:"):  # x -> x^k, of degree k
             for trial in rep.trials:
                 oracle = deg.power_map_preimages(Octonion(trial.target), want)
                 found = [np.array(pp) for pp in trial.preimages]
                 if len(oracle) != len(found):
-                    failures.append({"map": name, "kind": "oracle-count",
-                                     "oracle": len(oracle), "found": len(found)})
+                    run.fail("oracle-count", map=name, oracle=len(oracle),
+                             found=len(found))
                     continue
                 for o in oracle:
                     if min(np.max(np.abs(o - f)) for f in found) > SEPARATION_TOL:
-                        failures.append({"map": name, "kind": "oracle-match",
-                                         "target": trial.target})
+                        run.fail("oracle-match", map=name, target=trial.target)
                         break
-    return checked, failures, None
 
 
 @_suite("homotopy-tables", 1, "exact")
-def _suite_homotopy_tables(samples, mode, seed, tol, table=None):
-    failures: List[dict] = []
+def _suite_homotopy_tables(run: _Run):
     cases = [
         ("pi_1 of structures on the six-sphere",
          homotopy.pi_structures_s6(1).render(), "ℤ/2"),
@@ -528,18 +472,15 @@ def _suite_homotopy_tables(samples, mode, seed, tol, table=None):
         ("pi_3 for genus 1", homotopy.pi_structures_xg(1, 3).render(),
          "π_3(S⁷) ⊕ π_6(S⁷) ⊕ π_6(S⁷) ⊕ π_9(S⁷)"),
     ]
-    for name, got, want in cases:
+    for name, got, want in run.each(cases):
         if got != want:
-            failures.append({"kind": name, "got": got, "expected": want})
-    checked = len(cases)
-    if table is not None:
-        checked += 1
-        resolved = homotopy.pi_structures_s6(7, table)
-        rendered_then = homotopy.pi_structures_s6(7).resolve(table).render()
+            run.fail(name, got=got, expected=want)
+    if run.table is not None:
+        run.checked += 1
+        resolved = homotopy.pi_structures_s6(7, run.table)
+        rendered_then = homotopy.pi_structures_s6(7).resolve(run.table).render()
         if resolved.render() != rendered_then:
-            failures.append({"kind": "resolution-purity",
-                             "a": resolved.render(), "b": rendered_then})
-    return checked, failures, None
+            run.fail("resolution-purity", a=resolved.render(), b=rendered_then)
 
 
 def run_suite(name: str, samples: Optional[int] = None, mode: str = "exact",

@@ -47,7 +47,9 @@ KEEP = {
     "cstruct.extract6": "per-vector reference of the structure-matrix tests",
     "chern.GradedPoly.substitute": "how test_chern checks its results",
     # failure paths and output views
-    "suites._oct_payload": "builds failure entries, so runs only on a failure",
+    "suites._Run.fail":
+        "makes failure entries, so runs only on a failure; "
+        "tests/test_suite_failures.py makes every suite that can fail run it",
     "octonion.Octonion.__neg__": "operator of the public value type",
     "octonion.Octonion.from_strings": "reads back the payloads reports write",
     "octonion.Octonion.__repr__": "output view",
