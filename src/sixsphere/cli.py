@@ -191,9 +191,8 @@ def _cmd_homotopy(args) -> int:
 
 def _cmd_recover(args) -> int:
     j = _read_matrix(cstruct.ComplexStructureR6, args.structure)
-    x = cstruct.recover_x(j)
-    payload = {"x": x.to_strings(),
-               "round_trip_distance": cstruct.j_from_octonion(x).distance(j)}
+    x, jx = cstruct._recover(j)
+    payload = {"x": x.to_strings(), "round_trip_distance": jx.distance(j)}
     _write_json(payload, args.json)
     return 0
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,6 +181,11 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     <1, e1>, and then x is k1.  Exact inputs produce an exact (generally
     non-unit) representative of the ray.
     """
+    return _recover(j)[0]
+
+
+def _recover(j: ComplexStructureR6) -> Tuple[Octonion, ComplexStructureR6]:
+    """`recover_x(j)` and J_x, the structure it checks against j."""
     ctx = arithmetic_of(j)
     a, d = j.m
     jv = np.zeros((6, 8), a.dtype)
@@ -193,9 +198,10 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
     k1, k2 = ker
     y = k2.inner(ctx.e1) * k1 - k1.inner(ctx.e1) * k2
     x = ctx.ray(k1 if ctx.zero_norm(y.norm_sq()) else y)
-    if not ctx.agree(j_from_octonion(x), j, CHECK_TOL):
+    jx = j_from_octonion(x)
+    if not ctx.agree(jx, j, CHECK_TOL):
         raise VerificationFailed("recovered x does not reproduce J")
-    return x
+    return x, jx
 
 
 def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
@@ -284,10 +290,12 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
 # float sampling of structures
 # ---------------------------------------------------------------------------
 
-def random_structure_float(rng: np.random.Generator) -> ComplexStructureR6:
+def random_structure_float(rng: np.random.Generator, count: Optional[int] = None):
     """Q J_std Q^T for Haar Q in SO(6): a random orientation-compatible
-    orthogonal structure."""
+    orthogonal structure.  With `count`, a list of that many, from one
+    batched Haar draw (see `sampling`)."""
     from .sampling import haar_orthogonal
-    q = haar_orthogonal(rng, 6)
+    q = haar_orthogonal(rng, 6, count)
     std = standard_structure(exact=False).as_array()
-    return ComplexStructureR6(q @ std @ q.T)
+    m = q @ std @ q.swapaxes(-1, -2)
+    return ComplexStructureR6(m) if count is None else list(map(ComplexStructureR6, m))

@@ -14,6 +14,13 @@ generator's integers and hand the point's numerators and denominator to
 `random_rational_vector` followed by the matching `rational_*` function,
 and leave the generator in the same state.
 
+The float draws (unit vectors, Haar rotations) take an optional `count` and
+then return that many, stacked along a leading axis, from one generator
+call: the same stream, in the same order and with the same bits as `count`
+single draws.  A single draw is the same formula without the leading axis.
+Exact draws stay one at a time: each takes two interleaved `integers`
+calls, which one batch cannot reproduce without changing the stream.
+
 All randomness flows through `numpy.random.Generator` seeded with a single
 64-bit integer (PCG64, deterministic across platforms).  Generators are
 always passed explicitly; nothing here touches global RNG state.
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,9 +147,18 @@ def random_rational_tangent(rng: np.random.Generator, p: Octonion) -> Octonion:
 # float draws
 # ---------------------------------------------------------------------------
 
-def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _batch(count: Optional[int], *shape: int) -> tuple:
+    """The shape of one draw, or with `count` of `count` draws stacked."""
+    return shape if count is None else (count, *shape)
+
+
+def random_unit_vector(rng: np.random.Generator, n: int,
+                       count: Optional[int] = None) -> np.ndarray:
+    """A random unit vector of R^n: a Gaussian draw over its norm.  With
+    `count`, a (count, n) array of them."""
+    v = rng.standard_normal(_batch(count, n))
+    # the norm as np.linalg.norm takes it, one dot per row
+    return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
 def random_unit_octonion_float(rng: np.random.Generator) -> Octonion:
@@ -153,14 +169,15 @@ def random_imaginary_unit_float(rng: np.random.Generator) -> Octonion:
     return _floats([0.0, *random_unit_vector(rng, 7).tolist()])
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+def haar_orthogonal(rng: np.random.Generator, n: int,
+                    count: Optional[int] = None) -> np.ndarray:
     """Haar-distributed special orthogonal n x n matrix via QR of a Gaussian
-    matrix, with one column flipped where needed to force det = +1."""
-    a = rng.standard_normal((n, n))
+    matrix, with one column flipped where needed to force det = +1.  With
+    `count`, a (count, n, n) array of them."""
+    a = rng.standard_normal(_batch(count, n, n))
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q
 
 

@@ -18,16 +18,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import chern, cstruct, degree as deg, homotopy, twistor
-from .errors import BadConfig, DegenerateX, SixSphereError, UnknownSuite
+from .errors import (BadConfig, DegenerateInput, DegenerateX, SixSphereError,
+                     UnknownSuite)
 from .frames import random_g2_matrix
-from .octonion import (CHECK_TOL, SEPARATION_TOL, Octonion, SquareMatrix,
-                       arithmetic_of, residual)
+from .octonion import (CHECK_TOL, EXACT, SEPARATION_TOL, Octonion,
+                       SquareMatrix, arithmetic_of, batch_mul, residual)
 from .sampling import (random_imaginary_unit_float,
                        random_rational_circle_point,
                        random_rational_imaginary_unit,
                        random_rational_tangent,
                        random_rational_unit_octonion, random_so7_float,
-                       random_unit_octonion_float, rng_from_seed)
+                       random_unit_octonion_float, random_unit_vector,
+                       rng_from_seed)
 
 
 @dataclass
@@ -80,11 +82,38 @@ class _Run:
         """Keep r if it is the worst float residual so far."""
         self.worst = max(self.worst, r)
 
+    def units(self, count: int):
+        """`count` random unit octonions in the run's mode, in the order
+        drawn: the (count, 8) array of their numerators (an exact row over
+        its octonion's denominator) and a function giving the i-th as an
+        octonion.  Exact ones are drawn one at a time, float ones in one
+        batch of the same stream."""
+        if self.mode == "exact":
+            os = [random_rational_unit_octonion(self.rng) for _ in range(count)]
+            return EXACT.points(os)[0].reshape(count, 8), os.__getitem__
+        rows = random_unit_vector(self.rng, 8, count)
+        return rows, lambda i: Octonion(rows[i])
+
     def zero(self, d: Octonion) -> bool:
         """Whether the difference d is zero (within the tolerance in float
-        mode), after measuring its residual."""
-        self.measure(residual(d))
+        mode, after measuring its residual)."""
+        if self.mode == "float":
+            self.measure(residual(d))
         return d.is_zero(self.tol)
+
+    def zeros(self, d: np.ndarray) -> np.ndarray:
+        """Which rows of the (n, 8) differences d are zero: every entry 0 in
+        exact mode; in float mode the largest within the tolerance, after
+        measuring the rows' residuals.  A float row that is not finite (a
+        product overflowed) raises `DegenerateInput`, as an overflowed float
+        octonion does."""
+        if self.mode == "exact":
+            return (d == 0).all(axis=-1)
+        r = np.abs(d).max(axis=-1)
+        if not np.isfinite(r).all():
+            raise DegenerateInput("octonion coordinates must be finite")
+        self.measure(float(r.max(initial=0.0)))
+        return r <= self.tol
 
     def within(self, kind: str, r: float, **inputs) -> None:
         """Measure the float residual r; above the tolerance it is a
@@ -209,17 +238,33 @@ def _all_parenthesizations(word, letters, memo):
 
 @_suite("moufang", 300, "exact", "float")
 def _suite_moufang(run: _Run):
-    for _ in run.each(range(run.samples)):
-        x, y, z = run.unit(), run.unit(), run.unit()
-        xy, zx = x * y, z * x  # each shared by two laws
-        laws = {
-            "(xy)(zx) = x((yz)x)": xy * zx - x * ((y * z) * x),
-            "x(y(xz)) = ((xy)x)z": x * (y * (x * z)) - (xy * x) * z,
-            "((zx)y)x = z(x(yx))": (zx * y) * x - z * (x * (y * x)),
-        }
-        bad = [name for name, d in laws.items() if not run.zero(d)]
-        if bad:
-            run.fail("laws", x=x, y=y, z=z, laws=bad)
+    # every sample at once, as rows: sample i draws x, y, z in that order
+    n = run.samples
+    rows, unit = run.units(3 * n)
+    x, y, z = rows.reshape(n, 3, 8).swapaxes(0, 1)
+    run.checked += n
+    bad: List[list] = [[] for _ in range(n)]
+    for name, d in _moufang_laws(x, y, z).items():
+        for i in np.flatnonzero(~run.zeros(d)):
+            bad[i].append(name)
+    for i, laws in enumerate(bad):
+        if laws:
+            run.fail("laws", x=unit(3 * i), y=unit(3 * i + 1),
+                     z=unit(3 * i + 2), laws=laws)
+
+
+def _moufang_laws(x, y, z) -> Dict[str, np.ndarray]:
+    """Law name -> left side minus right side, row by row, for (n, 8)
+    arrays of floats or of exact numerators: one `batch_mul` per product,
+    16 in all.  The two sides of a law multiply the same factors, so exact
+    rows share a denominator and their numerators decide."""
+    m = batch_mul
+    xy, zx = m(x, y), m(z, x)  # each shared by two laws
+    return {
+        "(xy)(zx) = x((yz)x)": m(xy, zx) - m(x, m(m(y, z), x)),
+        "x(y(xz)) = ((xy)x)z": m(x, m(y, m(x, z))) - m(m(xy, x), z),
+        "((zx)y)x = z(x(yx))": m(m(zx, y), x) - m(z, m(x, m(y, x))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +274,19 @@ def _suite_moufang(run: _Run):
 @_suite("prop21", 100, "exact", "float")
 def _suite_prop21(run: _Run):
     rng = run.rng
-    for _ in run.each(range(run.samples)):
-        if run.mode == "exact":
-            x = random_rational_unit_octonion(rng)
-            c, s = random_rational_circle_point(rng)
-            y = random_rational_unit_octonion(rng)
-            run.attempt("sample-error",
-                        lambda: _prop21_exact_checks(run, x, c, s, y),
-                        x=x, cos=c, sin=s, y=y)
-        else:
-            j1 = cstruct.random_structure_float(rng)
-            j2 = cstruct.random_structure_float(rng)
+    if run.mode == "float":  # both structures of every sample, in one draw
+        js = cstruct.random_structure_float(rng, 2 * run.samples)
+        for j1, j2 in run.each(zip(js[::2], js[1::2])):
             run.attempt("sample-error",
                         lambda: _prop21_float_checks(run, j1, j2), j1=j1, j2=j2)
+        return
+    for _ in run.each(range(run.samples)):
+        x = random_rational_unit_octonion(rng)
+        c, s = random_rational_circle_point(rng)
+        y = random_rational_unit_octonion(rng)
+        run.attempt("sample-error",
+                    lambda: _prop21_exact_checks(run, x, c, s, y),
+                    x=x, cos=c, sin=s, y=y)
 
 
 def _prop21_exact_checks(run: _Run, x, c, s, y):
@@ -274,8 +319,8 @@ def _prop21_float_checks(run: _Run, j1, j2):
     u, ju = line.u, line.ju   # ju is j1 applied to u
     r = max(residual(ju - j2.apply(u)), residual(j1.apply(ju) - j2.apply(ju)))
     run.within("common-line", r, j1=j1, j2=j2)
-    xr = cstruct.recover_x(j1)
-    run.within("float-recover", cstruct.j_from_octonion(xr).distance(j1), j=j1)
+    jx = cstruct._recover(j1)[1]
+    run.within("float-recover", jx.distance(j1), j=j1)
 
 
 @_suite("lemma22", 1, "exact")

@@ -79,14 +79,18 @@ def test_sample_errors_become_failure_entries(monkeypatch):
     inputs = {"exact": {"x", "cos", "sin", "y"}, "float": {"j1", "j2"}}
     for mode in ("exact", "float"):
         checked = suites.run_suite("prop21", samples=3, mode=mode, seed=1).checked
-        monkeypatch.setattr(cstruct, "recover_x", rank_error)
+        # exact samples recover through recover_x, float ones through
+        # _recover, which also returns the structure it checked
+        for name in ("recover_x", "_recover"):
+            monkeypatch.setattr(cstruct, name, rank_error)
         rep = suites.run_suite("prop21", samples=3, mode=mode, seed=1)
         assert rep.checked == checked == 3
         assert [f["kind"] for f in rep.failures] == ["sample-error"] * 3
         for f in rep.failures:
             assert f["error"] == "solutions span dimension 0, expected 2"
             assert set(f) == {"kind", "error"} | inputs[mode]
-        monkeypatch.setattr(cstruct, "recover_x", bug)
+        for name in ("recover_x", "_recover"):
+            monkeypatch.setattr(cstruct, name, bug)
         with pytest.raises(TypeError):
             suites.run_suite("prop21", samples=1, mode=mode)
         monkeypatch.undo()
@@ -512,7 +516,7 @@ def test_library_failure_exits_1_with_one_error_line(command, monkeypatch,
                       twistor, "companion"),
         "recover": (["recover", "--structure",
                      _write_json(tmp_path / "j.json", j_from_octonion(x).to_strings())],
-                    cstruct, "recover_x"),
+                    cstruct, "_recover"),
     }[command]
     monkeypatch.setattr(module, name, fail)
     assert run_cli(argv) == 1

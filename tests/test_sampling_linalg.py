@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixsphere import frames, linalg, sampling
+from sixsphere import cstruct, frames, linalg, sampling
 from sixsphere.frames import householder_swap
 from sixsphere.octonion import EXACT, Octonion
 from sixsphere.sampling import (haar_orthogonal, random_rational_vector,
@@ -211,3 +211,37 @@ def test_haar_orthogonal(rng):
     q = haar_orthogonal(rng, 7)
     assert np.max(np.abs(q @ q.T - np.eye(7))) < 1e-12
     assert np.linalg.det(q) > 0
+
+
+
+def _structures(rng, count):
+    # the matrices of random_structure_float's draw, stacked with a count
+    if count is None:
+        return cstruct.random_structure_float(rng).as_array()
+    return np.array([j.as_array() for j in
+                     cstruct.random_structure_float(rng, count)]).reshape(count, 6, 6)
+
+
+#: each float draw that takes a count: (rng, count) -> its array
+BATCHED_DRAWS = {
+    "unit vector of R^7": lambda rng, count: sampling.random_unit_vector(rng, 7, count),
+    "unit vector of R^8": lambda rng, count: sampling.random_unit_vector(rng, 8, count),
+    "Haar SO(6)": lambda rng, count: haar_orthogonal(rng, 6, count),
+    "Haar SO(7)": lambda rng, count: haar_orthogonal(rng, 7, count),
+    "structure": _structures,
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", BATCHED_DRAWS)
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_a_batched_float_draw_is_count_single_draws(seed, name, count):
+    # the same stream in the same order, bit for bit (signed zeros included),
+    # and the generator left in the same state
+    draw = BATCHED_DRAWS[name]
+    single_rng, batch_rng = rng_from_seed(seed), rng_from_seed(seed)
+    singles = [draw(single_rng, None) for _ in range(count)]
+    batch = draw(batch_rng, count)
+    assert batch.shape == (count, *draw(rng_from_seed(seed), None).shape)
+    assert batch.tobytes() == b"".join(s.tobytes() for s in singles)
+    assert single_rng.bit_generator.state == batch_rng.bit_generator.state

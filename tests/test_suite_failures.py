@@ -4,16 +4,20 @@ Two ways make the sampled suites fail: a tolerance of 0 in float mode,
 where rounding alone exceeds it, and a bent multiplication table in exact
 mode (the signs of e3 e5 and e5 e3 flipped, the product recompiled from
 it).  Each entry must carry a string `kind`, and its octonions, rotations
-and structures must read back through `from_strings`.
+and structures must read back through `from_strings`.  The Moufang suite
+evaluates its laws on arrays of samples; the scalar laws on `Octonion`s are
+its reference, whether the laws hold or fail.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sixsphere import octonion, suites
+from sixsphere import octonion, sampling, suites
 from sixsphere.cstruct import ComplexStructureR6
-from sixsphere.octonion import Octonion, residual
+from sixsphere.errors import DegenerateInput
+from sixsphere.octonion import EXACT, Octonion, residual
 from sixsphere.twistor import SO7Element
 
 OCTONION_INPUTS = ("x", "y", "z", "p", "v", "recovered", "a")
@@ -85,3 +89,76 @@ def test_exact_suites_catch_a_bent_table(bent_table, name):
     assert not rep.ok
     for entry in rep.failures:
         _read_back(entry)
+
+
+def _scalar_moufang(samples, mode, seed, tol):
+    """The Moufang suite's (checked, failures, max_residual) as a loop over
+    samples of scalar `Octonion` products: its reference."""
+    rng = sampling.rng_from_seed(seed)
+    draw = (sampling.random_rational_unit_octonion if mode == "exact"
+            else sampling.random_unit_octonion_float)
+    failures, worst = [], 0.0
+    for _ in range(samples):
+        x, y, z = draw(rng), draw(rng), draw(rng)
+        laws = {name: law(x, y, z) for name, law in MOUFANG.items()}
+        worst = max(worst, *map(residual, laws.values()))
+        bad = [name for name, d in laws.items() if not d.is_zero(tol)]
+        if bad:
+            failures.append({"kind": "laws", "x": x.to_strings(),
+                             "y": y.to_strings(), "z": z.to_strings(),
+                             "laws": bad})
+    return samples, failures, worst if mode == "float" else None
+
+
+@pytest.mark.parametrize("mode, tol", [("exact", 0.0), ("float", 0.0),
+                                       ("float", 1e-9)])
+@pytest.mark.parametrize("samples", [0, 1, 5])
+@pytest.mark.parametrize("bent", [False, True])
+def test_batched_moufang_reports_as_the_scalar_loop(request, mode, tol,
+                                                    samples, bent):
+    if bent:
+        request.getfixturevalue("bent_table")
+    rep = suites.run_suite("moufang", samples=samples, mode=mode, seed=2,
+                           tolerance=tol)
+    assert (rep.checked, rep.failures, rep.max_residual) == \
+        _scalar_moufang(samples, mode, 2, tol)
+    # bent, or float at tolerance 0, the comparison met failures
+    fails = bent or (mode == "float" and not tol)
+    assert bool(rep.failures) == bool(samples and fails)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_moufang_rows_equal_the_scalar_laws(seed):
+    # float rows: every coordinate of every difference, bit for bit
+    rng = sampling.rng_from_seed(seed)
+    x, y, z = sampling.random_unit_vector(rng, 8, 3 * 20).reshape(20, 3, 8).swapaxes(0, 1)
+    for name, d in suites._moufang_laws(x, y, z).items():
+        for i in range(20):
+            want = MOUFANG[name](Octonion(x[i]), Octonion(y[i]), Octonion(z[i]))
+            assert d[i].tobytes() == np.array(want.numerators).tobytes()
+    # exact rows: numerators that are all 0, as the scalar differences are
+    os = [sampling.random_rational_unit_octonion(rng) for _ in range(3 * 20)]
+    x, y, z = EXACT.points(os)[0].reshape(20, 3, 8).swapaxes(0, 1)
+    for name, d in suites._moufang_laws(x, y, z).items():
+        assert d.shape == (20, 8) and not d.any()
+        assert all(MOUFANG[name](*os[3 * i:3 * i + 3]).is_zero() for i in range(20))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("name", ["moufang", "prop21"])
+def test_batched_suites_at_zero_and_one_sample(mode, samples, name):
+    rep = suites.run_suite(name, samples=samples, mode=mode, seed=1)
+    assert rep.ok and rep.checked == samples and rep.mode == mode
+    assert (rep.max_residual is None) == (mode == "exact")
+    if mode == "float" and not samples:
+        assert rep.max_residual == 0.0
+
+
+def test_a_non_finite_batched_product_raises(monkeypatch):
+    # unit draws scaled to 1e200 overflow in the first products
+    big = lambda rng, n, count: np.full((count, n), 1e200)  # noqa: E731
+    monkeypatch.setattr(suites, "random_unit_vector", big)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateInput):
+        suites.run_suite("moufang", samples=2, mode="float", seed=1)
