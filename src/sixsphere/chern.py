@@ -115,21 +115,6 @@ class GradedPoly:
     def coefficient(self, m: Monomial) -> int:
         return self.terms.get(tuple(m), 0)
 
-    def substitute(self, assignment: Dict[str, "GradedPoly"]) -> "GradedPoly":
-        """Substitute polynomials (of the same ring) for variables."""
-        out = self.constant(0)
-        for m, c in self.terms.items():
-            term = self.constant(c)
-            for name, e in zip(self.vars, m):
-                if e == 0:
-                    continue
-                base = assignment.get(name)
-                if base is None:
-                    base = self.variable(name)
-                term = term * base ** e
-            out = out + term
-        return out
-
     def swap_vars(self, a: str, b: str) -> "GradedPoly":
         ia, ib = self.vars.index(a), self.vars.index(b)
         out: Dict[Monomial, int] = {}

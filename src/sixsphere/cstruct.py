@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,26 +45,13 @@ from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
                      NoCommonLine, NotUnit, RankError, VerificationFailed)
 from . import linalg
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, Arithmetic,
-                       Octonion, SquareMatrix, _placed, _read_only,
+                       Octonion, SquareMatrix, _read_only,
                        arithmetic_of, reject)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
 #: squared norm of Im x under which a float x counts as real (rotation data)
 REAL_AXIS_NORM_SQ = 1e-18
-
-
-def embed6(v: Sequence) -> Octonion:
-    return Octonion(_placed(v, R6_BASIS, 0))
-
-
-def extract6(o: Octonion) -> list:
-    """Coordinates of o in the 6-plane basis; the <1, e1> components must
-    vanish (exactly in exact mode, up to CHECK_TOL otherwise)."""
-    if not arithmetic_of(o).is_zero(o.numerators[:2], CHECK_TOL):
-        raise InvalidStructure("vector has components along 1 or e1")
-    c = o.coords
-    return [c[idx] for idx in R6_BASIS]
 
 
 class ComplexStructureR6(SquareMatrix):

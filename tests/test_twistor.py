@@ -25,6 +25,8 @@ from sixsphere.twistor import (SO7Element, TangentStructure, TwistorPoint,
                                twistor_evaluate, verify_moufang_action,
                                verify_so7_section_identity)
 
+from references import embed6
+
 E = [Octonion.basis(k) for k in range(8)]
 
 
@@ -93,7 +95,7 @@ def test_twistor_matches_structure_at_e1(rng):
         st = twistor_evaluate(TwistorPoint(E[1], x))
         j = cstruct.j_from_octonion(x)
         for pos, idx in enumerate(cstruct.R6_BASIS):
-            col = cstruct.embed6([j.rows[i][pos] for i in range(6)])
+            col = embed6([j.rows[i][pos] for i in range(6)])
             assert st.apply(E[idx]) == col
 
 
@@ -105,7 +107,7 @@ def test_fiberwise_bijectivity_over_e1(rng):
         st = twistor_evaluate(TwistorPoint(Octonion([0.0, 1.0] + [0.0] * 6), x))
         worst = 0.0
         for pos, idx in enumerate(cstruct.R6_BASIS):
-            col = cstruct.embed6([j.rows[i][pos] for i in range(6)])
+            col = embed6([j.rows[i][pos] for i in range(6)])
             worst = max(worst, max(abs(float(c)) for c in
                                    (st.apply(E[idx]) - col).coords))
         assert worst < 1e-9
