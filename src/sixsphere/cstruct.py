@@ -26,18 +26,31 @@ in its mode and the structure holds the resulting pair (see
 `octonion.SquareMatrix`), whose kernels give recovery and common lines.  J
 acts on an octonion through `SquareMatrix.apply` on the coordinates
 R6_BASIS (as 0 on <1, e1>).  Recovery solves J(v) x = e1 (v x), linear in
-x, on the numerators of J's columns; the kernel of the block form runs on
-octonion numerators, and every kernel comes back as octonions.  The
-standard structure is J_1, built once per mode, as are L_e1 and the constant
-half of the recovery system, L_e1 L_v over the six basis vectors v; these
-are read-only pairs shared by every call.
+x, on the numerators of J's columns.  The standard structure is J_1, built
+once per mode, as are L_e1 and the constant half of the recovery system,
+L_e1 L_v over the six basis vectors v; these are read-only pairs shared by
+every call.
+
+J_x, recovery, common lines and the constructor's tests run on stacks: n
+structures as one stacked pair, numerators (n, 6, 6) over one denominator,
+and n octonions as a points pair, rows (n, 8) of numerators over
+denominators (n, 1), or over 1.0 in floats.  Each kernel is one call for
+the whole stack (one batched SVD in floats), the rest is row-wise array
+arithmetic, and a row that fails carries its error in a list, None where it
+passed.  The single-structure functions (`j_from_octonion`, `recover_x`,
+`common_line`) are these on a stack of one, raising the row's error, and
+the constructor runs the tests on its one matrix.  Float rows get the bits of the computation on
+one structure: NumPy's stacked SVD and stacked matmul (a matrix-vector
+product as `a @ v[..., None]`) match its per-matrix calls on the builds
+tested, sums run coordinate by coordinate as `Octonion.inner` adds them,
+and norms take Python's `** 0.5`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +59,15 @@ from .errors import (DegenerateX, IdenticalStructures, InvalidStructure,
 from . import linalg
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, Arithmetic,
                        Octonion, SquareMatrix, _read_only,
-                       arithmetic_of, reject)
+                       arithmetic_of, inner_rows, reject)
 
 #: octonion coordinate indices of the ordered basis of the 6-plane
 R6_BASIS: Tuple[int, ...] = (2, 3, 4, 5, 7, 6)
 #: squared norm of Im x under which a float x counts as real (rotation data)
 REAL_AXIS_NORM_SQ = 1e-18
+#: the constructor's tests, in order, each as the message of its failure
+STRUCTURE_TESTS = ("J is not antisymmetric", "J^2 is not -identity",
+                   "J is not orientation-compatible")
 
 
 class ComplexStructureR6(SquareMatrix):
@@ -65,14 +81,9 @@ class ComplexStructureR6(SquareMatrix):
     basis = np.array(R6_BASIS)
 
     def _validate(self):
-        ctx, m = arithmetic_of(self), self.m
-        if not ctx.equal(ctx.transpose(m), ctx.scaled(m, -1), CHECK_TOL):
-            raise InvalidStructure("J is not antisymmetric")
-        if not ctx.equal(ctx.product(m, m), ctx.scaled(ctx.identity(6), -1),
-                         CHECK_TOL):
-            raise InvalidStructure("J^2 is not -identity")
-        if not self.orientation_sign() > 0:
-            raise InvalidStructure("J is not orientation-compatible")
+        passed = certify(arithmetic_of(self), self.m)
+        if not passed.all():
+            raise InvalidStructure(STRUCTURE_TESTS[passed.argmin()])
 
     def orientation_sign(self) -> int:
         """Sign of det(u, Ju, v, Jv, w, Jw) for a J-complex basis (u, v, w).
@@ -80,7 +91,7 @@ class ComplexStructureR6(SquareMatrix):
         That basis carries J to the standard block form, whose Pfaffian is
         -1, and Pf(B J B^T) = det(B) Pf(J); so the sign is -sign Pf(J),
         taken here on the numerators of J over a positive denominator."""
-        pf = linalg.pfaffian(self.m[0].tolist())
+        pf = linalg.pfaffian(self.m[0])
         return -1 if pf > 0 else (1 if pf < 0 else 0)
 
     def __repr__(self) -> str:
@@ -130,12 +141,10 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     through x, which keeps exact rational inputs exact.
     """
     ctx = arithmetic_of(x)
-    n = x.norm_sq()
-    if ctx.zero_norm(n):
+    j = j_each(ctx, ctx.points([x])[0])
+    if ctx.zero_norm(j[1].flat[0]):
         raise NotUnit("x must be nonzero")
-    r = ctx.right(ctx.points([x]))   # R_conj(x) is its transpose
-    m = ctx.product(ctx.transpose(r), _left_e1(ctx), r)
-    return ComplexStructureR6._trusted(ctx.scaled(m, n), ctx, R6_BASIS)
+    return ComplexStructureR6._trusted(j, ctx)
 
 
 def equivalent(x: Octonion, y: Octonion) -> bool:
@@ -172,38 +181,143 @@ def recover_x(j: ComplexStructureR6) -> Octonion:
 
 
 def _recover(j: ComplexStructureR6) -> Tuple[Octonion, ComplexStructureR6]:
-    """`recover_x(j)` and J_x, the structure it checks against j."""
+    """`recover_x(j)` and J_x, the structure it checks against j:
+    `recover_each` on a stack of one."""
     ctx = arithmetic_of(j)
-    a, d = j.m
-    jv = np.zeros((6, 8), a.dtype)
-    jv[:, R6_BASIS] = a.T      # the numerators of J v: J's columns
-    diff = ctx.difference(ctx.left((jv, d)), _e1_left_basis(ctx))
-    ker = ctx.kernel(diff.reshape(48, 8))
-    if len(ker) != 2:
-        raise RankError("solutions of J(v) x = e1 (v x) span dimension %d, "
-                        "expected 2" % len(ker))
-    k1, k2 = ker
-    y = k2.inner(ctx.e1) * k1 - k1.inner(ctx.e1) * k2
-    x = ctx.ray(k1 if ctx.zero_norm(y.norm_sq()) else y)
-    jx = j_from_octonion(x)
-    if not ctx.agree(jx, j, CHECK_TOL):
-        raise VerificationFailed("recovered x does not reproduce J")
-    return x, jx
+    x, jx, (error,) = recover_each(ctx, _stack_of_one(j.m))
+    if error:
+        raise error
+    return _first(ctx, x), ComplexStructureR6._trusted(jx, ctx)
 
 
 def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     """The unique complex line on which two distinct orthogonal structures
-    agree (kernel of their difference, always 2-dimensional)."""
-    if j1 == j2:
-        raise IdenticalStructures("every line is common to identical structures")
+    agree (kernel of their difference, always 2-dimensional):
+    `common_line_each` on a stack of one."""
     ctx = arithmetic_of(j1, j2)
-    ker = ctx.kernel(ctx.difference(ctx.pair(j1), ctx.pair(j2)), R6_BASIS)
-    if len(ker) == 0:
-        raise NoCommonLine("distinct orthogonal structures must share a line")
-    if len(ker) != 2:
-        raise RankError("agreement space has dimension %d, expected 2" % len(ker))
-    u = ctx.ray(ker[0])
-    return ComplexLine(u, j1.apply(u))
+    u, ju, (error,) = common_line_each(
+        ctx, _stack_of_one(ctx.pair(j1)), _stack_of_one(ctx.pair(j2)))
+    if error:
+        raise error
+    return ComplexLine(_first(ctx, u), _first(ctx, ju))
+
+
+def _stack_of_one(pair):
+    return pair[0][None], pair[1]
+
+
+def _first(ctx: Arithmetic, pts) -> Octonion:
+    # the octonion of the first row of a points pair
+    v, d = pts
+    if not ctx.exact:
+        return Octonion(v[0].tolist())
+    return Octonion.from_lifted(v[0].tolist(), np.reshape(d, -1)[0])
+
+
+# ---------------------------------------------------------------------------
+# stacked structures (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def certify(ctx: Arithmetic, pair) -> np.ndarray:
+    """The constructor's tests on each 6x6 matrix of the (stacked) pair, a
+    bool array (..., 3) in the order of STRUCTURE_TESTS: J antisymmetric and
+    J^2 = -1 (which together make J orthogonal), each to CHECK_TOL in
+    floats, and the orientation positive (see `orientation_sign`)."""
+    return np.stack([
+        ctx.equal_each(ctx.transpose(pair), ctx.scaled(pair, -1), CHECK_TOL),
+        ctx.equal_each(ctx.product(pair, pair),
+                       ctx.scaled(ctx.identity(6), -1), CHECK_TOL),
+        np.asarray(linalg.pfaffian(pair[0]) < 0, bool)], -1)
+
+
+def structure_errors(ctx: Arithmetic, pair) -> List[Optional[str]]:
+    """For each matrix of the stacked pair, the message of the first of the
+    constructor's tests it fails, None for a structure."""
+    passed = certify(ctx, pair)
+    first = passed.argmin(-1)
+    return [None if ok else STRUCTURE_TESTS[i]
+            for ok, i in zip(passed.all(-1).tolist(), first.tolist())]
+
+
+def j_each(ctx: Arithmetic, v: np.ndarray):
+    """The stacked pair of J_x for the rows x of v (n, 8), the numerators
+    of nonzero octonions (J_x only depends on the ray of x): the matrices
+    R_conj(x) L_e1 R_x on R6_BASIS over |x|^2, shaped (n, 1, 1)."""
+    r = ctx.right((v, 1))[0]
+    m = (r.swapaxes(-1, -2) @ _left_e1(ctx)[0]) @ r
+    b = ComplexStructureR6.basis
+    # C-ordered like a J_x built alone: a matmul's bits depend on the memory
+    # order of its operands
+    m = np.ascontiguousarray(m[:, b[:, None], b])
+    return m, inner_rows(v, v).reshape(-1, 1, 1)
+
+
+def apply_each(ctx: Arithmetic, pair, pts):
+    """Each structure of the stacked pair applied to its row of the points
+    pair, as `SquareMatrix.apply`: the points pair of the images."""
+    (a, d), (v, e) = pair, pts
+    b = ComplexStructureR6.basis
+    out = np.zeros(v.shape, a.dtype)
+    out[:, b] = (a @ v[:, b, None])[..., 0]
+    return out, d * e
+
+
+def _planes(kernels: list, error: Callable, like: np.ndarray):
+    """The kernels of the stacked matrices `like`, each a plane, as one
+    points pair: bases (n, 2, cols) over denominators (n, 1).  A kernel of
+    another dimension is error(dimension) in the list of errors, and its
+    row computes on the first two unit vectors in its place."""
+    cols = like.shape[-1]
+    unit = (np.eye(2, cols, dtype=like.dtype), 1)
+    errors = [None if len(k) == 2 else error(len(k)) for k, _ in kernels]
+    planes = [kd if e is None else unit for kd, e in zip(kernels, errors)]
+    k = np.array([b for b, _ in planes], like.dtype).reshape(-1, 2, cols)
+    d = np.array([d for _, d in planes], like.dtype).reshape(-1, 1)
+    return (k, d), errors
+
+
+def recover_each(ctx: Arithmetic, pair):
+    """`recover_x` for each structure of the stacked pair (numerators
+    (n, 6, 6) over one denominator): the points pair of the x, the stacked
+    pair of their J_x, and the errors (a kernel that is not a plane, a J_x
+    that does not reproduce its J to CHECK_TOL)."""
+    a, d = pair
+    n = len(a)
+    jv = np.zeros((n, 6, 8), a.dtype)
+    jv[..., R6_BASIS] = a.swapaxes(-1, -2)     # the numerators of J v
+    diff = ctx.difference(ctx.left((jv, d)), _e1_left_basis(ctx))
+    diff = diff.reshape(n, 48, 8)
+    (k, dk), errors = _planes(ctx.kernels(diff), lambda dim: RankError(
+        "solutions of J(v) x = e1 (v x) span dimension %d, expected 2" % dim),
+        diff)
+    k1, k2 = k[:, 0], k[:, 1]
+    e1 = ctx.points([ctx.e1])[0]
+    y = inner_rows(k2, e1)[:, None] * k1 - inner_rows(k1, e1)[:, None] * k2
+    zero = ctx.zero_norm(inner_rows(y, y))
+    x = ctx.rays((np.where(zero[:, None], k1 * dk, y), dk * dk))
+    jx = j_each(ctx, x[0])
+    for i in np.flatnonzero(~ctx.equal_each(jx, pair, CHECK_TOL)):
+        errors[i] = errors[i] or VerificationFailed(
+            "recovered x does not reproduce J")
+    return x, jx, errors
+
+
+def common_line_each(ctx: Arithmetic, p1, p2):
+    """`common_line` for each pair of structures of two stacked pairs: the
+    points pairs of u and J1 u, and the errors (identical structures, a
+    kernel of the difference that is not a plane)."""
+    diff = ctx.difference(p1, p2)
+    (k, dk), errors = _planes(ctx.kernels(diff), lambda dim: NoCommonLine(
+        "distinct orthogonal structures must share a line") if dim == 0
+        else RankError("agreement space has dimension %d, expected 2" % dim),
+        diff)
+    for i in np.flatnonzero(ctx.equal_each(p1, p2, FLOAT_EQ_TOL)):
+        errors[i] = IdenticalStructures(
+            "every line is common to identical structures")
+    u = np.zeros((len(k), 8), k.dtype)
+    u[:, R6_BASIS] = k[:, 0]
+    u = ctx.rays((u, dk))
+    return u, apply_each(ctx, p1, u), errors
 
 
 @dataclass
@@ -277,12 +391,24 @@ def _rotation_data(x: Octonion, l: Octonion, n, e1: Octonion):
 # float sampling of structures
 # ---------------------------------------------------------------------------
 
-def random_structure_float(rng: np.random.Generator, count: Optional[int] = None):
-    """Q J_std Q^T for Haar Q in SO(6): a random orientation-compatible
-    orthogonal structure.  With `count`, a list of that many, from one
-    batched Haar draw (see `sampling`)."""
+def draw_structures(rng: np.random.Generator, count: Optional[int] = None):
+    """Q J_std Q^T for `count` Haar Q in SO(6) (one without a count), from
+    one batched draw (see `sampling`): the stack (count, 6, 6) of their
+    matrices, certified at once, and `structure_errors` of it."""
     from .sampling import haar_orthogonal
     q = haar_orthogonal(rng, 6, count)
     std = standard_structure(exact=False).as_array()
-    m = q @ std @ q.swapaxes(-1, -2)
-    return ComplexStructureR6(m) if count is None else list(map(ComplexStructureR6, m))
+    m = (q @ std @ q.swapaxes(-1, -2)).reshape(-1, 6, 6)
+    return m, structure_errors(FLOAT, (m, 1.0))
+
+
+def random_structure_float(rng: np.random.Generator, count: Optional[int] = None):
+    """A random orientation-compatible orthogonal structure: Q J_std Q^T for
+    Haar Q in SO(6).  With `count`, a list of that many, from one batched
+    draw; a matrix that fails the constructor's tests raises its error."""
+    m, errors = draw_structures(rng, count)
+    for error in errors:
+        if error:
+            raise InvalidStructure(error)
+    js = [ComplexStructureR6._trusted((a, 1.0), FLOAT) for a in m]
+    return js[0] if count is None else js

@@ -398,7 +398,7 @@ class _Charted:
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
         residual ever seen).  The batch `s` shrinks to the rows still
-        running: converged and runaway rows leave it."""
+        running: converged rows leave it."""
         s = starts
         best_res = np.inf
         done = [np.empty((0, 8))]
@@ -423,7 +423,6 @@ class _Charted:
             step = _newton_step(jac[keep], g[keep], run)
             norms = np.linalg.norm(step, axis=1, keepdims=True)
             s = s[keep] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
-            s = s[~(np.linalg.norm(s, axis=1) > 1e6)]  # drop runaways
         return np.vstack(done), best_res
 
 

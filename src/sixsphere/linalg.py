@@ -155,21 +155,28 @@ def det(m: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * a[-1][-1] if n else 1, math.prod(d for _, d in lifted))
 
 
-def pfaffian(a: Sequence[Sequence]):
-    """Pfaffian of an antisymmetric matrix of even size n >= 2, from the
-    entries above the diagonal: the expansion along the first row (15
-    terms at 6x6), with no division, in the entries' own arithmetic."""
+def pfaffian(a):
+    """Pfaffian of an antisymmetric matrix of even size n >= 2 (rows of
+    ints, Fractions or floats, or an array), or of each matrix of a stack
+    (..., n, n): the expansion along the first row (15 terms at 6x6), from
+    the entries above the diagonal, with no division, in the entries' own
+    arithmetic.  Every entry is read as a[..., i, j], so a stack takes the
+    same operations, in the same order, as each of its matrices."""
+    if not isinstance(a, np.ndarray):
+        a = np.array(a, dtype=object)
 
     def pf(idx: tuple):
         if len(idx) == 2:
-            return a[idx[0]][idx[1]]
+            return a[..., idx[0], idx[1]]
         total = 0
         for k, j in enumerate(idx[1:], 1):
-            t = a[idx[0]][j] * pf(idx[1:k] + idx[k + 1:])
+            t = a[..., idx[0], j] * pf(idx[1:k] + idx[k + 1:])
             total = total + t if k % 2 else total - t
         return total
 
-    return pf(tuple(range(len(a))))
+    out = pf(tuple(range(a.shape[-1])))
+    # a 2x2 matrix's Pfaffian is its entry, read as a 0-d array
+    return out[()] if isinstance(out, np.ndarray) and not out.ndim else out
 
 
 def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
@@ -183,17 +190,20 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 # float helpers
 # ---------------------------------------------------------------------------
 
-def kernel_basis_float(m: np.ndarray) -> np.ndarray:
+def kernel_basis_float(m: np.ndarray):
     """Orthonormal basis (rows) of the numerical kernel: right singular
     vectors whose singular values fall below KERNEL_RTOL * s_max.  A tall
     matrix (rows >= cols) takes the reduced SVD, whose V^T is already
     square; a wide one needs the full V^T, whose extra rows span most of
-    its kernel."""
+    its kernel.  A stack (n, rows, cols) takes one batched SVD and gives
+    the list of its matrices' bases, each cut at its own s_max: bit for
+    bit the bases of its matrices taken one at a time."""
     m = np.asarray(m, dtype=float)
-    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    if s.size == 0 or s[0] == 0.0:
-        return vt
-    ncols = vt.shape[1]
-    cutoff = KERNEL_RTOL * s[0]
-    small = [i for i in range(ncols) if i >= s.size or s[i] < cutoff]
-    return vt[small, :]
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
+    small = np.ones(vt.shape[:-1], bool)
+    small[..., :s.shape[-1]] = s < KERNEL_RTOL * s[..., :1]
+    if s.shape[-1]:
+        small[s[..., 0] == 0.0] = True  # the zero matrix: everything
+    if m.ndim == 2:
+        return vt[small]
+    return [v[k] for v, k in zip(vt, small)]

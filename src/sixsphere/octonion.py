@@ -477,6 +477,14 @@ def reject(o: Octonion, orthonormal_basis: Iterable[Octonion]) -> Octonion:
     return out
 
 
+def inner_rows(a: np.ndarray, b: np.ndarray):
+    """`Octonion.inner` of each row of a with its row of b, for (n, 8)
+    coordinates or numerators (a row of one broadcasts): the products summed
+    coordinate by coordinate from 0, in the order of Python's `sum`, so float
+    rows get its bits and exact numerators stay ints."""
+    return reduce(operator.add, (a[:, k] * b[:, k] for k in range(8)), 0)
+
+
 def residual(d: Octonion) -> float:
     """Largest absolute coordinate of d, as a float: int / int true division
     in exact mode, which rounds correctly."""
@@ -569,6 +577,10 @@ class Arithmetic:
         """Equality of two square matrices, FLOAT's within tol."""
         return self.equal(self.pair(a), self.pair(b), tol)
 
+    def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
+        """Equality of two (stacked) matrices (see `equal_each`)."""
+        return bool(self.equal_each(m1, m2, tol).all())
+
     def difference(self, m1, m2) -> np.ndarray:
         """The array of m1 - m2 times the product of their denominators, for
         (stacked) matrix pairs: the matrix of m1 - m2 up to a positive scale,
@@ -608,11 +620,8 @@ class _ExactArithmetic(Arithmetic):
         with its entries at the coordinates `basis`, 0 elsewhere.  EXACT
         eliminates a tall matrix M as M^T M, which has M's row space, hence
         the same reduced echelon form and the same basis."""
-        m = np.asarray(rows, dtype=object)
-        if m.shape[0] > m.shape[-1]:
-            m = m.T @ m
-        vs, d = linalg.kernel_basis(m)
-        return [_reduced(_placed(v, basis, 0), d) for v in vs]
+        (vs, d), = self.kernels([rows])
+        return [_reduced(_placed(v, basis, 0), d) for v in vs.tolist()]
 
     def ray(self, o: Octonion) -> Octonion:
         """The representative of the ray through o that results carry."""
@@ -643,10 +652,28 @@ class _ExactArithmetic(Arithmetic):
         num = self.difference(m1, m2)
         return float(np.max(np.abs(num / (m1[1] * m2[1]))))
 
-    def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
-        """Equality of two (stacked) matrices; FLOAT compares their distance
-        with tol."""
-        return bool((m1[0] * m2[1] == m2[0] * m1[1]).all())
+    def equal_each(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> np.ndarray:
+        """Equality of each matrix of two stacked pairs, a bool array over
+        the leading axes; FLOAT compares each one's distance with tol."""
+        return (m1[0] * m2[1] == m2[0] * m1[1]).all(axis=(-2, -1))
+
+    def kernels(self, stack) -> list:
+        """For each matrix of a stack (n, rows, cols), a basis of its right
+        kernel as a pair: a (k, cols) array of numerators over one
+        denominator (see `kernel`)."""
+        out = []
+        for m in np.asarray(stack, dtype=object):
+            if m.shape[0] > m.shape[1]:
+                m = m.T @ m
+            vs, d = linalg.kernel_basis(m)
+            out.append((np.array(vs, dtype=object).reshape(len(vs), m.shape[1]), d))
+        return out
+
+    def rays(self, pts):
+        """The representatives of the rays through the rows of a points
+        pair that results carry: the rows as they are; FLOAT normalizes
+        them, as `normalize` does one octonion."""
+        return pts
 
     def det(self, m):
         """The determinant of the one matrix of the pair m."""
@@ -671,14 +698,24 @@ class _FloatArithmetic(Arithmetic):
         return all(abs(a - b) <= tol for a, b in zip(_float_copy(x), _float_copy(y)))
 
     def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
-        return float(n) < tol_sq
+        return n < tol_sq
 
     def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
         return [_floats(_placed(v, basis, 0.0)) for v in
                 linalg.kernel_basis_float(rows).tolist()]
 
+    def kernels(self, stack) -> list:
+        return [(k, 1.0) for k in linalg.kernel_basis_float(stack)]
+
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)
+
+    def rays(self, pts):
+        # the norms as `normalize` takes them: Python's float ** 0.5 is
+        # libm's pow, which np.sqrt does not always match
+        v = pts[0]
+        norms = [n ** 0.5 for n in inner_rows(v, v).tolist()]
+        return v / np.array(norms).reshape(-1, 1), 1.0
 
     def points(self, os: Sequence[Octonion]):
         return np.array([_float_copy(o) for o in os]), 1.0
@@ -693,10 +730,14 @@ class _FloatArithmetic(Arithmetic):
         return m[0], m[1] * float(s)
 
     def distance(self, m1, m2) -> float:
-        return float(np.max(np.abs(m1[0] / m1[1] - m2[0] / m2[1])))
+        return float(self.distances(m1, m2).max())
 
-    def equal(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> bool:
-        return self.distance(m1, m2) <= tol
+    def distances(self, m1, m2) -> np.ndarray:
+        """`distance` for each matrix of two stacked pairs."""
+        return np.abs(m1[0] / m1[1] - m2[0] / m2[1]).max(axis=(-2, -1))
+
+    def equal_each(self, m1, m2, tol: float = FLOAT_EQ_TOL) -> np.ndarray:
+        return self.distances(m1, m2) <= tol
 
     def det(self, m):
         return float(np.linalg.det(m[0])) / m[1] ** len(m[0])
@@ -767,12 +808,12 @@ class SquareMatrix:
         the rows and columns idx when given: reduced to its form, not
         re-validated."""
         a, d = pair[0].reshape(pair[0].shape[-2:]), pair[1]
+        d = d.flat[0] if isinstance(d, np.ndarray) else d
         if idx is not None:
             a = a[np.ix_(idx, idx)]
         if not ctx.exact:
             a, d = a / d, 1.0
         else:
-            d = d.flat[0] if isinstance(d, np.ndarray) else d
             g = math.gcd(*a.flat, d)
             if g > 1:
                 a, d = a // g, d // g

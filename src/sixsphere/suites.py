@@ -21,8 +21,9 @@ from . import chern, cstruct, degree as deg, homotopy, twistor
 from .errors import (BadConfig, DegenerateInput, DegenerateX, SixSphereError,
                      UnknownSuite)
 from .frames import random_g2_matrix
-from .octonion import (CHECK_TOL, EXACT, SEPARATION_TOL, Octonion,
-                       SquareMatrix, arithmetic_of, batch_mul, residual)
+from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, SEPARATION_TOL,
+                       Octonion, SquareMatrix, arithmetic_of, batch_mul,
+                       residual)
 from .sampling import (random_imaginary_unit_float,
                        random_rational_circle_point,
                        random_rational_imaginary_unit,
@@ -124,12 +125,15 @@ class _Run:
 
     def fail(self, kind: str, **inputs) -> None:
         """Record one failure entry: `kind`, then each input, an octonion or
-        a matrix as its `to_strings()`, a Fraction as its string and
-        anything else as it is."""
+        a matrix as its `to_strings()` (a float matrix given as its array
+        written the same way), a Fraction as its string and anything else
+        as it is."""
         entry = {"kind": kind}
         for k, v in inputs.items():
             if isinstance(v, (Octonion, SquareMatrix)):
                 v = v.to_strings()
+            elif isinstance(v, np.ndarray):
+                v = [[str(x) for x in row] for row in v]
             elif isinstance(v, Fraction):
                 v = str(v)
             entry[k] = v
@@ -273,13 +277,10 @@ def _moufang_laws(x, y, z) -> Dict[str, np.ndarray]:
 
 @_suite("prop21", 100, "exact", "float")
 def _suite_prop21(run: _Run):
-    rng = run.rng
-    if run.mode == "float":  # both structures of every sample, in one draw
-        js = cstruct.random_structure_float(rng, 2 * run.samples)
-        for j1, j2 in run.each(zip(js[::2], js[1::2])):
-            run.attempt("sample-error",
-                        lambda: _prop21_float_checks(run, j1, j2), j1=j1, j2=j2)
+    if run.mode == "float":
+        _prop21_float(run)
         return
+    rng = run.rng
     for _ in run.each(range(run.samples)):
         x = random_rational_unit_octonion(rng)
         c, s = random_rational_circle_point(rng)
@@ -310,17 +311,63 @@ def _prop21_exact_checks(run: _Run, x, c, s, y):
         run.fail("block-decomposition", x=x, error=str(e))
 
 
-def _prop21_float_checks(run: _Run, j1, j2):
+def _prop21_float(run: _Run):
     """The common line of two float structures and the recovery of the
-    first."""
-    if j1 == j2:
-        return
-    line = cstruct.common_line(j1, j2)
-    u, ju = line.u, line.ju   # ju is j1 applied to u
-    r = max(residual(ju - j2.apply(u)), residual(j1.apply(ju) - j2.apply(ju)))
-    run.within("common-line", r, j1=j1, j2=j2)
-    jx = cstruct._recover(j1)[1]
-    run.within("float-recover", jx.distance(j1), j=j1)
+    first, for every sample at once: both structures of every sample come
+    from one certified draw, each kernel is one batched SVD over the
+    samples, and the residuals are measured row by row.  A structure that
+    fails certification, or a row's error in a stacked call, is its
+    sample's `sample-error`, and a library error that a stacked call raises
+    is the entry of each of its samples; identical structures are skipped."""
+    n = run.samples
+    a, drawn = cstruct.draw_structures(run.rng, 2 * n)
+    run.checked += n
+    a1, a2 = a[0::2], a[1::2]
+    bad = [drawn[2 * i] or drawn[2 * i + 1] for i in range(n)]
+    same = FLOAT.equal_each((a1, 1.0), (a2, 1.0), FLOAT_EQ_TOL)
+    rows = [i for i in range(n) if not bad[i] and not same[i]]
+    p1, p2 = (a1[rows], 1.0), (a2[rows], 1.0)
+    line, line_errors = _stacked(
+        lambda: cstruct.common_line_each(FLOAT, p1, p2), len(rows))
+    if line:
+        (u, _), (ju, _) = line
+
+        def image(p, v):
+            return cstruct.apply_each(FLOAT, p, (v, 1.0))[0]
+
+        line_r = np.maximum(np.abs(ju - image(p2, u)).max(-1),
+                            np.abs(image(p1, ju) - image(p2, ju)).max(-1))
+    rec, rec_errors = _stacked(lambda: cstruct.recover_each(FLOAT, p1),
+                               len(rows))
+    if rec:
+        rec_r = FLOAT.distances(rec[1], p1)
+    at = dict(zip(rows, range(len(rows))))
+    for i in range(n):
+        inputs = dict(j1=a1[i], j2=a2[i])
+        if bad[i]:
+            run.fail("sample-error", error=bad[i], **inputs)
+            continue
+        if i not in at:
+            continue
+        k = at[i]
+        if line_errors[k]:
+            run.fail("sample-error", error=str(line_errors[k]), **inputs)
+            continue
+        run.within("common-line", float(line_r[k]), **inputs)
+        if rec_errors[k]:
+            run.fail("sample-error", error=str(rec_errors[k]), **inputs)
+            continue
+        run.within("float-recover", float(rec_r[k]), j=a1[i])
+
+
+def _stacked(call: Callable, rows: int):
+    """call()'s results and its list of row errors; when it raises a library
+    error, None and that error for each of its rows."""
+    try:
+        *results, errors = call()
+    except SixSphereError as e:
+        return None, [e] * rows
+    return results, errors
 
 
 @_suite("lemma22", 1, "exact")

@@ -1,13 +1,22 @@
-"""Per-vector and per-term references the tests compare the package against:
-coordinates on the 6-plane of the structure matrices, and substitution in
-graded polynomials.  No command needs them, so they live with the tests."""
+"""Per-vector, per-matrix and per-term references the tests compare the
+package against: coordinates on the 6-plane of the structure matrices,
+J_x, recovery and common lines one structure at a time, float `prop21` one
+sample at a time, and substitution in graded polynomials.  No command needs
+them, so they live with the tests."""
 
 from typing import Dict, Sequence
 
+import numpy as np
+
+from sixsphere import suites
 from sixsphere.chern import GradedPoly
-from sixsphere.cstruct import R6_BASIS
-from sixsphere.errors import InvalidStructure
-from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of
+from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
+                               _e1_left_basis, _left_e1, standard_structure)
+from sixsphere.errors import (IdenticalStructures, InvalidStructure,
+                              NoCommonLine, NotUnit, RankError,
+                              VerificationFailed)
+from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
+from sixsphere.sampling import haar_orthogonal
 
 
 def embed6(v: Sequence) -> Octonion:
@@ -37,3 +46,75 @@ def substitute(p: GradedPoly, assignment: Dict[str, GradedPoly]) -> GradedPoly:
                 term = term * assignment.get(name, p.variable(name)) ** e
         out = out + term
     return out
+
+
+def j_from_octonion(x: Octonion) -> ComplexStructureR6:
+    """J_x = R_conj(x) L_e1 R_x / |x|^2 on R6_BASIS, built for one x."""
+    ctx = arithmetic_of(x)
+    n = x.norm_sq()
+    if ctx.zero_norm(n):
+        raise NotUnit("x must be nonzero")
+    r = ctx.right(ctx.points([x]))
+    m = ctx.product(ctx.transpose(r), _left_e1(ctx), r)
+    return ComplexStructureR6._trusted(ctx.scaled(m, n), ctx, R6_BASIS)
+
+
+def recover(j: ComplexStructureR6):
+    """(x, J_x) for one structure: the kernel of its 48x8 recovery system
+    through `Arithmetic.kernel`, as octonions."""
+    ctx = arithmetic_of(j)
+    a, d = j.m
+    jv = np.zeros((6, 8), a.dtype)
+    jv[:, R6_BASIS] = a.T
+    diff = ctx.difference(ctx.left((jv, d)), _e1_left_basis(ctx))
+    ker = ctx.kernel(diff.reshape(48, 8))
+    if len(ker) != 2:
+        raise RankError("solutions of J(v) x = e1 (v x) span dimension %d, "
+                        "expected 2" % len(ker))
+    k1, k2 = ker
+    y = k2.inner(ctx.e1) * k1 - k1.inner(ctx.e1) * k2
+    x = ctx.ray(k1 if ctx.zero_norm(y.norm_sq()) else y)
+    jx = j_from_octonion(x)
+    if not ctx.agree(jx, j, CHECK_TOL):
+        raise VerificationFailed("recovered x does not reproduce J")
+    return x, jx
+
+
+def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
+    """The common line of two structures, from the kernel of their
+    difference through `Arithmetic.kernel` and `SquareMatrix.apply`."""
+    if j1 == j2:
+        raise IdenticalStructures("every line is common to identical structures")
+    ctx = arithmetic_of(j1, j2)
+    ker = ctx.kernel(ctx.difference(ctx.pair(j1), ctx.pair(j2)), R6_BASIS)
+    if len(ker) == 0:
+        raise NoCommonLine("distinct orthogonal structures must share a line")
+    if len(ker) != 2:
+        raise RankError("agreement space has dimension %d, expected 2" % len(ker))
+    u = ctx.ray(ker[0])
+    return ComplexLine(u, j1.apply(u))
+
+
+def prop21_float(samples: int, seed: int, tol: float):
+    """Float `prop21` one sample at a time: (checked, failures, worst
+    residual).  The 2n structures come from the suite's batched Haar draw,
+    each through the validating constructor; each sample runs the
+    references above on its own two structures."""
+    run = suites._Run(samples, "float", seed, tol, None)
+    q = haar_orthogonal(run.rng, 6, 2 * samples)
+    std = standard_structure(exact=False).as_array()
+    js = [ComplexStructureR6(m) for m in q @ std @ q.swapaxes(-1, -2)]
+
+    def checks(j1, j2):
+        if j1 == j2:
+            return
+        line = common_line(j1, j2)
+        u, ju = line.u, line.ju
+        r = max(residual(ju - j2.apply(u)), residual(j1.apply(ju) - j2.apply(ju)))
+        run.within("common-line", r, j1=j1, j2=j2)
+        jx = recover(j1)[1]
+        run.within("float-recover", jx.distance(j1), j=j1)
+
+    for j1, j2 in run.each(zip(js[::2], js[1::2])):
+        run.attempt("sample-error", lambda: checks(j1, j2), j1=j1, j2=j2)
+    return run.checked, run.failures, run.worst

@@ -68,27 +68,25 @@ def test_suites_report_library_errors_and_raise_bugs(monkeypatch):
 def test_sample_errors_become_failure_entries(monkeypatch):
     # a library error inside one sample is that sample's failure entry, with
     # its inputs, and the other samples still run
-    def rank_error(j):
+    def rank_error(*args):
         raise RankError("solutions span dimension 0, expected 2")
 
-    def bug(j):
+    def bug(*args):
         raise TypeError("a bug in the code under test")
 
     inputs = {"exact": {"x", "cos", "sin", "y"}, "float": {"j1", "j2"}}
     for mode in ("exact", "float"):
         checked = suites.run_suite("prop21", samples=3, mode=mode, seed=1).checked
-        # exact samples recover through recover_x, float ones through
-        # _recover, which also returns the structure it checked
-        for name in ("recover_x", "_recover"):
-            monkeypatch.setattr(cstruct, name, rank_error)
+        # exact samples recover through recover_x, a stack of one, float
+        # ones through one stacked recovery of every sample
+        monkeypatch.setattr(cstruct, "recover_each", rank_error)
         rep = suites.run_suite("prop21", samples=3, mode=mode, seed=1)
         assert rep.checked == checked == 3
         assert [f["kind"] for f in rep.failures] == ["sample-error"] * 3
         for f in rep.failures:
             assert f["error"] == "solutions span dimension 0, expected 2"
             assert set(f) == {"kind", "error"} | inputs[mode]
-        for name in ("recover_x", "_recover"):
-            monkeypatch.setattr(cstruct, name, bug)
+        monkeypatch.setattr(cstruct, "recover_each", bug)
         with pytest.raises(TypeError):
             suites.run_suite("prop21", samples=1, mode=mode)
         monkeypatch.undo()

@@ -57,6 +57,12 @@ KEEP = {
     "chern.GradedPoly.__repr__": "output view",
     "homotopy.GroupExpr.__repr__": "output view",
     "cstruct.ComplexStructureR6.__repr__": "output view",
+    # single-structure API over the stacks that float prop21 runs
+    "cstruct.common_line": "public API: common_line_each on a stack of one",
+    "cstruct.random_structure_float":
+        "public sampler: draw_structures, raising a failed matrix's error",
+    "cstruct.ComplexStructureR6.orientation_sign":
+        "public method; `certify` reads the same Pfaffian sign on stacks",
     # entered while the modules are imported, before any command
     "octonion._cd_mul": "builds the multiplication table at import",
     "octonion._build_table": "builds the multiplication table at import",
