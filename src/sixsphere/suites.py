@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,15 +23,13 @@ from .errors import (BadConfig, DegenerateInput, DegenerateX, SixSphereError,
                      UnknownSuite)
 from .frames import random_g2_matrix
 from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, SEPARATION_TOL,
-                       Octonion, SquareMatrix, arithmetic_of, batch_mul,
-                       residual)
+                       Octonion, SquareMatrix, batch_mul, inner_rows)
 from .sampling import (random_imaginary_unit_float,
                        random_rational_circle_point,
                        random_rational_imaginary_unit,
                        random_rational_tangent,
                        random_rational_unit_octonion, random_so7_float,
-                       random_unit_octonion_float, random_unit_vector,
-                       rng_from_seed)
+                       random_unit_vector, rng_from_seed)
 
 
 @dataclass
@@ -73,12 +72,6 @@ class _Run:
             self.checked += 1
             yield item
 
-    def unit(self) -> Octonion:
-        """A random unit octonion in the run's mode."""
-        if self.mode == "exact":
-            return random_rational_unit_octonion(self.rng)
-        return random_unit_octonion_float(self.rng)
-
     def measure(self, r: float) -> None:
         """Keep r if it is the worst float residual so far."""
         self.worst = max(self.worst, r)
@@ -95,24 +88,22 @@ class _Run:
         rows = random_unit_vector(self.rng, 8, count)
         return rows, lambda i: Octonion(rows[i])
 
-    def zero(self, d: Octonion) -> bool:
-        """Whether the difference d is zero (within the tolerance in float
-        mode, after measuring its residual)."""
-        if self.mode == "float":
-            self.measure(residual(d))
-        return d.is_zero(self.tol)
-
-    def zeros(self, d: np.ndarray) -> np.ndarray:
-        """Which rows of the (n, 8) differences d are zero: every entry 0 in
-        exact mode; in float mode the largest within the tolerance, after
-        measuring the rows' residuals.  A float row that is not finite (a
-        product overflowed) raises `DegenerateInput`, as an overflowed float
-        octonion does."""
-        if self.mode == "exact":
-            return (d == 0).all(axis=-1)
+    def residuals(self, d: np.ndarray) -> np.ndarray:
+        """The largest absolute entry of each row of the float differences
+        d (..., 8).  A row that is not finite (a product overflowed) raises
+        `DegenerateInput`, as an overflowed float octonion does."""
         r = np.abs(d).max(axis=-1)
         if not np.isfinite(r).all():
             raise DegenerateInput("octonion coordinates must be finite")
+        return r
+
+    def zeros(self, d: np.ndarray) -> np.ndarray:
+        """Which rows of the differences d (..., 8) are zero: every entry 0
+        in exact mode; in float mode the largest within the tolerance, after
+        measuring the rows' residuals."""
+        if self.mode == "exact":
+            return (d == 0).all(axis=-1)
+        r = self.residuals(d)
         self.measure(float(r.max(initial=0.0)))
         return r <= self.tol
 
@@ -180,25 +171,18 @@ def _suite(name: str, samples: int, *modes: str):
 
 @_suite("octonion-axioms", 300, "exact", "float")
 def _suite_octonion_axioms(run: _Run):
-    for _ in run.each(range(run.samples)):
-        x, y = run.unit(), run.unit()
-        bad = []
-        nxy, nx_ny = (x * y).norm_sq(), x.norm_sq() * y.norm_sq()
-        run.measure(abs(float(nxy) - float(nx_ny)))
-        if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, run.tol):
-            bad.append("norm multiplicativity")
-        if not run.zero(x * (x * y) - (x * x) * y):
-            bad.append("left alternativity")
-        if not run.zero((y * x) * x - y * (x * x)):
-            bad.append("right alternativity")
-        if not run.zero((x * y).conjugate() - y.conjugate() * x.conjugate()):
-            bad.append("conjugation anti-automorphism")
-        if not run.zero(x * x.inverse() - Octonion.one()):
-            bad.append("inverse")
-        if not run.zero(x.conjugate() - (2 * x.inner(Octonion.one()) * Octonion.one() - x)):
-            bad.append("conjugation formula")
-        if bad:
-            run.fail("laws", x=x, y=y, laws=bad)
+    # every sample at once, as rows: sample i draws x, y in that order
+    n = run.samples
+    rows, unit = run.units(2 * n)
+    x, y = rows.reshape(n, 2, 8).swapaxes(0, 1)
+    run.checked += n
+    bad: List[list] = [[] for _ in range(n)]
+    for name, d in _axiom_laws(x, y, run.mode == "exact").items():
+        for i in np.flatnonzero(~run.zeros(d)):
+            bad[i].append(name)
+    for i, laws in enumerate(bad):
+        if laws:
+            run.fail("laws", x=unit(2 * i), y=unit(2 * i + 1), laws=laws)
 
     # associativity fails somewhere: scan the generated table for a witness
     run.checked += 1
@@ -208,14 +192,56 @@ def _suite_octonion_axioms(run: _Run):
         run.fail("non-associativity-witness", found=0)
 
     # two-generator (Artin) associativity on degree <= 4 words, smaller sweep
-    for _ in run.each(range(max(10, run.samples // 10))):
-        x, y = run.unit(), run.unit()
-        memo: dict = {}
-        for w in _words_up_to_4():
-            vals = _all_parenthesizations(w, (y, x), memo)
-            if any(not run.zero(v - vals[0]) for v in vals[1:]):
-                run.fail("laws", x=x, y=y, laws=["two-generator associativity"])
-                break
+    m = max(10, n // 10)
+    rows, unit = run.units(2 * m)
+    x, y = rows.reshape(m, 2, 8).swapaxes(0, 1)
+    run.checked += m
+    d = _artin_differences(x, y).swapaxes(0, 1)  # sample, bracketing, coords
+    if run.mode == "exact":
+        ok = (d == 0).all(axis=-1)
+    else:
+        # measured as one sample at a time measures it: each bracketing up
+        # to and including the sample's first failing one
+        r = run.residuals(d)
+        ok = r <= run.tol
+        first = np.where(ok.all(-1), ok.shape[-1], (~ok).argmax(-1))
+        run.measure(float(np.where(np.arange(ok.shape[-1]) <= first[:, None],
+                                   r, 0.0).max(initial=0.0)))
+    for i in np.flatnonzero(~ok.all(-1)):
+        run.fail("laws", x=unit(2 * i), y=unit(2 * i + 1),
+                 laws=["two-generator associativity"])
+
+
+#: the real unit 1 as a row of coordinates
+_ONE = np.eye(1, 8, dtype=int)[0]
+#: the signs of conjugation, coordinate by coordinate
+_CONJ = np.array([1] + [-1] * 7)
+
+
+def _axiom_laws(x, y, exact: bool) -> Dict[str, np.ndarray]:
+    """Law name -> left side minus right side, row by row, for (n, 8)
+    arrays of floats or of exact numerators (see `_moufang_laws`); norm
+    multiplicativity is an (n, 1) column.  The products take two stacked
+    `batch_mul` calls: those of x and y, then those with their results.
+    Float rows invert x as `Octonion.inverse` does, x-bar / |x|^2; exact
+    ones compare x x-bar with |x|^2 1, both over the square of x's
+    denominator."""
+    xc, yc = x * _CONJ, y * _CONJ
+    nx = inner_rows(x, x)[:, None]
+    xy, xx, yx, yc_xc, x_inv = batch_mul(
+        np.stack([x, x, y, yc, x]),
+        np.stack([y, x, x, xc, xc if exact else xc / nx]))
+    x_xy, xx_y, yx_x, y_xx = batch_mul(np.stack([x, xx, yx, y]),
+                                       np.stack([xy, y, x, xx]))
+    return {
+        "norm multiplicativity":
+            (inner_rows(xy, xy) - nx[:, 0] * inner_rows(y, y))[:, None],
+        "left alternativity": x_xy - xx_y,
+        "right alternativity": yx_x - y_xx,
+        "conjugation anti-automorphism": xy * _CONJ - yc_xc,
+        "inverse": x_inv - nx * _ONE if exact else x_inv - _ONE,
+        "conjugation formula": xc - (2 * x[:, :1] * _ONE - x),
+    }
 
 
 def _words_up_to_4():
@@ -225,19 +251,48 @@ def _words_up_to_4():
             for n in (2, 3, 4) for bits in range(2 ** n)]
 
 
-def _all_parenthesizations(word, letters, memo):
-    """The products of the letters spelt by word under every bracketing,
-    split point by split point.  Each sub-word's list is built once and
-    kept in memo, keyed by the word: the 28 words of `_words_up_to_4` then
-    take 100 products instead of 276."""
-    if len(word) == 1:
-        return [letters[word[0]]]
-    out = memo.get(word)
-    if out is None:
-        out = memo[word] = [l * r for cut in range(1, len(word))
-                            for l in _all_parenthesizations(word[:cut], letters, memo)
-                            for r in _all_parenthesizations(word[cut:], letters, memo)]
-    return out
+@cache
+def _bracketing_plan():
+    """The products of the two-generator check, level by level.  Operands
+    0 and 1 are the letters y and x; level L lists, for each word of length
+    L of `_words_up_to_4` in its order, the (left, right) operand indices of
+    each of its bracketings, split point by split point, and its products
+    are the next operands.  Each sub-word's bracketings are computed once,
+    in its own level: the 28 words take 4 + 16 + 80 = 100 products.
+    Returns the levels, as pairs of index arrays, and the operand indices
+    of each word's bracketings."""
+    at = {(0,): [0], (1,): [1]}  # word -> the operands of its bracketings
+    levels: List[Tuple[list, list]] = []
+    size = 2
+    for w in _words_up_to_4():
+        if len(levels) < len(w) - 1:
+            levels.append(([], []))
+        left, right = levels[-1]
+        at[w] = []
+        for cut in range(1, len(w)):
+            for a in at[w[:cut]]:
+                for b in at[w[cut:]]:
+                    left.append(a)
+                    right.append(b)
+                    at[w].append(size)
+                    size += 1
+    return ([(np.array(a), np.array(b)) for a, b in levels],
+            [at[w] for w in _words_up_to_4()])
+
+
+def _artin_differences(x, y) -> np.ndarray:
+    """Each bracketing of each word of `_words_up_to_4` in y and x minus the
+    word's first bracketing, for (m, 8) rows of floats or of exact
+    numerators: (72, m, 8), words in order and bracketings in the plan's
+    order, from one `batch_mul` per word length.  The bracketings of a word
+    multiply the same factors, so exact rows share a denominator."""
+    levels, words = _bracketing_plan()
+    vals = np.stack([y, x])
+    for a, b in levels:
+        vals = np.concatenate([vals, batch_mul(vals[a], vals[b])])
+    later = [k for ks in words for k in ks[1:]]
+    first = [ks[0] for ks in words for _ in ks[1:]]
+    return vals[later] - vals[first]
 
 
 @_suite("moufang", 300, "exact", "float")
@@ -395,16 +450,16 @@ def _suite_lemma22(run: _Run):
 @_suite("prop31", 300, "exact")
 def _suite_prop31(run: _Run):
     rng = run.rng
-    for n in run.each(range(run.samples)):
+    draws = []
+    for _ in range(run.samples):
         p = random_rational_imaginary_unit(rng)
         x = random_rational_unit_octonion(rng)
         c, s = random_rational_circle_point(rng)
-        v = random_rational_tangent(rng, p)
-        z = c * Octonion.one() + s * p
-        x2 = z * x
-        lhs = (p * (v * x2)) * x2.conjugate()
-        rhs = (p * (v * x)) * x.conjugate() * (x2.norm_sq() / x.norm_sq())
-        if not (lhs - rhs).is_zero():
+        draws.append((p, x, c, s, random_rational_tangent(rng, p)))
+    vector_ok = _prop31_vector_level(*zip(*draws)) if draws else []
+    for n in run.each(range(run.samples)):
+        p, x, c, s, v = draws[n]
+        if not vector_ok[n]:
             run.fail("vector-level", p=p, x=x, cos=c, sin=s, v=v)
         if n % 10 == 0:
             run.checked += 1
@@ -413,15 +468,58 @@ def _suite_prop31(run: _Run):
                 run.fail("structure-level", p=p, x=x, cos=c, sin=s)
 
 
+def _prop31_vector_level(p, x, c, s, v) -> np.ndarray:
+    """Whether (p(v x2)) conj(x2) = (p(v x)) conj(x) |x2|^2 / |x|^2 for
+    x2 = (c + s p) x, sample by sample, for the samples' octonions p, x, v
+    and Fractions c, s: on numerators, through 4 `batch_mul` calls that
+    stack the two sides, with |x2|^2 / |x|^2 cross-multiplied.  The two
+    sides multiply the same factors, so their denominators cancel."""
+    (pn, pd), (xn, _), (vn, _) = _points(p), _points(x), _points(v)
+    x2 = batch_mul(_real_plus_p(c, s, pn, pd)[0], xn)
+    both = np.stack([x2, xn])
+    lhs, rhs = batch_mul(batch_mul(pn, batch_mul(vn, both)), both * _CONJ)
+    return (lhs * inner_rows(xn, xn)[:, None]
+            == rhs * inner_rows(x2, x2)[:, None]).all(axis=-1)
+
+
+def _points(os):
+    """The numerators (n, 8) and the denominators (n, 1) of exact octonions,
+    object arrays of ints."""
+    v, d = EXACT.points(os)
+    return v.reshape(-1, 8), d.reshape(-1, 1)
+
+
+def _fractions(fs):
+    """The numerators and the denominators (n, 1) of Fractions, object
+    arrays of ints."""
+    return (np.array([f.numerator for f in fs], dtype=object).reshape(-1, 1),
+            np.array([f.denominator for f in fs], dtype=object).reshape(-1, 1))
+
+
+def _real_plus_p(a, b, pn, pd):
+    """a + b p for each sample's Fractions a, b and imaginary unit p, given
+    by its numerators pn (n, 8) over pd (n, 1): numerators (n, 8) over
+    denominators (n, 1), not reduced."""
+    (an, ad), (bn, bd) = _fractions(a), _fractions(b)
+    return an * bd * pd * _ONE + bn * ad * pn, ad * bd * pd
+
+
 @_suite("lemma34", 300, "exact")
 def _suite_lemma34(run: _Run):
-    for _ in run.each(range(run.samples)):
+    draws = []
+    for _ in range(run.samples):
         c2, s2 = random_rational_circle_point(run.rng)
-        p = random_rational_imaginary_unit(run.rng)
-        half = c2 * Octonion.one() + s2 * p
-        full = (c2 * c2 - s2 * s2) * Octonion.one() + (2 * c2 * s2) * p
-        if half * half != full:
-            run.fail("double-angle", cos_half=c2, sin_half=s2, p=p)
+        draws.append((c2, s2, random_rational_imaginary_unit(run.rng)))
+    c2, s2, p = zip(*draws) if draws else ((), (), ())
+    pn, pd = _points(p)
+    half, dh = _real_plus_p(c2, s2, pn, pd)
+    full, df = _real_plus_p([c * c - s * s for c, s in zip(c2, s2)],
+                            [2 * c * s for c, s in zip(c2, s2)], pn, pd)
+    # half * half = full, the denominators cross-multiplied
+    ok = (batch_mul(half, half) * df == full * dh * dh).all(axis=-1)
+    for i in np.flatnonzero(~ok):
+        run.fail("double-angle", cos_half=c2[i], sin_half=s2[i], p=p[i])
+    run.checked += run.samples
 
 
 @_suite("thm33-lift", 200, "exact")

@@ -1,14 +1,15 @@
 """Per-vector, per-matrix and per-term references the tests compare the
 package against: coordinates on the 6-plane of the structure matrices,
-J_x, recovery and common lines one structure at a time, float `prop21` one
-sample at a time, and substitution in graded polynomials.  No command needs
+J_x, recovery and common lines one structure at a time, float `prop21`,
+`octonion-axioms`, `prop31` and `lemma34` one sample at a time on scalar
+`Octonion`s, and substitution in graded polynomials.  No command needs
 them, so they live with the tests."""
 
 from typing import Dict, Sequence
 
 import numpy as np
 
-from sixsphere import suites
+from sixsphere import suites, twistor
 from sixsphere.chern import GradedPoly
 from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
                                _e1_left_basis, _left_e1, standard_structure)
@@ -16,7 +17,11 @@ from sixsphere.errors import (IdenticalStructures, InvalidStructure,
                               NoCommonLine, NotUnit, RankError,
                               VerificationFailed)
 from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
-from sixsphere.sampling import haar_orthogonal
+from sixsphere.sampling import (haar_orthogonal, random_rational_circle_point,
+                                random_rational_imaginary_unit,
+                                random_rational_tangent,
+                                random_rational_unit_octonion,
+                                random_unit_octonion_float)
 
 
 def embed6(v: Sequence) -> Octonion:
@@ -118,3 +123,110 @@ def prop21_float(samples: int, seed: int, tol: float):
     for j1, j2 in run.each(zip(js[::2], js[1::2])):
         run.attempt("sample-error", lambda: checks(j1, j2), j1=j1, j2=j2)
     return run.checked, run.failures, run.worst
+
+
+def all_parenthesizations(word, letters, memo):
+    """The products of the letters spelt by word under every bracketing,
+    split point by split point.  Each sub-word's list is built once and
+    kept in memo, keyed by the word: the 28 words of
+    `suites._words_up_to_4` then take 100 products instead of 276."""
+    if len(word) == 1:
+        return [letters[word[0]]]
+    out = memo.get(word)
+    if out is None:
+        out = memo[word] = [l * r for cut in range(1, len(word))
+                            for l in all_parenthesizations(word[:cut], letters, memo)
+                            for r in all_parenthesizations(word[cut:], letters, memo)]
+    return out
+
+
+def octonion_axioms(samples: int, mode: str, seed: int, tol: float):
+    """`octonion-axioms` one sample at a time on scalar `Octonion`s:
+    (checked, failures, worst residual, None in exact mode).  Each float
+    difference is measured as it is tested, and a sample's two-generator
+    check stops at its first failing bracketing."""
+    run = suites._Run(samples, mode, seed, tol, None)
+
+    def unit():
+        if mode == "exact":
+            return random_rational_unit_octonion(run.rng)
+        return random_unit_octonion_float(run.rng)
+
+    def zero(d):
+        if mode == "float":
+            run.measure(residual(d))
+        return d.is_zero(tol)
+
+    for _ in run.each(range(samples)):
+        x, y = unit(), unit()
+        bad = []
+        nxy, nx_ny = (x * y).norm_sq(), x.norm_sq() * y.norm_sq()
+        run.measure(abs(float(nxy) - float(nx_ny)))
+        if not arithmetic_of(x, y).scalar_eq(nxy, nx_ny, tol):
+            bad.append("norm multiplicativity")
+        if not zero(x * (x * y) - (x * x) * y):
+            bad.append("left alternativity")
+        if not zero((y * x) * x - y * (x * x)):
+            bad.append("right alternativity")
+        if not zero((x * y).conjugate() - y.conjugate() * x.conjugate()):
+            bad.append("conjugation anti-automorphism")
+        if not zero(x * x.inverse() - Octonion.one()):
+            bad.append("inverse")
+        if not zero(x.conjugate() - (2 * x.inner(Octonion.one()) * Octonion.one() - x)):
+            bad.append("conjugation formula")
+        if bad:
+            run.fail("laws", x=x, y=y, laws=bad)
+
+    run.checked += 1
+    if not any((Octonion.basis(i) * Octonion.basis(j)) * Octonion.basis(k)
+               != Octonion.basis(i) * (Octonion.basis(j) * Octonion.basis(k))
+               for i in range(1, 8) for j in range(1, 8) for k in range(1, 8)):
+        run.fail("non-associativity-witness", found=0)
+
+    for _ in run.each(range(max(10, samples // 10))):
+        x, y = unit(), unit()
+        memo: dict = {}
+        for w in suites._words_up_to_4():
+            vals = all_parenthesizations(w, (y, x), memo)
+            if any(not zero(v - vals[0]) for v in vals[1:]):
+                run.fail("laws", x=x, y=y, laws=["two-generator associativity"])
+                break
+    return run.checked, run.failures, run.worst if mode == "float" else None
+
+
+def prop31(samples: int, seed: int):
+    """`prop31` one sample at a time on scalar `Octonion`s: (checked,
+    failures)."""
+    run = suites._Run(samples, "exact", seed, 0.0, None)
+    rng = run.rng
+    for n in run.each(range(samples)):
+        p = random_rational_imaginary_unit(rng)
+        x = random_rational_unit_octonion(rng)
+        c, s = random_rational_circle_point(rng)
+        v = random_rational_tangent(rng, p)
+        z = c * Octonion.one() + s * p
+        x2 = z * x
+        lhs = (p * (v * x2)) * x2.conjugate()
+        rhs = (p * (v * x)) * x.conjugate() * (x2.norm_sq() / x.norm_sq())
+        if not (lhs - rhs).is_zero():
+            run.fail("vector-level", p=p, x=x, cos=c, sin=s, v=v)
+        if n % 10 == 0:
+            run.checked += 1
+            t0 = twistor.TwistorPoint(p, x)
+            if twistor.twistor_evaluate(t0) != twistor.twistor_evaluate(t0.phase_shift(c, s)):
+                run.fail("structure-level", p=p, x=x, cos=c, sin=s)
+    return run.checked, run.failures
+
+
+def lemma34(samples: int, seed: int):
+    """`lemma34` one sample at a time on scalar `Octonion`s: (checked,
+    failures)."""
+    run = suites._Run(samples, "exact", seed, 0.0, None)
+    for _ in run.each(range(samples)):
+        c2, s2 = random_rational_circle_point(run.rng)
+        p = random_rational_imaginary_unit(run.rng)
+        half = c2 * Octonion.one() + s2 * p
+        full = (c2 * c2 - s2 * s2) * Octonion.one() + (2 * c2 * s2) * p
+        if half * half != full:
+            run.fail("double-angle", cos_half=c2, sin_half=s2, p=p)
+    return run.checked, run.failures

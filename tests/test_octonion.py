@@ -10,8 +10,8 @@ import pytest
 from sixsphere import suites
 from sixsphere.errors import DegenerateInput, ZeroDivisor
 from sixsphere.frames import random_g2_frame
-from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
-                                arithmetic_of, batch_mul, left_mult_matrix,
+from sixsphere.octonion import (CHECK_TOL, EXACT, MUL_INDEX, MUL_SIGN,
+                                Octonion, arithmetic_of, batch_mul, left_mult_matrix,
                                 left_mult_matrix_exact, normalize, reject,
                                 right_mult_matrix)
 from sixsphere.sampling import (random_rational_circle_point,
@@ -111,9 +111,9 @@ def _bracketings(word):
 
 
 def test_artin_words_build_each_sub_product_once(rng):
-    # the two-generator check of the octonion-axioms suite: over its 28 words
-    # the memo takes 100 products, not 276, and lists the same bracketings
-    # in the same order as the recursion without it
+    # the two-generator check of the octonion-axioms suite: over its 28
+    # words the plan takes 100 products, not 276, one level per word length,
+    # and lists the same bracketings in the same order as the recursion
     products = []
 
     class Term(str):
@@ -123,19 +123,32 @@ def test_artin_words_build_each_sub_product_once(rng):
 
     words = suites._words_up_to_4()
     assert len(words) == len(set(words)) == 28
+    levels, at = suites._bracketing_plan()
+    assert [len(a) for a, _ in levels] == [4, 16, 80]
     letters = (Term("y"), Term("x"))
-    memo: dict = {}
-    got = [suites._all_parenthesizations(w, letters, memo) for w in words]
+    vals = list(letters)
+    for a, b in levels:
+        vals += [vals[i] * vals[j] for i, j in zip(a, b)]
     assert len(products) == 100
+    got = [[vals[k] for k in ks] for ks in at]
     want = [_bracketings([letters[i] for i in w]) for w in words]
     assert len(products) == 100 + 276
     assert got == want
-    x = random_rational_unit_octonion(rng)
-    y = random_rational_unit_octonion(rng)
-    memo = {}
+    assert sum(len(ks) - 1 for ks in at) == 72
+    # on octonions: each difference row is the scalar bracketing's minus
+    # its word's first, bit for bit in floats and zero in exact numerators
+    x, y = (rng.standard_normal((3, 8)) for _ in range(2))
+    d = suites._artin_differences(x, y)
+    rows = iter(d.swapaxes(0, 1)[1])
     for w in words:
-        assert suites._all_parenthesizations(w, (y, x), memo) == \
-            _bracketings([(y, x)[i] for i in w])
+        first, *rest = _bracketings([(Octonion(y[1]), Octonion(x[1]))[i]
+                                     for i in w])
+        for v in rest:
+            assert next(rows).tobytes() == np.array((v - first).numerators).tobytes()
+    xs = [random_rational_unit_octonion(rng) for _ in range(4)]
+    pts = EXACT.points(xs)[0].reshape(4, 8)
+    d = suites._artin_differences(pts[:2], pts[2:])
+    assert d.shape == (72, 2, 8) and not d.any()
 
 
 def test_conjugation_antiautomorphism(rng):

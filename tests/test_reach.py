@@ -31,6 +31,9 @@ KEEP = {
     "linalg._dot": "the inner product of mat_mul and mat_vec",
     "linalg.mat_vec": "frames.apply_matrix applies rows through it",
     "sampling.random_rational_vector": "traced by bench/layers.py",
+    "sampling.random_unit_octonion_float":
+        "traced by bench/layers.py; the float suites draw rows of "
+        "random_unit_vector with its bits",
     "sampling.rational_sphere_point":
         "traced by bench/layers.py; reference of the integer draws",
     "sampling.rational_unit_octonion":
@@ -47,6 +50,8 @@ KEEP = {
         "makes failure entries, so runs only on a failure; "
         "tests/test_suite_failures.py makes every suite that can fail run it",
     "octonion.Octonion.__neg__": "operator of the public value type",
+    "octonion.Octonion.inverse":
+        "method of the public value type; the axiom rows invert as it does",
     "octonion.Octonion.from_strings": "reads back the payloads reports write",
     "octonion.Octonion.__repr__": "output view",
     "octonion.SquareMatrix.rows": "output view of the pair",

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sixsphere import octonion, sampling, suites
+from sixsphere import sampling, suites
 from sixsphere.cstruct import ComplexStructureR6
 from sixsphere.errors import DegenerateInput
 from sixsphere.octonion import EXACT, Octonion, residual
@@ -45,15 +45,6 @@ def _read_back(entry):
         elif key in ("cos", "sin", "cos_half", "sin_half"):
             out[key] = Fraction(value)
     return out
-
-
-@pytest.fixture
-def bent_table(monkeypatch):
-    sign = [row[:] for row in octonion.MUL_SIGN]
-    sign[3][5] = -sign[3][5]
-    sign[5][3] = -sign[5][3]
-    monkeypatch.setattr(octonion, "MUL_SIGN", sign)
-    monkeypatch.setattr(octonion, "_product", octonion._compile_product())
 
 
 @pytest.mark.parametrize("name, kinds", [
