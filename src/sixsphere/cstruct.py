@@ -262,18 +262,13 @@ def apply_each(ctx: Arithmetic, pair, pts):
     return out, d * e
 
 
-def _planes(kernels: list, error: Callable, like: np.ndarray):
-    """The kernels of the stacked matrices `like`, each a plane, as one
-    points pair: bases (n, 2, cols) over denominators (n, 1).  A kernel of
-    another dimension is error(dimension) in the list of errors, and its
-    row computes on the first two unit vectors in its place."""
-    cols = like.shape[-1]
-    unit = (np.eye(2, cols, dtype=like.dtype), 1)
-    errors = [None if len(k) == 2 else error(len(k)) for k, _ in kernels]
-    planes = [kd if e is None else unit for kd, e in zip(kernels, errors)]
-    k = np.array([b for b, _ in planes], like.dtype).reshape(-1, 2, cols)
-    d = np.array([d for _, d in planes], like.dtype).reshape(-1, 1)
-    return (k, d), errors
+def _planes(ctx: Arithmetic, stack: np.ndarray, error: Callable):
+    """The kernels of the stacked matrices, each a plane, as one points
+    pair (see `Arithmetic.planes`), and the list of errors: error(dimension)
+    for a kernel of another dimension, whose row computes on the first two
+    unit vectors in its place."""
+    pair, dims = ctx.planes(stack)
+    return pair, [None if d == 2 else error(d) for d in dims.tolist()]
 
 
 def recover_each(ctx: Arithmetic, pair):
@@ -287,9 +282,8 @@ def recover_each(ctx: Arithmetic, pair):
     jv[..., R6_BASIS] = a.swapaxes(-1, -2)     # the numerators of J v
     diff = ctx.difference(ctx.left((jv, d)), _e1_left_basis(ctx))
     diff = diff.reshape(n, 48, 8)
-    (k, dk), errors = _planes(ctx.kernels(diff), lambda dim: RankError(
-        "solutions of J(v) x = e1 (v x) span dimension %d, expected 2" % dim),
-        diff)
+    (k, dk), errors = _planes(ctx, diff, lambda dim: RankError(
+        "solutions of J(v) x = e1 (v x) span dimension %d, expected 2" % dim))
     k1, k2 = k[:, 0], k[:, 1]
     e1 = ctx.points([ctx.e1])[0]
     y = inner_rows(k2, e1)[:, None] * k1 - inner_rows(k1, e1)[:, None] * k2
@@ -307,10 +301,9 @@ def common_line_each(ctx: Arithmetic, p1, p2):
     points pairs of u and J1 u, and the errors (identical structures, a
     kernel of the difference that is not a plane)."""
     diff = ctx.difference(p1, p2)
-    (k, dk), errors = _planes(ctx.kernels(diff), lambda dim: NoCommonLine(
+    (k, dk), errors = _planes(ctx, diff, lambda dim: NoCommonLine(
         "distinct orthogonal structures must share a line") if dim == 0
-        else RankError("agreement space has dimension %d, expected 2" % dim),
-        diff)
+        else RankError("agreement space has dimension %d, expected 2" % dim))
     for i in np.flatnonzero(ctx.equal_each(p1, p2, FLOAT_EQ_TOL)):
         errors[i] = IdenticalStructures(
             "every line is common to identical structures")

@@ -190,6 +190,18 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 # float helpers
 # ---------------------------------------------------------------------------
 
+def _kernel_rows(m: np.ndarray):
+    """The V^T of the SVD of m, or of each matrix of a stack, and the mask
+    of its rows that span the numerical kernel (see `kernel_basis_float`)."""
+    m = np.asarray(m, dtype=float)
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
+    small = np.ones(vt.shape[:-1], bool)
+    small[..., :s.shape[-1]] = s < KERNEL_RTOL * s[..., :1]
+    if s.shape[-1]:
+        small[s[..., 0] == 0.0] = True  # the zero matrix: everything
+    return vt, small
+
+
 def kernel_basis_float(m: np.ndarray):
     """Orthonormal basis (rows) of the numerical kernel: right singular
     vectors whose singular values fall below KERNEL_RTOL * s_max.  A tall
@@ -198,12 +210,24 @@ def kernel_basis_float(m: np.ndarray):
     its kernel.  A stack (n, rows, cols) takes one batched SVD and gives
     the list of its matrices' bases, each cut at its own s_max: bit for
     bit the bases of its matrices taken one at a time."""
-    m = np.asarray(m, dtype=float)
-    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
-    small = np.ones(vt.shape[:-1], bool)
-    small[..., :s.shape[-1]] = s < KERNEL_RTOL * s[..., :1]
-    if s.shape[-1]:
-        small[s[..., 0] == 0.0] = True  # the zero matrix: everything
-    if m.ndim == 2:
+    vt, small = _kernel_rows(m)
+    if vt.ndim == 2:
         return vt[small]
     return [v[k] for v, k in zip(vt, small)]
+
+
+def kernel_planes_float(m: np.ndarray):
+    """The kernels of a stack (n, rows, cols) as planes: one (n, 2, cols)
+    array of bases, taken from the batched SVD in one index when every
+    kernel is a plane, and the dimension of each kernel.  A matrix whose kernel is not a plane has the
+    first two unit vectors in its place.  Each plane is the basis that
+    `kernel_basis_float` gives, bit for bit."""
+    vt, small = _kernel_rows(m)
+    n, cols = len(vt), vt.shape[-1]
+    dims = small.sum(axis=-1)
+    ok = dims == 2
+    if ok.all():
+        return vt[small].reshape(n, 2, cols), dims
+    planes = np.broadcast_to(np.eye(2, cols), (n, 2, cols)).copy()
+    planes[ok] = vt[ok][small[ok]].reshape(-1, 2, cols)
+    return planes, dims

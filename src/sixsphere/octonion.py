@@ -669,6 +669,19 @@ class _ExactArithmetic(Arithmetic):
             out.append((np.array(vs, dtype=object).reshape(len(vs), m.shape[1]), d))
         return out
 
+    def planes(self, stack):
+        """For each matrix of a stack (n, rows, cols), its right kernel as
+        a plane: one points pair of bases (n, 2, cols) over denominators
+        (n, 1), and the dimension of each kernel.  A matrix whose kernel is
+        not a plane has the first two unit vectors over 1 in its place."""
+        kernels = self.kernels(stack)
+        cols = np.shape(stack)[-1]
+        unit = (np.eye(2, cols, dtype=object), 1)
+        planes = [kd if len(kd[0]) == 2 else unit for kd in kernels]
+        return ((np.array([b for b, _ in planes], dtype=object).reshape(-1, 2, cols),
+                 np.array([d for _, d in planes], dtype=object).reshape(-1, 1)),
+                np.array([len(k) for k, _ in kernels], dtype=int))
+
     def rays(self, pts):
         """The representatives of the rays through the rows of a points
         pair that results carry: the rows as they are; FLOAT normalizes
@@ -704,8 +717,9 @@ class _FloatArithmetic(Arithmetic):
         return [_floats(_placed(v, basis, 0.0)) for v in
                 linalg.kernel_basis_float(rows).tolist()]
 
-    def kernels(self, stack) -> list:
-        return [(k, 1.0) for k in linalg.kernel_basis_float(stack)]
+    def planes(self, stack):
+        k, dims = linalg.kernel_planes_float(stack)
+        return (k, np.ones((len(k), 1))), dims
 
     def ray(self, o: Octonion) -> Octonion:
         return normalize(o)

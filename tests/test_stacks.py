@@ -104,6 +104,29 @@ def test_stacked_kernels_match_each_matrix():
     assert linalg.kernel_basis_float(np.zeros((0, 48, 8))) == []
 
 
+def test_stacked_planes_are_the_kernels_that_are_planes():
+    rng = np.random.default_rng(5)
+    for shape in [(7, 48, 8), (7, 6, 6), (5, 6, 8)]:
+        m = rng.standard_normal(shape)
+        m[:, :, -2:] = 0.0       # a kernel of dimension 2 at least
+        m[0] = 0.0               # the zero matrix: its whole V^T
+        m[1, :, -3] = 0.0        # a kernel of dimension 3
+        planes, dims = linalg.kernel_planes_float(m)
+        assert planes.shape == (len(m), 2, shape[-1])
+        for plane, dim, one in zip(planes, dims, m):
+            want = linalg.kernel_basis_float(one)
+            assert dim == len(want)
+            if dim != 2:
+                want = np.eye(2, shape[-1])
+            assert plane.tobytes() == want.tobytes()
+        assert 2 in dims.tolist() and dims[0] == shape[-1] and dims[1] == 3
+        # every kernel a plane: the same bases, from one index
+        rest, rest_dims = linalg.kernel_planes_float(m[2:])
+        assert (rest_dims == 2).all() and rest.tobytes() == planes[2:].tobytes()
+    planes, dims = linalg.kernel_planes_float(np.zeros((0, 48, 8)))
+    assert planes.shape == (0, 2, 8) and dims.shape == (0,)
+
+
 def test_stacked_pfaffian_matches_each_matrix():
     m, _ = cstruct.draw_structures(rng_from_seed(6), 9)
     pf = linalg.pfaffian(m)
