@@ -88,22 +88,17 @@ class _Run:
         rows = random_unit_vector(self.rng, 8, count)
         return rows, lambda i: Octonion(rows[i])
 
-    def residuals(self, d: np.ndarray) -> np.ndarray:
-        """The largest absolute entry of each row of the float differences
-        d (..., 8).  A row that is not finite (a product overflowed) raises
-        `DegenerateInput`, as an overflowed float octonion does."""
-        r = np.abs(d).max(axis=-1)
-        if not np.isfinite(r).all():
-            raise DegenerateInput("octonion coordinates must be finite")
-        return r
-
     def zeros(self, d: np.ndarray) -> np.ndarray:
         """Which rows of the differences d (..., 8) are zero: every entry 0
         in exact mode; in float mode the largest within the tolerance, after
-        measuring the rows' residuals."""
+        measuring the rows' residuals.  A float row that is not finite (a
+        product overflowed) raises `DegenerateInput`, as an overflowed float
+        octonion does."""
         if self.mode == "exact":
             return (d == 0).all(axis=-1)
-        r = self.residuals(d)
+        r = np.abs(d).max(axis=-1)
+        if not np.isfinite(r).all():
+            raise DegenerateInput("octonion coordinates must be finite")
         self.measure(float(r.max(initial=0.0)))
         return r <= self.tol
 
@@ -197,17 +192,7 @@ def _suite_octonion_axioms(run: _Run):
     x, y = rows.reshape(m, 2, 8).swapaxes(0, 1)
     run.checked += m
     d = _artin_differences(x, y).swapaxes(0, 1)  # sample, bracketing, coords
-    if run.mode == "exact":
-        ok = (d == 0).all(axis=-1)
-    else:
-        # measured as one sample at a time measures it: each bracketing up
-        # to and including the sample's first failing one
-        r = run.residuals(d)
-        ok = r <= run.tol
-        first = np.where(ok.all(-1), ok.shape[-1], (~ok).argmax(-1))
-        run.measure(float(np.where(np.arange(ok.shape[-1]) <= first[:, None],
-                                   r, 0.0).max(initial=0.0)))
-    for i in np.flatnonzero(~ok.all(-1)):
+    for i in np.flatnonzero(~run.zeros(d).all(axis=-1)):
         run.fail("laws", x=unit(2 * i), y=unit(2 * i + 1),
                  laws=["two-generator associativity"])
 

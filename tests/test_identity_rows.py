@@ -48,6 +48,19 @@ def test_axioms_report_as_the_scalar_loop(seed, samples, mode, tol):
         assert rep.failures  # rounding alone exceeds a tolerance of 0
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_float_axioms_residual_does_not_depend_on_the_tolerance(seed):
+    # every bracketing is measured, failing or not: only the entries move
+    at = {tol: suites.run_suite("octonion-axioms", mode="float", seed=seed,
+                                tolerance=tol) for tol in (CHECK_TOL, 0.0)}
+    assert at[CHECK_TOL].ok and not at[0.0].ok
+    assert _bits(at[0.0].max_residual) == _bits(at[CHECK_TOL].max_residual)
+    for samples in (1, 3):
+        assert len({_bits(suites.run_suite(
+            "octonion-axioms", samples=samples, mode="float", seed=seed,
+            tolerance=tol).max_residual) for tol in (CHECK_TOL, 1e-16, 0.0)}) == 1
+
+
 @pytest.mark.parametrize("name, reference", [("prop31", references.prop31),
                                              ("lemma34", references.lemma34)])
 @pytest.mark.parametrize("samples", SAMPLES)
