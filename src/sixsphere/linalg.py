@@ -218,16 +218,13 @@ def kernel_basis_float(m: np.ndarray):
 
 def kernel_planes_float(m: np.ndarray):
     """The kernels of a stack (n, rows, cols) as planes: one (n, 2, cols)
-    array of bases, taken from the batched SVD in one index when every
-    kernel is a plane, and the dimension of each kernel.  A matrix whose kernel is not a plane has the
-    first two unit vectors in its place.  Each plane is the basis that
-    `kernel_basis_float` gives, bit for bit."""
+    array of bases and the dimension of each kernel.  The singular values
+    fall in descending order, so a kernel is the last rows of its V^T and a
+    plane its last two, the basis `kernel_basis_float` gives, bit for bit.
+    A matrix whose kernel is not a plane has the first two unit vectors in
+    its place."""
     vt, small = _kernel_rows(m)
-    n, cols = len(vt), vt.shape[-1]
     dims = small.sum(axis=-1)
-    ok = dims == 2
-    if ok.all():
-        return vt[small].reshape(n, 2, cols), dims
-    planes = np.broadcast_to(np.eye(2, cols), (n, 2, cols)).copy()
-    planes[ok] = vt[ok][small[ok]].reshape(-1, 2, cols)
+    planes = np.where((dims == 2)[:, None, None], vt[:, -2:],
+                      np.eye(2, vt.shape[-1]))
     return planes, dims

@@ -678,9 +678,9 @@ class _ExactArithmetic(Arithmetic):
         cols = np.shape(stack)[-1]
         unit = (np.eye(2, cols, dtype=object), 1)
         planes = [kd if len(kd[0]) == 2 else unit for kd in kernels]
-        return ((np.array([b for b, _ in planes], dtype=object).reshape(-1, 2, cols),
-                 np.array([d for _, d in planes], dtype=object).reshape(-1, 1)),
-                np.array([len(k) for k, _ in kernels], dtype=int))
+        k = np.array([b for b, _ in planes], dtype=object).reshape(-1, 2, cols)
+        d = np.array([d for _, d in planes], dtype=object).reshape(-1, 1)
+        return (k, d), np.array([len(k) for k, _ in kernels], dtype=int)
 
     def rays(self, pts):
         """The representatives of the rays through the rows of a points

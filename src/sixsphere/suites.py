@@ -261,8 +261,8 @@ def _bracketing_plan():
                     right.append(b)
                     at[w].append(size)
                     size += 1
-    return ([(np.array(a), np.array(b)) for a, b in levels],
-            [at[w] for w in _words_up_to_4()])
+    return (tuple((np.array(a), np.array(b)) for a, b in levels),
+            tuple(tuple(at[w]) for w in _words_up_to_4()))
 
 
 def _artin_differences(x, y) -> np.ndarray:

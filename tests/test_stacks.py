@@ -120,7 +120,7 @@ def test_stacked_planes_are_the_kernels_that_are_planes():
                 want = np.eye(2, shape[-1])
             assert plane.tobytes() == want.tobytes()
         assert 2 in dims.tolist() and dims[0] == shape[-1] and dims[1] == 3
-        # every kernel a plane: the same bases, from one index
+        # a stack of planes only: the same bases
         rest, rest_dims = linalg.kernel_planes_float(m[2:])
         assert (rest_dims == 2).all() and rest.tobytes() == planes[2:].tobytes()
     planes, dims = linalg.kernel_planes_float(np.zeros((0, 48, 8)))
