@@ -172,7 +172,7 @@ def _suite_octonion_axioms(run: _Run):
     x, y = rows.reshape(n, 2, 8).swapaxes(0, 1)
     run.checked += n
     bad: List[list] = [[] for _ in range(n)]
-    for name, d in _axiom_laws(x, y, run.mode == "exact").items():
+    for name, d in _axiom_laws(x, y).items():
         for i in np.flatnonzero(~run.zeros(d)):
             bad[i].append(name)
     for i, laws in enumerate(bad):
@@ -203,14 +203,15 @@ _ONE = np.eye(1, 8, dtype=int)[0]
 _CONJ = np.array([1] + [-1] * 7)
 
 
-def _axiom_laws(x, y, exact: bool) -> Dict[str, np.ndarray]:
+def _axiom_laws(x, y) -> Dict[str, np.ndarray]:
     """Law name -> left side minus right side, row by row, for (n, 8)
     arrays of floats or of exact numerators (see `_moufang_laws`); norm
     multiplicativity is an (n, 1) column.  The products take two stacked
     `batch_mul` calls: those of x and y, then those with their results.
     Float rows invert x as `Octonion.inverse` does, x-bar / |x|^2; exact
-    ones compare x x-bar with |x|^2 1, both over the square of x's
-    denominator."""
+    ones (an object array) compare x x-bar with |x|^2 1, both over the
+    square of x's denominator."""
+    exact = x.dtype == object
     xc, yc = x * _CONJ, y * _CONJ
     nx = inner_rows(x, x)[:, None]
     xy, xx, yx, yc_xc, x_inv = batch_mul(

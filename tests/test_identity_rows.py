@@ -42,8 +42,10 @@ def test_axioms_report_as_the_scalar_loop(seed, samples, mode, tol):
     assert rep.checked == checked == n + 1 + max(10, n // 10)
     # inputs as strings, residuals as floats: == on them is bit for bit
     assert rep.failures == failures
-    assert _bits(rep.max_residual) == _bits(worst) if mode == "float" \
-        else rep.max_residual is None is worst
+    if mode == "float":
+        assert _bits(rep.max_residual) == _bits(worst)
+    else:
+        assert rep.max_residual is None and worst is None
     if mode == "float" and not tol:
         assert rep.failures  # rounding alone exceeds a tolerance of 0
 
@@ -89,7 +91,7 @@ def test_law_rows_equal_the_scalar_laws(seed):
     # float rows: every coordinate of every difference, bit for bit
     rng = sampling.rng_from_seed(seed)
     x, y = sampling.random_unit_vector(rng, 8, 2 * 20).reshape(20, 2, 8).swapaxes(0, 1)
-    rows = suites._axiom_laws(x, y, exact=False)
+    rows = suites._axiom_laws(x, y)
     assert list(rows) == ["norm multiplicativity", *LAWS]
     for i in range(20):
         xi, yi = Octonion(x[i]), Octonion(y[i])
@@ -100,7 +102,7 @@ def test_law_rows_equal_the_scalar_laws(seed):
     # exact rows: numerators that are all 0, as the scalar differences are
     os = [sampling.random_rational_unit_octonion(rng) for _ in range(2 * 20)]
     x, y = EXACT.points(os)[0].reshape(20, 2, 8).swapaxes(0, 1)
-    for name, d in suites._axiom_laws(x, y, exact=True).items():
+    for name, d in suites._axiom_laws(x, y).items():
         assert not d.any()
     assert all(residual(law(*os[2 * i:2 * i + 2])) == 0
                for law in LAWS.values() for i in range(20))
