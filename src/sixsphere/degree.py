@@ -5,7 +5,10 @@ The engine counts signed preimages of a regular target value:
   * sample a target q on the seven-sphere,
   * run damped Newton from a low-discrepancy lattice of starts in
     stereographic charts (both the domain and the chart of the target are
-    stereographic, the target chart centred at q),
+    stereographic, the target chart centred at q); in a run whose
+    Jacobians are rank-deficient (a map of lower-dimensional image), a start
+    whose residual stays above NO_ROOT_FLOOR and stops improving leaves the
+    batch (the plateau stop, PLATEAU_RTOL and PLATEAU_ITER),
   * deduplicate the converged preimages, discard the target if any preimage
     is near-critical or two independent start batches disagree on the count,
   * sum the signs of the Jacobian determinants between the oriented
@@ -271,6 +274,11 @@ CRITICAL_DET = 1e-8
 MAX_RESAMPLE = 5
 #: a residual below this with no converged start is not trusted as "no root"
 NO_ROOT_FLOOR = 1e-4
+#: in a run with rank-deficient Jacobians, a row above NO_ROOT_FLOOR leaves
+#: once its residual has not fallen below (1 - PLATEAU_RTOL) times its best
+#: for PLATEAU_ITER consecutive iterations
+PLATEAU_RTOL = 1e-12
+PLATEAU_ITER = 5
 #: damping of the least-squares Newton step, relative to |J|_F^2
 LSQ_DAMPING = 1e-9
 #: random points on which `degree_on_rp7` checks that a map is odd
@@ -398,11 +406,15 @@ class _Charted:
     def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
         """Newton from each start; returns (converged domain points, minimum
         residual ever seen).  The batch `s` shrinks to the rows still
-        running: converged rows leave it."""
+        running: converged rows leave it, and so, in a run with
+        rank-deficient Jacobians, do rows above NO_ROOT_FLOOR whose residual
+        has stopped improving (PLATEAU_RTOL, PLATEAU_ITER); their residuals
+        have already counted toward the minimum."""
         s = starts
         best_res = np.inf
         done = [np.empty((0, 8))]
         run = _NewtonRun()
+        best = stale = None
         for _ in range(NEWTON_MAX_ITER):
             if not len(s):
                 break
@@ -417,12 +429,28 @@ class _Charted:
             conv = res < NEWTON_TOL
             done.append(x[conv])
             keep = ~conv
+            if run.singular:
+                # a map of lower-dimensional image need not reach its target:
+                # rows stall at a minimum of |g| or hop across a cone tip of
+                # the image (theta-circle's ends) at a residual that no
+                # longer falls
+                if best is None:
+                    best, stale = np.full(len(s), np.inf), np.zeros(len(s), int)
+                better = res < (1.0 - PLATEAU_RTOL) * best
+                best = np.minimum(best, res)
+                stale = np.where(better, 0, stale + 1)
+                keep &= ~((stale >= PLATEAU_ITER) & (res > NO_ROOT_FLOOR))
+                best, stale = best[keep], stale[keep]
             # a batch with a singular Jacobian (a map of lower-dimensional
             # image) takes the damped least-squares step throughout, and so
             # do the run's later batches
-            step = _newton_step(jac[keep], g[keep], run)
+            if keep.all():
+                step = _newton_step(jac, g, run)
+            else:
+                s = s[keep]
+                step = _newton_step(jac[keep], g[keep], run)
             norms = np.linalg.norm(step, axis=1, keepdims=True)
-            s = s[keep] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
+            s = s - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
         return np.vstack(done), best_res
 
 

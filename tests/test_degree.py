@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sixsphere.errors import (ConflictingEstimates, NonConvergence,
                               NonGenericValue, NotOdd, UnstablePreimageCount)
 from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
                                 right_mult_matrix)
+from test_golden_degree_reports import DEGREE_SLACK
 
 FAST = dg.EngineConfig(n_starts=1200)
 
@@ -239,7 +241,8 @@ def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
 
 
 def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
-    # one inverse chart, one jet call and one Newton step per iteration
+    # one inverse chart, one jet call and one Newton step per iteration, and
+    # at most NEWTON_MAX_ITER iterations
     calls = {}
 
     def counted(key, fn):
@@ -258,20 +261,17 @@ def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
         fam.jet = counted("jet", fam.jet)
         charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
         pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
-        if fam.name == "theta-circle":
-            # no regular preimage: every start runs every iteration
-            assert len(pts) == 0
-            assert calls == dict.fromkeys(calls, dg.NEWTON_MAX_ITER)
-        else:
-            assert len(pts) > 0
-            assert 0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
+        # theta-circle has no regular preimage
+        assert (len(pts) > 0) == (fam.name != "theta-circle")
+        assert (0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
+                <= dg.NEWTON_MAX_ITER)
 
 
 def test_singular_run_tries_the_plain_solve_once(rng, monkeypatch):
     # theta-circle's Jacobians are singular at every iterate: its run's first
     # batch tries the plain solve and takes the damped one, and the later
-    # batches go straight to the damped solve; a regular run solves once
-    # per iteration
+    # batches go straight to the damped solve, so the run makes one more
+    # solve than it has iterations; a regular run solves once per iteration
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
@@ -279,18 +279,112 @@ def test_singular_run_tries_the_plain_solve_once(rng, monkeypatch):
     target = rng.standard_normal(8)
     target /= np.linalg.norm(target)
     pole = np.zeros(8); pole[0] = 1.0
-    charted = dg._Charted(dg.theta_circle_map(), target, pole)
-    pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
-    assert len(pts) == 0
-    assert len(solves) == dg.NEWTON_MAX_ITER + 1
+    for fam, singular in ((dg.theta_circle_map(), True),
+                          (dg.power_map(3), False)):
+        jets = []
+        fam.jet = partial(lambda jet, x: jets.append(1) or jet(x), fam.jet)
+        solves.clear()
+        pts, _ = dg._Charted(fam, target, pole).solve(
+            0.5 * rng.standard_normal((50, 7)))
+        assert (len(pts) > 0) != singular
+        assert 0 < len(jets) <= dg.NEWTON_MAX_ITER
+        assert len(solves) == len(jets) + singular
 
-    fam, jets = dg.power_map(3), []
-    jet = fam.jet
-    fam.jet = lambda x: jets.append(1) or jet(x)
-    solves.clear()
-    pts, _ = dg._Charted(fam, target, pole).solve(0.5 * rng.standard_normal((50, 7)))
-    assert len(pts) > 0
-    assert 0 < len(solves) == len(jets)
+
+def _flat_jet(value, jacobian, calls):
+    """A stub jet that counts its calls: every point maps to `value`, and
+    `jacobian` is the ambient Jacobian everywhere (the derivative of the
+    constant only when it is zero), so every residual stays where it
+    starts."""
+    def jet(x):
+        calls.append(len(x))
+        return (np.broadcast_to(value, x.shape).copy(),
+                np.broadcast_to(jacobian, (len(x), 8, 8)).copy())
+    return jet
+
+
+def test_flat_rank_deficient_rows_stop_and_report_their_floor(rng):
+    # a constant map has a zero Jacobian, so its damped step is zero and its
+    # residual flat: each of `_count_at`'s four runs (two passes, two
+    # charts) finds its batch singular at the first evaluation, starts
+    # tracking at the second and stops PLATEAU_ITER evaluations later
+    target, value, jets = _unit(rng), _unit(rng), []
+    fam = dg.MapFamily("constant", _flat_jet(value, np.zeros((8, 8)), jets))
+    trial = dg._count_at(fam, target, STUB, rng, 0)
+    assert len(jets) == 4 * (dg.PLATEAU_ITER + 2)
+    assert (trial.degree, trial.n_converged, trial.resamples) == (0, 0, 0)
+    floor = np.linalg.norm(dg._Charted(fam, target, np.eye(8)[0]).evaluate(
+        np.zeros((1, 7)))[1])
+    assert floor > dg.NO_ROOT_FLOOR
+    assert abs(trial.max_residual - floor) <= 1e-12
+
+
+@pytest.mark.parametrize("offset, jacobian", [
+    (1e-6, np.zeros((8, 8))), (1.0, np.eye(8)),
+], ids=["below-the-floor", "full-rank"])
+def test_flat_rows_the_plateau_stop_keeps(offset, jacobian, rng):
+    # a flat residual below NO_ROOT_FLOOR stays in the batch, and so does a
+    # flat one in a run whose Jacobians are regular (every plain solve
+    # succeeds): both run every iteration
+    target = _unit(rng)
+    value = target + offset * _unit(rng)
+    jets = []
+    fam = dg.MapFamily("flat", _flat_jet(value / np.linalg.norm(value),
+                                         jacobian, jets))
+    pts, floor = dg._Charted(fam, target, np.eye(8)[0]).solve(
+        0.5 * rng.standard_normal((50, 7)))
+    assert len(pts) == 0 and floor > dg.NEWTON_TOL
+    assert (floor < dg.NO_ROOT_FLOOR) == (offset < 1.0)
+    assert jets == [50] * dg.NEWTON_MAX_ITER
+
+
+def test_plateau_stop_keeps_theta_circle_reports(monkeypatch):
+    # the stop against the run without it (PLATEAU_ITER beyond the last
+    # iteration): the same integer fields and targets, a floor at most
+    # DEGREE_SLACK above the full run's, and fewer rows evaluated
+    rows = []
+    evaluate = dg._Charted.evaluate
+    monkeypatch.setattr(dg._Charted, "evaluate",
+                        lambda self, s: rows.append(len(s)) or evaluate(self, s))
+    config = dg.EngineConfig(n_starts=300, trials=1)
+
+    def reports():
+        out = []
+        for seed in range(5):
+            rows.clear()
+            rep = dg.named_degree("theta-circle", seed=seed, config=config)
+            out.append((rep.to_dict(), sum(rows)))
+        return out
+
+    stop_on = reports()
+    monkeypatch.setattr(dg, "PLATEAU_ITER", dg.NEWTON_MAX_ITER + 1)
+    for (on, rows_on), (off, rows_off) in zip(stop_on, reports()):
+        assert rows_off > rows_on
+        assert on["degree"] == off["degree"] == 0
+        for t, w in zip(on["trials"], off["trials"]):
+            for key in ("degree", "signs", "n_converged", "resamples", "target",
+                        "preimages"):
+                assert t[key] == w[key], key
+            assert w["max_residual"] >= t["max_residual"] - DEGREE_SLACK
+
+
+@pytest.mark.parametrize("name", [n for n in dg.MAPS if n != "theta-circle"])
+def test_full_rank_maps_make_no_singular_run(name, monkeypatch):
+    # the plateau stop rests on this: only a rank-deficient map takes the
+    # damped step, so the maps of full rank run without the stop
+    singular = []
+    step = dg._newton_step
+
+    def watched(jac, g, run=None):
+        out = step(jac, g, run)
+        singular.append(run.singular)
+        return out
+
+    monkeypatch.setattr(dg, "_newton_step", watched)
+    config = dg.EngineConfig(n_starts=300, trials=1)
+    for seed in range(5):
+        dg.named_degree(name, seed=seed, config=config)
+    assert singular and not any(singular)
 
 
 _REPORTS_IN_FRESH_PROCESS = """
