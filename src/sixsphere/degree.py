@@ -441,16 +441,14 @@ class _Charted:
                 stale = np.where(better, 0, stale + 1)
                 keep &= ~((stale >= PLATEAU_ITER) & (res > NO_ROOT_FLOOR))
                 best, stale = best[keep], stale[keep]
+            # when no row leaves, the full slice passes views, not copies
+            rows = slice(None) if keep.all() else keep
             # a batch with a singular Jacobian (a map of lower-dimensional
             # image) takes the damped least-squares step throughout, and so
             # do the run's later batches
-            if keep.all():
-                step = _newton_step(jac, g, run)
-            else:
-                s = s[keep]
-                step = _newton_step(jac[keep], g[keep], run)
+            step = _newton_step(jac[rows], g[rows], run)
             norms = np.linalg.norm(step, axis=1, keepdims=True)
-            s = s - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
+            s = s[rows] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
         return np.vstack(done), best_res
 
 
