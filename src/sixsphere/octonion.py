@@ -30,9 +30,10 @@ the denominator.  Float octonions hold their floats over the denominator 1,
 and float results skip the constructor's validation.  One straight-line
 product, generated from the table at import, multiplies integers and floats
 alike, and numpy arrays of them: `batch_mul` is that product on stacked
-coordinates.  An exact operand that meets a float one, octonion or matrix,
-enters as its float copy: each numerator / denominator rounded once, the
-floats that Python's `Fraction op float` uses.  A scalar multiple or quotient
+coordinates, its terms taken by one signed gather on float rows.  An exact
+operand that meets a float one, octonion or matrix, enters as its float
+copy: each numerator / denominator rounded once, the floats that Python's
+`Fraction op float` uses.  A scalar multiple or quotient
 follows one rule: an int, Fraction or numpy integer keeps an exact octonion
 exact, any other scalar enters as its float; a zero divisor raises
 `ZeroDivisor`, a NaN or infinite scalar `DegenerateInput`.  The arithmetic
@@ -113,24 +114,7 @@ def _build_table():
             [[c * back[fi][1] for fi, c in row] for row in prods])
 
 
-MUL_INDEX, MUL_SIGN = _build_table()
-
-# gather tables of the multiplication matrices: entry (k, j) of the matrix of
-# v -> w*v is _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, and entry (k, i) of the
-# matrix of v -> v*w is _RIGHT_SIGN[k][i] w_{_RIGHT[k][i]}
-_LEFT, _RIGHT = np.empty((2, 8, 8), dtype=np.intp)
-_LEFT_SIGN, _RIGHT_SIGN = np.empty((2, 8, 8), dtype=int)
-for _i in range(8):
-    for _j in range(8):
-        _k, _s = MUL_INDEX[_i][_j], MUL_SIGN[_i][_j]
-        _LEFT[_k, _j], _LEFT_SIGN[_k, _j] = _i, _s
-        _RIGHT[_k, _i], _RIGHT_SIGN[_k, _i] = _j, _s
-_MUL_INDEX, _MUL_SIGN = np.array(MUL_INDEX), np.array(MUL_SIGN)
-# I - 1 1^T, the projection onto the imaginary octonions
-_IMAG_PROJ = np.diag([0] + [1] * 7)
-
-
-def _compile_product():
+def _compile_product(index, sign):
     # the table product written out term by term, with no loop and no zero
     # tests: coordinate k is 0 +- x_i*y_j +- ..., one term per i in ascending
     # i, so one function multiplies integer numerators and floats (or numpy
@@ -142,8 +126,8 @@ def _compile_product():
     terms = [[] for _ in range(8)]
     for i in range(8):
         for j in range(8):
-            terms[MUL_INDEX[i][j]].append(
-                "%sx%d*y%d" % ("-" if MUL_SIGN[i][j] < 0 else "+", i, j))
+            terms[index[i][j]].append(
+                "%sx%d*y%d" % ("-" if sign[i][j] < 0 else "+", i, j))
     source = ("def _product(x, y):\n"
               "    x0, x1, x2, x3, x4, x5, x6, x7 = x\n"
               "    y0, y1, y2, y3, y4, y5, y6, y7 = y\n"
@@ -153,9 +137,43 @@ def _compile_product():
     return namespace["_product"]
 
 
-#: the coordinates of the product of two coordinate sequences of eight ints,
-#: eight floats, or eight arrays that broadcast against each other
-_product = _compile_product()
+#: the names of the module constants built from the multiplication table,
+#: in the order `_table_constants` returns them: everything that reads the
+#: table reads one of these, so rebinding them all swaps the table
+TABLE_CONSTANTS = ("MUL_INDEX", "MUL_SIGN", "_MUL_INDEX", "_MUL_SIGN",
+                   "_LEFT", "_LEFT_SIGN", "_RIGHT", "_RIGHT_SIGN", "_TERMS",
+                   "_product")
+
+
+def _table_constants(index, sign) -> tuple:
+    """The constants of the table e_i e_j = sign[i][j] e_index[i][j], named
+    by TABLE_CONSTANTS: the nested lists, their arrays, the gather tables of
+    the multiplication matrices (entry (k, j) of the matrix of v -> w*v is
+    _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, entry (k, i) of the matrix of
+    v -> v*w is _RIGHT_SIGN[k][i] w_{_RIGHT[k][i]}), the gather table of
+    the float `batch_mul` (term i of coordinate k is x_i times row
+    _TERMS[i][k] of y stacked over -y) and the generated product."""
+    left, right, terms = np.empty((3, 8, 8), dtype=np.intp)
+    left_sign, right_sign = np.empty((2, 8, 8), dtype=int)
+    for i in range(8):
+        for j in range(8):
+            k, s = index[i][j], sign[i][j]
+            left[k, j], left_sign[k, j] = i, s
+            right[k, i], right_sign[k, i] = j, s
+            terms[i, k] = j + 8 * (s < 0)
+    return (index, sign, np.array(index), np.array(sign), left, left_sign,
+            right, right_sign, terms, _compile_product(index, sign))
+
+
+#: `_product` is the coordinates of the product of two coordinate sequences
+#: of eight ints, eight floats, or eight arrays that broadcast against each
+#: other
+(MUL_INDEX, MUL_SIGN, _MUL_INDEX, _MUL_SIGN, _LEFT, _LEFT_SIGN, _RIGHT,
+ _RIGHT_SIGN, _TERMS, _product) = _table_constants(*_build_table())
+# I - 1 1^T, the projection onto the imaginary octonions
+_IMAG_PROJ = np.diag([0] + [1] * 7)
+# the signs that conjugate coordinate rows: x * _CONJ is conj(x), exactly
+_CONJ = np.array([1] + [-1] * 7)
 
 
 def multiplication_defect(pair):
@@ -884,11 +902,49 @@ class SquareMatrix:
 # `_product` gives it, and an exact one keeps the scalars' own type
 # ---------------------------------------------------------------------------
 
+#: rows per pass of the float `batch_mul`: the (8, 8, rows) terms of a pass
+#: stay in cache, and up to this many rows take one pass
+BATCH_ROWS = 512
+
+
 def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonion product of (..., 8) float arrays, broadcasting: `_product` on
-    the coordinate axes, so every coordinate equals the scalar product's,
-    signed zeros included."""
-    return np.stack(_product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)), -1)
+    """Octonion product of (..., 8) arrays, broadcasting, row by row equal to
+    the scalar product, signed zeros included.  Float rows are one signed
+    gather per pass of BATCH_ROWS rows: y's coordinates stacked over their
+    negations and gathered by `_TERMS`, the (term, coordinate, row) array
+    times x's coordinates, and each coordinate's eight terms added in
+    `_product`'s order, starting from 0.  Rows of any other dtype (exact
+    integer numerators in object arrays) run `_product` on the coordinate
+    axes."""
+    x, y = np.asarray(x), np.asarray(y)
+    dtype = np.result_type(x, y)
+    if dtype.kind != "f":
+        return np.stack(_product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)), -1)
+    shape = np.broadcast(x, y).shape
+    x, y = _rows(x, shape), _rows(y, shape)
+    out = np.empty((8, len(x)), dtype)
+    for s in range(0, len(x), BATCH_ROWS):
+        rows = slice(s, s + BATCH_ROWS)
+        signed = np.empty((16, len(x[rows])), dtype)
+        signed[:8] = y[rows].T
+        np.negative(signed[:8], out=signed[8:])
+        terms = signed[_TERMS]                  # [i, k, row]: +-y_j
+        terms *= x[rows].T[:, None]             # times x_i
+        acc = out[:, rows]
+        np.add(terms[0], 0.0, out=acc)          # `_product`'s leading 0
+        for t in terms[1:]:
+            acc += t
+    return out.T.reshape(shape)
+
+
+def _rows(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """The (n, 8) rows of v broadcast to `shape`, copied when it broadcasts:
+    the gather takes rows, so operands are broadcast before it."""
+    if v.shape != shape:
+        full = np.empty(shape, v.dtype)
+        full[...] = v
+        v = full
+    return v.reshape(-1, 8)
 
 
 def _float_coords(w) -> np.ndarray:

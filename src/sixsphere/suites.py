@@ -22,8 +22,9 @@ from . import chern, cstruct, degree as deg, homotopy, twistor
 from .errors import (BadConfig, DegenerateInput, DegenerateX, SixSphereError,
                      UnknownSuite)
 from .frames import random_g2_matrix
-from .octonion import (CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL, SEPARATION_TOL,
-                       Octonion, SquareMatrix, batch_mul, inner_rows)
+from .octonion import (_CONJ, CHECK_TOL, EXACT, FLOAT, FLOAT_EQ_TOL,
+                       SEPARATION_TOL, Octonion, SquareMatrix, batch_mul,
+                       inner_rows)
 from .sampling import (random_imaginary_unit_float,
                        random_rational_circle_point,
                        random_rational_imaginary_unit,
@@ -199,8 +200,6 @@ def _suite_octonion_axioms(run: _Run):
 
 #: the real unit 1 as a row of coordinates
 _ONE = np.eye(1, 8, dtype=int)[0]
-#: the signs of conjugation, coordinate by coordinate
-_CONJ = np.array([1] + [-1] * 7)
 
 
 def _axiom_laws(x, y) -> Dict[str, np.ndarray]:

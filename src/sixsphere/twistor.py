@@ -46,10 +46,11 @@ from .degree import power_map_preimages
 from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
-from .octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, SEPARATION_TOL,
-                       Arithmetic, Octonion, SquareMatrix, _floats, _read_only,
-                       _reduced, arithmetic_of, batch_mul, multiplication_defect,
-                       reject, residual)
+from . import octonion
+from .octonion import (_CONJ, CHECK_TOL, SEPARATION_TOL, Arithmetic, Octonion,
+                       SquareMatrix, _floats, _read_only, _reduced,
+                       arithmetic_of, batch_mul, inner_rows,
+                       multiplication_defect, reject, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -277,40 +278,63 @@ class CompanionResult:
 def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
     """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
     return (imgs[i] * a) * (a.conjugate() * imgs[j]) - \
-        a.norm_sq() * (MUL_SIGN[i][j] * imgs[MUL_INDEX[i][j]])
+        a.norm_sq() * (octonion.MUL_SIGN[i][j] * imgs[octonion.MUL_INDEX[i][j]])
 
 
-def isotopy_residual(lam: SO7Element, a: Octonion,
-                     tol: Optional[float] = None) -> float:
+def isotopy_residual(lam: SO7Element, a, tol: Optional[float] = None):
     """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |.
 
-    The pairs run row by row (i, then j), each defect equal to
-    `_isotopy_defect`'s; the factors are shared: conj(a) and |a|^2 once,
-    lam(ei) a once per row, conj(a) lam(ej) and |a|^2 lam(ek) on first use.
-    So a passing candidate takes 80 octonion products, not 3 per pair.
-    Given tol, a candidate that fails stops early: the first defect that
-    fails lam's test against tol (any nonzero defect in exact mode) is
-    returned in place of the max."""
-    imgs, ctx, worst = lam.images(), arithmetic_of(lam), 0.0
-    ac, n = a.conjugate(), a.norm_sq()
-    rights: List[Optional[Octonion]] = [None] * 8   # conj(a) lam(ej)
-    scaled: List[Optional[Octonion]] = [None] * 8   # |a|^2 lam(ek)
-    for i in range(8):
-        left = imgs[i] * a
-        for j in range(8):
-            if rights[j] is None:
-                rights[j] = ac * imgs[j]
-            k = MUL_INDEX[i][j]
-            if scaled[k] is None:
-                scaled[k] = n * imgs[k]
-            # lam(ei ej) = MUL_SIGN[i][j] lam(ek)
-            prod = left * rights[j]
-            d = prod - scaled[k] if MUL_SIGN[i][j] > 0 else prod + scaled[k]
-            r = residual(d)
-            if tol is not None and not ctx.scalar_eq(r, 0, tol):
-                return r
-            worst = max(worst, r)
-    return worst
+    `a` is one candidate octonion, whose residual is returned, or a list of
+    candidates, checked in one stacked pass and returned as the list of
+    their residuals.  The pass runs on rows, floats or exact numerators
+    over one denominator per candidate (d^2 D^2, for lam's pair over d and
+    a's numerators over D), reduced by no gcd: one `batch_mul` for every
+    lam(ei) a and conj(a) lam(ej), then their products.  Every defect
+    equals `_isotopy_defect`'s, and every residual the one `residual`
+    reads off it.  Given tol, a candidate that fails stops early: the
+    first defect in (i, j) order that fails lam's test against tol (any
+    nonzero defect in exact mode) is its residual in place of the max.
+    The 16 products with i <= 1 are taken first, for every candidate, and
+    only the candidates that pass them go on to the 48 with i >= 2, so a
+    failing candidate stays cheap."""
+    one = isinstance(a, Octonion)
+    cands = [a] if one else list(a)
+    ctx = arithmetic_of(lam, *cands)
+    img, d = ctx.pair(lam)
+    img = img.T                                   # row i: lam(e_i), over d
+    num, den = ctx.points(cands)                  # den: one per candidate, or 1.0
+    m = len(cands)
+    den = np.resize(d * d * np.reshape(den, -1) ** 2, m)
+    scale = inner_rows(num, num) * d              # |a|^2 over den / d
+    # lam(ei) a and conj(a) lam(ej), [i, c] and [j, c], in one call
+    x, y = np.empty((2, 2, 8, m, 8), np.result_type(img, num))
+    x[0] = y[1] = img[:, None]
+    x[1], y[0] = num * _CONJ, num
+    lefts, rights = batch_mul(x, y)
+    cut = 0 if ctx.exact else tol                 # a pair fails above it
+    out: List[float] = [0.0] * m
+    alive = np.arange(m)
+    for rows in (slice(0, 2), slice(2, 8)):
+        prods = batch_mul(lefts[rows, alive, None],
+                          rights[:, alive].swapaxes(0, 1))    # [i, c, j]
+        # lam(ei ej) = MUL_SIGN[i][j] lam(ek), k = MUL_INDEX[i][j]
+        sign = octonion._MUL_SIGN[rows][:, None, :, None]
+        lam_ij = img[octonion._MUL_INDEX[rows]][:, None]
+        defects = prods - (sign * scale[alive, None, None]) * lam_ij
+        r = np.abs(defects).max(axis=-1) / den[alive, None]   # [i, c, j]
+        r = r.swapaxes(0, 1).reshape(len(alive), -1)          # (i, j) order
+        keep = []
+        for c, rc in zip(alive.tolist(), r.tolist()):
+            bad = None if tol is None else next((v for v in rc if v > cut), None)
+            if bad is None:
+                out[c] = max(out[c], *rc)
+                keep.append(c)
+            else:
+                out[c] = bad
+        alive = np.array(keep, dtype=int)
+        if not len(alive):
+            break
+    return out[0] if one else out
 
 
 def _pencil_candidates(lam: SO7Element, k1: Octonion,
@@ -369,9 +393,11 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     automorphism), so when it is larger than a line the companion ray is
     pinned down by solving the quadratic isotopy defect along the kernel,
     and a candidate is returned once the full identity holds on all 64
-    basis pairs; a failing one is dropped at its first failing pair.  The
-    candidates are tried in order: the kernel vectors, then the pencil roots
-    of each pair of them.
+    basis pairs.  The candidates come in groups, each verified in one
+    stacked `isotopy_residual` pass: the kernel vectors, then the pencil
+    roots of each pair of them (solved only when no earlier group passes).
+    The first candidate that passes, in that order, is returned; a failing
+    one is measured at its first failing pair.
     """
     if not 0 <= tol < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
@@ -379,17 +405,16 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     ker = ctx.kernel(multiplication_defect(lam.m)[0])
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
-    # built lazily, so the pencils are solved only when no kernel vector
-    # passes
-    candidates = chain(ker, chain.from_iterable(
-        _pencil_candidates(lam, u, v) for u, v in combinations(ker, 2)))
-    for u in candidates:
-        if u.is_zero(CHECK_TOL):
+    groups = chain([ker], (_pencil_candidates(lam, u, v)
+                           for u, v in combinations(ker, 2)))
+    for group in groups:
+        cands = [ctx.ray(lam.apply(u)) for u in group if not u.is_zero(CHECK_TOL)]
+        if not cands:
             continue
-        a = ctx.ray(lam.apply(u))
-        r = isotopy_residual(lam, a, tol)
-        if ctx.scalar_eq(r, 0, tol):
-            return CompanionResult(a, len(ker), float(r))
+        rs = isotopy_residual(lam, cands, tol)
+        for a, r in zip(cands, rs):
+            if ctx.scalar_eq(r, 0, tol):
+                return CompanionResult(a, len(ker), float(r))
     if len(ker) > 1:
         raise KernelDimensionError(
             "kernel dimension %d and no vector passes verification" % len(ker))

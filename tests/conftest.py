@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from sixsphere import octonion
@@ -9,12 +12,32 @@ def rng():
     return rng_from_seed(0xC0FFEE)
 
 
+def _clear_package_caches():
+    """Empty every cache of the package, those of cached methods included:
+    some hold matrices built from the table (`cstruct`'s L_e1, its
+    recovery constants and the standard structure)."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sixsphere") and mod is not None:
+            for obj in vars(mod).values():
+                for fn in (obj, *(vars(obj).values() if inspect.isclass(obj) else ())):
+                    if hasattr(fn, "cache_clear"):
+                        fn.cache_clear()
+
+
 @pytest.fixture
 def bent_table(monkeypatch):
     """A bent multiplication table: the signs of e3 e5 and e5 e3 flipped,
-    the product recompiled from it."""
+    and every constant built from the table (`octonion.TABLE_CONSTANTS`:
+    the product, the defect and multiplication-matrix gathers, the float
+    `batch_mul` gather) rebuilt from it.  The package's caches are emptied
+    on the way in and out, so no matrix built under one table outlives
+    it."""
     sign = [row[:] for row in octonion.MUL_SIGN]
     sign[3][5] = -sign[3][5]
     sign[5][3] = -sign[5][3]
-    monkeypatch.setattr(octonion, "MUL_SIGN", sign)
-    monkeypatch.setattr(octonion, "_product", octonion._compile_product())
+    _clear_package_caches()
+    for name, value in zip(octonion.TABLE_CONSTANTS,
+                           octonion._table_constants(octonion.MUL_INDEX, sign)):
+        monkeypatch.setattr(octonion, name, value)
+    yield
+    _clear_package_caches()

@@ -2,20 +2,22 @@
 package against: coordinates on the 6-plane of the structure matrices,
 J_x, recovery and common lines one structure at a time, float `prop21`,
 `octonion-axioms`, `prop31` and `lemma34` one sample at a time on scalar
-`Octonion`s, and substitution in graded polynomials.  No command needs
-them, so they live with the tests."""
+`Octonion`s, the companion search one candidate at a time on scalar
+products, and substitution in graded polynomials.  No command needs them,
+so they live with the tests."""
 
-from typing import Dict, Sequence
+from itertools import chain, combinations
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from sixsphere import suites, twistor
+from sixsphere import octonion, suites, twistor
 from sixsphere.chern import GradedPoly
 from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
                                _e1_left_basis, _left_e1, standard_structure)
 from sixsphere.errors import (IdenticalStructures, InvalidStructure,
-                              NoCommonLine, NotUnit, RankError,
-                              VerificationFailed)
+                              KernelDimensionError, NoCommonLine, NotUnit,
+                              RankError, VerificationFailed)
 from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
 from sixsphere.sampling import (haar_orthogonal, random_rational_circle_point,
                                 random_rational_imaginary_unit,
@@ -232,3 +234,54 @@ def lemma34(samples: int, seed: int):
         if half * half != full:
             run.fail("double-angle", cos_half=c2, sin_half=s2, p=p)
     return run.checked, run.failures
+
+
+def isotopy_residual(lam, a: Octonion, tol: Optional[float] = None) -> float:
+    """`twistor.isotopy_residual` of one candidate on scalar `Octonion`
+    products: the pairs row by row (i, then j), conj(a) and |a|^2 once,
+    lam(ei) a once per row, conj(a) lam(ej) and |a|^2 lam(ek) on first use;
+    given tol, the first defect that fails lam's test, else the max."""
+    imgs, ctx, worst = lam.images(), arithmetic_of(lam), 0.0
+    ac, n = a.conjugate(), a.norm_sq()
+    rights: List[Optional[Octonion]] = [None] * 8   # conj(a) lam(ej)
+    scaled: List[Optional[Octonion]] = [None] * 8   # |a|^2 lam(ek)
+    for i in range(8):
+        left = imgs[i] * a
+        for j in range(8):
+            if rights[j] is None:
+                rights[j] = ac * imgs[j]
+            k = octonion.MUL_INDEX[i][j]
+            if scaled[k] is None:
+                scaled[k] = n * imgs[k]
+            # lam(ei ej) = MUL_SIGN[i][j] lam(ek)
+            prod = left * rights[j]
+            d = prod - scaled[k] if octonion.MUL_SIGN[i][j] > 0 else prod + scaled[k]
+            r = residual(d)
+            if tol is not None and not ctx.scalar_eq(r, 0, tol):
+                return r
+            worst = max(worst, r)
+    return worst
+
+
+def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
+    """`twistor.companion` one candidate at a time: the kernel vectors, then
+    the pencil roots of each pair of them, each verified on its own by the
+    scalar `isotopy_residual` above; the first that passes is returned."""
+    ctx = arithmetic_of(lam)
+    ker = ctx.kernel(octonion.multiplication_defect(lam.m)[0])
+    if len(ker) == 0:
+        raise KernelDimensionError("companion kernel is zero-dimensional")
+    candidates = chain(ker, chain.from_iterable(
+        twistor._pencil_candidates(lam, u, v) for u, v in combinations(ker, 2)))
+    for u in candidates:
+        if u.is_zero(CHECK_TOL):
+            continue
+        a = ctx.ray(lam.apply(u))
+        r = isotopy_residual(lam, a, tol)
+        if ctx.scalar_eq(r, 0, tol):
+            return twistor.CompanionResult(a, len(ker), float(r))
+    if len(ker) > 1:
+        raise KernelDimensionError(
+            "kernel dimension %d and no vector passes verification" % len(ker))
+    raise VerificationFailed(
+        "companion candidate fails the isotopy identity (defect %g)" % r)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sixsphere import suites
+from sixsphere import octonion, suites
 from sixsphere.errors import DegenerateInput, ZeroDivisor
 from sixsphere.frames import random_g2_frame
 from sixsphere.octonion import (CHECK_TOL, EXACT, MUL_INDEX, MUL_SIGN,
@@ -363,6 +363,66 @@ def test_batch_mul_matches_scalar(rng):
     prod = batch_mul(bx, by)
     for i, (x, y) in enumerate(zip(xs, ys)):
         assert np.allclose(prod[i], (x * y).to_float_array(), atol=1e-14)
+
+
+def _rows_with_signed_zeros(rng, n):
+    """n float rows with some coordinates +0.0 and some -0.0."""
+    x = rng.standard_normal((n, 8))
+    x[::3, 2] = 0.0
+    x[1::4, 5] = -0.0
+    x[::7] = -0.0
+    return x
+
+
+def _assert_scalar_rows(got, x, y):
+    # every row of got is the scalar `Octonion * Octonion` of the operands'
+    # rows, broadcast: floats bit for bit (signed zeros included), exact
+    # numerators as Python ints
+    x, y = np.broadcast_arrays(x, y)
+    assert got.shape == x.shape
+    for g, a, b in zip(got.reshape(-1, 8), x.reshape(-1, 8), y.reshape(-1, 8)):
+        want = (Octonion(a.tolist()) * Octonion(b.tolist())).numerators
+        if got.dtype == object:
+            assert all(type(c) is int for c in g) and tuple(g) == want
+        else:
+            assert g.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 200, octonion.BATCH_ROWS - 1,
+                               octonion.BATCH_ROWS, octonion.BATCH_ROWS + 1,
+                               2000, 24000])
+def test_batch_mul_is_the_scalar_product_bit_for_bit(n, rng):
+    x, y = _rows_with_signed_zeros(rng, n), _rows_with_signed_zeros(rng, n)
+    # coordinate 0 of 0 * (-0, 0, ..., 0) is a sum of eight -0.0 terms: the
+    # leading 0 makes it +0.0
+    x[0], y[0] = 0.0, [-0.0] + [0.0] * 7
+    _assert_scalar_rows(batch_mul(x, y), x, y)
+    if n <= 2000:
+        xi = rng.integers(-2 ** 40, 2 ** 40, (n, 8)).astype(object) * 2 ** 30
+        yi = rng.integers(-9, 10, (n, 8)).astype(object)
+        _assert_scalar_rows(batch_mul(xi, yi), xi, yi)
+
+
+@pytest.mark.parametrize("xshape, yshape", [((8,), (5, 8)), ((5, 8), (8,)),
+                                            ((8, 1, 8), (1, 8, 8))])
+@pytest.mark.parametrize("exact", [False, True])
+def test_batch_mul_broadcasts_before_the_gather(xshape, yshape, exact, rng):
+    x = _rows_with_signed_zeros(rng, 64).reshape(-1)[:np.prod(xshape)].reshape(xshape)
+    y = rng.standard_normal(yshape)
+    if exact:
+        x, y = (np.round(8 * v).astype(int).astype(object) for v in (x, y))
+    _assert_scalar_rows(batch_mul(x, y), x, y)
+
+
+def test_table_constants_are_built_from_the_table():
+    # the module's table constants are the builder's, name by name, so one
+    # rebinding of TABLE_CONSTANTS (the bent-table fixture) swaps them all
+    built = octonion._table_constants(MUL_INDEX, MUL_SIGN)
+    assert len(built) == len(octonion.TABLE_CONSTANTS)
+    for name, value in zip(octonion.TABLE_CONSTANTS[:-1], built[:-1]):
+        assert np.array_equal(getattr(octonion, name), value), name
+    x, y = np.arange(8), np.arange(8) + 3
+    assert built[-1](x, y) == octonion._product(x, y)
 
 
 def test_mult_matrices(rng):

@@ -72,6 +72,9 @@ KEEP = {
     "octonion._cd_mul": "builds the multiplication table at import",
     "octonion._build_table": "builds the multiplication table at import",
     "octonion._compile_product": "generates the table product at import",
+    "octonion._table_constants":
+        "builds the table's constants at import; the bent-table fixture "
+        "rebuilds them from a bent table",
     "octonion.Arithmetic.__init__": "builds EXACT and FLOAT at import",
     "suites._suite": "registers the suites at import",
 }

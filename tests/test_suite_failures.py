@@ -1,9 +1,9 @@
 """Suites that fail report failures whose inputs read back.
 
-Two ways make the sampled suites fail: a tolerance of 0 in float mode,
-where rounding alone exceeds it, and a bent multiplication table in exact
-mode (the signs of e3 e5 and e5 e3 flipped, the product recompiled from
-it).  Each entry must carry a string `kind`, and its octonions, rotations
+Three ways make the sampled suites fail: a tolerance of 0 in float mode,
+where rounding alone exceeds it, a bent multiplication table (the signs of
+e3 e5 and e5 e3 flipped, every table constant rebuilt from it), and a
+companion perturbed after its search, which gets past prop41's samplers.  Each entry must carry a string `kind`, and its octonions, rotations
 and structures must read back through `from_strings`.  The Moufang suite
 evaluates its laws on arrays of samples; the scalar laws on `Octonion`s are
 its reference, whether the laws hold or fail.
@@ -14,11 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sixsphere import sampling, suites
+from sixsphere import sampling, suites, twistor
 from sixsphere.cstruct import ComplexStructureR6
-from sixsphere.errors import DegenerateInput
-from sixsphere.octonion import EXACT, Octonion, residual
+from sixsphere.errors import (DegenerateInput, KernelDimensionError,
+                              VerificationFailed)
+from sixsphere.octonion import CHECK_TOL, EXACT, Octonion, residual
 from sixsphere.twistor import SO7Element
+
+import references
 
 OCTONION_INPUTS = ("x", "y", "z", "p", "v", "recovered", "a")
 STRUCTURE_INPUTS = ("j", "j1", "j2")
@@ -80,6 +83,81 @@ def test_exact_suites_catch_a_bent_table(bent_table, name):
     assert not rep.ok
     for entry in rep.failures:
         _read_back(entry)
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("prop21", {"sample-error"}), ("prop41", {"companion"})])
+def test_float_suites_catch_a_bent_table(bent_table, name, kinds):
+    # the fixture rebuilds every table constant, so float structures (the
+    # multiplication-matrix gathers) and companions see the bent table too
+    rep = suites.run_suite(name, samples=3, mode="float", seed=1)
+    assert {f["kind"] for f in rep.failures} == kinds
+    for entry in rep.failures:
+        _read_back(entry)
+
+
+def _search(find, lam):
+    """A companion search's octonion, kernel dimension and residual, or its
+    error."""
+    try:
+        res = find(lam, CHECK_TOL)
+    except (KernelDimensionError, VerificationFailed) as e:
+        return type(e).__name__, str(e)
+    return res.a.numerators, res.a.denominator, res.kernel_dim, res.residual
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_companion_reads_the_bent_table(bent_table, exact):
+    # the companion system, the multiplication matrices and lam(ei ej) all
+    # read the one bent table: the identity is an automorphism of the bent
+    # algebra too, with companion 1 on all 64 pairs (e3 e5 among them), and
+    # a conjugation fails as the scalar loop on bent `Octonion` products
+    # does, with the same error text
+    x = Octonion.from_strings(["3/5", "0", "4/5", "0", "0", "0", "0", "0"])
+    conj = twistor.conjugation_element(x)
+    identity = SO7Element(np.eye(8, dtype=int).tolist())
+    if not exact:
+        conj, identity = (SO7Element(m.as_array()) for m in (conj, identity))
+    found = _search(twistor.companion, identity)
+    assert found == _search(references.companion, identity)
+    assert found[0] == Octonion.one().numerators and found[2] == 8
+    failed = _search(twistor.companion, conj)
+    assert failed == _search(references.companion, conj)
+    assert failed[0] in ("KernelDimensionError", "VerificationFailed")
+
+
+def _perturbed_companion(monkeypatch):
+    """Hand the suites a wrong companion that passed its own search: one
+    exact numerator + 1, or a float a + 1e-6 e3."""
+    find = twistor.companion
+
+    def perturbed(lam, *args, **kwargs):
+        res = find(lam, *args, **kwargs)
+        a = res.a
+        if a.exact:
+            num = list(a.numerators)
+            num[3] += 1
+            a = Octonion.from_lifted(num, a.denominator)
+        else:
+            a = a + 1e-6 * Octonion.basis(3)
+        return twistor.CompanionResult(a, res.kernel_dim, res.residual)
+
+    monkeypatch.setattr(twistor, "companion", perturbed)
+
+
+@pytest.mark.parametrize("mode, kinds", [
+    ("exact", {"orbit-in-sections"}),
+    ("float", {"action-identity", "section-identity"})])
+def test_prop41_catches_a_perturbed_companion(monkeypatch, mode, kinds):
+    # a mutant past the samplers: the rotations are drawn as usual, and
+    # prop41's own checks of the companion report it
+    _perturbed_companion(monkeypatch)
+    rep = suites.run_suite("prop41", samples=3, mode=mode, seed=1)
+    got = {f["kind"] for f in rep.failures}
+    assert kinds <= got and "sample-error" not in got
+    for entry in rep.failures:
+        inputs = _read_back(entry)
+        assert isinstance(inputs["lam"], SO7Element)
 
 
 def _scalar_moufang(samples, mode, seed, tol):

@@ -8,7 +8,8 @@ import pytest
 
 from sixsphere import cstruct, twistor
 from sixsphere.errors import (DegenerateInput, InvalidStructure,
-                              NonGenericInput, NotImaginaryUnit)
+                              KernelDimensionError, NonGenericInput,
+                              NotImaginaryUnit, VerificationFailed)
 from sixsphere.frames import random_g2_matrix
 from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
                                 multiplication_defect, residual)
@@ -25,6 +26,7 @@ from sixsphere.twistor import (SO7Element, TangentStructure, TwistorPoint,
                                twistor_evaluate, verify_moufang_action,
                                verify_so7_section_identity)
 
+import references
 from references import embed6
 
 E = [Octonion.basis(k) for k in range(8)]
@@ -219,22 +221,33 @@ def test_isotopy_residual_separates_companions():
 def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
     # with a tolerance, a wrong candidate is dropped at its first failing
     # basis pair; a companion still passes all 64, with the same residual.
-    # isotopy_residual measures each pair's defect once with `residual`
-    calls = []
-    measure = twistor.residual
-    monkeypatch.setattr(twistor, "residual",
-                        lambda *args: calls.append(args) or measure(*args))
+    # The stacked pass checks the pairs with i <= 1 first: a candidate that
+    # fails there takes 32 rows (8 lefts, 8 rights, 16 products), and one
+    # that passes all 80
+    rows = []
+    mul = twistor.batch_mul
+
+    def spy(x, y):
+        out = mul(x, y)
+        rows.append(out.size // 8)
+        return out
+
+    monkeypatch.setattr(twistor, "batch_mul", spy)
     lam = twistor.random_so7_exact(rng_from_seed(47))
     for rot in (lam, SO7Element(lam.as_array())):
         a = companion(rot).a
         wrong = a * E[2]
         full = isotopy_residual(rot, wrong)
-        calls.clear()
+        rows.clear()
         first = isotopy_residual(rot, wrong, CHECK_TOL)
-        assert CHECK_TOL < first <= full and len(calls) < 64
-        calls.clear()
+        assert CHECK_TOL < first <= full and sum(rows) == 32
+        rows.clear()
         assert isotopy_residual(rot, a, CHECK_TOL) == isotopy_residual(rot, a)
-        assert len(calls) == 128
+        assert sum(rows) == 2 * 80
+        want = [first, isotopy_residual(rot, a), first]
+        rows.clear()
+        assert isotopy_residual(rot, [wrong, a, wrong], CHECK_TOL) == want
+        assert sum(rows) == 3 * 32 + 48
         assert rot.images() is rot.images()
 
 
@@ -263,6 +276,58 @@ def test_isotopy_residual_equals_the_per_pair_defects():
                     got = isotopy_residual(rot, cand, tol)
                     assert got == _residual_per_pair(rot, cand, tol)
                     assert type(got) is float
+
+
+def _outcome(find, lam, tol):
+    """What a companion search gives: its octonion (floats by their repr,
+    so signed zeros count), kernel dimension and residual, or its error."""
+    try:
+        res = find(lam, tol)
+    except (KernelDimensionError, VerificationFailed) as e:
+        return type(e).__name__, str(e)
+    a = res.a
+    return (a.exact, tuple(map(repr, a.numerators)), a.denominator,
+            res.kernel_dim, repr(res.residual))
+
+
+def _rotations(seed):
+    """Random exact and float rotations and an automorphism, exact and as
+    floats: kernel dimensions 2 and 8."""
+    rng = rng_from_seed(seed)
+    lam = twistor.random_so7_exact(rng)
+    g2 = SO7Element(random_g2_matrix(rng), validate=False)
+    return [lam, SO7Element(random_so7_float(rng)), g2,
+            SO7Element(g2.as_array())]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 9])
+@pytest.mark.parametrize("tol", [CHECK_TOL, 0.0])
+def test_stacked_companion_equals_the_scalar_loop(seed, tol):
+    # one stacked isotopy pass per group of candidates picks the candidate
+    # the per-candidate loop on scalar products picks, with its residual to
+    # the bit, or fails with the same error text
+    outcomes = []
+    for lam in _rotations(seed):
+        got = _outcome(companion, lam, tol)
+        assert got == _outcome(references.companion, lam, tol)
+        outcomes.append(got)
+    assert outcomes[2][3] == 8    # the exact automorphism's kernel
+    # at CHECK_TOL every search finds a companion; at 0 the float ones fail
+    assert [isinstance(o[0], bool) for o in outcomes] == \
+        [True, bool(tol), True, bool(tol)]
+
+
+@pytest.mark.parametrize("seed", [3, 47])
+def test_stacked_isotopy_residuals_equal_the_scalar_loop(seed):
+    # each candidate of a stack gets the residual the scalar reference
+    # gives it alone: the max, or with a tolerance its first failing defect
+    lam = twistor.random_so7_exact(rng_from_seed(seed))
+    for rot in (lam, SO7Element(lam.as_array())):
+        a = companion(rot).a
+        cands = [a * E[2], a, a + E[3], rot.apply(E[5]), a]
+        for tol in (None, CHECK_TOL, 0.0):
+            want = [references.isotopy_residual(rot, c, tol) for c in cands]
+            assert isotopy_residual(rot, cands, tol) == want
 
 
 def test_companion_defensive_kernel_error():
