@@ -558,9 +558,13 @@ class Arithmetic:
 
     def projector(self, p):
         """I - 1 1^T - p p^T, the projection onto <1, p>-perp for p (a point
-        pair) a unit imaginary."""
-        v, d = p
-        return (_IMAG_PROJ.astype(v.dtype) * (d * d)
+        pair) a unit imaginary: (I - 1 1^T) d^2 - v v^T over d^2 for the
+        pair (v, d).  A triple (v, d, n) puts n in place of d^2 in the
+        numerator: with n = |v|^2 that is the projector homogenized, a
+        quadratic form in v."""
+        v, d = p[:2]
+        n = p[2] if len(p) > 2 else d * d
+        return (_IMAG_PROJ.astype(v.dtype) * n
                 - v[..., :, None] * v[..., None, :], d * d)
 
     def matrix(self, rows, error: type = DegenerateInput):

@@ -19,12 +19,17 @@ product of 8x8 matrices, multiplied by the arithmetic context in its mode:
 L_p P_p (canonical), R_conj(x) L_p R_x P_p / |x|^2 (the constant section of
 x) and A M_q A^T (A acting on a section with matrix M_q at q = A^T p), with
 L_w, R_w the matrices of v -> w v, v -> v w (R_conj(x) is R_x^T) and P_p
-the projection onto <1, p>-perp.  Sections are compared on the stacked
-matrices.  A structure or an SO(7) element acts on an octonion through
-`SquareMatrix.apply`, its pair times the octonion's numerators, and
-compares by value; lam(e_0), ..., lam(e_7) are the columns of lam's pair,
-and the companion system is their multiplication defect
-(`octonion.multiplication_defect`), one table product of those columns.
+the projection onto <1, p>-perp.  Each of these is K(p) P_p with K linear
+in p (L_p, R_conj(x) L_p R_x / |x|^2, A K(A^T p) A^T), as long as every A
+fixes 1 and is orthogonal, so exact sections are proved equal by their
+factors at e_1, ..., e_7, or else by their matrices of cubic forms at 84
+points unisolvent for them; float sections are compared on the stacked
+matrices at 20 sample points.  A structure or an SO(7) element acts on
+an octonion through `SquareMatrix.apply`, its pair times the octonion's
+numerators, and compares by value; lam(e_0), ..., lam(e_7) are the
+columns of lam's pair, and the companion system is their multiplication
+defect (`octonion.multiplication_defect`), one table product of those
+columns.
 
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
@@ -37,7 +42,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,8 +52,8 @@ from .errors import (BadConfig, DegenerateInput, InvalidStructure,
                      KernelDimensionError, NonGenericInput, NotImaginaryUnit,
                      VerificationFailed)
 from . import octonion
-from .octonion import (_CONJ, CHECK_TOL, SEPARATION_TOL, Arithmetic, Octonion,
-                       SquareMatrix, _floats, _read_only, _reduced,
+from .octonion import (_CONJ, CHECK_TOL, EXACT, SEPARATION_TOL, Arithmetic,
+                       Octonion, SquareMatrix, _floats, _read_only, _reduced,
                        arithmetic_of, batch_mul, inner_rows,
                        multiplication_defect, reject, residual)
 from .sampling import (random_rational_imaginary_unit,
@@ -103,13 +108,31 @@ class TangentStructure(SquareMatrix):
 class Section:
     """A section of tangent structures over the six-sphere.  `build(ctx,
     pts)` gives its matrices at the stacked points of the pair pts (see
-    `octonion.Arithmetic`) in the mode of ctx; calling it at a point gives
-    the structure there."""
+    `octonion.Arithmetic`) in the mode of ctx, its projector P_p taken from
+    `ctx.projector`, so that points given as a triple (v, d, |v|^2) give
+    the section homogenized; calling it at a point gives the structure
+    there.
 
-    __slots__ = ("build", "exact")
+    Each section built here is also K(p) P_p on the sphere with K linear
+    in p, as long as every rotation it was acted on by (`rotations`)
+    fixes 1 and is orthogonal: `linear(ctx, pts)` gives K at stacked
+    points.  A section made without `linear` is compared on its build
+    alone."""
 
-    def __init__(self, build: Callable, exact: bool):
+    __slots__ = ("build", "exact", "linear", "rotations")
+
+    def __init__(self, build: Callable, exact: bool,
+                 linear: Optional[Callable] = None,
+                 rotations: Tuple["SO7Element", ...] = ()):
         self.build, self.exact = build, exact
+        self.linear, self.rotations = linear, rotations
+
+    @classmethod
+    def factored(cls, linear: Callable, exact: bool) -> "Section":
+        """The section K(p) P_p of the linear factor K = linear."""
+        return cls(lambda ctx, pts: ctx.product(linear(ctx, pts),
+                                                ctx.projector(pts)),
+                   exact, linear)
 
     def __call__(self, p: Octonion) -> TangentStructure:
         _check_point(p)
@@ -119,9 +142,7 @@ class Section:
         return st
 
 
-_CANONICAL = Section(lambda ctx, pts: ctx.product(ctx.left(pts),
-                                                  ctx.projector(pts)),
-                     exact=True)
+_CANONICAL = Section.factored(lambda ctx, pts: ctx.left(pts), exact=True)
 
 
 @dataclass(frozen=True)
@@ -160,14 +181,19 @@ class SO7Element(SquareMatrix):
     size, error = 8, DegenerateInput
 
     def _validate(self):
+        if not self.fixes_one_orthogonally():
+            raise DegenerateInput("matrix must be orthogonal and fix 1")
+        if not arithmetic_of(self).det(self.m) > 0:
+            raise DegenerateInput("matrix must have determinant +1")
+
+    def fixes_one_orthogonally(self) -> bool:
+        """Whether the first column is e_0 and M M^T = 1: exactly for an
+        exact matrix, within CHECK_TOL for a float one."""
         ctx, m = arithmetic_of(self), self.m
         fixed = all(ctx.scalar_eq(x, m[1] * (i == 0), CHECK_TOL)
                     for i, x in enumerate(m[0][:, 0]))
-        if not (fixed and ctx.equal(ctx.product(m, ctx.transpose(m)),
-                                    ctx.identity(8), CHECK_TOL)):
-            raise DegenerateInput("matrix must be orthogonal and fix 1")
-        if not ctx.det(m) > 0:
-            raise DegenerateInput("matrix must have determinant +1")
+        return fixed and ctx.equal(ctx.product(m, ctx.transpose(m)),
+                                   ctx.identity(8), CHECK_TOL)
 
     def inverse_apply(self, o: Octonion) -> Octonion:
         ctx = arithmetic_of(self)
@@ -201,38 +227,49 @@ def canonical_section() -> Section:
     return _CANONICAL
 
 
+def _rotated(pts, m):
+    # the points q = A^T p of the points pts, for A the pair m: q^T = p^T A;
+    # a homogenizing |p|^2 becomes |p|^2 d_A^2 (|q|^2 when A is orthogonal)
+    return (pts[0] @ m[0], pts[1] * m[1], *(n * m[1] ** 2 for n in pts[2:]))
+
+
 def so7_act(a: SO7Element, section: Section) -> Section:
     """(A.J)_p(v) = A J_{A^-1 p}(A^-1 v): the matrix A M_q A^T, where M_q is
-    the section's matrix at q = A^T p."""
+    the section's matrix at q = A^T p.  When A fixes 1 and is orthogonal,
+    A P_q A^T = P_p, so a section K(q) P_q goes to A K(A^T p) A^T P_p: its
+    linear factor is A K(A^T p) A^T."""
 
-    def build(ctx, pts):
-        m = ctx.pair(a)
-        inner = section.build(ctx, (pts[0] @ m[0], pts[1] * m[1]))  # q^T = p^T A
-        return ctx.product(m, inner, ctx.transpose(m))
+    def acted(inner: Callable) -> Callable:
+        def at(ctx, pts):
+            m = ctx.pair(a)
+            return ctx.product(m, inner(ctx, _rotated(pts, m)), ctx.transpose(m))
+        return at
 
-    return Section(build, a.exact and section.exact)
+    return Section(acted(section.build), a.exact and section.exact,
+                   section.linear and acted(section.linear),
+                   (a, *section.rotations))
 
 
 def rp7_section(x: Octonion) -> Section:
     """The constant-octonion section p -> R_conj(x) L_p R_x P_p / |x|^2, the
     structure of (p, x); x and -x give the same section."""
 
-    def build(ctx, pts):
+    def linear(ctx, pts):
         r = ctx.right(ctx.points([x]))
-        m = ctx.product(ctx.transpose(r), ctx.left(pts), r, ctx.projector(pts))
+        m = ctx.product(ctx.transpose(r), ctx.left(pts), r)
         return ctx.scaled(m, x.norm_sq())
 
     if arithmetic_of(x).zero_norm(x.norm_sq()):
         raise DegenerateInput("x must be nonzero")
-    return Section(build, x.exact)
+    return Section.factored(linear, x.exact)
 
 
 @functools.cache
 def section_sample_points() -> List[Octonion]:
-    """Fixed deterministic set of 20 exact rational points of the six-sphere
-    used for comparing sections.  The compared identities are polynomial of
-    low degree in the point, so agreement on this sample (plus the standard
-    basis points, which are included) is used as section equality."""
+    """Fixed deterministic set of 20 exact rational points of the six-sphere:
+    the standard basis points and 13 drawn from one seed.  Float sections
+    are compared here (`section_distance`, and `sections_equal` in float
+    mode); exact equality is proved by other means (`sections_equal`)."""
     rng = rng_from_seed(0x517E57)
     pts = [Octonion.basis(k) for k in range(1, 8)]
     while len(pts) < 20:
@@ -259,7 +296,53 @@ def section_distance(s1: Section, s2: Section) -> float:
     return ctx.distance(m1, m2)
 
 
+#: e_1, ..., e_7 stacked: a linear factor that agrees there agrees everywhere
+_BASIS_POINTS = _read_only(EXACT.points([Octonion.basis(k) for k in range(1, 8)]))
+
+
+# the 84 points v of N^7 with |v|_1 = 3, as imaginary octonions over 1,
+# stacked with |v|^2: the principal lattice of the simplex of degree 3,
+# unisolvent for cubic forms in 7 variables (Nicolaides, SIAM J. Numer. Anal.
+# 9, 1972; Chung & Yao, SIAM J. Numer. Anal. 14, 1977)
+_LATTICE = np.array([[ks.count(k) for k in range(8)] for ks in
+                     combinations_with_replacement(range(1, 8), 3)],
+                    dtype=object)
+_LATTICE_POINTS = _read_only((
+    _LATTICE, np.ones((len(_LATTICE), 1, 1), dtype=object),
+    inner_rows(_LATTICE, _LATTICE).reshape(-1, 1, 1)))
+
+
+def _linear_factors_agree(s1: Section, s2: Section) -> bool:
+    """Route A of exact section equality, sufficient but not necessary:
+    both sections have linear factors, every rotation they were acted on by
+    fixes 1 and is orthogonal (checked exactly), so each is K(p) P_p, and
+    the factors agree at e_1, ..., e_7, so K_1 = K_2 (each is linear in p)
+    and the sections are equal."""
+    if s1.linear is None or s2.linear is None:
+        return False
+    if not all(a.fixes_one_orthogonally() for a in s1.rotations + s2.rotations):
+        return False
+    return EXACT.equal(s1.linear(EXACT, _BASIS_POINTS),
+                       s2.linear(EXACT, _BASIS_POINTS))
+
+
+def _cubic_forms_agree(s1: Section, s2: Section) -> bool:
+    """Route B of exact section equality, a decision: each section built
+    here, homogenized by writing P_p as (I - 1 1^T)|v|^2 - v v^T, is a
+    matrix of cubic forms in v (whatever its rotations), two of which agree
+    on the sphere exactly when they agree everywhere; they are compared at
+    the 84 points of a set unisolvent for cubic forms."""
+    return EXACT.equal(s1.build(EXACT, _LATTICE_POINTS),
+                       s2.build(EXACT, _LATTICE_POINTS))
+
+
 def sections_equal(s1: Section, s2: Section) -> bool:
+    """Whether two sections are equal.  Exact sections are decided by a
+    proof: route A (`_linear_factors_agree`) where it applies and holds,
+    else route B (`_cubic_forms_agree`).  Float sections are compared at
+    the sample points, within FLOAT_EQ_TOL."""
+    if arithmetic_of(s1, s2).exact:
+        return _linear_factors_agree(s1, s2) or _cubic_forms_agree(s1, s2)
     ctx, m1, m2 = _on_points(s1, s2)
     return ctx.equal(m1, m2)
 

@@ -3,7 +3,8 @@ package against: coordinates on the 6-plane of the structure matrices,
 J_x, recovery and common lines one structure at a time, float `prop21`,
 `octonion-axioms`, `prop31` and `lemma34` one sample at a time on scalar
 `Octonion`s, the companion search one candidate at a time on scalar
-products, and substitution in graded polynomials.  No command needs them,
+products, the former exact section comparison at the 20 sample points, and
+substitution in graded polynomials.  No command needs them,
 so they live with the tests."""
 
 from itertools import chain, combinations
@@ -285,3 +286,11 @@ def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
             "kernel dimension %d and no vector passes verification" % len(ker))
     raise VerificationFailed(
         "companion candidate fails the isotopy identity (defect %g)" % r)
+
+
+def sections_equal_on_samples(s1: twistor.Section, s2: twistor.Section) -> bool:
+    """The former exact `sections_equal`: the stacked matrices compared at
+    the 20 points of `twistor.section_sample_points` only, which cannot
+    decide the equality of matrices of cubic forms in 7 variables."""
+    ctx, m1, m2 = twistor._on_points(s1, s2)
+    return ctx.equal(m1, m2)

@@ -160,6 +160,39 @@ def test_prop41_catches_a_perturbed_companion(monkeypatch, mode, kinds):
         assert isinstance(inputs["lam"], SO7Element)
 
 
+def test_prop41_proves_a_perturbed_companion_wrong_by_route_b(monkeypatch):
+    # route A's identity fails for a wrong companion, so every
+    # `orbit-in-sections` entry is route B's verdict, a proof of inequality
+    _perturbed_companion(monkeypatch)
+    route_b, verdicts = twistor._cubic_forms_agree, []
+
+    def recorded(s1, s2):
+        verdicts.append(route_b(s1, s2))
+        return verdicts[-1]
+
+    monkeypatch.setattr(twistor, "_cubic_forms_agree", recorded)
+    rep = suites.run_suite("prop41", samples=3, mode="exact", seed=1)
+    orbit = [f for f in rep.failures if f["kind"] == "orbit-in-sections"]
+    assert len(orbit) == 3 and verdicts == [False] * 3
+
+
+def test_prop41_catches_a_rotation_drawn_as_an_automorphism(monkeypatch):
+    # the automorphism draw hands back the rows of a conjugation element:
+    # its companion is a ray of x^3, not real, and it moves the canonical
+    # section, so `automorphism-isotropy` reports it
+    x = Octonion.from_strings(["3/5", "0", "4/5", "0", "0", "0", "0", "0"])
+    conj = twistor.conjugation_element(x)
+    monkeypatch.setattr(suites, "random_g2_matrix", lambda rng: conj.rows)
+    rep = suites.run_suite("prop41", samples=2, mode="exact", seed=1)
+    entry, = rep.failures
+    assert entry["kind"] == "automorphism-isotropy"
+    inputs = _read_back(entry)
+    assert inputs["lam"] == conj and not inputs["a"].imag().is_zero()
+    canonical = twistor.canonical_section()
+    acted = twistor.so7_act(inputs["lam"], canonical)
+    assert not twistor.sections_equal(acted, canonical)
+
+
 def _scalar_moufang(samples, mode, seed, tol):
     """The Moufang suite's (checked, failures, max_residual) as a loop over
     samples of scalar `Octonion` products: its reference."""

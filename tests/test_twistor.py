@@ -2,11 +2,12 @@
 the cube of the conjugation action, and the explicit loop lift."""
 
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from sixsphere import cstruct, twistor
+from sixsphere import cstruct, linalg, twistor
 from sixsphere.errors import (DegenerateInput, InvalidStructure,
                               KernelDimensionError, NonGenericInput,
                               NotImaginaryUnit, VerificationFailed)
@@ -423,6 +424,81 @@ def test_rp7_section_phase_dependence(rng):
     assert s1(E[1]) == s2(E[1])
     # ...but the sections differ at some other point
     assert not sections_equal(s1, s2)
+
+
+def _cubic_monomials(rows):
+    """The 84 monomials of degree 3 in the imaginary coordinates of each
+    row (8 numerators) of rows."""
+    return [[r[i] * r[j] * r[k]
+             for i, j, k in combinations_with_replacement(range(1, 8), 3)]
+            for r in rows]
+
+
+def test_twenty_points_cannot_decide_exact_section_equality():
+    # a cubic form f that vanishes at the 20 sample points exists, since
+    # the cubic forms in 7 variables span 84 dimensions: added to the
+    # canonical section (f(v) over its d^3 is f(p)), it makes a section that
+    # differs from the canonical one on the sphere, that the former
+    # comparison at the sample points passes, and that the proof rejects
+    pts = section_sample_points()
+    kernel, _ = linalg.kernel_basis(_cubic_monomials([p.numerators for p in pts]))
+    assert len(kernel) == 84 - 20
+    f = np.array(kernel[0], dtype=object)
+    canonical = canonical_section()
+
+    def build(ctx, pts):
+        m, d = canonical.build(ctx, pts)
+        bump = np.array(_cubic_monomials(pts[0].tolist()), dtype=object) @ f
+        m = m.copy()
+        m[:, 2, 3] += bump
+        m[:, 3, 2] -= bump
+        return m, d
+
+    bumped = twistor.Section(build, exact=True)
+    assert references.sections_equal_on_samples(bumped, canonical)
+    assert not sections_equal(bumped, canonical)
+    q = random_rational_imaginary_unit(rng_from_seed(5))
+    assert np.array(_cubic_monomials([q.numerators]), dtype=object)[0] @ f != 0
+    assert bumped(q) != canonical(q)
+
+
+def test_route_b_points_are_unisolvent_for_cubic_forms():
+    v, d, n = twistor._LATTICE_POINTS
+    assert v.shape == (84, 8) and not v[:, 0].any()
+    assert len({tuple(r) for r in v.tolist()}) == 84
+    assert (v.sum(axis=1) == 3).all() and (v >= 0).all()
+    assert (d == 1).all() and n.ravel().tolist() == [
+        sum(x * x for x in r) for r in v.tolist()]
+    assert linalg.det(_cubic_monomials(v.tolist())) != 0
+
+
+def test_route_b_agrees_with_route_a():
+    # prop41's draws at seed 1 and its default 25 samples: the rotations'
+    # sections against their companions' and the automorphism's against
+    # the canonical one, each proved equal by either route alone
+    rng = rng_from_seed(1)
+    pairs = []
+    for _ in range(25):
+        lam = twistor.random_so7_exact(rng)
+        pairs.append((so7_act(lam, canonical_section()),
+                      rp7_section(companion(lam).a)))
+    g = SO7Element(random_g2_matrix(rng), validate=False)
+    pairs.append((so7_act(g, canonical_section()), canonical_section()))
+    for s1, s2 in pairs:
+        assert twistor._linear_factors_agree(s1, s2)
+        assert twistor._cubic_forms_agree(s1, s2)
+    # route A is sufficient, not necessary: it declines a section without
+    # a linear factor, and a rotation that is not orthogonal
+    no_factor = twistor.Section(canonical_section().build, exact=True)
+    stretch = SO7Element(np.diag([1, 2, 1, 1, 1, 1, 1, 1]).tolist(),
+                         validate=False)
+    assert not stretch.fixes_one_orthogonally()
+    for s1, s2 in ((no_factor, canonical_section()),
+                   (so7_act(stretch, canonical_section()),) * 2):
+        assert not twistor._linear_factors_agree(s1, s2)
+        assert twistor._cubic_forms_agree(s1, s2) and sections_equal(s1, s2)
+    assert not sections_equal(so7_act(stretch, canonical_section()),
+                              canonical_section())
 
 
 def test_section_sample_points_deterministic():
