@@ -30,7 +30,8 @@ the denominator.  Float octonions hold their floats over the denominator 1,
 and float results skip the constructor's validation.  One straight-line
 product, generated from the table at import, multiplies integers and floats
 alike, and numpy arrays of them: `batch_mul` is that product on stacked
-coordinates, its terms taken by one signed gather on float rows.  An exact
+coordinates, its terms taken by one signed gather on float rows and, in
+int64, on exact rows whose sums provably fit.  An exact
 operand that meets a float one, octonion or matrix, enters as its float
 copy: each numerator / denominator rounded once, the floats that Python's
 `Fraction op float` uses.  A scalar multiple or quotient
@@ -906,27 +907,65 @@ class SquareMatrix:
 # `_product` gives it, and an exact one keeps the scalars' own type
 # ---------------------------------------------------------------------------
 
-#: rows per pass of the float `batch_mul`: the (8, 8, rows) terms of a pass
-#: stay in cache, and up to this many rows take one pass
+#: rows per pass of `_gather`: the (8, 8, rows) terms of a pass stay in
+#: cache, and up to this many rows take one pass
 BATCH_ROWS = 512
 
 
 def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Octonion product of (..., 8) arrays, broadcasting, row by row equal to
-    the scalar product, signed zeros included.  Float rows are one signed
-    gather per pass of BATCH_ROWS rows: y's coordinates stacked over their
-    negations and gathered by `_TERMS`, the (term, coordinate, row) array
-    times x's coordinates, and each coordinate's eight terms added in
-    `_product`'s order, starting from 0.  Rows of any other dtype (exact
-    integer numerators in object arrays) run `_product` on the coordinate
-    axes."""
+    the scalar product, signed zeros included.  Float rows take `_gather`.
+    Exact rows (integer numerators in object arrays) take it too, in int64,
+    when `_int64_operands` proves every sum fits, and come back as Python
+    ints; exact rows that may not fit, and rows of any other dtype, run
+    `_product` on the coordinate axes."""
     x, y = np.asarray(x), np.asarray(y)
     dtype = np.result_type(x, y)
-    if dtype.kind != "f":
-        return np.stack(_product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)), -1)
+    if dtype.kind == "f":
+        return _gather(x, y, dtype)
+    if dtype == object:
+        fits = _int64_operands(x, y)
+        if fits is not None:
+            return _gather(*fits, np.dtype(np.int64)).astype(object)
+    return np.stack(_product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)), -1)
+
+
+def _int64_operands(x: np.ndarray, y: np.ndarray):
+    """x and y as int64 arrays when every entry of both is a Python int
+    (`astype` would truncate a Fraction, a float or a bool) and
+    8 max|x| max|y| < 2^63, computed in Python ints: a coordinate is a sum
+    of eight terms x_i y_j, so every partial sum fits.  Else None.  The
+    cast comes first, so rows with an entry past int64 are turned away at
+    it, before any scan of their types.  Empty operands, and operands
+    whose last axis is not 8 (on which `_product` raises), get None."""
+    if not (x.size and y.size and x.shape[-1:] == y.shape[-1:] == (8,)):
+        return None
+    try:
+        xi, yi = x.astype(np.int64), y.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if (8 * _max_abs(xi) * _max_abs(yi) >= 2 ** 63
+            or set(map(type, x.flat)) | set(map(type, y.flat)) != {int}):
+        return None
+    return xi, yi
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an int64 array, as a Python int (the
+    abs of -2^63 is not an int64)."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def _gather(x: np.ndarray, y: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """`batch_mul` of float or int64 rows: one signed gather per pass of
+    BATCH_ROWS rows.  y's coordinates are stacked over their negations and
+    gathered by `_TERMS`, the (term, coordinate, row) array is multiplied
+    by x's coordinates, and each coordinate's eight terms are added in
+    `_product`'s order, starting from 0."""
     shape = np.broadcast(x, y).shape
     x, y = _rows(x, shape), _rows(y, shape)
     out = np.empty((8, len(x)), dtype)
+    zero = dtype.type(0)
     for s in range(0, len(x), BATCH_ROWS):
         rows = slice(s, s + BATCH_ROWS)
         signed = np.empty((16, len(x[rows])), dtype)
@@ -935,7 +974,7 @@ def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         terms = signed[_TERMS]                  # [i, k, row]: +-y_j
         terms *= x[rows].T[:, None]             # times x_i
         acc = out[:, rows]
-        np.add(terms[0], 0.0, out=acc)          # `_product`'s leading 0
+        np.add(terms[0], zero, out=acc)         # `_product`'s leading 0
         for t in terms[1:]:
             acc += t
     return out.T.reshape(shape)

@@ -18,8 +18,10 @@ The float draws (unit vectors, Haar rotations) take an optional `count` and
 then return that many, stacked along a leading axis, from one generator
 call: the same stream, in the same order and with the same bits as `count`
 single draws.  A single draw is the same formula without the leading axis.
-Exact draws stay one at a time: each takes two interleaved `integers`
-calls, which one batch cannot reproduce without changing the stream.
+Exact draws stay one at a time: each takes its numerators and then its
+denominators from one `integers` call on per-entry bounds, in the order two
+sized calls would draw them, while a batch of draws would take every
+numerator before any denominator and so change the stream.
 
 All randomness flows through `numpy.random.Generator` seeded with a single
 64-bit integer (PCG64, deterministic across platforms).  Generators are
@@ -98,13 +100,25 @@ def random_rational_vector(rng: np.random.Generator, n: int,
     return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
 
 
+#: (num_max, den_max, n) -> the bounds of `_random_lifted`'s one draw, its
+#: n numerators' then its n denominators' lows over their (exclusive) highs
+_DRAW_BOUNDS: dict = {}
+
+
 def _random_lifted(rng: np.random.Generator, n: int, num_max: int = 6,
                    den_max: int = 4) -> Tuple[list, int]:
     """`random_rational_vector(rng, n, num_max, den_max)` as int numerators
-    over the lcm of the drawn denominators (not reduced), from the same two
-    draws."""
-    nums = rng.integers(-num_max, num_max + 1, size=n).tolist()
-    dens = rng.integers(1, den_max + 1, size=n).tolist()
+    over the lcm of the drawn denominators (not reduced): its two sized
+    draws as one `integers` call on per-entry bounds, n numerators' then n
+    denominators', which gives the same integers and leaves the generator
+    in the same state."""
+    key = (num_max, den_max, n)
+    bounds = _DRAW_BOUNDS.get(key)
+    if bounds is None:
+        bounds = _DRAW_BOUNDS[key] = np.repeat(
+            [[-num_max, 1], [num_max + 1, den_max + 1]], n, axis=1)
+    drawn = rng.integers(bounds[0], bounds[1]).tolist()
+    nums, dens = drawn[:n], drawn[n:]
     d = math.lcm(*dens)
     return [a * (d // b) for a, b in zip(nums, dens)], d
 

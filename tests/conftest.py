@@ -41,3 +41,18 @@ def bent_table(monkeypatch):
         monkeypatch.setattr(octonion, name, value)
     yield
     _clear_package_caches()
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """The dtype of every `octonion._gather` call made while the test runs:
+    float64 for float rows, int64 for exact rows that took the int64 path."""
+    dtypes = []
+    gather = octonion._gather
+
+    def spy(x, y, dtype):
+        dtypes.append(dtype)
+        return gather(x, y, dtype)
+
+    monkeypatch.setattr(octonion, "_gather", spy)
+    return dtypes

@@ -3,10 +3,11 @@ package against: coordinates on the 6-plane of the structure matrices,
 J_x, recovery and common lines one structure at a time, float `prop21`,
 `octonion-axioms`, `prop31` and `lemma34` one sample at a time on scalar
 `Octonion`s, the companion search one candidate at a time on scalar
-products, the former exact section comparison at the 20 sample points, and
-substitution in graded polynomials.  No command needs them,
-so they live with the tests."""
+products, the former exact section comparison at the 20 sample points, the
+former two-call exact draw, and substitution in graded polynomials.  No
+command needs them, so they live with the tests."""
 
+import math
 from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence
 
@@ -42,6 +43,16 @@ def extract6(o: Octonion) -> list:
         raise InvalidStructure("vector has components along 1 or e1")
     c = o.coords
     return [c[idx] for idx in R6_BASIS]
+
+
+def random_lifted(rng: np.random.Generator, n: int, num_max: int = 6,
+                  den_max: int = 4):
+    """`sampling._random_lifted` as two sized `integers` calls, the n
+    numerators and then the n denominators."""
+    nums = rng.integers(-num_max, num_max + 1, size=n).tolist()
+    dens = rng.integers(1, den_max + 1, size=n).tolist()
+    d = math.lcm(*dens)
+    return [a * (d // b) for a, b in zip(nums, dens)], d
 
 
 def substitute(p: GradedPoly, assignment: Dict[str, GradedPoly]) -> GradedPoly:

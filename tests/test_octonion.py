@@ -414,6 +414,80 @@ def test_batch_mul_broadcasts_before_the_gather(xshape, yshape, exact, rng):
     _assert_scalar_rows(batch_mul(x, y), x, y)
 
 
+def _coordinate_axes(x, y):
+    """`_product` on the coordinate axes: the exact `batch_mul` before the
+    int64 gather, and still that of rows the gather turns away."""
+    return np.stack(octonion._product(np.moveaxis(x, -1, 0),
+                                      np.moveaxis(y, -1, 0)), -1)
+
+
+def _same_entries(got, want):
+    assert got.dtype == want.dtype == object and got.shape == want.shape
+    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 8, octonion.BATCH_ROWS,
+                               octonion.BATCH_ROWS + 1, 2000])
+def test_exact_rows_take_the_int64_gather_bit_for_bit(n, rng, gathers):
+    # entries up to 2^29: 8 * 2^29 * 2^29 = 2^61 fits, and every product is
+    # exact in int64, so the gather equals `_product` and hands back ints
+    shapes = [((n, 8), (n, 8)), ((8,), (n, 8)), ((n, 1, 8), (1, 3, 8))]
+    for xshape, yshape in shapes:
+        x = rng.integers(-2 ** 29, 2 ** 29, xshape).astype(object)
+        y = rng.integers(-2 ** 29, 2 ** 29, yshape).astype(object)
+        x.flat[0], y.flat[-1] = -2 ** 29, -2 ** 29
+        got = batch_mul(x, y)
+        _same_entries(got, _coordinate_axes(x, y))
+        assert all(type(v) is int for v in got.flat)
+    assert gathers == [np.dtype(np.int64)] * len(shapes)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_int64_bound_is_exact_on_both_sides(sign, gathers):
+    # x = a (1, ..., 1) and y = b (1, -1, ..., -1) make coordinate 0 the sum
+    # of eight terms ab: 8ab itself.  8ab = 2^63 - 8, the largest multiple
+    # of 8 under 2^63, takes int64; 8ab = 2^63 falls back (its sum would
+    # not fit).  Each side puts its extreme on x and on y in turn.
+    b_signs = np.array([1] + [-1] * 7, dtype=object)
+    cases = [(2 ** 60 - 1, 1, True), (1, 2 ** 60 - 1, True),
+             ((2 ** 30 - 1) * (2 ** 30 + 1), 1, True),
+             (2 ** 60, 1, False), (1, 2 ** 60, False), (2 ** 30, 2 ** 30, False)]
+    for a, b, fits in cases:
+        x = np.full((3, 8), sign * a, dtype=object)
+        y = np.tile(b * b_signs, (3, 1))
+        gathers.clear()
+        got = batch_mul(x, y)
+        _same_entries(got, _coordinate_axes(x, y))
+        assert got[0, 0] == sign * 8 * a * b
+        assert gathers == ([np.dtype(np.int64)] if fits else [])
+
+
+@pytest.mark.parametrize("odd", [F(1, 2), F(3, 1), 1.5, 2.0, True, False,
+                                 np.int64(3), np.int32(-2)])
+def test_rows_with_other_scalars_keep_the_coordinate_axes(odd, rng, gathers):
+    # `astype(int64)` would truncate a Fraction or a float and turn a numpy
+    # integer's products into ints: one such entry among ints keeps the
+    # rows on `_product`, with its result and its types
+    for n in (1, 8):
+        x = rng.integers(-9, 10, (n, 8)).astype(object)
+        y = rng.integers(-9, 10, (n, 8)).astype(object)
+        for a, b in ((x, y), (y, x)):
+            a = a.copy()
+            a[-1, 3] = odd
+            _same_entries(batch_mul(a, b), _coordinate_axes(a, b))
+    assert gathers == []
+
+
+def test_exact_rows_of_other_than_eight_coordinates_raise(gathers):
+    # the gather reads rows of 8 and would pair up the entries of (4, 2)
+    # operands; `_product` cannot unpack them
+    a = np.ones((4, 2), dtype=object)
+    with pytest.raises(ValueError):
+        batch_mul(a, a)
+    assert gathers == []
+
+
 def test_table_constants_are_built_from_the_table():
     # the module's table constants are the builder's, name by name, so one
     # rebinding of TABLE_CONSTANTS (the bent-table fixture) swaps them all

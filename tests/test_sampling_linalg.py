@@ -8,13 +8,15 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixsphere import cstruct, frames, linalg, sampling
+from sixsphere import cstruct, frames, linalg, sampling, suites
 from sixsphere.frames import householder_swap
 from sixsphere.octonion import EXACT, Octonion
 from sixsphere.sampling import (haar_orthogonal, random_rational_vector,
                                 rational_circle_point, rational_imaginary_unit,
                                 rational_sphere_point, rational_unit_octonion,
                                 rng_from_seed)
+
+import references
 
 
 def test_stereographic_fixed_points():
@@ -88,6 +90,37 @@ def test_integer_draws_equal_the_fraction_path():
         for o, w in zip((got.x, got.y, got.z), _fraction_frame(ref)):
             _same(o, w)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+#: every (n, num_max, den_max) of the package's exact draws: points of the
+#: spheres in Q^8, Q^7, Q^6 and Q^4 (unit octonions and tangents, unit
+#: imaginaries, G2 frames) and the circle's
+LIFTED_DRAWS = [(7, 6, 4), (6, 6, 4), (5, 6, 4), (3, 6, 4), (1, 12, 7)]
+
+
+def test_one_call_draws_equal_the_two_call_reference():
+    # the one `integers` call on per-entry bounds gives the integers of the
+    # two sized calls and leaves the generator where they leave it
+    for seed in range(200):
+        ours, ref = rng_from_seed(seed), rng_from_seed(seed)
+        for _ in range(3):
+            for args in LIFTED_DRAWS:
+                assert (sampling._random_lifted(ours, *args)
+                        == references.random_lifted(ref, *args))
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_the_exact_suites_draw_only_the_tested_bounds(monkeypatch):
+    seen = set()
+    draw = sampling._random_lifted
+
+    def spy(rng, n, num_max=6, den_max=4):
+        seen.add((n, num_max, den_max))
+        return draw(rng, n, num_max, den_max)
+
+    monkeypatch.setattr(sampling, "_random_lifted", spy)
+    assert all(r.ok for r in suites.run_all(mode="exact", seed=1, samples=1))
+    assert seen == set(LIFTED_DRAWS)
 
 
 def test_rng_determinism():

@@ -85,6 +85,19 @@ def test_exact_suites_catch_a_bent_table(bent_table, name):
         _read_back(entry)
 
 
+def test_exact_moufang_rows_take_the_int64_gather_of_a_bent_table(bent_table,
+                                                                  gathers):
+    # the int64 gather reads the rebound `_TERMS`: exact moufang rows take
+    # it, fail under the bent table, and their entries fail the scalar laws
+    rep = suites.run_suite("moufang", samples=3, mode="exact", seed=1)
+    assert np.dtype(np.int64) in gathers
+    assert not rep.ok
+    for entry in rep.failures:
+        inputs = _read_back(entry)
+        for law in entry["laws"]:
+            assert residual(MOUFANG[law](inputs["x"], inputs["y"], inputs["z"])) > 0
+
+
 @pytest.mark.parametrize("name, kinds", [
     ("prop21", {"sample-error"}), ("prop41", {"companion"})])
 def test_float_suites_catch_a_bent_table(bent_table, name, kinds):
