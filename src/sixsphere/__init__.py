@@ -7,7 +7,7 @@ from .octonion import Octonion, FLOAT_EQ_TOL, MUL_INDEX, MUL_SIGN
 from .cstruct import (ComplexStructureR6, ComplexLine, standard_structure,
                       j_from_octonion, equivalent, recover_x, common_line,
                       quaternion_coordinate_form)
-from .frames import QuaternionFrame, G2Frame, g2_from_frame
+from .frames import G2Frame, g2_from_frame
 from .twistor import (TwistorPoint, TangentStructure, SO7Element,
                       twistor_evaluate, so7_act, companion, rp7_section,
                       triality_cube, fiber_count_rp7)

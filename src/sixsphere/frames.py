@@ -1,22 +1,26 @@
-"""Quaternion subalgebras and automorphisms from frames.
+"""Automorphisms of the octonions from frames.
 
-A quaternion subalgebra is spanned by (1, x, y, y*x) for orthonormal
-imaginary units x, y.  An orthonormal imaginary 3-frame (x, y, z) with
-z perpendicular to y*x determines a unique algebra automorphism of the
-octonions sending (e1, e2, e4) to (x, y, z); the remaining basis images are
-forced by multiplicativity.
+An orthonormal imaginary 3-frame (x, y, z) with z perpendicular to y*x
+determines a unique algebra automorphism of the octonions sending
+(e1, e2, e4) to (x, y, z); the remaining basis images are forced by
+multiplicativity.  `g2_from_frame` builds it and certifies it: the eight
+images are orthonormal and the multiplication defect of their matrix is
+zero.
 
 Exact sampling is done entirely with Householder reflections: a reflection
 whose mirror normal is the (rational) difference of two rational unit vectors
 is a rational orthogonal map, so chains of them move the standard frame to
-random rational frames without ever leaving the rationals.
+random rational frames without ever leaving the rationals.  The quaternion
+subalgebra spanned by (1, x, y, y*x) on the way is not checked on its own:
+the certificate of the automorphism covers it, since 1, x, y and x*y = -y*x
+are the images of 1, e1, e2 and e3, so they are orthonormal and span the
+image of a subalgebra, which is closed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Tuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import AutomorphismCheckFailed, FrameInvalid
 # which bench/test_smoke.py reads
 from .linalg import kernel_basis, mat_vec
 from .octonion import (CHECK_TOL, Octonion, arithmetic_of,
-                       multiplication_defect, reject)
+                       multiplication_defect)
 # normalize has no caller here: it stays bound as frames.normalize, which
 # bench/layers.py patches and bench/test_smoke.py reads
 from .octonion import normalize
@@ -44,32 +48,6 @@ def householder_swap(a: Octonion, b: Octonion) -> Callable[[Octonion], Octonion]
         return lambda v: v
     nn = n.norm_sq()
     return lambda v: v - (2 * v.inner(n) / nn) * n
-
-
-@dataclass(frozen=True)
-class QuaternionFrame:
-    """Orthonormal basis (1, x, y, y*x) of a quaternion subalgebra."""
-
-    x: Octonion
-    y: Octonion
-    basis: Tuple[Octonion, ...] = field(init=False)
-
-    def __post_init__(self):
-        one = arithmetic_of(self.x, self.y).one
-        object.__setattr__(self, "basis", (one, self.x, self.y, self.y * self.x))
-        self._validate()
-
-    def _validate(self):
-        b = self.basis
-        if not arithmetic_of(*b).orthonormal(b, CHECK_TOL):
-            raise FrameInvalid("quaternion frame is not orthonormal")
-        # closure under multiplication: every product of basis elements must
-        # lie in the span
-        if not all(self.contains(u * v) for u, v in product(b, repeat=2)):
-            raise FrameInvalid("quaternion frame span is not closed")
-
-    def contains(self, o: Octonion) -> bool:
-        return reject(o, self.basis).is_zero(CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -132,28 +110,23 @@ def apply_matrix(m, o: Octonion) -> Octonion:
 # exact random frames
 # ---------------------------------------------------------------------------
 
-def random_quaternion_frame(rng: np.random.Generator) -> QuaternionFrame:
-    """Random exact rational quaternion frame."""
-    x = random_rational_imaginary_unit(rng)
-    nums, den = random_sphere_lifted(rng, 5)
-    u = Octonion.from_lifted([0, 0, *nums], den)
-    y = householder_swap(E1, x)(u)
-    return QuaternionFrame(x, y)
-
-
 def random_g2_frame(rng: np.random.Generator) -> G2Frame:
     """Random exact rational admissible 3-frame.
 
-    Build (x, y) as a rational quaternion frame, carry the standard frame
-    onto it by two Householder swaps, correct the image of e3 onto y*x by a
-    third reflection (which fixes 1, x, y), and finally rotate the resulting
-    unit normal z0 inside the orthogonal quaternion line by a random rational
-    unit of the subalgebra.  Every step preserves rationality and norms.
+    Draw a rational imaginary unit x and a rational unit u orthogonal to
+    1, e1; the swap of e1 and x carries u to y, orthogonal to 1 and x, so
+    (1, x, y, y*x) is a basis of a quaternion subalgebra.  Carry the
+    standard frame onto (x, y) by two Householder swaps, correct the image
+    of e3 onto y*x by a third reflection (which fixes 1, x, y), and finally
+    rotate the resulting unit normal z0 inside the orthogonal quaternion
+    line by a random rational unit of the subalgebra.  Every step preserves
+    rationality and norms.
     """
-    qf = random_quaternion_frame(rng)
-    x, y = qf.x, qf.y
+    x = random_rational_imaginary_unit(rng)
+    nums, den = random_sphere_lifted(rng, 5)
+    u = Octonion.from_lifted([0, 0, *nums], den)
     h1 = householder_swap(E1, x)
-    u = h1(y)  # = preimage of y; unit, orthogonal to e1
+    y = h1(u)
     h2 = householder_swap(E2, u)
     q2 = lambda v: h1(h2(v))
     w = q2(Octonion.basis(3))
@@ -165,7 +138,7 @@ def random_g2_frame(rng: np.random.Generator) -> G2Frame:
     # summed over the integer numerators of its point, and den divided last
     nums, den = random_sphere_lifted(rng, 3)
     a = Octonion.zero()
-    for c, b in zip(nums, qf.basis):
+    for c, b in zip(nums, (Octonion.one(), x, y, yx)):
         a = a + c * b
     return G2Frame(x, y, z0 * a / den)
 

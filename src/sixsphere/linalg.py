@@ -191,8 +191,9 @@ def is_orthogonal_exact(m: Sequence[Sequence[Fraction]]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _kernel_rows(m: np.ndarray):
-    """The V^T of the SVD of m, or of each matrix of a stack, and the mask
-    of its rows that span the numerical kernel (see `kernel_basis_float`)."""
+    """The V^T of the SVD of m, or of each matrix of a stack in one batched
+    SVD, and the mask of its rows that span the numerical kernel (see
+    `kernel_basis_float`), each matrix cut at its own s_max."""
     m = np.asarray(m, dtype=float)
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
     small = np.ones(vt.shape[:-1], bool)
@@ -202,18 +203,18 @@ def _kernel_rows(m: np.ndarray):
     return vt, small
 
 
-def kernel_basis_float(m: np.ndarray):
-    """Orthonormal basis (rows) of the numerical kernel: right singular
-    vectors whose singular values fall below KERNEL_RTOL * s_max.  A tall
-    matrix (rows >= cols) takes the reduced SVD, whose V^T is already
-    square; a wide one needs the full V^T, whose extra rows span most of
-    its kernel.  A stack (n, rows, cols) takes one batched SVD and gives
-    the list of its matrices' bases, each cut at its own s_max: bit for
-    bit the bases of its matrices taken one at a time."""
+def kernel_basis_float(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the numerical kernel of one matrix:
+    right singular vectors whose singular values fall below
+    KERNEL_RTOL * s_max.  A tall matrix (rows >= cols) takes the reduced
+    SVD, whose V^T is already square; a wide one needs the full V^T, whose
+    extra rows span most of its kernel.  Stacks take
+    `kernel_planes_float`."""
+    if np.ndim(m) != 2:
+        raise ValueError("kernel_basis_float takes one matrix, got shape %s"
+                         % (np.shape(m),))
     vt, small = _kernel_rows(m)
-    if vt.ndim == 2:
-        return vt[small]
-    return [v[k] for v, k in zip(vt, small)]
+    return vt[small]
 
 
 def kernel_planes_float(m: np.ndarray):

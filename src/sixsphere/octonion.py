@@ -514,12 +514,6 @@ def residual(d: Octonion) -> float:
 # the arithmetic context
 # ---------------------------------------------------------------------------
 
-def _placed(v: Sequence, basis: Sequence[int], zero) -> list:
-    """The eight coordinates with v's entries at basis and zero elsewhere."""
-    at = dict(zip(basis, v))
-    return [at.get(k, zero) for k in range(8)]
-
-
 def _read_only(pair):
     """The (array, denominator) pair with its arrays made read-only: a
     constant built once and shared by every caller."""
@@ -638,13 +632,12 @@ class _ExactArithmetic(Arithmetic):
         """Whether the squared norm n counts as zero."""
         return n == 0
 
-    def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
-        """A basis of the right kernel of a matrix, each vector the octonion
-        with its entries at the coordinates `basis`, 0 elsewhere.  EXACT
-        eliminates a tall matrix M as M^T M, which has M's row space, hence
-        the same reduced echelon form and the same basis."""
+    def kernel(self, rows) -> list:
+        """A basis of the right kernel of a matrix with eight columns, as
+        octonions.  EXACT eliminates a tall matrix M as M^T M, which has M's
+        row space, hence the same reduced echelon form and the same basis."""
         (vs, d), = self.kernels([rows])
-        return [_reduced(_placed(v, basis, 0), d) for v in vs.tolist()]
+        return [_reduced(v, d) for v in vs.tolist()]
 
     def ray(self, o: Octonion) -> Octonion:
         """The representative of the ray through o that results carry."""
@@ -736,9 +729,8 @@ class _FloatArithmetic(Arithmetic):
     def zero_norm(self, n, tol_sq: float = ZERO_NORM_SQ) -> bool:
         return n < tol_sq
 
-    def kernel(self, rows, basis: Sequence[int] = range(8)) -> list:
-        return [_floats(_placed(v, basis, 0.0)) for v in
-                linalg.kernel_basis_float(rows).tolist()]
+    def kernel(self, rows) -> list:
+        return [_floats(v) for v in linalg.kernel_basis_float(rows).tolist()]
 
     def planes(self, stack):
         k, dims = linalg.kernel_planes_float(stack)
@@ -838,16 +830,12 @@ class SquareMatrix:
         """Raise `error` unless the matrix belongs to the class."""
 
     @classmethod
-    def _trusted(cls, pair, ctx: Arithmetic,
-                 idx: Optional[Sequence[int]] = None) -> "SquareMatrix":
+    def _trusted(cls, pair, ctx: Arithmetic) -> "SquareMatrix":
         """The matrix of the pair (a stack of one is fine, with a positive
-        denominator) that a formula in the mode of ctx puts in the class, on
-        the rows and columns idx when given: reduced to its form, not
-        re-validated."""
+        denominator) that a formula in the mode of ctx puts in the class:
+        reduced to its form, not re-validated."""
         a, d = pair[0].reshape(pair[0].shape[-2:]), pair[1]
         d = d.flat[0] if isinstance(d, np.ndarray) else d
-        if idx is not None:
-            a = a[np.ix_(idx, idx)]
         if not ctx.exact:
             a, d = a / d, 1.0
         else:
@@ -918,8 +906,12 @@ def batch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Exact rows (integer numerators in object arrays) take it too, in int64,
     when `_int64_operands` proves every sum fits, and come back as Python
     ints; exact rows that may not fit, and rows of any other dtype, run
-    `_product` on the coordinate axes."""
+    `_product` on the coordinate axes.  Operands whose last axis is not 8
+    raise `DegenerateInput`."""
     x, y = np.asarray(x), np.asarray(y)
+    if not x.shape[-1:] == y.shape[-1:] == (8,):
+        raise DegenerateInput("octonion rows need a last axis of 8, got "
+                              "shapes %s and %s" % (x.shape, y.shape))
     dtype = np.result_type(x, y)
     if dtype.kind == "f":
         return _gather(x, y, dtype)
@@ -936,9 +928,8 @@ def _int64_operands(x: np.ndarray, y: np.ndarray):
     8 max|x| max|y| < 2^63, computed in Python ints: a coordinate is a sum
     of eight terms x_i y_j, so every partial sum fits.  Else None.  The
     cast comes first, so rows with an entry past int64 are turned away at
-    it, before any scan of their types.  Empty operands, and operands
-    whose last axis is not 8 (on which `_product` raises), get None."""
-    if not (x.size and y.size and x.shape[-1:] == y.shape[-1:] == (8,)):
+    it, before any scan of their types.  Empty operands get None."""
+    if not (x.size and y.size):
         return None
     try:
         xi, yi = x.astype(np.int64), y.astype(np.int64)

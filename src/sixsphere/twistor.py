@@ -364,24 +364,23 @@ def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octoni
         a.norm_sq() * (octonion.MUL_SIGN[i][j] * imgs[octonion.MUL_INDEX[i][j]])
 
 
-def isotopy_residual(lam: SO7Element, a, tol: Optional[float] = None):
-    """max over basis pairs of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |.
+def isotopy_residual(lam: SO7Element, cands: Sequence[Octonion],
+                     tol: float) -> List[float]:
+    """For each candidate octonion a, its residual: the max over basis pairs
+    of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |, or for a
+    candidate that fails, its first failing defect.
 
-    `a` is one candidate octonion, whose residual is returned, or a list of
-    candidates, checked in one stacked pass and returned as the list of
-    their residuals.  The pass runs on rows, floats or exact numerators
-    over one denominator per candidate (d^2 D^2, for lam's pair over d and
-    a's numerators over D), reduced by no gcd: one `batch_mul` for every
-    lam(ei) a and conj(a) lam(ej), then their products.  Every defect
-    equals `_isotopy_defect`'s, and every residual the one `residual`
-    reads off it.  Given tol, a candidate that fails stops early: the
-    first defect in (i, j) order that fails lam's test against tol (any
-    nonzero defect in exact mode) is its residual in place of the max.
-    The 16 products with i <= 1 are taken first, for every candidate, and
-    only the candidates that pass them go on to the 48 with i >= 2, so a
-    failing candidate stays cheap."""
-    one = isinstance(a, Octonion)
-    cands = [a] if one else list(a)
+    The candidates are checked in one stacked pass on rows, floats or exact
+    numerators over one denominator per candidate (d^2 D^2, for lam's pair
+    over d and a's numerators over D), reduced by no gcd: one `batch_mul`
+    for every lam(ei) a and conj(a) lam(ej), then their products.  Every
+    defect equals `_isotopy_defect`'s, and every residual the one
+    `residual` reads off it.  A candidate fails at the first defect in
+    (i, j) order that fails lam's test against tol (any nonzero defect in
+    exact mode), and that defect is its residual.  The 16 products with
+    i <= 1 are taken first, for every candidate, and only the candidates
+    that pass them go on to the 48 with i >= 2, so a failing candidate
+    stays cheap."""
     ctx = arithmetic_of(lam, *cands)
     img, d = ctx.pair(lam)
     img = img.T                                   # row i: lam(e_i), over d
@@ -408,7 +407,7 @@ def isotopy_residual(lam: SO7Element, a, tol: Optional[float] = None):
         r = r.swapaxes(0, 1).reshape(len(alive), -1)          # (i, j) order
         keep = []
         for c, rc in zip(alive.tolist(), r.tolist()):
-            bad = None if tol is None else next((v for v in rc if v > cut), None)
+            bad = next((v for v in rc if v > cut), None)
             if bad is None:
                 out[c] = max(out[c], *rc)
                 keep.append(c)
@@ -417,7 +416,7 @@ def isotopy_residual(lam: SO7Element, a, tol: Optional[float] = None):
         alive = np.array(keep, dtype=int)
         if not len(alive):
             break
-    return out[0] if one else out
+    return out
 
 
 def _pencil_candidates(lam: SO7Element, k1: Octonion,

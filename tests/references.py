@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from sixsphere import octonion, suites, twistor
+from sixsphere import linalg, octonion, suites, twistor
 from sixsphere.chern import GradedPoly
 from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
                                _e1_left_basis, _left_e1, standard_structure)
@@ -74,8 +74,9 @@ def j_from_octonion(x: Octonion) -> ComplexStructureR6:
     if ctx.zero_norm(n):
         raise NotUnit("x must be nonzero")
     r = ctx.right(ctx.points([x]))
-    m = ctx.product(ctx.transpose(r), _left_e1(ctx), r)
-    return ComplexStructureR6._trusted(ctx.scaled(m, n), ctx, R6_BASIS)
+    a, d = ctx.scaled(ctx.product(ctx.transpose(r), _left_e1(ctx), r), n)
+    a = a.reshape(8, 8)[np.ix_(R6_BASIS, R6_BASIS)]
+    return ComplexStructureR6._trusted((a, d), ctx)
 
 
 def recover(j: ComplexStructureR6):
@@ -99,13 +100,27 @@ def recover(j: ComplexStructureR6):
     return x, jx
 
 
+def _kernel6(ctx, m) -> List[Octonion]:
+    """A basis of the right kernel of a 6x6 matrix (numerators, for EXACT)
+    as octonions on R6_BASIS, 0 on <1, e1>: the basis `Arithmetic.kernel`
+    takes from an 8-column matrix, placed by hand."""
+    if ctx.exact:
+        (vs, d), = ctx.kernels([m])
+        make = lambda v: Octonion.from_lifted(v, d)  # noqa: E731
+    else:
+        vs, make = linalg.kernel_basis_float(m), Octonion
+    placed = np.zeros((len(vs), 8), vs.dtype)
+    placed[:, R6_BASIS] = vs
+    return [make(v) for v in placed.tolist()]
+
+
 def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
     """The common line of two structures, from the kernel of their
-    difference through `Arithmetic.kernel` and `SquareMatrix.apply`."""
+    difference (see `_kernel6`) and `SquareMatrix.apply`."""
     if j1 == j2:
         raise IdenticalStructures("every line is common to identical structures")
     ctx = arithmetic_of(j1, j2)
-    ker = ctx.kernel(ctx.difference(ctx.pair(j1), ctx.pair(j2)), R6_BASIS)
+    ker = _kernel6(ctx, ctx.difference(ctx.pair(j1), ctx.pair(j2)))
     if len(ker) == 0:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:
@@ -248,11 +263,11 @@ def lemma34(samples: int, seed: int):
     return run.checked, run.failures
 
 
-def isotopy_residual(lam, a: Octonion, tol: Optional[float] = None) -> float:
+def isotopy_residual(lam, a: Octonion, tol: float) -> float:
     """`twistor.isotopy_residual` of one candidate on scalar `Octonion`
     products: the pairs row by row (i, then j), conj(a) and |a|^2 once,
     lam(ei) a once per row, conj(a) lam(ej) and |a|^2 lam(ek) on first use;
-    given tol, the first defect that fails lam's test, else the max."""
+    the first defect that fails lam's test against tol, else the max."""
     imgs, ctx, worst = lam.images(), arithmetic_of(lam), 0.0
     ac, n = a.conjugate(), a.norm_sq()
     rights: List[Optional[Octonion]] = [None] * 8   # conj(a) lam(ej)
@@ -269,7 +284,7 @@ def isotopy_residual(lam, a: Octonion, tol: Optional[float] = None) -> float:
             prod = left * rights[j]
             d = prod - scaled[k] if octonion.MUL_SIGN[i][j] > 0 else prod + scaled[k]
             r = residual(d)
-            if tol is not None and not ctx.scalar_eq(r, 0, tol):
+            if not ctx.scalar_eq(r, 0, tol):
                 return r
             worst = max(worst, r)
     return worst

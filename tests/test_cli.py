@@ -92,13 +92,13 @@ def test_sample_errors_become_failure_entries(monkeypatch):
         monkeypatch.undo()
 
     def frame_error(rng):
-        raise FrameInvalid("quaternion frame is not orthonormal")
+        raise FrameInvalid("frame is not orthonormal")
 
     monkeypatch.setattr(twistor, "random_so7_exact", frame_error)
     rep = suites.run_suite("prop41", samples=2, mode="exact", seed=1)
     assert rep.checked == 3   # two rotations and the automorphism
     assert rep.failures == [{"kind": "sample-error", "sample": n,
-                             "error": "quaternion frame is not orthonormal"}
+                             "error": "frame is not orthonormal"}
                             for n in range(2)]
 
 

@@ -1,20 +1,21 @@
-"""Quaternion frames and automorphisms from frames."""
+"""Automorphisms from frames, and the random frames they are drawn from."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from sixsphere import frames
 from sixsphere.errors import (AutomorphismCheckFailed, DegenerateInput,
                               FrameInvalid)
-from sixsphere.frames import (G2Frame, QuaternionFrame, apply_matrix,
-                              g2_from_frame, householder_swap, normalize,
-                              random_g2_frame, random_g2_matrix,
-                              random_quaternion_frame)
+from sixsphere.frames import (G2Frame, apply_matrix, g2_from_frame,
+                              householder_swap, normalize, random_g2_frame,
+                              random_g2_matrix)
 from sixsphere.octonion import MUL_INDEX, MUL_SIGN, Octonion, exact_sqrt
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
-                                random_rational_unit_octonion)
+                                random_rational_unit_octonion,
+                                random_sphere_lifted, rng_from_seed)
 
 E = [Octonion.basis(k) for k in range(8)]
 
@@ -40,19 +41,6 @@ def test_householder_swap_exact(rng):
     v = random_rational_unit_octonion(rng)
     assert h(v).norm_sq() == 1
     assert h(Octonion.one()) == Octonion.one()
-
-
-def test_quaternion_frame_standard():
-    f = QuaternionFrame(E[1], E[2])
-    assert f.basis == (E[0], E[1], E[2], E[2] * E[1])
-    assert f.contains(E[3])
-
-
-def test_quaternion_frame_invalid():
-    with pytest.raises(FrameInvalid):
-        QuaternionFrame(E[1], E[1])
-    with pytest.raises(FrameInvalid):
-        QuaternionFrame(E[1], Octonion([0, F(1, 2), F(1, 2), 0, 0, 0, 0, 0]))
 
 
 def test_g2_identity_frame():
@@ -87,11 +75,8 @@ def test_g2_frame_admissibility():
 def test_g2_from_frame_rejects_a_frame_that_skipped_validation():
     # G2Frame refuses z = e3 = e1 e2; built past that check, the frame is
     # caught by g2_from_frame's own automorphism check
-    f = object.__new__(G2Frame)
-    for name, v in zip("xyz", (E[1], E[2], E[3])):
-        object.__setattr__(f, name, v)
     with pytest.raises(AutomorphismCheckFailed):
-        g2_from_frame(f)
+        g2_from_frame(_unvalidated(E[1], E[2], E[3]))
 
 
 def test_random_g2_frames_are_automorphisms(rng):
@@ -131,3 +116,50 @@ def test_g2_simple_transitivity_uniqueness(rng):
     img_frame = G2Frame(apply_matrix(m1, E[1]), apply_matrix(m1, E[2]),
                         apply_matrix(m1, E[4]))
     assert g2_from_frame(img_frame) == m1
+
+
+def _g2_frame_draw(fourth):
+    """`random_g2_frame` as it reads, with fourth(x, y) in place of the
+    fourth quaternion basis vector y*x, and the frame built by whatever
+    `frames.G2Frame` is at the call."""
+    def draw(rng):
+        x = random_rational_imaginary_unit(rng)
+        nums, den = random_sphere_lifted(rng, 5)
+        u = Octonion.from_lifted([0, 0, *nums], den)
+        h1 = householder_swap(E[1], x)
+        y = h1(u)
+        h2 = householder_swap(E[2], u)
+        q2 = lambda v: h1(h2(v))  # noqa: E731
+        yx = fourth(x, y)
+        z0 = householder_swap(q2(E[3]), yx)(q2(E[4]))
+        nums, den = random_sphere_lifted(rng, 3)
+        a = sum((c * b for c, b in zip(nums, (E[0], x, y, yx))), Octonion.zero())
+        return frames.G2Frame(x, y, z0 * a / den)
+    return draw
+
+
+def _unvalidated(x, y, z):
+    # a G2Frame built past its own checks
+    f = object.__new__(G2Frame)
+    for name, v in zip("xyz", (x, y, z)):
+        object.__setattr__(f, name, v)
+    return f
+
+
+def test_a_broken_quaternion_basis_fails_the_automorphism_draw(monkeypatch):
+    # the draw does not check its quaternion basis (1, x, y, y*x) on its
+    # own, since the certificate covers it: with y in place of y*x, the
+    # frame fails G2Frame's checks, and built past them it fails
+    # g2_from_frame's certificate
+    for seed in range(5):
+        want = random_g2_frame(rng_from_seed(seed))
+        got = _g2_frame_draw(lambda x, y: y * x)(rng_from_seed(seed))
+        assert (got.x, got.y, got.z) == (want.x, want.y, want.z)
+        monkeypatch.setattr(frames, "random_g2_frame",
+                            _g2_frame_draw(lambda x, y: y))
+        with pytest.raises((FrameInvalid, AutomorphismCheckFailed)):
+            random_g2_matrix(rng_from_seed(seed))
+        monkeypatch.setattr(frames, "G2Frame", _unvalidated)
+        with pytest.raises(AutomorphismCheckFailed):
+            random_g2_matrix(rng_from_seed(seed))
+        monkeypatch.undo()

@@ -267,25 +267,31 @@ def test_kernel_basis_matches_fraction_elimination(gens_coeffs):
 
 @pytest.mark.parametrize("basis", [range(8), (2, 3, 4, 5, 7, 6), (6, 1)])
 def test_arithmetic_kernel_gives_octonions_zero_off_basis(basis, rng):
-    # rank-deficient integer matrices on len(basis) columns: each kernel
-    # vector, as an octonion, is 0 off `basis` and solves the system there
+    # rank-deficient integer matrices on len(basis) columns, placed at the
+    # columns `basis` of an 8-column system that pins every coordinate off
+    # `basis` to 0: each kernel vector, as an octonion, is 0 off `basis` and
+    # solves the system there
     n = len(basis)
+    off = [k for k in range(8) if k not in basis]
     for rank in range(n):
         m = rng.integers(-3, 4, (rank + 2, rank)) @ rng.integers(-3, 4, (rank, n))
+        full = np.zeros((len(m) + len(off), 8), dtype=int)
+        full[:len(m), list(basis)] = m
+        full[len(m) + np.arange(len(off)), off] = 1
         for ctx in (octonion.EXACT, octonion.FLOAT):
-            rows = m.tolist() if ctx.exact else m.astype(float)
-            ker = ctx.kernel(rows, basis)
+            rows = full.tolist() if ctx.exact else full.astype(float)
+            ker = ctx.kernel(rows)
             assert len(ker) == n - np.linalg.matrix_rank(m)
-            off = [k for k in range(8) if k not in basis]
             for o in ker:
                 assert isinstance(o, Octonion) and o.exact == ctx.exact
-                assert not any(o.numerators[k] for k in off)
                 v = [o.coords[k] for k in basis]
                 if ctx.exact:
                     _assert_canonical(o)
+                    assert not any(o.numerators[k] for k in off)
                     assert all(sum(a * x for a, x in zip(row, v)) == 0
                                for row in m.tolist())
                 else:
+                    assert all(abs(o.coords[k]) <= 1e-9 for k in off)
                     assert np.max(np.abs(m @ np.array(v))) <= 1e-9
 
 
@@ -332,7 +338,7 @@ def test_exact_suites_build_only_canonical_pairs(monkeypatch):
     monkeypatch.setattr(SquareMatrix, "_trusted", classmethod(recording_trusted))
     for name in suites.SUITES:
         if "exact" in suites.MODES[name]:
-            assert suites.run_suite(name, samples=2, seed=3).mode == "exact"
+            assert suites.run_suite(name, samples=4, seed=3).mode == "exact"
     exact = [o for o in built if o.exact]
     assert len(exact) > 1000
     for o in exact:

@@ -481,10 +481,21 @@ def test_rows_with_other_scalars_keep_the_coordinate_axes(odd, rng, gathers):
 
 def test_exact_rows_of_other_than_eight_coordinates_raise(gathers):
     # the gather reads rows of 8 and would pair up the entries of (4, 2)
-    # operands; `_product` cannot unpack them
+    # operands; `_product` cannot unpack them: both are refused at entry
     a = np.ones((4, 2), dtype=object)
-    with pytest.raises(ValueError):
-        batch_mul(a, a)
+    for x, y in ((a, a), (a, np.ones((4, 8), dtype=object))):
+        with pytest.raises(DegenerateInput, match="last axis of 8"):
+            batch_mul(x, y)
+    assert gathers == []
+
+
+def test_float_rows_of_other_than_eight_coordinates_raise(gathers):
+    # the float gather reshapes its operands to rows of 8, so (4, 2)
+    # operands would come back as sums of their entries in pairs
+    a = np.ones((4, 2))
+    for x, y in ((a, a), (np.ones(8), a), (np.ones((4, 2, 8)), np.ones((4, 2, 1)))):
+        with pytest.raises(DegenerateInput, match="last axis of 8"):
+            batch_mul(x, y)
     assert gathers == []
 
 

@@ -49,16 +49,16 @@ def _fraction_frame(rng):
     # random_g2_frame through Fraction vectors and rational_* points
     x = rational_imaginary_unit(random_rational_vector(rng, 6))
     u = Octonion((0, 0, *rational_sphere_point(random_rational_vector(rng, 5))))
-    qf = frames.QuaternionFrame(x, householder_swap(Octonion.basis(1), x)(u))
     h1 = householder_swap(Octonion.basis(1), x)
-    h2 = householder_swap(Octonion.basis(2), h1(qf.y))
+    y = h1(u)
+    h2 = householder_swap(Octonion.basis(2), u)
     w = h1(h2(Octonion.basis(3)))
-    z0 = householder_swap(w, qf.y * x)(h1(h2(Octonion.basis(4))))
+    z0 = householder_swap(w, y * x)(h1(h2(Octonion.basis(4))))
     a = Octonion.zero()
     for qi, b in zip(rational_sphere_point(random_rational_vector(rng, 3)),
-                     qf.basis):
+                     (Octonion.one(), x, y, y * x)):
         a = a + qi * b
-    return x, qf.y, z0 * a
+    return x, y, z0 * a
 
 
 def test_integer_draws_equal_the_fraction_path():

@@ -91,17 +91,21 @@ def test_stack_of_one_api_matches_the_per_matrix_computation(exact):
 
 
 def test_stacked_kernels_match_each_matrix():
+    # the batched SVD under `kernel_planes_float` cuts each matrix at its
+    # own s_max: the kernel rows of every matrix, of any dimension, are bit
+    # for bit `kernel_basis_float` of that matrix alone, which takes no stack
     rng = np.random.default_rng(4)
     for shape in [(7, 48, 8), (7, 6, 6), (5, 3, 8)]:
         m = rng.standard_normal(shape)
         m[0] = 0.0               # the zero matrix: its whole V^T
         m[1, :, -1] = 0.0        # a one-dimensional kernel at least
-        stack = linalg.kernel_basis_float(m)
-        assert len(stack) == len(m)
-        for got, one in zip(stack, m):
-            want = linalg.kernel_basis_float(one)
+        vt, small = linalg._kernel_rows(m)
+        assert len(vt) == len(small) == len(m)
+        for v, k, one in zip(vt, small, m):
+            got, want = v[k], linalg.kernel_basis_float(one)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert linalg.kernel_basis_float(np.zeros((0, 48, 8))) == []
+        with pytest.raises(ValueError):
+            linalg.kernel_basis_float(m)
 
 
 def test_stacked_planes_are_the_kernels_that_are_planes():

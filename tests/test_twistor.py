@@ -1,6 +1,7 @@
 """Twistor points, the circle action, the orthogonal-group action, companions,
 the cube of the conjugation action, and the explicit loop lift."""
 
+import math
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -212,16 +213,17 @@ def test_isotopy_residual_separates_companions():
     lam = twistor.random_so7_exact(rng_from_seed(43))
     for rot in (lam, SO7Element(lam.as_array())):
         a = companion(rot).a
+        good, bad = isotopy_residual(rot, [a, a * E[2]], CHECK_TOL)
         if rot.exact:
-            assert isotopy_residual(rot, a) == 0.0
+            assert good == 0.0
         else:
-            assert isotopy_residual(rot, a) <= CHECK_TOL
-        assert isotopy_residual(rot, a * E[2]) > CHECK_TOL
+            assert good <= CHECK_TOL
+        assert bad > CHECK_TOL
 
 
 def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
-    # with a tolerance, a wrong candidate is dropped at its first failing
-    # basis pair; a companion still passes all 64, with the same residual.
+    # a wrong candidate is dropped at its first failing basis pair; a
+    # companion still passes all 64, with the max over them as residual.
     # The stacked pass checks the pairs with i <= 1 first: a candidate that
     # fails there takes 32 rows (8 lefts, 8 rights, 16 products), and one
     # that passes all 80
@@ -238,14 +240,14 @@ def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
     for rot in (lam, SO7Element(lam.as_array())):
         a = companion(rot).a
         wrong = a * E[2]
-        full = isotopy_residual(rot, wrong)
         rows.clear()
-        first = isotopy_residual(rot, wrong, CHECK_TOL)
-        assert CHECK_TOL < first <= full and sum(rows) == 32
+        first, = isotopy_residual(rot, [wrong], CHECK_TOL)
+        assert CHECK_TOL < first <= _residual_per_pair(rot, wrong)
+        assert sum(rows) == 32
         rows.clear()
-        assert isotopy_residual(rot, a, CHECK_TOL) == isotopy_residual(rot, a)
-        assert sum(rows) == 2 * 80
-        want = [first, isotopy_residual(rot, a), first]
+        assert isotopy_residual(rot, [a], CHECK_TOL) == [_residual_per_pair(rot, a)]
+        assert sum(rows) == 80
+        want = [first, _residual_per_pair(rot, a), first]
         rows.clear()
         assert isotopy_residual(rot, [wrong, a, wrong], CHECK_TOL) == want
         assert sum(rows) == 3 * 32 + 48
@@ -265,16 +267,17 @@ def _residual_per_pair(lam, a, tol=None):
 
 
 def test_isotopy_residual_equals_the_per_pair_defects():
-    # the shared factors give each pair's defect exactly: the same max, and
-    # with a tolerance the same first failing value, in both modes (in float
-    # mode to the last bit)
+    # the shared factors give each pair's defect exactly: the same max for
+    # a candidate that passes, and the same first failing value for one
+    # that fails, in both modes (in float mode to the last bit); at an
+    # infinite tol every float candidate passes, so its residual is the max
     for seed in (3, 47):
         lam = twistor.random_so7_exact(rng_from_seed(seed))
         for rot in (lam, SO7Element(lam.as_array())):
             a = companion(rot).a
             for cand in (a, a * E[2], a + E[3], rot.apply(E[5])):
-                for tol in (None, CHECK_TOL, 0.5):
-                    got = isotopy_residual(rot, cand, tol)
+                for tol in (CHECK_TOL, 0.5, math.inf):
+                    got, = isotopy_residual(rot, [cand], tol)
                     assert got == _residual_per_pair(rot, cand, tol)
                     assert type(got) is float
 
@@ -321,12 +324,12 @@ def test_stacked_companion_equals_the_scalar_loop(seed, tol):
 @pytest.mark.parametrize("seed", [3, 47])
 def test_stacked_isotopy_residuals_equal_the_scalar_loop(seed):
     # each candidate of a stack gets the residual the scalar reference
-    # gives it alone: the max, or with a tolerance its first failing defect
+    # gives it alone: the max, or its first failing defect
     lam = twistor.random_so7_exact(rng_from_seed(seed))
     for rot in (lam, SO7Element(lam.as_array())):
         a = companion(rot).a
         cands = [a * E[2], a, a + E[3], rot.apply(E[5]), a]
-        for tol in (None, CHECK_TOL, 0.0):
+        for tol in (CHECK_TOL, 0.0, math.inf):
             want = [references.isotopy_residual(rot, c, tol) for c in cands]
             assert isotopy_residual(rot, cands, tol) == want
 
