@@ -313,10 +313,3 @@ def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
     raise VerificationFailed(
         "companion candidate fails the isotopy identity (defect %g)" % r)
 
-
-def sections_equal_on_samples(s1: twistor.Section, s2: twistor.Section) -> bool:
-    """The former exact `sections_equal`: the stacked matrices compared at
-    the 20 points of `twistor.section_sample_points` only, which cannot
-    decide the equality of matrices of cubic forms in 7 variables."""
-    ctx, m1, m2 = twistor._on_points(s1, s2)
-    return ctx.equal(m1, m2)

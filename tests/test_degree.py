@@ -555,6 +555,17 @@ def test_trials_that_disagree_raise():
                           config=dg.EngineConfig(n_starts=50, trials=6))
 
 
+def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree():
+    # the power:6 request of the degree-engine bench at seed 3: in one
+    # trial neither pass finds the preimage 6.8 degrees from +1, so the
+    # trials read [5, 6]; the engine may say 6 or raise, never another degree
+    try:
+        rep = dg.mapping_degree(dg.power_map(6), seed=1501415362)
+    except ConflictingEstimates:
+        return
+    assert rep.degree == 6
+
+
 def test_report_shape():
     rep = dg.mapping_degree(dg.identity_map(), seed=1, config=FAST)
     d = rep.to_dict()

@@ -336,11 +336,16 @@ def test_exact_suites_build_only_canonical_pairs(monkeypatch):
     monkeypatch.setattr(Octonion, "__init__", recording_init)
     monkeypatch.setattr(SquareMatrix, "__init__", recording_matrix_init)
     monkeypatch.setattr(SquareMatrix, "_trusted", classmethod(recording_trusted))
+    per_suite = {}
     for name in suites.SUITES:
         if "exact" in suites.MODES[name]:
+            start = len(built)
             assert suites.run_suite(name, samples=4, seed=3).mode == "exact"
+            per_suite[name] = sum(o.exact for o in built[start:])
+    # every exact suite that draws octonions builds some
+    drawing = set(per_suite) - {"lemma22", "homotopy-tables"}
+    assert len(drawing) == 8 and all(per_suite[name] for name in drawing), per_suite
     exact = [o for o in built if o.exact]
-    assert len(exact) > 1000
     for o in exact:
         _assert_canonical(o)
     exact = [m for m in matrices if m.exact]

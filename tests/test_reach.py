@@ -45,6 +45,8 @@ KEEP = {
     "twistor.TangentStructure.__init__":
         "public constructor, traced by bench/layers.py; sections use _trusted",
     "twistor.TangentStructure._validate": "runs in the public constructor",
+    "twistor.section_sample_points":
+        "the lazy set-up that bench/workloads.py runs before the sweeps",
     # failure paths and output views
     "suites._Run.fail":
         "makes failure entries, so runs only on a failure; "
@@ -58,10 +60,6 @@ KEEP = {
     "octonion.SquareMatrix.to_strings": "writes failure payloads",
     "octonion.SquareMatrix._validate": "default of the hook subclasses override",
     "octonion._FloatArithmetic.eq": "the float context's scalar test",
-    "twistor._cubic_forms_agree":
-        "route B of exact sections_equal, run only where route A cannot "
-        "prove equality, as for a wrong companion; tests/test_twistor.py "
-        "runs it on its own",
     "chern.GradedPoly.__sub__": "operator of the public graded ring",
     "chern.GradedPoly.__repr__": "output view",
     "homotopy.GroupExpr.__repr__": "output view",

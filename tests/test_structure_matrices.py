@@ -1,8 +1,8 @@
 """Structures built as products of 8x8 multiplication matrices, against the
 per-basis-vector formulas they replace (kept here as the reference): the
 canonical and twistor structures, the orthogonal-group action on sections,
-J_x and the standard structure, and the section comparisons on stacked
-points.  Exact rows must be equal; float rows agree within FLOAT_ROWS_TOL.
+J_x and the standard structure, and the section comparisons by linear
+factors.  Exact rows must be equal; float rows agree within FLOAT_ROWS_TOL.
 Also: the Pfaffian orientation test against the greedy complex-basis
 determinant, and that exact structures stay exact."""
 
@@ -133,15 +133,16 @@ def test_so7_action_matches_formula_and_composes(mode, seed):
 
 @pytest.mark.parametrize("mode,seed", MODES_SEEDS)
 def test_stacked_section_comparisons_match_per_point(mode, seed):
-    # sections are compared on matrices stacked over the sample points; the
-    # per-point structures give the same verdicts and distances
+    # sections are compared by their linear factors stacked over e_1, ...,
+    # e_7; since K(p) = J_p + p 1^T - 1 p^T on the sphere, the structures
+    # at those points give the same verdicts and distances
     _, x, a, _ = _inputs(mode, seed)
     acted = so7_act(a, canonical_section())
     pairs = ((acted, twistor.rp7_section(twistor.companion(a).a)),
              (acted, twistor.rp7_section(x)),
              (twistor.rp7_section(x), twistor.rp7_section(-x)),
              (canonical_section(), so7_act(a, acted)))
-    points = section_sample_points()
+    points = [Octonion.basis(k) for k in range(1, 8)]
     verdicts = []
     for s1, s2 in pairs:
         want = all(s1(q) == s2(q) for q in points)

@@ -173,20 +173,23 @@ def test_prop41_catches_a_perturbed_companion(monkeypatch, mode, kinds):
         assert isinstance(inputs["lam"], SO7Element)
 
 
-def test_prop41_proves_a_perturbed_companion_wrong_by_route_b(monkeypatch):
-    # route A's identity fails for a wrong companion, so every
-    # `orbit-in-sections` entry is route B's verdict, a proof of inequality
+def test_prop41_proves_a_perturbed_companion_wrong_by_its_factors(monkeypatch):
+    # every exact verdict is the comparison of linear factors at e_1, ...,
+    # e_7: each wrong companion's section is proved unequal to the rotated
+    # canonical one (three `orbit-in-sections` entries), and the automorphism
+    # still fixes the canonical section, its entry made by the companion
     _perturbed_companion(monkeypatch)
-    route_b, verdicts = twistor._cubic_forms_agree, []
+    compare, verdicts = twistor.sections_equal, []
 
     def recorded(s1, s2):
-        verdicts.append(route_b(s1, s2))
+        verdicts.append(compare(s1, s2))
         return verdicts[-1]
 
-    monkeypatch.setattr(twistor, "_cubic_forms_agree", recorded)
+    monkeypatch.setattr(twistor, "sections_equal", recorded)
     rep = suites.run_suite("prop41", samples=3, mode="exact", seed=1)
-    orbit = [f for f in rep.failures if f["kind"] == "orbit-in-sections"]
-    assert len(orbit) == 3 and verdicts == [False] * 3
+    kinds = [f["kind"] for f in rep.failures]
+    assert kinds == ["orbit-in-sections"] * 3 + ["automorphism-isotropy"]
+    assert verdicts == [False] * 3 + [True]
 
 
 def test_prop41_catches_a_rotation_drawn_as_an_automorphism(monkeypatch):

@@ -3,18 +3,18 @@ the cube of the conjugation action, and the explicit loop lift."""
 
 import math
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from sixsphere import cstruct, linalg, twistor
+from sixsphere import cstruct, twistor
 from sixsphere.errors import (DegenerateInput, InvalidStructure,
                               KernelDimensionError, NonGenericInput,
                               NotImaginaryUnit, VerificationFailed)
 from sixsphere.frames import random_g2_matrix
-from sixsphere.octonion import (CHECK_TOL, MUL_INDEX, MUL_SIGN, Octonion,
-                                multiplication_defect, residual)
+from sixsphere.octonion import (CHECK_TOL, EXACT, FLOAT, MUL_INDEX, MUL_SIGN,
+                                Octonion, multiplication_defect, residual,
+                                right_mult_matrix)
 from sixsphere.sampling import (random_rational_circle_point,
                                 random_rational_imaginary_unit,
                                 random_rational_tangent,
@@ -160,8 +160,8 @@ def test_companion_system_matches_its_definition():
 
 def test_exact_distance_is_the_fraction_distance_rounded_once():
     # int / int true division per entry, against float() of the largest
-    # absolute Fraction, on the stacked matrices of random exact sections
-    # and on their structures at one point (`SquareMatrix.distance`, whose
+    # absolute Fraction, on the linear factors of random exact sections at
+    # e_1, ..., e_7 and on their structures at one point (`SquareMatrix.distance`, whose
     # float copies keep the float difference bit for bit)
     rng = rng_from_seed(47)
     for _ in range(4):
@@ -182,13 +182,13 @@ def test_exact_distance_is_the_fraction_distance_rounded_once():
                 want_f = float(np.max(np.abs(f1.as_array() - f2.as_array())))
                 for a, b in ((f1, f2), (j1, f2), (f1, j2)):
                     assert a.distance(b).hex() == want_f.hex()
-                ctx, (a1, d1), (a2, d2) = twistor._on_points(s1, s2)
-                assert ctx.exact
+                pts = EXACT.points(E[1:])
+                (a1, d1), (a2, d2) = s1.linear(EXACT, pts), s2.linear(EXACT, pts)
                 want = float(max(abs(F(int(x1), int(e1)) - F(int(x2), int(e2)))
                                  for x1, e1, x2, e2 in zip(
                                      a1.flat, np.broadcast_to(d1, a1.shape).flat,
                                      a2.flat, np.broadcast_to(d2, a2.shape).flat)))
-                got = ctx.distance((a1, d1), (a2, d2))
+                got = EXACT.distance((a1, d1), (a2, d2))
                 assert type(got) is float and got.hex() == want.hex()
                 assert twistor.section_distance(s1, s2) == want
 
@@ -339,7 +339,6 @@ def test_companion_defensive_kernel_error():
     # validated constructor rejects it, and the solver (told to skip
     # validation) reports the empty kernel rather than inventing a companion
     from sixsphere.errors import KernelDimensionError
-    from sixsphere.octonion import right_mult_matrix
     m = right_mult_matrix(E[1])
     with pytest.raises(DegenerateInput):
         SO7Element(m)
@@ -429,56 +428,88 @@ def test_rp7_section_phase_dependence(rng):
     assert not sections_equal(s1, s2)
 
 
-def _cubic_monomials(rows):
-    """The 84 monomials of degree 3 in the imaginary coordinates of each
-    row (8 numerators) of rows."""
-    return [[r[i] * r[j] * r[k]
-             for i, j, k in combinations_with_replacement(range(1, 8), 3)]
-            for r in rows]
+def _entries(pair):
+    """The matrices of a stacked pair, as Fractions (exact) or floats."""
+    a, d = pair
+    d = np.broadcast_to(d, a.shape)
+    if a.dtype == object:
+        return np.vectorize(lambda n, e: F(int(n), int(e)), otypes=[object])(a, d)
+    return a / d
 
 
-def test_twenty_points_cannot_decide_exact_section_equality():
-    # a cubic form f that vanishes at the 20 sample points exists, since
-    # the cubic forms in 7 variables span 84 dimensions: added to the
-    # canonical section (f(v) over its d^3 is f(p)), it makes a section that
-    # differs from the canonical one on the sphere, that the former
-    # comparison at the sample points passes, and that the proof rejects
-    pts = section_sample_points()
-    kernel, _ = linalg.kernel_basis(_cubic_monomials([p.numerators for p in pts]))
-    assert len(kernel) == 84 - 20
-    f = np.array(kernel[0], dtype=object)
-    canonical = canonical_section()
-
-    def build(ctx, pts):
-        m, d = canonical.build(ctx, pts)
-        bump = np.array(_cubic_monomials(pts[0].tolist()), dtype=object) @ f
-        m = m.copy()
-        m[:, 2, 3] += bump
-        m[:, 3, 2] -= bump
-        return m, d
-
-    bumped = twistor.Section(build, exact=True)
-    assert references.sections_equal_on_samples(bumped, canonical)
-    assert not sections_equal(bumped, canonical)
-    q = random_rational_imaginary_unit(rng_from_seed(5))
-    assert np.array(_cubic_monomials([q.numerators]), dtype=object)[0] @ f != 0
-    assert bumped(q) != canonical(q)
-
-
-def test_route_b_points_are_unisolvent_for_cubic_forms():
-    v, d, n = twistor._LATTICE_POINTS
-    assert v.shape == (84, 8) and not v[:, 0].any()
-    assert len({tuple(r) for r in v.tolist()}) == 84
-    assert (v.sum(axis=1) == 3).all() and (v >= 0).all()
-    assert (d == 1).all() and n.ravel().tolist() == [
-        sum(x * x for x in r) for r in v.tolist()]
-    assert linalg.det(_cubic_monomials(v.tolist())) != 0
+@pytest.mark.parametrize("exact", [True, False])
+def test_linear_factors_send_one_to_p_and_anticommute_on_the_basis(exact):
+    # K(p) 1 = p and K(p) p = -|p|^2 1, polarized: K(e_i) 1 = e_i and
+    # K(e_i) e_j + K(e_j) e_i = -2 delta_ij 1, for the canonical section, a
+    # constant section and a rotation of each; so two factors differ by a
+    # map M with M(p) P_p = M(p) on the sphere
+    rng = rng_from_seed(11)
+    lam = twistor.random_so7_exact(rng)
+    x = random_rational_unit_octonion(rng)
+    ctx = EXACT if exact else FLOAT
+    if not exact:
+        lam, x = SO7Element(lam.as_array()), Octonion(x.to_float_array())
+    want_one = np.eye(8, dtype=int)[1:]                          # [i] e_i
+    want_anti = -2 * np.eye(7, dtype=int)[:, :, None] * np.eye(8, dtype=int)[0]
+    sections = (canonical_section(), rp7_section(x),
+                so7_act(lam, canonical_section()), so7_act(lam, rp7_section(x)))
+    for section in sections:
+        k = _entries(section.linear(ctx, ctx.points(E[1:])))    # [i] K(e_i)
+        ones = k[:, :, 0]                                        # [i] K(e_i) 1
+        cross = k[:, :, 1:].swapaxes(1, 2)                       # [i, j] K(e_i) e_j
+        anti = cross + cross.swapaxes(0, 1)
+        if exact:
+            assert (ones == want_one).all() and (anti == want_anti).all()
+        else:
+            assert np.abs(ones - want_one).max() <= 1e-14
+            assert np.abs(anti - want_anti).max() <= 1e-14
 
 
-def test_route_b_agrees_with_route_a():
+def test_a_wrong_companion_has_another_factor_and_another_section():
+    # necessity on an instance: a companion with one numerator raised by 1
+    # (the perturbed companion of the suite-failure tests) gives a factor
+    # that differs from the acted canonical one at some e_i, and the two
+    # sections differ at that rational point
+    lam = twistor.random_so7_exact(rng_from_seed(1))
+    a = companion(lam).a
+    num = list(a.numerators)
+    num[3] += 1
+    wrong = Octonion.from_lifted(num, a.denominator)
+    acted = so7_act(lam, canonical_section())
+    pts = EXACT.points(E[1:])
+    for b, equal in ((a, True), (wrong, False)):
+        constant = rp7_section(b)
+        agree = EXACT.equal_each(acted.linear(EXACT, pts),
+                                 constant.linear(EXACT, pts)).tolist()
+        assert all(agree) == sections_equal(acted, constant) == equal
+        assert (twistor.section_distance(acted, constant) == 0) == equal
+        for q, same in zip(E[1:], agree):
+            assert (acted(q) == constant(q)) == same
+
+
+def test_a_rotation_that_moves_one_or_is_not_orthogonal_cannot_be_compared():
+    # the premise of the factor decision is checked when sections are
+    # compared, not when they are acted on: a stretch (not orthogonal) and
+    # right multiplication by e_1 (moves 1), exact and as floats, make both
+    # comparisons raise DegenerateInput
+    stretch = np.diag([1, 2, 1, 1, 1, 1, 1, 1]).tolist()
+    for rows in (stretch, right_mult_matrix(E[1])):
+        exact = SO7Element(rows, validate=False)
+        for rot in (exact, SO7Element(exact.as_array(), validate=False)):
+            assert not rot.fixes_one_orthogonally()
+            acted = so7_act(rot, canonical_section())
+            for s1, s2 in ((acted, acted), (canonical_section(), acted),
+                           (rp7_section(E[2]), so7_act(rot, acted))):
+                with pytest.raises(DegenerateInput):
+                    sections_equal(s1, s2)
+                with pytest.raises(DegenerateInput):
+                    twistor.section_distance(s1, s2)
+
+
+def test_the_factors_prove_prop41s_draws_equal():
     # prop41's draws at seed 1 and its default 25 samples: the rotations'
     # sections against their companions' and the automorphism's against
-    # the canonical one, each proved equal by either route alone
+    # the canonical one, each proved equal by the factors at e_1, ..., e_7
     rng = rng_from_seed(1)
     pairs = []
     for _ in range(25):
@@ -488,20 +519,8 @@ def test_route_b_agrees_with_route_a():
     g = SO7Element(random_g2_matrix(rng), validate=False)
     pairs.append((so7_act(g, canonical_section()), canonical_section()))
     for s1, s2 in pairs:
-        assert twistor._linear_factors_agree(s1, s2)
-        assert twistor._cubic_forms_agree(s1, s2)
-    # route A is sufficient, not necessary: it declines a section without
-    # a linear factor, and a rotation that is not orthogonal
-    no_factor = twistor.Section(canonical_section().build, exact=True)
-    stretch = SO7Element(np.diag([1, 2, 1, 1, 1, 1, 1, 1]).tolist(),
-                         validate=False)
-    assert not stretch.fixes_one_orthogonally()
-    for s1, s2 in ((no_factor, canonical_section()),
-                   (so7_act(stretch, canonical_section()),) * 2):
-        assert not twistor._linear_factors_agree(s1, s2)
-        assert twistor._cubic_forms_agree(s1, s2) and sections_equal(s1, s2)
-    assert not sections_equal(so7_act(stretch, canonical_section()),
-                              canonical_section())
+        assert sections_equal(s1, s2)
+        assert twistor.section_distance(s1, s2) == 0.0
 
 
 def test_section_sample_points_deterministic():
