@@ -53,10 +53,6 @@ class NotImaginaryUnit(SixSphereError):
     """A point of the six-sphere must be a unit imaginary octonion."""
 
 
-class KernelDimensionError(SixSphereError):
-    """The companion kernel has dimension 0, or >1 with no vector passing verification."""
-
-
 class VerificationFailed(SixSphereError):
     """A candidate solution fails its defining identity beyond tolerance."""
 

@@ -143,7 +143,9 @@ def _compile_product(index, sign):
 #: table reads one of these, so rebinding them all swaps the table
 TABLE_CONSTANTS = ("MUL_INDEX", "MUL_SIGN", "_MUL_INDEX", "_MUL_SIGN",
                    "_LEFT", "_LEFT_SIGN", "_RIGHT", "_RIGHT_SIGN", "_TERMS",
-                   "_product")
+                   "_FORM_INDEX", "_FORM_SIGN", "_product")
+# the signs that conjugate coordinate rows: x * _CONJ is conj(x), exactly
+_CONJ = np.array([1] + [-1] * 7)
 
 
 def _table_constants(index, sign) -> tuple:
@@ -153,7 +155,15 @@ def _table_constants(index, sign) -> tuple:
     _LEFT_SIGN[k][j] w_{_LEFT[k][j]}, entry (k, i) of the matrix of
     v -> v*w is _RIGHT_SIGN[k][i] w_{_RIGHT[k][i]}), the gather table of
     the float `batch_mul` (term i of coordinate k is x_i times row
-    _TERMS[i][k] of y stacked over -y) and the generated product."""
+    _TERMS[i][k] of y stacked over -y), the gather table of the companion's
+    quadratic forms and the generated product.
+
+    The quadratic forms are Q'_ijk, for i, j, k in 1..7, the symmetric 8x8
+    matrices of a -> <(e_i a)(conj(a) e_j), e_k>, whose entries are -1, 0
+    and 1.  For 343 values t_ijk flattened in (i, j, k) order, entry (p, q)
+    of the sum of t_ijk Q'_ijk is the sum of t[_FORM_INDEX[p, q]] times
+    _FORM_SIGN[p, q]: the nonzero entries of Q'_ijk at (p, q), padded by
+    sign 0 (see `twistor.companion`)."""
     left, right, terms = np.empty((3, 8, 8), dtype=np.intp)
     left_sign, right_sign = np.empty((2, 8, 8), dtype=int)
     for i in range(8):
@@ -162,19 +172,32 @@ def _table_constants(index, sign) -> tuple:
             left[k, j], left_sign[k, j] = i, s
             right[k, i], right_sign[k, i] = j, s
             terms[i, k] = j + 8 * (s < 0)
+    # (e_i e_p)(conj(e_q) e_j) is +-e_k for one k, and that sign is entry
+    # (p, q) of the form [i, j, k] before it is symmetrized
+    idx, sgn = np.array(index), np.array(sign)
+    i, j, p, q = np.ix_(*[range(8)] * 4)
+    ip, qj = idx[i, p], idx[q, j]
+    forms = np.zeros((8,) * 5, dtype=int)
+    forms[(*np.broadcast_arrays(i, j, idx[ip, qj], p, q),)] = \
+        sgn[i, p] * _CONJ[q] * sgn[q, j] * sgn[ip, qj]
+    forms = (forms + forms.swapaxes(-1, -2))[1:, 1:, 1:] // 2
+    flat = forms.reshape(343, 64).T                       # [pq, ijk]
+    width = np.count_nonzero(flat, axis=1).max()
+    order = np.argsort(flat == 0, axis=1, kind="stable")[:, :width]
     return (index, sign, np.array(index), np.array(sign), left, left_sign,
-            right, right_sign, terms, _compile_product(index, sign))
+            right, right_sign, terms, order.reshape(8, 8, width),
+            np.take_along_axis(flat, order, 1).reshape(8, 8, width),
+            _compile_product(index, sign))
 
 
 #: `_product` is the coordinates of the product of two coordinate sequences
 #: of eight ints, eight floats, or eight arrays that broadcast against each
 #: other
 (MUL_INDEX, MUL_SIGN, _MUL_INDEX, _MUL_SIGN, _LEFT, _LEFT_SIGN, _RIGHT,
- _RIGHT_SIGN, _TERMS, _product) = _table_constants(*_build_table())
+ _RIGHT_SIGN, _TERMS, _FORM_INDEX, _FORM_SIGN,
+ _product) = _table_constants(*_build_table())
 # I - 1 1^T, the projection onto the imaginary octonions
 _IMAG_PROJ = np.diag([0] + [1] * 7)
-# the signs that conjugate coordinate rows: x * _CONJ is conj(x), exactly
-_CONJ = np.array([1] + [-1] * 7)
 
 
 def multiplication_defect(pair):
@@ -705,11 +728,6 @@ class _ExactArithmetic(Arithmetic):
         """The determinant of the one matrix of the pair m."""
         return Fraction(linalg.det(m[0].tolist()), m[1] ** len(m[0]))
 
-    def sqrt(self, q):
-        """The square root of the scalar q: None when q is not the square of
-        a rational; FLOAT takes a negative q as 0."""
-        return exact_sqrt(q)
-
 
 class _FloatArithmetic(Arithmetic):
     exact = False
@@ -767,9 +785,6 @@ class _FloatArithmetic(Arithmetic):
 
     def det(self, m):
         return float(np.linalg.det(m[0])) / m[1] ** len(m[0])
-
-    def sqrt(self, q):
-        return max(q, 0.0) ** 0.5
 
 
 EXACT = _ExactArithmetic(Octonion.basis(0), Octonion.basis(1))

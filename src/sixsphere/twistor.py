@@ -11,8 +11,11 @@ and such a pair induces the orthogonal complex structure
 
 at p.  Matrices in SO(7) (8x8, fixing 1) act on sections of structures by
 (A.J)_p(v) = A J_{A^-1 p}(A^-1 v); for every such matrix there is a unit
-octonion a, unique up to sign, with (A.J_canonical)_p(v) = (p (v a)) conj(a),
-recovered here by a linear kernel computation.
+octonion a, unique up to sign, with (A.J_canonical)_p(v) = (p (v a)) conj(a).
+The map A -> [a] identifies SO(7)/G2 with RP^7 through the G2 3-form
+phi(x, y, z) = <xy, z> (Harvey & Lawson, Calibrated geometries, Acta Math.
+148, 1982; Bryant, Some remarks on G2-structures, 2005), and `companion`
+reads a a^T off A's 3-form in closed form, linearly.
 
 A section is held as its linear factor K, evaluated at a stack of points at
 once, each value one product of 8x8 matrices multiplied by the arithmetic
@@ -28,9 +31,8 @@ exactly when their factors agree at e_1, ..., e_7, which `sections_equal`
 decides in both modes once that premise is checked.  A structure or an
 SO(7) element acts on an octonion through `SquareMatrix.apply`, its pair
 times the octonion's numerators, and compares by value; lam(e_0), ...,
-lam(e_7) are the columns of lam's pair, and the companion system is their
-multiplication defect (`octonion.multiplication_defect`), one table
-product of those columns.
+lam(e_7) are the columns of lam's pair, and lam^T e_1, ..., lam^T e_7,
+whose products give lam's 3-form, are its rows.
 
 As in the rest of the package, "unit" inputs may be given by any nonzero
 rational representative of their ray; the formulas divide by the norm where
@@ -40,32 +42,23 @@ needed so exact arithmetic survives.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, combinations
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .degree import power_map_preimages
 from .errors import (BadConfig, DegenerateInput, InvalidStructure,
-                     KernelDimensionError, NonGenericInput, NotImaginaryUnit,
-                     VerificationFailed)
+                     NonGenericInput, NotImaginaryUnit, VerificationFailed)
 from . import octonion
 from .octonion import (_CONJ, CHECK_TOL, SEPARATION_TOL, Octonion,
-                       SquareMatrix, _floats, _reduced, arithmetic_of,
-                       batch_mul, inner_rows, multiplication_defect, reject,
-                       residual)
+                       SquareMatrix, _floats, arithmetic_of, batch_mul,
+                       inner_rows, reject, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
 ONE = Octonion.basis(0)
 
-#: float pencil coordinates whose largest coefficient is below this are skipped
-PENCIL_LEAD_FLOOR = 1e-9
-#: size, relative to the largest one, under which a pencil coefficient is zero
-PENCIL_COEFF_RTOL = 1e-12
 #: coordinate error of y^6 allowed to a closed-form root y of y^6 = x^6
 ROOT_CHECK_TOL = 1e-7
 
@@ -164,7 +157,7 @@ class SO7Element(SquareMatrix):
     """8x8 special orthogonal matrix fixing the octonion unit.  Validation
     checks that 1 is fixed, that M M^T = 1 and that det M > 0."""
 
-    __slots__ = ("_images",)
+    __slots__ = ()
     size, error = 8, DegenerateInput
 
     def _validate(self):
@@ -189,16 +182,6 @@ class SO7Element(SquareMatrix):
     def compose(self, other: "SO7Element") -> "SO7Element":
         ctx = arithmetic_of(self, other)
         return SO7Element._trusted(ctx.product(ctx.pair(self), ctx.pair(other)), ctx)
-
-    def images(self) -> List[Octonion]:
-        """lam(e_0), ..., lam(e_7), the pair's columns in lam's mode, read once."""
-        try:
-            return self._images
-        except AttributeError:
-            a, d = self.m
-            self._images = [_reduced(c, d) if self.exact else _floats(c)
-                            for c in a.T.tolist()]
-            return self._images
 
 
 def conjugation_element(x: Octonion) -> SO7Element:
@@ -296,14 +279,8 @@ def sections_equal(s1: Section, s2: Section) -> bool:
 @dataclass
 class CompanionResult:
     a: Octonion          # ray representative in exact mode, unit in float
-    kernel_dim: int
+    kernel_dim: int      # of lam's multiplication defect: 8 or 2
     residual: float      # max octonion-product residual of the verification
-
-
-def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
-    """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
-    return (imgs[i] * a) * (a.conjugate() * imgs[j]) - \
-        a.norm_sq() * (octonion.MUL_SIGN[i][j] * imgs[octonion.MUL_INDEX[i][j]])
 
 
 def isotopy_residual(lam: SO7Element, cands: Sequence[Octonion],
@@ -316,13 +293,13 @@ def isotopy_residual(lam: SO7Element, cands: Sequence[Octonion],
     numerators over one denominator per candidate (d^2 D^2, for lam's pair
     over d and a's numerators over D), reduced by no gcd: one `batch_mul`
     for every lam(ei) a and conj(a) lam(ej), then their products.  Every
-    defect equals `_isotopy_defect`'s, and every residual the one
-    `residual` reads off it.  A candidate fails at the first defect in
-    (i, j) order that fails lam's test against tol (any nonzero defect in
-    exact mode), and that defect is its residual.  The 16 products with
-    i <= 1 are taken first, for every candidate, and only the candidates
-    that pass them go on to the 48 with i >= 2, so a failing candidate
-    stays cheap."""
+    defect equals the one scalar `Octonion` products give, and every
+    residual the one `residual` reads off it.  A candidate fails at the
+    first defect in (i, j) order that fails lam's test against tol (any
+    nonzero defect in exact mode), and that defect is its residual.  The 16
+    products with i <= 1 are taken first, for every candidate, and only the
+    candidates that pass them go on to the 48 with i >= 2, so a failing
+    candidate stays cheap."""
     ctx = arithmetic_of(lam, *cands)
     img, d = ctx.pair(lam)
     img = img.T                                   # row i: lam(e_i), over d
@@ -361,89 +338,58 @@ def isotopy_residual(lam: SO7Element, cands: Sequence[Octonion],
     return out
 
 
-def _pencil_candidates(lam: SO7Element, k1: Octonion,
-                       k2: Octonion) -> Iterator[Octonion]:
-    """Candidate companion preimages on the projective line through two
-    kernel vectors.
-
-    The isotopy defect of a = s lam(k1) + t lam(k2) is a homogeneous
-    quadratic in (s, t) in every coordinate, and the true companion ray is a
-    common root of all of them; so the roots of any one nonzero coordinate
-    quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
-    most two candidate rays to verify.  A coefficient is zero by the test of
-    the context, relative to the largest one; in exact mode a quadratic
-    without rational roots gives none.  The three defects are read as
-    numerators over one denominator, their lcm (1 for floats): scaling a
-    quadratic leaves its roots, rationals in exact mode, as they are.
-    """
-    imgs, ctx = lam.images(), arithmetic_of(lam, k1, k2)
-    a1, a2 = lam.apply(k1), lam.apply(k2)
-    for i in range(1, 8):
-        for j in range(1, 8):
-            defects = [_isotopy_defect(imgs, a, i, j) for a in (a1, a2, a1 + a2)]
-            d = math.lcm(*(r.denominator for r in defects))
-            ra, rc, rs = ([n * (d // r.denominator) for n in r.numerators]
-                          for r in defects)
-            for c in range(8):
-                qa, qc = ra[c], rc[c]
-                qb = rs[c] - qa - qc
-                lead = max(abs(qa), abs(qb), abs(qc))
-                if ctx.scalar_eq(lead, 0, PENCIL_LEAD_FLOOR):
-                    continue
-                zero_tol = PENCIL_COEFF_RTOL * lead
-                if not ctx.scalar_eq(qc, 0, zero_tol):
-                    root = ctx.sqrt(qb * qb - 4 * qa * qc)
-                    if root is None:
-                        continue
-                    yield from (k1 + ((-qb + sgn * root) / (2 * qc)) * k2
-                                for sgn in (1, -1))
-                else:
-                    yield k2
-                    if not ctx.scalar_eq(qb, 0, zero_tol):
-                        # a rational quotient of ints; the same float as
-                        # qa / qb of floats
-                        yield k1 - (Fraction(qa) / qb) * k2
-                return
-
-
 def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
-    """The companion octonion of lam, up to sign.
+    """The companion octonion a of lam, up to sign, in closed form.
 
-    The defining property phi(x) = lam(x) a with (phi, psi, lam) an isotopy
-    triple implies that u = lam^-1(a) satisfies lam(x u) = lam(x) lam(u) for
-    every x, a condition linear in u.  We stack the eight basis instances
-    into a 64x8 system and take its kernel.  The kernel always also contains
-    the trivial vector 1 (and is all of the octonions when lam is an
-    automorphism), so when it is larger than a line the companion ray is
-    pinned down by solving the quadratic isotopy defect along the kernel,
-    and a candidate is returned once the full identity holds on all 64
-    basis pairs.  The candidates come in groups, each verified in one
-    stacked `isotopy_residual` pass: the kernel vectors, then the pencil
-    roots of each pair of them (solved only when no earlier group passes).
-    The first candidate that passes, in that order, is returned; a failing
-    one is measured at its first failing pair.
-    """
+    For unit a, lam(u v) = (lam(u) a)(conj(a) lam(v)).  Put u = lam^T x and
+    v = lam^T y and take the inner product with z: lam's 3-form
+    T_ijk = <lam^T e_i lam^T e_j, lam^T e_k>, for i, j, k in 1..7, is
+    <(e_i a)(conj(a) e_j), e_k> = tr(Q'_ijk a a^T), for Q'_ijk the
+    symmetric matrix of that quadratic form (`octonion._FORM_INDEX`).  The
+    map A -> (tr(Q'_ijk A)) has the identity as its kernel, and its
+    transpose times it is 48 on the trace-free part, so the sum of
+    T_ijk Q'_ijk is 48 (a a^T - I / 8).  For lam's pair (m, d), T is one
+    `batch_mul` of m's rows 1..7 and the inner products of those products
+    with the rows, ints over d^3 in exact mode; so 48 d^3 a a^T is 6 d^3 I
+    plus the sum, exactly, and a's ray is its column with the largest
+    diagonal entry.
+
+    The representative: in float mode a is normalized; in exact mode
+    a_0 = 1, or, when a_0 = 0, the last nonzero coordinate of lam^T a is 1.
+    `kernel_dim` is the dimension of the kernel of lam's multiplication
+    defect, {u : lam(x u) = lam(x) lam(u)}: 8 when a is real (lam is an
+    automorphism), else 2.  a is returned only if `isotopy_residual`
+    passes it against tol on all 64 basis pairs (any nonzero defect fails
+    in exact mode); else VerificationFailed is raised with the first
+    failing defect, so a matrix outside SO(7) that was not validated gets
+    no companion by mistake."""
     if not 0 <= tol < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
     ctx = arithmetic_of(lam)
-    ker = ctx.kernel(multiplication_defect(lam.m)[0])
-    if len(ker) == 0:
-        raise KernelDimensionError("companion kernel is zero-dimensional")
-    groups = chain([ker], (_pencil_candidates(lam, u, v)
-                           for u, v in combinations(ker, 2)))
-    for group in groups:
-        cands = [ctx.ray(lam.apply(u)) for u in group if not u.is_zero(CHECK_TOL)]
-        if not cands:
-            continue
-        rs = isotopy_residual(lam, cands, tol)
-        for a, r in zip(cands, rs):
-            if ctx.scalar_eq(r, 0, tol):
-                return CompanionResult(a, len(ker), float(r))
-    if len(ker) > 1:
-        raise KernelDimensionError(
-            "kernel dimension %d and no vector passes verification" % len(ker))
-    raise VerificationFailed(  # a line kernel has one candidate
-        "companion candidate fails the isotopy identity (defect %g)" % r)
+    m, d = lam.m
+    rows = m[1:]
+    t = batch_mul(rows[:, None], rows[None, :]).reshape(49, 8) @ rows.T
+    form = (t.reshape(343)[octonion._FORM_INDEX] * octonion._FORM_SIGN).sum(-1)
+    form[np.diag_indices(8)] += 6 * d ** 3                 # 48 d^3 a a^T
+    c = int(np.argmax(np.diagonal(form)))
+    # the diagonal sums to 48 d^3 under the octonion table; a bent table
+    # could leave it with no positive entry, whose column may be zero
+    if not form[c, c] > 0:
+        raise VerificationFailed("companion form has no positive diagonal "
+                                 "entry")
+    v = form[:, c]
+    if not ctx.exact:
+        a = ctx.ray(_floats(v.tolist()))
+    elif v[0]:
+        a = Octonion.from_lifted(v, v[0])
+    else:
+        back = [x for x in (m.T @ v).tolist() if x]           # d lam^T v
+        a = Octonion.from_lifted(v * d, back[-1] if back else d)
+    r, = isotopy_residual(lam, [a], tol)
+    if not ctx.scalar_eq(r, 0, tol):
+        raise VerificationFailed(
+            "companion candidate fails the isotopy identity (defect %g)" % r)
+    return CompanionResult(a, 8 if a.imag().is_zero() else 2, float(r))
 
 
 def verify_so7_section_identity(lam: SO7Element, a: Octonion) -> float:

@@ -29,9 +29,9 @@ def bent_table(monkeypatch):
     """A bent multiplication table: the signs of e3 e5 and e5 e3 flipped,
     and every constant built from the table (`octonion.TABLE_CONSTANTS`:
     the product, the defect and multiplication-matrix gathers, the float
-    `batch_mul` gather) rebuilt from it.  The package's caches are emptied
-    on the way in and out, so no matrix built under one table outlives
-    it."""
+    `batch_mul` gather, the companion's quadratic forms) rebuilt from it.
+    The package's caches are emptied on the way in and out, so no matrix
+    built under one table outlives it."""
     sign = [row[:] for row in octonion.MUL_SIGN]
     sign[3][5] = -sign[3][5]
     sign[5][3] = -sign[5][3]

@@ -2,14 +2,16 @@
 package against: coordinates on the 6-plane of the structure matrices,
 J_x, recovery and common lines one structure at a time, float `prop21`,
 `octonion-axioms`, `prop31` and `lemma34` one sample at a time on scalar
-`Octonion`s, the companion search one candidate at a time on scalar
-products, the former exact section comparison at the 20 sample points, the
-former two-call exact draw, and substitution in graded polynomials.  No
-command needs them, so they live with the tests."""
+`Octonion`s, the former companion search (the kernel of the
+multiplication defect and quadratic pencils along it) one candidate at a
+time on scalar products, the former exact section comparison at the 20
+sample points, the former two-call exact draw, and substitution in graded
+polynomials.  No command needs them, so they live with the tests."""
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -18,8 +20,8 @@ from sixsphere.chern import GradedPoly
 from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
                                _e1_left_basis, _left_e1, standard_structure)
 from sixsphere.errors import (IdenticalStructures, InvalidStructure,
-                              KernelDimensionError, NoCommonLine, NotUnit,
-                              RankError, VerificationFailed)
+                              NoCommonLine, NotUnit, RankError,
+                              SixSphereError, VerificationFailed)
 from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
 from sixsphere.sampling import (haar_orthogonal, random_rational_circle_point,
                                 random_rational_imaginary_unit,
@@ -263,12 +265,19 @@ def lemma34(samples: int, seed: int):
     return run.checked, run.failures
 
 
+def images(lam) -> List[Octonion]:
+    """lam(e_0), ..., lam(e_7): the columns of lam's pair, in lam's mode."""
+    a, d = lam.m
+    return [octonion._reduced(c, d) if lam.exact else octonion._floats(c)
+            for c in a.T.tolist()]
+
+
 def isotopy_residual(lam, a: Octonion, tol: float) -> float:
     """`twistor.isotopy_residual` of one candidate on scalar `Octonion`
     products: the pairs row by row (i, then j), conj(a) and |a|^2 once,
     lam(ei) a once per row, conj(a) lam(ej) and |a|^2 lam(ek) on first use;
     the first defect that fails lam's test against tol, else the max."""
-    imgs, ctx, worst = lam.images(), arithmetic_of(lam), 0.0
+    imgs, ctx, worst = images(lam), arithmetic_of(lam), 0.0
     ac, n = a.conjugate(), a.norm_sq()
     rights: List[Optional[Octonion]] = [None] * 8   # conj(a) lam(ej)
     scaled: List[Optional[Octonion]] = [None] * 8   # |a|^2 lam(ek)
@@ -290,16 +299,83 @@ def isotopy_residual(lam, a: Octonion, tol: float) -> float:
     return worst
 
 
+#: float pencil coordinates whose largest coefficient is below this are skipped
+PENCIL_LEAD_FLOOR = 1e-9
+#: size, relative to the largest one, under which a pencil coefficient is zero
+PENCIL_COEFF_RTOL = 1e-12
+
+
+class KernelDimensionError(SixSphereError):
+    """The kernel route's companion kernel has dimension 0, or more than 1
+    with no vector passing verification."""
+
+
+def _isotopy_defect(imgs: List[Octonion], a: Octonion, i: int, j: int) -> Octonion:
+    """(lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej): zero for companions."""
+    return (imgs[i] * a) * (a.conjugate() * imgs[j]) - \
+        a.norm_sq() * (octonion.MUL_SIGN[i][j] * imgs[octonion.MUL_INDEX[i][j]])
+
+
+def _pencil_candidates(lam, k1: Octonion, k2: Octonion) -> Iterator[Octonion]:
+    """Candidate companion preimages on the projective line through two
+    kernel vectors.
+
+    The isotopy defect of a = s lam(k1) + t lam(k2) is a homogeneous
+    quadratic in (s, t) in every coordinate, and the true companion ray is a
+    common root of all of them; so the roots of any one nonzero coordinate
+    quadratic (recovered from evaluations at (1,0), (0,1), (1,1)) give at
+    most two candidate rays to verify.  A coefficient is zero by the test of
+    the context, relative to the largest one; in exact mode a quadratic
+    without rational roots gives none (a float one takes a negative
+    discriminant as 0).  The three defects are read as numerators over one
+    denominator, their lcm (1 for floats): scaling a quadratic leaves its
+    roots, rationals in exact mode, as they are.
+    """
+    imgs, ctx = images(lam), arithmetic_of(lam, k1, k2)
+    a1, a2 = lam.apply(k1), lam.apply(k2)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            defects = [_isotopy_defect(imgs, a, i, j) for a in (a1, a2, a1 + a2)]
+            d = math.lcm(*(r.denominator for r in defects))
+            ra, rc, rs = ([n * (d // r.denominator) for n in r.numerators]
+                          for r in defects)
+            for c in range(8):
+                qa, qc = ra[c], rc[c]
+                qb = rs[c] - qa - qc
+                lead = max(abs(qa), abs(qb), abs(qc))
+                if ctx.scalar_eq(lead, 0, PENCIL_LEAD_FLOOR):
+                    continue
+                zero_tol = PENCIL_COEFF_RTOL * lead
+                if not ctx.scalar_eq(qc, 0, zero_tol):
+                    disc = qb * qb - 4 * qa * qc
+                    root = (octonion.exact_sqrt(disc) if ctx.exact
+                            else max(disc, 0.0) ** 0.5)
+                    if root is None:
+                        continue
+                    yield from (k1 + ((-qb + sgn * root) / (2 * qc)) * k2
+                                for sgn in (1, -1))
+                else:
+                    yield k2
+                    if not ctx.scalar_eq(qb, 0, zero_tol):
+                        # a rational quotient of ints; the same float as
+                        # qa / qb of floats
+                        yield k1 - (Fraction(qa) / qb) * k2
+                return
+
+
 def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
-    """`twistor.companion` one candidate at a time: the kernel vectors, then
-    the pencil roots of each pair of them, each verified on its own by the
-    scalar `isotopy_residual` above; the first that passes is returned."""
+    """The companion by the kernel route, one candidate at a time: u =
+    lam^-1(a) satisfies lam(x u) = lam(x) lam(u) for every x, so the
+    candidates are the kernel vectors of the 64x8 multiplication defect,
+    then the pencil roots of each pair of them, each verified on its own by
+    the scalar `isotopy_residual` above; the first that passes is
+    returned, with the kernel's dimension."""
     ctx = arithmetic_of(lam)
     ker = ctx.kernel(octonion.multiplication_defect(lam.m)[0])
     if len(ker) == 0:
         raise KernelDimensionError("companion kernel is zero-dimensional")
     candidates = chain(ker, chain.from_iterable(
-        twistor._pencil_candidates(lam, u, v) for u, v in combinations(ker, 2)))
+        _pencil_candidates(lam, u, v) for u, v in combinations(ker, 2)))
     for u in candidates:
         if u.is_zero(CHECK_TOL):
             continue
@@ -312,4 +388,3 @@ def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
             "kernel dimension %d and no vector passes verification" % len(ker))
     raise VerificationFailed(
         "companion candidate fails the isotopy identity (defect %g)" % r)
-

@@ -10,8 +10,8 @@ import pytest
 from sixsphere import cli, cstruct, degree, sampling, suites, twistor
 from sixsphere.cstruct import j_from_octonion
 from sixsphere.errors import (BadConfig, DegenerateInput, FrameInvalid,
-                              KernelDimensionError, OutOfRange, RankError,
-                              UnknownSuite, VerificationFailed)
+                              OutOfRange, RankError, UnknownSuite,
+                              VerificationFailed)
 from sixsphere.octonion import Octonion
 from sixsphere.sampling import random_so7_float, rng_from_seed
 
@@ -48,14 +48,15 @@ def test_bad_api_input_raises_a_named_error(call, error):
 
 
 def test_suites_report_library_errors_and_raise_bugs(monkeypatch):
-    def kernel_error(lam, tol=None):
-        raise KernelDimensionError("companion kernel is zero-dimensional")
+    def failed(lam, tol=None):
+        raise VerificationFailed(
+            "companion candidate fails the isotopy identity (defect 1)")
 
     def bug(lam, tol=None):
         raise TypeError("a bug in the code under test")
 
     for mode in ("float", "exact"):
-        monkeypatch.setattr(twistor, "companion", kernel_error)
+        monkeypatch.setattr(twistor, "companion", failed)
         rep = suites.run_suite("prop41", samples=1, mode=mode)
         # one entry per companion asked for (exact mode asks three times)
         assert [f["kind"] for f in rep.failures] == ["companion"] * rep.checked

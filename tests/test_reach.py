@@ -30,6 +30,9 @@ KEEP = {
     "linalg.lift": "lifts the rows that mat_mul and mat_vec multiply",
     "linalg._dot": "the inner product of mat_mul and mat_vec",
     "linalg.mat_vec": "frames.apply_matrix applies rows through it",
+    "linalg.kernel_basis_float":
+        "traced by bench/layers.py; the one-matrix reference of "
+        "kernel_planes_float",
     "sampling.random_rational_vector": "traced by bench/layers.py",
     "sampling.random_unit_octonion_float":
         "traced by bench/layers.py; the float suites draw rows of "
@@ -60,6 +63,13 @@ KEEP = {
     "octonion.SquareMatrix.to_strings": "writes failure payloads",
     "octonion.SquareMatrix._validate": "default of the hook subclasses override",
     "octonion._FloatArithmetic.eq": "the float context's scalar test",
+    "octonion._FloatArithmetic.kernel":
+        "the float side of Arithmetic.kernel; the reference kernel route "
+        "of the companion runs it",
+    "octonion._ExactArithmetic.ray":
+        "the exact side of Arithmetic.ray, which the float companion reads",
+    "octonion.exact_sqrt":
+        "normalize keeps an exact octonion with a rational norm exact",
     "chern.GradedPoly.__sub__": "operator of the public graded ring",
     "chern.GradedPoly.__repr__": "output view",
     "homotopy.GroupExpr.__repr__": "output view",

@@ -4,8 +4,8 @@ only when every check holds within tolerance (NaN and inf are rejected
 before any check runs, with no numpy warning), a named error for entries
 that are not real numbers, string round trips in both modes, mixed operands
 computed on float copies; `apply` against the per-term `apply_matrix`;
-equality by value within one class; and the companion's lazily built
-candidates."""
+equality by value within one class; and the companion's one verified
+candidate."""
 
 from fractions import Fraction as F
 
@@ -174,26 +174,28 @@ def test_strings_round_trip_in_both_modes():
 
 
 def test_companion_of_an_automorphism_solves_no_pencil(monkeypatch):
-    # every kernel vector of an automorphism's system is a companion
-    # preimage, so the first one passes before any pencil is solved
+    # the closed form verifies one candidate, in one isotopy pass, and an
+    # automorphism's is 1 in both modes (the kernel route read kernel
+    # dimension 1 off the float copy's rounding noise)
     calls = []
-    pencil = twistor._pencil_candidates
+    verify = twistor.isotopy_residual
 
-    def spy(*args):
-        calls.append(args)
-        return pencil(*args)
+    def spy(lam, cands, tol):
+        calls.append(len(cands))
+        return verify(lam, cands, tol)
 
-    monkeypatch.setattr(twistor, "_pencil_candidates", spy)
+    monkeypatch.setattr(twistor, "isotopy_residual", spy)
     lam = SO7Element(random_g2_matrix(rng_from_seed(3)))
     res = twistor.companion(lam)
-    assert calls == []
-    # the values the eagerly built candidate list gave
+    assert calls == [1]
     assert res.a.to_strings() == ["1"] + ["0"] * 7
     assert (res.kernel_dim, res.residual) == (8, 0.0)
 
     float_res = twistor.companion(SO7Element(lam.as_array()))
-    assert float_res.a.to_strings() == ["1.0"] + ["0.0"] * 7
-    assert (float_res.kernel_dim, float_res.residual) == (1, 2.220446049250313e-16)
+    assert calls == [1, 1]
+    assert FLOAT.eq(float_res.a, Octonion.one())
+    assert (float_res.kernel_dim, float_res.residual) == \
+        (8, 2.220446049250313e-16)
 
 
 def _same_bits(got, want):

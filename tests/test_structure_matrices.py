@@ -265,6 +265,9 @@ def test_exact_structures_apply_int_numerators_and_read_no_rows(monkeypatch):
         assert cstruct.equivalent(cstruct.recover_x(j), x)
         cstruct.common_line(j, j_from_octonion(y))
         cstruct.quaternion_coordinate_form(x)
+        # no exact suite applies a rotation to an octonion since the
+        # companion is read off the rotation's 3-form
+        twistor.random_so7_exact(rng).apply(y)
     for name in suites.SUITES:
         if "exact" in suites.MODES[name]:
             assert suites.run_suite(name, samples=2, seed=3).mode == "exact"

@@ -3,12 +3,13 @@
 Three ways make the sampled suites fail: a tolerance of 0 in float mode,
 where rounding alone exceeds it, a bent multiplication table (the signs of
 e3 e5 and e5 e3 flipped, every table constant rebuilt from it), and a
-companion perturbed after its search, which gets past prop41's samplers.  Each entry must carry a string `kind`, and its octonions, rotations
+companion perturbed after it is found, which gets past prop41's samplers.  Each entry must carry a string `kind`, and its octonions, rotations
 and structures must read back through `from_strings`.  The Moufang suite
 evaluates its laws on arrays of samples; the scalar laws on `Octonion`s are
 its reference, whether the laws hold or fail.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,7 @@ import pytest
 
 from sixsphere import sampling, suites, twistor
 from sixsphere.cstruct import ComplexStructureR6
-from sixsphere.errors import (DegenerateInput, KernelDimensionError,
-                              VerificationFailed)
+from sixsphere.errors import DegenerateInput, VerificationFailed
 from sixsphere.octonion import CHECK_TOL, EXACT, Octonion, residual
 from sixsphere.twistor import SO7Element
 
@@ -114,18 +114,19 @@ def _search(find, lam):
     error."""
     try:
         res = find(lam, CHECK_TOL)
-    except (KernelDimensionError, VerificationFailed) as e:
+    except (references.KernelDimensionError, VerificationFailed) as e:
         return type(e).__name__, str(e)
     return res.a.numerators, res.a.denominator, res.kernel_dim, res.residual
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_the_companion_reads_the_bent_table(bent_table, exact):
-    # the companion system, the multiplication matrices and lam(ei ej) all
+    # the companion's forms, the multiplication matrices and lam(ei ej) all
     # read the one bent table: the identity is an automorphism of the bent
-    # algebra too, with companion 1 on all 64 pairs (e3 e5 among them), and
-    # a conjugation fails as the scalar loop on bent `Octonion` products
-    # does, with the same error text
+    # algebra too, with companion 1 on all 64 pairs (e3 e5 among them), as
+    # the kernel route on bent `Octonion` products finds it, and a
+    # conjugation fails its verification with the defect of the candidate
+    # (the kernel route fails it too, by its kernel dimension)
     x = Octonion.from_strings(["3/5", "0", "4/5", "0", "0", "0", "0", "0"])
     conj = twistor.conjugation_element(x)
     identity = SO7Element(np.eye(8, dtype=int).tolist())
@@ -134,14 +135,17 @@ def test_the_companion_reads_the_bent_table(bent_table, exact):
     found = _search(twistor.companion, identity)
     assert found == _search(references.companion, identity)
     assert found[0] == Octonion.one().numerators and found[2] == 8
-    failed = _search(twistor.companion, conj)
-    assert failed == _search(references.companion, conj)
-    assert failed[0] in ("KernelDimensionError", "VerificationFailed")
+    assert _search(references.companion, conj)[0] == "KernelDimensionError"
+    with pytest.raises(VerificationFailed) as failed:
+        twistor.companion(conj, CHECK_TOL)
+    defect = re.fullmatch(r"companion candidate fails the isotopy identity "
+                          r"\(defect (.*)\)", str(failed.value))
+    assert float(defect.group(1)) > CHECK_TOL
 
 
 def _perturbed_companion(monkeypatch):
-    """Hand the suites a wrong companion that passed its own search: one
-    exact numerator + 1, or a float a + 1e-6 e3."""
+    """Hand the suites a wrong companion that passed its own verification:
+    one exact numerator + 1, or a float a + 1e-6 e3."""
     find = twistor.companion
 
     def perturbed(lam, *args, **kwargs):

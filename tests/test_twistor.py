@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sixsphere import cstruct, twistor
+from sixsphere import cstruct, octonion, twistor
 from sixsphere.errors import (DegenerateInput, InvalidStructure,
-                              KernelDimensionError, NonGenericInput,
-                              NotImaginaryUnit, VerificationFailed)
+                              NonGenericInput, NotImaginaryUnit,
+                              VerificationFailed)
 from sixsphere.frames import random_g2_matrix
 from sixsphere.octonion import (CHECK_TOL, EXACT, FLOAT, MUL_INDEX, MUL_SIGN,
                                 Octonion, multiplication_defect, residual,
@@ -194,15 +194,17 @@ def test_exact_distance_is_the_fraction_distance_rounded_once():
 
 
 def test_pencil_through_the_companion_preimage_stays_in_its_mode():
-    # on the pencil of 1 and u = lam^-1(a), every coordinate quadratic has
-    # qc = 0, so the candidates are u and 1 - (qa / qb) u: an exact rational
-    # point for an exact rotation (qa / qb of ints taken as a Fraction), the
-    # float point for its float copy
+    # the reference kernel route: on the pencil of 1 and u = lam^-1(a),
+    # every coordinate quadratic has qc = 0, so the candidates are u and
+    # 1 - (qa / qb) u: an exact rational point for an exact rotation
+    # (qa / qb of ints taken as a Fraction), the float point for its float
+    # copy
     lam = twistor.random_so7_exact(rng_from_seed(0))
     u = lam.inverse_apply(companion(lam).a)
-    exact = list(twistor._pencil_candidates(lam, Octonion.one(), u))
+    exact = list(references._pencil_candidates(lam, Octonion.one(), u))
     lam_f = SO7Element(lam.as_array())
-    floats = list(twistor._pencil_candidates(lam_f, Octonion.one() * 1.0, u * 1.0))
+    floats = list(references._pencil_candidates(lam_f, Octonion.one() * 1.0,
+                                                u * 1.0))
     assert exact[0] == u and floats[0] == u * 1.0
     assert [c.exact for c in exact] == [True, True]
     assert [c.exact for c in floats] == [False, False]
@@ -251,7 +253,6 @@ def test_failing_candidates_stop_at_their_first_failing_pair(monkeypatch):
         rows.clear()
         assert isotopy_residual(rot, [wrong, a, wrong], CHECK_TOL) == want
         assert sum(rows) == 3 * 32 + 48
-        assert rot.images() is rot.images()
 
 
 def _residual_per_pair(lam, a, tol=None):
@@ -259,7 +260,8 @@ def _residual_per_pair(lam, a, tol=None):
     ctx, worst = twistor.arithmetic_of(lam), 0.0
     for i in range(8):
         for j in range(8):
-            r = twistor.residual(twistor._isotopy_defect(lam.images(), a, i, j))
+            r = twistor.residual(
+                references._isotopy_defect(references.images(lam), a, i, j))
             if tol is not None and not ctx.scalar_eq(r, 0, tol):
                 return r
             worst = max(worst, r)
@@ -287,11 +289,30 @@ def _outcome(find, lam, tol):
     so signed zeros count), kernel dimension and residual, or its error."""
     try:
         res = find(lam, tol)
-    except (KernelDimensionError, VerificationFailed) as e:
+    except (references.KernelDimensionError, VerificationFailed) as e:
         return type(e).__name__, str(e)
     a = res.a
     return (a.exact, tuple(map(repr, a.numerators)), a.denominator,
             res.kernel_dim, repr(res.residual))
+
+
+#: how far the closed form's float ray may lie from the kernel route's
+#: (3.3e-13 at worst over 200 Haar rotations)
+FLOAT_RAY_BOUND = 1e-12
+
+
+def _ray_gap(a, b):
+    """The distance between the float rays of two unit octonions."""
+    a, b = a.to_float_array(), b.to_float_array()
+    return min(np.abs(a - b).max(), np.abs(a + b).max())
+
+
+def _same_ray(a, b):
+    """Whether two exact octonions span one ray: every 2x2 minor of their
+    coordinates vanishes."""
+    x, y = a.coords, b.coords
+    return not a.is_zero() and all(x[i] * y[j] == x[j] * y[i]
+                                   for i in range(8) for j in range(i))
 
 
 def _rotations(seed):
@@ -307,18 +328,30 @@ def _rotations(seed):
 @pytest.mark.parametrize("seed", [1, 2, 5, 9])
 @pytest.mark.parametrize("tol", [CHECK_TOL, 0.0])
 def test_stacked_companion_equals_the_scalar_loop(seed, tol):
-    # one stacked isotopy pass per group of candidates picks the candidate
-    # the per-candidate loop on scalar products picks, with its residual to
-    # the bit, or fails with the same error text
-    outcomes = []
-    for lam in _rotations(seed):
-        got = _outcome(companion, lam, tol)
-        assert got == _outcome(references.companion, lam, tol)
-        outcomes.append(got)
-    assert outcomes[2][3] == 8    # the exact automorphism's kernel
-    # at CHECK_TOL every search finds a companion; at 0 the float ones fail
-    assert [isinstance(o[0], bool) for o in outcomes] == \
-        [True, bool(tol), True, bool(tol)]
+    # the closed form gives an exact rotation the representative the
+    # kernel route (kernel, pencils, one scalar candidate at a time) gives,
+    # its numerators and denominator, kernel dimension and residual to the
+    # bit, or fails with the same error text.  A float rotation gets the
+    # kernel route's ray within FLOAT_RAY_BOUND and its kernel dimension;
+    # at tol 0 both routes fail it.  A float automorphism gets 1 and
+    # kernel dimension 8 (the kernel route's rounding-noise kernel reads 1)
+    lam, lam_f, g2, g2_f = _rotations(seed)
+    exact = [_outcome(companion, rot, tol) for rot in (lam, g2)]
+    assert exact == [_outcome(references.companion, rot, tol)
+                     for rot in (lam, g2)]
+    assert exact[0][0] is exact[1][0] is True and exact[1][3] == 8
+    if not tol:
+        for rot in (lam_f, g2_f):
+            with pytest.raises(VerificationFailed):
+                companion(rot, tol)
+        return
+    got, want = companion(lam_f, tol), references.companion(lam_f, tol)
+    assert _ray_gap(got.a, want.a) <= FLOAT_RAY_BOUND
+    assert got.kernel_dim == want.kernel_dim == 2
+    assert got.residual <= CHECK_TOL
+    got = companion(g2_f, tol)
+    assert _ray_gap(got.a, Octonion.one()) <= FLOAT_RAY_BOUND
+    assert got.kernel_dim == 8 and got.residual <= CHECK_TOL
 
 
 @pytest.mark.parametrize("seed", [3, 47])
@@ -336,14 +369,13 @@ def test_stacked_isotopy_residuals_equal_the_scalar_loop(seed):
 
 def test_companion_defensive_kernel_error():
     # right multiplication by e1 is orthogonal with det 1 but moves 1; the
-    # validated constructor rejects it, and the solver (told to skip
-    # validation) reports the empty kernel rather than inventing a companion
-    from sixsphere.errors import KernelDimensionError
+    # validated constructor rejects it, and the closed form (told to skip
+    # validation) fails its verification rather than inventing a companion
     m = right_mult_matrix(E[1])
     with pytest.raises(DegenerateInput):
         SO7Element(m)
     lam = SO7Element(m, validate=False)
-    with pytest.raises(KernelDimensionError):
+    with pytest.raises(VerificationFailed, match="isotopy identity"):
         companion(lam)
 
 
@@ -360,6 +392,115 @@ def test_g2_isotropy(rng):
         assert sections_equal(acted, canonical_section())
         comp = companion(g)
         assert comp.a == Octonion.one() or comp.a == -Octonion.one()
+
+
+def test_the_companion_forms_match_the_table_and_their_gram_identity():
+    # Q'_ijk is the symmetric matrix of a -> <(e_i a)(conj(a) e_j), e_k>,
+    # entries -1, 0 and 1, and the map A -> (tr(Q'_ijk A)) followed by its
+    # transpose is 48 (A - tr(A) I / 8) on symmetric A, in ints: the
+    # identity the closed form rests on
+    forms = np.zeros((343, 8, 8), dtype=int)
+    for p in range(8):
+        for q in range(8):
+            np.add.at(forms[:, p, q], octonion._FORM_INDEX[p, q],
+                      octonion._FORM_SIGN[p, q])
+    assert set(forms.flat) == {-1, 0, 1}
+    assert (forms == forms.swapaxes(1, 2)).all()
+    # the quadratic form at e_p + e_q is Q'_pp + Q'_qq + 2 Q'_pq
+    pairs = [(p, q) for p in range(8) for q in range(p + 1)]
+    values = {}
+    for p, q in pairs:
+        a = E[p] + E[q] if p != q else E[p]
+        values[p, q] = [(E[i] * a) * (a.conjugate() * E[j])
+                        for i in range(1, 8) for j in range(1, 8)]
+    for (ij, k), form in zip(np.ndindex(49, 7), forms):
+        for p, q in pairs:
+            got = form[p, p] if p == q else \
+                form[p, p] + form[q, q] + 2 * form[p, q]
+            assert got == values[p, q][ij].coords[k + 1]
+    for p in range(8):
+        for q in range(p + 1):
+            sym = np.zeros((8, 8), dtype=int)
+            sym[p, q] += 1
+            sym[q, p] += 1
+            image = np.einsum("tpq,pq->t", forms, sym)
+            assert (np.einsum("t,tpq->pq", image, forms) ==
+                    48 * sym - 6 * np.trace(sym) * np.eye(8, dtype=int)).all()
+
+
+def _automorphisms():
+    """The identity, three drawn automorphisms and a float conjugation by
+    a sixth root of unity x = cos(pi/3) + sin(pi/3) u, whose cube is -1."""
+    rng = rng_from_seed(11)
+    exact = [identity_so7()] + [
+        SO7Element(random_g2_matrix(rng), validate=False) for _ in range(3)]
+    c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    root = conjugation_element(Octonion([c, 0.6 * s, 0, 0.8 * s, 0, 0, 0, 0]))
+    return exact + [SO7Element(g.as_array()) for g in exact] + [root]
+
+
+def test_every_automorphism_has_companion_one_and_kernel_dim_8():
+    # the kernel route found an empty kernel for the float conjugation (its
+    # tolerance scaled to singular values that are all rounding noise) and
+    # kernel dimension 1 for the float copies of the drawn automorphisms
+    for g in _automorphisms():
+        res = companion(g)
+        assert res.kernel_dim == 8
+        if g.exact:
+            assert res.a == Octonion.one() and res.residual == 0.0
+        else:
+            assert _ray_gap(res.a, Octonion.one()) <= FLOAT_RAY_BOUND
+            assert res.residual <= CHECK_TOL
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_kernel_dim_is_the_dimension_of_the_kernel(seed):
+    # kernel_dim is read off a, not solved for: it equals the dimension of
+    # the kernel the reference route computes, on drawn rotations and on
+    # conjugations of generic, imaginary and 1 + p octonions
+    rng = rng_from_seed(seed)
+    lams = [twistor.random_so7_exact(rng) for _ in range(2)]
+    for _ in range(2):
+        p = random_rational_imaginary_unit(rng)
+        lams += [conjugation_element(x) for x in
+                 (random_rational_unit_octonion(rng), p, Octonion.one() + p)]
+    for lam in lams:
+        want = references.companion(lam).kernel_dim
+        assert companion(lam).kernel_dim == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_the_companion_map_is_constant_on_g2_cosets(seed):
+    # lam(g(uv)) = lam(g(u) g(v)) for g in G2, so lam and lam g have one
+    # companion ray: the map SO(7) -> RP^7 factors through SO(7)/G2
+    rng = rng_from_seed(seed)
+    for _ in range(3):
+        lam = twistor.random_so7_exact(rng)
+        g = SO7Element(random_g2_matrix(rng), validate=False)
+        assert _same_ray(companion(lam.compose(g)).a, companion(lam).a)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_the_companion_of_a_conjugation_is_the_cube_ray(seed):
+    # c(x) has companion ray [x^3], for generic, imaginary and 1 + p x
+    rng = rng_from_seed(seed)
+    for _ in range(2):
+        p = random_rational_imaginary_unit(rng)
+        for x in (random_rational_unit_octonion(rng), p, Octonion.one() + p):
+            assert _same_ray(companion(conjugation_element(x)).a, x.power(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_a_right_factor_outside_g2_moves_the_companion_ray(seed):
+    # c(x) with x^3 not real is no automorphism, and lam c(x) has another
+    # companion ray than lam
+    rng = rng_from_seed(seed)
+    for _ in range(3):
+        lam = twistor.random_so7_exact(rng)
+        x = random_rational_unit_octonion(rng)
+        assert not x.power(3).imag().is_zero()
+        moved = companion(lam.compose(conjugation_element(x))).a
+        assert not _same_ray(moved, companion(lam).a)
 
 
 def test_companion_identity():
