@@ -125,8 +125,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    if args.trials < 1 or (args.starts is not None and args.starts < 1):
-        raise BadConfig("--trials and --starts must be at least 1")
     cfg = deg.EngineConfig(trials=args.trials)
     if args.starts is not None:
         cfg.n_starts = args.starts

@@ -10,10 +10,14 @@ The engine counts signed preimages of a regular target value:
     whose residual stays above NO_ROOT_FLOOR and stops improving leaves the
     batch (the plateau stop, PLATEAU_RTOL and PLATEAU_ITER),
   * deduplicate the converged preimages, discard the target if any preimage
-    is near-critical or two independent start batches disagree on the count,
+    is near-critical or, in a two-pass run, two independent start batches
+    disagree on the preimage set,
   * sum the signs of the Jacobian determinants between the oriented
     domain and target spheres, one batched 8x8 determinant (`_signed_dets`),
-  * repeat for independent targets and require agreement.
+  * repeat for independent targets and require agreement.  With several
+    targets each runs one start batch, and the others stand in for its
+    second: if they disagree on the degree or the count, or one fails, the
+    engine reruns from the seed with two batches per target.
 
 Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
 is the same thing with no interval coordinate: a domain point is `lead`
@@ -260,7 +264,8 @@ class DegreeReport:
 
 @dataclass
 class EngineConfig:
-    n_starts: int = 2000      # Newton starts per pass (two passes per target)
+    n_starts: int = 2000      # Newton starts per pass (one pass per target;
+                              # two at trials=1 or when the trials disagree)
     trials: int = 3           # independent targets that must agree
 
 
@@ -532,61 +537,90 @@ def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
 
 
 def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
-              rng: np.random.Generator, resamples: int) -> TrialReport:
-    """Signed preimages of one target.  Raises the error that names why the
-    target must be resampled: a count mismatch between the two passes, an
-    empty set whose residuals still reach NO_ROOT_FLOOR, a restart mismatch,
-    or a near-critical preimage."""
-    pre1, floor1 = _one_pass(family, target, cfg, rng)
-    pre2, floor2 = _one_pass(family, target, cfg, rng)
-    if len(pre1) != len(pre2):
-        raise UnstablePreimageCount(
-            "%s: preimage counts %d vs %d at the same target"
-            % (family.name, len(pre1), len(pre2)))
-    if len(pre1) == 0:
-        floor = min(floor1, floor2)
+              rng: np.random.Generator, resamples: int,
+              restart: bool = True) -> TrialReport:
+    """Signed preimages of one target.  With `restart` a second pass of
+    fresh starts must find the same preimage set; without it the second
+    pass's starts are drawn and discarded, so the rng stream, and every
+    later target, is the same either way.  Raises the error that names why
+    the target must be resampled: a count mismatch between the two passes,
+    an empty set whose residuals still reach NO_ROOT_FLOOR, a restart
+    mismatch, or a near-critical preimage."""
+    pre, floor = _one_pass(family, target, cfg, rng)
+    if restart:
+        pre2, floor2 = _one_pass(family, target, cfg, rng)
+        if len(pre) != len(pre2):
+            raise UnstablePreimageCount(
+                "%s: preimage counts %d vs %d at the same target"
+                % (family.name, len(pre), len(pre2)))
+        floor = min(floor, floor2)
+        # `pre` is deduplicated, so all of it survives in front of `pre2`
+        if len(_dedupe(np.vstack([pre, pre2]), SEPARATION_TOL)) != len(pre):
+            raise UnstablePreimageCount(
+                "%s: restarts found different preimage sets" % family.name)
+    else:
+        _start_points(family, cfg, rng)
+    if len(pre) == 0:
         if floor < NO_ROOT_FLOOR:
             raise NonConvergence("%s: no converged starts but residuals reach %g"
                                  % (family.name, floor))
         return TrialReport(list(target), 0, [], [], float("inf"),
                            float(floor), 0, resamples)
-    merged = _dedupe(np.vstack([pre1, pre2]), SEPARATION_TOL)
-    if len(merged) != len(pre1):
-        raise UnstablePreimageCount(
-            "%s: restarts found different preimage sets" % family.name)
-    y = family.func(merged)
+    y = family.func(pre)
     u = y / np.linalg.norm(y, axis=1, keepdims=True)
-    dets = _signed_dets(family, merged, u)
+    dets = _signed_dets(family, pre, u)
     min_abs_det = float(np.min(np.abs(dets)))
     if min_abs_det < CRITICAL_DET:
         raise UnstablePreimageCount(
             "%s: near-critical preimage persists" % family.name)
     signs = np.where(dets > 0, 1, -1).tolist()
     return TrialReport(list(target), sum(signs), signs,
-                       [list(x) for x in merged], min_abs_det,
-                       float(np.max(np.abs(u - target))), len(merged),
+                       [list(x) for x in pre], min_abs_det,
+                       float(np.max(np.abs(u - target))), len(pre),
                        resamples)
 
 
-def _trial(family: MapFamily, cfg: EngineConfig,
-           rng: np.random.Generator) -> TrialReport:
+def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
+           restart: bool = True) -> TrialReport:
     resamples = 0
     while True:
         target = _sample_target(family, rng)
         try:
-            return _count_at(family, target, cfg, rng, resamples)
+            return _count_at(family, target, cfg, rng, resamples, restart)
         except (NonConvergence, UnstablePreimageCount):
             resamples += 1
             if resamples > MAX_RESAMPLE:
                 raise
 
 
+def _trials(family: MapFamily, cfg: EngineConfig, seed: int,
+            restart: bool) -> List[TrialReport]:
+    rng = rng_from_seed(seed)
+    return [_trial(family, cfg, rng, restart) for _ in range(cfg.trials)]
+
+
 def mapping_degree(family: MapFamily, seed: int = 0,
                    config: Optional[EngineConfig] = None) -> DegreeReport:
-    """Degree of the map by signed preimage counting over several targets."""
+    """Degree of the map by signed preimage counting over several targets.
+
+    With two or more trials each target runs one Newton pass, and the other
+    trials stand in for its second: when every trial agrees on the degree
+    and the preimage count, that is the report.  Otherwise, or when a trial
+    fails, the engine reruns from the seed with two passes per target, and
+    that run's report or error is the result.  A single trial has no
+    witness, so it always runs two passes."""
     cfg = config or EngineConfig()
-    rng = rng_from_seed(seed)
-    trials = [_trial(family, cfg, rng) for _ in range(cfg.trials)]
+    if cfg.n_starts < 1 or cfg.trials < 1:
+        raise BadConfig("the degree engine needs n_starts >= 1 and trials >= 1"
+                        " (got %d and %d)" % (cfg.n_starts, cfg.trials))
+    if cfg.trials > 1:
+        try:
+            trials = _trials(family, cfg, seed, restart=False)
+        except (NonConvergence, UnstablePreimageCount):
+            trials = []
+        if trials and len({(t.degree, t.n_converged) for t in trials}) == 1:
+            return DegreeReport(family.name, trials[0].degree, trials)
+    trials = _trials(family, cfg, seed, restart=True)
     degs = {t.degree for t in trials}
     if len(degs) != 1:
         raise ConflictingEstimates(

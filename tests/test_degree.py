@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sixsphere import degree as dg
-from sixsphere.errors import (ConflictingEstimates, NonConvergence,
+from sixsphere.errors import (BadConfig, ConflictingEstimates, NonConvergence,
                               NonGenericValue, NotOdd, UnstablePreimageCount)
 from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
                                 right_mult_matrix)
@@ -531,9 +531,9 @@ def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
     seen = []
     count_at = dg._count_at
 
-    def counted(family, target, cfg, rng, resamples):
+    def counted(family, target, cfg, rng, resamples, restart):
         seen.append(resamples)
-        return count_at(family, target, cfg, rng, resamples)
+        return count_at(family, target, cfg, rng, resamples, restart)
 
     monkeypatch.setattr(dg, "_count_at", counted)
     with pytest.raises(NonConvergence):
@@ -549,10 +549,81 @@ def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
     assert seen == [0, 1, 2]
 
 
-def test_trials_that_disagree_raise():
+def _spy_runs(monkeypatch):
+    """The `restart` flag of every run of the trials, in order."""
+    runs = []
+    inner = dg._trials
+
+    def spied(family, cfg, seed, restart):
+        runs.append(restart)
+        return inner(family, cfg, seed, restart)
+
+    monkeypatch.setattr(dg, "_trials", spied)
+    return runs
+
+
+def test_trials_that_disagree_raise(monkeypatch):
+    # the one-pass trials disagree, so the engine reruns with two passes,
+    # whose trials disagree too
+    runs = _spy_runs(monkeypatch)
     with pytest.raises(ConflictingEstimates, match=r"\[-1, 1\]"):
         dg.mapping_degree(dg.MapFamily("half", _half_conjugated_jet), seed=1,
                           config=dg.EngineConfig(n_starts=50, trials=6))
+    assert runs == [False, True]
+
+
+@pytest.mark.parametrize("trials, passes", [(3, 3), (1, 2)])
+def test_agreeing_trials_run_one_pass_per_target(trials, passes, monkeypatch):
+    # two or more trials that agree stand in for each other's second pass;
+    # a single trial keeps both
+    runs, one_pass = _spy_runs(monkeypatch), []
+    inner = dg._one_pass
+    monkeypatch.setattr(dg, "_one_pass",
+                        lambda *args: one_pass.append(1) or inner(*args))
+    cfg = dg.EngineConfig(n_starts=300, trials=trials)
+    rep = dg.mapping_degree(dg.identity_map(), seed=1, config=cfg)
+    assert rep.degree == 1 and len(rep.trials) == trials
+    assert runs == [trials == 1]
+    assert len(one_pass) == passes
+
+
+def test_one_pass_draws_the_second_pass_starts(rng):
+    # without the restart the second pass's starts are still drawn: the rng
+    # stream, and so every later target, is the same
+    state = rng.bit_generator.state
+    target, fam = _unit(rng), dg.identity_map()
+    two = dg._count_at(fam, target, STUB, rng, 0)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    _unit(rng)
+    one = dg._count_at(fam, target, STUB, rng, 0, restart=False)
+    assert rng.bit_generator.state == after
+    assert one == two
+
+
+@pytest.mark.parametrize("seed", [89621819, 3945867851],
+                         ids=["bench-seed-34", "bench-seed-45"])
+def test_power6_trials_that_disagree_escalate_to_two_passes(seed, monkeypatch):
+    # the power:6 requests of the degree-engine bench at seeds 34 and 45: in
+    # one trial a single pass finds 4 or 5 of the 6 preimages, where the two
+    # passes disagree and resample; the rerun reports the two-pass result
+    runs = _spy_runs(monkeypatch)
+    rep = dg.mapping_degree(dg.power_map(6), seed=seed)
+    assert runs == [False, True]
+    assert rep.degree == 6
+    assert all(t.n_converged == 6 for t in rep.trials)
+    assert sum(t.resamples for t in rep.trials) >= 1
+    two_pass = dg._trials(dg.power_map(6), dg.EngineConfig(), seed, True)
+    assert rep.trials == two_pass
+
+
+@pytest.mark.parametrize("cfg", [
+    dg.EngineConfig(n_starts=0, trials=1), dg.EngineConfig(trials=0),
+    dg.EngineConfig(n_starts=-5), dg.EngineConfig(trials=-1),
+], ids=["no-starts", "no-trials", "negative-starts", "negative-trials"])
+def test_empty_engine_configs_are_rejected(cfg):
+    with pytest.raises(BadConfig, match="n_starts >= 1 and trials >= 1"):
+        dg.mapping_degree(dg.power_map(3), config=cfg)
 
 
 def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree():
