@@ -218,7 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="%s, or power:k for any k >= 1" % ", ".join(deg.MAPS))
     d.add_argument("--trials", type=int, default=3)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--starts", type=int, default=None)
+    d.add_argument("--starts", type=int, default=None,
+                   help="Newton starts drawn per pass (default %d).  With "
+                   "two or more trials each target first runs one pass in "
+                   "chunks of %d that may stop early, then, if the trials "
+                   "disagree, one pass of every start, then two; --trials 1 "
+                   "runs the two passes only"
+                   % (deg.EngineConfig.n_starts, deg.START_CHUNK))
     d.add_argument("--json")
 
     c = sub.add_parser("companion", help="companion octonion of an SO(7) matrix")

@@ -15,9 +15,15 @@ The engine counts signed preimages of a regular target value:
   * sum the signs of the Jacobian determinants between the oriented
     domain and target spheres, one batched 8x8 determinant (`_signed_dets`),
   * repeat for independent targets and require agreement.  With several
-    targets each runs one start batch, and the others stand in for its
-    second: if they disagree on the degree or the count, or one fails, the
-    engine reruns from the seed with two batches per target.
+    targets the engine climbs three levels, each a run from the seed, and
+    returns at the first whose trials all agree on the degree and the
+    count: one budgeted batch per target, run START_CHUNK starts at a time
+    and stopped after a chunk from the second on that finds no new
+    preimage once every preimage has BASIN_MIN_HITS converged starts (n
+    starts miss a basin of start-measure m with probability about
+    exp(-m n)); one full batch per target; two full batches per target,
+    whose trials must agree or the engine raises.  A single target has no
+    witness and runs the two full batches only.
 
 Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
 is the same thing with no interval coordinate: a domain point is `lead`
@@ -264,8 +270,10 @@ class DegreeReport:
 
 @dataclass
 class EngineConfig:
-    n_starts: int = 2000      # Newton starts per pass (one pass per target;
-                              # two at trials=1 or when the trials disagree)
+    n_starts: int = 2000      # Newton starts drawn per pass, and the most a
+                              # pass runs (a budgeted pass runs them
+                              # START_CHUNK at a time and may stop early;
+                              # see mapping_degree)
     trials: int = 3           # independent targets that must agree
 
 
@@ -291,6 +299,11 @@ ODDNESS_SAMPLES = 64
 #: theta distance from the cylinder's ends inside which a preimage is
 #: dropped as a boundary point
 THETA_MARGIN = 1e-6
+#: starts per chunk of a budgeted one-pass target (level 1 of
+#: `mapping_degree`), which may stop after any chunk from the second on
+START_CHUNK = 250
+#: converged starts that every preimage needs before a one-pass target stops
+BASIN_MIN_HITS = 8
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -509,46 +522,75 @@ def _start_points(family: MapFamily, cfg: EngineConfig,
     return np.column_stack([thetas, p])
 
 
+def _basin_hits(reps: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """How many of the points lie within SEPARATION_TOL (max-abs distance)
+    of each representative: the converged starts in each basin."""
+    d = np.max(np.abs(points[:, None, :] - reps[None, :, :]), axis=2)
+    return np.count_nonzero(d < SEPARATION_TOL, axis=0)
+
+
 def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
-              rng: np.random.Generator) -> Tuple[np.ndarray, float]:
+              rng: np.random.Generator, chunk: int) -> Tuple[np.ndarray, float]:
+    """The deduplicated preimages one batch of `n_starts` starts finds, and
+    the least residual seen.  All the starts are drawn; they run in draw
+    order, `chunk` at a time, each chunk through both hemisphere charts, and
+    each chunk's converged points join the representatives by the greedy
+    first-survivor `_dedupe`.  The pass stops after a second or later chunk
+    that found no new preimage when every preimage has BASIN_MIN_HITS
+    converged starts; with chunk = n_starts it runs every start."""
     lead = family.lead
     pts_amb = _start_points(family, cfg, rng)
-    sphere_part = pts_amb[:, lead:]
-    found = []
-    floor = np.inf
     north = np.eye(8 - lead)[0]
-    for pole in (north, -north):
-        # each start runs in the chart of its own hemisphere, where its
-        # coordinates have norm at most one
-        mask = sphere_part @ pole <= 0.0
-        charted = _Charted(family, target, pole)
-        s = _stereo_proj(sphere_part[mask], pole, charted.dom_basis)
-        pts, best = charted.solve(np.column_stack([pts_amb[mask, :lead], s]))
-        floor = min(floor, best)
-        found.append(pts)
-    allpts = np.vstack(found)
-    if lead:
-        # Newton treats theta as unconstrained; only solutions genuinely
-        # inside the cylinder count (maps need not be 2pi-periodic in theta,
-        # so no wrapping)
-        th = allpts[:, 0]
-        allpts = allpts[(th > THETA_MARGIN) & (th < 2.0 * np.pi - THETA_MARGIN)]
-    return _dedupe(allpts, SEPARATION_TOL), floor
+    charts = [_Charted(family, target, pole) for pole in (north, -north)]
+    reps = seen = np.empty((0, 8))
+    floor = np.inf
+    for lo in range(0, len(pts_amb), chunk):
+        part = pts_amb[lo:lo + chunk]
+        sphere_part = part[:, lead:]
+        found = []
+        for charted in charts:
+            # each start runs in the chart of its own hemisphere, where its
+            # coordinates have norm at most one
+            mask = sphere_part @ charted.dom_pole <= 0.0
+            s = _stereo_proj(sphere_part[mask], charted.dom_pole,
+                             charted.dom_basis)
+            pts, best = charted.solve(np.column_stack([part[mask, :lead], s]))
+            floor = min(floor, best)
+            found.append(pts)
+        new = np.vstack(found)
+        if lead:
+            # Newton treats theta as unconstrained; only solutions genuinely
+            # inside the cylinder count (maps need not be 2pi-periodic in
+            # theta, so no wrapping)
+            th = new[:, 0]
+            new = new[(th > THETA_MARGIN) & (th < 2.0 * np.pi - THETA_MARGIN)]
+        seen = np.vstack([seen, new])
+        known = len(reps)
+        # `reps` is deduplicated, so all of it survives in front of `new`
+        reps = _dedupe(np.vstack([reps, new]), SEPARATION_TOL)
+        if lo and len(reps) == known and np.all(
+                _basin_hits(reps, seen) >= BASIN_MIN_HITS):
+            break
+    return reps, floor
 
 
 def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
               rng: np.random.Generator, resamples: int,
+              chunk: Optional[int] = None,
               restart: bool = True) -> TrialReport:
-    """Signed preimages of one target.  With `restart` a second pass of
-    fresh starts must find the same preimage set; without it the second
-    pass's starts are drawn and discarded, so the rng stream, and every
-    later target, is the same either way.  Raises the error that names why
-    the target must be resampled: a count mismatch between the two passes,
-    an empty set whose residuals still reach NO_ROOT_FLOOR, a restart
-    mismatch, or a near-critical preimage."""
-    pre, floor = _one_pass(family, target, cfg, rng)
+    """Signed preimages of one target.  Each pass draws `n_starts` starts
+    and runs them `chunk` at a time (all at once by default); with fewer
+    than all, it may stop early (`_one_pass`).  With `restart` a second
+    pass of fresh starts must find the same preimage set; without it the
+    second pass's starts are drawn and discarded, so the rng stream, and
+    every later target, is the same either way.  Raises the error that
+    names why the target must be resampled: a count mismatch between the
+    two passes, an empty set whose residuals still reach NO_ROOT_FLOOR, a
+    restart mismatch, or a near-critical preimage."""
+    chunk = cfg.n_starts if chunk is None else chunk
+    pre, floor = _one_pass(family, target, cfg, rng, chunk)
     if restart:
-        pre2, floor2 = _one_pass(family, target, cfg, rng)
+        pre2, floor2 = _one_pass(family, target, cfg, rng, chunk)
         if len(pre) != len(pre2):
             raise UnstablePreimageCount(
                 "%s: preimage counts %d vs %d at the same target"
@@ -581,46 +623,55 @@ def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
 
 
 def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
-           restart: bool = True) -> TrialReport:
+           chunk: Optional[int] = None, restart: bool = True) -> TrialReport:
     resamples = 0
     while True:
         target = _sample_target(family, rng)
         try:
-            return _count_at(family, target, cfg, rng, resamples, restart)
+            return _count_at(family, target, cfg, rng, resamples, chunk,
+                             restart)
         except (NonConvergence, UnstablePreimageCount):
             resamples += 1
             if resamples > MAX_RESAMPLE:
                 raise
 
 
-def _trials(family: MapFamily, cfg: EngineConfig, seed: int,
+def _trials(family: MapFamily, cfg: EngineConfig, seed: int, chunk: int,
             restart: bool) -> List[TrialReport]:
     rng = rng_from_seed(seed)
-    return [_trial(family, cfg, rng, restart) for _ in range(cfg.trials)]
+    return [_trial(family, cfg, rng, chunk, restart)
+            for _ in range(cfg.trials)]
 
 
 def mapping_degree(family: MapFamily, seed: int = 0,
                    config: Optional[EngineConfig] = None) -> DegreeReport:
     """Degree of the map by signed preimage counting over several targets.
 
-    With two or more trials each target runs one Newton pass, and the other
-    trials stand in for its second: when every trial agrees on the degree
-    and the preimage count, that is the report.  Otherwise, or when a trial
-    fails, the engine reruns from the seed with two passes per target, and
-    that run's report or error is the result.  A single trial has no
-    witness, so it always runs two passes."""
+    With two or more trials the other trials stand in for a target's second
+    pass, and the engine tries three levels, each a run from the seed, as
+    (chunk, restart) of every target:
+      1. one budgeted pass, (START_CHUNK, False);
+      2. one full pass, (n_starts, False);
+      3. two full passes, (n_starts, True).
+    It returns at the first level whose trials all agree on the degree and
+    the preimage count; a level whose trial fails goes on to the next.  The
+    third level's report or error is the result when the others disagree.
+    With n_starts <= START_CHUNK the first two levels are one run, and a
+    single trial has no witness, so it runs the third level only."""
     cfg = config or EngineConfig()
     if cfg.n_starts < 1 or cfg.trials < 1:
         raise BadConfig("the degree engine needs n_starts >= 1 and trials >= 1"
                         " (got %d and %d)" % (cfg.n_starts, cfg.trials))
-    if cfg.trials > 1:
+    # the chunks of levels 1 and 2, one run when n_starts <= START_CHUNK
+    one_pass = sorted({min(START_CHUNK, cfg.n_starts), cfg.n_starts})
+    for chunk in one_pass if cfg.trials > 1 else ():
         try:
-            trials = _trials(family, cfg, seed, restart=False)
+            trials = _trials(family, cfg, seed, chunk, restart=False)
         except (NonConvergence, UnstablePreimageCount):
-            trials = []
-        if trials and len({(t.degree, t.n_converged) for t in trials}) == 1:
+            continue
+        if len({(t.degree, t.n_converged) for t in trials}) == 1:
             return DegreeReport(family.name, trials[0].degree, trials)
-    trials = _trials(family, cfg, seed, restart=True)
+    trials = _trials(family, cfg, seed, cfg.n_starts, restart=True)
     degs = {t.degree for t in trials}
     if len(degs) != 1:
         raise ConflictingEstimates(

@@ -617,7 +617,9 @@ def _suite_degrees(run: _Run):
             continue
         if rep.degree != want:
             run.fail("degree", map=name, degree=rep.degree, expected=want)
-        if name.startswith("power:"):  # x -> x^k, of degree k
+        # x -> x^k, of degree k: the power maps, squaring, and the spherical
+        # lift of the projective cube
+        if name.startswith("power:") or name in ("squaring", "rp7-cube"):
             for trial in rep.trials:
                 oracle = deg.power_map_preimages(Octonion(trial.target), want)
                 found = [np.array(pp) for pp in trial.preimages]

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sixsphere import degree as dg
+from sixsphere import degree as dg, suites
 from sixsphere.errors import (BadConfig, ConflictingEstimates, NonConvergence,
                               NonGenericValue, NotOdd, UnstablePreimageCount)
 from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
@@ -531,9 +531,9 @@ def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
     seen = []
     count_at = dg._count_at
 
-    def counted(family, target, cfg, rng, resamples, restart):
+    def counted(family, target, cfg, rng, resamples, chunk, restart):
         seen.append(resamples)
-        return count_at(family, target, cfg, rng, resamples, restart)
+        return count_at(family, target, cfg, rng, resamples, chunk, restart)
 
     monkeypatch.setattr(dg, "_count_at", counted)
     with pytest.raises(NonConvergence):
@@ -550,41 +550,66 @@ def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
 
 
 def _spy_runs(monkeypatch):
-    """The `restart` flag of every run of the trials, in order."""
+    """The (chunk, restart) of every run of the trials, in order."""
     runs = []
     inner = dg._trials
 
-    def spied(family, cfg, seed, restart):
-        runs.append(restart)
-        return inner(family, cfg, seed, restart)
+    def spied(family, cfg, seed, chunk, restart):
+        runs.append((chunk, restart))
+        return inner(family, cfg, seed, chunk, restart)
 
     monkeypatch.setattr(dg, "_trials", spied)
     return runs
 
 
-def test_trials_that_disagree_raise(monkeypatch):
-    # the one-pass trials disagree, so the engine reruns with two passes,
-    # whose trials disagree too
+def _spy_starts(monkeypatch):
+    """The number of starts of every `_Charted.solve` call, in order."""
+    sizes = []
+    solve = dg._Charted.solve
+
+    def spied(self, starts):
+        sizes.append(len(starts))
+        return solve(self, starts)
+
+    monkeypatch.setattr(dg._Charted, "solve", spied)
+    return sizes
+
+
+@pytest.mark.parametrize("n_starts, levels", [
+    (300, [(dg.START_CHUNK, False), (300, False), (300, True)]),
+    (50, [(50, False), (50, True)]),
+], ids=["three-levels", "budget-is-full-pass"])
+def test_trials_that_disagree_raise(n_starts, levels, monkeypatch):
+    # the budgeted and the full one-pass trials disagree, so the engine
+    # reruns with two passes, whose trials disagree too; at most
+    # START_CHUNK starts make the first two levels one run
     runs = _spy_runs(monkeypatch)
     with pytest.raises(ConflictingEstimates, match=r"\[-1, 1\]"):
         dg.mapping_degree(dg.MapFamily("half", _half_conjugated_jet), seed=1,
-                          config=dg.EngineConfig(n_starts=50, trials=6))
-    assert runs == [False, True]
+                          config=dg.EngineConfig(n_starts=n_starts, trials=6))
+    assert runs == levels
 
 
 @pytest.mark.parametrize("trials, passes", [(3, 3), (1, 2)])
 def test_agreeing_trials_run_one_pass_per_target(trials, passes, monkeypatch):
-    # two or more trials that agree stand in for each other's second pass;
-    # a single trial keeps both
+    # two or more trials that agree stand in for each other's second pass,
+    # and the budgeted run is the only one; a single trial runs both full
+    # passes only.  The identity has one basin, so a budgeted target stops
+    # after its second chunk
     runs, one_pass = _spy_runs(monkeypatch), []
     inner = dg._one_pass
     monkeypatch.setattr(dg, "_one_pass",
                         lambda *args: one_pass.append(1) or inner(*args))
-    cfg = dg.EngineConfig(n_starts=300, trials=trials)
+    sizes = _spy_starts(monkeypatch)
+    cfg = dg.EngineConfig(trials=trials)
     rep = dg.mapping_degree(dg.identity_map(), seed=1, config=cfg)
     assert rep.degree == 1 and len(rep.trials) == trials
-    assert runs == [trials == 1]
+    assert all(t.resamples == 0 for t in rep.trials)
+    assert runs == ([(dg.START_CHUNK, False)] if trials > 1
+                    else [(cfg.n_starts, True)])
     assert len(one_pass) == passes
+    per_target = 2 * dg.START_CHUNK if trials > 1 else 2 * cfg.n_starts
+    assert sum(sizes) == trials * per_target
 
 
 def test_one_pass_draws_the_second_pass_starts(rng):
@@ -601,20 +626,113 @@ def test_one_pass_draws_the_second_pass_starts(rng):
     assert one == two
 
 
+@pytest.mark.parametrize("name", ["identity", "power:3", "power:6",
+                                  "cylinder-loop", "theta-circle"])
+def test_chunked_pass_reports_as_the_two_pass_count(name, rng):
+    # at 1000 starts, four chunks, a one-pass target draws every start and
+    # finds what both passes of every start find, wherever it stops
+    cfg = dg.EngineConfig(n_starts=1000)
+    fam = dg.named_map(name)
+    state = rng.bit_generator.state
+    target = dg._sample_target(fam, rng)
+    two = dg._count_at(fam, target, cfg, rng, 0)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    dg._sample_target(fam, rng)
+    one = dg._count_at(fam, target, cfg, rng, 0, dg.START_CHUNK,
+                       restart=False)
+    assert rng.bit_generator.state == after
+    assert one.target == two.target
+    assert (one.degree, one.signs, one.n_converged, one.resamples) == (
+        two.degree, two.signs, two.n_converged, two.resamples)
+    # each preimage of one pass lies within 1e-9 of one of the other's
+    both = np.array(one.preimages + two.preimages).reshape(-1, 8)
+    assert len(dg._dedupe(both, 1e-9)) == one.n_converged
+
+
+def _scripted_solve(monkeypatch, script):
+    """`_Charted.solve` replaced by a script: in chunk i the north chart
+    converges to each point of script[i] as many times as it names, the
+    south chart to nothing.  Returns the number of starts of every call."""
+    sizes = []
+
+    def solve(self, starts):
+        chunk = len(sizes) // 2
+        sizes.append(len(starts))
+        pts = [] if len(sizes) % 2 == 0 or chunk >= len(script) else [
+            np.eye(8)[i] for i, hits in script[chunk] for _ in range(hits)]
+        return np.array(pts).reshape(-1, 8), 1.0
+
+    monkeypatch.setattr(dg._Charted, "solve", solve)
+    return sizes
+
+
+HITS = dg.BASIN_MIN_HITS
+
+
+@pytest.mark.parametrize("script, chunks, found", [
+    # one basin, well hit: stop after the second chunk
+    ([[(0, HITS)], [(0, HITS)]], 2, 1),
+    # the second chunk finds a new preimage, so a third runs
+    ([[(0, HITS)], [(0, HITS), (1, HITS)]], 3, 2),
+    # the least-hit preimage has HITS - 1 starts after the second chunk, and
+    # HITS after the third
+    ([[(0, HITS), (1, HITS - 4)], [(0, 1), (1, 3)], [(1, 1)]], 3, 2),
+    # a preimage that stays thin keeps the pass going to its last start
+    ([[(0, HITS), (1, 1)]], 8, 2),
+    # a new preimage in every chunk
+    ([[(i, HITS)] for i in range(8)], 8, 8),
+    # no preimage at all: nothing new after the second chunk
+    ([], 2, 0),
+], ids=["settled", "new-preimage", "thin-basin", "stays-thin", "always-new",
+        "no-root"])
+def test_chunked_pass_stops_when_nothing_new_and_every_basin_is_hit(
+        script, chunks, found, monkeypatch, rng):
+    sizes = _scripted_solve(monkeypatch, script)
+    cfg = dg.EngineConfig(n_starts=8 * dg.START_CHUNK)
+    pre, floor = dg._one_pass(dg.identity_map(), _unit(rng), cfg, rng,
+                              dg.START_CHUNK)
+    assert len(sizes) == 2 * chunks
+    assert sum(sizes) == chunks * dg.START_CHUNK
+    assert len(pre) == found and floor == 1.0
+    # one chunk of every start runs it all, whatever it finds
+    sizes.clear()
+    dg._one_pass(dg.identity_map(), _unit(rng), cfg, rng, cfg.n_starts)
+    assert sum(sizes) == cfg.n_starts and len(sizes) == 2
+
+
 @pytest.mark.parametrize("seed", [89621819, 3945867851],
                          ids=["bench-seed-34", "bench-seed-45"])
 def test_power6_trials_that_disagree_escalate_to_two_passes(seed, monkeypatch):
     # the power:6 requests of the degree-engine bench at seeds 34 and 45: in
-    # one trial a single pass finds 4 or 5 of the 6 preimages, where the two
-    # passes disagree and resample; the rerun reports the two-pass result
+    # one trial a single pass, budgeted or full, finds 4 or 5 of the 6
+    # preimages, where the two passes disagree and resample; the rerun
+    # reports the two-pass result
     runs = _spy_runs(monkeypatch)
+    cfg = dg.EngineConfig()
     rep = dg.mapping_degree(dg.power_map(6), seed=seed)
-    assert runs == [False, True]
+    assert runs == [(dg.START_CHUNK, False), (cfg.n_starts, False),
+                    (cfg.n_starts, True)]
     assert rep.degree == 6
     assert all(t.n_converged == 6 for t in rep.trials)
     assert sum(t.resamples for t in rep.trials) >= 1
-    two_pass = dg._trials(dg.power_map(6), dg.EngineConfig(), seed, True)
+    two_pass = dg._trials(dg.power_map(6), cfg, seed, cfg.n_starts, True)
     assert rep.trials == two_pass
+
+
+def test_power6_budgeted_trials_that_disagree_fall_back_to_one_full_pass(
+        monkeypatch):
+    # the power:6 request of the degree-engine bench at seed 215: the
+    # budgeted trials disagree, the full one-pass trials agree, and the
+    # report is theirs, as if the budget had never run
+    seed, cfg = 3279258834, dg.EngineConfig()
+    runs = _spy_runs(monkeypatch)
+    rep = dg.mapping_degree(dg.power_map(6), seed=seed)
+    assert runs == [(dg.START_CHUNK, False), (cfg.n_starts, False)]
+    assert rep.degree == 6
+    assert all(t.resamples == 0 for t in rep.trials)
+    full = dg._trials(dg.power_map(6), cfg, seed, cfg.n_starts, False)
+    assert rep.trials == full
 
 
 @pytest.mark.parametrize("cfg", [
@@ -626,12 +744,16 @@ def test_empty_engine_configs_are_rejected(cfg):
         dg.mapping_degree(dg.power_map(3), config=cfg)
 
 
-def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree():
-    # the power:6 request of the degree-engine bench at seed 3: in one
-    # trial neither pass finds the preimage 6.8 degrees from +1, so the
-    # trials read [5, 6]; the engine may say 6 or raise, never another degree
+@pytest.mark.parametrize("seed", [1501415362, 581684171],
+                         ids=["bench-seed-3", "bench-seed-99"])
+def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree(
+        seed):
+    # the power:6 requests of the degree-engine bench at seeds 3 and 99: in
+    # one trial neither pass finds a preimage (at seed 3 the one 6.8 degrees
+    # from +1), so the trials read [5, 6]; the engine may say 6 or raise,
+    # never another degree
     try:
-        rep = dg.mapping_degree(dg.power_map(6), seed=1501415362)
+        rep = dg.mapping_degree(dg.power_map(6), seed=seed)
     except ConflictingEstimates:
         return
     assert rep.degree == 6
@@ -677,6 +799,32 @@ def test_power_preimage_oracle_k6(rng):
 def test_power_preimage_oracle_nongeneric():
     with pytest.raises(NonGenericValue):
         dg.power_map_preimages(Octonion.one(), 3)
+
+
+POWER_NAMES = ["squaring", "rp7-cube"] + ["power:%d" % k for k in range(1, 7)]
+
+
+def test_degrees_suite_checks_every_power_map_against_the_oracle(monkeypatch):
+    # each x -> x^k map reports the oracle's preimages with the first moved
+    # off by 1e-3; the other maps report their degree and no trials
+    target = np.array([0.3, 0.5, -0.1, 0.2, 0.4, -0.6, 0.1, 0.27])
+    target /= np.linalg.norm(target)
+
+    def moved(name, seed=0, config=None):
+        want = dg.MAPS[name][1]
+        if name not in POWER_NAMES:
+            return dg.DegreeReport(name, want, [])
+        pre = [list(p) for p in dg.power_map_preimages(Octonion(target), want)]
+        pre[0][0] += 1e-3
+        trial = dg.TrialReport(list(target), want, [1] * want, pre, 1.0, 0.0,
+                               want, 0)
+        return dg.DegreeReport(name, want, [trial])
+
+    monkeypatch.setattr(dg, "named_degree", moved)
+    rep = suites.run_suite("degrees", seed=1)
+    assert rep.checked == len(dg.MAPS)
+    assert [(f["kind"], f["map"]) for f in rep.failures] == [
+        ("oracle-match", name) for name in dg.MAPS if name in POWER_NAMES]
 
 
 def test_engine_matches_oracle_on_power3():
