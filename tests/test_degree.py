@@ -575,19 +575,28 @@ def _spy_starts(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("n_starts, levels", [
-    (300, [(dg.START_CHUNK, False), (300, False), (300, True)]),
-    (50, [(50, False), (50, True)]),
-], ids=["three-levels", "budget-is-full-pass"])
-def test_trials_that_disagree_raise(n_starts, levels, monkeypatch):
-    # the budgeted and the full one-pass trials disagree, so the engine
-    # reruns with two passes, whose trials disagree too; at most
-    # START_CHUNK starts make the first two levels one run
+def _half_runs(n_starts, monkeypatch):
+    """The (chunk, restart) runs of the disagreeing half-conjugated jet,
+    which raises after its last level."""
     runs = _spy_runs(monkeypatch)
     with pytest.raises(ConflictingEstimates, match=r"\[-1, 1\]"):
         dg.mapping_degree(dg.MapFamily("half", _half_conjugated_jet), seed=1,
                           config=dg.EngineConfig(n_starts=n_starts, trials=6))
-    assert runs == levels
+    return runs
+
+
+def test_trials_that_disagree_raise(monkeypatch):
+    # the one-pass trials disagree, so the engine reruns with two passes,
+    # whose trials disagree too; at most START_CHUNK starts make the
+    # budgeted and the full one pass one run
+    assert _half_runs(50, monkeypatch) == [(50, False), (50, True)]
+
+
+def test_trials_that_disagree_run_all_three_levels(monkeypatch):
+    # the budgeted and the full one-pass trials disagree, so the engine
+    # reruns with two passes, whose trials disagree too
+    assert _half_runs(300, monkeypatch) == [
+        (dg.START_CHUNK, False), (300, False), (300, True)]
 
 
 @pytest.mark.parametrize("trials, passes", [(3, 3), (1, 2)])
@@ -744,19 +753,26 @@ def test_empty_engine_configs_are_rejected(cfg):
         dg.mapping_degree(dg.power_map(3), config=cfg)
 
 
-@pytest.mark.parametrize("seed", [1501415362, 581684171],
-                         ids=["bench-seed-3", "bench-seed-99"])
-def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree(
-        seed):
-    # the power:6 requests of the degree-engine bench at seeds 3 and 99: in
-    # one trial neither pass finds a preimage (at seed 3 the one 6.8 degrees
-    # from +1), so the trials read [5, 6]; the engine may say 6 or raise,
-    # never another degree
+def _power6_says_6_or_raises(seed):
     try:
         rep = dg.mapping_degree(dg.power_map(6), seed=seed)
     except ConflictingEstimates:
         return
     assert rep.degree == 6
+
+
+def test_power6_at_a_seed_that_misses_a_preimage_reports_no_wrong_degree():
+    # the power:6 request of the degree-engine bench at seed 3: in one
+    # trial neither pass finds the preimage 6.8 degrees from +1, so the
+    # trials read [5, 6]; the engine may say 6 or raise, never another degree
+    _power6_says_6_or_raises(1501415362)
+
+
+def test_power6_at_bench_seed_99_reports_no_wrong_degree():
+    # the power:6 request of the degree-engine bench at seed 99, which the
+    # full two-pass rerun fails too: the engine may say 6 or raise, never
+    # another degree
+    _power6_says_6_or_raises(581684171)
 
 
 def test_report_shape():
