@@ -25,6 +25,18 @@ The engine counts signed preimages of a regular target value:
     whose trials must agree or the engine raises.  A single target has no
     witness and runs the two full batches only.
 
+A level runs in lockstep: each round is one Newton batch holding the next
+chunk of every live pass of the level (every trial's target, and both
+passes of a target in a two-pass run), each start in the domain chart of
+its own hemisphere, so every row carries its group (pass, chart).  Both
+domain charts share the basis e1 .. e(d-1), so a row's domain chart is its
+pole sign.  The arithmetic is row-local: products are elementwise, einsum
+or stacked matmuls (no BLAS matrix-vector product over rows, whose last
+bits depend on the batch size), rows are evaluated in slices of at most
+START_CHUNK, and a group's singular flag and floor are its own.  So every
+group gets, bit for bit, what its own batch would get run alone, and a
+level returns what running its targets one after another returns.
+
 Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
 is the same thing with no interval coordinate: a domain point is `lead`
 interval coordinates followed by a point of a sphere, and charts, frames
@@ -218,19 +230,30 @@ def _orthonormal_complement(n: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _stereo_inv(s: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Inverse stereographic projection from the pole: chart coords (N, d-1)
-    to unit vectors (N, d); s = 0 maps to -pole."""
-    amb = s @ basis.T
+def _pole_chart(x: np.ndarray, sign) -> np.ndarray:
+    """Stereographic chart of the unit sphere of R^d from the pole sign e0
+    (sign = +-1, one per row or one for all): (N, d) unit vectors to (N, d-1)
+    coordinates along e1 .. e(d-1), the orthonormal complement of either
+    pole; -sign e0 maps to 0."""
+    return x[:, 1:] / (1.0 - np.reshape(sign * x[:, 0], (-1, 1)))
+
+
+def _pole_chart_inv(s: np.ndarray, sign) -> np.ndarray:
+    """Inverse of `_pole_chart`: (N, d-1) chart coordinates to (N, d) unit
+    vectors; s = 0 maps to -sign e0.  Row-local: every entry is elementwise
+    in its own row."""
     q = np.sum(s * s, axis=1, keepdims=True)
-    return (2.0 * amb + (q - 1.0) * pole) / (q + 1.0)
+    x = np.empty((len(s), s.shape[1] + 1))
+    x[:, :1] = np.reshape(sign, (-1, 1)) * (q - 1.0) / (q + 1.0)
+    x[:, 1:] = 2.0 * s / (q + 1.0)
+    return x
 
 
-def _stereo_proj(x: np.ndarray, pole: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Stereographic chart from the pole: (N, d) near-unit vectors to (N, d-1);
-    -pole maps to 0."""
-    t = x @ pole
-    return ((x - np.outer(t, pole)) / (1.0 - t)[:, None]) @ basis
+def _target_frame(target: np.ndarray) -> np.ndarray:
+    """[T | m] of the chart of the target q: its pole m = -q / |q| and an
+    orthonormal basis T of the hyperplane normal to m, as columns."""
+    pole = -target / np.linalg.norm(target)
+    return np.column_stack([_orthonormal_complement(pole), pole])
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +332,20 @@ BASIN_MIN_HITS = 8
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _lattice01(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Kronecker low-discrepancy lattice in [0, 1)^dim with seeded jitter."""
-    alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
-    k = np.arange(1, n + 1)[:, None]
-    return np.modf(k * alphas[None, :] + rng.uniform(0.0, 1.0, size=dim))[0]
+def _lattice01(lo: int, hi: int, shift: np.ndarray) -> np.ndarray:
+    """Rows lo .. hi-1 of a Kronecker low-discrepancy lattice in [0, 1)^dim
+    with the seeded jitter `shift` (dim of them): every entry is elementwise
+    in its own row, so any rows are those of the whole lattice, bit for
+    bit."""
+    alphas = np.sqrt(np.array(_PRIMES[:len(shift)], dtype=float))
+    k = np.arange(lo + 1, hi + 1)[:, None]
+    return np.modf(k * alphas[None, :] + shift)[0]
 
 
-def _sphere_lattice(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Quasi-uniform points on the unit sphere of R^dim: a low-discrepancy
-    lattice pushed through Box-Muller and normalized.
+def _sphere_lattice(lo: int, hi: int, dim: int,
+                    shift: np.ndarray) -> np.ndarray:
+    """Rows lo .. hi-1 of quasi-uniform points on the unit sphere of R^dim:
+    a low-discrepancy lattice pushed through Box-Muller and normalized.
 
     A box lattice in stereographic chart coordinates would concentrate in a
     polar cap in high dimension (the box measure lives at |s| of a few, which
@@ -326,148 +353,255 @@ def _sphere_lattice(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     the sphere itself and only then expressed in chart coordinates.
     """
     npairs = (dim + 1) // 2
-    u = _lattice01(n, 2 * npairs, rng)
+    u = _lattice01(lo, hi, shift)
     r = np.sqrt(-2.0 * np.log(np.maximum(u[:, :npairs], 1e-12)))
     ang = 2.0 * np.pi * u[:, npairs:]
     z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)[:, :dim]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-@dataclass
-class _NewtonRun:
-    """What one `_Charted.solve` run has learnt: whether a batch of it was
-    singular."""
-    singular: bool = False
+def _draw_shifts(lead: int, rng: np.random.Generator) -> Tuple[np.ndarray, ...]:
+    """The seeded jitter of one pass's starts: that of the sphere lattice,
+    then, on the cylinder, that of the theta lattice (the draw order)."""
+    pairs = (8 - lead + 1) // 2  # Box-Muller pairs of the sphere lattice
+    shifts = (rng.uniform(0.0, 1.0, size=2 * pairs),)
+    if lead:
+        shifts += (rng.uniform(0.0, 1.0, size=1),)
+    return shifts
 
 
-def _newton_step(jac: np.ndarray, g: np.ndarray,
-                 run: Optional[_NewtonRun] = None) -> np.ndarray:
-    """Newton steps solving jac @ step = g for a batch (N, 7, 7), (N, 7).
+def _start_rows(lead: int, shifts: Tuple[np.ndarray, ...], lo: int,
+                hi: int) -> np.ndarray:
+    """Starts lo .. hi-1 of a pass: quasi-uniform points of the domain, in
+    ambient coordinates."""
+    p = _sphere_lattice(lo, hi, 8 - lead, shifts[0])
+    if not lead:
+        return p
+    thetas = 0.05 + (2.0 * np.pi - 0.1) * _lattice01(lo, hi, shifts[1])[:, 0]
+    return np.column_stack([thetas, p])
 
-    When a Jacobian somewhere in the batch is singular (e.g. a map with
-    lower-dimensional image), the whole batch takes the damped least-squares
-    (Levenberg-Marquardt) step (J^T J + mu I) step = J^T g with
-    mu = LSQ_DAMPING |J|_F^2 per row.  It is the minimum-norm least-squares
-    step up to a relative mu / sigma^2 along each singular direction sigma,
-    plus rounding noise of about 2e-7 |g| / |J| along the null directions,
-    and it is zero for a zero Jacobian.  Given the run the batch belongs
-    to, the first singular batch marks it, and its later batches take the
-    damped step without trying the plain solve first: the singular batches
-    come from maps of lower-dimensional image, singular at every iterate."""
-    if run is None or not run.singular:
-        try:
-            return np.linalg.solve(jac, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            if run is not None:
-                run.singular = True
+
+def _damped_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The damped least-squares (Levenberg-Marquardt) steps
+    (J^T J + mu I) step = J^T g, mu = LSQ_DAMPING |J|_F^2 per row.  It is
+    the minimum-norm least-squares step up to a relative mu / sigma^2 along
+    each singular direction sigma, plus rounding noise of about
+    2e-7 |g| / |J| along the null directions, and it is zero for a zero
+    Jacobian."""
     jt = jac.swapaxes(-1, -2)
     jtj = jt @ jac
     mu = (LSQ_DAMPING * np.trace(jtj, axis1=-2, axis2=-1)
           + np.finfo(float).tiny)
-    damped = jtj + mu[:, None, None] * np.eye(jac.shape[-1])
-    return np.linalg.solve(damped, jt @ g[..., None])[..., 0]
+    diag = np.arange(jac.shape[-1])
+    jtj[:, diag, diag] += mu[:, None]
+    return np.linalg.solve(jtj, jt @ g[..., None])[..., 0]
+
+
+def _newton_steps(jac: np.ndarray, g: np.ndarray, group: np.ndarray,
+                  singular: np.ndarray) -> np.ndarray:
+    """Newton steps solving jac @ step = g for a batch (N, 7, 7), (N, 7)
+    whose rows belong to groups (`group`, one id per row).
+
+    A group whose rows hold a singular Jacobian (a map of lower-dimensional
+    image) takes the damped step (`_damped_step`) on all its rows, and
+    `singular[group]` marks it, so its later iterations take the damped step
+    without trying the plain solve first: the singular groups come from
+    maps of lower-dimensional image, singular at every iterate.  Every
+    other row takes the plain solve.  Both are row-local, so a row's step is
+    the one its group's own batch gives it."""
+    while True:
+        damped = singular[group]
+        step = np.empty_like(g)
+        if not damped.all():
+            plain = slice(None) if not damped.any() else ~damped
+            try:
+                step[plain] = np.linalg.solve(jac[plain],
+                                              g[plain][..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                _mark_singular(jac, g, group, singular)
+                continue
+        if damped.any():
+            step[damped] = _damped_step(jac[damped], g[damped])
+        return step
+
+
+def _mark_singular(jac: np.ndarray, g: np.ndarray, group: np.ndarray,
+                   singular: np.ndarray) -> None:
+    """Mark the groups whose plain solve fails: the only group not yet
+    marked, or each such group whose own rows hold a singular matrix."""
+    ids, bad = sorted(set(group[~singular[group]].tolist())), []
+    for gid in ids if len(ids) > 1 else ():
+        mine = group == gid
+        try:
+            np.linalg.solve(jac[mine], g[mine][..., None])
+        except np.linalg.LinAlgError:
+            bad.append(gid)
+    singular[bad or ids] = True
 
 
 class _Charted:
-    """The charted root problem g(s) = Phi_q(f(sigma(s))) for one domain
-    chart and one target.  Chart coordinates are the `lead` interval
-    coordinates followed by stereographic coordinates of the sphere part."""
+    """The charted root problems g(s) = Phi_q(f(sigma(s))) of a batch of
+    groups: group i has the target chart whose [T | m] is frames[i] (see
+    `_target_frame`) and the domain chart from the pole signs[i] e0 of the
+    sphere part, and every row of a batch names its group.  Chart
+    coordinates are the `lead` interval coordinates followed by
+    stereographic coordinates of the sphere part.  Both domain charts have
+    the basis e1 .. e(d-1), so a row's domain chart is its pole sign alone."""
 
-    def __init__(self, family: MapFamily, target: np.ndarray,
-                 dom_pole: np.ndarray):
+    def __init__(self, family: MapFamily, frames: np.ndarray,
+                 signs: np.ndarray):
         self.family = family
         self.lead = family.lead
-        self.target_pole = -target / np.linalg.norm(target)
-        self.target_basis = _orthonormal_complement(self.target_pole)
-        self.dom_pole = dom_pole
-        self.dom_basis = _orthonormal_complement(dom_pole)
-        # [T | m] and diag(I_lead, B), the constant factors of jac
-        self.target_frame = np.column_stack([self.target_basis,
-                                             self.target_pole])
-        self.dom_frame = np.zeros((8, 7))
-        self.dom_frame[:self.lead, :self.lead] = np.eye(self.lead)
-        self.dom_frame[self.lead:, self.lead:] = self.dom_basis
+        self.frames = frames
+        self.signs = signs
+        self._work = None
 
-    def evaluate(self, s: np.ndarray
+    def evaluate(self, s: np.ndarray, group: np.ndarray,
+                 out: Optional[Tuple[np.ndarray, ...]] = None
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, g, jac) at chart points s: the domain points, the charted map
-        and its (N, 7, 7) Jacobian, from one inverse chart and one call of
-        the map's jet.
+        """(x, g, jac) at chart points s of the given groups: the domain
+        points, the charted map and its (N, 7, 7) Jacobian, from one inverse
+        chart and one call of the map's jet, written into `out` when given.
+        Every product is row-local (elementwise, einsum or a stacked matmul;
+        no BLAS matrix-vector product over rows), so a row's bits do not
+        depend on the rows that share its batch.  The larger intermediates
+        go to a workspace that every later call reuses.
 
         jac = dphi Df diag(I_lead, dsigma), and neither chart Jacobian is
-        built: with B, p the domain basis and pole, T, m the target basis
-        and pole (T^T m = 0), s' the sphere part of s and x' its point on
-        the sphere, both are rank-1 updates,
+        built: with p the domain pole, T, m the target basis and pole
+        (T^T m = 0), s' the sphere part of s and x' its point on the sphere,
+        both are rank-1 updates,
             dsigma = 2 (B + (p - x') s'^T) / (1 + |s'|^2),
             dphi = (T^T + g m^T) / (1 - y.m).
         So E = Df diag(I_lead, B) + (Df_s (p - x')) s'^T on the sphere
-        columns (one GEMM and one outer product), jac = T^T E + g (m^T E),
-        and both scalar factors are applied to the columns of jac last."""
+        columns (a column selection and one outer product),
+        jac = T^T E + g (m^T E), and both scalar factors are applied to the
+        columns of jac last."""
         lead, n = self.lead, len(s)
+        x, g, jac = out or (np.empty((n, 8)), np.empty((n, 7)),
+                            np.empty((n, 7, 7)))
+        if self._work is None or self._work.shape[1] < n:
+            self._work = np.empty((2, n, 8, 7))
+        e, w_te = self._work[:, :n]
+        sign = self.signs[group]
+        frame = np.take(self.frames, group, axis=0)
+        pole = frame[:, :, 7]
         s_sph = s[:, lead:]
-        sphere = _stereo_inv(s_sph, self.dom_pole, self.dom_basis)
-        x = np.column_stack([s[:, :lead], sphere])
+        x[:, :lead] = s[:, :lead]
+        x[:, lead:] = sphere = _pole_chart_inv(s_sph, sign)
         y, df = self.family.jet(x)
-        g = _stereo_proj(y, self.target_pole, self.target_basis)
-        e = (df.reshape(8 * n, 8) @ self.dom_frame).reshape(n, 8, 7)
+        t = np.einsum("ni,ni->n", y, pole)
+        np.einsum("ni,nij->nj", (y - t[:, None] * pole) / (1.0 - t)[:, None],
+                  frame[:, :, :7], out=g)
+        # Df diag(I_lead, B) selects the columns of Df but the pole's
+        e[:, :, :lead] = df[:, :, :lead]
+        e[:, :, lead:] = df[:, :, lead + 1:]
+        tip = -sphere  # p - x'
+        tip[:, 0] = sign - sphere[:, 0]
         e[:, :, lead:] += np.einsum("ni,nj->nij", np.einsum(
-            "nij,nj->ni", df[:, :, lead:], self.dom_pole - sphere), s_sph)
-        te = self.target_frame.T @ e  # rows: T^T E, then m^T E
-        jac = te[:, :7] + np.einsum("ni,nj->nij", g, te[:, 7])
+            "nij,nj->ni", df[:, :, lead:], tip), s_sph,
+            out=w_te[:, :, lead:])  # te's space, free until te is made
+        # rows of te: T^T E, then m^T E
+        te = np.matmul(frame.transpose(0, 2, 1), e, out=w_te)
+        np.einsum("ni,nj->nij", g, te[:, 7], out=jac)
+        jac += te[:, :7]
         scale = np.empty((n, 7))
-        scale[:] = (1.0 / (1.0 - y @ self.target_pole))[:, None]
+        scale[:] = (1.0 / (1.0 - t))[:, None]
         scale[:, lead:] *= 2.0 / (1.0 + np.sum(s_sph * s_sph, axis=1,
                                                keepdims=True))
         jac *= scale[:, None, :]
         return x, g, jac
 
-    def solve(self, starts: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Newton from each start; returns (converged domain points, minimum
-        residual ever seen).  The batch `s` shrinks to the rows still
-        running: converged rows leave it, and so, in a run with
-        rank-deficient Jacobians, do rows above NO_ROOT_FLOOR whose residual
-        has stopped improving (PLATEAU_RTOL, PLATEAU_ITER); their residuals
-        have already counted toward the minimum."""
+    def solve(self, starts: np.ndarray, group: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Newton from each start, every group in one batch, each group's
+        starts in draw order.  Returns the converged domain points and their
+        groups, ordered by group, then by iteration, then by start, and the
+        least residual each group ever saw.
+
+        Each iteration evaluates and steps the batch START_CHUNK rows at a
+        time (the row cap), so no intermediate holds more rows than that.
+        The batch shrinks to the rows still running: converged rows leave
+        it, and so, in a group whose Jacobians are rank-deficient (marked
+        singular by `_newton_steps`, from the iteration after its rows were
+        first singular), do rows above NO_ROOT_FLOOR whose residual has
+        stopped improving (PLATEAU_RTOL, PLATEAU_ITER); their residuals have
+        already counted toward their group's least residual.  Every row's
+        arithmetic is row-local and every decision is per group, so each
+        group gets, bit for bit, what its own batch gets run alone."""
         s = starts
-        best_res = np.inf
-        done = [np.empty((0, 8))]
-        run = _NewtonRun()
-        best = stale = None
+        floors = np.full(len(self.signs), np.inf)
+        singular = np.zeros(len(self.signs), dtype=bool)
+        best = np.full(len(s), np.inf)
+        stale = np.zeros(len(s), dtype=int)
+        done, done_group = [np.empty((0, 8))], [group[:0]]
+        # x, g and jac of one slice, reused by every slice and iteration
+        cap = min(len(s), START_CHUNK)
+        buffers = np.empty((cap, 8)), np.empty((cap, 7)), np.empty((cap, 7, 7))
         for _ in range(NEWTON_MAX_ITER):
             if not len(s):
                 break
-            # the whole batch's `jac` stays bound until the next iteration:
-            # freeing it early lets malloc trim the heap and the next batch
-            # fault it back in
-            x, g, jac = self.evaluate(s)
-            res = np.linalg.norm(g, axis=1)
-            best_res = min(best_res, float(res.min()))
-            # rows drop only after the whole batch is evaluated: a row's
-            # Jacobian bits depend on the rows that share its batch
-            conv = res < NEWTON_TOL
-            done.append(x[conv])
-            keep = ~conv
-            if run.singular:
-                # a map of lower-dimensional image need not reach its target:
-                # rows stall at a minimum of |g| or hop across a cone tip of
-                # the image (theta-circle's ends) at a residual that no
-                # longer falls
-                if best is None:
-                    best, stale = np.full(len(s), np.inf), np.zeros(len(s), int)
-                better = res < (1.0 - PLATEAU_RTOL) * best
-                best = np.minimum(best, res)
-                stale = np.where(better, 0, stale + 1)
-                keep &= ~((stale >= PLATEAU_ITER) & (res > NO_ROOT_FLOOR))
-                best, stale = best[keep], stale[keep]
-            # when no row leaves, the full slice passes views, not copies
-            rows = slice(None) if keep.all() else keep
-            # a batch with a singular Jacobian (a map of lower-dimensional
-            # image) takes the damped least-squares step throughout, and so
-            # do the run's later batches
-            step = _newton_step(jac[rows], g[rows], run)
-            norms = np.linalg.norm(step, axis=1, keepdims=True)
-            s = s[rows] - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
-        return np.vstack(done), best_res
+            n = len(s)
+            tracked = singular[group]  # the marks as the iteration starts
+            low = np.full(len(floors), np.inf)
+            keep = np.empty(n, dtype=bool)
+            moved = np.empty_like(s)
+            # the first row of the slice in which a group was marked
+            marked_at = np.zeros(len(floors), dtype=int)
+            for lo in range(0, n, START_CHUNK):
+                rows = slice(lo, lo + START_CHUNK)
+                grp = group[rows]
+                x, g, jac = self.evaluate(s[rows], grp, tuple(
+                    a[:len(grp)] for a in buffers))
+                res = np.linalg.norm(g, axis=1)
+                # each group's least residual in this iteration; like
+                # Python's min, an iteration with a NaN in a group's rows
+                # leaves its floor as it was
+                np.minimum.at(low, grp, res)
+                conv = res < NEWTON_TOL
+                done.append(x[conv])
+                done_group.append(grp[conv])
+                k = ~conv
+                t = tracked[rows]
+                if t.any():
+                    # a map of lower-dimensional image need not reach its
+                    # target: rows stall at a minimum of |g| or hop across a
+                    # cone tip of the image (theta-circle's ends) at a
+                    # residual that no longer falls
+                    b, st = best[rows], stale[rows]
+                    better = res < (1.0 - PLATEAU_RTOL) * b
+                    best[rows] = np.where(t, np.minimum(b, res), b)
+                    stale[rows] = st = np.where(t, np.where(better, 0, st + 1),
+                                                st)
+                    k &= ~(t & (st >= PLATEAU_ITER) & (res > NO_ROOT_FLOOR))
+                keep[rows] = k
+                before = singular.copy()
+                moved[rows][k] = _moved(s[rows][k], _newton_steps(
+                    jac[k], g[k], grp[k], singular))
+                marked_at[singular & ~before] = lo
+            floors = np.fmin(floors, low)
+            # a group marked in a later slice takes the damped step on all
+            # its rows: redo those of the earlier slices, whose evaluation
+            # is row-local and so the same
+            late = np.flatnonzero(keep & (np.arange(n) < marked_at[group]))
+            for lo in range(0, len(late), START_CHUNK):
+                part = late[lo:lo + START_CHUNK]
+                _, g, jac = self.evaluate(s[part], group[part], tuple(
+                    a[:len(part)] for a in buffers))
+                moved[part] = _moved(s[part], _newton_steps(
+                    jac, g, group[part], singular))
+            s, group = moved[keep], group[keep]
+            best, stale = best[keep], stale[keep]
+        pts, pts_group = np.vstack(done), np.concatenate(done_group)
+        order = np.argsort(pts_group, kind="stable")
+        return pts[order], pts_group[order], floors
+
+
+def _moved(s: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The chart points after their Newton steps, each step cut to length
+    at most 2."""
+    norms = np.linalg.norm(step, axis=1, keepdims=True)
+    return s - step * np.minimum(1.0, 2.0 / np.maximum(norms, 1e-300))
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
@@ -484,11 +618,12 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[np.array(kept, dtype=np.intp)]
 
 
-def _signed_dets(family: MapFamily, x: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
+def _signed_dets(family: MapFamily, x: np.ndarray, u: np.ndarray,
+                 df: np.ndarray) -> np.ndarray:
     """Signed Jacobian determinants J_f at the domain points x with unit
-    images u = f(x) / |f(x)|: det Df between oriented tangent frames of the
-    domain and of the seven-sphere, for all points at once.
+    images u = f(x) / |f(x)| and ambient Jacobians df = Df(x): det Df
+    between oriented tangent frames of the domain and of the seven-sphere,
+    for all points at once.
 
     With n the unit normal of the domain (the sphere part of x after `lead`
     zeros), B = Df (I - n n^T) + u n^T maps [n | F] to [u | Df F] for every
@@ -497,7 +632,6 @@ def _signed_dets(family: MapFamily, x: np.ndarray,
     lead = family.lead
     n = np.zeros_like(x)
     n[:, lead:] = x[:, lead:]
-    df = family.dfunc(x)
     b = df - (df @ n[:, :, None]) * n[:, None, :] + u[:, :, None] * n[:, None, :]
     return (-1) ** lead * np.linalg.det(b)
 
@@ -511,17 +645,6 @@ def _sample_target(family: MapFamily, rng: np.random.Generator) -> np.ndarray:
         return q
 
 
-def _start_points(family: MapFamily, cfg: EngineConfig,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Quasi-uniform start points on the domain (ambient coordinates)."""
-    p = _sphere_lattice(cfg.n_starts, 8 - family.lead, rng)
-    if not family.lead:
-        return p
-    # theta is drawn after the sphere part: the seeded draw order
-    thetas = 0.05 + (2.0 * np.pi - 0.1) * _lattice01(len(p), 1, rng)[:, 0]
-    return np.column_stack([thetas, p])
-
-
 def _basin_hits(reps: np.ndarray, points: np.ndarray) -> np.ndarray:
     """How many of the points lie within SEPARATION_TOL (max-abs distance)
     of each representative: the converged starts in each basin."""
@@ -529,118 +652,200 @@ def _basin_hits(reps: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.count_nonzero(d < SEPARATION_TOL, axis=0)
 
 
-def _one_pass(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
-              rng: np.random.Generator, chunk: int) -> Tuple[np.ndarray, float]:
-    """The deduplicated preimages one batch of `n_starts` starts finds, and
-    the least residual seen.  All the starts are drawn; they run in draw
-    order, `chunk` at a time, each chunk through both hemisphere charts, and
-    each chunk's converged points join the representatives by the greedy
-    first-survivor `_dedupe`.  The pass stops after a second or later chunk
+class _Pass:
+    """One batch of `n_starts` starts at one target: its jitter is drawn
+    when the pass is made, and its starts are built `chunk` at a time, in
+    draw order, as `_round` runs them.  Each chunk's converged points join
+    the representatives `reps` by the greedy first-survivor `_dedupe`.  The
+    pass is done after its last start, or after a second or later chunk
     that found no new preimage when every preimage has BASIN_MIN_HITS
     converged starts; with chunk = n_starts it runs every start."""
-    lead = family.lead
-    pts_amb = _start_points(family, cfg, rng)
-    north = np.eye(8 - lead)[0]
-    charts = [_Charted(family, target, pole) for pole in (north, -north)]
-    reps = seen = np.empty((0, 8))
-    floor = np.inf
-    for lo in range(0, len(pts_amb), chunk):
-        part = pts_amb[lo:lo + chunk]
-        sphere_part = part[:, lead:]
-        found = []
-        for charted in charts:
-            # each start runs in the chart of its own hemisphere, where its
-            # coordinates have norm at most one
-            mask = sphere_part @ charted.dom_pole <= 0.0
-            s = _stereo_proj(sphere_part[mask], charted.dom_pole,
-                             charted.dom_basis)
-            pts, best = charted.solve(np.column_stack([part[mask, :lead], s]))
-            floor = min(floor, best)
-            found.append(pts)
-        new = np.vstack(found)
-        if lead:
+
+    def __init__(self, family: MapFamily, frame: np.ndarray,
+                 cfg: EngineConfig, chunk: int, rng: np.random.Generator):
+        self.lead = family.lead
+        self.frame = frame
+        self.n_starts, self.chunk = cfg.n_starts, chunk
+        self.shifts = _draw_shifts(self.lead, rng)
+        self.lo = 0
+        self.reps = self.seen = np.empty((0, 8))
+        self.floor = np.inf
+        self.done = False
+
+    def next_chunk(self) -> np.ndarray:
+        """The starts of the chunk the next round runs."""
+        return _start_rows(self.lead, self.shifts, self.lo,
+                           min(self.lo + self.chunk, self.n_starts))
+
+    def absorb(self, new: np.ndarray, floor: float) -> None:
+        """Take a chunk's converged points (north chart first) and its
+        least residual, and decide whether the pass is done."""
+        self.floor = min(self.floor, floor)
+        if self.lead:
             # Newton treats theta as unconstrained; only solutions genuinely
             # inside the cylinder count (maps need not be 2pi-periodic in
             # theta, so no wrapping)
             th = new[:, 0]
             new = new[(th > THETA_MARGIN) & (th < 2.0 * np.pi - THETA_MARGIN)]
-        seen = np.vstack([seen, new])
-        known = len(reps)
+        self.seen = np.vstack([self.seen, new])
+        known = len(self.reps)
         # `reps` is deduplicated, so all of it survives in front of `new`
-        reps = _dedupe(np.vstack([reps, new]), SEPARATION_TOL)
-        if lo and len(reps) == known and np.all(
-                _basin_hits(reps, seen) >= BASIN_MIN_HITS):
-            break
-    return reps, floor
+        self.reps = _dedupe(np.vstack([self.reps, new]), SEPARATION_TOL)
+        settled = self.lo > 0 and len(self.reps) == known and bool(
+            np.all(_basin_hits(self.reps, self.seen) >= BASIN_MIN_HITS))
+        self.lo += self.chunk
+        self.done = settled or self.lo >= self.n_starts
 
 
-def _count_at(family: MapFamily, target: np.ndarray, cfg: EngineConfig,
-              rng: np.random.Generator, resamples: int,
-              chunk: Optional[int] = None,
-              restart: bool = True) -> TrialReport:
-    """Signed preimages of one target.  Each pass draws `n_starts` starts
-    and runs them `chunk` at a time (all at once by default); with fewer
-    than all, it may stop early (`_one_pass`).  With `restart` a second
-    pass of fresh starts must find the same preimage set; without it the
-    second pass's starts are drawn and discarded, so the rng stream, and
-    every later target, is the same either way.  Raises the error that
-    names why the target must be resampled: a count mismatch between the
-    two passes, an empty set whose residuals still reach NO_ROOT_FLOOR, a
-    restart mismatch, or a near-critical preimage."""
-    chunk = cfg.n_starts if chunk is None else chunk
-    pre, floor = _one_pass(family, target, cfg, rng, chunk)
-    if restart:
-        pre2, floor2 = _one_pass(family, target, cfg, rng, chunk)
-        if len(pre) != len(pre2):
-            raise UnstablePreimageCount(
-                "%s: preimage counts %d vs %d at the same target"
-                % (family.name, len(pre), len(pre2)))
-        floor = min(floor, floor2)
-        # `pre` is deduplicated, so all of it survives in front of `pre2`
-        if len(_dedupe(np.vstack([pre, pre2]), SEPARATION_TOL)) != len(pre):
-            raise UnstablePreimageCount(
-                "%s: restarts found different preimage sets" % family.name)
-    else:
-        _start_points(family, cfg, rng)
-    if len(pre) == 0:
-        if floor < NO_ROOT_FLOOR:
-            raise NonConvergence("%s: no converged starts but residuals reach %g"
-                                 % (family.name, floor))
-        return TrialReport(list(target), 0, [], [], float("inf"),
-                           float(floor), 0, resamples)
-    y = family.func(pre)
-    u = y / np.linalg.norm(y, axis=1, keepdims=True)
-    dets = _signed_dets(family, pre, u)
-    min_abs_det = float(np.min(np.abs(dets)))
-    if min_abs_det < CRITICAL_DET:
-        raise UnstablePreimageCount(
-            "%s: near-critical preimage persists" % family.name)
-    signs = np.where(dets > 0, 1, -1).tolist()
-    return TrialReport(list(target), sum(signs), signs,
-                       [list(x) for x in pre], min_abs_det,
-                       float(np.max(np.abs(u - target))), len(pre),
-                       resamples)
+def _chunk_starts(lead: int, passes: List[_Pass]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The chart coordinates and groups of the next chunk of every pass:
+    each start runs in the chart of its own hemisphere, where its
+    coordinates have norm at most one, so pass i has two groups, 2i north
+    (pole e0) and 2i + 1 south, each in draw order."""
+    starts, groups = [], []
+    for i, p in enumerate(passes):
+        part = p.next_chunk()
+        for j, sign in enumerate((1.0, -1.0)):
+            mask = sign * part[:, lead] <= 0.0
+            starts.append(np.column_stack(
+                [part[mask, :lead], _pole_chart(part[mask, lead:], sign)]))
+            groups.append(np.full(int(mask.sum()), 2 * i + j))
+    return np.vstack(starts), np.concatenate(groups)
 
 
-def _trial(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
-           chunk: Optional[int] = None, restart: bool = True) -> TrialReport:
-    resamples = 0
-    while True:
-        target = _sample_target(family, rng)
+def _round(family: MapFamily, passes: List[_Pass]) -> None:
+    """One chunk of every pass, all in one Newton batch."""
+    charted = _Charted(family, np.repeat([p.frame for p in passes], 2, axis=0),
+                       np.tile([1.0, -1.0], len(passes)))
+    pts, pts_group, floors = charted.solve(*_chunk_starts(family.lead, passes))
+    owner = pts_group // 2
+    for i, p in enumerate(passes):
+        p.absorb(pts[owner == i], min(floors[2 * i], floors[2 * i + 1]))
+
+
+class _Attempt:
+    """One target of a trial and its passes, drawn from the rng stream in
+    this order: the target, the first pass's starts, then the second
+    pass's, which run only with `restart` (without it their jitter is drawn
+    and discarded, so the rng stream, and every later target, is the same
+    either way).  `state` is the rng state after these draws."""
+
+    def __init__(self, family: MapFamily, cfg: EngineConfig,
+                 rng: np.random.Generator, chunk: int, restart: bool,
+                 target: Optional[np.ndarray] = None):
+        self.family = family
+        self.target = _sample_target(family, rng) if target is None else target
+        frame = _target_frame(self.target)
+        self.passes = [_Pass(family, frame, cfg, chunk, rng)]
+        if restart:
+            self.passes.append(_Pass(family, frame, cfg, chunk, rng))
+        else:
+            _draw_shifts(family.lead, rng)
+        self.state = rng.bit_generator.state
+        self.outcome = None   # a TrialReport, or the error to resample on
+
+    @property
+    def ran(self) -> bool:
+        return all(p.done for p in self.passes)
+
+    def settle(self) -> None:
+        """Count the signed preimages once every pass is done.  The outcome
+        is the error that names why the target must be resampled (a count
+        mismatch between the two passes, an empty set whose residuals still
+        reach NO_ROOT_FLOOR, a restart mismatch, or a near-critical
+        preimage), or the report, whose `resamples` the level fills in."""
         try:
-            return _count_at(family, target, cfg, rng, resamples, chunk,
-                             restart)
-        except (NonConvergence, UnstablePreimageCount):
+            self.outcome = self._count()
+        except (NonConvergence, UnstablePreimageCount) as err:
+            self.outcome = err
+
+    def _count(self) -> TrialReport:
+        family, target = self.family, self.target
+        pre, floor = self.passes[0].reps, self.passes[0].floor
+        for other in self.passes[1:]:
+            if len(pre) != len(other.reps):
+                raise UnstablePreimageCount(
+                    "%s: preimage counts %d vs %d at the same target"
+                    % (family.name, len(pre), len(other.reps)))
+            floor = min(floor, other.floor)
+            # `pre` is deduplicated, so all of it survives in front of the
+            # other pass's preimages
+            if len(_dedupe(np.vstack([pre, other.reps]),
+                           SEPARATION_TOL)) != len(pre):
+                raise UnstablePreimageCount(
+                    "%s: restarts found different preimage sets" % family.name)
+        if len(pre) == 0:
+            if floor < NO_ROOT_FLOOR:
+                raise NonConvergence(
+                    "%s: no converged starts but residuals reach %g"
+                    % (family.name, floor))
+            return TrialReport(list(target), 0, [], [], float("inf"),
+                               float(floor), 0, 0)
+        y, df = family.jet(pre)
+        u = y / np.linalg.norm(y, axis=1, keepdims=True)
+        dets = _signed_dets(family, pre, u, df)
+        min_abs_det = float(np.min(np.abs(dets)))
+        if min_abs_det < CRITICAL_DET:
+            raise UnstablePreimageCount(
+                "%s: near-critical preimage persists" % family.name)
+        signs = np.where(dets > 0, 1, -1).tolist()
+        return TrialReport(list(target), sum(signs), signs,
+                           [list(x) for x in pre], min_abs_det,
+                           float(np.max(np.abs(u - target))), len(pre), 0)
+
+
+def _decided(attempts: List[_Attempt], trials: int,
+             rng: np.random.Generator) -> Optional[List[TrialReport]]:
+    """The trials, once the attempts settled so far decide them as the
+    sequential engine would: attempts are assigned to trials in stream
+    order, a failed one counting as its trial's resample.  Raises the error
+    of the attempt that exceeds MAX_RESAMPLE; None while an attempt that
+    matters is still running.  On a decision the rng is left where the
+    sequential engine leaves it."""
+    out, resamples = [], 0
+    for a in attempts:
+        if a.outcome is None:
+            return None
+        if isinstance(a.outcome, Exception):
             resamples += 1
             if resamples > MAX_RESAMPLE:
-                raise
+                rng.bit_generator.state = a.state
+                raise a.outcome
+            continue
+        a.outcome.resamples = resamples
+        out.append(a.outcome)
+        resamples = 0
+        if len(out) == trials:
+            rng.bit_generator.state = a.state
+            return out
+    return None
 
 
-def _trials(family: MapFamily, cfg: EngineConfig, seed: int, chunk: int,
-            restart: bool) -> List[TrialReport]:
-    rng = rng_from_seed(seed)
-    return [_trial(family, cfg, rng, chunk, restart)
-            for _ in range(cfg.trials)]
+def _trials(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
+            chunk: int, restart: bool) -> List[TrialReport]:
+    """One level: `cfg.trials` trials, each of targets drawn in stream order
+    until one is counted, run in lockstep.  Every round runs the next chunk
+    of every live pass of every running attempt in one Newton batch
+    (`_round`); an attempt whose target fails is replaced by the next
+    attempt of the stream, which starts at its first chunk in the next
+    round.  Since every attempt's draws are independent of Newton outcomes
+    and every row's arithmetic is row-local, the reports, resamples and
+    errors are those of running the targets one after another."""
+    attempts: List[_Attempt] = []
+    while True:
+        for a in attempts:
+            if a.outcome is None and a.ran:
+                a.settle()
+        trials = _decided(attempts, cfg.trials, rng)
+        if trials is not None:
+            return trials
+        # one running or counted attempt per trial, plus every failed one
+        failed = sum(isinstance(a.outcome, Exception) for a in attempts)
+        attempts += [_Attempt(family, cfg, rng, chunk, restart)
+                     for _ in range(cfg.trials + failed - len(attempts))]
+        _round(family, [p for a in attempts if a.outcome is None
+                        for p in a.passes if not p.done])
 
 
 def mapping_degree(family: MapFamily, seed: int = 0,
@@ -666,12 +871,14 @@ def mapping_degree(family: MapFamily, seed: int = 0,
     one_pass = sorted({min(START_CHUNK, cfg.n_starts), cfg.n_starts})
     for chunk in one_pass if cfg.trials > 1 else ():
         try:
-            trials = _trials(family, cfg, seed, chunk, restart=False)
+            trials = _trials(family, cfg, rng_from_seed(seed), chunk,
+                             restart=False)
         except (NonConvergence, UnstablePreimageCount):
             continue
         if len({(t.degree, t.n_converged) for t in trials}) == 1:
             return DegreeReport(family.name, trials[0].degree, trials)
-    trials = _trials(family, cfg, seed, cfg.n_starts, restart=True)
+    trials = _trials(family, cfg, rng_from_seed(seed), cfg.n_starts,
+                     restart=True)
     degs = {t.degree for t in trials}
     if len(degs) != 1:
         raise ConflictingEstimates(

@@ -5,8 +5,10 @@ J_x, recovery and common lines one structure at a time, float `prop21`,
 `Octonion`s, the former companion search (the kernel of the
 multiplication defect and quadratic pencils along it) one candidate at a
 time on scalar products, the former exact section comparison at the 20
-sample points, the former two-call exact draw, and substitution in graded
-polynomials.  No command needs them, so they live with the tests."""
+sample points, the former two-call exact draw, substitution in graded
+polynomials, and the degree engine's former whole-pass start lattice and
+one-target-at-a-time trials.  No command needs them, so they live with the
+tests."""
 
 import math
 from fractions import Fraction
@@ -15,13 +17,14 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from sixsphere import linalg, octonion, suites, twistor
+from sixsphere import degree, linalg, octonion, suites, twistor
 from sixsphere.chern import GradedPoly
 from sixsphere.cstruct import (R6_BASIS, ComplexLine, ComplexStructureR6,
                                _e1_left_basis, _left_e1, standard_structure)
 from sixsphere.errors import (IdenticalStructures, InvalidStructure,
-                              NoCommonLine, NotUnit, RankError,
-                              SixSphereError, VerificationFailed)
+                              NoCommonLine, NonConvergence, NotUnit,
+                              RankError, SixSphereError,
+                              UnstablePreimageCount, VerificationFailed)
 from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
 from sixsphere.sampling import (haar_orthogonal, random_rational_circle_point,
                                 random_rational_imaginary_unit,
@@ -388,3 +391,64 @@ def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
             "kernel dimension %d and no vector passes verification" % len(ker))
     raise VerificationFailed(
         "companion candidate fails the isotopy identity (defect %g)" % r)
+
+
+# ---------------------------------------------------------------------------
+# the degree engine, one pass and one target at a time
+# ---------------------------------------------------------------------------
+
+def lattice01(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The former whole Kronecker lattice: n rows, jitter drawn here."""
+    alphas = np.sqrt(np.array(degree._PRIMES[:dim], dtype=float))
+    k = np.arange(1, n + 1)[:, None]
+    return np.modf(k * alphas[None, :] + rng.uniform(0.0, 1.0, size=dim))[0]
+
+
+def start_points(family, n_starts: int, rng: np.random.Generator) -> np.ndarray:
+    """The former `_start_points`: all n_starts starts of a pass at once,
+    drawing the sphere lattice's jitter, then the theta lattice's."""
+    dim = 8 - family.lead
+    npairs = (dim + 1) // 2
+    u = lattice01(n_starts, 2 * npairs, rng)
+    r = np.sqrt(-2.0 * np.log(np.maximum(u[:, :npairs], 1e-12)))
+    ang = 2.0 * np.pi * u[:, npairs:]
+    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)[:, :dim]
+    p = z / np.linalg.norm(z, axis=1, keepdims=True)
+    if not family.lead:
+        return p
+    thetas = 0.05 + (2.0 * np.pi - 0.1) * lattice01(len(p), 1, rng)[:, 0]
+    return np.column_stack([thetas, p])
+
+
+def count_at(family, target, cfg, rng, resamples, chunk=None, restart=True):
+    """The former `_count_at`: one target's passes run alone, round after
+    round, then counted; raises the error the target resamples on."""
+    attempt = degree._Attempt(family, cfg, rng, chunk or cfg.n_starts,
+                              restart, target=target)
+    while not attempt.ran:
+        degree._round(family, [p for p in attempt.passes if not p.done])
+    attempt.settle()
+    if isinstance(attempt.outcome, Exception):
+        raise attempt.outcome
+    attempt.outcome.resamples = resamples
+    return attempt.outcome
+
+
+def trial(family, cfg, rng, chunk=None, restart=True):
+    """The former `_trial`: targets drawn and counted one after another
+    until one is counted, raising after MAX_RESAMPLE resamples."""
+    resamples = 0
+    while True:
+        target = degree._sample_target(family, rng)
+        try:
+            return count_at(family, target, cfg, rng, resamples, chunk,
+                            restart)
+        except (NonConvergence, UnstablePreimageCount):
+            resamples += 1
+            if resamples > degree.MAX_RESAMPLE:
+                raise
+
+
+def sequential_trials(family, cfg, rng, chunk, restart):
+    """A level as the former `_trials` ran it: one trial after another."""
+    return [trial(family, cfg, rng, chunk, restart) for _ in range(cfg.trials)]

@@ -16,20 +16,41 @@ from sixsphere.errors import (BadConfig, ConflictingEstimates, NonConvergence,
                               NonGenericValue, NotOdd, UnstablePreimageCount)
 from sixsphere.octonion import (Octonion, batch_mul, left_mult_matrix,
                                 right_mult_matrix)
+from sixsphere.sampling import rng_from_seed
+import references
 from test_golden_degree_reports import DEGREE_SLACK
 
 FAST = dg.EngineConfig(n_starts=1200)
 
 
+def _charted(fam, target, sign=1.0):
+    """The charted problem of one group: the target's chart, and the domain
+    chart from the pole sign e0."""
+    return dg._Charted(fam, dg._target_frame(target)[None], np.array([sign]))
+
+
+def _one_group(n):
+    return np.zeros(n, dtype=int)
+
+
 def test_stereo_charts_invert_each_other(rng):
-    pole = np.zeros(8)
-    pole[0] = 1.0
-    basis = dg._orthonormal_complement(pole)
-    s = rng.standard_normal((50, 7))
-    x = dg._stereo_inv(s, pole, basis)
-    assert np.allclose(np.linalg.norm(x, axis=1), 1.0)
-    back = dg._stereo_proj(x, pole, basis)
-    assert np.allclose(back, s, atol=1e-12)
+    # both poles +-e0 have the complement basis e1 .. e7, and the pole
+    # charts are the stereographic charts on it
+    for sign in (1.0, -1.0):
+        pole = sign * np.eye(8)[0]
+        basis = dg._orthonormal_complement(pole)
+        assert np.array_equal(basis, np.eye(8)[:, 1:])
+        s = rng.standard_normal((50, 7))
+        x = dg._pole_chart_inv(s, np.full(50, sign))
+        q = np.sum(s * s, axis=1, keepdims=True)
+        assert np.allclose(x, (2.0 * s @ basis.T + (q - 1.0) * pole)
+                           / (q + 1.0), rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0)
+        back = dg._pole_chart(x, sign)
+        t = (x @ pole)[:, None]
+        assert np.allclose(back, ((x - t * pole) / (1.0 - t)) @ basis,
+                           atol=1e-15)
+        assert np.allclose(back, s, atol=1e-12)
 
 
 def test_power_map_dfunc_matches_fd(rng):
@@ -88,21 +109,53 @@ def _oriented_frame(v, rng):
 def test_charted_jacobian_matches_finite_differences(name, rng):
     # jac of `evaluate`, built from the jet, against central differences of
     # g in chart coordinates: the jet is each map's only Jacobian
+    # in both domain charts, in one batch
     fam = dg.named_map(name)
     lead = fam.lead
     target = rng.standard_normal(8)
-    charted = dg._Charted(fam, target / np.linalg.norm(target),
-                          np.eye(8 - lead)[0])
+    frame = dg._target_frame(target / np.linalg.norm(target))
+    charted = dg._Charted(fam, np.stack([frame, frame]), np.array([1.0, -1.0]))
     s = 0.7 * rng.standard_normal((10, 7))
     if lead:
         s[:, 0] = rng.uniform(0.5, 2.0 * np.pi - 0.5, size=len(s))
-    _, _, jac = charted.evaluate(s)
+    group = np.repeat([0, 1], 5)
+    _, _, jac = charted.evaluate(s, group)
     h = 1e-6
     for j in range(7):
         sp = s.copy(); sp[:, j] += h
         sm = s.copy(); sm[:, j] -= h
-        fd = (charted.evaluate(sp)[1] - charted.evaluate(sm)[1]) / (2 * h)
+        fd = (charted.evaluate(sp, group)[1]
+              - charted.evaluate(sm, group)[1]) / (2 * h)
         assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6)
+
+
+def _mixed_batch(fam, rng, n):
+    """n chart points of six groups (three targets, both domain charts),
+    sorted by group, and their `_Charted`."""
+    targets = rng.standard_normal((3, 8))
+    frames = np.repeat([dg._target_frame(t / np.linalg.norm(t))
+                        for t in targets], 2, axis=0)
+    charted = dg._Charted(fam, frames, np.tile([1.0, -1.0], 3))
+    s = 0.7 * rng.standard_normal((n, 7))
+    if fam.lead:
+        s[:, 0] = rng.uniform(0.5, 2.0 * np.pi - 0.5, size=n)
+    return charted, s, np.sort(rng.integers(0, 6, size=n))
+
+
+@pytest.mark.parametrize("name", list(dg.MAPS))
+def test_evaluate_is_row_local(name, rng):
+    # a prefix of a batch evaluates to those rows of the full batch, bit for
+    # bit, whatever its length
+    n = dg.START_CHUNK + 50
+    charted, s, group = _mixed_batch(dg.named_map(name), rng, n)
+    full = charted.evaluate(s, group)
+    for k in (1, 2, 3, 7, 40, 101, dg.START_CHUNK, dg.START_CHUNK + 1, n - 1):
+        part = charted.evaluate(s[:k], group[:k])
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want[:k])
+    # and a suffix, whose rows sit elsewhere in memory
+    for got, want in zip(charted.evaluate(s[3:], group[3:]), full):
+        assert np.array_equal(got, want[3:])
 
 
 #: how far the closed-form power jet may sit from the `batch_mul` chain and
@@ -154,7 +207,8 @@ def test_power_signed_dets_match_closed_form(k, rng):
     x = rng.standard_normal((200, 8))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     y = fam.func(x)
-    got = dg._signed_dets(fam, x, y / np.linalg.norm(y, axis=1, keepdims=True))
+    got = dg._signed_dets(fam, x, y / np.linalg.norm(y, axis=1, keepdims=True),
+                          fam.dfunc(x))
     a = np.arccos(x[:, 0])
     sigma = np.sin(k * a) / np.sin(a)
     want = k * sigma ** 6
@@ -175,8 +229,8 @@ def test_signed_dets_match_oriented_frames(name, rng):
         x[:, 0] = rng.uniform(0.1, 2.0 * np.pi - 0.1, size=len(x))
     y = fam.func(x)
     u = y / np.linalg.norm(y, axis=1, keepdims=True)
-    got = dg._signed_dets(fam, x, u)
     df = fam.dfunc(x)
+    got = dg._signed_dets(fam, x, u, df)
     for i in range(len(x)):
         dom = np.zeros((8, 7))
         dom[:lead, :lead] = np.eye(lead)
@@ -208,25 +262,31 @@ def test_degree_theta_circle_zero():
 def _theta_circle_newton_batch(rng, n=500):
     """Chart Jacobians (rank 1) and residuals of theta-circle at n starts."""
     target = rng.standard_normal(8)
-    pole = np.zeros(8); pole[0] = 1.0
-    charted = dg._Charted(dg.theta_circle_map(), target / np.linalg.norm(target),
-                          pole)
+    charted = _charted(dg.theta_circle_map(), target / np.linalg.norm(target))
     s = rng.standard_normal((n, 7))
-    _, g, jac = charted.evaluate(s)
+    _, g, jac = charted.evaluate(s, _one_group(n))
     return jac, g
+
+
+def _steps(jac, g):
+    """Newton steps of one group, and whether it was found singular."""
+    singular = np.zeros(1, dtype=bool)
+    return dg._newton_steps(jac, g, _one_group(len(g)), singular), singular[0]
 
 
 def test_newton_step_regular_batch_is_plain_solve(rng):
     jac = rng.standard_normal((200, 7, 7))
     g = rng.standard_normal((200, 7))
     want = np.linalg.solve(jac, g[..., None])[..., 0]
-    assert np.array_equal(dg._newton_step(jac, g), want)
+    step, singular = _steps(jac, g)
+    assert np.array_equal(step, want) and not singular
 
 
 def test_newton_step_rank_one_matches_least_squares(rng):
     jac, g = _theta_circle_newton_batch(rng)
     assert set(np.linalg.matrix_rank(jac)) == {1}
-    step = dg._newton_step(jac, g)
+    step, singular = _steps(jac, g)
+    assert singular
     lsq = (np.linalg.pinv(jac) @ g[..., None])[..., 0]
     err = np.linalg.norm(step - lsq, axis=1)
     assert np.all(err <= 1e-4 * np.linalg.norm(lsq, axis=1))
@@ -235,9 +295,25 @@ def test_newton_step_rank_one_matches_least_squares(rng):
 def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
     jac, g = _theta_circle_newton_batch(rng, n=20)
     jac[3] = 0.0
-    step = dg._newton_step(jac, g)
+    step, _ = _steps(jac, g)
     assert np.all(np.isfinite(step))
     assert np.array_equal(step[3], np.zeros(7))
+
+
+def test_newton_steps_mark_only_the_singular_groups(rng):
+    # a regular group and a rank-1 group in one batch of more than
+    # START_CHUNK rows: each row gets its own group's step, and only the
+    # rank-1 group is marked
+    n = dg.START_CHUNK + 30
+    jac_sing, g_sing = _theta_circle_newton_batch(rng, n=n)
+    jac = np.concatenate([rng.standard_normal((n, 7, 7)), jac_sing])
+    g = np.concatenate([rng.standard_normal((n, 7)), g_sing])
+    group = np.repeat([0, 1], n)
+    singular = np.zeros(3, dtype=bool)
+    step = dg._newton_steps(jac, g, group, singular)
+    assert singular.tolist() == [False, True, False]
+    assert np.array_equal(step[:n], _steps(jac[:n], g[:n])[0])
+    assert np.array_equal(step[n:], _steps(jac[n:], g[n:])[0])
 
 
 def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
@@ -251,16 +327,17 @@ def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(dg, "_stereo_inv", counted("stereo_inv", dg._stereo_inv))
-    monkeypatch.setattr(dg, "_newton_step",
-                        counted("iterations", dg._newton_step))
+    monkeypatch.setattr(dg, "_pole_chart_inv",
+                        counted("stereo_inv", dg._pole_chart_inv))
+    monkeypatch.setattr(dg, "_newton_steps",
+                        counted("iterations", dg._newton_steps))
     target = rng.standard_normal(8)
-    pole = np.zeros(8); pole[0] = 1.0
     for fam in (dg.theta_circle_map(), dg.power_map(3)):
         calls.update(stereo_inv=0, iterations=0, jet=0)
         fam.jet = counted("jet", fam.jet)
-        charted = dg._Charted(fam, target / np.linalg.norm(target), pole)
-        pts, _ = charted.solve(0.5 * rng.standard_normal((50, 7)))
+        charted = _charted(fam, target / np.linalg.norm(target))
+        pts, _, _ = charted.solve(0.5 * rng.standard_normal((50, 7)),
+                                  _one_group(50))
         # theta-circle has no regular preimage
         assert (len(pts) > 0) == (fam.name != "theta-circle")
         assert (0 < calls["jet"] == calls["stereo_inv"] == calls["iterations"]
@@ -271,24 +348,27 @@ def test_singular_run_tries_the_plain_solve_once(rng, monkeypatch):
     # theta-circle's Jacobians are singular at every iterate: its run's first
     # batch tries the plain solve and takes the damped one, and the later
     # batches go straight to the damped solve, so the run makes one more
-    # solve than it has iterations; a regular run solves once per iteration
-    solves = []
-    solve = np.linalg.solve
+    # solve than it has iterations that step rows; a regular run solves once
+    # per such iteration (an iteration whose rows all leave steps none)
+    solves, stepped = [], []
+    solve, steps = np.linalg.solve, dg._newton_steps
     monkeypatch.setattr(np.linalg, "solve",
                         lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(dg, "_newton_steps", lambda jac, *args: stepped.append(
+        len(jac)) or steps(jac, *args))
     target = rng.standard_normal(8)
     target /= np.linalg.norm(target)
-    pole = np.zeros(8); pole[0] = 1.0
     for fam, singular in ((dg.theta_circle_map(), True),
                           (dg.power_map(3), False)):
         jets = []
         fam.jet = partial(lambda jet, x: jets.append(1) or jet(x), fam.jet)
         solves.clear()
-        pts, _ = dg._Charted(fam, target, pole).solve(
-            0.5 * rng.standard_normal((50, 7)))
+        stepped.clear()
+        pts, _, _ = _charted(fam, target).solve(
+            0.5 * rng.standard_normal((50, 7)), _one_group(50))
         assert (len(pts) > 0) != singular
-        assert 0 < len(jets) <= dg.NEWTON_MAX_ITER
-        assert len(solves) == len(jets) + singular
+        assert 0 < len(jets) == len(stepped) <= dg.NEWTON_MAX_ITER
+        assert len(solves) == np.count_nonzero(stepped) + singular
 
 
 def _flat_jet(value, jacobian, calls):
@@ -305,16 +385,17 @@ def _flat_jet(value, jacobian, calls):
 
 def test_flat_rank_deficient_rows_stop_and_report_their_floor(rng):
     # a constant map has a zero Jacobian, so its damped step is zero and its
-    # residual flat: each of `_count_at`'s four runs (two passes, two
-    # charts) finds its batch singular at the first evaluation, starts
-    # tracking at the second and stops PLATEAU_ITER evaluations later
+    # residual flat: each of a target's four groups (two passes, two
+    # charts), all in one batch, finds itself singular at the first
+    # evaluation, starts tracking at the second and stops PLATEAU_ITER
+    # evaluations later
     target, value, jets = _unit(rng), _unit(rng), []
     fam = dg.MapFamily("constant", _flat_jet(value, np.zeros((8, 8)), jets))
-    trial = dg._count_at(fam, target, STUB, rng, 0)
-    assert len(jets) == 4 * (dg.PLATEAU_ITER + 2)
+    trial = references.count_at(fam, target, STUB, rng, 0)
+    assert jets == [2 * STUB.n_starts] * (dg.PLATEAU_ITER + 2)
     assert (trial.degree, trial.n_converged, trial.resamples) == (0, 0, 0)
-    floor = np.linalg.norm(dg._Charted(fam, target, np.eye(8)[0]).evaluate(
-        np.zeros((1, 7)))[1])
+    floor = np.linalg.norm(_charted(fam, target).evaluate(
+        np.zeros((1, 7)), _one_group(1))[1])
     assert floor > dg.NO_ROOT_FLOOR
     assert abs(trial.max_residual - floor) <= 1e-12
 
@@ -331,8 +412,8 @@ def test_flat_rows_the_plateau_stop_keeps(offset, jacobian, rng):
     jets = []
     fam = dg.MapFamily("flat", _flat_jet(value / np.linalg.norm(value),
                                          jacobian, jets))
-    pts, floor = dg._Charted(fam, target, np.eye(8)[0]).solve(
-        0.5 * rng.standard_normal((50, 7)))
+    pts, _, (floor,) = _charted(fam, target).solve(
+        0.5 * rng.standard_normal((50, 7)), _one_group(50))
     assert len(pts) == 0 and floor > dg.NEWTON_TOL
     assert (floor < dg.NO_ROOT_FLOOR) == (offset < 1.0)
     assert jets == [50] * dg.NEWTON_MAX_ITER
@@ -344,8 +425,8 @@ def test_plateau_stop_keeps_theta_circle_reports(monkeypatch):
     # DEGREE_SLACK above the full run's, and fewer rows evaluated
     rows = []
     evaluate = dg._Charted.evaluate
-    monkeypatch.setattr(dg._Charted, "evaluate",
-                        lambda self, s: rows.append(len(s)) or evaluate(self, s))
+    monkeypatch.setattr(dg._Charted, "evaluate", lambda self, s, *args: rows.append(
+        len(s)) or evaluate(self, s, *args))
     config = dg.EngineConfig(n_starts=300, trials=1)
 
     def reports():
@@ -373,14 +454,14 @@ def test_full_rank_maps_make_no_singular_run(name, monkeypatch):
     # the plateau stop rests on this: only a rank-deficient map takes the
     # damped step, so the maps of full rank run without the stop
     singular = []
-    step = dg._newton_step
+    steps = dg._newton_steps
 
-    def watched(jac, g, run=None):
-        out = step(jac, g, run)
-        singular.append(run.singular)
+    def watched(jac, g, group, marks):
+        out = steps(jac, g, group, marks)
+        singular.append(marks.any())
         return out
 
-    monkeypatch.setattr(dg, "_newton_step", watched)
+    monkeypatch.setattr(dg, "_newton_steps", watched)
     config = dg.EngineConfig(n_starts=300, trials=1)
     for seed in range(5):
         dg.named_degree(name, seed=seed, config=config)
@@ -493,14 +574,23 @@ def _unit(rng):
 
 
 def _switching_map(monkeypatch, first, second):
-    """A stub map that is the jet `first` during `_count_at`'s first start
-    pass and `second` from its second pass on."""
-    passes = []
-    one_pass = dg._one_pass
-    monkeypatch.setattr(dg, "_one_pass",
-                        lambda *args: passes.append(1) or one_pass(*args))
-    return dg.MapFamily(
-        "stub", lambda x: (first if len(passes) < 2 else second)(x))
+    """A stub map that is the jet `first` on the rows of a target's first
+    start pass (groups 0 and 1 of its rounds) and `second` on those of its
+    second pass: each row is evaluated as its own pass's batch would be,
+    since evaluation is row-local."""
+    evaluate = dg._Charted.evaluate
+
+    def switched(self, s, group, out=None):
+        x, g, jac = out or (np.empty((len(s), 8)), np.empty((len(s), 7)),
+                            np.empty((len(s), 7, 7)))
+        for rows, jet in ((group < 2, first), (group >= 2, second)):
+            self.family.jet = jet
+            x[rows], g[rows], jac[rows] = evaluate(self, s[rows], group[rows])
+        self.family.jet = first
+        return x, g, jac
+
+    monkeypatch.setattr(dg._Charted, "evaluate", switched)
+    return dg.MapFamily("stub", first)
 
 
 @pytest.mark.parametrize("jets, message", [
@@ -511,42 +601,132 @@ def test_passes_that_disagree_resample(jets, message, monkeypatch, rng):
     # the first pass finds the preimage q; the second finds none, or -q
     fam = _switching_map(monkeypatch, *jets)
     with pytest.raises(UnstablePreimageCount, match=message):
-        dg._count_at(fam, _unit(rng), STUB, rng, 0)
+        references.count_at(fam, _unit(rng), STUB, rng, 0)
 
 
 def test_near_critical_preimage_resamples(rng):
     q = np.eye(8)[0] + 0.01 * np.eye(8)[3]
     with pytest.raises(UnstablePreimageCount, match="near-critical"):
-        dg._count_at(dg.MapFamily("stretch", _stretch_jet),
-                     q / np.linalg.norm(q), STUB, rng, 0)
+        references.count_at(dg.MapFamily("stretch", _stretch_jet),
+                            q / np.linalg.norm(q), STUB, rng, 0)
 
 
 def test_no_root_above_the_floor_resamples(rng):
     with pytest.raises(NonConvergence, match="no converged starts"):
-        dg._count_at(dg.MapFamily("slowed", _slowed_jet), _unit(rng), STUB,
-                     rng, 0)
+        references.count_at(dg.MapFamily("slowed", _slowed_jet), _unit(rng),
+                            STUB, rng, 0)
+
+
+def _spy_attempts(monkeypatch):
+    """One entry per target drawn by a level (`_Attempt`), in order."""
+    made = []
+    init = dg._Attempt.__init__
+
+    def spied(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dg._Attempt, "__init__", spied)
+    return made
 
 
 def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
-    seen = []
-    count_at = dg._count_at
-
-    def counted(family, target, cfg, rng, resamples, chunk, restart):
-        seen.append(resamples)
-        return count_at(family, target, cfg, rng, resamples, chunk, restart)
-
-    monkeypatch.setattr(dg, "_count_at", counted)
+    made = _spy_attempts(monkeypatch)
     with pytest.raises(NonConvergence):
-        dg._trial(dg.MapFamily("slowed", _slowed_jet), STUB, rng)
-    assert seen == list(range(dg.MAX_RESAMPLE + 1))
+        dg._trials(dg.MapFamily("slowed", _slowed_jet), STUB, rng,
+                   STUB.n_starts, True)
+    assert len(made) == dg.MAX_RESAMPLE + 1
 
     # two failed targets, then the identity: the report counts both
-    seen.clear()
+    made.clear()
     fam = dg.MapFamily("stub", lambda x: (
-        _slowed_jet if len(seen) <= 2 else dg.identity_map().jet)(x))
-    trial = dg._trial(fam, STUB, rng)
+        _slowed_jet if len(made) <= 2 else dg.identity_map().jet)(x))
+    (trial,) = dg._trials(fam, STUB, rng, STUB.n_starts, True)
     assert (trial.degree, trial.resamples) == (1, 2)
-    assert seen == [0, 1, 2]
+    assert len(made) == 3
+
+
+def _half_slowed_jet(x):
+    """The identity where Re x >= 0 and `_slowed_jet` where Re x < 0: a
+    target with a negative real part has its preimage where Newton crawls,
+    so it fails and resamples, and one with a positive real part counts."""
+    y, d = dg.identity_map().jet(x)
+    d[x[:, 0] < 0] *= 4.0
+    return y, d
+
+
+@pytest.mark.parametrize("jet, trials", [
+    (_half_slowed_jet, 3), (_half_slowed_jet, 5), (_slowed_jet, 3)],
+    ids=["some-resample", "more-trials", "every-target-fails"])
+def test_lockstep_level_resamples_as_the_sequential_trials(jet, trials):
+    # an attempt that fails inside a lockstep level is replaced by the next
+    # target of the stream: the reports (resamples and targets included),
+    # the error and the final rng state are those of running the trials one
+    # after another
+    fam = dg.MapFamily("stub", jet)
+    cfg = dg.EngineConfig(n_starts=50, trials=trials)
+    outcomes = []
+    for run in (dg._trials, references.sequential_trials):
+        rng = rng_from_seed(7)
+        try:
+            outcomes.append((run(fam, cfg, rng, 50, True), None))
+        except NonConvergence as err:
+            outcomes.append((None, str(err)))
+        outcomes[-1] += (rng.bit_generator.state,)
+    assert outcomes[0] == outcomes[1]
+    reports, error, _ = outcomes[0]
+    if jet is _slowed_jet:
+        assert reports is None and "no converged starts" in error
+    else:
+        assert error is None and len(reports) == trials
+        assert sum(t.resamples for t in reports) > 0
+
+
+@pytest.mark.parametrize("name, chunk, restart", [
+    ("power:3", dg.START_CHUNK, False), ("power:6", dg.START_CHUNK, False),
+    ("cylinder-loop", dg.START_CHUNK, False),
+    ("theta-circle", dg.START_CHUNK, False), ("power:3", 600, True),
+    ("theta-circle", 600, True)])
+def test_level_wide_batch_returns_what_each_group_returns_alone(
+        name, chunk, restart):
+    # every pass of a level, both charts, in one batch per round gives each
+    # pass, bit for bit, the preimages, seen points and floor it gets run
+    # alone; and the level's reports are the sequential ones
+    fam, cfg = dg.named_map(name), dg.EngineConfig(n_starts=600, trials=3)
+
+    def passes():
+        rng = rng_from_seed(3)
+        return [p for _ in range(cfg.trials) for p in dg._Attempt(
+            fam, cfg, rng, chunk, restart).passes]
+
+    together, alone = passes(), passes()
+    while not all(p.done for p in together):
+        dg._round(fam, [p for p in together if not p.done])
+    for p in alone:
+        while not p.done:
+            dg._round(fam, [p])
+    for a, b in zip(together, alone):
+        assert (a.lo, a.floor) == (b.lo, b.floor)
+        assert np.array_equal(a.reps, b.reps)
+        assert np.array_equal(a.seen, b.seen)
+    assert dg._trials(fam, cfg, rng_from_seed(3), chunk, restart) == \
+        references.sequential_trials(fam, cfg, rng_from_seed(3), chunk,
+                                     restart)
+
+
+def test_no_jet_call_gets_more_than_the_row_cap(monkeypatch):
+    # the half-conjugated jet climbs all three levels, whose rounds hold
+    # 6 x 250, 6 x 300 and 6 x 2 x 300 starts; each is evaluated in slices
+    # of at most START_CHUNK rows
+    runs, rows = _spy_runs(monkeypatch), []
+    fam = dg.MapFamily("half", lambda x: rows.append(len(x))
+                       or _half_conjugated_jet(x))
+    with pytest.raises(ConflictingEstimates):
+        dg.mapping_degree(fam, seed=1,
+                          config=dg.EngineConfig(n_starts=300, trials=6))
+    assert [restart for _, restart in runs] == [False, False, True]
+    assert rows and max(rows) == dg.START_CHUNK
+    assert sum(rows) > 3 * 6 * 300
 
 
 def _spy_runs(monkeypatch):
@@ -554,9 +734,9 @@ def _spy_runs(monkeypatch):
     runs = []
     inner = dg._trials
 
-    def spied(family, cfg, seed, chunk, restart):
+    def spied(family, cfg, rng, chunk, restart):
         runs.append((chunk, restart))
-        return inner(family, cfg, seed, chunk, restart)
+        return inner(family, cfg, rng, chunk, restart)
 
     monkeypatch.setattr(dg, "_trials", spied)
     return runs
@@ -567,9 +747,9 @@ def _spy_starts(monkeypatch):
     sizes = []
     solve = dg._Charted.solve
 
-    def spied(self, starts):
+    def spied(self, starts, group):
         sizes.append(len(starts))
-        return solve(self, starts)
+        return solve(self, starts, group)
 
     monkeypatch.setattr(dg._Charted, "solve", spied)
     return sizes
@@ -606,9 +786,9 @@ def test_agreeing_trials_run_one_pass_per_target(trials, passes, monkeypatch):
     # passes only.  The identity has one basin, so a budgeted target stops
     # after its second chunk
     runs, one_pass = _spy_runs(monkeypatch), []
-    inner = dg._one_pass
-    monkeypatch.setattr(dg, "_one_pass",
-                        lambda *args: one_pass.append(1) or inner(*args))
+    init = dg._Pass.__init__
+    monkeypatch.setattr(dg._Pass, "__init__", lambda self, *args: one_pass.append(
+        1) or init(self, *args))
     sizes = _spy_starts(monkeypatch)
     cfg = dg.EngineConfig(trials=trials)
     rep = dg.mapping_degree(dg.identity_map(), seed=1, config=cfg)
@@ -621,16 +801,33 @@ def test_agreeing_trials_run_one_pass_per_target(trials, passes, monkeypatch):
     assert sum(sizes) == trials * per_target
 
 
+@pytest.mark.parametrize("name", ["identity", "cylinder-loop"])
+def test_start_chunks_are_the_whole_lattice(name, rng):
+    # a pass draws only its jitter, and the rows a chunk builds are those of
+    # the whole lattice, bit for bit; a discarded pass leaves the rng where
+    # building all its starts did
+    fam, n = dg.named_map(name), 2000
+    state = rng.bit_generator.state
+    want = references.start_points(fam, n, rng)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    shifts = dg._draw_shifts(fam.lead, rng)
+    assert rng.bit_generator.state == after
+    for lo in range(0, n, 300):
+        got = dg._start_rows(fam.lead, shifts, lo, min(lo + 300, n))
+        assert np.array_equal(got, want[lo:lo + 300])
+
+
 def test_one_pass_draws_the_second_pass_starts(rng):
     # without the restart the second pass's starts are still drawn: the rng
     # stream, and so every later target, is the same
     state = rng.bit_generator.state
     target, fam = _unit(rng), dg.identity_map()
-    two = dg._count_at(fam, target, STUB, rng, 0)
+    two = references.count_at(fam, target, STUB, rng, 0)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     _unit(rng)
-    one = dg._count_at(fam, target, STUB, rng, 0, restart=False)
+    one = references.count_at(fam, target, STUB, rng, 0, restart=False)
     assert rng.bit_generator.state == after
     assert one == two
 
@@ -644,12 +841,12 @@ def test_chunked_pass_reports_as_the_two_pass_count(name, rng):
     fam = dg.named_map(name)
     state = rng.bit_generator.state
     target = dg._sample_target(fam, rng)
-    two = dg._count_at(fam, target, cfg, rng, 0)
+    two = references.count_at(fam, target, cfg, rng, 0)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     dg._sample_target(fam, rng)
-    one = dg._count_at(fam, target, cfg, rng, 0, dg.START_CHUNK,
-                       restart=False)
+    one = references.count_at(fam, target, cfg, rng, 0, dg.START_CHUNK,
+                              restart=False)
     assert rng.bit_generator.state == after
     assert one.target == two.target
     assert (one.degree, one.signs, one.n_converged, one.resamples) == (
@@ -660,20 +857,29 @@ def test_chunked_pass_reports_as_the_two_pass_count(name, rng):
 
 
 def _scripted_solve(monkeypatch, script):
-    """`_Charted.solve` replaced by a script: in chunk i the north chart
+    """`_Charted.solve` replaced by a script: in round i the north chart
     converges to each point of script[i] as many times as it names, the
     south chart to nothing.  Returns the number of starts of every call."""
     sizes = []
 
-    def solve(self, starts):
-        chunk = len(sizes) // 2
+    def solve(self, starts, group):
+        chunk = len(sizes)
         sizes.append(len(starts))
-        pts = [] if len(sizes) % 2 == 0 or chunk >= len(script) else [
+        pts = [] if chunk >= len(script) else [
             np.eye(8)[i] for i, hits in script[chunk] for _ in range(hits)]
-        return np.array(pts).reshape(-1, 8), 1.0
+        return (np.array(pts).reshape(-1, 8), np.zeros(len(pts), dtype=int),
+                np.ones(2))
 
     monkeypatch.setattr(dg._Charted, "solve", solve)
     return sizes
+
+
+def _run_pass(fam, target, cfg, rng, chunk):
+    """One pass at the target, run alone round after round."""
+    p = dg._Pass(fam, dg._target_frame(target), cfg, chunk, rng)
+    while not p.done:
+        dg._round(fam, [p])
+    return p.reps, p.floor
 
 
 HITS = dg.BASIN_MIN_HITS
@@ -699,15 +905,16 @@ def test_chunked_pass_stops_when_nothing_new_and_every_basin_is_hit(
         script, chunks, found, monkeypatch, rng):
     sizes = _scripted_solve(monkeypatch, script)
     cfg = dg.EngineConfig(n_starts=8 * dg.START_CHUNK)
-    pre, floor = dg._one_pass(dg.identity_map(), _unit(rng), cfg, rng,
-                              dg.START_CHUNK)
-    assert len(sizes) == 2 * chunks
+    pre, floor = _run_pass(dg.identity_map(), _unit(rng), cfg, rng,
+                           dg.START_CHUNK)
+    # one batch per chunk, both charts in it
+    assert len(sizes) == chunks
     assert sum(sizes) == chunks * dg.START_CHUNK
     assert len(pre) == found and floor == 1.0
     # one chunk of every start runs it all, whatever it finds
     sizes.clear()
-    dg._one_pass(dg.identity_map(), _unit(rng), cfg, rng, cfg.n_starts)
-    assert sum(sizes) == cfg.n_starts and len(sizes) == 2
+    _run_pass(dg.identity_map(), _unit(rng), cfg, rng, cfg.n_starts)
+    assert sum(sizes) == cfg.n_starts and len(sizes) == 1
 
 
 @pytest.mark.parametrize("seed", [89621819, 3945867851],
@@ -725,7 +932,8 @@ def test_power6_trials_that_disagree_escalate_to_two_passes(seed, monkeypatch):
     assert rep.degree == 6
     assert all(t.n_converged == 6 for t in rep.trials)
     assert sum(t.resamples for t in rep.trials) >= 1
-    two_pass = dg._trials(dg.power_map(6), cfg, seed, cfg.n_starts, True)
+    two_pass = dg._trials(dg.power_map(6), cfg, rng_from_seed(seed),
+                          cfg.n_starts, True)
     assert rep.trials == two_pass
 
 
@@ -740,7 +948,8 @@ def test_power6_budgeted_trials_that_disagree_fall_back_to_one_full_pass(
     assert runs == [(dg.START_CHUNK, False), (cfg.n_starts, False)]
     assert rep.degree == 6
     assert all(t.resamples == 0 for t in rep.trials)
-    full = dg._trials(dg.power_map(6), cfg, seed, cfg.n_starts, False)
+    full = dg._trials(dg.power_map(6), cfg, rng_from_seed(seed), cfg.n_starts,
+                      False)
     assert rep.trials == full
 
 

@@ -50,6 +50,8 @@ KEEP = {
     "twistor.TangentStructure._validate": "runs in the public constructor",
     "twistor.section_sample_points":
         "the lazy set-up that bench/workloads.py runs before the sweeps",
+    "degree.MapFamily.dfunc":
+        "public half of a map's jet; bench/layers.py traces it",
     # failure paths and output views
     "suites._Run.fail":
         "makes failure entries, so runs only on a failure; "
