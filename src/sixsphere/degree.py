@@ -28,14 +28,17 @@ The engine counts signed preimages of a regular target value:
 A level runs in lockstep: each round is one Newton batch holding the next
 chunk of every live pass of the level (every trial's target, and both
 passes of a target in a two-pass run), each start in the domain chart of
-its own hemisphere, so every row carries its group (pass, chart).  Both
-domain charts share the basis e1 .. e(d-1), so a row's domain chart is its
-pole sign.  The arithmetic is row-local: products are elementwise, einsum
-or stacked matmuls (no BLAS matrix-vector product over rows, whose last
-bits depend on the batch size), rows are evaluated in slices of at most
-START_CHUNK, and a group's singular flag and floor are its own.  So every
-group gets, bit for bit, what its own batch would get run alone, and a
-level returns what running its targets one after another returns.
+its own hemisphere, so every row carries its group (pass, chunk, chart).
+A budgeted pass cannot stop after its first chunk, so its first round
+holds its first two chunks, each in groups of its own and absorbed in
+order.  Both domain charts share the basis e1 .. e(d-1), so a row's domain
+chart is its pole sign.  The arithmetic is row-local: products are
+elementwise, einsum or stacked matmuls (no BLAS matrix-vector product over
+rows, whose last bits depend on the batch size), rows are evaluated in
+slices of at most ROW_CAP, and a group's singular flag and floor are its
+own.  So every group gets, bit for bit, what its own batch would get run
+alone, and a level returns what running its targets one after another
+returns.
 
 Domains are the cylinder [0, 2pi] x S^6 and the unit sphere in R^8, which
 is the same thing with no interval coordinate: a domain point is `lead`
@@ -325,6 +328,10 @@ THETA_MARGIN = 1e-6
 #: starts per chunk of a budgeted one-pass target (level 1 of
 #: `mapping_degree`), which may stop after any chunk from the second on
 START_CHUNK = 250
+#: rows per slice in which `_Charted.solve` evaluates and steps a batch:
+#: fewer slices cost less fixed per-call time, and each slice's
+#: intermediates (about 2.5 kB a row) stay small
+ROW_CAP = 750
 #: converged starts that every preimage needs before a one-pass target stops
 BASIN_MIN_HITS = 8
 
@@ -519,16 +526,18 @@ class _Charted:
         groups, ordered by group, then by iteration, then by start, and the
         least residual each group ever saw.
 
-        Each iteration evaluates and steps the batch START_CHUNK rows at a
-        time (the row cap), so no intermediate holds more rows than that.
-        The batch shrinks to the rows still running: converged rows leave
-        it, and so, in a group whose Jacobians are rank-deficient (marked
-        singular by `_newton_steps`, from the iteration after its rows were
-        first singular), do rows above NO_ROOT_FLOOR whose residual has
-        stopped improving (PLATEAU_RTOL, PLATEAU_ITER); their residuals have
-        already counted toward their group's least residual.  Every row's
-        arithmetic is row-local and every decision is per group, so each
-        group gets, bit for bit, what its own batch gets run alone."""
+        Each iteration evaluates and steps the batch ROW_CAP rows at a time
+        (the row cap), so no intermediate holds more rows than that; a
+        slice whose rows all step takes the step on its buffers as they
+        are, without copying the rows that step.  The batch shrinks to the
+        rows still running: converged rows leave it, and so, in a group
+        whose Jacobians are rank-deficient (marked singular by
+        `_newton_steps`, from the iteration after its rows were first
+        singular), do rows above NO_ROOT_FLOOR whose residual has stopped
+        improving (PLATEAU_RTOL, PLATEAU_ITER); their residuals have already
+        counted toward their group's least residual.  Every row's arithmetic
+        is row-local and every decision is per group, so each group gets,
+        bit for bit, what its own batch gets run alone."""
         s = starts
         floors = np.full(len(self.signs), np.inf)
         singular = np.zeros(len(self.signs), dtype=bool)
@@ -536,7 +545,7 @@ class _Charted:
         stale = np.zeros(len(s), dtype=int)
         done, done_group = [np.empty((0, 8))], [group[:0]]
         # x, g and jac of one slice, reused by every slice and iteration
-        cap = min(len(s), START_CHUNK)
+        cap = min(len(s), ROW_CAP)
         buffers = np.empty((cap, 8)), np.empty((cap, 7)), np.empty((cap, 7, 7))
         for _ in range(NEWTON_MAX_ITER):
             if not len(s):
@@ -548,8 +557,8 @@ class _Charted:
             moved = np.empty_like(s)
             # the first row of the slice in which a group was marked
             marked_at = np.zeros(len(floors), dtype=int)
-            for lo in range(0, n, START_CHUNK):
-                rows = slice(lo, lo + START_CHUNK)
+            for lo in range(0, n, ROW_CAP):
+                rows = slice(lo, lo + ROW_CAP)
                 grp = group[rows]
                 x, g, jac = self.evaluate(s[rows], grp, tuple(
                     a[:len(grp)] for a in buffers))
@@ -576,16 +585,20 @@ class _Charted:
                     k &= ~(t & (st >= PLATEAU_ITER) & (res > NO_ROOT_FLOOR))
                 keep[rows] = k
                 before = singular.copy()
-                moved[rows][k] = _moved(s[rows][k], _newton_steps(
-                    jac[k], g[k], grp[k], singular))
+                if k.all():
+                    moved[rows] = _moved(s[rows], _newton_steps(
+                        jac, g, grp, singular))
+                else:
+                    moved[rows][k] = _moved(s[rows][k], _newton_steps(
+                        jac[k], g[k], grp[k], singular))
                 marked_at[singular & ~before] = lo
             floors = np.fmin(floors, low)
             # a group marked in a later slice takes the damped step on all
             # its rows: redo those of the earlier slices, whose evaluation
             # is row-local and so the same
             late = np.flatnonzero(keep & (np.arange(n) < marked_at[group]))
-            for lo in range(0, len(late), START_CHUNK):
-                part = late[lo:lo + START_CHUNK]
+            for lo in range(0, len(late), ROW_CAP):
+                part = late[lo:lo + ROW_CAP]
                 _, g, jac = self.evaluate(s[part], group[part], tuple(
                     a[:len(part)] for a in buffers))
                 moved[part] = _moved(s[part], _newton_steps(
@@ -659,7 +672,9 @@ class _Pass:
     the representatives `reps` by the greedy first-survivor `_dedupe`.  The
     pass is done after its last start, or after a second or later chunk
     that found no new preimage when every preimage has BASIN_MIN_HITS
-    converged starts; with chunk = n_starts it runs every start."""
+    converged starts; with chunk = n_starts it runs every start.  Since no
+    pass stops after its first chunk, a budgeted pass's first round runs
+    its first two chunks."""
 
     def __init__(self, family: MapFamily, frame: np.ndarray,
                  cfg: EngineConfig, chunk: int, rng: np.random.Generator):
@@ -672,10 +687,15 @@ class _Pass:
         self.floor = np.inf
         self.done = False
 
-    def next_chunk(self) -> np.ndarray:
-        """The starts of the chunk the next round runs."""
-        return _start_rows(self.lead, self.shifts, self.lo,
-                           min(self.lo + self.chunk, self.n_starts))
+    def next_chunks(self) -> List[np.ndarray]:
+        """The starts of each chunk the next round runs, in draw order: the
+        next chunk, and the one after it when the pass has run none (the
+        first cannot be its last unless it holds every start)."""
+        los = [self.lo]
+        if self.lo == 0 and self.chunk < self.n_starts:
+            los.append(self.chunk)
+        return [_start_rows(self.lead, self.shifts, lo,
+                            min(lo + self.chunk, self.n_starts)) for lo in los]
 
     def absorb(self, new: np.ndarray, floor: float) -> None:
         """Take a chunk's converged points (north chart first) and its
@@ -698,30 +718,35 @@ class _Pass:
 
 
 def _chunk_starts(lead: int, passes: List[_Pass]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """The chart coordinates and groups of the next chunk of every pass:
-    each start runs in the chart of its own hemisphere, where its
-    coordinates have norm at most one, so pass i has two groups, 2i north
-    (pole e0) and 2i + 1 south, each in draw order."""
-    starts, groups = [], []
-    for i, p in enumerate(passes):
-        part = p.next_chunk()
-        for j, sign in enumerate((1.0, -1.0)):
-            mask = sign * part[:, lead] <= 0.0
-            starts.append(np.column_stack(
-                [part[mask, :lead], _pole_chart(part[mask, lead:], sign)]))
-            groups.append(np.full(int(mask.sum()), 2 * i + j))
-    return np.vstack(starts), np.concatenate(groups)
+                  ) -> Tuple[np.ndarray, np.ndarray, List[_Pass]]:
+    """The chart coordinates and groups of the chunks every pass runs next,
+    and the pass of each chunk, in order: each start runs in the chart of
+    its own hemisphere, where its coordinates have norm at most one, so
+    chunk i has two groups, 2i north (pole e0) and 2i + 1 south, each in
+    draw order."""
+    starts, groups, owners = [], [], []
+    for p in passes:
+        for part in p.next_chunks():
+            i = len(owners)
+            owners.append(p)
+            for j, sign in enumerate((1.0, -1.0)):
+                mask = sign * part[:, lead] <= 0.0
+                starts.append(np.column_stack(
+                    [part[mask, :lead], _pole_chart(part[mask, lead:], sign)]))
+                groups.append(np.full(int(mask.sum()), 2 * i + j))
+    return np.vstack(starts), np.concatenate(groups), owners
 
 
 def _round(family: MapFamily, passes: List[_Pass]) -> None:
-    """One chunk of every pass, all in one Newton batch."""
-    charted = _Charted(family, np.repeat([p.frame for p in passes], 2, axis=0),
-                       np.tile([1.0, -1.0], len(passes)))
-    pts, pts_group, floors = charted.solve(*_chunk_starts(family.lead, passes))
-    owner = pts_group // 2
-    for i, p in enumerate(passes):
-        p.absorb(pts[owner == i], min(floors[2 * i], floors[2 * i + 1]))
+    """The next chunks of every pass, all in one Newton batch, absorbed
+    chunk by chunk in draw order."""
+    starts, group, owners = _chunk_starts(family.lead, passes)
+    charted = _Charted(family, np.repeat([p.frame for p in owners], 2, axis=0),
+                       np.tile([1.0, -1.0], len(owners)))
+    pts, pts_group, floors = charted.solve(starts, group)
+    chunk = pts_group // 2
+    for i, p in enumerate(owners):
+        p.absorb(pts[chunk == i], min(floors[2 * i], floors[2 * i + 1]))
 
 
 class _Attempt:
@@ -826,12 +851,13 @@ def _trials(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
             chunk: int, restart: bool) -> List[TrialReport]:
     """One level: `cfg.trials` trials, each of targets drawn in stream order
     until one is counted, run in lockstep.  Every round runs the next chunk
-    of every live pass of every running attempt in one Newton batch
-    (`_round`); an attempt whose target fails is replaced by the next
-    attempt of the stream, which starts at its first chunk in the next
-    round.  Since every attempt's draws are independent of Newton outcomes
-    and every row's arithmetic is row-local, the reports, resamples and
-    errors are those of running the targets one after another."""
+    of every live pass of every running attempt (its first two, in a
+    budgeted pass's first round) in one Newton batch (`_round`); an attempt
+    whose target fails is replaced by the next attempt of the stream, which
+    starts at its first chunks in the next round.  Since every attempt's
+    draws are independent of Newton outcomes and every row's arithmetic is
+    row-local, the reports, resamples and errors are those of running the
+    targets one after another."""
     attempts: List[_Attempt] = []
     while True:
         for a in attempts:

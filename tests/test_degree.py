@@ -146,10 +146,11 @@ def _mixed_batch(fam, rng, n):
 def test_evaluate_is_row_local(name, rng):
     # a prefix of a batch evaluates to those rows of the full batch, bit for
     # bit, whatever its length
-    n = dg.START_CHUNK + 50
+    n = dg.ROW_CAP + 50
     charted, s, group = _mixed_batch(dg.named_map(name), rng, n)
     full = charted.evaluate(s, group)
-    for k in (1, 2, 3, 7, 40, 101, dg.START_CHUNK, dg.START_CHUNK + 1, n - 1):
+    for k in (1, 2, 3, 7, 40, 101, dg.START_CHUNK, dg.START_CHUNK + 1,
+              dg.ROW_CAP, dg.ROW_CAP + 1, n - 1):
         part = charted.evaluate(s[:k], group[:k])
         for got, want in zip(part, full):
             assert np.array_equal(got, want[:k])
@@ -417,6 +418,69 @@ def test_flat_rows_the_plateau_stop_keeps(offset, jacobian, rng):
     assert len(pts) == 0 and floor > dg.NEWTON_TOL
     assert (floor < dg.NO_ROOT_FLOOR) == (offset < 1.0)
     assert jets == [50] * dg.NEWTON_MAX_ITER
+
+
+#: a rotation by 45 degrees in the (e0, e7) plane, written elementwise so
+#: that the stub below stays row-local (a BLAS product over rows would not)
+_C45 = np.sqrt(0.5)
+
+
+def _half_rank_one_jet(x):
+    """The rotation where x0 <= 0, regular, and where x0 > 0 the Jacobian
+    e0 e0^T: in the target chart of -e7, whose frame is the identity, its
+    chart Jacobians have one nonzero row, so the plain solve fails on
+    them.  The preimage of -e7 has x0 < 0."""
+    y = x.copy()
+    y[:, 0] = _C45 * x[:, 0] - _C45 * x[:, 7]
+    y[:, 7] = _C45 * x[:, 0] + _C45 * x[:, 7]
+    d = np.zeros((len(x), 8, 8))
+    d[:, 0, 0] = d[:, 7, 7] = d[:, 7, 0] = _C45
+    d[:, 0, 7] = -_C45
+    d[:, 1:7, 1:7] = np.eye(6)
+    up = x[:, 0] > 0
+    d[up] = 0.0
+    d[up, 0, 0] = 1.0
+    return y, d
+
+
+def _radial(rng, n, lo, hi):
+    """n random chart points whose norms are uniform in [lo, hi]."""
+    v = rng.standard_normal((n, 7))
+    return v * (rng.uniform(lo, hi, (n, 1))
+                / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+def test_solve_is_the_same_at_every_row_cap(rng, monkeypatch):
+    # group 0's first ROW_CAP rows start where x0 < 0 and its last 30 where
+    # x0 > 0, so at every cap below the batch size it is first marked
+    # singular in a later slice and its earlier rows are redone with the
+    # damped step; group 1 starts regular and group 2 singular.  Points,
+    # groups and floors are bit for bit those of one slice, and only the
+    # redone rows add evaluations
+    fam = dg.MapFamily("half-rank-one", _half_rank_one_jet)
+    frames = np.broadcast_to(dg._target_frame(-np.eye(8)[7]), (3, 8, 8))
+    assert np.array_equal(frames[0], np.eye(8))
+    n0 = dg.ROW_CAP + 30
+    s = np.vstack([_radial(rng, dg.ROW_CAP, 0.2, 0.9),
+                   _radial(rng, 70, 1.2, 2.0)])
+    group = np.repeat([0, 1, 2], [n0, 20, 20])
+    rows = []
+    evaluate = dg._Charted.evaluate
+    monkeypatch.setattr(dg._Charted, "evaluate", lambda self, s, *args: (
+        rows.append(len(s)) or evaluate(self, s, *args)))
+    out = {}
+    for cap in (len(s) + 1, 1, 7, dg.START_CHUNK, dg.ROW_CAP):
+        monkeypatch.setattr(dg, "ROW_CAP", cap)
+        rows.clear()
+        charted = dg._Charted(fam, frames, np.array([1.0, -1.0, 1.0]))
+        out[cap] = charted.solve(s, group), sum(rows)
+    (pts, pts_group, floors), whole = out.pop(len(s) + 1)
+    assert np.bincount(pts_group).tolist()[0] > dg.ROW_CAP
+    assert np.all(floors < dg.NEWTON_TOL)
+    for cap, (got, evaluated) in out.items():
+        assert all(np.array_equal(a, b) for a, b in zip(got, (
+            pts, pts_group, floors))), cap
+        assert evaluated > whole, cap
 
 
 def test_plateau_stop_keeps_theta_circle_reports(monkeypatch):
@@ -714,10 +778,38 @@ def test_level_wide_batch_returns_what_each_group_returns_alone(
                                      restart)
 
 
+@pytest.mark.parametrize("name", ["power:6", "cylinder-q", "theta-circle"])
+def test_first_round_of_two_chunks_is_two_rounds(name, monkeypatch):
+    # a budgeted pass's first round runs its first two chunks; each pass
+    # ends with what one chunk per round gives it, bit for bit
+    fam, cfg = dg.named_map(name), dg.EngineConfig(n_starts=1000, trials=3)
+
+    def run():
+        rng = rng_from_seed(11)
+        passes = [dg._Attempt(fam, cfg, rng, dg.START_CHUNK, False).passes[0]
+                  for _ in range(cfg.trials)]
+        while not all(p.done for p in passes):
+            dg._round(fam, [p for p in passes if not p.done])
+        return passes
+
+    sizes = _spy_starts(monkeypatch)
+    paired = run()
+    first = sizes[0]
+    next_chunks = dg._Pass.next_chunks
+    monkeypatch.setattr(dg._Pass, "next_chunks",
+                        lambda self: next_chunks(self)[:1])
+    sizes.clear()
+    for a, b in zip(paired, run()):
+        assert (a.lo, a.floor) == (b.lo, b.floor)
+        assert np.array_equal(a.reps, b.reps)
+        assert np.array_equal(a.seen, b.seen)
+    assert first == 2 * sizes[0] == 2 * cfg.trials * dg.START_CHUNK
+
+
 def test_no_jet_call_gets_more_than_the_row_cap(monkeypatch):
-    # the half-conjugated jet climbs all three levels, whose rounds hold
-    # 6 x 250, 6 x 300 and 6 x 2 x 300 starts; each is evaluated in slices
-    # of at most START_CHUNK rows
+    # the half-conjugated jet climbs all three levels, whose first rounds
+    # hold 6 x (250 + 50), 6 x 300 and 6 x 2 x 300 starts; each is
+    # evaluated in slices of at most ROW_CAP rows
     runs, rows = _spy_runs(monkeypatch), []
     fam = dg.MapFamily("half", lambda x: rows.append(len(x))
                        or _half_conjugated_jet(x))
@@ -725,7 +817,8 @@ def test_no_jet_call_gets_more_than_the_row_cap(monkeypatch):
         dg.mapping_degree(fam, seed=1,
                           config=dg.EngineConfig(n_starts=300, trials=6))
     assert [restart for _, restart in runs] == [False, False, True]
-    assert rows and max(rows) == dg.START_CHUNK
+    assert 6 * 2 * 300 > dg.ROW_CAP > dg.START_CHUNK
+    assert rows and max(rows) == dg.ROW_CAP
     assert sum(rows) > 3 * 6 * 300
 
 
@@ -857,21 +950,28 @@ def test_chunked_pass_reports_as_the_two_pass_count(name, rng):
 
 
 def _scripted_solve(monkeypatch, script):
-    """`_Charted.solve` replaced by a script: in round i the north chart
-    converges to each point of script[i] as many times as it names, the
-    south chart to nothing.  Returns the number of starts of every call."""
-    sizes = []
+    """`_Charted.solve` replaced by a script: in the pass's chunk i the
+    north chart converges to each point of script[i] as many times as it
+    names, the south chart to nothing.  Returns the number of starts of
+    every chunk and the number of chunks of every call."""
+    sizes, calls = [], []
 
     def solve(self, starts, group):
-        chunk = len(sizes)
-        sizes.append(len(starts))
-        pts = [] if chunk >= len(script) else [
-            np.eye(8)[i] for i, hits in script[chunk] for _ in range(hits)]
-        return (np.array(pts).reshape(-1, 8), np.zeros(len(pts), dtype=int),
-                np.ones(2))
+        pts, pts_group = [], []
+        chunks = len(self.signs) // 2
+        calls.append(chunks)
+        for j in range(chunks):
+            chunk = len(sizes)
+            sizes.append(int(np.count_nonzero(group // 2 == j)))
+            hits = [] if chunk >= len(script) else [
+                np.eye(8)[i] for i, n in script[chunk] for _ in range(n)]
+            pts += hits
+            pts_group += [2 * j] * len(hits)
+        return (np.array(pts).reshape(-1, 8), np.array(pts_group, dtype=int),
+                np.ones(2 * chunks))
 
     monkeypatch.setattr(dg._Charted, "solve", solve)
-    return sizes
+    return sizes, calls
 
 
 def _run_pass(fam, target, cfg, rng, chunk):
@@ -903,18 +1003,20 @@ HITS = dg.BASIN_MIN_HITS
         "no-root"])
 def test_chunked_pass_stops_when_nothing_new_and_every_basin_is_hit(
         script, chunks, found, monkeypatch, rng):
-    sizes = _scripted_solve(monkeypatch, script)
+    sizes, calls = _scripted_solve(monkeypatch, script)
     cfg = dg.EngineConfig(n_starts=8 * dg.START_CHUNK)
     pre, floor = _run_pass(dg.identity_map(), _unit(rng), cfg, rng,
                            dg.START_CHUNK)
-    # one batch per chunk, both charts in it
-    assert len(sizes) == chunks
-    assert sum(sizes) == chunks * dg.START_CHUNK
+    # the first batch holds the first two chunks, every later batch one,
+    # both charts in each
+    assert len(sizes) == chunks and calls == [2] + [1] * (chunks - 2)
+    assert sizes == [dg.START_CHUNK] * chunks
     assert len(pre) == found and floor == 1.0
     # one chunk of every start runs it all, whatever it finds
     sizes.clear()
+    calls.clear()
     _run_pass(dg.identity_map(), _unit(rng), cfg, rng, cfg.n_starts)
-    assert sum(sizes) == cfg.n_starts and len(sizes) == 1
+    assert sizes == [cfg.n_starts] and calls == [1]
 
 
 @pytest.mark.parametrize("seed", [89621819, 3945867851],

@@ -10,9 +10,12 @@ parent revision extracted with `git archive` into a temporary directory.
 Each side runs in its own process, with its own `src/` and `bench/`.  It
 prints the requests that fail on each side (an error, or a check of the
 bench's `verify` that fails), every integer field or target that differs
-between two passing reports, and the largest move of each float field.  The
-exit code is 0 when both sides fail the same requests with the same
-messages and every integer field and target agrees, 1 otherwise.
+between two passing reports, and the largest move of each float field.
+For each map it prints the Newton rows each side evaluated and the
+`_Charted.evaluate` calls it made, summed over the seeds.  The exit code is
+0 when both sides fail the same requests with the same messages and every
+integer field and target agrees, 1 otherwise; the row and call counts are
+reported, not checked.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 EXACT = ("degree", "signs", "n_converged", "resamples", "target")
 #: the float fields of a trial, compared by their largest move
 FLOATS = ("max_residual", "min_abs_det", "preimages")
+#: the thread counts of every BLAS build numpy may use, pinned as the bench
+#: pins them
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse(argv):
@@ -49,16 +55,39 @@ def _parse(argv):
     return args
 
 
+def _count_evaluations(degree) -> list:
+    """Wrap `_Charted.evaluate` of the degree module so that it counts its
+    calls and rows into the returned [calls, rows].  An engine older than
+    that method counts nothing, and its lines carry null counts."""
+    evaluate = getattr(getattr(degree, "_Charted", None), "evaluate", None)
+    if evaluate is None:
+        return [None, None]
+    counts = [0, 0]
+
+    def counted(self, s, *args, **kwargs):
+        counts[0] += 1
+        counts[1] += len(s)
+        return evaluate(self, s, *args, **kwargs)
+
+    degree._Charted.evaluate = counted
+    return counts
+
+
 def _worker(seeds) -> None:
     """Run the requests with the `src/` and `bench/` of the working
-    directory, one JSON line per request on standard output."""
+    directory, one JSON line per request on standard output, with the
+    Newton rows and evaluate calls it took."""
     sys.path[:0] = [str(Path.cwd() / "src"), str(Path.cwd() / "bench")]
     import workloads
+    from sixsphere import degree
 
+    counts = _count_evaluations(degree)
     for seed in seeds:
         for req in workloads.build_round("degree-engine", seed, 0):
             line = {"seed": seed, "label": req.label, "report": None,
                     "error": None}
+            if counts[0] is not None:
+                counts[:] = 0, 0
             try:
                 rep = req.call()
             except Exception as err:  # a failed request is a result here
@@ -68,12 +97,13 @@ def _worker(seeds) -> None:
                 problems = req.verify(rep)[1]
                 if problems:
                     line["error"] = "; ".join(problems)
+            line["calls"], line["rows"] = counts
             print(json.dumps(line), flush=True)
 
 
 def _run_side(tree: Path, seeds, out) -> subprocess.Popen:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               OPENBLAS_NUM_THREADS="1")
+               **{name: "1" for name in BLAS_ENV})
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
          "--seeds", "%d:%d" % (seeds.start, seeds.stop)],
@@ -127,8 +157,29 @@ def compare(parent: list, change: list) -> int:
     for f, (move, where) in moves.items():
         print("largest move %s %.3g%s" % (f, move,
                                           " (%s)" % where if where else ""))
+    _print_work(parent, change)
     print("problems %d" % problems)
     return problems
+
+
+def _print_work(parent: list, change: list) -> None:
+    """Print, map by map, the Newton rows and evaluate calls of each side,
+    summed over the request lines, and whether the rows agree (unknown
+    when a side did not count them)."""
+    work = {}
+    for side, lines in enumerate((parent, change)):
+        for line in lines:
+            sums = work.setdefault(line["label"], [[0, 0], [0, 0]])[side]
+            for i, key in enumerate(("rows", "calls")):
+                sums[i] = (None if sums[i] is None or line.get(key) is None
+                           else sums[i] + line[key])
+    for label, sides in work.items():
+        print("work %s rows parent %s change %s, calls parent %s change %s"
+              % (label, sides[0][0], sides[1][0], sides[0][1], sides[1][1]))
+    rows = [(p[0], c[0]) for p, c in work.values()]
+    print("newton rows per map %s" % (
+        "unknown" if None in sum(rows, ()) else
+        "equal" if all(p == c for p, c in rows) else "differ"))
 
 
 def main(argv=None) -> int:
