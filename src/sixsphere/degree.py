@@ -15,20 +15,20 @@ The engine counts signed preimages of a regular target value:
   * sum the signs of the Jacobian determinants between the oriented
     domain and target spheres, one batched 8x8 determinant (`_signed_dets`),
   * repeat for independent targets and require agreement.  With several
-    targets the engine climbs three levels, each a run from the seed, and
-    returns at the first whose trials all agree on the degree and the
-    count: one budgeted batch per target, run START_CHUNK starts at a time
-    and stopped after a chunk from the second on that finds no new
-    preimage once every preimage has BASIN_MIN_HITS converged starts (n
-    starts miss a basin of start-measure m with probability about
-    exp(-m n)); one full batch per target; two full batches per target,
-    whose trials must agree or the engine raises.  A single target has no
-    witness and runs the two full batches only.
+    targets the engine first runs one budgeted batch per target,
+    START_CHUNK starts at a time, stopped after a chunk from the second on
+    that finds no new preimage once every preimage has BASIN_MIN_HITS
+    converged starts (n starts miss a basin of start-measure m with
+    probability about exp(-m n)).  Unless its trials all agree on the
+    degree and the count, it reruns from the seed with two full batches
+    per target, whose trials must agree or the engine raises.  A single
+    target has no witness and runs the two full batches only.
 
 A level runs in lockstep: each round is one Newton batch holding the next
 chunk of every live pass of the level (every trial's target, and both
-passes of a target in a two-pass run), each start in the domain chart of
-its own hemisphere, so every row carries its group (pass, chunk, chart).
+passes of a target at the two-pass level), each start in the domain chart
+of its own hemisphere, so every row carries its group (pass, chunk,
+chart).
 A budgeted pass cannot stop after its first chunk, so its first round
 holds its first two chunks, each in groups of its own and absorbed in
 order.  Both domain charts share the basis e1 .. e(d-1), so a row's domain
@@ -82,6 +82,10 @@ class MapFamily:
     sphere domain a point is a point of S^7; for the cylinder domain the 8
     coordinates are (theta, p) with p a unit vector in R^7, and the Jacobian
     differentiates with respect to (theta, p) in ambient R^1+7 coordinates.
+
+    A jet must be row-local (elementwise, einsum or stacked matmuls; no
+    BLAS product over rows such as x @ M, whose last bits depend on the
+    batch size): a level's bit-for-bit lockstep rests on it.
     """
 
     name: str
@@ -110,9 +114,10 @@ def identity_map() -> MapFamily:
 
 
 def conjugation_map() -> MapFamily:
-    c = np.diag([1.0] + [-1.0] * 7)
+    d = np.array([1.0] + [-1.0] * 7)
+    c = np.diag(d)
     return MapFamily("conjugation", lambda x: (
-        x @ c.T, np.broadcast_to(c, (len(x), 8, 8)).copy()))
+        x * d, np.broadcast_to(c, (len(x), 8, 8)).copy()))
 
 
 def power_map(k: int) -> MapFamily:
@@ -325,7 +330,7 @@ ODDNESS_SAMPLES = 64
 #: theta distance from the cylinder's ends inside which a preimage is
 #: dropped as a boundary point
 THETA_MARGIN = 1e-6
-#: starts per chunk of a budgeted one-pass target (level 1 of
+#: starts per chunk of a budgeted one-pass target (the first level of
 #: `mapping_degree`), which may stop after any chunk from the second on
 START_CHUNK = 250
 #: rows per slice in which `_Charted.solve` evaluates and steps a batch:
@@ -752,18 +757,20 @@ def _round(family: MapFamily, passes: List[_Pass]) -> None:
 class _Attempt:
     """One target of a trial and its passes, drawn from the rng stream in
     this order: the target, the first pass's starts, then the second
-    pass's, which run only with `restart` (without it their jitter is drawn
-    and discarded, so the rng stream, and every later target, is the same
-    either way).  `state` is the rng state after these draws."""
+    pass's.  With `two_pass` both run every start in one chunk; without it
+    the first is budgeted (START_CHUNK starts a chunk) and the second's
+    jitter is only drawn, so the rng stream, and every later target, is
+    the same either way.  `state` is the rng state after these draws."""
 
     def __init__(self, family: MapFamily, cfg: EngineConfig,
-                 rng: np.random.Generator, chunk: int, restart: bool,
+                 rng: np.random.Generator, two_pass: bool,
                  target: Optional[np.ndarray] = None):
         self.family = family
         self.target = _sample_target(family, rng) if target is None else target
         frame = _target_frame(self.target)
+        chunk = cfg.n_starts if two_pass else min(START_CHUNK, cfg.n_starts)
         self.passes = [_Pass(family, frame, cfg, chunk, rng)]
-        if restart:
+        if two_pass:
             self.passes.append(_Pass(family, frame, cfg, chunk, rng))
         else:
             _draw_shifts(family.lead, rng)
@@ -778,7 +785,7 @@ class _Attempt:
         """Count the signed preimages once every pass is done.  The outcome
         is the error that names why the target must be resampled (a count
         mismatch between the two passes, an empty set whose residuals still
-        reach NO_ROOT_FLOOR, a restart mismatch, or a near-critical
+        reach NO_ROOT_FLOOR, a set mismatch between them, or a near-critical
         preimage), or the report, whose `resamples` the level fills in."""
         try:
             self.outcome = self._count()
@@ -848,16 +855,16 @@ def _decided(attempts: List[_Attempt], trials: int,
 
 
 def _trials(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
-            chunk: int, restart: bool) -> List[TrialReport]:
-    """One level: `cfg.trials` trials, each of targets drawn in stream order
-    until one is counted, run in lockstep.  Every round runs the next chunk
-    of every live pass of every running attempt (its first two, in a
-    budgeted pass's first round) in one Newton batch (`_round`); an attempt
-    whose target fails is replaced by the next attempt of the stream, which
-    starts at its first chunks in the next round.  Since every attempt's
-    draws are independent of Newton outcomes and every row's arithmetic is
-    row-local, the reports, resamples and errors are those of running the
-    targets one after another."""
+            two_pass: bool) -> List[TrialReport]:
+    """One level (see `_Attempt` for `two_pass`): `cfg.trials` trials, each
+    of targets drawn in stream order until one is counted, run in lockstep.
+    Every round runs the next chunk of every live pass of every running
+    attempt (its first two, in a budgeted pass's first round) in one Newton
+    batch (`_round`); an attempt whose target fails is replaced by the next
+    attempt of the stream, which starts at its first chunks in the next
+    round.  Since every attempt's draws are independent of Newton outcomes
+    and every row's arithmetic is row-local, the reports, resamples and
+    errors are those of running the targets one after another."""
     attempts: List[_Attempt] = []
     while True:
         for a in attempts:
@@ -868,7 +875,7 @@ def _trials(family: MapFamily, cfg: EngineConfig, rng: np.random.Generator,
             return trials
         # one running or counted attempt per trial, plus every failed one
         failed = sum(isinstance(a.outcome, Exception) for a in attempts)
-        attempts += [_Attempt(family, cfg, rng, chunk, restart)
+        attempts += [_Attempt(family, cfg, rng, two_pass)
                      for _ in range(cfg.trials + failed - len(attempts))]
         _round(family, [p for a in attempts if a.outcome is None
                         for p in a.passes if not p.done])
@@ -879,32 +886,23 @@ def mapping_degree(family: MapFamily, seed: int = 0,
     """Degree of the map by signed preimage counting over several targets.
 
     With two or more trials the other trials stand in for a target's second
-    pass, and the engine tries three levels, each a run from the seed, as
-    (chunk, restart) of every target:
-      1. one budgeted pass, (START_CHUNK, False);
-      2. one full pass, (n_starts, False);
-      3. two full passes, (n_starts, True).
-    It returns at the first level whose trials all agree on the degree and
-    the preimage count; a level whose trial fails goes on to the next.  The
-    third level's report or error is the result when the others disagree.
-    With n_starts <= START_CHUNK the first two levels are one run, and a
-    single trial has no witness, so it runs the third level only."""
+    pass, and the engine runs one budgeted pass per target first.  If its
+    trials all agree on the degree and the preimage count, that is the
+    report.  Otherwise, or if a trial fails, it reruns from the seed with
+    two full passes per target, whose report or error is the result.  A
+    single trial has no witness, so it runs the two-pass level only."""
     cfg = config or EngineConfig()
     if cfg.n_starts < 1 or cfg.trials < 1:
         raise BadConfig("the degree engine needs n_starts >= 1 and trials >= 1"
                         " (got %d and %d)" % (cfg.n_starts, cfg.trials))
-    # the chunks of levels 1 and 2, one run when n_starts <= START_CHUNK
-    one_pass = sorted({min(START_CHUNK, cfg.n_starts), cfg.n_starts})
-    for chunk in one_pass if cfg.trials > 1 else ():
+    if cfg.trials > 1:
         try:
-            trials = _trials(family, cfg, rng_from_seed(seed), chunk,
-                             restart=False)
+            trials = _trials(family, cfg, rng_from_seed(seed), two_pass=False)
+            if len({(t.degree, t.n_converged) for t in trials}) == 1:
+                return DegreeReport(family.name, trials[0].degree, trials)
         except (NonConvergence, UnstablePreimageCount):
-            continue
-        if len({(t.degree, t.n_converged) for t in trials}) == 1:
-            return DegreeReport(family.name, trials[0].degree, trials)
-    trials = _trials(family, cfg, rng_from_seed(seed), cfg.n_starts,
-                     restart=True)
+            pass
+    trials = _trials(family, cfg, rng_from_seed(seed), two_pass=True)
     degs = {t.degree for t in trials}
     if len(degs) != 1:
         raise ConflictingEstimates(

@@ -420,11 +420,10 @@ def start_points(family, n_starts: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([thetas, p])
 
 
-def count_at(family, target, cfg, rng, resamples, chunk=None, restart=True):
+def count_at(family, target, cfg, rng, resamples, two_pass=True):
     """The former `_count_at`: one target's passes run alone, round after
     round, then counted; raises the error the target resamples on."""
-    attempt = degree._Attempt(family, cfg, rng, chunk or cfg.n_starts,
-                              restart, target=target)
+    attempt = degree._Attempt(family, cfg, rng, two_pass, target=target)
     while not attempt.ran:
         degree._round(family, [p for p in attempt.passes if not p.done])
     attempt.settle()
@@ -434,21 +433,20 @@ def count_at(family, target, cfg, rng, resamples, chunk=None, restart=True):
     return attempt.outcome
 
 
-def trial(family, cfg, rng, chunk=None, restart=True):
+def trial(family, cfg, rng, two_pass=True):
     """The former `_trial`: targets drawn and counted one after another
     until one is counted, raising after MAX_RESAMPLE resamples."""
     resamples = 0
     while True:
         target = degree._sample_target(family, rng)
         try:
-            return count_at(family, target, cfg, rng, resamples, chunk,
-                            restart)
+            return count_at(family, target, cfg, rng, resamples, two_pass)
         except (NonConvergence, UnstablePreimageCount):
             resamples += 1
             if resamples > degree.MAX_RESAMPLE:
                 raise
 
 
-def sequential_trials(family, cfg, rng, chunk, restart):
+def sequential_trials(family, cfg, rng, two_pass):
     """A level as the former `_trials` ran it: one trial after another."""
-    return [trial(family, cfg, rng, chunk, restart) for _ in range(cfg.trials)]
+    return [trial(family, cfg, rng, two_pass) for _ in range(cfg.trials)]

@@ -697,15 +697,14 @@ def _spy_attempts(monkeypatch):
 def test_trial_counts_resamples_and_reraises(monkeypatch, rng):
     made = _spy_attempts(monkeypatch)
     with pytest.raises(NonConvergence):
-        dg._trials(dg.MapFamily("slowed", _slowed_jet), STUB, rng,
-                   STUB.n_starts, True)
+        dg._trials(dg.MapFamily("slowed", _slowed_jet), STUB, rng, True)
     assert len(made) == dg.MAX_RESAMPLE + 1
 
     # two failed targets, then the identity: the report counts both
     made.clear()
     fam = dg.MapFamily("stub", lambda x: (
         _slowed_jet if len(made) <= 2 else dg.identity_map().jet)(x))
-    (trial,) = dg._trials(fam, STUB, rng, STUB.n_starts, True)
+    (trial,) = dg._trials(fam, STUB, rng, True)
     assert (trial.degree, trial.resamples) == (1, 2)
     assert len(made) == 3
 
@@ -733,7 +732,7 @@ def test_lockstep_level_resamples_as_the_sequential_trials(jet, trials):
     for run in (dg._trials, references.sequential_trials):
         rng = rng_from_seed(7)
         try:
-            outcomes.append((run(fam, cfg, rng, 50, True), None))
+            outcomes.append((run(fam, cfg, rng, True), None))
         except NonConvergence as err:
             outcomes.append((None, str(err)))
         outcomes[-1] += (rng.bit_generator.state,)
@@ -746,13 +745,16 @@ def test_lockstep_level_resamples_as_the_sequential_trials(jet, trials):
         assert sum(t.resamples for t in reports) > 0
 
 
-@pytest.mark.parametrize("name, chunk, restart", [
-    ("power:3", dg.START_CHUNK, False), ("power:6", dg.START_CHUNK, False),
-    ("cylinder-loop", dg.START_CHUNK, False),
-    ("theta-circle", dg.START_CHUNK, False), ("power:3", 600, True),
-    ("theta-circle", 600, True)])
+LEVELS = [("power:3", False), ("power:6", False), ("cylinder-loop", False),
+          ("theta-circle", False), ("power:3", True), ("theta-circle", True)]
+
+
+# each id names the level's chunk: START_CHUNK, or every one of 600 starts
+@pytest.mark.parametrize("name, two_pass", LEVELS, ids=[
+    "%s-%d-%s" % (name, 600 if two_pass else dg.START_CHUNK, two_pass)
+    for name, two_pass in LEVELS])
 def test_level_wide_batch_returns_what_each_group_returns_alone(
-        name, chunk, restart):
+        name, two_pass):
     # every pass of a level, both charts, in one batch per round gives each
     # pass, bit for bit, the preimages, seen points and floor it gets run
     # alone; and the level's reports are the sequential ones
@@ -761,7 +763,7 @@ def test_level_wide_batch_returns_what_each_group_returns_alone(
     def passes():
         rng = rng_from_seed(3)
         return [p for _ in range(cfg.trials) for p in dg._Attempt(
-            fam, cfg, rng, chunk, restart).passes]
+            fam, cfg, rng, two_pass).passes]
 
     together, alone = passes(), passes()
     while not all(p.done for p in together):
@@ -773,9 +775,8 @@ def test_level_wide_batch_returns_what_each_group_returns_alone(
         assert (a.lo, a.floor) == (b.lo, b.floor)
         assert np.array_equal(a.reps, b.reps)
         assert np.array_equal(a.seen, b.seen)
-    assert dg._trials(fam, cfg, rng_from_seed(3), chunk, restart) == \
-        references.sequential_trials(fam, cfg, rng_from_seed(3), chunk,
-                                     restart)
+    assert dg._trials(fam, cfg, rng_from_seed(3), two_pass) == \
+        references.sequential_trials(fam, cfg, rng_from_seed(3), two_pass)
 
 
 @pytest.mark.parametrize("name", ["power:6", "cylinder-q", "theta-circle"])
@@ -786,7 +787,7 @@ def test_first_round_of_two_chunks_is_two_rounds(name, monkeypatch):
 
     def run():
         rng = rng_from_seed(11)
-        passes = [dg._Attempt(fam, cfg, rng, dg.START_CHUNK, False).passes[0]
+        passes = [dg._Attempt(fam, cfg, rng, False).passes[0]
                   for _ in range(cfg.trials)]
         while not all(p.done for p in passes):
             dg._round(fam, [p for p in passes if not p.done])
@@ -807,29 +808,29 @@ def test_first_round_of_two_chunks_is_two_rounds(name, monkeypatch):
 
 
 def test_no_jet_call_gets_more_than_the_row_cap(monkeypatch):
-    # the half-conjugated jet climbs all three levels, whose first rounds
-    # hold 6 x (250 + 50), 6 x 300 and 6 x 2 x 300 starts; each is
-    # evaluated in slices of at most ROW_CAP rows
+    # the half-conjugated jet runs both levels, whose first rounds hold
+    # 6 x (250 + 50) and 6 x 2 x 300 starts; each is evaluated in slices of
+    # at most ROW_CAP rows
     runs, rows = _spy_runs(monkeypatch), []
     fam = dg.MapFamily("half", lambda x: rows.append(len(x))
                        or _half_conjugated_jet(x))
     with pytest.raises(ConflictingEstimates):
         dg.mapping_degree(fam, seed=1,
                           config=dg.EngineConfig(n_starts=300, trials=6))
-    assert [restart for _, restart in runs] == [False, False, True]
+    assert runs == [False, True]
     assert 6 * 2 * 300 > dg.ROW_CAP > dg.START_CHUNK
     assert rows and max(rows) == dg.ROW_CAP
-    assert sum(rows) > 3 * 6 * 300
+    assert sum(rows) > 6 * 300 + 6 * 2 * 300
 
 
 def _spy_runs(monkeypatch):
-    """The (chunk, restart) of every run of the trials, in order."""
+    """The `two_pass` flag of every run of the trials, in order."""
     runs = []
     inner = dg._trials
 
-    def spied(family, cfg, rng, chunk, restart):
-        runs.append((chunk, restart))
-        return inner(family, cfg, rng, chunk, restart)
+    def spied(family, cfg, rng, two_pass):
+        runs.append(two_pass)
+        return inner(family, cfg, rng, two_pass)
 
     monkeypatch.setattr(dg, "_trials", spied)
     return runs
@@ -849,8 +850,8 @@ def _spy_starts(monkeypatch):
 
 
 def _half_runs(n_starts, monkeypatch):
-    """The (chunk, restart) runs of the disagreeing half-conjugated jet,
-    which raises after its last level."""
+    """The `two_pass` runs of the disagreeing half-conjugated jet, which
+    raises after its last level."""
     runs = _spy_runs(monkeypatch)
     with pytest.raises(ConflictingEstimates, match=r"\[-1, 1\]"):
         dg.mapping_degree(dg.MapFamily("half", _half_conjugated_jet), seed=1,
@@ -860,16 +861,15 @@ def _half_runs(n_starts, monkeypatch):
 
 def test_trials_that_disagree_raise(monkeypatch):
     # the one-pass trials disagree, so the engine reruns with two passes,
-    # whose trials disagree too; at most START_CHUNK starts make the
-    # budgeted and the full one pass one run
-    assert _half_runs(50, monkeypatch) == [(50, False), (50, True)]
+    # whose trials disagree too; with at most START_CHUNK starts the
+    # budgeted pass is one chunk of every start
+    assert _half_runs(50, monkeypatch) == [False, True]
 
 
-def test_trials_that_disagree_run_all_three_levels(monkeypatch):
-    # the budgeted and the full one-pass trials disagree, so the engine
-    # reruns with two passes, whose trials disagree too
-    assert _half_runs(300, monkeypatch) == [
-        (dg.START_CHUNK, False), (300, False), (300, True)]
+def test_trials_that_disagree_run_both_levels(monkeypatch):
+    # the budgeted trials disagree, so the engine reruns with two passes,
+    # whose trials disagree too
+    assert _half_runs(300, monkeypatch) == [False, True]
 
 
 @pytest.mark.parametrize("trials, passes", [(3, 3), (1, 2)])
@@ -887,8 +887,7 @@ def test_agreeing_trials_run_one_pass_per_target(trials, passes, monkeypatch):
     rep = dg.mapping_degree(dg.identity_map(), seed=1, config=cfg)
     assert rep.degree == 1 and len(rep.trials) == trials
     assert all(t.resamples == 0 for t in rep.trials)
-    assert runs == ([(dg.START_CHUNK, False)] if trials > 1
-                    else [(cfg.n_starts, True)])
+    assert runs == [trials == 1]
     assert len(one_pass) == passes
     per_target = 2 * dg.START_CHUNK if trials > 1 else 2 * cfg.n_starts
     assert sum(sizes) == trials * per_target
@@ -912,7 +911,7 @@ def test_start_chunks_are_the_whole_lattice(name, rng):
 
 
 def test_one_pass_draws_the_second_pass_starts(rng):
-    # without the restart the second pass's starts are still drawn: the rng
+    # with one pass the second pass's starts are still drawn: the rng
     # stream, and so every later target, is the same
     state = rng.bit_generator.state
     target, fam = _unit(rng), dg.identity_map()
@@ -920,7 +919,7 @@ def test_one_pass_draws_the_second_pass_starts(rng):
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     _unit(rng)
-    one = references.count_at(fam, target, STUB, rng, 0, restart=False)
+    one = references.count_at(fam, target, STUB, rng, 0, two_pass=False)
     assert rng.bit_generator.state == after
     assert one == two
 
@@ -938,8 +937,7 @@ def test_chunked_pass_reports_as_the_two_pass_count(name, rng):
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     dg._sample_target(fam, rng)
-    one = references.count_at(fam, target, cfg, rng, 0, dg.START_CHUNK,
-                              restart=False)
+    one = references.count_at(fam, target, cfg, rng, 0, two_pass=False)
     assert rng.bit_generator.state == after
     assert one.target == two.target
     assert (one.degree, one.signs, one.n_converged, one.resamples) == (
@@ -1019,40 +1017,24 @@ def test_chunked_pass_stops_when_nothing_new_and_every_basin_is_hit(
     assert sizes == [cfg.n_starts] and calls == [1]
 
 
-@pytest.mark.parametrize("seed", [89621819, 3945867851],
-                         ids=["bench-seed-34", "bench-seed-45"])
+@pytest.mark.parametrize("seed", [89621819, 3945867851, 3279258834],
+                         ids=["bench-seed-34", "bench-seed-45",
+                              "bench-seed-215"])
 def test_power6_trials_that_disagree_escalate_to_two_passes(seed, monkeypatch):
-    # the power:6 requests of the degree-engine bench at seeds 34 and 45: in
-    # one trial a single pass, budgeted or full, finds 4 or 5 of the 6
-    # preimages, where the two passes disagree and resample; the rerun
-    # reports the two-pass result
+    # the power:6 requests of the degree-engine bench at seeds 34, 45 and
+    # 215: in one trial the budgeted pass finds fewer than 6 preimages, so
+    # the trials disagree; at two passes of every start some target's
+    # passes disagree and resample, and the rerun reports the two-pass
+    # result
     runs = _spy_runs(monkeypatch)
-    cfg = dg.EngineConfig()
     rep = dg.mapping_degree(dg.power_map(6), seed=seed)
-    assert runs == [(dg.START_CHUNK, False), (cfg.n_starts, False),
-                    (cfg.n_starts, True)]
+    assert runs == [False, True]
     assert rep.degree == 6
     assert all(t.n_converged == 6 for t in rep.trials)
     assert sum(t.resamples for t in rep.trials) >= 1
-    two_pass = dg._trials(dg.power_map(6), cfg, rng_from_seed(seed),
-                          cfg.n_starts, True)
+    two_pass = dg._trials(dg.power_map(6), dg.EngineConfig(),
+                          rng_from_seed(seed), True)
     assert rep.trials == two_pass
-
-
-def test_power6_budgeted_trials_that_disagree_fall_back_to_one_full_pass(
-        monkeypatch):
-    # the power:6 request of the degree-engine bench at seed 215: the
-    # budgeted trials disagree, the full one-pass trials agree, and the
-    # report is theirs, as if the budget had never run
-    seed, cfg = 3279258834, dg.EngineConfig()
-    runs = _spy_runs(monkeypatch)
-    rep = dg.mapping_degree(dg.power_map(6), seed=seed)
-    assert runs == [(dg.START_CHUNK, False), (cfg.n_starts, False)]
-    assert rep.degree == 6
-    assert all(t.resamples == 0 for t in rep.trials)
-    full = dg._trials(dg.power_map(6), cfg, rng_from_seed(seed), cfg.n_starts,
-                      False)
-    assert rep.trials == full
 
 
 @pytest.mark.parametrize("cfg", [

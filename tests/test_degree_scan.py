@@ -73,6 +73,22 @@ def test_a_float_move_is_reported_not_counted(capsys):
            "change 6" in out
 
 
+def test_each_report_that_is_not_byte_identical_is_named(capsys):
+    # a float move alone is no problem, but it names its request, and so
+    # does an integer difference; an identical report is not named
+    problems, out = _compare(
+        [_line(), _line(seed=2), _line(seed=3)],
+        [_line(), _line(seed=2, residual=1.5e-12), _line(seed=3, degree=3)],
+        capsys)
+    assert problems == 1
+    changed = [ln for ln in out.splitlines() if ln.startswith("CHANGED")]
+    assert changed == ["CHANGED seed 2 power:2", "CHANGED seed 3 power:2"]
+    assert "DIFFERS seed 3 power:2" in out
+    # a request that fails on either side is a failure, not a change
+    _, out = _compare([_line(error="E")], [_line()], capsys)
+    assert "CHANGED" not in out
+
+
 def test_each_side_pins_every_blas_thread_count(monkeypatch, tmp_path):
     seen = {}
 

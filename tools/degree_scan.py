@@ -9,8 +9,10 @@ requests of `bench/workloads.py` (13 requests per seed, everything a
 parent revision extracted with `git archive` into a temporary directory.
 Each side runs in its own process, with its own `src/` and `bench/`.  It
 prints the requests that fail on each side (an error, or a check of the
-bench's `verify` that fails), every integer field or target that differs
-between two passing reports, and the largest move of each float field.
+bench's `verify` that fails), every request that passes on both sides with
+reports that are not byte-identical (a `CHANGED` line, even when only a
+float moved), every integer field or target that differs between two
+passing reports, and the largest move of each float field.
 For each map it prints the Newton rows each side evaluated and the
 `_Charted.evaluate` calls it made, summed over the seeds.  The exit code is
 0 when both sides fail the same requests with the same messages and every
@@ -136,6 +138,8 @@ def compare(parent: list, change: list) -> int:
             continue
         rp, rc = p["report"], c["report"]
         identical += rp == rc
+        if rp != rc:
+            print("CHANGED %s" % where)
         diffs = [] if rp["degree"] == rc["degree"] else ["degree"]
         if len(rp["trials"]) != len(rc["trials"]):
             diffs.append("trial count")
