@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Newton starts drawn per pass (default %d).  With "
                    "two or more trials each target first runs one pass in "
                    "chunks of %d that may stop early, then, if the trials "
-                   "disagree, one pass of every start, then two; --trials 1 "
-                   "runs the two passes only"
+                   "disagree, two passes of every start; --trials 1 runs "
+                   "the two passes only"
                    % (deg.EngineConfig.n_starts, deg.START_CHUNK))
     d.add_argument("--json")
 

@@ -430,25 +430,22 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray, group: np.ndarray,
                 step[plain] = np.linalg.solve(jac[plain],
                                               g[plain][..., None])[..., 0]
             except np.linalg.LinAlgError:
-                _mark_singular(jac, g, group, singular)
+                _mark_singular(jac, group, singular)
                 continue
         if damped.any():
             step[damped] = _damped_step(jac[damped], g[damped])
         return step
 
 
-def _mark_singular(jac: np.ndarray, g: np.ndarray, group: np.ndarray,
+def _mark_singular(jac: np.ndarray, group: np.ndarray,
                    singular: np.ndarray) -> None:
-    """Mark the groups whose plain solve fails: the only group not yet
-    marked, or each such group whose own rows hold a singular matrix."""
-    ids, bad = sorted(set(group[~singular[group]].tolist())), []
-    for gid in ids if len(ids) > 1 else ():
-        mine = group == gid
-        try:
-            np.linalg.solve(jac[mine], g[mine][..., None])
-        except np.linalg.LinAlgError:
-            bad.append(gid)
-    singular[bad or ids] = True
+    """Mark each group not yet marked that has a row whose matrix has a zero
+    pivot: `np.linalg.slogdet` gives those rows sign 0, and they are the
+    rows on which `np.linalg.solve` raises, since both factor the matrix
+    with LAPACK getrf."""
+    open_rows = ~singular[group]
+    sign, _ = np.linalg.slogdet(jac[open_rows])
+    singular[group[open_rows][sign == 0]] = True
 
 
 class _Charted:

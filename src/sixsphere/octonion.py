@@ -659,10 +659,6 @@ class _ExactArithmetic(Arithmetic):
         (vs, d), = self.kernels([rows])
         return [_reduced(v, d) for v in vs.tolist()]
 
-    def ray(self, o: Octonion) -> Octonion:
-        """The representative of the ray through o that results carry."""
-        return o
-
     def points(self, os: Sequence[Octonion]):
         """The stacked pair of these octonions: each one's numerators over
         its own denominator, the denominators shaped (n, 1, 1)."""
@@ -750,9 +746,6 @@ class _FloatArithmetic(Arithmetic):
     def planes(self, stack):
         k, dims = linalg.kernel_planes_float(stack)
         return (k, np.ones((len(k), 1))), dims
-
-    def ray(self, o: Octonion) -> Octonion:
-        return normalize(o)
 
     def rays(self, pts):
         # the norms as `normalize` takes them: Python's float ** 0.5 is

@@ -53,7 +53,7 @@ from .errors import (BadConfig, DegenerateInput, InvalidStructure,
 from . import octonion
 from .octonion import (_CONJ, CHECK_TOL, SEPARATION_TOL, Octonion,
                        SquareMatrix, _floats, arithmetic_of, batch_mul,
-                       inner_rows, reject, residual)
+                       inner_rows, normalize, reject, residual)
 from .sampling import (random_rational_imaginary_unit,
                        random_rational_unit_octonion, rng_from_seed)
 
@@ -283,59 +283,35 @@ class CompanionResult:
     residual: float      # max octonion-product residual of the verification
 
 
-def isotopy_residual(lam: SO7Element, cands: Sequence[Octonion],
-                     tol: float) -> List[float]:
-    """For each candidate octonion a, its residual: the max over basis pairs
-    of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |, or for a
-    candidate that fails, its first failing defect.
+def isotopy_residual(lam: SO7Element, a: Octonion, tol: float) -> float:
+    """The residual of the candidate octonion a: the max over basis pairs
+    of | (lam(ei) a)(conj(a) lam(ej)) - |a|^2 lam(ei ej) |, or, if a fails,
+    its first failing defect: the first in (i, j) order that fails lam's
+    test against tol (any nonzero defect in exact mode).
 
-    The candidates are checked in one stacked pass on rows, floats or exact
-    numerators over one denominator per candidate (d^2 D^2, for lam's pair
-    over d and a's numerators over D), reduced by no gcd: one `batch_mul`
-    for every lam(ei) a and conj(a) lam(ej), then their products.  Every
-    defect equals the one scalar `Octonion` products give, and every
-    residual the one `residual` reads off it.  A candidate fails at the
-    first defect in (i, j) order that fails lam's test against tol (any
-    nonzero defect in exact mode), and that defect is its residual.  The 16
-    products with i <= 1 are taken first, for every candidate, and only the
-    candidates that pass them go on to the 48 with i >= 2, so a failing
-    candidate stays cheap."""
-    ctx = arithmetic_of(lam, *cands)
+    One pass on rows, floats or exact numerators over one denominator
+    (d^2 D^2, for lam's pair over d and a's numerators over D), reduced by
+    no gcd: one `batch_mul` for every lam(ei) a and conj(a) lam(ej), one
+    for their 64 products.  Every defect equals the one scalar `Octonion`
+    products give, and the residual the one `residual` reads off it."""
+    ctx = arithmetic_of(lam, a)
     img, d = ctx.pair(lam)
     img = img.T                                   # row i: lam(e_i), over d
-    num, den = ctx.points(cands)                  # den: one per candidate, or 1.0
-    m = len(cands)
-    den = np.resize(d * d * np.reshape(den, -1) ** 2, m)
+    num, den = ctx.points([a])                    # (1, 8) over a's D, or 1.0
+    den = d * d * np.ravel(den)[0] ** 2
     scale = inner_rows(num, num) * d              # |a|^2 over den / d
-    # lam(ei) a and conj(a) lam(ej), [i, c] and [j, c], in one call
-    x, y = np.empty((2, 2, 8, m, 8), np.result_type(img, num))
-    x[0] = y[1] = img[:, None]
+    # lam(ei) a and conj(a) lam(ej), rows i and j, in one call
+    x, y = np.empty((2, 2, 8, 8), np.result_type(img, num))
+    x[0] = y[1] = img
     x[1], y[0] = num * _CONJ, num
     lefts, rights = batch_mul(x, y)
+    prods = batch_mul(lefts[:, None], rights[None, :])         # [i, j]
+    # lam(ei ej) = MUL_SIGN[i][j] lam(ek), k = MUL_INDEX[i][j]
+    lam_ij = img[octonion._MUL_INDEX]
+    defects = prods - (octonion._MUL_SIGN[..., None] * scale) * lam_ij
+    r = (np.abs(defects).max(axis=-1) / den).ravel().tolist()  # (i, j) order
     cut = 0 if ctx.exact else tol                 # a pair fails above it
-    out: List[float] = [0.0] * m
-    alive = np.arange(m)
-    for rows in (slice(0, 2), slice(2, 8)):
-        prods = batch_mul(lefts[rows, alive, None],
-                          rights[:, alive].swapaxes(0, 1))    # [i, c, j]
-        # lam(ei ej) = MUL_SIGN[i][j] lam(ek), k = MUL_INDEX[i][j]
-        sign = octonion._MUL_SIGN[rows][:, None, :, None]
-        lam_ij = img[octonion._MUL_INDEX[rows]][:, None]
-        defects = prods - (sign * scale[alive, None, None]) * lam_ij
-        r = np.abs(defects).max(axis=-1) / den[alive, None]   # [i, c, j]
-        r = r.swapaxes(0, 1).reshape(len(alive), -1)          # (i, j) order
-        keep = []
-        for c, rc in zip(alive.tolist(), r.tolist()):
-            bad = next((v for v in rc if v > cut), None)
-            if bad is None:
-                out[c] = max(out[c], *rc)
-                keep.append(c)
-            else:
-                out[c] = bad
-        alive = np.array(keep, dtype=int)
-        if not len(alive):
-            break
-    return out
+    return next((v for v in r if v > cut), max(0.0, *r))
 
 
 def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
@@ -358,11 +334,12 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
     a_0 = 1, or, when a_0 = 0, the last nonzero coordinate of lam^T a is 1.
     `kernel_dim` is the dimension of the kernel of lam's multiplication
     defect, {u : lam(x u) = lam(x) lam(u)}: 8 when a is real (lam is an
-    automorphism), else 2.  a is returned only if `isotopy_residual`
-    passes it against tol on all 64 basis pairs (any nonzero defect fails
-    in exact mode); else VerificationFailed is raised with the first
-    failing defect, so a matrix outside SO(7) that was not validated gets
-    no companion by mistake."""
+    automorphism), else 2.  The one candidate goes through one
+    `isotopy_residual` pass, and a is returned only if it passes against
+    tol on all 64 basis pairs (any nonzero defect fails in exact mode);
+    else VerificationFailed is raised with the first failing defect, so a
+    matrix outside SO(7) that was not validated gets no companion by
+    mistake."""
     if not 0 <= tol < np.inf:
         raise BadConfig("tolerance must be a finite number >= 0")
     ctx = arithmetic_of(lam)
@@ -379,13 +356,13 @@ def companion(lam: SO7Element, tol: float = CHECK_TOL) -> CompanionResult:
                                  "entry")
     v = form[:, c]
     if not ctx.exact:
-        a = ctx.ray(_floats(v.tolist()))
+        a = normalize(_floats(v.tolist()))
     elif v[0]:
         a = Octonion.from_lifted(v, v[0])
     else:
         back = [x for x in (m.T @ v).tolist() if x]           # d lam^T v
         a = Octonion.from_lifted(v * d, back[-1] if back else d)
-    r, = isotopy_residual(lam, [a], tol)
+    r = isotopy_residual(lam, a, tol)
     if not ctx.scalar_eq(r, 0, tol):
         raise VerificationFailed(
             "companion candidate fails the isotopy identity (defect %g)" % r)

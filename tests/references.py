@@ -25,7 +25,8 @@ from sixsphere.errors import (IdenticalStructures, InvalidStructure,
                               NoCommonLine, NonConvergence, NotUnit,
                               RankError, SixSphereError,
                               UnstablePreimageCount, VerificationFailed)
-from sixsphere.octonion import CHECK_TOL, Octonion, arithmetic_of, residual
+from sixsphere.octonion import (CHECK_TOL, Octonion, arithmetic_of, normalize,
+                               residual)
 from sixsphere.sampling import (haar_orthogonal, random_rational_circle_point,
                                 random_rational_imaginary_unit,
                                 random_rational_tangent,
@@ -98,7 +99,8 @@ def recover(j: ComplexStructureR6):
                         "expected 2" % len(ker))
     k1, k2 = ker
     y = k2.inner(ctx.e1) * k1 - k1.inner(ctx.e1) * k2
-    x = ctx.ray(k1 if ctx.zero_norm(y.norm_sq()) else y)
+    x = k1 if ctx.zero_norm(y.norm_sq()) else y
+    x = x if ctx.exact else normalize(x)
     jx = j_from_octonion(x)
     if not ctx.agree(jx, j, CHECK_TOL):
         raise VerificationFailed("recovered x does not reproduce J")
@@ -130,7 +132,7 @@ def common_line(j1: ComplexStructureR6, j2: ComplexStructureR6) -> ComplexLine:
         raise NoCommonLine("distinct orthogonal structures must share a line")
     if len(ker) != 2:
         raise RankError("agreement space has dimension %d, expected 2" % len(ker))
-    u = ctx.ray(ker[0])
+    u = ker[0] if ctx.exact else normalize(ker[0])
     return ComplexLine(u, j1.apply(u))
 
 
@@ -382,7 +384,8 @@ def companion(lam, tol: float = CHECK_TOL) -> twistor.CompanionResult:
     for u in candidates:
         if u.is_zero(CHECK_TOL):
             continue
-        a = ctx.ray(lam.apply(u))
+        a = lam.apply(u)
+        a = a if ctx.exact else normalize(a)
         r = isotopy_residual(lam, a, tol)
         if ctx.scalar_eq(r, 0, tol):
             return twistor.CompanionResult(a, len(ker), float(r))

@@ -165,6 +165,10 @@ def test_degrees_suite_and_cli_share_the_map_inventory(monkeypatch, capsys):
     # argparse may wrap the help inside a hyphenated name
     flat = "".join(capsys.readouterr().out.split())
     assert all(name in flat for name in degree.MAPS)
+    # the --starts help names the ladder's two levels, not the deleted
+    # middle one
+    assert "twopassesofeverystart" in flat
+    assert "onepassofeverystart" not in flat
 
 
 def test_verify_cli_pass(tmp_path, capsys):

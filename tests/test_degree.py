@@ -302,19 +302,27 @@ def test_newton_step_zero_jacobian_row_gives_zero_step(rng):
 
 
 def test_newton_steps_mark_only_the_singular_groups(rng):
-    # a regular group and a rank-1 group in one batch of more than
-    # START_CHUNK rows: each row gets its own group's step, and only the
-    # rank-1 group is marked
+    # a regular group, a rank-1 group, a group whose only zero-pivot row is
+    # its last, and a regular group, in one batch of more than START_CHUNK
+    # rows: each row gets its own group's step, and only the two singular
+    # groups are marked
     n = dg.START_CHUNK + 30
     jac_sing, g_sing = _theta_circle_newton_batch(rng, n=n)
-    jac = np.concatenate([rng.standard_normal((n, 7, 7)), jac_sing])
-    g = np.concatenate([rng.standard_normal((n, 7)), g_sing])
-    group = np.repeat([0, 1], n)
-    singular = np.zeros(3, dtype=bool)
+    jac_last = rng.standard_normal((40, 7, 7))
+    jac_last[-1, :, 3] = 0.0
+    jac = np.concatenate([rng.standard_normal((n, 7, 7)), jac_sing, jac_last,
+                          rng.standard_normal((40, 7, 7))])
+    g = np.concatenate([rng.standard_normal((n, 7)), g_sing,
+                        rng.standard_normal((80, 7))])
+    group = np.repeat([0, 1, 2, 3], [n, n, 40, 40])
+    singular = np.zeros(5, dtype=bool)
     step = dg._newton_steps(jac, g, group, singular)
-    assert singular.tolist() == [False, True, False]
-    assert np.array_equal(step[:n], _steps(jac[:n], g[:n])[0])
-    assert np.array_equal(step[n:], _steps(jac[n:], g[n:])[0])
+    assert singular.tolist() == [False, True, True, False, False]
+    for gid, want_singular in enumerate([False, True, True, False]):
+        mine = group == gid
+        want, marked = _steps(jac[mine], g[mine])
+        assert marked == want_singular
+        assert np.array_equal(step[mine], want)
 
 
 def test_newton_iteration_evaluates_chart_and_map_once(rng, monkeypatch):

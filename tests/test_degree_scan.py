@@ -2,6 +2,7 @@
 the environment each side runs in."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "degree_scan.py"
@@ -103,3 +104,32 @@ def test_each_side_pins_every_blas_thread_count(monkeypatch, tmp_path):
         assert seen[name] == "1", name
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
 
+
+
+def test_keep_writes_each_sides_lines_to_the_directory(monkeypatch, tmp_path,
+                                                       capsys):
+    # with --keep DIR the two sides' request lines stay in DIR, one file
+    # per side; the comparison reads the same lines
+    trees = []
+    sides = {"parent": _line(), "change": _line(residual=1.5e-12)}
+
+    class Done:
+        def wait(self):
+            return 0
+
+    def run_side(tree, seeds, out):
+        trees.append(tree)
+        out.write(json.dumps(sides[Path(out.name).stem]) + "\n")
+        return Done()
+
+    monkeypatch.setattr(degree_scan, "_extract", lambda rev, dest: None)
+    monkeypatch.setattr(degree_scan, "_run_side", run_side)
+    keep = tmp_path / "scan-lines"
+    assert degree_scan.main(["--parent", "HEAD", "--seeds", "1:2",
+                             "--keep", str(keep)]) == 0
+    assert sorted(p.name for p in keep.iterdir()) == ["change.jsonl",
+                                                      "parent.jsonl"]
+    for name, line in sides.items():
+        assert (keep / (name + ".jsonl")).read_text() == json.dumps(line) + "\n"
+    assert trees[1] == degree_scan.ROOT
+    assert "CHANGED seed 1 power:2" in capsys.readouterr().out

@@ -68,8 +68,6 @@ KEEP = {
     "octonion._FloatArithmetic.kernel":
         "the float side of Arithmetic.kernel; the reference kernel route "
         "of the companion runs it",
-    "octonion._ExactArithmetic.ray":
-        "the exact side of Arithmetic.ray, which the float companion reads",
     "octonion.exact_sqrt":
         "normalize keeps an exact octonion with a rational norm exact",
     "chern.GradedPoly.__sub__": "operator of the public graded ring",

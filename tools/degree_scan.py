@@ -17,7 +17,9 @@ For each map it prints the Newton rows each side evaluated and the
 `_Charted.evaluate` calls it made, summed over the seeds.  The exit code is
 0 when both sides fail the same requests with the same messages and every
 integer field and target agrees, 1 otherwise; the row and call counts are
-reported, not checked.
+reported, not checked.  With `--keep DIR` the request lines of the two
+sides stay in DIR/parent.jsonl and DIR/change.jsonl, one JSON line per
+request; without it they are deleted with the temporary directory.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ def _parse(argv):
     ap.add_argument("--parent", help="the revision to compare against")
     ap.add_argument("--seeds", required=True,
                     help="bench seeds A:B, A included and B excluded")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="write the request lines of the two sides to "
+                         "DIR/parent.jsonl and DIR/change.jsonl and keep "
+                         "them")
     ap.add_argument("--worker", action="store_true",
                     help="run the requests of the tree in the working "
                          "directory and print one JSON line each")
@@ -186,6 +192,15 @@ def _print_work(parent: list, change: list) -> None:
         "equal" if all(p == c for p, c in rows) else "differ"))
 
 
+def _extract(revision: str, dest: Path) -> None:
+    """Extract the tree of a revision into the new directory dest with
+    `git archive`."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", revision],
+                             check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     if args.worker:
@@ -194,13 +209,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="degree-scan-") as tmp:
         tmp = Path(tmp)
         parent_tree = tmp / "parent"
-        parent_tree.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive",
-                                  args.parent], check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
-                       check=True)
-        outs = [tmp / "parent.jsonl", tmp / "change.jsonl"]
+        _extract(args.parent, parent_tree)
+        where = tmp if args.keep is None else Path(args.keep)
+        where.mkdir(parents=True, exist_ok=True)
+        outs = [where / "parent.jsonl", where / "change.jsonl"]
         with outs[0].open("w") as fp, outs[1].open("w") as fc:
             procs = [_run_side(parent_tree, args.seeds, fp),
                      _run_side(ROOT, args.seeds, fc)]
